@@ -10,7 +10,7 @@
 //	                        # batching, global-ring)
 //	bench -delivery         # delivery pipeline: per-message vs batched
 //	bench -io               # acceptor I/O: per-put fsync vs group commit
-//	bench -ckpt             # checkpoints: sync-blocking vs COW-async
+//	bench -ckpt             # checkpoints: COW-async pipeline vs none
 //	bench -reconfig         # online reconfiguration: live split under load
 //	bench -flow             # flow control: static vs adaptive λ,
 //	                        # slow-replica isolation (EC2 WAN)
@@ -54,7 +54,7 @@ func run() error {
 	ablation := flag.String("ablation", "", "ablation to run: merge-m, skip, batch, global-ring or 'all'")
 	delivery := flag.Bool("delivery", false, "run the delivery-pipeline benchmark (per-message vs batched)")
 	ioBench := flag.Bool("io", false, "run the acceptor I/O benchmark (per-put fsync vs group commit)")
-	ckptBench := flag.Bool("ckpt", false, "run the checkpoint-pipeline benchmark (sync-seed vs COW-async)")
+	ckptBench := flag.Bool("ckpt", false, "run the checkpoint-pipeline benchmark (COW-async vs no checkpoints)")
 	reconfigBench := flag.Bool("reconfig", false, "run the online-reconfiguration benchmark (live partition split under load)")
 	flowBench := flag.Bool("flow", false, "run the flow-control benchmark (static vs adaptive rate leveling, slow-replica isolation)")
 	execBench := flag.Bool("exec", false, "run the execution benchmark (conflict-aware parallel apply scaling, read-index vs multicast reads)")

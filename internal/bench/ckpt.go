@@ -30,10 +30,8 @@ type CkptRow struct {
 	// P99Ms / MaxMs are client-observed update latencies.
 	P99Ms float64 `json:"p99_ms"`
 	MaxMs float64 `json:"max_ms"`
-	// MaxStallMs is the longest a checkpoint blocked the delivery
-	// goroutine (capture only on the async path; capture + serialize +
-	// durable write on the sync path), maxed over the partition's
-	// replicas.
+	// MaxStallMs is the longest a checkpoint capture blocked the delivery
+	// goroutine, maxed over the partition's replicas.
 	MaxStallMs float64 `json:"max_delivery_stall_ms"`
 	// Checkpoints / Coalesced count durable writes and captures
 	// superseded before being written, summed over replicas.
@@ -41,19 +39,15 @@ type CkptRow struct {
 	Coalesced   uint64 `json:"coalesced_captures"`
 }
 
-// CkptSizeRow compares both pipelines at one database size.
+// CkptSizeRow is the checkpoint pipeline against its checkpoint-free
+// control at one database size.
 type CkptSizeRow struct {
 	Records    int `json:"records"`
 	StateBytes int `json:"state_bytes"`
 	// SteadyOpsPerS is the checkpoint-free control run.
 	SteadyOpsPerS float64 `json:"steady_ops_per_s"`
-	// Sync is the seed's blocking pipeline (full-state serialization +
-	// write + fsync inline in deliverBatch).
-	Sync CkptRow `json:"sync_seed"`
 	// Async is the COW capture + background writer pipeline.
 	Async CkptRow `json:"cow_async"`
-	// StallRatio is Sync.MaxStallMs / Async.MaxStallMs.
-	StallRatio float64 `json:"stall_ratio_sync_vs_async"`
 }
 
 // CkptResult aggregates the checkpoint benchmark (cmd/bench -ckpt).
@@ -79,21 +73,19 @@ const (
 )
 
 // ckptRecordCounts are the database sizes compared (~256 KB, ~2 MB and
-// ~8 MB of serialized state) — enough spread to show the sync pipeline's
-// stall growing linearly with state while the COW capture stays flat.
+// ~8 MB of serialized state) — enough spread to show the capture stall
+// staying flat while the state grows.
 var ckptRecordCounts = []int{1024, 8192, 32768}
 
 // CkptBench measures how much checkpointing disturbs delivery: for each
-// database size it runs the same closed-loop update workload three times —
-// checkpoints off (steady control), the seed's synchronous inline
-// checkpoint path, and the COW-capture + background-writer pipeline — and
-// reports throughput, client-observed p99/max latency and the longest
-// delivery stall a checkpoint caused. Checkpoints go to real files
-// (write + fsync + rename + dir fsync) so the sync mode pays what the seed
-// actually paid.
+// database size it runs the same closed-loop update workload twice —
+// checkpoints off (steady control) and the COW-capture + background-writer
+// pipeline — and reports throughput, client-observed p99/max latency and
+// the longest delivery stall a checkpoint caused. Checkpoints go to real
+// files (write + fsync + rename + dir fsync).
 func CkptBench(o Options) (CkptResult, error) {
 	o = o.withDefaults()
-	o.header("Checkpoint", "delivery impact: sync-seed vs COW-async checkpoint pipeline")
+	o.header("Checkpoint", "delivery impact: COW-async checkpoint pipeline vs no checkpoints")
 	o.printf("%-10s %9s %12s %10s %9s %9s %11s %6s %6s\n",
 		"mode", "records", "state", "ops/s", "vs-steady", "p99(ms)", "stall(ms)", "ckpts", "coal")
 
@@ -104,44 +96,32 @@ func CkptBench(o Options) (CkptResult, error) {
 	}
 	for _, records := range ckptRecordCounts {
 		row := CkptSizeRow{Records: records, StateBytes: records * (ckptValueBytes + 16)}
-		steady, err := ckptRun(o, records, 0, false)
+		steady, err := ckptRun(o, records, 0)
 		if err != nil {
 			return res, err
 		}
 		row.SteadyOpsPerS = steady.OpsPerS
-		if row.Sync, err = ckptRun(o, records, ckptEvery, true); err != nil {
-			return res, err
-		}
-		if row.Async, err = ckptRun(o, records, ckptEvery, false); err != nil {
+		if row.Async, err = ckptRun(o, records, ckptEvery); err != nil {
 			return res, err
 		}
 		if steady.OpsPerS > 0 {
-			row.Sync.ThroughputVsSteady = row.Sync.OpsPerS / steady.OpsPerS
 			row.Async.ThroughputVsSteady = row.Async.OpsPerS / steady.OpsPerS
 		}
-		if row.Async.MaxStallMs > 0 {
-			row.StallRatio = row.Sync.MaxStallMs / row.Async.MaxStallMs
-		}
 		res.Sizes = append(res.Sizes, row)
-		for _, r := range []CkptRow{row.Sync, row.Async} {
-			o.printf("%-10s %9d %12d %10.0f %9.2f %9.2f %11.3f %6d %6d\n",
-				r.Mode, records, row.StateBytes, r.OpsPerS, r.ThroughputVsSteady,
-				r.P99Ms, r.MaxStallMs, r.Checkpoints, r.Coalesced)
-		}
+		r := row.Async
+		o.printf("%-10s %9d %12d %10.0f %9.2f %9.2f %11.3f %6d %6d\n",
+			r.Mode, records, row.StateBytes, r.OpsPerS, r.ThroughputVsSteady,
+			r.P99Ms, r.MaxStallMs, r.Checkpoints, r.Coalesced)
 	}
 	return res, nil
 }
 
 // ckptRun boots one store partition, preloads records and drives the
 // update workload for o.Duration. checkpointEvery 0 is the steady control.
-func ckptRun(o Options, records, checkpointEvery int, syncCkpt bool) (CkptRow, error) {
+func ckptRun(o Options, records, checkpointEvery int) (CkptRow, error) {
 	mode := "steady"
 	if checkpointEvery > 0 {
-		if syncCkpt {
-			mode = "sync-seed"
-		} else {
-			mode = "cow-async"
-		}
+		mode = "cow-async"
 	}
 	row := CkptRow{Mode: mode}
 
@@ -157,7 +137,6 @@ func ckptRun(o Options, records, checkpointEvery int, syncCkpt bool) (CkptRow, e
 		Partitions:      1,
 		Replicas:        3,
 		CheckpointEvery: checkpointEvery,
-		SyncCheckpoints: syncCkpt,
 		NewCheckpointStore: func(self transport.ProcessID) (recovery.Store, error) {
 			return recovery.NewFileStore(filepath.Join(ckptDir, fmt.Sprintf("p%d", self)))
 		},

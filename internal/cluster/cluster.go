@@ -243,9 +243,6 @@ type StoreOptions struct {
 	GlobalLambda int
 	// CheckpointEvery commands between replica checkpoints (0 off).
 	CheckpointEvery int
-	// SyncCheckpoints forces the legacy blocking checkpoint path
-	// (benchmark comparison only; see smr.ReplicaConfig).
-	SyncCheckpoints bool
 	// RecoveryTimeout enables peer recovery on restart.
 	RecoveryTimeout time.Duration
 	// NewLog supplies acceptor logs per (ring, process); nil = memory.
@@ -433,7 +430,6 @@ func (c *StoreCluster) startServer(p, r int, peerRecovery bool) error {
 		Coord:           c.D.Svc,
 		Checkpoints:     ckpt,
 		CheckpointEvery: c.opts.CheckpointEvery,
-		SyncCheckpoints: c.opts.SyncCheckpoints,
 		Ring:            c.opts.Ring,
 		Batch:           c.opts.Batch,
 		M:               c.opts.M,

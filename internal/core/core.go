@@ -1114,6 +1114,19 @@ func (n *Node) DeliveredVector() recovery.Vector {
 	return n.vector.Clone()
 }
 
+// FoldDeliveredVector raises dst's entries to the delivered high-water
+// marks (adding groups dst does not track yet) under the node lock,
+// without allocating a copy: the per-batch form of DeliveredVector.
+func (n *Node) FoldDeliveredVector(dst recovery.Vector) {
+	n.mu.Lock()
+	for g, k := range n.vector {
+		if have, ok := dst[g]; !ok || k > have {
+			dst[g] = k
+		}
+	}
+	n.mu.Unlock()
+}
+
 // MergeCursor snapshots the merge position. Pair it with DeliveredVector
 // (read atomically inside a delivery handler) to identify a checkpoint.
 func (n *Node) MergeCursor() Cursor {

@@ -129,17 +129,8 @@ type readWaiter struct {
 // vector (all of which has now been applied) and wakes every read-index
 // waiter the new vector covers.
 func (r *Replica) noteBoundary() {
-	vec := r.cfg.Node.DeliveredVector()
 	r.readMu.Lock()
-	if r.appliedVec == nil {
-		r.appliedVec = vec
-	} else {
-		for g, k := range vec {
-			if k > r.appliedVec[g] {
-				r.appliedVec[g] = k
-			}
-		}
-	}
+	r.cfg.Node.FoldDeliveredVector(r.appliedVec)
 	if len(r.readWaiters) > 0 {
 		keep := r.readWaiters[:0]
 		for _, w := range r.readWaiters {

@@ -106,12 +106,6 @@ type ReplicaConfig struct {
 	// CheckpointEvery takes a checkpoint after this many commands.
 	// Zero disables periodic checkpoints.
 	CheckpointEvery int
-	// SyncCheckpoints forces the legacy blocking behaviour: the full
-	// serialization and durable write run inline on the delivery
-	// goroutine, stalling every subscribed group for the duration. Only
-	// for comparison benchmarks (cmd/bench -ckpt); production replicas
-	// leave it false and use the background checkpoint writer.
-	SyncCheckpoints bool
 	// ServiceHook, if set, is offered service messages the replica does
 	// not handle itself (e.g. MRP-Store's partition-split range
 	// transfers). It runs on the replica's service goroutine; it returns
@@ -591,16 +585,17 @@ func NewReplica(cfg ReplicaConfig, recovered recovery.Checkpoint) (*Replica, err
 		return nil, errors.New("smr: Node and SM are required")
 	}
 	r := &Replica{
-		cfg:      cfg,
-		tr:       cfg.Transport,
-		dedup:    make(map[transport.ProcessID]*clientWindow),
-		safeVec:  make(recovery.Vector),
-		runKeys:  make(map[cmdKey]struct{}),
-		ckptKick: make(chan struct{}, 1),
-		ckptDone: make(chan struct{}),
-		done:     make(chan struct{}),
-		loopDone: make(chan struct{}),
-		readWait: metrics.NewHistogram(),
+		cfg:        cfg,
+		tr:         cfg.Transport,
+		dedup:      make(map[transport.ProcessID]*clientWindow),
+		safeVec:    make(recovery.Vector),
+		appliedVec: make(recovery.Vector),
+		runKeys:    make(map[cmdKey]struct{}),
+		ckptKick:   make(chan struct{}, 1),
+		ckptDone:   make(chan struct{}),
+		done:       make(chan struct{}),
+		loopDone:   make(chan struct{}),
+		readWait:   metrics.NewHistogram(),
 	}
 	r.batchSM, _ = cfg.SM.(BatchExecutor)
 	r.snapSM, _ = cfg.SM.(SnapshotCapturer)
@@ -656,21 +651,10 @@ func NewReplica(cfg ReplicaConfig, recovered recovery.Checkpoint) (*Replica, err
 	}
 	// Seed the applied vector with the subscription's start positions so
 	// read-index coverage checks know which groups this replica serves
-	// even before the first batch boundary (noteBoundary merges maxima,
-	// so a boundary that already fired is never regressed).
-	seed := cfg.Node.DeliveredVector()
+	// even before the first batch boundary (the fold takes maxima, so a
+	// boundary that already fired is never regressed).
 	r.readMu.Lock()
-	if r.appliedVec == nil {
-		r.appliedVec = seed
-	} else {
-		for g, k := range seed {
-			if k > r.appliedVec[g] {
-				r.appliedVec[g] = k
-			} else if _, ok := r.appliedVec[g]; !ok {
-				r.appliedVec[g] = k
-			}
-		}
-	}
+	cfg.Node.FoldDeliveredVector(r.appliedVec)
 	r.readMu.Unlock()
 	go r.checkpointWriter()
 	go r.serviceLoop()
@@ -906,11 +890,7 @@ func (r *Replica) checkpoint(waiter chan bool) {
 	} else {
 		c.state = r.cfg.SM.Snapshot()
 	}
-	if r.cfg.SyncCheckpoints {
-		r.writeCheckpoint(c) // legacy blocking path, for comparison only
-	} else {
-		r.enqueueCheckpoint(c)
-	}
+	r.enqueueCheckpoint(c)
 	r.noteStall(time.Since(start)) //lint:allow determinism checkpoint-stall telemetry only: the duration feeds a local gauge, never replicated state or checkpoint bytes
 }
 
@@ -1004,9 +984,8 @@ func (r *Replica) checkpointWriter() {
 	}
 }
 
-// noteStall records the time a checkpoint blocked the delivery goroutine
-// (capture only on the async path; capture+serialize+write when
-// SyncCheckpoints).
+// noteStall records the time a checkpoint capture blocked the delivery
+// goroutine.
 func (r *Replica) noteStall(d time.Duration) {
 	for {
 		cur := r.ckptStallNs.Load()
@@ -1033,10 +1012,6 @@ func (r *Replica) CheckpointsCoalesced() uint64 { return r.coalesced.Load() }
 // experiments.
 func (r *Replica) ForceCheckpoint() {
 	if r.cfg.Checkpoints == nil {
-		return
-	}
-	if r.cfg.SyncCheckpoints {
-		r.checkpoint(nil)
 		return
 	}
 	w := make(chan bool, 1)

@@ -83,8 +83,10 @@ var stagedRunPool = sync.Pool{
 }
 
 // StageRun executes one conflict-free run against a snapshot + overlay,
-// filling out positionally. Safe concurrently with other StageRun calls:
-// the snapshot is immutable (COW treap) and the overlay is private.
+// filling out positionally. Safe concurrently with other StageRun calls
+// and with CommitRun: the snapshot is immutable (captured under mu, which
+// bumps the treap's epoch, so later commits copy what it holds before
+// writing) and the overlay is private.
 //
 //lint:deterministic
 func (s *SM) StageRun(_ []transport.RingID, ops [][]byte, out [][]byte) any {

@@ -104,8 +104,8 @@ func (s *SM) owns(key string) bool {
 func (s *SM) MigratedKeys() uint64 { return s.migrated.Load() }
 
 // SplitStallMax reports the longest an OpSplit stalled execution — the
-// path-copying split is O(log n), so this stays microseconds no matter
-// how many keys move.
+// split touches only the O(log n) nodes on its path, so this stays
+// microseconds no matter how many keys move.
 func (s *SM) SplitStallMax() time.Duration {
 	return time.Duration(s.splitStall.Load())
 }
@@ -263,7 +263,7 @@ func (s *SM) apply(op Op) Result {
 // applySplit executes the partition-split marker. In-place splits (same
 // replicas host the new ring) change no state — the marker only pins the
 // epoch transition's position in the merged stream. Scale-out splits cut
-// the tree at the split key in O(log n) path copies, stash the outgoing
+// the tree at the split key in O(log n) node visits, stash the outgoing
 // half for the range transfer and shrink the owned range, so every
 // operation on a moved key from here on returns StatusWrongPartition.
 func (s *SM) applySplit(op Op) Result {
@@ -383,8 +383,9 @@ func (d dbSnapshot) Serialize() []byte {
 }
 
 // CaptureSnapshot captures the current database version in O(1) — the
-// treap is copy-on-write, so the returned view shares structure with the
-// live tree but never changes. The outgoing stash rides along by
+// capture bumps the treap's epoch, so the returned view shares structure
+// with the live tree but never changes: the live tree copies a captured
+// node before its first write to it. The outgoing stash rides along by
 // reference (its snapshots are immutable too).
 func (s *SM) CaptureSnapshot() smr.StateSnapshot {
 	s.mu.Lock()
@@ -529,9 +530,6 @@ type ServerConfig struct {
 	Checkpoints recovery.Store
 	// CheckpointEvery commands between checkpoints (0 disables).
 	CheckpointEvery int
-	// SyncCheckpoints forces the legacy blocking checkpoint path
-	// (benchmark comparison only; see smr.ReplicaConfig).
-	SyncCheckpoints bool
 	// Ring tunes the consensus rings.
 	Ring core.RingOptions
 	// Batch bounds the delivery batches executed by the replica.
@@ -614,7 +612,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		SM:              sm,
 		Checkpoints:     cfg.Checkpoints,
 		CheckpointEvery: cfg.CheckpointEvery,
-		SyncCheckpoints: cfg.SyncCheckpoints,
 		ServiceHook:     rangeTransferHook(sm, tr),
 		ExecWorkers:     cfg.ExecWorkers,
 		Tracer:          cfg.Tracer,

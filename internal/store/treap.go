@@ -20,26 +20,32 @@ import (
 // in-memory tree"). Expected O(log n) insert/delete/lookup and in-order
 // range iteration for scans.
 //
-// The tree is persistent (path-copying copy-on-write): nodes are never
-// mutated once linked into a root, so Put and Delete rebuild only the
-// O(log n) nodes on the touched path and share every other subtree with
-// the previous version. snapshot() therefore captures a consistent
-// point-in-time view of the whole database in O(1) — the foundation of
-// the replica's non-blocking checkpoint pipeline, where serialization
-// runs on a background goroutine while new commands keep executing
-// against newer roots.
+// Copy-on-write is epoch-owned: the tree and every node carry an epoch,
+// and a node whose epoch equals the tree's is reachable from the live
+// root only, so updates mutate it in place. snapshot() and splitOff()
+// hand the current root to a reader and bump the tree's epoch — O(1) —
+// which turns every existing node into shared, read-only structure; the
+// next update that touches such a node copies it into the new epoch
+// first. A node is therefore copied at most once per captured snapshot,
+// not once per update, and a captured snapshot never changes — the
+// foundation of the replica's non-blocking checkpoint pipeline, where
+// serialization runs on a background goroutine while new commands keep
+// executing against the live tree. The live tree itself is not safe for
+// concurrent use (SM.mu guards it).
 type treap struct {
-	root *treapNode
-	size int
+	root  *treapNode
+	size  int
+	epoch uint64
 }
 
-// treapNode is immutable after being linked into a published root; updates
-// clone the node instead of mutating it in place.
+// treapNode is immutable once its epoch is older than its tree's (some
+// snapshot may hold it); own() copies it into the current epoch first.
 type treapNode struct {
 	key         string
 	value       []byte
 	priority    int64
 	sub         int // subtree entry count (this node + both children)
+	epoch       uint64
 	left, right *treapNode
 }
 
@@ -51,13 +57,18 @@ func subCount(n *treapNode) int {
 	return n.sub
 }
 
-// fix recomputes a freshly cloned node's subtree count from its children.
+// fix recomputes an owned node's subtree count from its children.
 func (n *treapNode) fix() { n.sub = 1 + subCount(n.left) + subCount(n.right) }
 
-// clone returns a fresh mutable copy of n; callers may mutate the copy
-// freely until it is linked into a root.
-func (n *treapNode) clone() *treapNode {
+// own returns n if the live tree owns it exclusively (no snapshot captured
+// since it was created or last copied), else a copy in the current epoch.
+// The result may be mutated in place.
+func (t *treap) own(n *treapNode) *treapNode {
+	if n.epoch == t.epoch {
+		return n
+	}
 	c := *n
+	c.epoch = t.epoch
 	return &c
 }
 
@@ -66,13 +77,17 @@ func newTreap() *treap {
 	return &treap{}
 }
 
-// priorityOf derives a node's heap priority from its key (FNV-1a). A
-// seeded rand.Rand would also be deterministic per replica, but its
-// stream position depends on operation *history* — a replica restored
-// from a snapshot and one that applied the ops organically would hold
-// differently shaped trees. Hashing the key makes the shape a pure
-// function of the key set, and keeps any random source out of the apply
-// path entirely.
+// priorityOf derives a node's heap priority from its key: FNV-1a, then
+// the murmur3 64-bit finalizer. A seeded rand.Rand would also be
+// deterministic per replica, but its stream position depends on operation
+// *history* — a replica restored from a snapshot and one that applied the
+// ops organically would hold differently shaped trees. Hashing the key
+// makes the shape a pure function of the key set, and keeps any random
+// source out of the apply path entirely. The finalizer is what makes the
+// shape balanced: raw FNV-1a barely carries a key's trailing bytes into
+// its high bits, so sequential and zero-padded keys ("user%019d") would
+// get priorities ordered almost like the keys — a tree 149 deep at 3 333
+// entries instead of 27.
 func priorityOf(key string) int64 {
 	const (
 		offset64 = 14695981039346656037
@@ -83,6 +98,11 @@ func priorityOf(key string) int64 {
 		h ^= uint64(key[i])
 		h *= prime64
 	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
 	return int64(h >> 1) // keep priorities non-negative
 }
 
@@ -90,9 +110,10 @@ func priorityOf(key string) int64 {
 func (t *treap) Len() int { return t.size }
 
 // snapshot captures the current version of the tree in O(1). The returned
-// view is immutable: later Put/Delete calls produce new roots and never
-// touch the captured one.
+// view is immutable: bumping the epoch disowns every captured node, so
+// later Put/Delete calls copy before they write.
 func (t *treap) snapshot() treapSnapshot {
+	t.epoch++
 	return treapSnapshot{root: t.root, size: t.size}
 }
 
@@ -163,30 +184,32 @@ func (t *treap) Put(key string, value []byte) bool {
 
 func (t *treap) put(n *treapNode, key string, value []byte) (*treapNode, bool) {
 	if n == nil {
-		return &treapNode{key: key, value: value, priority: priorityOf(key), sub: 1}, false
+		return &treapNode{key: key, value: value, priority: priorityOf(key), sub: 1, epoch: t.epoch}, false
 	}
-	nc := n.clone()
+	n = t.own(n)
+	var existed bool
 	switch c := strings.Compare(key, n.key); {
 	case c == 0:
-		nc.value = value
-		return nc, true
+		n.value = value
+		return n, true
 	case c < 0:
-		var existed bool
-		nc.left, existed = t.put(n.left, key, value)
-		nc.fix()
-		if nc.left.priority > nc.priority {
-			nc = rotateRight(nc)
+		if n.left, existed = t.put(n.left, key, value); existed {
+			return n, true // an overwrite changes neither counts nor shape
 		}
-		return nc, existed
+		n.fix()
+		if n.left.priority > n.priority {
+			n = rotateRight(n)
+		}
 	default:
-		var existed bool
-		nc.right, existed = t.put(n.right, key, value)
-		nc.fix()
-		if nc.right.priority > nc.priority {
-			nc = rotateLeft(nc)
+		if n.right, existed = t.put(n.right, key, value); existed {
+			return n, true
 		}
-		return nc, existed
+		n.fix()
+		if n.right.priority > n.priority {
+			n = rotateLeft(n)
+		}
 	}
+	return n, false
 }
 
 // Delete removes key, reporting whether it existed.
@@ -199,6 +222,7 @@ func (t *treap) Delete(key string) bool {
 	return existed
 }
 
+// del descends before it owns anything, so a miss copies nothing.
 func (t *treap) del(n *treapNode, key string) (*treapNode, bool) {
 	if n == nil {
 		return nil, false
@@ -209,49 +233,47 @@ func (t *treap) del(n *treapNode, key string) (*treapNode, bool) {
 		if !existed {
 			return n, false
 		}
-		nc := n.clone()
-		nc.left = nl
-		nc.fix()
-		return nc, true
+		n = t.own(n)
+		n.left = nl
 	case c > 0:
 		nr, existed := t.del(n.right, key)
 		if !existed {
 			return n, false
 		}
-		nc := n.clone()
-		nc.right = nr
-		nc.fix()
-		return nc, true
+		n = t.own(n)
+		n.right = nr
 	default:
-		return merge(n.left, n.right), true
+		return t.merge(n.left, n.right), true
 	}
+	n.fix()
+	return n, true
 }
 
 // merge joins two treaps where every key in a precedes every key in b,
-// cloning the spine it descends so shared subtrees stay immutable.
-func merge(a, b *treapNode) *treapNode {
+// owning the spine it descends so captured subtrees stay immutable.
+func (t *treap) merge(a, b *treapNode) *treapNode {
 	switch {
 	case a == nil:
 		return b
 	case b == nil:
 		return a
 	case a.priority > b.priority:
-		ac := a.clone()
-		ac.right = merge(a.right, b)
-		ac.fix()
-		return ac
+		a = t.own(a)
+		a.right = t.merge(a.right, b)
+		a.fix()
+		return a
 	default:
-		bc := b.clone()
-		bc.left = merge(a, b.left)
-		bc.fix()
-		return bc
+		b = t.own(b)
+		b.left = t.merge(a, b.left)
+		b.fix()
+		return b
 	}
 }
 
-// rotateRight and rotateLeft rebalance freshly cloned path nodes: put()
-// only rotates when the rotated child was just returned by its own
-// recursive call — a private copy this update owns — so mutating both
-// nodes in place is safe and avoids a second clone.
+// rotateRight and rotateLeft rebalance owned path nodes: put() only
+// rotates when the rotated child was just returned by its own recursive
+// call, which owns everything it returns, so mutating both nodes in
+// place is safe.
 func rotateRight(n *treapNode) *treapNode {
 	l := n.left
 	n.left = l.right
@@ -271,34 +293,36 @@ func rotateLeft(n *treapNode) *treapNode {
 }
 
 // splitOff removes every entry with key >= at from the tree and returns
-// them as an immutable snapshot, in O(log n) expected path copies — both
-// halves share all untouched subtrees with the previous version, so
+// them as an immutable snapshot, touching only the O(log n) expected nodes
+// on the split path — every other subtree goes whole to one half, so
 // concurrently captured snapshots keep observing the pre-split database.
 // This is what makes a live partition split's delivery stall independent
-// of how many keys move: the delivery goroutine only pays the path copy,
-// while serializing the outgoing half happens later, off the hot path.
+// of how many keys move: the delivery goroutine only pays the path, while
+// serializing the outgoing half happens later, off the hot path. The
+// live tree can no longer reach the outgoing half, so the epoch bump is
+// not what protects it; it keeps the invariant checkable — every node a
+// captured view holds is older than the tree's epoch.
 func (t *treap) splitOff(at string) treapSnapshot {
-	left, right := splitNodes(t.root, at)
+	left, right := t.splitNodes(t.root, at)
 	t.root = left
 	t.size = subCount(left)
+	t.epoch++
 	return treapSnapshot{root: right, size: subCount(right)}
 }
 
-func splitNodes(n *treapNode, at string) (l, r *treapNode) {
+func (t *treap) splitNodes(n *treapNode, at string) (l, r *treapNode) {
 	if n == nil {
 		return nil, nil
 	}
-	nc := n.clone()
+	n = t.own(n)
 	if strings.Compare(n.key, at) < 0 {
-		ll, rr := splitNodes(n.right, at)
-		nc.right = ll
-		nc.fix()
-		return nc, rr
+		n.right, r = t.splitNodes(n.right, at)
+		n.fix()
+		return n, r
 	}
-	ll, rr := splitNodes(n.left, at)
-	nc.left = rr
-	nc.fix()
-	return ll, nc
+	l, n.left = t.splitNodes(n.left, at)
+	n.fix()
+	return l, n
 }
 
 // Range calls fn for every entry with lo <= key <= hi in ascending key
