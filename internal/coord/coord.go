@@ -153,9 +153,16 @@ func (c RingConfig) Learners() []transport.ProcessID {
 	return out
 }
 
-// Majority returns the quorum size over the full acceptor set.
+// Majority returns the quorum size over the full acceptor set. It counts
+// in place: every vote asks for it.
 func (c RingConfig) Majority() int {
-	return len(c.Acceptors())/2 + 1
+	n := 0
+	for _, m := range c.Members {
+		if m.Roles.Has(RoleAcceptor) {
+			n++
+		}
+	}
+	return n/2 + 1
 }
 
 // clone deep-copies the config so watchers can't race with mutations.
@@ -255,6 +262,50 @@ func (s *Service) Ring(ring transport.RingID) (RingConfig, bool) {
 	return st.cfg.clone(), true
 }
 
+// Coordinator returns a ring's current coordinator (0 while it has none)
+// without copying the configuration: the per-command routing question.
+func (s *Service) Coordinator(ring transport.RingID) (transport.ProcessID, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	st, ok := s.rings[ring]
+	if !ok {
+		return 0, false
+	}
+	return st.cfg.Coordinator, true
+}
+
+// AliveLearner returns the (i mod n)-th of a ring's n alive learners in
+// ring order, without copying the configuration; ok=false when the ring is
+// unknown or has no alive learner. Callers rotate i to spread load.
+func (s *Service) AliveLearner(ring transport.RingID, i uint64) (transport.ProcessID, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	st, ok := s.rings[ring]
+	if !ok {
+		return 0, false
+	}
+	alive := func(m Member) bool { return m.Roles.Has(RoleLearner) && !st.cfg.Down[m.ID] }
+	n := uint64(0)
+	for _, m := range st.cfg.Members {
+		if alive(m) {
+			n++
+		}
+	}
+	if n == 0 {
+		return 0, false
+	}
+	k := i % n
+	for _, m := range st.cfg.Members {
+		if alive(m) {
+			if k == 0 {
+				return m.ID, true
+			}
+			k--
+		}
+	}
+	return 0, false
+}
+
 // Rings returns all ring IDs in ascending order.
 func (s *Service) Rings() []transport.RingID {
 	s.mu.RLock()
@@ -293,6 +344,17 @@ func (s *Service) Watch(ring transport.RingID) (<-chan RingConfig, func()) {
 		}
 	}
 	return ch, cancel
+}
+
+// Watchers reports how many Watch subscriptions a ring holds, so a test
+// can tell that a closed component cancelled its own.
+func (s *Service) Watchers(ring transport.RingID) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if st, ok := s.rings[ring]; ok {
+		return len(st.watchers)
+	}
+	return 0
 }
 
 // notify delivers v without blocking; if the watcher is saturated the

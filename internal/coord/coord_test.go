@@ -363,3 +363,69 @@ func TestWatchMetaCancel(t *testing.T) {
 	case <-time.After(20 * time.Millisecond):
 	}
 }
+
+// TestHotPathReadsDoNotCopy covers what every command and every vote ask
+// the configuration: who coordinates, which replica to read from, how
+// many votes decide — answered in place, not from a cloned RingConfig.
+func TestHotPathReadsDoNotCopy(t *testing.T) {
+	s := NewService()
+	if err := s.CreateRing(7, threeAcceptorRing()); err != nil {
+		t.Fatal(err)
+	}
+	if id, ok := s.Coordinator(7); !ok || id != 1 {
+		t.Errorf("Coordinator(7) = %d, %v; want 1", id, ok)
+	}
+	if _, ok := s.Coordinator(8); ok {
+		t.Error("Coordinator of an unknown ring reported ok")
+	}
+	if _, ok := s.AliveLearner(8, 0); ok {
+		t.Error("AliveLearner of an unknown ring reported ok")
+	}
+	// Learners are 1 and 3: the index rotates over the alive ones.
+	for i, want := range []transport.ProcessID{1, 3, 1, 3} {
+		if id, ok := s.AliveLearner(7, uint64(i)); !ok || id != want {
+			t.Errorf("AliveLearner(7, %d) = %d, %v; want %d", i, id, ok, want)
+		}
+	}
+	s.MarkDown(1)
+	if id, _ := s.Coordinator(7); id != 2 {
+		t.Errorf("Coordinator after failover = %d, want 2", id)
+	}
+	for i := uint64(0); i < 3; i++ {
+		if id, ok := s.AliveLearner(7, i); !ok || id != 3 {
+			t.Errorf("AliveLearner(7, %d) with 1 down = %d, %v; want 3", i, id, ok)
+		}
+	}
+	s.MarkDown(3)
+	if _, ok := s.AliveLearner(7, 0); ok {
+		t.Error("AliveLearner with every learner down reported ok")
+	}
+	cfg, _ := s.Ring(7)
+	if got := cfg.Majority(); got != 2 {
+		t.Errorf("Majority of 3 acceptors (2 down) = %d, want 2: quorums count the full set", got)
+	}
+	if got := (RingConfig{Members: []Member{{ID: 1, Roles: RoleAcceptor}, {ID: 2, Roles: RoleLearner}}}).Majority(); got != 1 {
+		t.Errorf("Majority of 1 acceptor = %d, want 1", got)
+	}
+
+	if raceEnabled {
+		t.Skip("alloc counts inflated under the race detector")
+	}
+	s.MarkUp(3)
+	var sink int
+	if got := testing.AllocsPerRun(1000, func() { sink += cfg.Majority() }); got != 0 {
+		t.Errorf("Majority: %.1f allocs, want 0", got)
+	}
+	if got := testing.AllocsPerRun(1000, func() {
+		id, _ := s.Coordinator(7)
+		sink += int(id)
+	}); got != 0 {
+		t.Errorf("Coordinator: %.1f allocs, want 0", got)
+	}
+	if got := testing.AllocsPerRun(1000, func() {
+		id, _ := s.AliveLearner(7, uint64(sink))
+		sink += int(id)
+	}); got != 0 {
+		t.Errorf("AliveLearner: %.1f allocs, want 0", got)
+	}
+}

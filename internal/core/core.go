@@ -661,7 +661,15 @@ func (n *Node) merge(groups []transport.RingID, srcs []*ringSource, handler Batc
 	flush := func() {
 		n.mu.Lock()
 		publish()
-		n.cursor = cur.Clone()
+		if n.cursor.Epoch == cur.Epoch && len(n.cursor.Credits) == len(cur.Credits) {
+			// Same subscription as the last publication (a switch
+			// installs a fresh clone): only the position moved, and
+			// MergeCursor hands out copies, so overwrite in place.
+			copy(n.cursor.Credits, cur.Credits)
+			n.cursor.Next, n.cursor.Remaining = cur.Next, cur.Remaining
+		} else {
+			n.cursor = cur.Clone()
+		}
 		n.mu.Unlock()
 		n.progressNs.Store(nowNanos())
 		emit()
@@ -1119,7 +1127,7 @@ func (n *Node) DeliveredVector() recovery.Vector {
 // without allocating a copy: the per-batch form of DeliveredVector.
 func (n *Node) FoldDeliveredVector(dst recovery.Vector) {
 	n.mu.Lock()
-	for g, k := range n.vector {
+	for g, k := range n.vector { //lint:allow determinism a per-group maximum: the result does not depend on the order
 		if have, ok := dst[g]; !ok || k > have {
 			dst[g] = k
 		}
@@ -1229,11 +1237,11 @@ func (n *Node) MulticastValueTraced(group transport.RingID, id uint64, data []by
 	if rn != nil {
 		return rn.ProposeValueTraced(v, ctx)
 	}
-	rc, ok := n.coord.Ring(group)
+	coordinator, ok := n.coord.Coordinator(group)
 	if !ok {
 		return fmt.Errorf("core: ring %d not registered", group)
 	}
-	if rc.Coordinator == 0 {
+	if coordinator == 0 {
 		return ring.ErrNoCoordinator
 	}
 	m := transport.Message{
@@ -1248,7 +1256,7 @@ func (n *Node) MulticastValueTraced(group transport.RingID, id uint64, data []by
 		m.Traces = append(m.Traces, transport.TraceRef{ValueID: id, Ctx: ctx})
 		n.cfg.Tracer.Add(ctx, "forward", uint32(group), 0, id, time.Now(), 0)
 	}
-	return n.tr.Send(rc.Coordinator, m)
+	return n.tr.Send(coordinator, m) //lint:allow logbeforeforward a proposal is no vote: there is nothing to log before it leaves (reached from the smr client's loop)
 }
 
 // MarkerID returns a fresh proposer-unique value id suitable for

@@ -396,16 +396,16 @@ func TestBatchedMulticastUnpacks(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		d.joinAll(transport.ProcessID(i), []transport.RingID{1}, []transport.RingID{1})
 	}
-	const count = 100
+	const count = 1000
 	for i := 0; i < count; i++ {
-		if err := d.nodes[1].Multicast(1, []byte(fmt.Sprintf("m%03d", i))); err != nil {
+		if err := d.nodes[1].Multicast(1, []byte(fmt.Sprintf("m%04d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// All messages are delivered, in order, despite packing.
 	ds := d.collect(1, count, 15*time.Second)
 	for i, dd := range ds {
-		if want := fmt.Sprintf("m%03d", i); string(dd.Data) != want {
+		if want := fmt.Sprintf("m%04d", i); string(dd.Data) != want {
 			t.Fatalf("delivery %d = %q, want %q", i, dd.Data, want)
 		}
 	}

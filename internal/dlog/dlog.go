@@ -13,6 +13,7 @@ package dlog
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -128,11 +129,13 @@ func (r Result) Encode() []byte {
 	var tmp [8]byte
 	binary.LittleEndian.PutUint16(tmp[:2], uint16(len(r.Positions)))
 	buf = append(buf, tmp[:2]...)
-	ids := make([]LogID, 0, len(r.Positions))
+	// A reply names a log or a few: their ids are ordered on the stack.
+	var few [8]LogID
+	ids := few[:0]
 	for l := range r.Positions {
 		ids = append(ids, l)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, l := range ids {
 		binary.LittleEndian.PutUint32(tmp[:4], uint32(l))
 		buf = append(buf, tmp[:4]...)

@@ -2,6 +2,7 @@ package dlog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -38,17 +39,29 @@ func TestOpDecodeTruncated(t *testing.T) {
 }
 
 func TestResultRoundTrip(t *testing.T) {
-	r := Result{
-		Status:    StatusOK,
-		Positions: map[LogID]uint64{1: 10, 7: 3},
-		Value:     []byte("payload"),
+	for _, r := range []Result{
+		{Status: StatusOK, Positions: map[LogID]uint64{1: 10, 7: 3}, Value: []byte("payload")},
+		{Status: StatusOK, Positions: map[LogID]uint64{7: 3}}, // an append's reply
+		{Status: StatusNotFound},
+	} {
+		got, err := DecodeResult(r.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(r, got) {
+			t.Errorf("round trip: got %+v want %+v", got, r)
+		}
 	}
-	got, err := DecodeResult(r.Encode())
-	if err != nil {
-		t.Fatal(err)
+	// Replicas must answer with identical bytes: ascending log ids.
+	many := Result{Status: StatusOK, Positions: map[LogID]uint64{}}
+	for l := LogID(64); l > 0; l-- {
+		many.Positions[l] = uint64(l) * 3
 	}
-	if !reflect.DeepEqual(r, got) {
-		t.Errorf("round trip: got %+v want %+v", got, r)
+	enc := many.Encode()
+	for i := 0; i < 64; i++ {
+		if got := LogID(binary.LittleEndian.Uint32(enc[3+12*i:])); got != LogID(i+1) {
+			t.Fatalf("position %d is log %d, want ascending ids", i, got)
+		}
 	}
 }
 

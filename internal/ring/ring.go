@@ -528,7 +528,7 @@ func (n *Node) ProposeValueTraced(v transport.Value, ctx trace.Context) error {
 		m.Traces = append(m.Traces, transport.TraceRef{ValueID: v.ID, Ctx: ctx})
 		n.tracer.Add(ctx, "forward", uint32(n.ring), 0, v.ID, time.Now(), 0)
 	}
-	return n.tr.Send(coordID, m)
+	return n.tr.Send(coordID, m) //lint:allow logbeforeforward a proposal is no vote: there is nothing to log before it leaves (reached from the smr client's loop)
 }
 
 // Stats reports instance counters (decided includes skipped).

@@ -3,7 +3,9 @@ package smr
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,22 +31,28 @@ type Client struct {
 	svc    *coord.Service  // optional: enables re-route on re-election
 	tracer *trace.Recorder // optional: roots a trace at every sampled submit
 
-	mu      sync.Mutex
-	waiters map[uint64]*waiter
-	// byValue maps an in-flight command's multicast value id to its
-	// sequence number, so coordinator Overloaded replies (which only see
-	// the opaque value) reach the right waiter.
-	byValue map[uint64]uint64
-	closed  bool
+	mu sync.Mutex
+	// inflight holds every Submit, SubmitMarker and LocalRead in progress,
+	// by sequence number. Callers insert; only respLoop completes.
+	inflight map[uint64]*call
+	closed   bool
 	// observed is the client's session read index: per group, the
 	// highest applied instance any reply (command response or local
 	// read) has carried. A read-index local read presents it as the
 	// requirement the serving replica must cover, which yields
 	// read-your-writes and monotonic reads without a multicast round.
 	observed recovery.Vector
-	// lrWaiters routes KindLocalReadResp messages to in-flight LocalRead
-	// calls by sequence number.
-	lrWaiters map[uint64]chan transport.Message
+	// timer wakes respLoop at armed (never: not armed), no later than the
+	// earliest instant a call needs it. Instants are offsets from start.
+	start time.Time
+	timer *time.Timer
+	armed time.Duration
+	// watched lists the groups whose configuration the client watches,
+	// from their first use until Close; unwatch holds the cancels.
+	watched  []transport.RingID
+	unwatch  []func()
+	watchers sync.WaitGroup
+	rerouted chan transport.RingID // watchers → respLoop: new coordinator
 
 	seq atomic.Uint64
 
@@ -53,36 +61,10 @@ type Client struct {
 	retransmits     atomic.Uint64
 	overloadBackoff atomic.Uint64
 
+	resend   []*call // respLoop's scratch
 	done     chan struct{}
 	loopDone chan struct{}
 	stopOnce sync.Once
-}
-
-type waiter struct {
-	need   int
-	accept map[transport.RingID]bool // nil accepts any distinct partition
-	seen   map[transport.RingID]bool
-	resps  [][]byte
-	ch     chan [][]byte
-	// overload receives a coordinator's retry-after hint when the
-	// command was shed by admission control (buffered, 1).
-	overload chan time.Duration
-}
-
-// match classifies a response by its delivery group and partition tag and
-// returns the dedup key, or ok=false if the response is not counted (e.g.
-// a non-target partition answering a global-group scan).
-func (w *waiter) match(deliveryGroup, partition transport.RingID) (transport.RingID, bool) {
-	if w.accept == nil {
-		return partition, true
-	}
-	if w.accept[deliveryGroup] {
-		return deliveryGroup, true
-	}
-	if w.accept[partition] {
-		return partition, true
-	}
-	return 0, false
 }
 
 // ClientConfig configures a Client.
@@ -115,17 +97,19 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		return nil, errors.New("smr: Node and Service are required")
 	}
 	c := &Client{
-		id:        cfg.Self,
-		node:      cfg.Node,
-		tr:        cfg.Transport,
-		svc:       cfg.Coord,
-		tracer:    cfg.Tracer,
-		waiters:   make(map[uint64]*waiter),
-		byValue:   make(map[uint64]uint64),
-		observed:  make(recovery.Vector),
-		lrWaiters: make(map[uint64]chan transport.Message),
-		done:      make(chan struct{}),
-		loopDone:  make(chan struct{}),
+		id:       cfg.Self,
+		node:     cfg.Node,
+		tr:       cfg.Transport,
+		svc:      cfg.Coord,
+		tracer:   cfg.Tracer,
+		inflight: make(map[uint64]*call),
+		observed: make(recovery.Vector),
+		start:    time.Now(),
+		timer:    time.NewTimer(never),
+		armed:    never,
+		rerouted: make(chan transport.RingID),
+		done:     make(chan struct{}),
+		loopDone: make(chan struct{}),
 	}
 	go c.respLoop(cfg.Service)
 	return c, nil
@@ -168,204 +152,158 @@ func (c *Client) SubmitMarker(group transport.RingID, op []byte, marker uint64, 
 }
 
 func (c *Client) submit(groups []transport.RingID, op []byte, accept []transport.RingID, need int, timeout time.Duration, valueID uint64) ([][]byte, error) {
-	if timeout == 0 {
-		timeout = 5 * time.Second
-	}
 	if need <= 0 {
-		if len(accept) > 0 {
-			need = len(accept)
-		} else {
-			need = 1
-		}
+		need = max(len(accept), 1)
 	}
-	seq := c.seq.Add(1)
 	// Pre-allocate the multicast value id so coordinator admission
 	// control can address its Overloaded reply to this command (the
 	// payload is opaque to the ring; the value id is all it sees).
-	// Retransmissions reuse the id, so a retried marker still triggers
-	// exactly one epoch transition.
 	if valueID == 0 {
 		valueID = c.node.MarkerID()
 	}
-	w := &waiter{
-		need:     need,
-		seen:     make(map[transport.RingID]bool),
-		ch:       make(chan [][]byte, 1),
-		overload: make(chan time.Duration, 1),
-	}
+	e := callPool.Get().(*call)
+	e.seq, e.valueID, e.need = c.seq.Add(1), valueID, need
+	e.groups = append(e.groupBuf[:0], groups...)
 	if accept != nil {
-		w.accept = make(map[transport.RingID]bool, len(accept))
-		for _, g := range accept {
-			w.accept[g] = true
-		}
+		e.accept = append(e.acceptBuf[:0], accept...)
 	}
+	e.seen = e.seenBuf[:0]
+	e.payload = Command{Client: c.id, Seq: e.seq, Op: op}.Encode()
+	// Sampled submissions carry a trace context on every multicast frame
+	// (retransmissions reuse the value id, so their spans join the same
+	// trace); the root "submit" span is recorded when the reply arrives.
+	tctx := c.tracer.StartRoot()
+	e.tctx = tctx
+	var tstart time.Time
+	if tctx.Sampled() {
+		tstart = time.Now()
+	}
+	// Retransmit on a quarter of the budget (lost command or response;
+	// replicas suppress duplicates); the deadline bounds the whole attempt.
+	resps, err := c.await(e, timeout, 4)
+	if err == nil && tctx.Sampled() {
+		c.tracer.Record(trace.Span{
+			TraceID:  tctx.TraceID,
+			SpanID:   tctx.SpanID, // root: children parent on it
+			Name:     "submit",
+			Ring:     uint32(groups[0]),
+			ValueID:  valueID,
+			Start:    tstart,
+			Duration: time.Since(tstart),
+		})
+	}
+	return resps, err
+}
+
+// await puts e in flight (due every timeout/retries, its groups watched
+// from now on), sends it and blocks until respLoop completes it.
+func (c *Client) await(e *call, timeout time.Duration, retries int) (resps [][]byte, err error) {
+	defer func() {
+		*e = call{done: e.done}
+		callPool.Put(e)
+	}()
+	if timeout == 0 {
+		timeout = 5 * time.Second
+	}
+	now := time.Since(c.start)
+	e.retry = timeout / time.Duration(retries)
+	e.due, e.deadline = now+e.retry, now+timeout
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return nil, ErrClientClosed
 	}
-	c.waiters[seq] = w
-	c.byValue[valueID] = seq
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.waiters, seq)
-		delete(c.byValue, valueID)
-		c.mu.Unlock()
-	}()
-
-	cmd := Command{Client: c.id, Seq: seq, Op: op}
-	payload := cmd.Encode()
-	// Sampled submissions carry a trace context on every multicast frame
-	// (retransmissions included — they reuse the value id, so their spans
-	// join the same trace); the root "submit" span is recorded when the
-	// reply arrives.
-	tctx := c.tracer.StartRoot()
-	var tstart time.Time
-	if tctx.Sampled() {
-		tstart = time.Now()
+	for _, g := range e.groups {
+		if c.svc != nil && e.target == 0 && !slices.Contains(c.watched, g) {
+			c.watchLocked(g)
+		}
 	}
-	noCoord := 0
-	send := func() error {
-		for _, g := range groups {
-			if err := c.node.MulticastValueTraced(g, valueID, payload, tctx); err != nil {
-				if errors.Is(err, ring.ErrNoCoordinator) && c.svc != nil {
-					// Failover window: the group has no coordinator
-					// right now. The config watcher below re-sends the
-					// moment one is elected; the retry timer is the
-					// backstop. Only the overall deadline gives up.
-					noCoord++
+	c.inflight[e.seq] = e
+	c.armLocked(e.due)
+	c.mu.Unlock()
+	if err := c.send(e); err != nil {
+		// The send failed outright: have respLoop fail the call now.
+		c.mu.Lock()
+		if c.inflight[e.seq] == e {
+			e.err = err
+			c.armLocked(now)
+		}
+		c.mu.Unlock()
+	}
+	<-e.done
+	return e.resps, e.err
+}
+
+// never is the instant an unarmed timer is armed to.
+const never = time.Duration(math.MaxInt64)
+
+// armLocked makes sure respLoop wakes no later than t.
+func (c *Client) armLocked(t time.Duration) {
+	if t < c.armed {
+		c.armed = t
+		c.timer.Reset(t - time.Since(c.start))
+	}
+}
+
+// send transmits e: a local read to its replica, a command to every
+// target group. A Coord-wired client skips a group that has no coordinator
+// (a failover window): the group's watcher re-sends the moment one is
+// elected, with the retransmission as backstop; only the deadline gives up.
+func (c *Client) send(e *call) error {
+	if e.target != 0 {
+		//lint:allow logbeforeforward a client request, not a protocol vote: nothing to log first
+		return c.tr.Send(e.target, transport.Message{
+			Kind: transport.KindLocalRead, From: c.id, To: e.target,
+			Ring: e.groups[0], Seq: e.seq, Payload: e.payload,
+		})
+	}
+	for _, g := range e.groups {
+		err := c.node.MulticastValueTraced(g, e.valueID, e.payload, e.tctx)
+		if errors.Is(err, ring.ErrNoCoordinator) && c.svc != nil {
+			c.mu.Lock()
+			e.noCoord++
+			c.mu.Unlock()
+		} else if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// watchLocked subscribes to g's configuration until Close: a coordinator
+// change then re-routes every command in flight to g at once instead of
+// waiting out a retransmission period. A group the service does not know
+// yet is left for a later call (the multicast reports it).
+func (c *Client) watchLocked(g transport.RingID) {
+	last, ok := c.svc.Coordinator(g)
+	if !ok {
+		return
+	}
+	ch, cancel := c.svc.Watch(g)
+	c.watched = append(c.watched, g)
+	c.unwatch = append(c.unwatch, cancel)
+	c.watchers.Add(1)
+	go func() {
+		defer c.watchers.Done()
+		for {
+			select {
+			case cfg := <-ch:
+				if cfg.Coordinator == last {
 					continue
 				}
-				return err
-			}
-		}
-		return nil
-	}
-
-	// Watch the target groups' configurations while the command is in
-	// flight: a coordinator change re-routes the proposal immediately
-	// (with jitter, so a fresh coordinator is not hit by every waiting
-	// client in the same instant) instead of waiting out a retry period.
-	var reelect chan struct{}
-	if c.svc != nil {
-		reelect = make(chan struct{}, 1)
-		stopWatch := make(chan struct{})
-		defer close(stopWatch)
-		for _, g := range groups {
-			ch, cancel := c.svc.Watch(g)
-			defer cancel()
-			go func(ch <-chan coord.RingConfig) {
-				var last transport.ProcessID
-				first := true
-				for {
-					select {
-					case cfg, ok := <-ch:
-						if !ok {
-							return
-						}
-						if first {
-							last, first = cfg.Coordinator, false
-							continue
-						}
-						if cfg.Coordinator == last {
-							continue
-						}
-						last = cfg.Coordinator
-						if cfg.Coordinator != 0 {
-							select {
-							case reelect <- struct{}{}:
-							default:
-							}
-						}
-					case <-stopWatch:
-						return
-					}
+				if last = cfg.Coordinator; last == 0 {
+					continue
 				}
-			}(ch)
-		}
-	}
-
-	if err := send(); err != nil {
-		return nil, err
-	}
-
-	// Retransmit on a timer (lost command or response; replicas suppress
-	// duplicates). An Overloaded reply replaces the next retransmission
-	// with a jittered backoff sized by the coordinator's retry-after
-	// hint, so a congested coordinator drains instead of being hammered;
-	// the overall deadline still bounds the whole attempt, and a command
-	// that never got through a full queue fails with an error wrapping
-	// ring.ErrOverloaded so callers can tell overload from loss.
-	overall := time.NewTimer(timeout)
-	defer overall.Stop()
-	baseRetry := timeout / 4
-	retry := time.NewTimer(baseRetry)
-	defer retry.Stop()
-	overloaded := 0
-	for {
-		select {
-		case resps := <-w.ch:
-			if tctx.Sampled() {
-				c.tracer.Record(trace.Span{
-					TraceID:  tctx.TraceID,
-					SpanID:   tctx.SpanID, // root: children parent on it
-					Name:     "submit",
-					Ring:     uint32(groups[0]),
-					ValueID:  valueID,
-					Start:    tstart,
-					Duration: time.Since(tstart),
-				})
-			}
-			return resps, nil
-		case d := <-w.overload:
-			overloaded++
-			c.overloadBackoff.Add(1)
-			if d <= 0 {
-				d = baseRetry
-			}
-			// Full jitter on top of the hint, capped so one backoff
-			// never eats the whole budget.
-			d += rand.N(d/2 + time.Millisecond)
-			if d > timeout/2 {
-				d = timeout / 2
-			}
-			if !retry.Stop() {
 				select {
-				case <-retry.C:
-				default:
+				case c.rerouted <- g:
+				case <-c.done:
+					return
 				}
+			case <-c.done:
+				return
 			}
-			retry.Reset(d)
-		case <-reelect:
-			// New coordinator elected: re-route promptly. The jittered
-			// reset spreads the stampede of waiting clients; routing the
-			// send through the retry case keeps one resend path.
-			if !retry.Stop() {
-				select {
-				case <-retry.C:
-				default:
-				}
-			}
-			retry.Reset(time.Millisecond + rand.N(10*time.Millisecond))
-		case <-retry.C:
-			c.retransmits.Add(1)
-			if err := send(); err != nil {
-				return nil, err
-			}
-			retry.Reset(baseRetry)
-		case <-overall.C:
-			if overloaded > 0 {
-				return nil, fmt.Errorf("smr: command timed out after %d overload backoffs: %w", overloaded, ring.ErrOverloaded)
-			}
-			if noCoord > 0 {
-				return nil, fmt.Errorf("smr: command timed out with %d no-coordinator windows: %w", noCoord, ring.ErrNoCoordinator)
-			}
-			return nil, ErrTimeout
-		case <-c.done:
-			return nil, ErrClientClosed
 		}
-	}
+	}()
 }
 
 // Retransmits reports command retransmissions issued (lost messages or
@@ -376,71 +314,133 @@ func (c *Client) Retransmits() uint64 { return c.retransmits.Load() }
 // client's commands and the client backed off instead of hammering it.
 func (c *Client) OverloadBackoffs() uint64 { return c.overloadBackoff.Load() }
 
-// respLoop matches replica responses to waiting submissions.
+// respLoop is the client's event loop: it matches replies to the calls in
+// flight and, from one timer, drives their retransmissions, overload
+// backoffs, deadlines and re-routing.
+//
+//lint:eventloop
 func (c *Client) respLoop(service <-chan transport.Message) {
 	defer close(c.loopDone)
 	for {
 		select {
 		case <-c.done:
+			c.mu.Lock()
+			for _, e := range c.inflight {
+				c.completeLocked(e, ErrClientClosed)
+			}
+			c.mu.Unlock()
 			return
 		case m, ok := <-service:
 			if !ok {
-				return
-			}
-			if m.Kind == transport.KindOverloaded {
-				// Admission control: a coordinator shed our proposal.
-				// Route the retry-after hint to the waiting submit.
-				c.mu.Lock()
-				if seq, ok := c.byValue[m.Value.ID]; ok {
-					if w := c.waiters[seq]; w != nil {
-						select {
-						case w.overload <- time.Duration(m.Instance) * time.Millisecond:
-						default:
-						}
-					}
-				}
-				c.mu.Unlock()
-				continue
-			}
-			if m.Kind == transport.KindLocalReadResp {
-				c.mu.Lock()
-				if m.Instance > c.observed[m.Ring] {
-					c.observed[m.Ring] = m.Instance
-				}
-				if ch, ok := c.lrWaiters[m.Seq]; ok {
-					select {
-					case ch <- m:
-					default:
-					}
-				}
-				c.mu.Unlock()
-				continue
-			}
-			if m.Kind != transport.KindResponse {
+				service = nil // deadlines still need the loop
 				continue
 			}
 			c.mu.Lock()
-			if m.Instance > c.observed[m.Ring] {
-				c.observed[m.Ring] = m.Instance
-			}
-			w := c.waiters[m.Seq]
-			if w != nil {
-				key, ok := w.match(m.Ring, transport.RingID(m.Count))
-				if ok && !w.seen[key] {
-					w.seen[key] = true
-					resp := append([]byte(nil), m.Payload...)
-					w.resps = append(w.resps, resp)
-					if len(w.seen) >= w.need {
-						select {
-						case w.ch <- w.resps:
-						default:
-						}
-					}
+			c.receiveLocked(m)
+			c.mu.Unlock()
+		case g := <-c.rerouted:
+			// New coordinator: re-route promptly, each command with its
+			// own jitter so everything waiting does not hit it at once.
+			now := time.Since(c.start)
+			c.mu.Lock()
+			for _, e := range c.inflight {
+				if e.target == 0 && slices.Contains(e.groups, g) {
+					e.due = now + time.Millisecond + rand.N(10*time.Millisecond)
+					c.armLocked(e.due)
 				}
 			}
 			c.mu.Unlock()
+		case <-c.timer.C:
+			c.expire(time.Since(c.start))
 		}
 	}
+}
+
+// receiveLocked handles one message from a replica or a coordinator.
+func (c *Client) receiveLocked(m transport.Message) {
+	switch m.Kind {
+	case transport.KindOverloaded:
+		// Admission control shed a proposal. The coordinator's retry-after
+		// hint, jittered and capped so one backoff never eats the whole
+		// budget, replaces the next retransmission: it drains, not hammered.
+		for _, e := range c.inflight {
+			if e.target != 0 || e.valueID != m.Value.ID {
+				continue
+			}
+			e.overloaded++
+			c.overloadBackoff.Add(1)
+			d := time.Duration(m.Instance) * time.Millisecond
+			if d <= 0 {
+				d = e.retry
+			}
+			d = min(d+rand.N(d/2+time.Millisecond), 2*e.retry)
+			e.due = time.Since(c.start) + d
+			c.armLocked(e.due)
+			return
+		}
+	case transport.KindResponse, transport.KindLocalReadResp:
+		if m.Instance > c.observed[m.Ring] {
+			c.observed[m.Ring] = m.Instance
+		}
+		e := c.inflight[m.Seq]
+		if e == nil || (e.target != 0) != (m.Kind == transport.KindLocalReadResp) {
+			return
+		}
+		if e.target == 0 {
+			key, ok := e.match(m.Ring, transport.RingID(m.Count))
+			if !ok || slices.Contains(e.seen, key) {
+				return
+			}
+			e.seen = append(e.seen, key)
+		}
+		if e.resps == nil {
+			e.resps = make([][]byte, 0, e.need)
+		}
+		e.resps = append(e.resps, append([]byte(nil), m.Payload...))
+		if len(e.resps) >= e.need {
+			c.completeLocked(e, nil)
+		}
+	default: // nothing else is addressed to a client: dropped
+	}
+}
+
+// completeLocked removes e from the table and wakes its caller.
+func (c *Client) completeLocked(e *call, err error) {
+	delete(c.inflight, e.seq)
+	e.err = err
+	e.done <- struct{}{} //lint:allow loopblock buffered 1 and signalled once per await: cannot block
+}
+
+// expire, the timer's handler, fails what is aborted or past its deadline,
+// re-sends what is due and re-arms the timer to the earliest instant left.
+func (c *Client) expire(now time.Duration) {
+	c.mu.Lock()
+	c.armed = never
+	for _, e := range c.inflight {
+		switch {
+		case e.err != nil:
+			c.completeLocked(e, e.err)
+			continue
+		case now >= e.deadline:
+			c.completeLocked(e, e.timeoutErr())
+			continue
+		case now >= e.due:
+			e.due = now + e.retry
+			c.resend = append(c.resend, e)
+		}
+		c.armed = min(c.armed, e.due, e.deadline)
+	}
+	c.timer.Reset(c.armed - now)
+	c.mu.Unlock()
+	for _, e := range c.resend {
+		c.retransmits.Add(1)
+		if err := c.send(e); err != nil {
+			c.mu.Lock()
+			c.completeLocked(e, err)
+			c.mu.Unlock()
+		}
+	}
+	c.resend = c.resend[:0]
 }
 
 // ObservedVector returns a copy of the client's session read index: per
@@ -461,70 +461,46 @@ func (c *Client) LocalRead(target transport.ProcessID, group transport.RingID, o
 	if c.tr == nil {
 		return nil, errors.New("smr: local read: client has no transport")
 	}
-	if timeout == 0 {
-		timeout = 5 * time.Second
-	}
 	var req recovery.Vector
 	if mode == ReadIndex {
 		req = c.ObservedVector()
 	}
-	seq := c.seq.Add(1)
-	ch := make(chan transport.Message, 1)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClientClosed
-	}
-	c.lrWaiters[seq] = ch
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.lrWaiters, seq)
-		c.mu.Unlock()
-	}()
-
-	err := c.tr.Send(target, transport.Message{
-		Kind:    transport.KindLocalRead,
-		From:    c.id,
-		To:      target,
-		Ring:    group,
-		Seq:     seq,
-		Payload: encodeLocalRead(mode, req, bound, op),
-	})
+	e := callPool.Get().(*call)
+	e.seq, e.target, e.need = c.seq.Add(1), target, 1
+	e.groups = append(e.groupBuf[:0], group)
+	e.payload = encodeLocalRead(mode, req, bound, op)
+	resps, err := c.await(e, timeout, 1) // never re-sent: due at its deadline
 	if err != nil {
 		return nil, err
 	}
-	overall := time.NewTimer(timeout)
-	defer overall.Stop()
-	select {
-	case m := <-ch:
-		if len(m.Payload) < 1 {
-			return nil, fmt.Errorf("smr: local read: malformed response")
-		}
-		switch m.Payload[0] {
-		case LocalReadOK:
-			return append([]byte(nil), m.Payload[1:]...), nil
-		case LocalReadStale:
-			return nil, ErrStale
-		case LocalReadTimeout:
-			return nil, ErrTimeout
-		default:
-			return nil, ErrLocalReadUnsupported
-		}
-	case <-overall.C:
+	if len(resps[0]) < 1 {
+		return nil, fmt.Errorf("smr: local read: malformed response")
+	}
+	switch resps[0][0] {
+	case LocalReadOK:
+		return resps[0][1:], nil
+	case LocalReadStale:
+		return nil, ErrStale
+	case LocalReadTimeout:
 		return nil, ErrTimeout
-	case <-c.done:
-		return nil, ErrClientClosed
+	default:
+		return nil, ErrLocalReadUnsupported
 	}
 }
 
-// Close stops the client; in-flight Submits return ErrClientClosed.
+// Close stops the client: calls in flight return ErrClientClosed and the
+// configuration watches end.
 func (c *Client) Close() {
 	c.stopOnce.Do(func() {
 		c.mu.Lock()
 		c.closed = true
+		unwatch := c.unwatch
 		c.mu.Unlock()
 		close(c.done)
 		<-c.loopDone
+		for _, cancel := range unwatch {
+			cancel()
+		}
+		c.watchers.Wait()
 	})
 }

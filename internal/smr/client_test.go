@@ -1,0 +1,290 @@
+package smr
+
+import (
+	"errors"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"amcast/internal/coord"
+	"amcast/internal/netem"
+	"amcast/internal/transport"
+)
+
+// echoNet stands in for the replicas of groups 1..n, so that a test sees
+// the client alone: group g has the members g (its coordinator) and g+10,
+// each a goroutine that hands every proposal it is sent to the test's
+// handler and otherwise does and allocates nothing.
+type echoNet struct {
+	net *transport.Network
+	svc *coord.Service
+	trs map[transport.ProcessID]transport.Transport
+}
+
+func newEchoNet(t *testing.T, groups int, handle func(tr transport.Transport, m transport.Message, cmd Command)) *echoNet {
+	t.Helper()
+	e := &echoNet{net: transport.NewNetwork(nil), svc: coord.NewService(), trs: make(map[transport.ProcessID]transport.Transport)}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 1; g <= groups; g++ {
+		all := coord.RoleProposer | coord.RoleAcceptor | coord.RoleLearner
+		ids := []transport.ProcessID{transport.ProcessID(g), transport.ProcessID(g + 10)}
+		if err := e.svc.CreateRing(transport.RingID(g), []coord.Member{{ID: ids[0], Roles: all}, {ID: ids[1], Roles: all}}); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids {
+			tr := e.net.Attach(id, netem.SiteLocal)
+			e.trs[id] = tr
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					case m := <-tr.Recv():
+						if cmd, err := DecodeCommand(m.Value.Data); err == nil && m.Kind == transport.KindProposal {
+							handle(tr, m, cmd)
+						}
+					}
+				}
+			}()
+		}
+	}
+	t.Cleanup(func() {
+		close(stop)
+		wg.Wait()
+		e.net.Close()
+	})
+	return e
+}
+
+var echoResponse = []byte("ok")
+
+// answer replies to cmd as a replica of group ring would.
+func answer(tr transport.Transport, ring transport.RingID, cmd Command) {
+	_ = tr.Send(cmd.Client, transport.Message{Kind: transport.KindResponse, Ring: ring, Count: uint32(ring), Seq: cmd.Seq, Payload: echoResponse})
+}
+
+// client attaches a Coord-wired client process.
+func (e *echoNet) client(t *testing.T, id transport.ProcessID) *Client {
+	return attachCoordClient(t, e.net, e.svc, id)
+}
+
+// Allocation budgets of one Submit → reply, counted over the whole process:
+// against three replicas of one ring on the in-process Network (measured
+// 8), and against a responder that allocates nothing, which leaves the
+// client's own share (measured 3: the encoded command, the copied response
+// and the slice it is returned in — table entry, completion channel, timer
+// and configuration watch are reused). Before the client had one event
+// loop the same two round trips cost 44 and 30.
+const (
+	submitAllocBudget      = 10
+	submitClientAllocShare = 4
+)
+
+func TestSubmitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts inflated under the race detector")
+	}
+	groups, op := []transport.RingID{1}, addOp(1)
+	submit := func(cl *Client) func() {
+		return func() {
+			if _, err := cl.Submit(groups, op, groups, 1, 5*time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	e := newEchoNet(t, 1, func(tr transport.Transport, m transport.Message, cmd Command) { answer(tr, m.Ring, cmd) })
+	alone := submit(e.client(t, 21))
+	alone() // first use: the group's watch, the pool's first call
+	share := testing.AllocsPerRun(500, alone)
+	t.Logf("client share: %.1f allocs per Submit", share)
+	if share > submitClientAllocShare {
+		t.Errorf("client share: %.1f allocs per Submit, budget %d", share, submitClientAllocShare)
+	}
+
+	h := newSMRHarness(t, 0)
+	full := submit(h.coordClient(t, 11))
+	for i := 0; i < 50; i++ {
+		full() // let queues, windows and batch buffers reach their size
+	}
+	total := testing.AllocsPerRun(500, full)
+	t.Logf("whole path: %.1f allocs per Submit", total)
+	if total > submitAllocBudget {
+		t.Errorf("Submit → 3 replicas → reply: %.1f allocs, budget %d", total, submitAllocBudget)
+	}
+}
+
+// arrival is one proposal as a stand-in replica saw it.
+type arrival struct {
+	at   transport.ProcessID
+	ring transport.RingID
+	cmd  Command
+	when time.Time
+}
+
+// arrivals collects proposals from every stand-in replica of a test.
+type arrivals struct {
+	mu  sync.Mutex
+	got []arrival
+}
+
+func (a *arrivals) record(tr transport.Transport, m transport.Message, cmd Command) {
+	a.mu.Lock()
+	a.got = append(a.got, arrival{at: tr.ID(), ring: m.Ring, cmd: cmd, when: time.Now()})
+	a.mu.Unlock()
+}
+
+func (a *arrivals) snapshot() []arrival {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return append([]arrival(nil), a.got...)
+}
+
+// waitFor polls until n proposals arrived.
+func (a *arrivals) waitFor(t *testing.T, n int, within time.Duration) []arrival {
+	t.Helper()
+	for deadline := time.Now().Add(within); ; time.Sleep(time.Millisecond) {
+		if got := a.snapshot(); len(got) >= n {
+			return got
+		} else if time.Now().After(deadline) {
+			t.Fatalf("%d proposals arrived within %v, want %d", len(got), within, n)
+		}
+	}
+}
+
+// TestClientLoopReroutesOneGroup: 64 commands wait across three groups
+// when group 2's coordinator changes. The client's one loop re-sends
+// exactly group 2's commands, once each, to the new coordinator within the
+// jitter window instead of the 7.5 s retransmission period; no goroutine,
+// watch or timer exists per command; and Close leaves no watch behind.
+func TestClientLoopReroutesOneGroup(t *testing.T) {
+	var seen arrivals
+	e := newEchoNet(t, 3, seen.record)
+	cl := e.client(t, 21)
+	// One command per group first, so that the watches exist.
+	for g := transport.RingID(1); g <= 3; g++ {
+		go func() { _, _ = cl.Submit([]transport.RingID{g}, addOp(0), []transport.RingID{g}, 1, 30*time.Second) }()
+	}
+	for _, a := range seen.waitFor(t, 3, 5*time.Second) {
+		answer(e.trs[a.at], a.ring, a.cmd)
+	}
+	for g := transport.RingID(1); g <= 3; g++ {
+		if n := e.svc.Watchers(g); n != 1 {
+			t.Fatalf("group %d has %d watchers after its first use, want the client's one", g, n)
+		}
+	}
+	time.Sleep(10 * time.Millisecond) // the three callers return
+	idle := runtime.NumGoroutine()
+
+	const inflight = 64
+	errs := make(chan error, inflight)
+	for i := 0; i < inflight; i++ {
+		g := transport.RingID(1 + i%3)
+		go func() {
+			_, err := cl.Submit([]transport.RingID{g}, addOp(1), []transport.RingID{g}, 1, 30*time.Second)
+			errs <- err
+		}()
+	}
+	first := seen.waitFor(t, 3+inflight, 5*time.Second)[3:]
+	if n := runtime.NumGoroutine(); n > idle+inflight {
+		t.Errorf("%d goroutines with %d commands in flight, %d without: the client's count must not grow with them", n, inflight, idle)
+	}
+	want := map[uint64]bool{} // group 2's commands
+	for _, a := range first {
+		if a.at != transport.ProcessID(a.ring) {
+			t.Fatalf("first send of %d went to %d, not to group %d's coordinator", a.cmd.Seq, a.at, a.ring)
+		}
+		if a.ring == 2 {
+			want[a.cmd.Seq] = true
+		}
+	}
+
+	changed := time.Now()
+	e.svc.MarkDown(2) // group 2's coordinator is 12 now
+	resent := seen.waitFor(t, 3+inflight+len(want), 5*time.Second)[3+inflight:]
+	time.Sleep(30 * time.Millisecond) // anything sent beyond those is a bug
+	if extra := seen.snapshot()[3+inflight+len(want):]; len(extra) != 0 {
+		t.Errorf("%d sends beyond one per command of group 2: %+v", len(extra), extra)
+	}
+	for _, a := range resent {
+		if a.at != 12 || a.ring != 2 || !want[a.cmd.Seq] {
+			t.Errorf("re-sent %d of group %d to %d, want only group 2's, to 12", a.cmd.Seq, a.ring, a.at)
+		}
+		delete(want, a.cmd.Seq) // a second copy fails the check above
+	}
+	if took := resent[len(resent)-1].when.Sub(changed); took > time.Second { // 11 ms plus a loaded host's scheduling
+		t.Errorf("re-routing took %v: driven by the retransmission timer, not by the watch (1 ms + up to 10 ms jitter)", took)
+	} else {
+		t.Logf("re-routed %d commands in %v", len(resent), took)
+	}
+	if got := cl.Retransmits(); got != uint64(len(resent)) {
+		t.Errorf("Retransmits = %d, want %d", got, len(resent))
+	}
+
+	for _, a := range append(first, resent...) {
+		answer(e.trs[a.at], a.ring, a.cmd)
+	}
+	for i := 0; i < inflight; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("submit: %v", err)
+		}
+	}
+	cl.Close()
+	for g := transport.RingID(1); g <= 3; g++ {
+		if n := e.svc.Watchers(g); n != 0 {
+			t.Errorf("group %d still has %d watchers after Close", g, n)
+		}
+	}
+	if _, err := cl.Submit([]transport.RingID{1}, addOp(1), []transport.RingID{1}, 1, time.Second); !errors.Is(err, ErrClientClosed) {
+		t.Errorf("Submit after Close: %v, want ErrClientClosed", err)
+	}
+}
+
+// TestClientBackoffIsPerCommand: a coordinator sheds command A with a
+// retry-after hint that pushes A's next send past the retransmission
+// period. Command B, waiting beside it on the same timer, must still be
+// retransmitted on its own schedule.
+func TestClientBackoffIsPerCommand(t *testing.T) {
+	const timeout, hintMs = 4 * time.Second, 1800 // retransmission period 1 s
+	var seen arrivals
+	e := newEchoNet(t, 1, func(tr transport.Transport, m transport.Message, cmd Command) {
+		seen.record(tr, m, cmd)
+		if cmd.Op[0] == 'A' && len(seen.snapshot()) <= 2 {
+			_ = tr.Send(cmd.Client, transport.Message{Kind: transport.KindOverloaded, Ring: m.Ring, Instance: hintMs, Value: transport.Value{ID: m.Value.ID}})
+		}
+	})
+	cl := e.client(t, 21)
+	start := time.Now()
+	errs := make(chan error, 2)
+	for _, op := range []string{"A", "B"} {
+		go func() {
+			_, err := cl.Submit([]transport.RingID{1}, []byte(op), []transport.RingID{1}, 1, timeout)
+			errs <- err
+		}()
+	}
+	var again [2]time.Duration // when A and B arrived the second time
+	for n := 3; again[0] == 0 || again[1] == 0; n++ {
+		a := seen.waitFor(t, n, timeout)[n-1]
+		if i := a.cmd.Op[0] - 'A'; again[i] == 0 {
+			again[i] = a.when.Sub(start)
+			answer(e.trs[a.at], a.ring, a.cmd)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("submit: %v", err)
+		}
+	}
+	if again[1] < timeout/4 || again[1] > timeout/4+500*time.Millisecond {
+		t.Errorf("B was retransmitted after %v, want its own period of %v: A's backoff must not move it", again[1], timeout/4)
+	}
+	if again[0] < hintMs*time.Millisecond || again[0] > timeout/2+500*time.Millisecond {
+		t.Errorf("A was re-sent after %v, want the %d ms hint plus jitter, capped at %v", again[0], hintMs, timeout/2)
+	}
+	if got := cl.OverloadBackoffs(); got != 1 {
+		t.Errorf("OverloadBackoffs = %d, want 1", got)
+	}
+}

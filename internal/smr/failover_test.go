@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"amcast/internal/coord"
 	"amcast/internal/core"
 	"amcast/internal/netem"
 	"amcast/internal/transport"
@@ -13,14 +14,20 @@ import (
 // coordClient builds a second client wired with the coordination service,
 // so submissions ride out coordinator failover.
 func (h *smrHarness) coordClient(t *testing.T, id transport.ProcessID) *Client {
+	return attachCoordClient(t, h.net, h.svc, id)
+}
+
+// attachCoordClient attaches client process id to net, wired with svc and
+// closed with the test (unless the test closes it first).
+func attachCoordClient(t *testing.T, net *transport.Network, svc *coord.Service, id transport.ProcessID) *Client {
 	t.Helper()
-	tr := h.net.Attach(id, netem.SiteLocal)
+	tr := net.Attach(id, netem.SiteLocal)
 	router := transport.NewRouter(tr)
-	node, err := core.New(core.Config{Self: id, Router: router, Coord: h.svc})
+	node, err := core.New(core.Config{Self: id, Router: router, Coord: svc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := NewClient(ClientConfig{Self: id, Node: node, Transport: tr, Service: router.Service(), Coord: h.svc})
+	cl, err := NewClient(ClientConfig{Self: id, Node: node, Transport: tr, Service: router.Service(), Coord: svc})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -192,7 +192,8 @@ type Replica struct {
 	runResp   []int // respBuf index whose Payload the run result fills
 	runKeys   map[cmdKey]struct{}
 	respBuf   []transport.Message
-	outBuf    [][]byte // parallel-apply result staging, reused across runs
+	respVec   recovery.Vector // delivered high-water marks stamped on respBuf
+	outBuf    [][]byte        // parallel-apply result staging, reused across runs
 
 	executedTotal atomic.Uint64
 	checkpoints   atomic.Uint64
@@ -590,6 +591,7 @@ func NewReplica(cfg ReplicaConfig, recovered recovery.Checkpoint) (*Replica, err
 		dedup:      make(map[transport.ProcessID]*clientWindow),
 		safeVec:    make(recovery.Vector),
 		appliedVec: make(recovery.Vector),
+		respVec:    make(recovery.Vector),
 		runKeys:    make(map[cmdKey]struct{}),
 		ckptKick:   make(chan struct{}, 1),
 		ckptDone:   make(chan struct{}),
@@ -768,12 +770,11 @@ func (r *Replica) deliverBatch(ds []core.Delivery) {
 	// high-water mark of the response's group: the client folds it into
 	// its observed vector, which is exactly the requirement a read-index
 	// local read later presents (read-your-writes).
-	var vec recovery.Vector
 	if len(r.respBuf) > 0 {
-		vec = r.cfg.Node.DeliveredVector()
+		r.cfg.Node.FoldDeliveredVector(r.respVec)
 	}
 	for i := range r.respBuf {
-		r.respBuf[i].Instance = vec[r.respBuf[i].Ring]
+		r.respBuf[i].Instance = r.respVec[r.respBuf[i].Ring]
 		_ = r.tr.Send(r.respBuf[i].To, r.respBuf[i])
 		r.respBuf[i] = transport.Message{} // release payload references
 	}

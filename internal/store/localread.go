@@ -43,22 +43,7 @@ func (s *SM) ReadLocal(_ transport.RingID, raw []byte) ([]byte, bool) {
 // pickReplica chooses an alive learner of group, rotating across calls
 // so concurrent clients spread read load over the partition's replicas.
 func (c *Client) pickReplica(group transport.RingID) (transport.ProcessID, bool) {
-	cfg, ok := c.svc.Ring(group)
-	if !ok {
-		return 0, false
-	}
-	learners := cfg.Learners()
-	n := 0
-	for _, id := range learners {
-		if cfg.Alive(id) {
-			learners[n] = id
-			n++
-		}
-	}
-	if n == 0 {
-		return 0, false
-	}
-	return learners[int(c.rr.Add(1))%n], true
+	return c.svc.AliveLearner(group, uint64(c.rr.Add(1)))
 }
 
 // localRead routes one single-key local read to a replica of the owning

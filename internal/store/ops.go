@@ -272,9 +272,22 @@ func encodeResult(r Result) []byte {
 	return r.Encode()
 }
 
-// Encode serializes a result.
+// Encode serializes a result into one exactly-sized buffer: a read reply
+// carries the whole value, and growing into it would copy it several times.
 func (r Result) Encode() []byte {
-	return r.appendTo(nil)
+	return r.appendTo(make([]byte, 0, r.encodedLen()))
+}
+
+// encodedLen is the number of bytes appendTo writes.
+func (r Result) encodedLen() int {
+	n := 1 + 4 + 4
+	for _, e := range r.Entries {
+		n += 2 + len(e.Key) + 4 + len(e.Value)
+	}
+	for _, sub := range r.Results {
+		n += sub.encodedLen()
+	}
+	return n
 }
 
 func (r Result) appendTo(buf []byte) []byte {

@@ -56,7 +56,11 @@ func TestResultRoundTrip(t *testing.T) {
 			{Status: StatusOK, Entries: []Entry{{Key: "c", Value: []byte("3")}}},
 		},
 	}
-	got, err := DecodeResult(r.Encode())
+	enc := r.Encode()
+	if len(enc) != r.encodedLen() || cap(enc) != len(enc) {
+		t.Errorf("Encode: len %d cap %d, encodedLen %d: the buffer is sized once, exactly", len(enc), cap(enc), r.encodedLen())
+	}
+	got, err := DecodeResult(enc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -326,7 +326,11 @@ func (n *TCPNode) acceptLoop() {
 			_ = raw.Close()
 			return
 		}
-		if _, ok := n.conns[peer]; !ok {
+		// The accepted end of the node's connection to itself is only
+		// read: filed under the node's own id it could win against the
+		// dialled end, which conn() would then close — and the first
+		// self-send would be written into a dead connection.
+		if _, ok := n.conns[peer]; !ok && peer != n.id {
 			n.conns[peer] = c
 		}
 		n.mu.Unlock()

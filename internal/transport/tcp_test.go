@@ -353,3 +353,33 @@ func TestTCPSendBatchUnknownPeerSkipsRun(t *testing.T) {
 		t.Fatalf("got seq %d, want 2", got.Seq)
 	}
 }
+
+// TestTCPFirstSelfSendArrives: a node's connection to itself has both of
+// its ends in the same process. The accepted end used to be filed under
+// the node's own id whenever acceptLoop won the race against conn(), which
+// then closed the dialled end it had just made — and the first message a
+// fresh node sent to itself (a coordinator's own proposal) was lost.
+func TestTCPFirstSelfSendArrives(t *testing.T) {
+	for i := 0; i < 1000; i++ {
+		n, err := ListenTCP(1, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.SetPeer(1, n.Addr())
+		if err := n.Send(1, Message{Kind: KindProposal, Seq: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case m := <-n.Recv():
+			if m.Seq != uint64(i) || m.From != 1 {
+				t.Fatalf("node %d received %+v", i, m)
+			}
+			m.ReleaseRefs()
+		case <-time.After(2 * time.Second):
+			t.Fatalf("node %d: first self-send lost", i)
+		}
+		if err := n.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
