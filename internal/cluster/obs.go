@@ -185,6 +185,9 @@ func registerProcessMetrics(reg *obs.Registry, proc string, rep func() *smr.Repl
 			}
 			return wal.Mean()
 		})
+		nodeMetric("mrp.ring.packed_values_mean", obs.KindGauge, func(n *core.Node) float64 {
+			return packedMean(n, g)
+		})
 		nodeMetric("mrp.send.batch_items_mean", obs.KindGauge, func(n *core.Node) float64 {
 			_, send := n.RingIOGauges(g)
 			if send == nil {
@@ -205,9 +208,20 @@ func stallFor(n *core.Node, g transport.RingID) core.RingStall {
 	return core.RingStall{}
 }
 
+// packedMean is the mean number of application messages this process's
+// coordinator packed per proposed instance of ring g (0 where it never
+// coordinated).
+func packedMean(n *core.Node, g transport.RingID) float64 {
+	if pack := n.RingPackGauge(g); pack != nil {
+		return pack.Mean()
+	}
+	return 0
+}
+
 // DebugRings snapshots per-process protocol state for /debug/rings:
 // subscription, delivered vector, per-ring decided/skipped/λ, flow
-// control and merge-stall telemetry.
+// control (with the coordinator's queue depth), messages packed per
+// instance and merge-stall telemetry.
 func (c *StoreCluster) DebugRings() any {
 	c.mu.Lock()
 	ids := make([]transport.ProcessID, 0, len(c.servers))
@@ -237,6 +251,7 @@ func (c *StoreCluster) DebugRings() any {
 				"lambda":         lambda,
 				"applied":        n.DeliveredVector()[g],
 				"flow":           fs,
+				"packed_mean":    packedMean(n, g),
 				"stall_total_ns": int64(st.Total),
 				"stall_max_ns":   int64(st.Max),
 				"stall_p99_ns":   int64(st.P99),
@@ -278,7 +293,9 @@ func (c *DLogCluster) wireDLogObs(s int, groups []transport.RingID) {
 	registerProcessMetrics(c.D.Obs, fmt.Sprintf("dlog%d", s), rep, groups)
 }
 
-// DebugRings snapshots per-server protocol state for /debug/rings.
+// DebugRings snapshots per-server protocol state for /debug/rings,
+// including each coordinator's queue depth and messages packed per
+// instance.
 func (c *DLogCluster) DebugRings() any {
 	c.mu.Lock()
 	ids := make([]transport.ProcessID, 0, len(c.reps))
@@ -299,11 +316,14 @@ func (c *DLogCluster) DebugRings() any {
 		rings := make([]map[string]any, 0, 2)
 		for _, g := range n.Subscription() {
 			decided, skipped, _ := n.RingStats(g)
+			fs, _ := n.RingFlowStats(g)
 			rings = append(rings, map[string]any{
-				"ring":    uint64(g),
-				"decided": decided,
-				"skipped": skipped,
-				"applied": n.DeliveredVector()[g],
+				"ring":        uint64(g),
+				"decided":     decided,
+				"skipped":     skipped,
+				"applied":     n.DeliveredVector()[g],
+				"queue_depth": fs.QueueDepth,
+				"packed_mean": packedMean(n, g),
 			})
 		}
 		out = append(out, map[string]any{

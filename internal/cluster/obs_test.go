@@ -7,9 +7,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"amcast/internal/core"
 	"amcast/internal/netem"
 	"amcast/internal/trace"
 )
@@ -184,4 +186,106 @@ func httpGet(t *testing.T, url string) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// TestPackedValuesGauge: mrp.ring.packed_values_mean — messages per
+// proposed instance at a ring's coordinator (Section 4 packing) — reads
+// exactly 1 while proposals reach the coordinator one at a time and rises
+// above 1 once concurrent clients make bursts; /debug/rings shows the
+// same figure next to the coordinator's queue depth.
+func TestPackedValuesGauge(t *testing.T) {
+	d := NewDeployment(nil)
+	defer d.Close()
+	c, err := d.StartStore(StoreOptions{
+		Partitions: 1, Replicas: 3,
+		Ring: core.RingOptions{BatchBytes: 32 << 10},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The coordinator's series is the only non-zero one.
+	packed := func() float64 {
+		v, found := 0.0, false
+		for _, s := range d.Obs.Samples() {
+			if s.Name == "mrp.ring.packed_values_mean" && s.Labels["ring"] == "1" {
+				found = true
+				v = max(v, s.Value)
+			}
+		}
+		if !found {
+			t.Fatal("mrp.ring.packed_values_mean is not registered")
+		}
+		return v
+	}
+
+	sc, raw, err := c.NewClient(netem.SiteLocal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	for i := 0; i < 10; i++ {
+		if err := sc.Insert(fmt.Sprintf("single-%d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := packed(); got != 1 {
+		t.Fatalf("packed_values_mean = %v after singleton proposals, want exactly 1", got)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 16; w++ {
+		wsc, wraw, err := c.NewClient(netem.SiteLocal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer wraw.Close()
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				_ = wsc.Insert(fmt.Sprintf("burst-%d-%d", w, i), []byte("v"))
+			}
+		}(w)
+	}
+	deadline := time.Now().Add(15 * time.Second)
+	for packed() <= 1 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+	if got := packed(); got <= 1 {
+		t.Fatalf("packed_values_mean = %v after concurrent bursts, want > 1", got)
+	}
+
+	var rings struct {
+		Servers []struct {
+			Rings []struct {
+				PackedMean float64 `json:"packed_mean"`
+				Flow       *struct{ QueueDepth *int }
+			} `json:"rings"`
+		} `json:"servers"`
+	}
+	srv := httptest.NewServer(c.ObsMux())
+	defer srv.Close()
+	if err := json.Unmarshal([]byte(httpGet(t, srv.URL+"/debug/rings")), &rings); err != nil {
+		t.Fatal(err)
+	}
+	shown := 0.0
+	for _, s := range rings.Servers {
+		for _, r := range s.Rings {
+			if r.Flow == nil || r.Flow.QueueDepth == nil {
+				t.Fatal("/debug/rings does not show the coordinator's queue depth")
+			}
+			shown = max(shown, r.PackedMean)
+		}
+	}
+	if shown <= 1 {
+		t.Fatalf("/debug/rings packed_mean = %v, want > 1", shown)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"amcast/internal/ring"
 	"amcast/internal/transport"
 )
 
@@ -209,5 +210,36 @@ func TestBatchVectorConsistency(t *testing.T) {
 	case err := <-errc:
 		t.Fatal(err)
 	default:
+	}
+}
+
+// TestUnpackAllocs: unpacking one 16-message packet into the merge's
+// output batch allocates nothing (the batch has room, no id is traced).
+func TestUnpackAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates alloc counts")
+	}
+	n := &Node{}
+	var packed []transport.InstanceValue
+	for id := uint64(1); id <= 16; id++ {
+		packed = append(packed, transport.InstanceValue{Value: transport.Value{ID: id, Count: 1, Data: make([]byte, 1<<10)}})
+	}
+	d := ring.Delivery{Ring: 1, Instance: 7, Value: transport.Value{
+		ID: 1, Batched: true, Count: 1, Data: transport.EncodeBatch(packed),
+	}}
+	batch := make([]Delivery, 0, 64)
+	allocs := testing.AllocsPerRun(200, func() {
+		out, added, hitMarker := n.unpack(batch, 1, nil, d, 16)
+		if len(out) != 16 || added != 16<<10 || !hitMarker || out[15].ValueID != 16 || out[0].Instance != 7 {
+			t.Fatalf("unpacked %d messages, %d bytes, marker=%v", len(out), added, hitMarker)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("unpacking a 16-message packet allocates %.2f times, want 0", allocs)
+	}
+	// A truncated packet delivers none of its messages.
+	d.Value.Data = d.Value.Data[:len(d.Value.Data)-1]
+	if out, added, hitMarker := n.unpack(batch, 1, nil, d, 16); len(out) != 0 || added != 0 || hitMarker {
+		t.Errorf("corrupt packet delivered %d messages (%d bytes, marker=%v)", len(out), added, hitMarker)
 	}
 }

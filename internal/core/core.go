@@ -728,33 +728,18 @@ func (n *Node) merge(groups []transport.RingID, srcs []*ringSource, handler Batc
 				high[i] = end
 			}
 			pending := n.resub.Load()
+			var marker uint64 // armed transition's value id (never 0)
+			if pending != nil {
+				marker = pending.marker
+			}
 			hitMarker := false
 			switch {
 			case d.Value.Skip:
 				// Rate-leveling filler: consumed silently.
 			case d.Value.Batched:
-				// Unpack message-packed proposals (one consensus
-				// instance, several application messages) in place,
-				// rolling back on a corrupt payload so a packed
-				// instance delivers all of its messages or none (as
-				// the pre-batching decode did).
-				mark, markBytes := len(batch), batchBytes
-				if err := transport.VisitBatch(d.Value.Data, func(iv transport.InstanceValue) {
-					batch = append(batch, Delivery{
-						Group:    groups[i],
-						Instance: d.Instance,
-						ValueID:  iv.Value.ID,
-						Data:     iv.Value.Data,
-					})
-					n.traceDelivery(srcs[i].rn, &batch[len(batch)-1])
-					batchBytes += len(iv.Value.Data)
-					if pending != nil && iv.Value.ID == pending.marker {
-						hitMarker = true
-					}
-				}); err != nil {
-					batch, batchBytes = batch[:mark], markBytes
-					hitMarker = false
-				}
+				var added int
+				batch, added, hitMarker = n.unpack(batch, groups[i], srcs[i].rn, d, marker)
+				batchBytes += added
 			default:
 				batch = append(batch, Delivery{
 					Group:    groups[i],
@@ -764,9 +749,7 @@ func (n *Node) merge(groups []transport.RingID, srcs []*ringSource, handler Batc
 				})
 				n.traceDelivery(srcs[i].rn, &batch[len(batch)-1])
 				batchBytes += len(d.Value.Data)
-				if pending != nil && d.Value.ID == pending.marker {
-					hitMarker = true
-				}
+				hitMarker = marker != 0 && d.Value.ID == marker
 			}
 			if hitMarker {
 				// Epoch transition: cut the batch at the marker
@@ -796,6 +779,40 @@ func (n *Node) merge(groups []transport.RingID, srcs []*ringSource, handler Batc
 			}
 		}
 	}
+}
+
+// unpack appends the application messages packed into one consensus
+// instance (message packing, Section 4) to batch in packet order, every one
+// stamped with the packet's instance. It walks the packet with an iterator,
+// not a callback: a closure over the merge's batch state would be a heap
+// allocation per packed instance. A corrupt payload rolls back, so a packed
+// instance delivers all of its messages or none. It returns the extended
+// batch, the payload bytes added, and whether a message carried marker (the
+// armed epoch transition's value id; 0 when none is armed).
+func (n *Node) unpack(batch []Delivery, group transport.RingID, rn *ring.Node, d ring.Delivery, marker uint64) ([]Delivery, int, bool) {
+	mark, added, hitMarker := len(batch), 0, false
+	it := transport.IterBatch(d.Value.Data)
+	for {
+		iv, ok := it.Next()
+		if !ok {
+			break
+		}
+		batch = append(batch, Delivery{
+			Group:    group,
+			Instance: d.Instance,
+			ValueID:  iv.Value.ID,
+			Data:     iv.Value.Data,
+		})
+		n.traceDelivery(rn, &batch[len(batch)-1])
+		added += len(iv.Value.Data)
+		if marker != 0 && iv.Value.ID == marker {
+			hitMarker = true
+		}
+	}
+	if it.Err() != nil {
+		return batch[:mark], 0, false
+	}
+	return batch, added, hitMarker
 }
 
 // traceDelivery stamps an unpacked delivery with the sampled trace
@@ -1279,6 +1296,19 @@ func (n *Node) RingIOGauges(ringID transport.RingID) (wal, send *metrics.BatchGa
 		return nil, nil
 	}
 	return rn.IOGauges()
+}
+
+// RingPackGauge returns a joined ring's message-packing instrumentation
+// (application messages per proposed instance at this process's
+// coordinator), or nil if the process has not joined the ring.
+func (n *Node) RingPackGauge(ringID transport.RingID) *metrics.BatchGauge {
+	n.mu.Lock()
+	rn := n.rings[ringID]
+	n.mu.Unlock()
+	if rn == nil {
+		return nil
+	}
+	return rn.PackGauge()
 }
 
 // Stop shuts down the merge and every joined ring.

@@ -10,9 +10,9 @@ import (
 // only statically known callees appear: direct function calls, concrete
 // method calls, and references to named functions passed as values
 // (assumed to be invoked synchronously by their consumer — conservative
-// for determinism, and in practice correct for the sort.Slice /
-// VisitBatch-style callbacks the hot paths use). Interface method calls
-// resolve to the interface's *types.Func, which has no body here and is
+// for determinism, and in practice correct for the sort.Slice-style
+// callbacks the code uses). Interface method calls resolve to the
+// interface's *types.Func, which has no body here and is
 // therefore a dead end; the analyzers lean on that deliberately (e.g. the
 // sanctioned storage.Log.PutBatch call in the ring's release function is
 // an interface call, so WAL internals are not dragged into the event-loop

@@ -393,6 +393,9 @@ type FlowStats struct {
 	// StallFeedback counts merge-stall feedback messages received by this
 	// coordinator from learners (adaptive rate leveling).
 	StallFeedback uint64
+	// QueueDepth is the number of proposals this coordinator left queued
+	// behind its pipeline window at its last propose point.
+	QueueDepth int
 }
 
 // FlowStats snapshots the node's flow-control instrumentation. Safe to
@@ -411,6 +414,7 @@ func (n *Node) FlowStats() FlowStats {
 		CatchupAborted: n.catchupAborted.Load(),
 		ShedProposals:  n.shedCount.Load(),
 		StallFeedback:  n.fbCount.Load(),
+		QueueDepth:     int(n.queueDepth.Load()),
 	}
 }
 

@@ -38,9 +38,11 @@ func (q *proposalQueue) pop() transport.Value {
 	return v
 }
 
-// peek returns a pointer to the oldest value without removing it.
-func (q *proposalQueue) peek() *transport.Value {
-	return &q.buf[q.head]
+// at returns a pointer to the i-th oldest value (0 = head) without
+// removing it, so the coordinator can size a packet by walking the queue
+// in place. Callers keep i < len.
+func (q *proposalQueue) at(i int) *transport.Value {
+	return &q.buf[(q.head+i)&(len(q.buf)-1)]
 }
 
 // grow doubles the buffer, unwrapping the circular contents.

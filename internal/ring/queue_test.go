@@ -35,18 +35,29 @@ func TestProposalQueueFIFOAcrossGrowth(t *testing.T) {
 	}
 }
 
-func TestProposalQueuePeekMatchesPop(t *testing.T) {
+// TestProposalQueueAtMatchesPop: the indexed peek names exactly the
+// values the next pops return, across a wrapped head.
+func TestProposalQueueAtMatchesPop(t *testing.T) {
 	var q proposalQueue
-	q.push(transport.Value{ID: 1, Data: []byte("a")})
-	q.push(transport.Value{ID: 2, Data: []byte("b")})
-	if p := q.peek(); p.ID != 1 || string(p.Data) != "a" {
-		t.Fatalf("peek = %+v", p)
+	for i := uint64(1); i <= 60; i++ { // wrap the head of the 64-slot buffer
+		q.push(transport.Value{ID: i})
+		q.pop()
 	}
-	if v := q.pop(); v.ID != 1 {
-		t.Fatalf("pop = %d", v.ID)
+	for i := uint64(1); i <= 10; i++ {
+		q.push(transport.Value{ID: 100 + i, Data: []byte{byte(i)}})
 	}
-	if p := q.peek(); p.ID != 2 {
-		t.Fatalf("peek after pop = %d", p.ID)
+	for i := 0; i < q.len(); i++ {
+		if p := q.at(i); p.ID != 101+uint64(i) || p.Data[0] != byte(i+1) {
+			t.Fatalf("at(%d) = %+v", i, p)
+		}
+	}
+	for want := uint64(101); q.len() > 0; want++ {
+		if p := q.at(0); p.ID != want {
+			t.Fatalf("at(0) = %d, want %d", p.ID, want)
+		}
+		if v := q.pop(); v.ID != want {
+			t.Fatalf("pop = %d, want %d", v.ID, want)
+		}
 	}
 }
 

@@ -235,8 +235,11 @@ type Node struct {
 	fbCount        atomic.Uint64
 	lambdaGauge    metrics.Gauge
 
-	// pacer owns rate-leveling accounting (run-loop owned).
+	// Run-loop owned: pacer does the rate-leveling accounting, drain
+	// measures how fast the proposal queue empties (the Overloaded
+	// retry-after hint).
 	pacer *skipPacer
+	drain drainMeter
 
 	// perMsgOnce/perMsgCh back the per-message Deliveries adapter.
 	perMsgOnce sync.Once
@@ -254,8 +257,8 @@ type Node struct {
 	promised      uint32
 	nextInstance  uint64
 	pendingQ      proposalQueue
-	inFlight      map[uint64]*flight
-	proposedInWin int
+	inFlight      map[uint64]flight // by value: the map recycles its own slots
+	proposedInWin int               // non-skip instances proposed this Δ window (λ is an instance rate)
 
 	learned     map[uint64]transport.Value
 	nextDeliver uint64
@@ -300,6 +303,11 @@ type Node struct {
 
 	walGauge  metrics.BatchGauge
 	sendGauge metrics.BatchGauge
+	// Coordinator-side packing instrumentation, written at the propose
+	// point: messages per proposed non-skip instance, and the proposals
+	// left queued behind the window.
+	packGauge  metrics.BatchGauge
+	queueDepth metrics.Gauge
 
 	// Tracing (telemetry-only): tracer records spans, tags parks the
 	// sampled contexts riding incoming frames keyed by value id, and
@@ -326,6 +334,19 @@ type Node struct {
 // New creates and starts a ring node. The ring must already exist in the
 // coordination service and Self must be one of its members.
 func New(cfg Config) (*Node, error) {
+	n, err := newNode(cfg)
+	if err != nil {
+		return nil, err
+	}
+	go n.deliveryLoop()
+	go n.run()
+	return n, nil
+}
+
+// newNode builds a node with its durable state recovered and its initial
+// configuration applied, but starts neither loop: white-box tests drive
+// the handlers of a not-yet-running node directly.
+func newNode(cfg Config) (*Node, error) {
 	cfg = cfg.withDefaults()
 	rc, ok := cfg.Coord.Ring(cfg.Ring)
 	if !ok {
@@ -352,7 +373,7 @@ func New(cfg Config) (*Node, error) {
 		pending:      make([]Delivery, 0, deliveryBatchCap),
 		batchFree:    make(chan []Delivery, 32),
 		deliveryDone: make(chan struct{}),
-		inFlight:     make(map[uint64]*flight),
+		inFlight:     make(map[uint64]flight),
 		learned:      make(map[uint64]transport.Value),
 		nextDeliver:  max(1, cfg.StartInstance),
 		nextInstance: 1,
@@ -367,6 +388,7 @@ func New(cfg Config) (*Node, error) {
 	}
 	n.dcond = sync.NewCond(&n.dmu)
 	n.pacer = newSkipPacer(cfg)
+	n.drain.rate = metrics.NewEWMA(drainRateAlpha)
 	n.lambdaGauge.Set(int64(cfg.Lambda))
 	n.batchTr, _ = n.tr.(transport.BatchSender)
 	// Recover durable acceptor state and apply the initial configuration
@@ -376,8 +398,6 @@ func New(cfg Config) (*Node, error) {
 	// run loop before it first blocks.
 	n.recoverFromLog()
 	n.applyConfig(rc)
-	go n.deliveryLoop()
-	go n.run()
 	return n, nil
 }
 
@@ -387,6 +407,11 @@ func New(cfg Config) (*Node, error) {
 func (n *Node) IOGauges() (wal, send *metrics.BatchGauge) {
 	return &n.walGauge, &n.sendGauge
 }
+
+// PackGauge returns the coordinator's message-packing instrumentation
+// (Section 4): the distribution of application messages per proposed
+// non-skip instance. Empty on nodes that never coordinated.
+func (n *Node) PackGauge() *metrics.BatchGauge { return &n.packGauge }
 
 // Ring returns the ring identifier.
 func (n *Node) Ring() transport.RingID { return n.ring }

@@ -102,6 +102,13 @@ func (n *Node) run() {
 		case <-trimC:
 			n.startTrimRound()
 		}
+		// The coordinator's single propose point: handlers above only
+		// enqueued proposals or freed window slots, so everything that
+		// arrived in this burst is packed together (Section 4), logged as
+		// one vote per acceptor and forwarded as one Phase 2 message. No
+		// timer: a lone proposal is proposed in the iteration that
+		// received it.
+		n.tryPropose()
 		// Commit the burst's staged votes and sends before handing
 		// deliveries over: a delivery must never outrun the durability
 		// of the votes that decided it.
@@ -320,7 +327,9 @@ func (n *Node) handleFlowFeedback(m transport.Message) {
 	n.fbCount.Add(1)
 }
 
-// handleProposal enqueues a value at the coordinator or forwards it there.
+// handleProposal enqueues a value at the coordinator (the loop's propose
+// point assigns it an instance at the end of the burst) or forwards it
+// there.
 func (n *Node) handleProposal(m transport.Message) {
 	if !n.isCoord {
 		n.mu.Lock()
@@ -340,7 +349,7 @@ func (n *Node) handleProposal(m transport.Message) {
 		// A silent drop is indistinguishable from loss, so clients used
 		// to hammer the overloaded coordinator with blind retransmits;
 		// the Overloaded reply carries a retry-after estimate derived
-		// from the queue depth and the decided-rate EWMA so they back
+		// from the queue depth and the measured drain rate so they back
 		// off for roughly one queue-drain time instead.
 		n.shedCount.Add(1)
 		// Reply to the ORIGINAL proposer (Seq, stamped at the client;
@@ -361,96 +370,80 @@ func (n *Node) handleProposal(m transport.Message) {
 		return
 	}
 	n.pendingQ.push(m.Value)
-	n.tryPropose()
 }
 
-// retryAfter estimates how long a shed proposer should back off: the time
-// this coordinator needs to drain its full proposal queue at the recent
-// decided rate, clamped to [5ms, 2s]. Without a rate sample (skips off or
-// ring idle) it falls back to the retry interval.
-func (n *Node) retryAfter() time.Duration {
-	rate := n.pacer.rate.Value()
-	if rate < 1 {
-		return n.cfg.RetryInterval
-	}
-	d := time.Duration(float64(n.cfg.MaxPending) / rate * float64(time.Second))
-	if d < 5*time.Millisecond {
-		d = 5 * time.Millisecond
-	}
-	if d > 2*time.Second {
-		d = 2 * time.Second
-	}
-	return d
-}
-
-// tryPropose assigns queued proposals to consensus instances while the
-// pipeline window has room, packing several proposals into one instance
-// when batching is enabled (message packing, Section 4).
+// tryPropose is the coordinator's propose point, called by the event loop
+// once per iteration: it assigns queued proposals to consensus instances
+// while the pipeline window has room, packing the head-of-line proposals
+// into one instance when batching is enabled (message packing, Section 4).
 func (n *Node) tryPropose() {
-	if !n.isCoord || !n.phase1Ready {
-		return
-	}
-	for n.pendingQ.len() > 0 && len(n.inFlight) < n.cfg.Window {
-		v := n.pendingQ.pop()
-		if n.cfg.BatchBytes > 0 && n.pendingQ.len() > 0 && !v.Skip {
-			v = n.packBatch(v)
+	if n.isCoord && n.phase1Ready && n.pendingQ.len() > 0 && len(n.inFlight) < n.cfg.Window {
+		now := time.Now()
+		dequeued := 0
+		for n.pendingQ.len() > 0 && len(n.inFlight) < n.cfg.Window {
+			v, packed := n.packBatch()
+			if !v.Skip {
+				n.proposedInWin++
+				n.packGauge.Observe(packed)
+			}
+			dequeued += packed
+			n.proposeValue(v, now)
 		}
-		n.proposeValue(v)
+		n.drain.observe(dequeued, now)
 	}
+	n.queueDepth.Set(int64(n.pendingQ.len()))
 }
 
-// packBatch greedily packs queued proposals behind head into one batched
-// value of at most BatchBytes payload bytes. The batch encodes into a
-// pooled buffer whose creation reference transfers to the returned
-// value (and from there to the flight table); the consumed proposals'
-// queue references are released once their bytes are packed.
+// packBatch dequeues the value of the next instance and reports how many
+// proposals it carries: the queue head alone, or — with packing enabled —
+// the head plus every proposal queued behind it that fits BatchBytes
+// payload bytes (a head larger than that travels alone; a Skip is never
+// packed). The packet is sized by walking the queue in place and encoded
+// straight from the queue into one pooled buffer, whose creation reference
+// transfers to the returned value (and from there to the flight table);
+// the packed proposals' queue references are released once their bytes
+// are copied.
 //
 //lint:pooled
-func (n *Node) packBatch(head transport.Value) transport.Value {
-	batch := []transport.InstanceValue{{Value: head}}
-	size := len(head.Data)
-	for n.pendingQ.len() > 0 && size < n.cfg.BatchBytes {
-		next := n.pendingQ.peek()
-		if next.Skip || size+len(next.Data) > n.cfg.BatchBytes {
-			break
+func (n *Node) packBatch() (transport.Value, int) {
+	q := &n.pendingQ
+	head := q.at(0)
+	count, size, encoded := 1, len(head.Data), transport.BatchHeaderSize+transport.BatchEntrySize(*head)
+	if n.cfg.BatchBytes > 0 && !head.Skip {
+		for count < q.len() && size < n.cfg.BatchBytes {
+			next := q.at(count)
+			if next.Skip || size+len(next.Data) > n.cfg.BatchBytes {
+				break
+			}
+			size += len(next.Data)
+			encoded += transport.BatchEntrySize(*next)
+			count++
 		}
-		v := n.pendingQ.pop()
-		batch = append(batch, transport.InstanceValue{Value: v})
-		size += len(v.Data)
 	}
-	if len(batch) == 1 {
-		return head
+	if count == 1 {
+		return q.pop(), 1
 	}
-	// Encode the packed payload straight into a pooled buffer: the packed
-	// value rides the same accept/WAL/forward path as an inbound one. Its
-	// creation reference transfers to the flight slot via proposeValue;
-	// the consumed source values' references are dropped here (their bytes
-	// were just copied).
-	pb := bufpool.Get(transport.EncodedBatchSize(batch))
-	data := transport.AppendBatch(pb.Bytes()[:0], batch)
-	for i := range batch {
-		batch[i].Value.Buf.Release()
+	// The packed value rides the same accept/WAL/forward path as an
+	// inbound one.
+	id := head.ID
+	pb := bufpool.Get(encoded)
+	data := transport.AppendBatchHeader(pb.Bytes()[:0], count)
+	for i := 0; i < count; i++ {
+		v := q.pop()
+		data = transport.AppendBatchEntry(data, 0, v)
+		v.Buf.Release()
 	}
-	return transport.Value{
-		ID:      head.ID,
-		Batched: true,
-		Count:   1,
-		Data:    data,
-		Buf:     pb,
-	}
+	return transport.Value{ID: id, Batched: true, Count: 1, Data: data, Buf: pb}, count
 }
 
 // proposeValue runs Phase 2 for one value: the coordinator logs its own
 // vote and forwards the combined 2A/2B message. The flight slot takes
 // ownership of the caller's payload reference (released when the slot
 // frees: decided, superseded, or node exit).
-func (n *Node) proposeValue(v transport.Value) {
+func (n *Node) proposeValue(v transport.Value, now time.Time) {
 	inst := n.nextInstance
 	n.nextInstance += v.Span()
-	if !v.Skip {
-		n.proposedInWin++
-	}
-	n.inFlight[inst] = &flight{value: v, lastSent: time.Now()}
+	n.inFlight[inst] = flight{value: v, lastSent: now}
 	n.sendPhase2(inst, v)
 }
 
@@ -512,7 +505,7 @@ func (n *Node) sendPhase2(inst uint64, v transport.Value) {
 		Votes:    1,
 		Value:    v,
 	}
-	n.attachTraces(&m)
+	n.attachTraces(&m, v)
 	n.mu.Lock()
 	majority := n.rc.Majority()
 	n.mu.Unlock()
@@ -599,12 +592,11 @@ func (n *Node) completePhase1(m transport.Message) {
 			if _, busy := n.inFlight[iv.Instance]; busy {
 				continue
 			}
-			n.inFlight[iv.Instance] = &flight{value: iv.Value, lastSent: time.Now()}
+			n.inFlight[iv.Instance] = flight{value: iv.Value, lastSent: time.Now()}
 			n.sendPhase2(iv.Instance, iv.Value)
 		}
 	}
 	n.phase1Ready = true
-	n.tryPropose()
 }
 
 // handlePhase2 is the acceptor/forwarder path for combined Phase 2A/2B.
@@ -651,7 +643,7 @@ func (n *Node) decide(inst uint64, v transport.Value, origin transport.ProcessID
 			Value:    v,
 			Seq:      uint64(origin),
 		}
-		n.attachTraces(&m)
+		n.attachTraces(&m, v)
 		n.send(n.succ, m)
 	}
 }
@@ -723,12 +715,12 @@ func (n *Node) learnDecision(inst uint64, v transport.Value) {
 	}
 }
 
-// coordObserveDecided releases the pipeline slot for a decided instance.
+// coordObserveDecided releases the pipeline slot for a decided instance
+// (the loop's propose point refills it at the end of the burst).
 func (n *Node) coordObserveDecided(inst uint64) {
 	if f, ok := n.inFlight[inst]; ok {
 		f.value.Buf.Release()
 		delete(n.inFlight, inst)
-		n.tryPropose()
 	}
 }
 
@@ -752,10 +744,10 @@ func (n *Node) retryUndecided() {
 		}
 		if f.lastSent.Before(cutoff) {
 			f.lastSent = time.Now()
+			n.inFlight[inst] = f
 			n.sendPhase2(inst, f.value)
 		}
 	}
-	n.tryPropose()
 }
 
 // chaseGaps requests retransmission of decided-but-missed instances so a
@@ -984,7 +976,7 @@ func (n *Node) maybeSkip() {
 		ID:    transport.MakeValueID(n.id, n.proposeSeq.Add(1)),
 		Skip:  true,
 		Count: uint32(span),
-	})
+	}, time.Now())
 }
 
 // startTrimRound begins a trim round (Section 5.2): the coordinator asks

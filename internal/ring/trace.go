@@ -2,6 +2,7 @@ package ring
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"amcast/internal/trace"
@@ -22,6 +23,11 @@ import (
 const tagTableCap = 8192
 
 type traceTags struct {
+	// any flips to true on the first put and stays there: until a sampled
+	// context has reached this node, every per-value lookup (five hooks
+	// per instance, one per inner value of a packet) is skipped without
+	// touching the mutex.
+	any  atomic.Bool
 	mu   sync.Mutex
 	m    map[uint64]trace.Context
 	fifo []uint64
@@ -45,7 +51,11 @@ func (t *traceTags) put(id uint64, ctx trace.Context) {
 	}
 	t.m[id] = ctx
 	t.mu.Unlock()
+	t.any.Store(true)
 }
+
+// empty reports that no sampled context was ever parked here.
+func (t *traceTags) empty() bool { return t == nil || !t.any.Load() }
 
 func (t *traceTags) get(id uint64) (trace.Context, bool) {
 	if t == nil || id == 0 {
@@ -74,61 +84,91 @@ func (n *Node) ingestTraces(m *transport.Message) {
 	}
 }
 
-// eachTrace calls fn for every sampled context attached to v's value id
-// — or, for a message-packed value, to each inner value id.
-func (n *Node) eachTrace(v transport.Value, fn func(id uint64, ctx trace.Context)) {
-	if n.tracer == nil {
-		return
+// traceWalk iterates the sampled contexts attached to a value's id — or,
+// for a message-packed value, to each inner value id. It is an iterator
+// rather than a callback so the per-instance hooks below walk a packet
+// without a heap-allocated closure:
+//
+//	for w := n.traces(v); ; {
+//		id, ctx, ok := w.next()
+//		if !ok {
+//			break
+//		}
+//		...
+//	}
+//
+// The zero value yields nothing.
+type traceWalk struct {
+	tags *traceTags
+	id   uint64              // pending id of an unpacked value (0 = none)
+	it   transport.BatchIter // remaining inner values of a packed one
+}
+
+// traces starts a walk over v's sampled contexts.
+func (n *Node) traces(v transport.Value) traceWalk {
+	if n.tracer == nil || n.tags.empty() {
+		return traceWalk{}
 	}
 	if v.Batched {
-		_ = transport.VisitBatch(v.Data, func(iv transport.InstanceValue) {
-			if ctx, ok := n.tags.get(iv.Value.ID); ok {
-				fn(iv.Value.ID, ctx)
-			}
-		})
-		return
+		return traceWalk{tags: n.tags, it: transport.IterBatch(v.Data)}
 	}
-	if ctx, ok := n.tags.get(v.ID); ok {
-		fn(v.ID, ctx)
+	return traceWalk{tags: n.tags, id: v.ID}
+}
+
+// next returns the next sampled (value id, context) pair.
+func (w *traceWalk) next() (uint64, trace.Context, bool) {
+	if id := w.id; id != 0 {
+		w.id = 0
+		ctx, ok := w.tags.get(id)
+		return id, ctx, ok
+	}
+	for {
+		iv, ok := w.it.Next()
+		if !ok {
+			return 0, trace.Context{}, false
+		}
+		if ctx, ok := w.tags.get(iv.Value.ID); ok {
+			return iv.Value.ID, ctx, true
+		}
 	}
 }
 
-// attachTraces re-attaches parked contexts to an outgoing message built
-// fresh from a value (Phase 2, Decision). Forwarded messages keep their
+// attachTraces re-attaches v's parked contexts to an outgoing message
+// built fresh from it (Phase 2, Decision). Forwarded messages keep their
 // decoded Traces and need no re-attachment.
-func (n *Node) attachTraces(m *transport.Message) {
-	n.eachTrace(m.Value, func(id uint64, ctx trace.Context) {
+func (n *Node) attachTraces(m *transport.Message, v transport.Value) {
+	for w := n.traces(v); ; {
+		id, ctx, ok := w.next()
+		if !ok {
+			return
+		}
 		m.Traces = append(m.Traces, transport.TraceRef{ValueID: id, Ctx: ctx})
-	})
+	}
 }
 
 // attachBatchTraces re-attaches parked contexts for a retransmission
 // batch, so the catch-up path re-delivers trace context along with the
 // decided values it replays.
 func (n *Node) attachBatchTraces(m *transport.Message, batch []transport.InstanceValue) {
-	if n.tracer == nil {
-		return
-	}
 	for _, iv := range batch {
-		n.eachTrace(iv.Value, func(id uint64, ctx trace.Context) {
-			m.Traces = append(m.Traces, transport.TraceRef{ValueID: id, Ctx: ctx})
-		})
+		n.attachTraces(m, iv.Value)
 	}
 }
 
 // spanNow records a point span (zero duration) for every sampled
 // context on v: the value passed through hop `name` at this node.
 func (n *Node) spanNow(name string, inst uint64, v transport.Value) {
-	if n.tracer == nil {
-		return
-	}
 	var now time.Time
-	n.eachTrace(v, func(id uint64, ctx trace.Context) {
+	for w := n.traces(v); ; {
+		id, ctx, ok := w.next()
+		if !ok {
+			return
+		}
 		if now.IsZero() {
 			now = time.Now()
 		}
 		n.tracer.Add(ctx, name, uint32(n.ring), inst, id, now, 0)
-	})
+	}
 }
 
 // stagedTrace remembers a sampled vote staged for the current burst's
@@ -142,10 +182,11 @@ type stagedTrace struct {
 
 // traceStagedVote queues wal-commit spans for a vote being staged.
 func (n *Node) traceStagedVote(inst uint64, v transport.Value) {
-	if n.tracer == nil {
-		return
-	}
-	n.eachTrace(v, func(id uint64, ctx trace.Context) {
+	for w := n.traces(v); ; {
+		id, ctx, ok := w.next()
+		if !ok {
+			return
+		}
 		n.stagedTraces = append(n.stagedTraces, stagedTrace{id: id, inst: inst, ctx: ctx})
-	})
+	}
 }

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"amcast/internal/netem"
 	"amcast/internal/storage"
+	"amcast/internal/transport"
 )
 
 // TestWALFailureBudgetStepOut: an acceptor whose WAL fails persistently
@@ -94,5 +96,119 @@ func TestWALFailureBudgetStepOut(t *testing.T) {
 	}
 	if _, stepped, _ := c.nodes[2].WALHealth(); stepped {
 		t.Fatal("steppedOut flag should clear after rejoin")
+	}
+}
+
+// collectUnpacked drains deliveries from a learner until it has seen count
+// application values, unpacking message-packed instances, and returns the
+// value ids with the instance each was decided in.
+func collectUnpacked(t *testing.T, n *Node, count int, timeout time.Duration) (ids, instances []uint64) {
+	t.Helper()
+	deadline := time.After(timeout)
+	for len(ids) < count {
+		select {
+		case d, ok := <-n.Deliveries():
+			if !ok {
+				t.Fatalf("delivery channel closed after %d/%d values", len(ids), count)
+			}
+			switch {
+			case d.Value.Skip:
+			case d.Value.Batched:
+				batch, err := transport.DecodeBatch(d.Value.Data)
+				if err != nil {
+					t.Fatalf("instance %d: corrupt packet: %v", d.Instance, err)
+				}
+				for _, iv := range batch {
+					ids = append(ids, iv.Value.ID)
+					instances = append(instances, d.Instance)
+				}
+			default:
+				ids = append(ids, d.Value.ID)
+				instances = append(instances, d.Instance)
+			}
+		case <-deadline:
+			t.Fatalf("timed out after %d/%d values", len(ids), count)
+		}
+	}
+	return ids, instances
+}
+
+// TestPackedBurstSurvivesCoordinatorWALFailure checks agreement and
+// validity for packed values (Section 2) across a wedge: the coordinator's
+// log rejects the burst that carries a packed vote, so nothing of it may
+// be decided anywhere; once the log recovers, every learner delivers every
+// message of the burst exactly once, in queue order, in the same instances.
+func TestPackedBurstSurvivesCoordinatorWALFailure(t *testing.T) {
+	fl := newFailLog(storage.NewMemLog())
+	c := newCluster(t, 3, func(cfg *Config) {
+		cfg.BatchBytes = 32 << 10
+		cfg.RetryInterval = 20 * time.Millisecond
+		cfg.CommitFailureBudget = -1 // stay in the ring while wedged
+		if cfg.Self == 1 {
+			cfg.Log = fl
+		}
+	})
+	if err := c.nodes[1].Propose([]byte("warm")); err != nil {
+		t.Fatal(err)
+	}
+	for id := transport.ProcessID(1); id <= 3; id++ {
+		collect(t, c.nodes[id], 1, 5*time.Second)
+	}
+
+	fl.fail()
+	const count = 64
+	client := c.net.Attach(99, netem.SiteLocal).(transport.BatchSender)
+	burst := make([]transport.Message, count)
+	for i := range burst {
+		burst[i] = transport.Message{
+			Kind: transport.KindProposal, To: 1, Ring: c.ring, Seq: 99,
+			Value: transport.Value{ID: transport.MakeValueID(99, uint32(i+1)), Count: 1, Data: []byte{byte(i)}},
+		}
+	}
+	if err := client.SendBatch(burst); err != nil {
+		t.Fatal(err)
+	}
+	// Several retry rounds re-stage the vote against the failing log; no
+	// learner may see any of it.
+	select {
+	case d := <-c.nodes[2].Deliveries():
+		t.Fatalf("instance %d delivered while the coordinator's vote was un-durable", d.Instance)
+	case <-time.After(200 * time.Millisecond):
+	}
+	if len(fl.rejectedInstances()) == 0 {
+		t.Fatal("failure injection never rejected a vote")
+	}
+
+	fl.heal()
+	var firstInstances []uint64
+	for id := transport.ProcessID(1); id <= 3; id++ {
+		ids, instances := collectUnpacked(t, c.nodes[id], count, 10*time.Second)
+		for i, got := range ids {
+			if want := transport.MakeValueID(99, uint32(i+1)); got != want {
+				t.Fatalf("learner %d: value %d is %#x, want %#x (queue order, exactly once)", id, i, got, want)
+			}
+		}
+		if instances[count-1]-instances[0]+1 >= count/4 {
+			t.Errorf("learner %d: burst spread over instances %d..%d; packing did not engage", id, instances[0], instances[count-1])
+		}
+		if id == 1 {
+			firstInstances = instances
+			continue
+		}
+		for i := range instances {
+			if instances[i] != firstInstances[i] {
+				t.Fatalf("learner %d decided value %d in instance %d, learner 1 in %d", id, i, instances[i], firstInstances[i])
+			}
+		}
+	}
+	// Retries of an already decided packet must not deliver it again.
+	for id := transport.ProcessID(1); id <= 3; id++ {
+		select {
+		case d := <-c.nodes[id].Deliveries():
+			if !d.Value.Skip {
+				t.Fatalf("learner %d: instance %d delivered after the burst was complete", id, d.Instance)
+			}
+		case <-time.After(60 * time.Millisecond):
+		}
 	}
 }

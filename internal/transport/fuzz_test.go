@@ -67,25 +67,19 @@ func FuzzFrameDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		visited := 0
-		if err := VisitBatch(m.Value.Data, func(iv InstanceValue) {
-			if visited < len(batch) {
-				want := batch[visited]
-				if iv.Instance != want.Instance || !bytes.Equal(iv.Value.Data, want.Value.Data) {
-					t.Fatalf("VisitBatch entry %d disagrees with DecodeBatch", visited)
-				}
-			}
-			visited++
-		}); err != nil {
-			t.Fatalf("VisitBatch rejected what DecodeBatch accepted: %v", err)
-		}
-		if visited != len(batch) {
-			t.Fatalf("VisitBatch saw %d entries, DecodeBatch %d", visited, len(batch))
-		}
 		reenc := EncodeBatch(batch)
 		batch2, err := DecodeBatch(reenc)
 		if err != nil || len(batch2) != len(batch) {
 			t.Fatalf("batch re-encoding round trip failed: %v (%d vs %d entries)", err, len(batch2), len(batch))
+		}
+		// The incremental appender (the coordinator's packing path) writes
+		// the same bytes as the slice encoder.
+		inc := AppendBatchHeader(nil, len(batch))
+		for _, iv := range batch {
+			inc = AppendBatchEntry(inc, iv.Instance, iv.Value)
+		}
+		if !bytes.Equal(inc, reenc) {
+			t.Fatalf("incremental batch encoding differs from EncodeBatch")
 		}
 	})
 }

@@ -489,15 +489,49 @@ func AppendValue(buf []byte, v Value) []byte {
 	return append(buf, v.Data...)
 }
 
+// Batch layout: a 4-byte entry count, then per entry the 8-byte instance
+// followed by AppendValue's encoding (25 bytes of fixed fields + Data).
+const (
+	BatchHeaderSize    = 4
+	batchEntryOverhead = 8 + 8 + 1 + 4 + 4
+)
+
+// BatchEntrySize returns the encoded size of one batch entry carrying v.
+func BatchEntrySize(v Value) int { return batchEntryOverhead + len(v.Data) }
+
 // EncodedBatchSize returns the exact size of EncodeBatch's output, so
 // callers can encode into a pre-sized (possibly pooled) buffer via
 // AppendBatch without a second copy.
 func EncodedBatchSize(batch []InstanceValue) int {
-	size := 4
+	size := BatchHeaderSize
 	for _, iv := range batch {
-		size += 8 + 8 + 1 + 4 + 4 + len(iv.Value.Data)
+		size += BatchEntrySize(iv.Value)
 	}
 	return size
+}
+
+// AppendBatchHeader starts a batch of n entries in buf; the caller follows
+// it with exactly n AppendBatchEntry calls. Together they are AppendBatch
+// for callers that hold the entries somewhere other than a slice (the
+// ring coordinator packs straight out of its proposal queue); the total
+// is BatchHeaderSize plus each entry's BatchEntrySize.
+//
+//lint:deterministic
+func AppendBatchHeader(buf []byte, n int) []byte {
+	var tmp [4]byte
+	binary.LittleEndian.PutUint32(tmp[:], uint32(n))
+	return append(buf, tmp[:]...)
+}
+
+// AppendBatchEntry appends one (instance, value) entry of a batch opened
+// with AppendBatchHeader.
+//
+//lint:deterministic
+func AppendBatchEntry(buf []byte, instance uint64, v Value) []byte {
+	var tmp [8]byte
+	binary.LittleEndian.PutUint64(tmp[:], instance)
+	buf = append(buf, tmp[:]...)
+	return AppendValue(buf, v)
 }
 
 // AppendBatch appends the batch encoding to buf and returns the extended
@@ -505,13 +539,9 @@ func EncodedBatchSize(batch []InstanceValue) int {
 //
 //lint:deterministic
 func AppendBatch(buf []byte, batch []InstanceValue) []byte {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(batch)))
-	buf = append(buf, tmp[:4]...)
+	buf = AppendBatchHeader(buf, len(batch))
 	for _, iv := range batch {
-		binary.LittleEndian.PutUint64(tmp[:8], iv.Instance)
-		buf = append(buf, tmp[:8]...)
-		buf = AppendValue(buf, iv.Value)
+		buf = AppendBatchEntry(buf, iv.Instance, iv.Value)
 	}
 	return buf
 }
@@ -523,56 +553,91 @@ func EncodeBatch(batch []InstanceValue) []byte {
 	return AppendBatch(make([]byte, 0, EncodedBatchSize(batch)), batch)
 }
 
-// VisitBatch parses a payload produced by EncodeBatch, calling fn for each
-// entry instead of materializing the batch slice — the delivery hot path
-// unpacks one message-packed instance per consensus decision and would
-// otherwise allocate per instance. Entries alias buf's storage.
-func VisitBatch(buf []byte, fn func(InstanceValue)) error {
-	if len(buf) < 4 {
-		return ErrShortMessage
-	}
-	n := int(binary.LittleEndian.Uint32(buf[:4]))
-	buf = buf[4:]
-	for i := 0; i < n; i++ {
-		if len(buf) < 8+8+1+4+4 {
-			return ErrShortMessage
-		}
-		var iv InstanceValue
-		iv.Instance = binary.LittleEndian.Uint64(buf[:8])
-		iv.Value.ID = binary.LittleEndian.Uint64(buf[8:16])
-		iv.Value.Skip = buf[16]&valueFlagSkip != 0
-		iv.Value.Batched = buf[16]&valueFlagBatched != 0
-		iv.Value.Count = binary.LittleEndian.Uint32(buf[17:21])
-		dataLen := int(binary.LittleEndian.Uint32(buf[21:25]))
-		buf = buf[25:]
-		if len(buf) < dataLen {
-			return ErrShortMessage
-		}
-		if dataLen > 0 {
-			iv.Value.Data = buf[:dataLen]
-		}
-		buf = buf[dataLen:]
-		fn(iv)
-	}
-	return nil
+// BatchIter walks a payload produced by EncodeBatch entry by entry without
+// materializing the batch slice and without a callback: the delivery hot
+// path unpacks one message-packed instance per consensus decision, and a
+// closure over the caller's state would cost a heap allocation per
+// instance. Entries alias the payload's storage. The zero value is an
+// exhausted iterator.
+//
+//	for it := transport.IterBatch(data); ; {
+//		iv, ok := it.Next()
+//		if !ok {
+//			break
+//		}
+//		...
+//	}
+//	if err := it.Err(); err != nil { ... }
+type BatchIter struct {
+	buf  []byte
+	left int
+	err  error
 }
+
+// IterBatch starts iterating an EncodeBatch payload.
+func IterBatch(buf []byte) BatchIter {
+	if len(buf) < BatchHeaderSize {
+		return BatchIter{err: ErrShortMessage}
+	}
+	return BatchIter{
+		buf:  buf[BatchHeaderSize:],
+		left: int(binary.LittleEndian.Uint32(buf[:BatchHeaderSize])),
+	}
+}
+
+// Next returns the next entry, or false once the batch is exhausted or
+// found truncated (Err tells which).
+func (it *BatchIter) Next() (InstanceValue, bool) {
+	var iv InstanceValue
+	if it.left == 0 {
+		return iv, false
+	}
+	buf := it.buf
+	if len(buf) < batchEntryOverhead {
+		it.left, it.err = 0, ErrShortMessage
+		return iv, false
+	}
+	iv.Instance = binary.LittleEndian.Uint64(buf[:8])
+	iv.Value.ID = binary.LittleEndian.Uint64(buf[8:16])
+	iv.Value.Skip = buf[16]&valueFlagSkip != 0
+	iv.Value.Batched = buf[16]&valueFlagBatched != 0
+	iv.Value.Count = binary.LittleEndian.Uint32(buf[17:21])
+	dataLen := int(binary.LittleEndian.Uint32(buf[21:25]))
+	buf = buf[batchEntryOverhead:]
+	if len(buf) < dataLen {
+		it.left, it.err = 0, ErrShortMessage
+		return InstanceValue{}, false
+	}
+	if dataLen > 0 {
+		iv.Value.Data = buf[:dataLen]
+	}
+	it.buf = buf[dataLen:]
+	it.left--
+	return iv, true
+}
+
+// Err reports why iteration stopped early (nil after a complete walk).
+func (it *BatchIter) Err() error { return it.err }
 
 // DecodeBatch parses a payload produced by EncodeBatch.
 func DecodeBatch(buf []byte) ([]InstanceValue, error) {
-	var batch []InstanceValue
-	if len(buf) >= 4 {
-		// The count header comes off the wire: cap the preallocation by
-		// the entries the buffer could physically hold (25 bytes each),
-		// or 4 corrupt bytes could demand a ~200 GB make.
-		n := int(binary.LittleEndian.Uint32(buf[:4]))
-		if max := (len(buf) - 4) / 25; n > max {
-			n = max
-		}
-		batch = make([]InstanceValue, 0, n)
+	it := IterBatch(buf)
+	// The count header comes off the wire: cap the preallocation by the
+	// entries the buffer could physically hold, or 4 corrupt bytes could
+	// demand a ~200 GB make.
+	n := it.left
+	if max := len(it.buf) / batchEntryOverhead; n > max {
+		n = max
 	}
-	if err := VisitBatch(buf, func(iv InstanceValue) {
+	batch := make([]InstanceValue, 0, n)
+	for {
+		iv, ok := it.Next()
+		if !ok {
+			break
+		}
 		batch = append(batch, iv)
-	}); err != nil {
+	}
+	if err := it.Err(); err != nil {
 		return nil, err
 	}
 	return batch, nil
