@@ -78,8 +78,16 @@ func TestParallelReplicasStayByteIdentical(t *testing.T) {
 				case 1:
 					_, err = sc.Scan("eq000", "eq999")
 				default:
-					if insErr := sc.Insert(k, []byte(fmt.Sprintf("w%d-%d", w, i))); insErr != nil {
-						err = sc.Update(k, []byte(fmt.Sprintf("w%d-%d", w, i)))
+					// Insert, or update what is there — and again if another
+					// worker deleted the key between the two.
+					v := []byte(fmt.Sprintf("w%d-%d", w, i))
+					for attempt := 0; attempt < 4; attempt++ {
+						if err = sc.Insert(k, v); err == nil {
+							break
+						}
+						if err = sc.Update(k, v); err == nil {
+							break
+						}
 					}
 				}
 				if err != nil {

@@ -71,7 +71,8 @@ func (o Op) Encode() []byte {
 	return append(buf, o.Value...)
 }
 
-// DecodeOp parses an encoded operation.
+// DecodeOp parses an encoded operation. Value aliases buf: the state
+// machine copies the one value it stores.
 func DecodeOp(buf []byte) (Op, error) {
 	var o Op
 	if len(buf) < 15 {
@@ -95,7 +96,7 @@ func DecodeOp(buf []byte) (Op, error) {
 		return o, transport.ErrShortMessage
 	}
 	if vn > 0 {
-		o.Value = append([]byte(nil), buf[:vn]...)
+		o.Value = buf[:vn:vn]
 	}
 	return o, nil
 }
@@ -124,27 +125,51 @@ type Result struct {
 // order: these bytes are a replica-produced response, so they must be
 // identical on every replica — map iteration order is not.
 func (r Result) Encode() []byte {
-	buf := make([]byte, 0, 1+2+12*len(r.Positions)+4+len(r.Value))
-	buf = append(buf, byte(r.Status))
-	var tmp [8]byte
-	binary.LittleEndian.PutUint16(tmp[:2], uint16(len(r.Positions)))
-	buf = append(buf, tmp[:2]...)
-	// A reply names a log or a few: their ids are ordered on the stack.
-	var few [8]LogID
-	ids := few[:0]
-	for l := range r.Positions {
-		ids = append(ids, l)
+	// A reply names a log or a few: they are ordered on the stack.
+	var few [8]logPos
+	ps := positions(few[:0])
+	for l, pos := range r.Positions {
+		ps = ps.with(l, pos)
 	}
-	slices.Sort(ids)
-	for _, l := range ids {
-		binary.LittleEndian.PutUint32(tmp[:4], uint32(l))
-		buf = append(buf, tmp[:4]...)
-		binary.LittleEndian.PutUint64(tmp[:8], r.Positions[l])
-		buf = append(buf, tmp[:8]...)
+	return encodeResult(r.Status, ps, r.Value)
+}
+
+// logPos is one log's position in a reply.
+type logPos struct {
+	log LogID
+	pos uint64
+}
+
+// positions is what a replica answers with, in ascending log order — a
+// replica builds its reply from this, not from a map it would have to sort
+// again.
+type positions []logPos
+
+// with sets l's position, keeping the order; a log named twice keeps the
+// later one.
+func (ps positions) with(l LogID, pos uint64) positions {
+	i := 0
+	for i < len(ps) && ps[i].log < l {
+		i++
 	}
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(r.Value)))
-	buf = append(buf, tmp[:4]...)
-	return append(buf, r.Value...)
+	if i < len(ps) && ps[i].log == l {
+		ps[i].pos = pos
+		return ps
+	}
+	return slices.Insert(ps, i, logPos{l, pos})
+}
+
+// encodeResult writes a result into one exactly-sized buffer.
+func encodeResult(st Status, ps positions, value []byte) []byte {
+	buf := make([]byte, 0, 1+2+12*len(ps)+4+len(value))
+	buf = append(buf, byte(st))
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(ps)))
+	for _, p := range ps {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(p.log))
+		buf = binary.LittleEndian.AppendUint64(buf, p.pos)
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(value)))
+	return append(buf, value...)
 }
 
 // DecodeResult parses an encoded result.
@@ -274,11 +299,11 @@ func (s *SM) diskTrimWatermark() (uint64, bool) {
 func (s *SM) Execute(_ transport.RingID, raw []byte) []byte {
 	op, err := DecodeOp(raw)
 	if err != nil {
-		return Result{Status: StatusBadRequest}.Encode()
+		return encodeResult(StatusBadRequest, nil, nil)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.apply(op).Encode()
+	return s.apply(op)
 }
 
 // ExecuteBatch applies a run of encoded operations under one lock
@@ -292,40 +317,42 @@ func (s *SM) ExecuteBatch(_ []transport.RingID, ops [][]byte) [][]byte {
 	for i, raw := range ops {
 		op, err := DecodeOp(raw)
 		if err != nil {
-			out[i] = Result{Status: StatusBadRequest}.Encode()
+			out[i] = encodeResult(StatusBadRequest, nil, nil)
 			continue
 		}
-		out[i] = s.apply(op).Encode()
+		out[i] = s.apply(op)
 	}
 	return out
 }
 
-func (s *SM) apply(op Op) Result {
+// apply executes op and returns its encoded result.
+func (s *SM) apply(op Op) []byte {
 	switch op.Kind {
 	case OpAppend:
 		ls, ok := s.hosted[op.Log]
 		if !ok {
-			return Result{Status: StatusNotFound}
+			return encodeResult(StatusNotFound, nil, nil)
 		}
-		pos := s.append(op.Log, ls, op.Value)
-		return Result{Status: StatusOK, Positions: map[LogID]uint64{op.Log: pos}}
+		return encodeResult(StatusOK, positions{{op.Log, s.append(op.Log, ls, op.Value)}}, nil)
 	case OpMultiAppend:
 		// Apply to the subset of addressed logs hosted here; other
-		// partitions' servers handle theirs (same global order).
-		positions := make(map[LogID]uint64)
+		// partitions' servers handle theirs (same global order). A command
+		// names a few logs: their positions are ordered on the stack.
+		var few [8]logPos
+		ps := positions(few[:0])
 		for _, l := range op.Logs {
 			if ls, ok := s.hosted[l]; ok {
-				positions[l] = s.append(l, ls, op.Value)
+				ps = ps.with(l, s.append(l, ls, op.Value))
 			}
 		}
-		if len(positions) == 0 {
-			return Result{Status: StatusNotFound}
+		if len(ps) == 0 {
+			return encodeResult(StatusNotFound, nil, nil)
 		}
-		return Result{Status: StatusOK, Positions: positions}
+		return encodeResult(StatusOK, ps, nil)
 	case OpRead:
 		ls, ok := s.hosted[op.Log]
 		if !ok || op.Pos < ls.base || op.Pos >= ls.next {
-			return Result{Status: StatusNotFound}
+			return encodeResult(StatusNotFound, nil, nil)
 		}
 		v := ls.entries[op.Pos-ls.base]
 		if v == nil && s.disk != nil {
@@ -334,13 +361,13 @@ func (s *SM) apply(op Op) Result {
 			}
 		}
 		if v == nil {
-			return Result{Status: StatusNotFound}
+			return encodeResult(StatusNotFound, nil, nil)
 		}
-		return Result{Status: StatusOK, Value: append([]byte(nil), v...)}
+		return encodeResult(StatusOK, nil, v)
 	case OpTrim:
 		ls, ok := s.hosted[op.Log]
 		if !ok {
-			return Result{Status: StatusNotFound}
+			return encodeResult(StatusNotFound, nil, nil)
 		}
 		if op.Pos > ls.next {
 			op.Pos = ls.next
@@ -363,13 +390,14 @@ func (s *SM) apply(op Op) Result {
 				_ = s.disk.Trim(w)
 			}
 		}
-		return Result{Status: StatusOK, Positions: map[LogID]uint64{op.Log: ls.base}}
+		return encodeResult(StatusOK, positions{{op.Log, ls.base}}, nil)
 	default:
-		return Result{Status: StatusBadRequest}
+		return encodeResult(StatusBadRequest, nil, nil)
 	}
 }
 
-// append stores one entry, persists it and maintains the cache cap.
+// append stores one entry — a copy of v, the only one the state machine
+// makes of an appended value — persists it and maintains the cache cap.
 func (s *SM) append(l LogID, ls *logState, v []byte) uint64 {
 	pos := ls.next
 	ls.next++
@@ -578,11 +606,11 @@ func groupOf(l LogID) transport.RingID { return transport.RingID(l) }
 // Append appends v to log l and returns the assigned position.
 func (c *Client) Append(l LogID, v []byte) (uint64, error) {
 	op := Op{Kind: OpAppend, Log: l, Value: v}
-	resps, err := c.cl.Submit([]transport.RingID{groupOf(l)}, op.Encode(), []transport.RingID{groupOf(l)}, 1, c.Timeout)
+	resp, err := c.cl.SubmitOne(groupOf(l), op.Encode(), c.Timeout)
 	if err != nil {
 		return 0, err
 	}
-	res, err := DecodeResult(resps[0])
+	res, err := DecodeResult(resp)
 	if err != nil {
 		return 0, err
 	}
@@ -637,11 +665,11 @@ func (c *Client) MultiAppendN(logs []LogID, v []byte, wantPartitions int) (map[L
 // Read returns the value at position p in log l.
 func (c *Client) Read(l LogID, p uint64) ([]byte, error) {
 	op := Op{Kind: OpRead, Log: l, Pos: p}
-	resps, err := c.cl.Submit([]transport.RingID{groupOf(l)}, op.Encode(), []transport.RingID{groupOf(l)}, 1, c.Timeout)
+	resp, err := c.cl.SubmitOne(groupOf(l), op.Encode(), c.Timeout)
 	if err != nil {
 		return nil, err
 	}
-	res, err := DecodeResult(resps[0])
+	res, err := DecodeResult(resp)
 	if err != nil {
 		return nil, err
 	}
@@ -654,11 +682,11 @@ func (c *Client) Read(l LogID, p uint64) ([]byte, error) {
 // Trim discards entries of log l below position p.
 func (c *Client) Trim(l LogID, p uint64) error {
 	op := Op{Kind: OpTrim, Log: l, Pos: p}
-	resps, err := c.cl.Submit([]transport.RingID{groupOf(l)}, op.Encode(), []transport.RingID{groupOf(l)}, 1, c.Timeout)
+	resp, err := c.cl.SubmitOne(groupOf(l), op.Encode(), c.Timeout)
 	if err != nil {
 		return err
 	}
-	res, err := DecodeResult(resps[0])
+	res, err := DecodeResult(resp)
 	if err != nil {
 		return err
 	}

@@ -381,3 +381,26 @@ func TestSMTrimWithLogZeroHostedNeverTrimsDisk(t *testing.T) {
 		t.Fatalf("log 0 entry lost after trimming log 2: status %d", r.Status)
 	}
 }
+
+// TestExecuteBatchAllocs pins the append path: per 1 KB append a replica
+// allocates the copy it stores and the reply — not a second value copy on
+// decode, nor a map of positions for the reply encoder to sort back into
+// a list (5.0 with both; plus the batch's result slice, shared by 512).
+func TestExecuteBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts inflated under the race detector")
+	}
+	const batch = 512
+	sm := NewSM(SMConfig{Hosted: []LogID{1, 2}})
+	value := make([]byte, 1024)
+	ops := make([][]byte, batch)
+	for i := range ops {
+		ops[i] = Op{Kind: OpAppend, Log: LogID(1 + i%2), Value: value}.Encode()
+	}
+	sm.ExecuteBatch(nil, ops)
+	perOp := testing.AllocsPerRun(20, func() { sm.ExecuteBatch(nil, ops) }) / batch
+	t.Logf("%.2f allocs per append", perOp)
+	if perOp > 2.5 {
+		t.Errorf("ExecuteBatch: %.2f allocs per append, budget 2.5", perOp)
+	}
+}

@@ -78,10 +78,10 @@ func (s *SM) StageRun(_ []transport.RingID, ops [][]byte, out [][]byte) any {
 	for i, raw := range ops {
 		op, err := DecodeOp(raw)
 		if err != nil {
-			out[i] = Result{Status: StatusBadRequest}.Encode()
+			out[i] = encodeResult(StatusBadRequest, nil, nil)
 			continue
 		}
-		out[i] = st.apply(op).Encode()
+		out[i] = st.apply(op)
 	}
 	return st
 }
@@ -144,33 +144,35 @@ func (st *dlogStaged) logOf(l LogID) (*stagedLog, bool) {
 }
 
 // apply mirrors SM.apply for the stageable kinds (ConflictKeys keeps
-// trims out of staged runs).
-func (st *dlogStaged) apply(op Op) Result {
+// trims out of staged runs). A staged value aliases the delivered
+// operation until CommitRun, inside the same Apply call, stores its copy.
+func (st *dlogStaged) apply(op Op) []byte {
 	switch op.Kind {
 	case OpAppend:
 		sl, ok := st.logOf(op.Log)
 		if !ok {
-			return Result{Status: StatusNotFound}
+			return encodeResult(StatusNotFound, nil, nil)
 		}
 		pos := sl.stageAppend(op.Value)
 		st.appends = append(st.appends, op)
-		return Result{Status: StatusOK, Positions: map[LogID]uint64{op.Log: pos}}
+		return encodeResult(StatusOK, positions{{op.Log, pos}}, nil)
 	case OpMultiAppend:
-		positions := make(map[LogID]uint64)
+		var few [8]logPos
+		ps := positions(few[:0])
 		for _, l := range op.Logs {
 			if sl, ok := st.logOf(l); ok {
-				positions[l] = sl.stageAppend(op.Value)
+				ps = ps.with(l, sl.stageAppend(op.Value))
 			}
 		}
-		if len(positions) == 0 {
-			return Result{Status: StatusNotFound}
+		if len(ps) == 0 {
+			return encodeResult(StatusNotFound, nil, nil)
 		}
 		st.appends = append(st.appends, op)
-		return Result{Status: StatusOK, Positions: positions}
+		return encodeResult(StatusOK, ps, nil)
 	case OpRead:
 		sl, ok := st.logOf(op.Log)
 		if !ok || op.Pos < sl.base || op.Pos >= sl.next {
-			return Result{Status: StatusNotFound}
+			return encodeResult(StatusNotFound, nil, nil)
 		}
 		var v []byte
 		if op.Pos >= sl.snapNext {
@@ -184,27 +186,28 @@ func (st *dlogStaged) apply(op Op) Result {
 			}
 		}
 		if v == nil {
-			return Result{Status: StatusNotFound}
+			return encodeResult(StatusNotFound, nil, nil)
 		}
-		return Result{Status: StatusOK, Value: append([]byte(nil), v...)}
+		return encodeResult(StatusOK, nil, v)
 	default:
-		return Result{Status: StatusBadRequest}
+		return encodeResult(StatusBadRequest, nil, nil)
 	}
 }
 
 // Local reads: position reads need no multicast round.
 var _ smr.LocalReader = (*SM)(nil)
 
-// ReadLocal serves an OpRead against current state. Called with the
-// replica's apply gate held in read mode (a batch-boundary state).
-func (s *SM) ReadLocal(_ transport.RingID, raw []byte) ([]byte, bool) {
+// AppendLocalRead serves an OpRead against current state, appending the
+// encoded result to dst. Called with the replica's apply gate held in
+// read mode (a batch-boundary state).
+func (s *SM) AppendLocalRead(dst []byte, _ transport.RingID, raw []byte) ([]byte, bool) {
 	op, err := DecodeOp(raw)
 	if err != nil || op.Kind != OpRead {
-		return nil, false
+		return dst, false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.apply(op).Encode(), true
+	return append(dst, s.apply(op)...), true
 }
 
 // ReadLocalAt reads position p of log l from one explicit server via the

@@ -401,3 +401,116 @@ func TestInPlaceSplitResubscribes(t *testing.T) {
 	}
 	waitConverged(t, []*store.SM{c.Server(1, 1).SM(), c.Server(1, 2).SM(), c.Server(1, 3).SM()}, 5*time.Second)
 }
+
+// TestLocalReadsRideThroughSplit: read-index local reads from a client that
+// loaded the pre-split schema, while a split runs. Once the marker has
+// executed, a replica of the shrunken partition answers a moved key
+// StatusWrongPartition — read in place from the reply, like everything the
+// client decodes now — and the client must poll for the new schema and
+// retry against the new owner: every read returns its key's value, none an
+// error; one issued between the marker and the schema flip is still waiting
+// when the new partition boots, and completes against it.
+func TestLocalReadsRideThroughSplit(t *testing.T) {
+	d := cluster.NewDeployment(nil)
+	defer d.Close()
+	c, err := d.StartStore(cluster.StoreOptions{
+		Partitions: 1, Replicas: 3, Kind: store.RangePartitioned,
+		CheckpointEvery: 500, RecoveryTimeout: 2 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, cl, err := c.NewClient(netem.SiteLocal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	const preload = 400
+	var ops []store.Op
+	for i := 0; i < preload; i++ {
+		ops = append(ops, store.Op{Kind: store.OpInsert, Key: key(i), Value: []byte("v-" + key(i))})
+	}
+	for base := 0; base < len(ops); base += 100 {
+		if _, err := sc.Batch(1, ops[base:base+100]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readLocal := func(k string) error {
+		if v, ok, err := sc.ReadLocal(k); err != nil || !ok || string(v) != "v-"+k {
+			return fmt.Errorf("local read of %s = %q, %v, %v", k, v, ok, err)
+		}
+		return nil
+	}
+
+	// Background reads over the whole key space, through all of it.
+	var bgErr error
+	stop, bgDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(bgDone)
+		for i := 0; bgErr == nil; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			bgErr = readLocal(key((i * 37) % preload))
+		}
+	}()
+
+	if err := c.AddPartition(2, 2); err != nil {
+		t.Fatal(err)
+	}
+	ctrl, cleanup, err := c.NewReconfigController()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	movedKey := key(preload - 1)
+	midSplit := make(chan error, 1)
+	if _, err := ctrl.Split(reconfig.SplitSpec{
+		OldGroup: 1, NewGroup: 2, Key: splitKey,
+		OldReplicas: []transport.ProcessID{cluster.ReplicaID(1, 1), cluster.ReplicaID(1, 2), cluster.ReplicaID(1, 3)},
+	}, func(res *reconfig.SplitResult) error {
+		// The marker has executed, the schema has not flipped: the old
+		// partition refuses the moved key, and nobody serves it yet.
+		raw, _ := c.Server(1, 1).SM().ReadLocal(1, store.Op{Kind: store.OpRead, Key: movedKey}.Encode())
+		if got, err := store.DecodeResult(raw); err != nil || got.Status != store.StatusWrongPartition {
+			return fmt.Errorf("old partition answers %+v, %v for a moved key, want wrong-partition", got, err)
+		}
+		go func() { midSplit <- readLocal(movedKey) }()
+		select {
+		case err := <-midSplit:
+			return fmt.Errorf("a local read of a moved key returned (%v) before any partition could serve it", err)
+		case <-time.After(30 * time.Millisecond):
+		}
+		if err := c.SeedPartition(2, res.Seed); err != nil {
+			return err
+		}
+		return c.StartPartition(2)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-midSplit:
+		if err != nil {
+			t.Errorf("the read that met StatusWrongPartition: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("the read that met StatusWrongPartition never completed after the schema flip")
+	}
+	close(stop)
+	<-bgDone
+	if bgErr != nil {
+		t.Error(bgErr)
+	}
+	if v := sc.Schema().Version; v != 2 {
+		t.Errorf("client schema after the split = v%d, want v2", v)
+	}
+	var served uint64
+	for r := 1; r <= 3; r++ {
+		served += c.Server(2, r).Replica().LocalReads()
+	}
+	if served == 0 {
+		t.Error("no replica of the new partition served a local read")
+	}
+}

@@ -79,40 +79,64 @@ func EncodeVector(v Vector) []byte {
 		groups = append(groups, g)
 	}
 	sort.Slice(groups, func(i, j int) bool { return groups[i] < groups[j] })
-	buf := make([]byte, 0, 4+12*len(groups))
-	var tmp [8]byte
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(groups)))
-	buf = append(buf, tmp[:4]...)
+	return AppendVector(make([]byte, 0, EncodedVectorLen(len(groups))), v, groups)
+}
+
+// EncodedVectorLen is the encoded size of a vector of n groups.
+func EncodedVectorLen(n int) int { return 4 + 12*n }
+
+// AppendVector appends EncodeVector's encoding of v to dst for a caller
+// that already holds v's groups in ascending order.
+func AppendVector(dst []byte, v Vector, groups []transport.RingID) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(groups)))
 	for _, g := range groups {
-		binary.LittleEndian.PutUint32(tmp[:4], uint32(g))
-		buf = append(buf, tmp[:4]...)
-		binary.LittleEndian.PutUint64(tmp[:8], v[g])
-		buf = append(buf, tmp[:8]...)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(g))
+		dst = binary.LittleEndian.AppendUint64(dst, v[g])
 	}
-	return buf
+	return dst
 }
 
 // ErrCorrupt reports an unparsable checkpoint artifact.
 var ErrCorrupt = errors.New("recovery: corrupt checkpoint data")
 
-// DecodeVector parses EncodeVector output and returns the remaining bytes.
-func DecodeVector(buf []byte) (Vector, []byte, error) {
+// SplitVector returns the encoded vector at the head of buf, still
+// encoded, and the remaining bytes.
+func SplitVector(buf []byte) (enc, rest []byte, err error) {
 	if len(buf) < 4 {
 		return nil, nil, ErrCorrupt
 	}
-	n := int(binary.LittleEndian.Uint32(buf[:4]))
-	buf = buf[4:]
-	if len(buf) < 12*n {
+	end := EncodedVectorLen(int(binary.LittleEndian.Uint32(buf)))
+	if len(buf) < end {
 		return nil, nil, ErrCorrupt
 	}
-	v := make(Vector, n)
-	for i := 0; i < n; i++ {
-		g := transport.RingID(binary.LittleEndian.Uint32(buf[:4]))
-		inst := binary.LittleEndian.Uint64(buf[4:12])
-		v[g] = inst
-		buf = buf[12:]
+	return buf[:end:end], buf[end:], nil
+}
+
+// DecodeVector parses EncodeVector output and returns the remaining bytes.
+func DecodeVector(buf []byte) (Vector, []byte, error) {
+	enc, rest, err := SplitVector(buf)
+	if err != nil {
+		return nil, nil, err
 	}
-	return v, buf, nil
+	v := make(Vector, (len(enc)-4)/12)
+	for enc = enc[4:]; len(enc) > 0; enc = enc[12:] {
+		v[transport.RingID(binary.LittleEndian.Uint32(enc))] = binary.LittleEndian.Uint64(enc[4:])
+	}
+	return v, rest, nil
+}
+
+// Covers reports whether have[g] >= k for every entry (g, k) of req, a
+// vector as SplitVector returns it, read in place. Groups have does not
+// track are ignored: a requirement on a ring its holder never subscribed
+// to cannot be met by it, and need not be.
+func (have Vector) Covers(req []byte) bool {
+	for i := 4; i+12 <= len(req); i += 12 {
+		k, ok := have[transport.RingID(binary.LittleEndian.Uint32(req[i:]))]
+		if ok && k < binary.LittleEndian.Uint64(req[i+4:]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Checkpoint pairs a state snapshot with the tuple identifying it.

@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"bytes"
+	"math/rand"
 	"os"
 	"reflect"
 	"testing"
@@ -290,5 +291,58 @@ func TestFileStoreTornNewestFallsBack(t *testing.T) {
 	c, ok := s2.Latest()
 	if !ok || string(c.State) != "previous" {
 		t.Fatalf("Latest with torn newest = %+v, %v; want the previous checkpoint", c, ok)
+	}
+}
+
+// TestCoversReadsInPlace: the coverage check over a still-encoded
+// requirement agrees with decoding it and comparing entry by entry —
+// have[g] >= req[g] for every g that have tracks — on random vectors, and
+// the split that hands it the requirement refuses truncated input.
+func TestCoversReadsInPlace(t *testing.T) {
+	covers := func(have, req Vector) bool {
+		for g, k := range req {
+			if got, ok := have[g]; ok && got < k {
+				return false
+			}
+		}
+		return true
+	}
+	rng := rand.New(rand.NewSource(1))
+	vector := func() Vector {
+		v := make(Vector)
+		for n := rng.Intn(6); n > 0; n-- {
+			v[transport.RingID(1+rng.Intn(8))] = uint64(rng.Intn(4))
+		}
+		return v
+	}
+	seen := map[bool]int{}
+	for i := 0; i < 5000; i++ {
+		have, req := vector(), vector()
+		tail := []byte("the op behind it")
+		enc, rest, err := SplitVector(append(EncodeVector(req), tail...))
+		if err != nil || !bytes.Equal(rest, tail) || !bytes.Equal(enc, EncodeVector(req)) {
+			t.Fatalf("SplitVector(%v + tail) = %x, %q, %v", req, enc, rest, err)
+		}
+		dec, _, err := DecodeVector(enc)
+		if err != nil || !reflect.DeepEqual(dec, req) {
+			t.Fatalf("DecodeVector(SplitVector) = %v, %v, want %v", dec, err, req)
+		}
+		want := covers(have, dec)
+		if got := have.Covers(enc); got != want {
+			t.Fatalf("%v.Covers(%v) = %v, decoded comparison says %v", have, req, got, want)
+		}
+		seen[want]++
+	}
+	if seen[true] < 500 || seen[false] < 500 {
+		t.Errorf("random vectors covered %d times, not %d: one side is barely tested", seen[true], seen[false])
+	}
+	full := EncodeVector(Vector{1: 5, 2: 3})
+	for i := 0; i < len(full); i++ {
+		if _, _, err := SplitVector(full[:i]); err == nil {
+			t.Fatalf("SplitVector accepted truncation at %d", i)
+		}
+	}
+	if !(Vector{1: 1}).Covers(nil) {
+		t.Error("no requirement is not covered")
 	}
 }

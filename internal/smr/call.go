@@ -30,7 +30,8 @@ type call struct {
 	due      time.Duration // next retransmission, as an offset from Client.start
 	deadline time.Duration
 	seen     []transport.RingID // dedup keys of the responses counted
-	resps    [][]byte
+	resp     []byte             // the response, of a call that needs one
+	resps    [][]byte           // the responses counted, of one that needs more
 	// Coordinator sheds and no-coordinator windows met, which name the
 	// cause should the deadline pass.
 	overloaded, noCoord int

@@ -41,7 +41,10 @@ type Client struct {
 	// read) has carried. A read-index local read presents it as the
 	// requirement the serving replica must cover, which yields
 	// read-your-writes and monotonic reads without a multicast round.
-	observed recovery.Vector
+	// observedGroups lists its groups in ascending order, the order a
+	// request encodes them in.
+	observed       recovery.Vector
+	observedGroups []transport.RingID
 	// timer wakes respLoop at armed (never: not armed), no later than the
 	// earliest instant a call needs it. Instants are offsets from start.
 	start time.Time
@@ -129,29 +132,41 @@ var ErrClientClosed = errors.New("smr: client closed")
 // group or its partition tag is in accept (nil accepts any, deduplicated by
 // partition). need <= 0 defaults to len(accept), or 1 when accept is nil.
 //
-// Recipes: single-partition command → groups=[g], accept=[g]. Scan via a
-// global group → groups=[global], accept=target partitions. Scan over
-// independent rings → groups=targets, accept=targets. Multi-append where
-// the client cannot name partitions → accept=nil, need=partition count.
+// Recipes: single-partition command → SubmitOne. Scan via a global group →
+// groups=[global], accept=target partitions. Scan over independent rings →
+// groups=targets, accept=targets. Multi-append where the client cannot
+// name partitions → accept=nil, need=partition count.
+//
+// Every response returned, here and by SubmitOne, SubmitMarker and
+// LocalRead, is the caller's own copy.
 func (c *Client) Submit(groups []transport.RingID, op []byte, accept []transport.RingID, need int, timeout time.Duration) ([][]byte, error) {
-	return c.submit(groups, op, accept, need, timeout, 0)
-}
-
-// SubmitMarker submits op to one group with a caller-chosen multicast
-// value id — a reconfiguration marker. Learners arm the id with
-// PrepareResubscribe before the call, and every retransmission reuses it,
-// so a retried marker decided twice still triggers exactly one epoch
-// transition (the second decision is an ordinary duplicate the replicas
-// suppress).
-func (c *Client) SubmitMarker(group transport.RingID, op []byte, marker uint64, timeout time.Duration) ([]byte, error) {
-	resps, err := c.submit([]transport.RingID{group}, op, []transport.RingID{group}, 1, timeout, marker)
-	if err != nil {
-		return nil, err
+	one, all, err := c.submit(groups, op, accept, need, timeout, 0)
+	if err == nil && all == nil {
+		all = [][]byte{one}
 	}
-	return resps[0], nil
+	return all, err
 }
 
-func (c *Client) submit(groups []transport.RingID, op []byte, accept []transport.RingID, need int, timeout time.Duration, valueID uint64) ([][]byte, error) {
+// SubmitOne multicasts a single-partition command to its group and returns
+// the first replica's response, by value: no slice to hold it.
+func (c *Client) SubmitOne(group transport.RingID, op []byte, timeout time.Duration) ([]byte, error) {
+	return c.SubmitMarker(group, op, 0, timeout)
+}
+
+// SubmitMarker is SubmitOne with a caller-chosen multicast value id — a
+// reconfiguration marker. Learners arm the id with PrepareResubscribe
+// before the call, and every retransmission reuses it, so a retried marker
+// decided twice still triggers exactly one epoch transition (the second
+// decision is an ordinary duplicate the replicas suppress). Zero lets the
+// client pick the id.
+func (c *Client) SubmitMarker(group transport.RingID, op []byte, marker uint64, timeout time.Duration) ([]byte, error) {
+	resp, _, err := c.submit([]transport.RingID{group}, op, []transport.RingID{group}, 1, timeout, marker)
+	return resp, err
+}
+
+// submit returns the response of a call that needs one, all of them
+// otherwise.
+func (c *Client) submit(groups []transport.RingID, op []byte, accept []transport.RingID, need int, timeout time.Duration, valueID uint64) ([]byte, [][]byte, error) {
 	if need <= 0 {
 		need = max(len(accept), 1)
 	}
@@ -180,7 +195,7 @@ func (c *Client) submit(groups []transport.RingID, op []byte, accept []transport
 	}
 	// Retransmit on a quarter of the budget (lost command or response;
 	// replicas suppress duplicates); the deadline bounds the whole attempt.
-	resps, err := c.await(e, timeout, 4)
+	resp, resps, err := c.await(e, timeout, 4)
 	if err == nil && tctx.Sampled() {
 		c.tracer.Record(trace.Span{
 			TraceID:  tctx.TraceID,
@@ -192,12 +207,13 @@ func (c *Client) submit(groups []transport.RingID, op []byte, accept []transport
 			Duration: time.Since(tstart),
 		})
 	}
-	return resps, err
+	return resp, resps, err
 }
 
 // await puts e in flight (due every timeout/retries, its groups watched
-// from now on), sends it and blocks until respLoop completes it.
-func (c *Client) await(e *call, timeout time.Duration, retries int) (resps [][]byte, err error) {
+// from now on), sends it and blocks until respLoop completes it. What it
+// returns is read out of e before e is recycled.
+func (c *Client) await(e *call, timeout time.Duration, retries int) (resp []byte, resps [][]byte, err error) {
 	defer func() {
 		*e = call{done: e.done}
 		callPool.Put(e)
@@ -211,7 +227,7 @@ func (c *Client) await(e *call, timeout time.Duration, retries int) (resps [][]b
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, ErrClientClosed
+		return nil, nil, ErrClientClosed
 	}
 	for _, g := range e.groups {
 		if c.svc != nil && e.target == 0 && !slices.Contains(c.watched, g) {
@@ -231,7 +247,7 @@ func (c *Client) await(e *call, timeout time.Duration, retries int) (resps [][]b
 		c.mu.Unlock()
 	}
 	<-e.done
-	return e.resps, e.err
+	return e.resp, e.resps, e.err
 }
 
 // never is the instant an unarmed timer is armed to.
@@ -379,7 +395,11 @@ func (c *Client) receiveLocked(m transport.Message) {
 			return
 		}
 	case transport.KindResponse, transport.KindLocalReadResp:
-		if m.Instance > c.observed[m.Ring] {
+		if have, seen := c.observed[m.Ring]; m.Instance > have {
+			if !seen {
+				i, _ := slices.BinarySearch(c.observedGroups, m.Ring)
+				c.observedGroups = slices.Insert(c.observedGroups, i, m.Ring)
+			}
 			c.observed[m.Ring] = m.Instance
 		}
 		e := c.inflight[m.Seq]
@@ -393,11 +413,18 @@ func (c *Client) receiveLocked(m transport.Message) {
 			}
 			e.seen = append(e.seen, key)
 		}
+		// The one copy the client makes: on the in-process Network the
+		// payload is the replica's own, which its duplicate window keeps.
+		resp := append([]byte(nil), m.Payload...)
+		if e.need == 1 {
+			e.resp = resp
+			c.completeLocked(e, nil)
+			return
+		}
 		if e.resps == nil {
 			e.resps = make([][]byte, 0, e.need)
 		}
-		e.resps = append(e.resps, append([]byte(nil), m.Payload...))
-		if len(e.resps) >= e.need {
+		if e.resps = append(e.resps, resp); len(e.resps) >= e.need {
 			c.completeLocked(e, nil)
 		}
 	default: // nothing else is addressed to a client: dropped
@@ -443,14 +470,6 @@ func (c *Client) expire(now time.Duration) {
 	c.resend = c.resend[:0]
 }
 
-// ObservedVector returns a copy of the client's session read index: per
-// group, the highest applied instance any reply has carried.
-func (c *Client) ObservedVector() recovery.Vector {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.observed.Clone()
-}
-
 // LocalRead sends a read-only operation directly to one replica,
 // skipping the multicast round. With mode ReadIndex the request carries
 // the client's observed vector and the replica serves only once its
@@ -461,24 +480,20 @@ func (c *Client) LocalRead(target transport.ProcessID, group transport.RingID, o
 	if c.tr == nil {
 		return nil, errors.New("smr: local read: client has no transport")
 	}
-	var req recovery.Vector
-	if mode == ReadIndex {
-		req = c.ObservedVector()
-	}
 	e := callPool.Get().(*call)
 	e.seq, e.target, e.need = c.seq.Add(1), target, 1
 	e.groups = append(e.groupBuf[:0], group)
-	e.payload = encodeLocalRead(mode, req, bound, op)
-	resps, err := c.await(e, timeout, 1) // never re-sent: due at its deadline
+	e.payload = c.localReadRequest(mode, bound, op)
+	resp, _, err := c.await(e, timeout, 1) // never re-sent: due at its deadline
 	if err != nil {
 		return nil, err
 	}
-	if len(resps[0]) < 1 {
+	if len(resp) < 1 {
 		return nil, fmt.Errorf("smr: local read: malformed response")
 	}
-	switch resps[0][0] {
+	switch resp[0] {
 	case LocalReadOK:
-		return resps[0][1:], nil
+		return resp[1:], nil
 	case LocalReadStale:
 		return nil, ErrStale
 	case LocalReadTimeout:

@@ -1,6 +1,8 @@
 package smr
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"runtime"
 	"sync"
@@ -72,26 +74,29 @@ func (e *echoNet) client(t *testing.T, id transport.ProcessID) *Client {
 	return attachCoordClient(t, e.net, e.svc, id)
 }
 
-// Allocation budgets of one Submit → reply, counted over the whole process:
-// against three replicas of one ring on the in-process Network (measured
-// 8), and against a responder that allocates nothing, which leaves the
-// client's own share (measured 3: the encoded command, the copied response
-// and the slice it is returned in — table entry, completion channel, timer
-// and configuration watch are reused). Before the client had one event
-// loop the same two round trips cost 44 and 30.
+// Allocation budgets of one SubmitOne → reply, counted over the whole
+// process: against three replicas of one ring on the in-process Network
+// (measured 4: the client's two, the coordinator's instance, the replicas'
+// reply; the acceptors' MemLog records come out of slabs), and against a
+// responder that allocates nothing, which leaves the client's own share
+// (measured 2: the encoded command and the one copy of the response,
+// returned by value — table entry, completion channel, timer and
+// configuration watch are reused). Before the client had one event loop the
+// same two round trips cost 44 and 30; with a slice around the response and
+// a slice per log record, 8 and 3.
 const (
-	submitAllocBudget      = 10
-	submitClientAllocShare = 4
+	submitAllocBudget      = 5
+	submitClientAllocShare = 3
 )
 
 func TestSubmitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts inflated under the race detector")
 	}
-	groups, op := []transport.RingID{1}, addOp(1)
+	op := addOp(1)
 	submit := func(cl *Client) func() {
 		return func() {
-			if _, err := cl.Submit(groups, op, groups, 1, 5*time.Second); err != nil {
+			if _, err := cl.SubmitOne(1, op, 5*time.Second); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -286,5 +291,58 @@ func TestClientBackoffIsPerCommand(t *testing.T) {
 	}
 	if got := cl.OverloadBackoffs(); got != 1 {
 		t.Errorf("OverloadBackoffs = %d, want 1", got)
+	}
+}
+
+// TestResponseIsTheCallersCopy: what Submit, SubmitOne and LocalRead
+// return belongs to the caller. On the in-process Network a response
+// arrives as the replica's own slice — the one its duplicate window keeps
+// for re-replies — so a caller that scribbles over what it got must change
+// neither the replicas' state nor the reply a retransmission of the same
+// command is answered with.
+func TestResponseIsTheCallersCopy(t *testing.T) {
+	h := newSMRHarness(t, 0)
+	c := h.client
+	first, err := c.SubmitOne(1, addOp(5), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, want := c.seq.Load(), bytes.Clone(first)
+	clear(first)
+	all, err := c.Submit([]transport.RingID{1}, addOp(1), []transport.RingID{1}, 1, 5*time.Second)
+	if err != nil || len(all) != 1 || binary.LittleEndian.Uint64(all[0]) != 6 {
+		t.Fatalf("Submit after the scribble = %x, %v, want total 6", all, err)
+	}
+	clear(all[0])
+	local, err := c.LocalRead(2, 1, nil, ReadIndex, 0, 5*time.Second)
+	if err != nil || binary.LittleEndian.Uint64(local) != 6 {
+		t.Fatalf("LocalRead = %x, %v, want total 6", local, err)
+	}
+	clear(local)
+
+	// The first command again, as a retransmission whose reply was lost
+	// would arrive: same client, same sequence number, a new multicast.
+	e := callPool.Get().(*call)
+	e.seq, e.valueID, e.need = seq, c.node.MarkerID(), 1
+	e.groups, e.accept, e.seen = append(e.groupBuf[:0], 1), append(e.acceptBuf[:0], 1), e.seenBuf[:0]
+	e.payload = Command{Client: c.id, Seq: seq, Op: addOp(5)}.Encode()
+	again, _, err := c.await(e, 5*time.Second, 4)
+	if err != nil || !bytes.Equal(again, want) {
+		t.Errorf("re-reply from the duplicate window = %x, %v, want the first reply %x", again, err, want)
+	}
+	if got := h.submit(0); got != 6 {
+		t.Errorf("total = %d, want 6: the duplicate executed, or a scribble reached the state", got)
+	}
+	// Whichever replica answered first, every window still holds the reply.
+	for id, r := range h.replicas {
+		for deadline := time.Now().Add(5 * time.Second); r.ExecutedCount() < 3 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond) // a replica that was not the first to answer catches up
+		}
+		r.applyGate.RLock() // deliverBatch, which owns the windows, holds it exclusively
+		dup, kept := r.dedup[c.id].check(seq)
+		r.applyGate.RUnlock()
+		if !dup || !bytes.Equal(kept, want) {
+			t.Errorf("replica %d's window holds %x (executed=%v) for the first command, want %x", id, kept, dup, want)
+		}
 	}
 }

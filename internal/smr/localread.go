@@ -70,40 +70,47 @@ var (
 const localReadWaitMax = 10 * time.Second
 
 // LocalReader is the optional state-machine extension serving local
-// reads. ReadLocal executes op against current state if it is read-only,
-// returning ok=false otherwise. It is called with the replica's apply
-// gate held in read mode: concurrently with other local reads, never
-// concurrently with command application.
+// reads. AppendLocalRead executes op against current state if it is
+// read-only and appends the encoded result to dst, returning ok=false
+// otherwise. It is called with the replica's apply gate held in read
+// mode: concurrently with other local reads, never concurrently with
+// command application.
 type LocalReader interface {
-	ReadLocal(group transport.RingID, op []byte) (resp []byte, ok bool)
+	AppendLocalRead(dst []byte, group transport.RingID, op []byte) (resp []byte, ok bool)
 }
 
-// encodeLocalRead builds a KindLocalRead payload: mode byte, then for
-// ReadIndex the self-delimiting encoded requirement vector, for
-// BoundedStale the bound in big-endian nanoseconds, then the inner op.
-func encodeLocalRead(mode LocalReadMode, req recovery.Vector, bound time.Duration, op []byte) []byte {
-	var head []byte
+// localReadRequest builds a KindLocalRead payload in one buffer: mode
+// byte, then for ReadIndex the client's observed vector as the
+// self-delimiting encoded requirement, for BoundedStale the bound in
+// big-endian nanoseconds, then the inner op.
+func (c *Client) localReadRequest(mode LocalReadMode, bound time.Duration, op []byte) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	head := 8
+	if mode == ReadIndex {
+		head = recovery.EncodedVectorLen(len(c.observedGroups))
+	}
+	out := append(make([]byte, 0, 1+head+len(op)), byte(mode))
 	switch mode {
 	case ReadIndex:
-		head = recovery.EncodeVector(req)
+		out = recovery.AppendVector(out, c.observed, c.observedGroups)
 	case BoundedStale:
-		head = binary.BigEndian.AppendUint64(nil, uint64(bound))
+		out = binary.BigEndian.AppendUint64(out, uint64(bound))
 	}
-	out := make([]byte, 0, 1+len(head)+len(op))
-	out = append(out, byte(mode))
-	out = append(out, head...)
 	return append(out, op...)
 }
 
-// decodeLocalRead splits a KindLocalRead payload back into its parts.
-func decodeLocalRead(payload []byte) (mode LocalReadMode, req recovery.Vector, bound time.Duration, op []byte, err error) {
+// decodeLocalRead splits a KindLocalRead payload back into its parts, all
+// views of payload; req is the requirement still encoded, for
+// recovery.Vector.Covers.
+func decodeLocalRead(payload []byte) (mode LocalReadMode, req []byte, bound time.Duration, op []byte, err error) {
 	if len(payload) < 1 {
 		return 0, nil, 0, nil, fmt.Errorf("smr: local read: empty payload")
 	}
 	mode, rest := LocalReadMode(payload[0]), payload[1:]
 	switch mode {
 	case ReadIndex:
-		req, rest, err = recovery.DecodeVector(rest)
+		req, rest, err = recovery.SplitVector(rest)
 		if err != nil {
 			return 0, nil, 0, nil, fmt.Errorf("smr: local read: requirement: %w", err)
 		}
@@ -118,9 +125,11 @@ func decodeLocalRead(payload []byte) (mode LocalReadMode, req recovery.Vector, b
 	return mode, req, bound, rest, nil
 }
 
-// readWaiter is one parked read-index read.
+// readWaiter is one parked read-index read. req is the encoded requirement
+// as the request carried it: a service message's payload is heap memory
+// nothing recycles, on both transports.
 type readWaiter struct {
-	req recovery.Vector
+	req []byte
 	ch  chan struct{}
 }
 
@@ -134,7 +143,7 @@ func (r *Replica) noteBoundary() {
 	if len(r.readWaiters) > 0 {
 		keep := r.readWaiters[:0]
 		for _, w := range r.readWaiters {
-			if vectorCovers(r.appliedVec, w.req) {
+			if r.appliedVec.Covers(w.req) {
 				close(w.ch)
 			} else {
 				keep = append(keep, w)
@@ -148,29 +157,13 @@ func (r *Replica) noteBoundary() {
 	r.readMu.Unlock()
 }
 
-// vectorCovers reports whether applied[g] >= req[g] for every group in
-// req that applied tracks. Groups the replica never subscribed to are
-// ignored: a client's observed vector spans all partitions, and
-// requirements for rings this replica does not serve can never be (and
-// never need to be) satisfied here.
-func vectorCovers(applied, req recovery.Vector) bool {
-	for g, k := range req {
-		have, ok := applied[g]
-		if !ok {
-			continue
-		}
-		if have < k {
-			return false
-		}
-	}
-	return true
-}
-
-// waitCovered blocks until the replica's applied vector covers req,
-// returning false on timeout or shutdown.
-func (r *Replica) waitCovered(req recovery.Vector, timeout time.Duration) bool {
+// waitCovered blocks until the replica's applied vector covers req, an
+// encoded requirement, returning false on timeout or shutdown. A client's
+// observed vector spans all partitions: requirements on rings this replica
+// does not serve are ignored (see recovery.Vector.Covers).
+func (r *Replica) waitCovered(req []byte, timeout time.Duration) bool {
 	r.readMu.Lock()
-	if vectorCovers(r.appliedVec, req) {
+	if r.appliedVec.Covers(req) {
 		r.readMu.Unlock()
 		return true
 	}
@@ -227,26 +220,26 @@ func (r *Replica) LocalReads() uint64 { return r.localReads.Load() }
 func (r *Replica) serveLocalRead(m transport.Message) {
 	reader, ok := r.cfg.SM.(LocalReader)
 	if !ok {
-		r.replyLocalRead(m, LocalReadUnsupported, nil)
+		r.replyLocalRead(m, []byte{LocalReadUnsupported})
 		return
 	}
 	mode, req, bound, op, err := decodeLocalRead(m.Payload)
 	if err != nil {
-		r.replyLocalRead(m, LocalReadBadRequest, nil)
+		r.replyLocalRead(m, []byte{LocalReadBadRequest})
 		return
 	}
 	switch mode {
 	case ReadIndex:
 		start := time.Now()
 		if !r.waitCovered(req, localReadWaitMax) {
-			r.replyLocalRead(m, LocalReadTimeout, nil)
+			r.replyLocalRead(m, []byte{LocalReadTimeout})
 			return
 		}
 		r.readWait.Record(time.Since(start))
 	case BoundedStale:
 		since, ok := r.cfg.Node.SinceProgress()
 		if !ok || since > bound {
-			r.replyLocalRead(m, LocalReadStale, nil)
+			r.replyLocalRead(m, []byte{LocalReadStale})
 			return
 		}
 	}
@@ -254,24 +247,26 @@ func (r *Replica) serveLocalRead(m transport.Message) {
 	// so the read observes a batch-boundary state — never a partially
 	// applied batch (parallel apply commits runs out of delivery order
 	// within a batch).
+	// The state machine writes its result behind the status byte: the
+	// prefix is full (cap 1), so the append moves to one buffer sized for
+	// both and never writes to the shared prefix.
 	r.applyGate.RLock()
-	resp, ok := reader.ReadLocal(m.Ring, op)
+	payload, ok := reader.AppendLocalRead(localReadOK, m.Ring, op)
 	r.applyGate.RUnlock()
 	if !ok {
-		r.replyLocalRead(m, LocalReadUnsupported, nil)
+		r.replyLocalRead(m, []byte{LocalReadUnsupported})
 		return
 	}
 	r.localReads.Add(1)
-	r.replyLocalRead(m, LocalReadOK, resp)
+	r.replyLocalRead(m, payload)
 }
 
-// replyLocalRead sends the status + result back, stamped with the
-// replica's applied high-water mark for the addressed group so the
-// client advances its observed vector.
-func (r *Replica) replyLocalRead(m transport.Message, status byte, resp []byte) {
-	payload := make([]byte, 0, 1+len(resp))
-	payload = append(payload, status)
-	payload = append(payload, resp...)
+var localReadOK = []byte{LocalReadOK}
+
+// replyLocalRead sends payload — status byte, then the result — back,
+// stamped with the replica's applied high-water mark for the addressed
+// group so the client advances its observed vector.
+func (r *Replica) replyLocalRead(m transport.Message, payload []byte) {
 	r.readMu.Lock()
 	inst := r.appliedVec[m.Ring]
 	r.readMu.Unlock()

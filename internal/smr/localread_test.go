@@ -1,6 +1,7 @@
 package smr
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"testing"
@@ -10,31 +11,46 @@ import (
 	"amcast/internal/transport"
 )
 
-// ReadLocal makes counterSM a LocalReader: the empty op is "read the
-// total"; anything else is not read-only.
-func (c *counterSM) ReadLocal(_ transport.RingID, op []byte) ([]byte, bool) {
+// AppendLocalRead makes counterSM a LocalReader: the empty op is "read
+// the total"; anything else is not read-only.
+func (c *counterSM) AppendLocalRead(dst []byte, _ transport.RingID, op []byte) ([]byte, bool) {
 	if len(op) != 0 {
-		return nil, false
+		return dst, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out [8]byte
-	binary.LittleEndian.PutUint64(out[:], c.total)
-	return out[:], true
+	return binary.LittleEndian.AppendUint64(dst, c.total), true
+}
+
+// observing returns a client, never started, that has seen replies from
+// the groups of v.
+func observing(v recovery.Vector) *Client {
+	c := &Client{inflight: map[uint64]*call{}, observed: recovery.Vector{}}
+	for g, inst := range v {
+		c.receiveLocked(transport.Message{Kind: transport.KindResponse, Ring: g, Instance: inst})
+	}
+	return c
 }
 
 func TestLocalReadCodecRoundTrip(t *testing.T) {
-	req := recovery.Vector{1: 7, 9: 2}
-	mode, gotReq, bound, op, err := decodeLocalRead(encodeLocalRead(ReadIndex, req, 0, []byte("op")))
+	c := observing(recovery.Vector{9: 2, 1: 7, 4: 1})
+	payload := c.localReadRequest(ReadIndex, 0, []byte("op"))
+	if want := append(append([]byte{byte(ReadIndex)}, recovery.EncodeVector(c.observed)...), "op"...); !bytes.Equal(payload, want) {
+		t.Fatalf("read-index request = %x, want mode, EncodeVector's bytes (ascending groups), op: %x", payload, want)
+	}
+	mode, req, bound, op, err := decodeLocalRead(payload)
 	if err != nil || mode != ReadIndex || string(op) != "op" || bound != 0 {
-		t.Fatalf("read-index round trip = %v %v %v %q %v", mode, gotReq, bound, op, err)
+		t.Fatalf("read-index round trip = %v %x %v %q %v", mode, req, bound, op, err)
 	}
-	if gotReq[1] != 7 || gotReq[9] != 2 {
-		t.Fatalf("requirement lost: %v", gotReq)
+	if gotReq, rest, err := recovery.DecodeVector(req); err != nil || len(rest) != 0 || len(gotReq) != 3 || gotReq[1] != 7 || gotReq[4] != 1 || gotReq[9] != 2 {
+		t.Fatalf("requirement lost: %v %x %v", gotReq, rest, err)
 	}
-	mode, _, bound, op, err = decodeLocalRead(encodeLocalRead(BoundedStale, nil, 250*time.Millisecond, []byte("x")))
+	mode, _, bound, op, err = decodeLocalRead(c.localReadRequest(BoundedStale, 250*time.Millisecond, []byte("x")))
 	if err != nil || mode != BoundedStale || bound != 250*time.Millisecond || string(op) != "x" {
 		t.Fatalf("bounded-stale round trip = %v %v %q %v", mode, bound, op, err)
+	}
+	if _, _, _, _, err := decodeLocalRead(payload[:9]); err == nil {
+		t.Error("truncated requirement accepted")
 	}
 	if _, _, _, _, err := decodeLocalRead(nil); err == nil {
 		t.Error("empty payload accepted")
@@ -56,9 +72,21 @@ func TestVectorCovers(t *testing.T) {
 		{recovery.Vector{1: 5, 2: 4}, false},
 		{recovery.Vector{7: 100}, true}, // untracked group: ignored
 	} {
-		if got := vectorCovers(applied, tc.req); got != tc.want {
-			t.Errorf("vectorCovers(%v, %v) = %v, want %v", applied, tc.req, got, tc.want)
+		if got := applied.Covers(recovery.EncodeVector(tc.req)); got != tc.want {
+			t.Errorf("%v.Covers(%v) = %v, want %v", applied, tc.req, got, tc.want)
 		}
+	}
+}
+
+// TestLocalReadRequestAllocs: a local read's request — mode, the observed
+// vector, the op — is built in one buffer.
+func TestLocalReadRequestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts inflated under the race detector")
+	}
+	c, op := observing(recovery.Vector{1: 10, 2: 20, 3: 30, 4: 40}), make([]byte, 40)
+	if got := testing.AllocsPerRun(1000, func() { c.localReadRequest(ReadIndex, 0, op) }); got != 1 {
+		t.Errorf("localReadRequest with a 4-group vector: %.1f allocs, want 1", got)
 	}
 }
 

@@ -33,7 +33,9 @@ type StateMachine interface {
 // implement it to apply a run of operations under one internal
 // synchronization acquisition instead of per-operation. ExecuteBatch must
 // be equivalent to calling Execute for each (group, op) pair in order and
-// returning the responses positionally.
+// returning the responses positionally. The replica is done with the
+// returned slice (not with the responses in it) before it calls again, so
+// an implementation may reuse it.
 type BatchExecutor interface {
 	ExecuteBatch(groups []transport.RingID, ops [][]byte) [][]byte
 }

@@ -76,6 +76,10 @@ type MemLog struct {
 	records map[uint64][]byte
 	trimmed uint64
 	closed  bool
+	// slab is the unused rest of the block plain-mode record copies are
+	// cut from: one allocation per slabSize of records, not one each. The
+	// collector frees a block once its last record is trimmed.
+	slab []byte
 
 	// pooled mode (NewPooledMemLog): records are copied into refcounted
 	// pool buffers tracked in bufs, released on overwrite/trim/close.
@@ -122,6 +126,14 @@ func (l *MemLog) Put(instance uint64, record []byte) error {
 	return nil
 }
 
+// Plain-mode records are cut from slabSize blocks; a record of slabOwn
+// bytes or more keeps an allocation of its own, so that a block is never
+// mostly one record's tail.
+const (
+	slabSize = 64 << 10
+	slabOwn  = 16 << 10
+)
+
 // store copies record into the map under l.mu, using a pool buffer in
 // pooled mode (releasing any overwritten one).
 func (l *MemLog) store(instance uint64, record []byte) {
@@ -134,9 +146,18 @@ func (l *MemLog) store(instance uint64, record []byte) {
 		l.records[instance] = b.Bytes()
 		return
 	}
-	cp := make([]byte, len(record))
-	copy(cp, record)
-	l.records[instance] = cp
+	n := len(record)
+	if n >= slabOwn {
+		l.records[instance] = append([]byte(nil), record...)
+		return
+	}
+	if len(l.slab) < n {
+		l.slab = make([]byte, slabSize)
+	}
+	// Capped at its own length: appending to a record cannot reach the next.
+	l.records[instance] = l.slab[:n:n]
+	copy(l.slab, record)
+	l.slab = l.slab[n:]
 }
 
 // PutBatch stores copies of all records under one lock acquisition.

@@ -439,3 +439,83 @@ func TestPooledMemLog(t *testing.T) {
 		t.Errorf("pooled MemLog leaked %d buffers", got-before)
 	}
 }
+
+// TestMemLogSlabRecords: plain-mode records are cut from shared blocks,
+// so each must stay exactly what was put through every neighbouring Put,
+// overwrite, append-by-a-caller and Trim, large records included.
+func TestMemLogSlabRecords(t *testing.T) {
+	l := NewMemLog()
+	want := make(map[uint64][]byte)
+	check := func(when string) {
+		t.Helper()
+		for inst, w := range want {
+			if got, ok := l.Get(inst); !ok || !bytes.Equal(got, w) {
+				t.Fatalf("%s: instance %d = %d bytes (ok=%v), want the %d put", when, inst, len(got), ok, len(w))
+			}
+		}
+	}
+	put := func(inst uint64, n int) {
+		t.Helper()
+		rec := bytes.Repeat([]byte{byte(inst)}, n)
+		if err := l.Put(inst, rec); err != nil {
+			t.Fatal(err)
+		}
+		want[inst] = bytes.Clone(rec)
+		clear(rec) // the caller's buffer is recycled
+	}
+	sizes := []int{1000, 1, 0, 15 << 10, 16 << 10, 40 << 10, 3000, 70 << 10}
+	for i := uint64(1); i <= 400; i++ {
+		put(i, sizes[i%uint64(len(sizes))])
+	}
+	check("after puts across several slabs")
+	put(7, 2000) // an overwrite gets a new place
+	check("after an overwrite")
+	if rec, _ := l.Get(9); cap(rec) != len(rec) {
+		t.Errorf("record has cap %d beyond its len %d: an append would run into its neighbour", cap(rec), len(rec))
+	}
+	if err := l.Trim(200); err != nil {
+		t.Fatal(err)
+	}
+	for inst := range want {
+		if inst <= 200 {
+			if _, ok := l.Get(inst); ok {
+				t.Fatalf("Get(%d) hit after Trim(200)", inst)
+			}
+			delete(want, inst)
+		}
+	}
+	for i := uint64(401); i <= 600; i++ {
+		put(i, sizes[i%uint64(len(sizes))])
+	}
+	check("after Trim and puts behind it")
+}
+
+// TestMemLogPutAllocs pins the slab: a plain MemLog allocates one block per
+// 64 KB of records, not one slice per record.
+func TestMemLogPutAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts inflated under the race detector")
+	}
+	l, rec := NewMemLog(), make([]byte, 1024)
+	var inst uint64
+	put := func() {
+		inst++
+		_ = l.Put(inst, rec) // cannot fail while the log is open
+		if inst%4096 == 0 {
+			_ = l.Trim(inst - 1024)
+		}
+	}
+	for i := 0; i < 8192; i++ {
+		put() // the map reaches its size
+	}
+	const batch = 1024 // AllocsPerRun rounds down to whole allocations per run
+	got := testing.AllocsPerRun(16, func() {
+		for i := 0; i < batch; i++ {
+			put()
+		}
+	}) / batch
+	t.Logf("%.3f allocs per 1 KB Put", got)
+	if got > 0.1 {
+		t.Errorf("Put of a 1 KB record: %.3f allocs, want <= 0.1", got)
+	}
+}

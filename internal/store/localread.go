@@ -27,17 +27,24 @@ var _ smr.LocalReader = (*SM)(nil)
 // ErrStale re-exports the replica's bounded-staleness refusal.
 var ErrStale = smr.ErrStale
 
-// ReadLocal serves a read-only operation (OpRead or OpScan) against the
-// current database. Called with the replica's apply gate held in read
-// mode, so it observes a batch-boundary state.
-func (s *SM) ReadLocal(_ transport.RingID, raw []byte) ([]byte, bool) {
-	op, err := DecodeOp(raw)
-	if err != nil || (op.Kind != OpRead && op.Kind != OpScan) {
-		return nil, false
+// AppendLocalRead serves a read-only operation (OpRead or OpScan) against
+// the current database, appending the encoded result to dst. Called with
+// the replica's apply gate held in read mode, so it observes a
+// batch-boundary state.
+func (s *SM) AppendLocalRead(dst []byte, _ transport.RingID, raw []byte) ([]byte, bool) {
+	v, subs, ok := parseRequest(raw)
+	if !ok || (v.Kind != OpRead && v.Kind != OpScan) {
+		return dst, false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return encodeResult(s.apply(op)), true
+	dst, _ = apply(s, dst, v, subs)
+	return dst, true
+}
+
+// ReadLocal is AppendLocalRead into a buffer of the result's own.
+func (s *SM) ReadLocal(group transport.RingID, raw []byte) ([]byte, bool) {
+	return s.AppendLocalRead(nil, group, raw)
 }
 
 // pickReplica chooses an alive learner of group, rotating across calls
@@ -48,20 +55,23 @@ func (c *Client) pickReplica(group transport.RingID) (transport.ProcessID, bool)
 
 // localRead routes one single-key local read to a replica of the owning
 // partition, refreshing the schema on StatusWrongPartition like single().
-func (c *Client) localRead(op Op, mode smr.LocalReadMode, bound time.Duration) (Result, error) {
-	enc := op.Encode()
+func (c *Client) localRead(op Op, mode smr.LocalReadMode, bound time.Duration) (reply, error) {
+	enc, err := encode(op)
+	if err != nil {
+		return reply{}, err
+	}
 	deadline := time.Now().Add(c.Timeout)
 	for {
 		group := c.Schema().PartitionOf(op.Key)
 		target, ok := c.pickReplica(group)
 		if !ok {
-			return Result{}, fmt.Errorf("store: local read %q: no live replica for group %d", op.Key, group)
+			return reply{}, fmt.Errorf("store: local read %q: no live replica for group %d", op.Key, group)
 		}
 		raw, err := c.cl.LocalRead(target, group, enc, mode, bound, c.Timeout)
 		if err != nil {
-			return Result{}, err
+			return reply{}, err
 		}
-		res, err := DecodeResult(raw)
+		res, err := parseReply(raw)
 		if err != nil || res.Status != StatusWrongPartition {
 			return res, err
 		}
@@ -74,18 +84,18 @@ func (c *Client) localRead(op Op, mode smr.LocalReadMode, bound time.Duration) (
 	}
 }
 
-// decodeRead maps a read Result to the (value, found, error) shape.
-func decodeRead(res Result, err error) ([]byte, bool, error) {
+// decodeRead maps a read's reply to the (value, found, error) shape.
+func decodeRead(res reply, err error) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
 	if res.Status == StatusNotFound {
 		return nil, false, nil
 	}
-	if res.Status != StatusOK || len(res.Entries) == 0 {
+	if res.Status != StatusOK || !res.Found {
 		return nil, false, fmt.Errorf("store: read failed: %s", res.Status)
 	}
-	return res.Entries[0].Value, true, nil
+	return res.Value, true, nil
 }
 
 // ReadLocal returns entry k like Read, but via the read-index path: one
@@ -100,12 +110,15 @@ func (c *Client) ReadLocal(k string) ([]byte, bool, error) {
 // point of the local-read path is that this replica may be in the
 // client's region while the multicast round spans the ring's.
 func (c *Client) ReadLocalAt(target transport.ProcessID, k string) ([]byte, bool, error) {
-	group := c.Schema().PartitionOf(k)
-	raw, err := c.cl.LocalRead(target, group, Op{Kind: OpRead, Key: k}.Encode(), smr.ReadIndex, 0, c.Timeout)
+	enc, err := encode(Op{Kind: OpRead, Key: k})
 	if err != nil {
 		return nil, false, err
 	}
-	return decodeRead(DecodeResult(raw))
+	raw, err := c.cl.LocalRead(target, c.Schema().PartitionOf(k), enc, smr.ReadIndex, 0, c.Timeout)
+	if err != nil {
+		return nil, false, err
+	}
+	return decodeRead(parseReply(raw))
 }
 
 // ReadStale returns entry k from a replica that proved merge progress
@@ -121,8 +134,10 @@ func (c *Client) ReadStale(k string, bound time.Duration) ([]byte, bool, error) 
 // the total order. Retried under a fresh schema if a split commits
 // mid-scan, like Scan.
 func (c *Client) ScanLocal(k, kHi string) ([]Entry, error) {
-	op := Op{Kind: OpScan, Key: k, KeyHi: kHi}
-	enc := op.Encode()
+	enc, err := encode(Op{Kind: OpScan, Key: k, KeyHi: kHi})
+	if err != nil {
+		return nil, err
+	}
 	deadline := time.Now().Add(c.Timeout)
 	for {
 		schema := c.Schema()

@@ -2,6 +2,8 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
+	"slices"
 
 	"amcast/internal/transport"
 )
@@ -148,48 +150,66 @@ type Result struct {
 	Results []Result // OpBatch sub-results
 }
 
-// appendString writes a length-prefixed string.
-func appendString(buf []byte, s string) []byte {
-	var tmp [2]byte
-	binary.LittleEndian.PutUint16(tmp[:], uint16(len(s)))
-	buf = append(buf, tmp[:]...)
+// bytestring is either form a key takes: a string the tree or a caller
+// owns, or a view of encoded bytes.
+type bytestring interface{ ~string | ~[]byte }
+
+// maxKeyLen and maxBatchLen are what the two-byte length prefixes of the
+// operation encoding can express.
+const (
+	maxKeyLen   = 1<<16 - 1
+	maxBatchLen = 1<<16 - 1
+)
+
+// appendString writes a key behind its two-byte length.
+func appendString[S bytestring](buf []byte, s S) []byte {
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
 	return append(buf, s...)
 }
 
-func readString(buf []byte) (string, []byte, bool) {
+// readString reads what appendString wrote, in place.
+func readString(buf []byte) (s, rest []byte, ok bool) {
 	if len(buf) < 2 {
-		return "", nil, false
+		return nil, nil, false
 	}
-	n := int(binary.LittleEndian.Uint16(buf[:2]))
-	buf = buf[2:]
-	if len(buf) < n {
-		return "", nil, false
+	n := int(binary.LittleEndian.Uint16(buf))
+	if len(buf)-2 < n {
+		return nil, nil, false
 	}
-	return string(buf[:n]), buf[n:], true
+	return buf[2 : 2+n], buf[2+n:], true
 }
 
 func appendBytes(buf, b []byte) []byte {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], uint32(len(b)))
-	buf = append(buf, tmp[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b)))
 	return append(buf, b...)
 }
 
-func readBytes(buf []byte) ([]byte, []byte, bool) {
+func readBytes(buf []byte) (b, rest []byte, ok bool) {
 	if len(buf) < 4 {
 		return nil, nil, false
 	}
-	n := int(binary.LittleEndian.Uint32(buf[:4]))
-	buf = buf[4:]
-	if len(buf) < n {
+	n := int(binary.LittleEndian.Uint32(buf))
+	if len(buf)-4 < n {
 		return nil, nil, false
 	}
-	return buf[:n], buf[n:], true
+	return buf[4 : 4+n], buf[4+n:], true
 }
 
-// Encode serializes an operation.
+// Encode serializes an operation into one buffer sized once. Keys longer
+// than maxKeyLen and batches longer than maxBatchLen do not fit the
+// encoding; Client rejects them (ErrKeyTooLong, ErrBatchTooLarge) before
+// anything is encoded.
 func (o Op) Encode() []byte {
-	return o.appendTo(nil)
+	return o.appendTo(make([]byte, 0, o.encodedLen()))
+}
+
+// encodedLen is the number of bytes appendTo writes.
+func (o Op) encodedLen() int {
+	n := 1 + 2 + len(o.Key) + 2 + len(o.KeyHi) + 4 + len(o.Value) + 2
+	for i := range o.Batch {
+		n += o.Batch[i].encodedLen()
+	}
+	return n
 }
 
 func (o Op) appendTo(buf []byte) []byte {
@@ -197,59 +217,93 @@ func (o Op) appendTo(buf []byte) []byte {
 	buf = appendString(buf, o.Key)
 	buf = appendString(buf, o.KeyHi)
 	buf = appendBytes(buf, o.Value)
-	var tmp [2]byte
-	binary.LittleEndian.PutUint16(tmp[:], uint16(len(o.Batch)))
-	buf = append(buf, tmp[:]...)
-	for _, sub := range o.Batch {
-		buf = sub.appendTo(buf)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(o.Batch)))
+	for i := range o.Batch {
+		buf = o.Batch[i].appendTo(buf)
 	}
 	return buf
 }
 
-// DecodeOp parses an encoded operation.
+// opView is one operation read in place: Key, KeyHi and Value alias the
+// encoded bytes, which belong to whoever delivered them. Nothing that
+// outlives the call may keep a view; string(v.Key) and append copy.
+type opView struct {
+	Kind       OpKind
+	Key, KeyHi []byte
+	Value      []byte
+	n          int // sub-operations, encoded right behind this one
+}
+
+// parseOp is the one operation parser. It reads the operation at the head
+// of buf and returns what follows: first v's own v.n sub-operations (read
+// each with parseOp again, or step over them with skipOps), then whatever
+// came after the operation.
+func parseOp(buf []byte) (v opView, rest []byte, ok bool) {
+	if len(buf) < 1 {
+		return v, nil, false
+	}
+	v.Kind = OpKind(buf[0])
+	if v.Key, rest, ok = readString(buf[1:]); !ok {
+		return v, nil, false
+	}
+	if v.KeyHi, rest, ok = readString(rest); !ok {
+		return v, nil, false
+	}
+	if v.Value, rest, ok = readBytes(rest); !ok || len(rest) < 2 {
+		return v, nil, false
+	}
+	v.n = int(binary.LittleEndian.Uint16(rest))
+	return v, rest[2:], true
+}
+
+// skipOps steps over n encoded operations and all their sub-operations,
+// which follow each in preorder.
+func skipOps(buf []byte, n int) (rest []byte, ok bool) {
+	for ; n > 0; n-- {
+		v, rest, ok := parseOp(buf)
+		if !ok {
+			return nil, false
+		}
+		buf, n = rest, n+v.n
+	}
+	return buf, true
+}
+
+// parseRequest reads one whole encoded operation: parseOp, with every
+// sub-operation checked, so that an operation is refused before any part
+// of it is applied. Bytes behind the operation are ignored.
+func parseRequest(raw []byte) (v opView, subs []byte, ok bool) {
+	if v, subs, ok = parseOp(raw); ok {
+		_, ok = skipOps(subs, v.n)
+	}
+	return v, subs, ok
+}
+
+// DecodeOp parses an encoded operation into an Op of its own, except that
+// Value still aliases buf: a state machine copies the values it keeps.
 func DecodeOp(buf []byte) (Op, error) {
 	op, _, err := decodeOp(buf)
 	return op, err
 }
 
 func decodeOp(buf []byte) (Op, []byte, error) {
-	var o Op
-	if len(buf) < 1 {
-		return o, nil, transport.ErrShortMessage
+	v, rest, ok := parseOp(buf)
+	if !ok {
+		return Op{}, nil, transport.ErrShortMessage
 	}
-	o.Kind = OpKind(buf[0])
-	buf = buf[1:]
-	var ok bool
-	if o.Key, buf, ok = readString(buf); !ok {
-		return o, nil, transport.ErrShortMessage
+	o := Op{Kind: v.Kind, Key: string(v.Key), KeyHi: string(v.KeyHi)}
+	if len(v.Value) > 0 {
+		o.Value = v.Value
 	}
-	if o.KeyHi, buf, ok = readString(buf); !ok {
-		return o, nil, transport.ErrShortMessage
-	}
-	var v []byte
-	if v, buf, ok = readBytes(buf); !ok {
-		return o, nil, transport.ErrShortMessage
-	}
-	if len(v) > 0 {
-		// Alias rather than copy: the state machine copies values it
-		// retains (treap puts), so the delivery hot path need not pay a
-		// defensive copy per operation.
-		o.Value = v
-	}
-	if len(buf) < 2 {
-		return o, nil, transport.ErrShortMessage
-	}
-	n := int(binary.LittleEndian.Uint16(buf[:2]))
-	buf = buf[2:]
-	for i := 0; i < n; i++ {
+	for i := 0; i < v.n; i++ {
 		var sub Op
 		var err error
-		if sub, buf, err = decodeOp(buf); err != nil {
+		if sub, rest, err = decodeOp(rest); err != nil {
 			return o, nil, err
 		}
 		o.Batch = append(o.Batch, sub)
 	}
-	return o, buf, nil
+	return o, rest, nil
 }
 
 // statusEnc caches the encodings of entry-less results: the write hot path
@@ -263,13 +317,30 @@ func init() {
 	}
 }
 
-// encodeResult serializes a result, reusing the cached encoding for
-// status-only results. The returned slice must be treated as read-only.
-func encodeResult(r Result) []byte {
-	if len(r.Entries) == 0 && len(r.Results) == 0 && r.Status >= StatusOK && r.Status <= StatusWrongPartition {
-		return statusEnc[r.Status]
+// appendStatus appends an entry-less result to dst. A nil dst — the result
+// is the whole reply — gets the cached encoding itself, which is shared and
+// read-only.
+func appendStatus(dst []byte, st Status) []byte {
+	if dst == nil {
+		return statusEnc[st]
 	}
-	return r.Encode()
+	return append(dst, statusEnc[st]...)
+}
+
+// appendEntry appends one key-value pair of a result.
+func appendEntry[K bytestring](dst []byte, key K, value []byte) []byte {
+	return appendBytes(appendString(dst, key), value)
+}
+
+// appendReadResult is the one place a read's reply is written: StatusOK and
+// the entry, from the tree's value straight into dst, which is grown once
+// to the exact size (a reply is retained by the duplicate window, so it is
+// heap memory of its own, not pooled).
+func appendReadResult(dst, key, value []byte) []byte {
+	dst = slices.Grow(dst, 1+4+2+len(key)+4+len(value)+4)
+	dst = append(dst, byte(StatusOK), 1, 0, 0, 0)
+	dst = appendEntry(dst, key, value)
+	return append(dst, 0, 0, 0, 0)
 }
 
 // Encode serializes a result into one exactly-sized buffer: a read reply
@@ -292,22 +363,27 @@ func (r Result) encodedLen() int {
 
 func (r Result) appendTo(buf []byte) []byte {
 	buf = append(buf, byte(r.Status))
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], uint32(len(r.Entries)))
-	buf = append(buf, tmp[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Entries)))
 	for _, e := range r.Entries {
-		buf = appendString(buf, e.Key)
-		buf = appendBytes(buf, e.Value)
+		buf = appendEntry(buf, e.Key, e.Value)
 	}
-	binary.LittleEndian.PutUint32(tmp[:], uint32(len(r.Results)))
-	buf = append(buf, tmp[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Results)))
 	for _, sub := range r.Results {
 		buf = sub.appendTo(buf)
 	}
 	return buf
 }
 
-// DecodeResult parses an encoded result.
+// readEntry reads one key-value pair of a result in place.
+func readEntry(buf []byte) (key, value, rest []byte, ok bool) {
+	if key, rest, ok = readString(buf); ok {
+		value, rest, ok = readBytes(rest)
+	}
+	return key, value, rest, ok
+}
+
+// DecodeResult parses an encoded result into a Result of its own: keys and
+// values are copies.
 func DecodeResult(buf []byte) (Result, error) {
 	r, _, err := decodeResult(buf)
 	return r, err
@@ -322,19 +398,15 @@ func decodeResult(buf []byte) (Result, []byte, error) {
 	n := int(binary.LittleEndian.Uint32(buf[1:5]))
 	buf = buf[5:]
 	for i := 0; i < n; i++ {
-		var e Entry
-		var ok bool
-		if e.Key, buf, ok = readString(buf); !ok {
+		k, v, rest, ok := readEntry(buf)
+		if !ok {
 			return r, nil, transport.ErrShortMessage
 		}
-		var v []byte
-		if v, buf, ok = readBytes(buf); !ok {
-			return r, nil, transport.ErrShortMessage
-		}
+		e := Entry{Key: string(k)}
 		if len(v) > 0 {
 			e.Value = append([]byte(nil), v...)
 		}
-		r.Entries = append(r.Entries, e)
+		r.Entries, buf = append(r.Entries, e), rest
 	}
 	if len(buf) < 4 {
 		return r, nil, transport.ErrShortMessage
@@ -350,4 +422,38 @@ func decodeResult(buf []byte) (Result, []byte, error) {
 		r.Results = append(r.Results, sub)
 	}
 	return r, buf, nil
+}
+
+// reply is the result of a single-key operation read in place, for the
+// client: the status and, where the result carries an entry, its value.
+// Value is a view of the response — capped, so appending to it cannot
+// reach the bytes behind it — which the caller owns.
+type reply struct {
+	Status Status
+	Found  bool
+	Value  []byte
+}
+
+var errReplyShape = errors.New("store: response is not a single-key result")
+
+// parseReply reads what a replica answers a single-key operation with — a
+// status, at most one entry, no sub-results, nothing behind them — without
+// building a Result. What it accepts DecodeResult reads the same.
+func parseReply(buf []byte) (r reply, err error) {
+	if len(buf) < 5 {
+		return reply{}, transport.ErrShortMessage
+	}
+	r.Status = Status(buf[0])
+	n, rest := binary.LittleEndian.Uint32(buf[1:]), buf[5:]
+	if n == 1 {
+		_, v, after, ok := readEntry(rest)
+		if !ok {
+			return reply{}, transport.ErrShortMessage
+		}
+		r.Found, r.Value, rest = true, v[:len(v):len(v)], after
+	}
+	if n > 1 || len(rest) != 4 || binary.LittleEndian.Uint32(rest) != 0 {
+		return reply{}, errReplyShape
+	}
+	return r, nil
 }

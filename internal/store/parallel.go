@@ -8,19 +8,19 @@ import (
 )
 
 // SM implements smr.ConflictExecutor: point operations conflict on their
-// key's hash token, range scans and splits are barriers. The staged-run
-// machinery mirrors apply() exactly over an immutable treap snapshot
-// plus a private write overlay, so parallel execution is byte-identical
-// to sequential — responses, final tree contents, and checkpoints all
-// serialize in key order, which erases the only divergence parallel
-// commit order could introduce (treap priorities being consumed in a
-// different key order).
+// key's hash token, range scans and splits are barriers. A staged run
+// executes through the same apply() as the live tree, against an immutable
+// treap snapshot plus a private write overlay, so parallel execution is
+// byte-identical to sequential — responses, final tree contents, and
+// checkpoints all serialize in key order, which erases the only divergence
+// parallel commit order could introduce (treap priorities being consumed
+// in a different key order).
 var _ smr.ConflictExecutor = (*SM)(nil)
 
 // keyToken hashes a key to a conflict token (FNV-1a). A collision
 // between distinct keys merely merges their runs — conservative, never
 // incorrect.
-func keyToken(k string) uint64 {
+func keyToken(k []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(k); i++ {
 		h ^= uint64(k[i])
@@ -33,33 +33,36 @@ func keyToken(k string) uint64 {
 // operations that may touch arbitrary keys (scans, splits, undecodable
 // input): those fall back to sequential execution against full state.
 func (s *SM) ConflictKeys(raw []byte, dst []uint64) ([]uint64, bool) {
-	op, err := DecodeOp(raw)
-	if err != nil {
+	v, subs, ok := parseRequest(raw)
+	if !ok {
 		return dst, true
 	}
-	return opTokens(op, dst)
+	dst, _, barrier := opTokens(v, subs, dst)
+	return dst, barrier
 }
 
-func opTokens(op Op, dst []uint64) ([]uint64, bool) {
-	switch op.Kind {
+// opTokens appends the tokens of v, whose sub-operations lie at the head of
+// subs, and returns what follows them.
+func opTokens(v opView, subs []byte, dst []uint64) (tokens []uint64, rest []byte, barrier bool) {
+	switch v.Kind {
 	case OpRead, OpUpdate, OpInsert, OpDelete:
-		return append(dst, keyToken(op.Key)), false
+		rest, _ = skipOps(subs, v.n)
+		return append(dst, keyToken(v.Key)), rest, false
 	case OpBatch:
-		var barrier bool
-		for _, sub := range op.Batch {
-			if dst, barrier = opTokens(sub, dst); barrier {
-				return dst, true
-			}
+		for i := 0; i < v.n && !barrier; i++ {
+			sub, r, _ := parseOp(subs)
+			dst, subs, barrier = opTokens(sub, r, dst)
 		}
-		return dst, false
+		return dst, subs, barrier
 	default:
 		// OpScan reads a key range, OpSplit rewrites ownership, and an
 		// unknown kind is unknowable: all barriers.
-		return dst, true
+		return dst, nil, true
 	}
 }
 
-// stagedWrite is one key's final staged mutation within a run.
+// stagedWrite is one key's final staged mutation within a run. key is the
+// overlay's own copy.
 type stagedWrite struct {
 	key   string
 	value []byte
@@ -68,11 +71,11 @@ type stagedWrite struct {
 
 // stagedRun is the staging state of one conflict-free run: reads see the
 // captured base snapshot below the run's own writes (read-your-writes),
-// writes accumulate as the per-key latest mutation for CommitRun.
+// writes accumulate as the per-key latest mutation for CommitRun. Splits
+// are barriers, so the captured bounds cannot change mid-segment.
 type stagedRun struct {
-	base    treapSnapshot
-	bounded bool
-	lo, hi  string
+	base treapSnapshot
+	keyRange
 
 	writes  []stagedWrite
 	overlay map[string]int // key → index into writes (latest wins)
@@ -86,22 +89,19 @@ var stagedRunPool = sync.Pool{
 // filling out positionally. Safe concurrently with other StageRun calls
 // and with CommitRun: the snapshot is immutable (captured under mu, which
 // bumps the treap's epoch, so later commits copy what it holds before
-// writing) and the overlay is private.
+// writing) and the overlay is private. ConflictKeys keeps scans, splits
+// and undecodable operations out of staged runs, so one that got here
+// regardless answers StatusBadRequest.
 //
 //lint:deterministic
 func (s *SM) StageRun(_ []transport.RingID, ops [][]byte, out [][]byte) any {
 	s.mu.Lock()
 	st := stagedRunPool.Get().(*stagedRun)
 	st.base = s.db.snapshot()
-	st.bounded, st.lo, st.hi = s.bounded, s.lo, s.hi
+	st.keyRange = s.keyRange
 	s.mu.Unlock()
 	for i, raw := range ops {
-		op, err := DecodeOp(raw)
-		if err != nil {
-			out[i] = encodeResult(Result{Status: StatusBadRequest})
-			continue
-		}
-		out[i] = encodeResult(st.apply(op))
+		out[i] = execute(st, raw)
 	}
 	return st
 }
@@ -116,9 +116,9 @@ func (s *SM) CommitRun(effects any) {
 	s.mu.Lock()
 	for _, w := range st.writes {
 		if w.del {
-			s.db.Delete(w.key)
+			s.db.Delete([]byte(w.key))
 		} else {
-			s.db.Put(w.key, w.value)
+			s.db.Put([]byte(w.key), w.value)
 		}
 	}
 	s.mu.Unlock()
@@ -135,98 +135,25 @@ func (st *stagedRun) release() {
 	stagedRunPool.Put(st)
 }
 
-// owns mirrors SM.owns over the captured bounds (splits are barriers, so
-// bounds cannot change mid-segment).
-func (st *stagedRun) owns(key string) bool {
-	if !st.bounded {
-		return true
-	}
-	return key >= st.lo && (st.hi == "" || key < st.hi)
-}
-
 // get reads through the overlay first (read-your-writes), then the base.
-func (st *stagedRun) get(key string) ([]byte, bool) {
-	if i, ok := st.overlay[key]; ok {
+func (st *stagedRun) get(key []byte) ([]byte, bool) {
+	if i, ok := st.overlay[string(key)]; ok {
 		w := st.writes[i]
-		if w.del {
-			return nil, false
-		}
-		return w.value, true
+		return w.value, !w.del
 	}
 	return st.base.Get(key)
 }
 
-func (st *stagedRun) put(key string, value []byte) {
-	if i, ok := st.overlay[key]; ok {
-		st.writes[i] = stagedWrite{key: key, value: value}
+func (st *stagedRun) put(key, value []byte) { st.stage(key, value, false) }
+func (st *stagedRun) del(key []byte)        { st.stage(key, nil, true) }
+
+// stage records key's latest mutation, under a copy of key the first time.
+func (st *stagedRun) stage(key, value []byte, del bool) {
+	if i, ok := st.overlay[string(key)]; ok {
+		st.writes[i].value, st.writes[i].del = value, del
 		return
 	}
-	st.overlay[key] = len(st.writes)
-	st.writes = append(st.writes, stagedWrite{key: key, value: value})
-}
-
-// del stages a delete, reporting whether the key existed. Deleting an
-// absent key stages nothing (matching the live tree's no-op).
-func (st *stagedRun) del(key string) bool {
-	if i, ok := st.overlay[key]; ok {
-		existed := !st.writes[i].del
-		st.writes[i] = stagedWrite{key: key, del: true}
-		return existed
-	}
-	if _, ok := st.base.Get(key); !ok {
-		return false
-	}
-	st.overlay[key] = len(st.writes)
-	st.writes = append(st.writes, stagedWrite{key: key, del: true})
-	return true
-}
-
-// apply mirrors SM.apply for the stageable kinds; ConflictKeys keeps
-// scans, splits and undecodable ops out of staged runs (barriers), so
-// reaching default here means a ConflictKeys/StageRun mismatch.
-func (st *stagedRun) apply(op Op) Result {
-	switch op.Kind {
-	case OpRead:
-		if !st.owns(op.Key) {
-			return Result{Status: StatusWrongPartition}
-		}
-		if v, ok := st.get(op.Key); ok {
-			return Result{Status: StatusOK, Entries: []Entry{{Key: op.Key, Value: append([]byte(nil), v...)}}}
-		}
-		return Result{Status: StatusNotFound}
-	case OpUpdate:
-		if !st.owns(op.Key) {
-			return Result{Status: StatusWrongPartition}
-		}
-		if _, ok := st.get(op.Key); !ok {
-			return Result{Status: StatusNotFound}
-		}
-		st.put(op.Key, append([]byte(nil), op.Value...))
-		return Result{Status: StatusOK}
-	case OpInsert:
-		if !st.owns(op.Key) {
-			return Result{Status: StatusWrongPartition}
-		}
-		if _, ok := st.get(op.Key); ok {
-			return Result{Status: StatusExists}
-		}
-		st.put(op.Key, append([]byte(nil), op.Value...))
-		return Result{Status: StatusOK}
-	case OpDelete:
-		if !st.owns(op.Key) {
-			return Result{Status: StatusWrongPartition}
-		}
-		if st.del(op.Key) {
-			return Result{Status: StatusOK}
-		}
-		return Result{Status: StatusNotFound}
-	case OpBatch:
-		res := Result{Status: StatusOK}
-		for _, sub := range op.Batch {
-			res.Results = append(res.Results, st.apply(sub))
-		}
-		return res
-	default:
-		return Result{Status: StatusBadRequest}
-	}
+	k := string(key)
+	st.overlay[k] = len(st.writes)
+	st.writes = append(st.writes, stagedWrite{key: k, value: value, del: del})
 }

@@ -166,10 +166,11 @@ func DecodeSchema(buf []byte) (Schema, error) {
 		var p Partition
 		p.Group = transport.RingID(binary.LittleEndian.Uint32(buf[:4]))
 		buf = buf[4:]
-		var ok bool
-		if p.Low, buf, ok = readString(buf); !ok {
+		low, rest, ok := readString(buf)
+		if !ok {
 			return s, transport.ErrShortMessage
 		}
+		p.Low, buf = string(low), rest
 		s.Partitions = append(s.Partitions, p)
 	}
 	return s, nil

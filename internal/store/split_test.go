@@ -9,7 +9,7 @@ import (
 
 func fillTreap(t *treap, n int) {
 	for i := 0; i < n; i++ {
-		t.Put(fmt.Sprintf("k%04d", i), []byte{byte(i)})
+		t.Put([]byte(fmt.Sprintf("k%04d", i)), []byte{byte(i)})
 	}
 }
 
@@ -18,7 +18,7 @@ func TestTreapSplitOff(t *testing.T) {
 	fillTreap(tr, 100)
 	pre := tr.snapshot()
 
-	out := tr.splitOff("k0060")
+	out := tr.splitOff([]byte("k0060"))
 	if tr.Len() != 60 {
 		t.Errorf("left size = %d, want 60", tr.Len())
 	}
@@ -47,10 +47,10 @@ func TestTreapSplitOff(t *testing.T) {
 		t.Errorf("pre-split snapshot iterated %d, want 100", n)
 	}
 	// The split tree keeps working.
-	if existed := tr.Put("k0010", []byte("new")); !existed {
+	if existed := tr.Put([]byte("k0010"), []byte("new")); !existed {
 		t.Error("k0010 should exist in left half")
 	}
-	if _, ok := tr.Get("k0070"); ok {
+	if _, ok := tr.Get([]byte("k0070")); ok {
 		t.Error("k0070 should have moved out")
 	}
 }
@@ -59,12 +59,12 @@ func TestTreapSubtreeCounts(t *testing.T) {
 	tr := newTreap()
 	fillTreap(tr, 512)
 	for i := 0; i < 256; i += 2 {
-		tr.Delete(fmt.Sprintf("k%04d", i))
+		tr.Delete([]byte(fmt.Sprintf("k%04d", i)))
 	}
 	if got := subCount(tr.root); got != tr.Len() || got != 384 {
 		t.Errorf("root subtree count = %d, Len = %d, want 384", got, tr.Len())
 	}
-	out := tr.splitOff("k0256")
+	out := tr.splitOff([]byte("k0256"))
 	if subCount(tr.root) != tr.Len() || out.Len() != subCount(out.root) {
 		t.Error("subtree counts inconsistent after split")
 	}

@@ -2,7 +2,9 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -34,10 +36,9 @@ type SM struct {
 	mu sync.Mutex
 	db *treap
 
-	// Owned range [lo, hi); hi == "" means unbounded above. bounded is
-	// false for hash-partitioned schemas (no ownership enforcement).
-	bounded bool
-	lo, hi  string
+	keyRange // the owned range
+
+	out [][]byte // ExecuteBatch's results, reused from call to call
 
 	// outgoing stashes split-off key ranges by split id until the
 	// reconfig controller has streamed them to the new partition.
@@ -62,6 +63,18 @@ type SM struct {
 
 	migrated   metrics.Counter // keys split off for migration
 	splitStall metrics.Gauge   // longest OpSplit execution (ns)
+}
+
+// keyRange is an owned key range [lo, hi); hi == "" means unbounded above.
+// bounded is false for hash-partitioned schemas (no ownership enforcement).
+type keyRange struct {
+	bounded bool
+	lo, hi  string
+}
+
+// owns reports whether the range holds key.
+func (r *keyRange) owns(key []byte) bool {
+	return !r.bounded || string(key) >= r.lo && (r.hi == "" || string(key) < r.hi)
 }
 
 // outgoingRange is a captured, immutable key range awaiting transfer.
@@ -89,14 +102,6 @@ func (s *SM) OwnedRange() (lo, hi string, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.lo, s.hi, s.bounded
-}
-
-// owns reports whether this partition still owns key. Callers hold mu.
-func (s *SM) owns(key string) bool {
-	if !s.bounded {
-		return true
-	}
-	return key >= s.lo && (s.hi == "" || key < s.hi)
 }
 
 // MigratedKeys reports how many keys OpSplit markers have split off for
@@ -171,93 +176,121 @@ var (
 //
 //lint:deterministic
 func (s *SM) Execute(_ transport.RingID, raw []byte) []byte {
-	op, err := DecodeOp(raw)
-	if err != nil {
-		return Result{Status: StatusBadRequest}.Encode()
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return encodeResult(s.apply(op))
+	return execute(s, raw)
 }
 
 // ExecuteBatch applies a run of encoded operations under one lock
-// acquisition (batch-at-a-time delivery's entry point).
+// acquisition (batch-at-a-time delivery's entry point). The returned slice
+// is reused by the next call; the results in it are not.
 //
 //lint:deterministic
 func (s *SM) ExecuteBatch(_ []transport.RingID, ops [][]byte) [][]byte {
-	out := make([][]byte, len(ops))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, raw := range ops {
-		op, err := DecodeOp(raw)
-		if err != nil {
-			out[i] = encodeResult(Result{Status: StatusBadRequest})
-			continue
-		}
-		out[i] = encodeResult(s.apply(op))
+	s.out = s.out[:0]
+	for _, raw := range ops {
+		s.out = append(s.out, execute(s, raw))
 	}
-	return out
+	return s.out
 }
 
-func (s *SM) apply(op Op) Result {
-	switch op.Kind {
-	case OpRead:
-		if !s.owns(op.Key) {
-			return Result{Status: StatusWrongPartition}
-		}
-		if v, ok := s.db.Get(op.Key); ok {
-			return Result{Status: StatusOK, Entries: []Entry{{Key: op.Key, Value: append([]byte(nil), v...)}}}
-		}
-		return Result{Status: StatusNotFound}
-	case OpScan:
-		// Scans clip to the owned range: covering partitions each return
-		// their share, and a partition that shrank in a split simply
-		// contributes fewer keys (the new owner serves the rest).
-		var entries []Entry
-		s.db.Range(op.Key, op.KeyHi, func(k string, v []byte) bool {
-			if s.owns(k) {
-				entries = append(entries, Entry{Key: k, Value: append([]byte(nil), v...)})
-			}
-			return true
-		})
-		return Result{Status: StatusOK, Entries: entries}
-	case OpUpdate:
-		if !s.owns(op.Key) {
-			return Result{Status: StatusWrongPartition}
-		}
-		if _, ok := s.db.Get(op.Key); !ok {
-			return Result{Status: StatusNotFound}
-		}
-		s.db.Put(op.Key, append([]byte(nil), op.Value...))
-		return Result{Status: StatusOK}
-	case OpInsert:
-		if !s.owns(op.Key) {
-			return Result{Status: StatusWrongPartition}
-		}
-		if _, ok := s.db.Get(op.Key); ok {
-			return Result{Status: StatusExists}
-		}
-		s.db.Put(op.Key, append([]byte(nil), op.Value...))
-		return Result{Status: StatusOK}
-	case OpDelete:
-		if !s.owns(op.Key) {
-			return Result{Status: StatusWrongPartition}
-		}
-		if s.db.Delete(op.Key) {
-			return Result{Status: StatusOK}
-		}
-		return Result{Status: StatusNotFound}
-	case OpBatch:
-		res := Result{Status: StatusOK}
-		for _, sub := range op.Batch {
-			res.Results = append(res.Results, s.apply(sub))
-		}
-		return res
-	case OpSplit:
-		return s.applySplit(op)
-	default:
-		return Result{Status: StatusBadRequest}
+// table is what operations execute against: the live tree (SM) or a staged
+// run's snapshot and overlay (stagedRun). Keys are views of the delivered
+// operation, so an implementation copies a key it keeps; put takes over
+// value.
+type table interface {
+	owns(key []byte) bool
+	get(key []byte) ([]byte, bool)
+	put(key, value []byte)
+	del(key []byte) // of a key get found
+}
+
+func (s *SM) get(key []byte) ([]byte, bool) { return s.db.Get(key) }
+func (s *SM) put(key, value []byte)         { s.db.Put(key, value) }
+func (s *SM) del(key []byte)                { s.db.Delete(key) }
+
+// execute applies the encoded operation raw to t and returns its encoded
+// Result: a buffer of its own, or the shared encoding of a bare status.
+func execute(t table, raw []byte) []byte {
+	v, subs, ok := parseRequest(raw)
+	if !ok {
+		return statusEnc[StatusBadRequest]
 	}
+	res, _ := apply(t, nil, v, subs)
+	return res
+}
+
+// apply executes v, whose sub-operations lie at the head of subs and were
+// checked by parseRequest, and appends the encoded Result to dst — the same
+// bytes Result.Encode gives, written once, from the delivered operation and
+// the tree, for the sequential and the staged path alike. It returns what
+// follows v's sub-operations.
+func apply(t table, dst []byte, v opView, subs []byte) (out, rest []byte) {
+	if v.Kind == OpBatch {
+		dst = slices.Grow(dst, (1+v.n)*len(statusEnc[StatusOK]))
+		dst = append(dst, byte(StatusOK), 0, 0, 0, 0)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(v.n))
+		for i := 0; i < v.n; i++ {
+			sub, r, _ := parseOp(subs)
+			dst, subs = apply(t, dst, sub, r)
+		}
+		return dst, subs
+	}
+	rest, _ = skipOps(subs, v.n) // only a batch executes what it carries
+	switch v.Kind {
+	case OpRead, OpUpdate, OpInsert, OpDelete:
+		return applyPoint(t, dst, v), rest
+	case OpScan, OpSplit:
+		// Scans and splits touch more than one key: ConflictKeys makes
+		// them barriers, which run against the live tree only.
+		if s, live := t.(*SM); live && v.Kind == OpScan {
+			return s.scan(dst, v), rest
+		} else if live {
+			return appendStatus(dst, s.applySplit(v)), rest
+		}
+	}
+	return appendStatus(dst, StatusBadRequest), rest
+}
+
+// applyPoint executes a single-key operation.
+func applyPoint(t table, dst []byte, v opView) []byte {
+	if !t.owns(v.Key) {
+		return appendStatus(dst, StatusWrongPartition)
+	}
+	val, found := t.get(v.Key)
+	switch {
+	case found && v.Kind == OpInsert:
+		return appendStatus(dst, StatusExists)
+	case !found && v.Kind != OpInsert:
+		return appendStatus(dst, StatusNotFound)
+	case v.Kind == OpRead:
+		return appendReadResult(dst, v.Key, val)
+	case v.Kind == OpDelete:
+		t.del(v.Key)
+	default: // an update of what is there, an insert of what is not
+		t.put(v.Key, append([]byte(nil), v.Value...))
+	}
+	return appendStatus(dst, StatusOK)
+}
+
+// scan appends the entries within [v.Key, v.KeyHi]. Scans clip to the owned
+// range: covering partitions each return their share, and a partition that
+// shrank in a split simply contributes fewer keys (the new owner serves the
+// rest).
+func (s *SM) scan(dst []byte, v opView) []byte {
+	dst = append(dst, byte(StatusOK), 0, 0, 0, 0)
+	count, n := len(dst)-4, 0
+	s.db.Range(v.Key, v.KeyHi, func(k string, val []byte) bool {
+		if s.owns([]byte(k)) {
+			dst = appendEntry(dst, k, val)
+			n++
+		}
+		return true
+	})
+	binary.LittleEndian.PutUint32(dst[count:], uint32(n))
+	return append(dst, 0, 0, 0, 0)
 }
 
 // applySplit executes the partition-split marker. In-place splits (same
@@ -266,40 +299,41 @@ func (s *SM) apply(op Op) Result {
 // the tree at the split key in O(log n) node visits, stash the outgoing
 // half for the range transfer and shrink the owned range, so every
 // operation on a moved key from here on returns StatusWrongPartition.
-func (s *SM) applySplit(op Op) Result {
-	spec, err := DecodeSplitSpec(op.Value)
+func (s *SM) applySplit(v opView) Status {
+	spec, err := DecodeSplitSpec(v.Value)
 	if err != nil {
-		return Result{Status: StatusBadRequest}
+		return StatusBadRequest
 	}
 	if spec.InPlace {
-		return Result{Status: StatusOK}
+		return StatusOK
 	}
-	if s.hi != "" && s.hi <= op.Key {
+	at := string(v.Key) // kept as the new bound: a copy, not a view
+	if s.hi != "" && s.hi <= at {
 		// Replayed or retried marker: the range at and above this key
 		// already moved out of the live tree. If this is a RETRY of the
 		// last split (same key, fresh id after a failed transfer),
 		// re-stash the captured range under the new id so the
 		// controller's fetch can succeed — those keys exist nowhere
 		// else. A true replay of an older marker stays a no-op.
-		if s.hi == op.Key && s.lastSplit.valid && s.lastSplit.key == op.Key && s.lastSplit.id != spec.ID {
+		if s.hi == at && s.lastSplit.valid && s.lastSplit.key == at && s.lastSplit.id != spec.ID {
 			// Re-key the stash: the failed attempt's entry would
 			// otherwise pin the captured range forever.
 			s.dropOutgoing(s.lastSplit.id)
 			s.stashOutgoing(spec.ID, s.lastSplit.out)
 			s.lastSplit.id = spec.ID
 		}
-		return Result{Status: StatusOK}
+		return StatusOK
 	}
 	start := time.Now() //lint:allow determinism split-stall telemetry only: the duration feeds a metrics gauge, never state or serialized bytes
 	oldHi := s.hi
-	out := s.db.splitOff(op.Key)
-	rng := outgoingRange{snap: out, lo: op.Key, hi: oldHi}
+	out := s.db.splitOff(v.Key)
+	rng := outgoingRange{snap: out, lo: at, hi: oldHi}
 	s.stashOutgoing(spec.ID, rng)
-	s.lastSplit.id, s.lastSplit.key, s.lastSplit.out, s.lastSplit.valid = spec.ID, op.Key, rng, true
-	s.bounded, s.hi = true, op.Key
+	s.lastSplit.id, s.lastSplit.key, s.lastSplit.out, s.lastSplit.valid = spec.ID, at, rng, true
+	s.bounded, s.hi = true, at
 	s.migrated.Add(uint64(out.Len()))
 	s.splitStall.SetMax(int64(time.Since(start))) //lint:allow determinism split-stall telemetry only: the duration feeds a metrics gauge, never state or serialized bytes
-	return Result{Status: StatusOK}
+	return StatusOK
 }
 
 // Len reports the number of entries (instrumentation).
@@ -413,30 +447,15 @@ func (s *SM) Restore(snap []byte) error {
 	if len(snap) < 8 {
 		return recovery.ErrCorrupt
 	}
-	n := binary.LittleEndian.Uint64(snap[:8])
-	snap = snap[8:]
-	db := newTreap()
-	for i := uint64(0); i < n; i++ {
-		k, rest, ok := readString(snap)
-		if !ok {
-			return recovery.ErrCorrupt
-		}
-		v, rest2, ok := readBytes(rest)
-		if !ok {
-			return recovery.ErrCorrupt
-		}
-		db.Put(k, append([]byte(nil), v...))
-		snap = rest2
+	db, snap, ok := restoreTree(snap[8:], binary.LittleEndian.Uint64(snap))
+	if !ok {
+		return recovery.ErrCorrupt
 	}
 	bounded := false
 	var lo, hi string
 	var outgoing map[uint64]outgoingRange
 	if len(snap) > 0 && snap[0] == 1 {
-		var ok bool
-		if lo, snap, ok = readString(snap[1:]); !ok {
-			return recovery.ErrCorrupt
-		}
-		if hi, snap, ok = readString(snap); !ok {
+		if lo, hi, snap, ok = readBounds(snap[1:]); !ok {
 			return recovery.ErrCorrupt
 		}
 		bounded = true
@@ -452,31 +471,13 @@ func (s *SM) Restore(snap []byte) error {
 					return recovery.ErrCorrupt
 				}
 				id := binary.LittleEndian.Uint64(snap[:8])
-				snap = snap[8:]
 				var olo, ohi string
-				if olo, snap, ok = readString(snap); !ok {
+				if olo, ohi, snap, ok = readBounds(snap[8:]); !ok || len(snap) < 8 {
 					return recovery.ErrCorrupt
 				}
-				if ohi, snap, ok = readString(snap); !ok {
+				var rdb *treap
+				if rdb, snap, ok = restoreTree(snap[8:], binary.LittleEndian.Uint64(snap)); !ok {
 					return recovery.ErrCorrupt
-				}
-				if len(snap) < 8 {
-					return recovery.ErrCorrupt
-				}
-				cnt := binary.LittleEndian.Uint64(snap[:8])
-				snap = snap[8:]
-				rdb := newTreap()
-				for i := uint64(0); i < cnt; i++ {
-					k, rest, ok := readString(snap)
-					if !ok {
-						return recovery.ErrCorrupt
-					}
-					v, rest2, ok := readBytes(rest)
-					if !ok {
-						return recovery.ErrCorrupt
-					}
-					rdb.Put(k, append([]byte(nil), v...))
-					snap = rest2
 				}
 				if outgoing == nil {
 					outgoing = make(map[uint64]outgoingRange)
@@ -510,6 +511,30 @@ func (s *SM) Restore(snap []byte) error {
 	}
 	s.mu.Unlock()
 	return nil
+}
+
+// restoreTree reads the n key-value pairs at the head of snap into a tree.
+func restoreTree(snap []byte, n uint64) (db *treap, rest []byte, ok bool) {
+	db = newTreap()
+	for ; n > 0; n-- {
+		k, v, rest, ok := readEntry(snap)
+		if !ok {
+			return nil, nil, false
+		}
+		db.Put(k, append([]byte(nil), v...))
+		snap = rest
+	}
+	return db, snap, true
+}
+
+// readBounds reads a serialized range's two bounds.
+func readBounds(snap []byte) (lo, hi string, rest []byte, ok bool) {
+	l, rest, ok := readString(snap)
+	if !ok {
+		return "", "", nil, false
+	}
+	h, rest, ok := readString(rest)
+	return string(l), string(h), rest, ok
 }
 
 // ServerConfig configures one MRP-Store replica process.
@@ -780,53 +805,67 @@ func (c *Client) refreshSchema() bool {
 	return true
 }
 
-// Read returns the value of entry k, if existent.
+// ErrKeyTooLong and ErrBatchTooLarge reject what the operation encoding's
+// two-byte length prefixes cannot express, before anything is sent: encoded
+// regardless, the prefix would wrap and a replica would read a different,
+// shorter key or batch out of the same bytes.
+var (
+	ErrKeyTooLong    = errors.New("store: key longer than 65535 bytes")
+	ErrBatchTooLarge = errors.New("store: batch of more than 65535 operations")
+)
+
+// encode checks that op fits the encoding and encodes it.
+func encode(op Op) ([]byte, error) {
+	if err := op.check(); err != nil {
+		return nil, err
+	}
+	return op.Encode(), nil
+}
+
+func (o Op) check() error {
+	switch {
+	case len(o.Key) > maxKeyLen || len(o.KeyHi) > maxKeyLen:
+		return fmt.Errorf("store: %s: %w", o.Kind, ErrKeyTooLong)
+	case len(o.Batch) > maxBatchLen:
+		return ErrBatchTooLarge
+	}
+	for i := range o.Batch {
+		if err := o.Batch[i].check(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Read returns the value of entry k, if existent. The value is the
+// caller's: a view of the client's one copy of the response.
 func (c *Client) Read(k string) ([]byte, bool, error) {
-	res, err := c.single(Op{Kind: OpRead, Key: k})
-	if err != nil {
-		return nil, false, err
-	}
-	if res.Status == StatusNotFound {
-		return nil, false, nil
-	}
-	if res.Status != StatusOK || len(res.Entries) == 0 {
-		return nil, false, fmt.Errorf("store: read failed: %s", res.Status)
-	}
-	return res.Entries[0].Value, true, nil
+	return decodeRead(c.single(Op{Kind: OpRead, Key: k}))
 }
 
 // Insert adds tuple (k, v) to the database.
 func (c *Client) Insert(k string, v []byte) error {
-	res, err := c.single(Op{Kind: OpInsert, Key: k, Value: v})
-	if err != nil {
-		return err
-	}
-	if res.Status != StatusOK {
-		return fmt.Errorf("store: insert %q: %s", k, res.Status)
-	}
-	return nil
+	return c.write(Op{Kind: OpInsert, Key: k, Value: v})
 }
 
 // Update replaces entry k with value v, if existent.
 func (c *Client) Update(k string, v []byte) error {
-	res, err := c.single(Op{Kind: OpUpdate, Key: k, Value: v})
-	if err != nil {
-		return err
-	}
-	if res.Status != StatusOK {
-		return fmt.Errorf("store: update %q: %s", k, res.Status)
-	}
-	return nil
+	return c.write(Op{Kind: OpUpdate, Key: k, Value: v})
 }
 
 // Delete removes entry k from the database.
 func (c *Client) Delete(k string) error {
-	res, err := c.single(Op{Kind: OpDelete, Key: k})
+	return c.write(Op{Kind: OpDelete, Key: k})
+}
+
+// write runs a single-key operation that answers with a bare status.
+func (c *Client) write(op Op) error {
+	res, err := c.single(op)
 	if err != nil {
 		return err
 	}
 	if res.Status != StatusOK {
-		return fmt.Errorf("store: delete %q: %s", k, res.Status)
+		return fmt.Errorf("store: %s %q: %s", op.Kind, op.Key, res.Status)
 	}
 	return nil
 }
@@ -836,16 +875,18 @@ func (c *Client) Delete(k string) error {
 // client loaded its schema — it refreshes the schema and retries against
 // the new owner until the deadline; during the short window between a
 // split marker and the schema flip it polls for the new version.
-func (c *Client) single(op Op) (Result, error) {
-	enc := op.Encode()
+func (c *Client) single(op Op) (reply, error) {
+	enc, err := encode(op)
+	if err != nil {
+		return reply{}, err
+	}
 	deadline := time.Now().Add(c.Timeout)
 	for {
-		group := c.Schema().PartitionOf(op.Key)
-		resps, err := c.cl.Submit([]transport.RingID{group}, enc, []transport.RingID{group}, 1, c.Timeout)
+		resp, err := c.cl.SubmitOne(c.Schema().PartitionOf(op.Key), enc, c.Timeout)
 		if err != nil {
-			return Result{}, err
+			return reply{}, err
 		}
-		res, err := DecodeResult(resps[0])
+		res, err := parseReply(resp)
 		if err != nil || res.Status != StatusWrongPartition {
 			return res, err
 		}
@@ -877,7 +918,10 @@ func (c *Client) single(op Op) (Result, error) {
 // partition serves the rest" from "clipped because a split is in
 // flight" until the new schema exists to retry against.
 func (c *Client) Scan(k, kHi string) ([]Entry, error) {
-	op := Op{Kind: OpScan, Key: k, KeyHi: kHi}
+	enc, err := encode(Op{Kind: OpScan, Key: k, KeyHi: kHi})
+	if err != nil {
+		return nil, err
+	}
 	deadline := time.Now().Add(c.Timeout)
 	for {
 		schema := c.Schema()
@@ -886,7 +930,7 @@ func (c *Client) Scan(k, kHi string) ([]Entry, error) {
 		if schema.GlobalGroup != 0 {
 			groups = []transport.RingID{schema.GlobalGroup}
 		}
-		resps, err := c.cl.Submit(groups, op.Encode(), targets, len(targets), c.Timeout)
+		resps, err := c.cl.Submit(groups, enc, targets, len(targets), c.Timeout)
 		if err != nil {
 			return nil, err
 		}
@@ -918,12 +962,15 @@ func (c *Client) Scan(k, kHi string) ([]Entry, error) {
 // (client-side batching, Section 7.2). All ops in one call must belong to
 // the same partition; the helper BatchByPartition groups them.
 func (c *Client) Batch(group transport.RingID, ops []Op) ([]Result, error) {
-	op := Op{Kind: OpBatch, Batch: ops}
-	resps, err := c.cl.Submit([]transport.RingID{group}, op.Encode(), []transport.RingID{group}, 1, c.Timeout)
+	enc, err := encode(Op{Kind: OpBatch, Batch: ops})
 	if err != nil {
 		return nil, err
 	}
-	res, err := DecodeResult(resps[0])
+	resp, err := c.cl.SubmitOne(group, enc, c.Timeout)
+	if err != nil {
+		return nil, err
+	}
+	res, err := DecodeResult(resp)
 	if err != nil {
 		return nil, err
 	}

@@ -11,10 +11,6 @@
 // (scans) are ordered with respect to all other operations.
 package store
 
-import (
-	"strings"
-)
-
 // treap is a randomized balanced binary search tree used as the in-memory
 // sorted database at every replica (the paper stores entries "in an
 // in-memory tree"). Expected O(log n) insert/delete/lookup and in-order
@@ -88,7 +84,7 @@ func newTreap() *treap {
 // its high bits, so sequential and zero-padded keys ("user%019d") would
 // get priorities ordered almost like the keys — a tree 149 deep at 3 333
 // entries instead of 27.
-func priorityOf(key string) int64 {
+func priorityOf(key []byte) int64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -134,32 +130,34 @@ func (s treapSnapshot) All(fn func(key string, value []byte) bool) {
 
 // Get returns the value stored under key in the captured version. Safe
 // from any goroutine: the captured nodes are immutable.
-func (s treapSnapshot) Get(key string) ([]byte, bool) {
-	n := s.root
-	for n != nil {
-		switch c := strings.Compare(key, n.key); {
-		case c == 0:
-			return n.value, true
-		case c < 0:
-			n = n.left
-		default:
-			n = n.right
-		}
-	}
-	return nil, false
-}
+func (s treapSnapshot) Get(key []byte) ([]byte, bool) { return find(s.root, key) }
 
 // Range calls fn for every captured entry with lo <= key <= hi in
 // ascending key order; fn returning false stops the iteration.
-func (s treapSnapshot) Range(lo, hi string, fn func(key string, value []byte) bool) {
+func (s treapSnapshot) Range(lo, hi []byte, fn func(key string, value []byte) bool) {
 	rangeNodes(s.root, lo, hi, fn)
 }
 
 // Get returns the value stored under key.
-func (t *treap) Get(key string) ([]byte, bool) {
-	n := t.root
+func (t *treap) Get(key []byte) ([]byte, bool) { return find(t.root, key) }
+
+// compareKey orders a key read in place against a key the tree owns.
+// Lookups, updates and deletes take their key as bytes — a view of the
+// delivered operation — and only the insert of a new key copies it;
+// string(a) inside a comparison does not.
+func compareKey(a []byte, b string) int {
+	switch {
+	case string(a) == b:
+		return 0
+	case string(a) < b:
+		return -1
+	}
+	return 1
+}
+
+func find(n *treapNode, key []byte) ([]byte, bool) {
 	for n != nil {
-		switch c := strings.Compare(key, n.key); {
+		switch c := compareKey(key, n.key); {
 		case c == 0:
 			return n.value, true
 		case c < 0:
@@ -172,8 +170,9 @@ func (t *treap) Get(key string) ([]byte, bool) {
 }
 
 // Put inserts or replaces the value under key, reporting whether the key
-// already existed.
-func (t *treap) Put(key string, value []byte) bool {
+// already existed. The tree keeps value but not key: a new node gets a copy
+// of it, an overwrite keeps the node's own.
+func (t *treap) Put(key, value []byte) bool {
 	var existed bool
 	t.root, existed = t.put(t.root, key, value)
 	if !existed {
@@ -182,13 +181,13 @@ func (t *treap) Put(key string, value []byte) bool {
 	return existed
 }
 
-func (t *treap) put(n *treapNode, key string, value []byte) (*treapNode, bool) {
+func (t *treap) put(n *treapNode, key, value []byte) (*treapNode, bool) {
 	if n == nil {
-		return &treapNode{key: key, value: value, priority: priorityOf(key), sub: 1, epoch: t.epoch}, false
+		return &treapNode{key: string(key), value: value, priority: priorityOf(key), sub: 1, epoch: t.epoch}, false
 	}
 	n = t.own(n)
 	var existed bool
-	switch c := strings.Compare(key, n.key); {
+	switch c := compareKey(key, n.key); {
 	case c == 0:
 		n.value = value
 		return n, true
@@ -213,7 +212,7 @@ func (t *treap) put(n *treapNode, key string, value []byte) (*treapNode, bool) {
 }
 
 // Delete removes key, reporting whether it existed.
-func (t *treap) Delete(key string) bool {
+func (t *treap) Delete(key []byte) bool {
 	var existed bool
 	t.root, existed = t.del(t.root, key)
 	if existed {
@@ -223,11 +222,11 @@ func (t *treap) Delete(key string) bool {
 }
 
 // del descends before it owns anything, so a miss copies nothing.
-func (t *treap) del(n *treapNode, key string) (*treapNode, bool) {
+func (t *treap) del(n *treapNode, key []byte) (*treapNode, bool) {
 	if n == nil {
 		return nil, false
 	}
-	switch c := strings.Compare(key, n.key); {
+	switch c := compareKey(key, n.key); {
 	case c < 0:
 		nl, existed := t.del(n.left, key)
 		if !existed {
@@ -302,7 +301,7 @@ func rotateLeft(n *treapNode) *treapNode {
 // live tree can no longer reach the outgoing half, so the epoch bump is
 // not what protects it; it keeps the invariant checkable — every node a
 // captured view holds is older than the tree's epoch.
-func (t *treap) splitOff(at string) treapSnapshot {
+func (t *treap) splitOff(at []byte) treapSnapshot {
 	left, right := t.splitNodes(t.root, at)
 	t.root = left
 	t.size = subCount(left)
@@ -310,12 +309,12 @@ func (t *treap) splitOff(at string) treapSnapshot {
 	return treapSnapshot{root: right, size: subCount(right)}
 }
 
-func (t *treap) splitNodes(n *treapNode, at string) (l, r *treapNode) {
+func (t *treap) splitNodes(n *treapNode, at []byte) (l, r *treapNode) {
 	if n == nil {
 		return nil, nil
 	}
 	n = t.own(n)
-	if strings.Compare(n.key, at) < 0 {
+	if compareKey(at, n.key) > 0 {
 		n.right, r = t.splitNodes(n.right, at)
 		n.fix()
 		return n, r
@@ -327,30 +326,22 @@ func (t *treap) splitNodes(n *treapNode, at string) (l, r *treapNode) {
 
 // Range calls fn for every entry with lo <= key <= hi in ascending key
 // order; fn returning false stops the iteration.
-func (t *treap) Range(lo, hi string, fn func(key string, value []byte) bool) {
+func (t *treap) Range(lo, hi []byte, fn func(key string, value []byte) bool) {
 	rangeNodes(t.root, lo, hi, fn)
 }
 
-func rangeNodes(n *treapNode, lo, hi string, fn func(string, []byte) bool) bool {
+func rangeNodes(n *treapNode, lo, hi []byte, fn func(string, []byte) bool) bool {
 	if n == nil {
 		return true
 	}
-	if strings.Compare(n.key, lo) >= 0 {
-		if !rangeNodes(n.left, lo, hi, fn) {
-			return false
-		}
+	aboveLo, belowHi := compareKey(lo, n.key) <= 0, compareKey(hi, n.key) >= 0
+	if aboveLo && !rangeNodes(n.left, lo, hi, fn) {
+		return false
 	}
-	if strings.Compare(n.key, lo) >= 0 && strings.Compare(n.key, hi) <= 0 {
-		if !fn(n.key, n.value) {
-			return false
-		}
+	if aboveLo && belowHi && !fn(n.key, n.value) {
+		return false
 	}
-	if strings.Compare(n.key, hi) <= 0 {
-		if !rangeNodes(n.right, lo, hi, fn) {
-			return false
-		}
-	}
-	return true
+	return !belowHi || rangeNodes(n.right, lo, hi, fn)
 }
 
 // All calls fn for every entry in ascending key order.

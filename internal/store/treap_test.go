@@ -16,26 +16,26 @@ import (
 
 func TestTreapBasic(t *testing.T) {
 	tr := newTreap()
-	if _, ok := tr.Get("a"); ok {
+	if _, ok := tr.Get([]byte("a")); ok {
 		t.Error("empty treap returned a value")
 	}
-	if existed := tr.Put("a", []byte("1")); existed {
+	if existed := tr.Put([]byte("a"), []byte("1")); existed {
 		t.Error("fresh insert reported existed")
 	}
-	if existed := tr.Put("a", []byte("2")); !existed {
+	if existed := tr.Put([]byte("a"), []byte("2")); !existed {
 		t.Error("overwrite not reported")
 	}
-	v, ok := tr.Get("a")
+	v, ok := tr.Get([]byte("a"))
 	if !ok || string(v) != "2" {
 		t.Errorf("Get = %q, %v", v, ok)
 	}
 	if tr.Len() != 1 {
 		t.Errorf("Len = %d", tr.Len())
 	}
-	if !tr.Delete("a") {
+	if !tr.Delete([]byte("a")) {
 		t.Error("delete of existing key failed")
 	}
-	if tr.Delete("a") {
+	if tr.Delete([]byte("a")) {
 		t.Error("double delete succeeded")
 	}
 	if tr.Len() != 0 {
@@ -47,7 +47,7 @@ func TestTreapOrderedIteration(t *testing.T) {
 	tr := newTreap()
 	keys := []string{"melon", "apple", "zebra", "kiwi", "banana"}
 	for _, k := range keys {
-		tr.Put(k, []byte(k))
+		tr.Put([]byte(k), []byte(k))
 	}
 	var got []string
 	tr.All(func(k string, _ []byte) bool {
@@ -66,10 +66,10 @@ func TestTreapOrderedIteration(t *testing.T) {
 func TestTreapRange(t *testing.T) {
 	tr := newTreap()
 	for i := 0; i < 100; i++ {
-		tr.Put(fmt.Sprintf("key%03d", i), []byte{byte(i)})
+		tr.Put([]byte(fmt.Sprintf("key%03d", i)), []byte{byte(i)})
 	}
 	var got []string
-	tr.Range("key010", "key015", func(k string, _ []byte) bool {
+	tr.Range([]byte("key010"), []byte("key015"), func(k string, _ []byte) bool {
 		got = append(got, k)
 		return true
 	})
@@ -78,7 +78,7 @@ func TestTreapRange(t *testing.T) {
 	}
 	// Early stop.
 	count := 0
-	tr.Range("key000", "key099", func(string, []byte) bool {
+	tr.Range([]byte("key000"), []byte("key099"), func(string, []byte) bool {
 		count++
 		return count < 5
 	})
@@ -87,7 +87,7 @@ func TestTreapRange(t *testing.T) {
 	}
 	// Empty range.
 	got = nil
-	tr.Range("zzz", "zzzz", func(k string, _ []byte) bool {
+	tr.Range([]byte("zzz"), []byte("zzzz"), func(k string, _ []byte) bool {
 		got = append(got, k)
 		return true
 	})
@@ -108,18 +108,18 @@ func TestTreapMatchesMap(t *testing.T) {
 			switch rng.Intn(3) {
 			case 0, 1:
 				val := byte(raw >> 8)
-				tr.Put(key, []byte{val})
+				tr.Put([]byte(key), []byte{val})
 				ref[key] = val
 			case 2:
 				delete(ref, key)
-				tr.Delete(key)
+				tr.Delete([]byte(key))
 			}
 		}
 		if tr.Len() != len(ref) {
 			return false
 		}
 		for k, v := range ref {
-			got, ok := tr.Get(k)
+			got, ok := tr.Get([]byte(k))
 			if !ok || got[0] != v {
 				return false
 			}
@@ -141,13 +141,13 @@ func TestTreapLarge(t *testing.T) {
 	const n = 10000
 	perm := rand.New(rand.NewSource(7)).Perm(n)
 	for _, i := range perm {
-		tr.Put(fmt.Sprintf("key%08d", i), []byte("v"))
+		tr.Put([]byte(fmt.Sprintf("key%08d", i)), []byte("v"))
 	}
 	if tr.Len() != n {
 		t.Fatalf("Len = %d, want %d", tr.Len(), n)
 	}
 	for i := 0; i < n; i += 997 {
-		if _, ok := tr.Get(fmt.Sprintf("key%08d", i)); !ok {
+		if _, ok := tr.Get([]byte(fmt.Sprintf("key%08d", i))); !ok {
 			t.Fatalf("missing key %d", i)
 		}
 	}
@@ -163,20 +163,20 @@ func TestTreapSnapshotImmutableUnderMutation(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		k := fmt.Sprintf("key%04d", i)
 		v := fmt.Sprintf("v%d", i)
-		tr.Put(k, []byte(v))
+		tr.Put([]byte(k), []byte(v))
 		want[k] = v
 	}
 	snap := tr.snapshot()
 
 	// Mutate heavily: overwrite all, delete the even half, add new keys.
 	for i := 0; i < 1000; i++ {
-		tr.Put(fmt.Sprintf("key%04d", i), []byte("CLOBBERED"))
+		tr.Put([]byte(fmt.Sprintf("key%04d", i)), []byte("CLOBBERED"))
 	}
 	for i := 0; i < 1000; i += 2 {
-		tr.Delete(fmt.Sprintf("key%04d", i))
+		tr.Delete([]byte(fmt.Sprintf("key%04d", i)))
 	}
 	for i := 0; i < 500; i++ {
-		tr.Put(fmt.Sprintf("new%04d", i), []byte("x"))
+		tr.Put([]byte(fmt.Sprintf("new%04d", i)), []byte("x"))
 	}
 
 	if snap.Len() != len(want) {
@@ -201,10 +201,10 @@ func TestTreapSnapshotImmutableUnderMutation(t *testing.T) {
 		}
 	}
 	// And the live tree reflects the mutations, not the snapshot.
-	if v, ok := tr.Get("key0001"); !ok || string(v) != "CLOBBERED" {
+	if v, ok := tr.Get([]byte("key0001")); !ok || string(v) != "CLOBBERED" {
 		t.Error("live tree lost its mutations")
 	}
-	if _, ok := tr.Get("key0000"); ok {
+	if _, ok := tr.Get([]byte("key0000")); ok {
 		t.Error("live tree kept a deleted key")
 	}
 }
@@ -294,7 +294,7 @@ func TestTreapBalanced(t *testing.T) {
 	for _, f := range families {
 		tr := newTreap()
 		for i := 0; i < n; i++ {
-			tr.Put(f.key(i), nil)
+			tr.Put([]byte(f.key(i)), nil)
 		}
 		max, mean := depths(tr.root)
 		t.Logf("%s: max depth %d, mean %.1f (log2 n = %.1f)", f.name, max, mean, log2n)
@@ -415,14 +415,14 @@ func TestTreapSnapshotIsolation(t *testing.T) {
 		case roll < 10+captureOne*10/splitOne:
 			at := key()
 			want := copyRef(func(k string) bool { return k >= at })
-			hold(heldSnapshot{snap: tr.splitOff(at), want: want, updateNo: done, split: true})
+			hold(heldSnapshot{snap: tr.splitOff([]byte(at)), want: want, updateNo: done, split: true})
 			for k := range want {
 				delete(ref, k)
 			}
 		case roll%4 == 0:
 			k := key()
 			_, want := ref[k]
-			if got := tr.Delete(k); got != want {
+			if got := tr.Delete([]byte(k)); got != want {
 				t.Fatalf("Delete(%q) = %v, reference says %v", k, got, want)
 			}
 			delete(ref, k)
@@ -430,7 +430,7 @@ func TestTreapSnapshotIsolation(t *testing.T) {
 		default:
 			k, v := key(), fmt.Sprint(rng.Int63())
 			_, want := ref[k]
-			if got := tr.Put(k, []byte(v)); got != want {
+			if got := tr.Put([]byte(k), []byte(v)); got != want {
 				t.Fatalf("Put(%q) existed = %v, reference says %v", k, got, want)
 			}
 			ref[k] = v
@@ -531,13 +531,13 @@ func TestTreapPutAllocs(t *testing.T) {
 	}
 	tr := newTreap()
 	for i := 0; i < 10000; i++ {
-		tr.Put(ycsb.Key(i), nil)
+		tr.Put([]byte(ycsb.Key(i)), nil)
 	}
-	key, value := ycsb.Key(4321), []byte("v")
+	key, value := []byte(ycsb.Key(4321)), []byte("v")
 	if got := testing.AllocsPerRun(1000, func() { tr.Put(key, value) }); got != 0 {
 		t.Errorf("Put on an owned path: %.1f allocs, want 0", got)
 	}
-	path := pathLen(tr, key)
+	path := pathLen(tr, string(key))
 	got := testing.AllocsPerRun(100, func() {
 		tr.snapshot()
 		tr.Put(key, value)
@@ -548,7 +548,7 @@ func TestTreapPutAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(1000, func() { tr.Put(key, value) }); got != 0 {
 		t.Errorf("second Put after snapshot(): %.1f allocs, want 0", got)
 	}
-	missing := ycsb.Key(20000)
+	missing := []byte(ycsb.Key(20000))
 	if got := testing.AllocsPerRun(100, func() {
 		tr.snapshot()
 		tr.Delete(missing)
@@ -559,12 +559,14 @@ func TestTreapPutAllocs(t *testing.T) {
 
 // executeBatchAllocBudget is the apply path's allocation budget per
 // YCSB-A operation (1 KB values, 3 333 records — one partition of the
-// benchmark's store-ycsb-a); measured 3.0. None of it is the tree's: an
-// update pays the decoded key and the stored value copy, a read the key,
-// the entry slice, the value copy and its exactly-sized encoded result
-// (grown from nil it was 4.5). A tree that copies the path on every update
-// spends 40 per op here.
-const executeBatchAllocBudget = 4.0
+// benchmark's store-ycsb-a); measured 1.0. An update pays the copy of the
+// value the tree keeps, a read its exactly-sized reply, written from the
+// tree node; the operation is applied from the delivered bytes (no key, no
+// Op), a bare status is one shared encoding, and the result slice is the
+// state machine's own from batch to batch. Decoding every operation into an
+// Op and building a Result to encode cost 3.0; a tree that copies the path
+// on every update, 40.
+const executeBatchAllocBudget = 1.5
 
 func TestExecuteBatchAllocs(t *testing.T) {
 	if raceEnabled {
