@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -114,19 +115,39 @@ func TestFig6Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	var buf bytes.Buffer
-	res, err := Fig6(fastOpts(&buf))
-	if err != nil {
-		t.Fatal(err)
+	// Vertical scalability, as far as one process on a few cores can show
+	// it: every ring brings its own writer, and no ring count may fall
+	// below the 1-ring point by more than the scatter of a 300 ms point
+	// (20 runs on 2 cores: 1 ring 19-35k ops/s, every other point 0.64-1.5x
+	// of it, median 1.0x). The paper's "5 rings beat 1 ring" needs a
+	// bottleneck per ring; here all rings share the CPU, and the check
+	// held before skip on stall only because the 1-ring point ran at a
+	// tenth of this, each append waiting out a Δ window on the idle common
+	// ring (ROADMAP 2e). A stall of a shared host can sink a whole point
+	// (seen once in about forty runs), so a low figure is measured again
+	// before it fails the test.
+	var low []string
+	for attempt := 0; attempt < 2; attempt++ {
+		var buf bytes.Buffer
+		res, err := Fig6(fastOpts(&buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Points) != 5 {
+			t.Fatalf("points = %d, want 5", len(res.Points))
+		}
+		low = low[:0]
+		for _, p := range res.Points[1:] {
+			if p.OpsPerS < res.Points[0].OpsPerS/2 {
+				low = append(low, fmt.Sprintf("%d rings (%.0f ops/s) fell below half of 1 ring (%.0f ops/s)",
+					p.Rings, p.OpsPerS, res.Points[0].OpsPerS))
+			}
+		}
+		if len(low) == 0 {
+			return
+		}
 	}
-	if len(res.Points) != 5 {
-		t.Fatalf("points = %d, want 5", len(res.Points))
-	}
-	// Vertical scalability: 5 rings must beat 1 ring.
-	if res.Points[4].OpsPerS <= res.Points[0].OpsPerS {
-		t.Errorf("5 rings (%.0f ops/s) should beat 1 ring (%.0f ops/s)",
-			res.Points[4].OpsPerS, res.Points[0].OpsPerS)
-	}
+	t.Error(strings.Join(low, "; "))
 }
 
 func TestFig7Smoke(t *testing.T) {

@@ -107,8 +107,11 @@ func fig6Run(o Options, rings int) (Fig6Point, error) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	payload := make([]byte, 1024)
-	// Enough closed-loop writers to keep every ring busy.
-	writersPerRing := min(o.Clients/rings+1, 20)
+	// Every ring brings the same closed-loop writers at every step, so the
+	// offered load grows with the rings (Clients is the 5-ring total, 20 a
+	// ring at the default); dividing a fixed total among the rings would
+	// hold the load constant and measure what a merged ring costs in CPU.
+	writersPerRing := max(1, min(o.Clients/5, 20))
 	for r := 1; r <= rings; r++ {
 		for t := 0; t < writersPerRing; t++ {
 			dc, raw, err := c.NewClient()

@@ -57,8 +57,9 @@ type FlowResult struct {
 	Topology  string            `json:"topology"`
 	DurationS float64           `json:"duration_s"`
 	Leveling  []FlowLevelingRow `json:"leveling"`
-	// MissetVsTuned shows the damage of a 4x-too-low static λ;
-	// AdaptiveVsTuned must recover to >= 0.9.
+	// MissetVsTuned is a 4x-too-low static λ against the tuned one (0.25
+	// before skip on stall, ≈ 1 since: the merge asks for the skips the
+	// tick is short of); AdaptiveVsTuned must stay >= 0.9.
 	MissetVsTuned   float64          `json:"misset_vs_tuned_ratio"`
 	AdaptiveVsTuned float64          `json:"adaptive_vs_tuned_ratio"`
 	Isolation       FlowIsolationRow `json:"isolation"`

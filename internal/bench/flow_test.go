@@ -8,9 +8,16 @@ import (
 
 // TestFlowBenchShort smoke-tests the flow-control benchmark and its JSON
 // snapshot with a short measurement window. It asserts the directional
-// claims, not exact numbers: a mis-set static λ must cost throughput and
-// the adaptive loop must recover most of it; one slow replica must not
-// collapse the fast learners.
+// claims, not exact numbers. The first one is inverted by skip on stall: a
+// static λ mis-set 4x low used to run at 0.25x of the tuned row (the merge
+// waited out a Δ window on the idle ring per λ·Δ hot messages) and the test
+// required that damage to show; now the merge asks the idle ring's
+// coordinator to skip, and because what a ring "holds" is read from its
+// delivery stage (ring.Node.LastValue, not the merge's own buffer — the
+// departure recorded in CHANGES.md, PR 16) one request covers the whole
+// queued backlog even over the emulated WAN: the row measures 0.99-1.01x
+// of the tuned one (8 runs), so it must stay within 10 %. The adaptive loop
+// must do no worse; one slow replica must not collapse the fast learners.
 func TestFlowBenchShort(t *testing.T) {
 	if testing.Short() {
 		t.Skip("flow bench needs a measurement window")
@@ -27,8 +34,8 @@ func TestFlowBenchShort(t *testing.T) {
 			t.Fatalf("empty measurement: %+v", row)
 		}
 	}
-	if res.MissetVsTuned >= 0.8 {
-		t.Errorf("mis-set λ should visibly degrade throughput, ratio %.2f", res.MissetVsTuned)
+	if res.MissetVsTuned < 0.9 {
+		t.Errorf("mis-set static λ ran at %.2fx of the tuned baseline: skip on stall should level the idle ring on demand", res.MissetVsTuned)
 	}
 	if res.AdaptiveVsTuned < 0.7 {
 		t.Errorf("adaptive λ recovered only %.2fx of the tuned baseline", res.AdaptiveVsTuned)

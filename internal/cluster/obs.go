@@ -149,6 +149,14 @@ func registerProcessMetrics(reg *obs.Registry, proc string, rep func() *smr.Repl
 			_, skipped, _ := n.RingStats(g)
 			return float64(skipped)
 		})
+		nodeMetric("mrp.ring.skip_requests_sent_total", obs.KindCounter, func(n *core.Node) float64 {
+			fs, _ := n.RingFlowStats(g)
+			return float64(fs.SkipRequestsSent)
+		})
+		nodeMetric("mrp.ring.skips_on_demand_total", obs.KindCounter, func(n *core.Node) float64 {
+			fs, _ := n.RingFlowStats(g)
+			return float64(fs.SkipsOnDemand)
+		})
 		nodeMetric("mrp.ring.lambda", obs.KindGauge, func(n *core.Node) float64 {
 			l, _ := n.RingLambdaNow(g)
 			return float64(l)
@@ -218,10 +226,35 @@ func packedMean(n *core.Node, g transport.RingID) float64 {
 	return 0
 }
 
-// DebugRings snapshots per-process protocol state for /debug/rings:
-// subscription, delivered vector, per-ring decided/skipped/λ, flow
+// ringView is one subscribed ring's entry in /debug/rings: decided and
+// skipped instances, the delivered mark and the frontier behind it, flow
 // control (with the coordinator's queue depth), messages packed per
-// instance and merge-stall telemetry.
+// instance, and the answer to "which ring is the merge waiting on and by
+// how much": waiting — another ring holds a value the merge cannot deliver
+// before this one has decided through awaited_instance, which it asked the
+// coordinator to skip to — next to the skip-on-stall counters of both ends.
+func ringView(n *core.Node, g transport.RingID) map[string]any {
+	decided, skipped, _ := n.RingStats(g)
+	fs, _ := n.RingFlowStats(g)
+	applied := n.DeliveredVector()[g]
+	return map[string]any{
+		"ring":               uint64(g),
+		"decided":            decided,
+		"skipped":            skipped,
+		"applied":            applied,
+		"frontier":           applied + 1,
+		"flow":               fs,
+		"queue_depth":        fs.QueueDepth,
+		"packed_mean":        packedMean(n, g),
+		"waiting":            fs.SkipAwaited > applied,
+		"awaited_instance":   fs.SkipAwaited,
+		"skip_requests_sent": fs.SkipRequestsSent,
+		"skips_on_demand":    fs.SkipsOnDemand,
+	}
+}
+
+// DebugRings snapshots per-process protocol state for /debug/rings: the
+// subscription and, per ring, ringView plus λ and merge-stall telemetry.
 func (c *StoreCluster) DebugRings() any {
 	c.mu.Lock()
 	ids := make([]transport.ProcessID, 0, len(c.servers))
@@ -240,23 +273,13 @@ func (c *StoreCluster) DebugRings() any {
 		n := srv.Replica().CoreNode()
 		rings := make([]map[string]any, 0, 2)
 		for _, g := range n.Subscription() {
-			decided, skipped, _ := n.RingStats(g)
-			lambda, _ := n.RingLambdaNow(g)
-			fs, _ := n.RingFlowStats(g)
-			st := stallFor(n, g)
-			rings = append(rings, map[string]any{
-				"ring":           uint64(g),
-				"decided":        decided,
-				"skipped":        skipped,
-				"lambda":         lambda,
-				"applied":        n.DeliveredVector()[g],
-				"flow":           fs,
-				"packed_mean":    packedMean(n, g),
-				"stall_total_ns": int64(st.Total),
-				"stall_max_ns":   int64(st.Max),
-				"stall_p99_ns":   int64(st.P99),
-				"stall_count":    st.Count,
-			})
+			view, st := ringView(n, g), stallFor(n, g)
+			view["lambda"], _ = n.RingLambdaNow(g)
+			view["stall_total_ns"] = int64(st.Total)
+			view["stall_max_ns"] = int64(st.Max)
+			view["stall_p99_ns"] = int64(st.P99)
+			view["stall_count"] = st.Count
+			rings = append(rings, view)
 		}
 		since := time.Duration(0)
 		if d, ok := n.SinceProgress(); ok {
@@ -293,9 +316,8 @@ func (c *DLogCluster) wireDLogObs(s int, groups []transport.RingID) {
 	registerProcessMetrics(c.D.Obs, fmt.Sprintf("dlog%d", s), rep, groups)
 }
 
-// DebugRings snapshots per-server protocol state for /debug/rings,
-// including each coordinator's queue depth and messages packed per
-// instance.
+// DebugRings snapshots per-server protocol state for /debug/rings (see
+// ringView).
 func (c *DLogCluster) DebugRings() any {
 	c.mu.Lock()
 	ids := make([]transport.ProcessID, 0, len(c.reps))
@@ -315,16 +337,7 @@ func (c *DLogCluster) DebugRings() any {
 		n := rp.CoreNode()
 		rings := make([]map[string]any, 0, 2)
 		for _, g := range n.Subscription() {
-			decided, skipped, _ := n.RingStats(g)
-			fs, _ := n.RingFlowStats(g)
-			rings = append(rings, map[string]any{
-				"ring":        uint64(g),
-				"decided":     decided,
-				"skipped":     skipped,
-				"applied":     n.DeliveredVector()[g],
-				"queue_depth": fs.QueueDepth,
-				"packed_mean": packedMean(n, g),
-			})
+			rings = append(rings, ringView(n, g))
 		}
 		out = append(out, map[string]any{
 			"process":         fmt.Sprintf("p%d", id),

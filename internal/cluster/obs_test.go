@@ -26,7 +26,7 @@ func TestEndToEndTraceAndMetrics(t *testing.T) {
 	d := NewDeployment(nil)
 	defer d.Close()
 	d.SetTraceSampling(1)
-	c, err := d.StartStore(StoreOptions{Partitions: 2, Replicas: 3, Global: true})
+	c, err := d.StartStore(StoreOptions{Partitions: 2, Replicas: 3, Global: true, Ring: fastRing()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +65,27 @@ func TestEndToEndTraceAndMetrics(t *testing.T) {
 		t.Fatal("no executed counters exposed")
 	}
 
-	// Debug ring state.
+	// Debug ring state. Every replica merges its partition's ring with the
+	// global ring, so sequential writes are held behind the idle global
+	// ring's frontier and its coordinator skips on demand: the operator's
+	// view must show who asked, who skipped, and nobody left waiting.
+	for i := 0; i < 50; i++ {
+		if err := sc.Update("trace-key", []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var rings struct {
 		Servers []struct {
 			Process string `json:"process"`
+			Rings   []struct {
+				Ring             uint64  `json:"ring"`
+				Applied          uint64  `json:"applied"`
+				Frontier         *uint64 `json:"frontier"`
+				Waiting          *bool   `json:"waiting"`
+				AwaitedInstance  *uint64 `json:"awaited_instance"`
+				SkipRequestsSent *uint64 `json:"skip_requests_sent"`
+				SkipsOnDemand    *uint64 `json:"skips_on_demand"`
+			} `json:"rings"`
 		} `json:"servers"`
 	}
 	if err := json.Unmarshal([]byte(httpGet(t, srv.URL+"/debug/rings")), &rings); err != nil {
@@ -76,6 +93,34 @@ func TestEndToEndTraceAndMetrics(t *testing.T) {
 	}
 	if len(rings.Servers) != 6 {
 		t.Fatalf("/debug/rings lists %d servers, want 6", len(rings.Servers))
+	}
+	var requests, onDemand uint64
+	for _, s := range rings.Servers {
+		if len(s.Rings) != 2 {
+			t.Fatalf("/debug/rings: %s merges %d rings, want 2", s.Process, len(s.Rings))
+		}
+		for _, r := range s.Rings {
+			if r.Frontier == nil || r.Waiting == nil || r.AwaitedInstance == nil || r.SkipRequestsSent == nil || r.SkipsOnDemand == nil {
+				t.Fatalf("/debug/rings: %s ring %d lacks a skip-on-stall field: %+v", s.Process, r.Ring, r)
+			}
+			if *r.Frontier != r.Applied+1 {
+				t.Fatalf("/debug/rings: %s ring %d frontier %d, applied %d", s.Process, r.Ring, *r.Frontier, r.Applied)
+			}
+			requests += *r.SkipRequestsSent
+			onDemand += *r.SkipsOnDemand
+		}
+	}
+	if requests == 0 || onDemand == 0 {
+		t.Fatalf("/debug/rings shows %d skip requests and %d on-demand skips after 50 sequential writes, want both > 0", requests, onDemand)
+	}
+	metrics = httpGet(t, srv.URL+"/metrics")
+	for _, want := range []string{
+		"# TYPE mrp_ring_skip_requests_sent_total counter",
+		"# TYPE mrp_ring_skips_on_demand_total counter",
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Fatalf("/metrics missing %q", want)
+		}
 	}
 
 	// Trace assembly: the write's trace must exist and carry the full

@@ -226,6 +226,11 @@ type Node struct {
 
 	mergeDone chan struct{}
 	done      chan struct{}
+	// wake is poked by every joined ring's delivery stage (ring.Config.Wake)
+	// so a merge blocked on one ring still sees what the others deliver;
+	// heldScratch is that merge's per-ring view of them (awaitTurn).
+	wake        chan struct{}
+	heldScratch []uint64
 
 	proposeSeq atomic.Uint32
 	delivered  atomic.Uint64
@@ -294,6 +299,7 @@ func New(cfg Config) (*Node, error) {
 		vector:    make(recovery.Vector),
 		mergeDone: make(chan struct{}),
 		done:      make(chan struct{}),
+		wake:      make(chan struct{}, 1),
 	}, nil
 }
 
@@ -337,6 +343,7 @@ func (n *Node) Join(ringID transport.RingID) error {
 		MaxPending:          n.cfg.Ring.MaxPending,
 		RetryInterval:       n.cfg.Ring.RetryInterval,
 		DeliverBuffer:       n.cfg.Ring.DeliverBuffer,
+		Wake:                n.wake,
 		SkipEnabled:         n.cfg.Ring.SkipEnabled,
 		Delta:               n.cfg.Ring.Delta,
 		Lambda:              lambda,
@@ -422,7 +429,7 @@ func (n *Node) SubscribeBatch(handler BatchHandler, groups ...transport.RingID) 
 		if !rc.Roles(n.id).Has(coord.RoleLearner) {
 			return ErrNotSubscribed
 		}
-		srcs = append(srcs, &ringSource{rn: rn, ch: rn.DeliveryBatches()})
+		srcs = append(srcs, n.newSource(g, rn))
 		if _, ok := n.vector[g]; !ok {
 			n.vector[g] = n.cfg.StartVector[g]
 		}
@@ -518,16 +525,24 @@ func (n *Node) CancelResubscribe(marker uint64) bool {
 
 // ringSource adapts one ring's batch delivery channel into a pull
 // interface for the merge: it holds the in-progress batch and recycles
-// exhausted buffers back to the ring. stallAcc/lastFB pace the merge's
-// stall feedback to this ring's coordinator (adaptive rate leveling).
+// exhausted buffers back to the ring. frontier is the next instance the
+// ring owes the merge; stallAcc/lastFB pace the merge's stall feedback to
+// this ring's coordinator (adaptive rate leveling).
 type ringSource struct {
-	rn  *ring.Node
-	ch  <-chan []ring.Delivery
-	buf []ring.Delivery
-	idx int
+	rn     *ring.Node
+	ch     <-chan []ring.Delivery
+	buf    []ring.Delivery
+	idx    int
+	closed bool // the ring ended its delivery stream
 
+	frontier uint64
 	stallAcc time.Duration
 	lastFB   time.Time
+}
+
+// newSource starts reading ring g where its learner starts delivering.
+func (n *Node) newSource(g transport.RingID, rn *ring.Node) *ringSource {
+	return &ringSource{rn: rn, ch: rn.DeliveryBatches(), frontier: n.cfg.StartVector[g] + 1}
 }
 
 // ready reports whether a delivery is available without blocking,
@@ -539,40 +554,32 @@ func (s *ringSource) ready() bool {
 	s.recycle()
 	select {
 	case b, ok := <-s.ch:
-		if !ok {
-			return false
-		}
-		s.buf, s.idx = b, 0
+		s.buf, s.idx, s.closed = b, 0, !ok
 		return len(b) > 0
 	default:
 		return false
 	}
 }
 
-// refill blocks until a delivery is available; false means the ring
-// stopped or the node shut down.
-func (s *ringSource) refill(done <-chan struct{}) bool {
-	if s.idx < len(s.buf) {
-		return true
+// held counts the instances the ring's learner has decided from the
+// frontier through its last value: what a merge blocked on another ring
+// could deliver if that ring caught up. Skips past the last value are not
+// worth chasing (two idle rings would ask for each other's fillers
+// forever). It reads the ring's delivery stage, not buf: the value may sit
+// behind a batch of skips the blocked merge has not pulled yet.
+func (s *ringSource) held() uint64 {
+	if last := s.rn.LastValue(); last >= s.frontier {
+		return last - s.frontier + 1
 	}
-	s.recycle()
-	select {
-	case b, ok := <-s.ch:
-		if !ok {
-			return false
-		}
-		s.buf, s.idx = b, 0
-		return len(b) > 0
-	case <-done:
-		return false
-	}
+	return 0
 }
 
 // next returns the current delivery and advances. Call only after ready or
-// refill returned true.
+// awaitTurn returned true.
 func (s *ringSource) next() ring.Delivery {
 	d := s.buf[s.idx]
 	s.idx++
+	s.frontier = d.Instance + d.Value.Span()
 	return d
 }
 
@@ -692,12 +699,9 @@ func (n *Node) merge(groups []transport.RingID, srcs []*ringSource, handler Batc
 		for cur.Remaining > 0 {
 			if !srcs[i].ready() {
 				// About to block: hand over what we have so the
-				// subscriber is never idle while the merge waits, and
-				// time the wait — it is the straggler signal behind the
-				// per-ring stall telemetry and the adaptive-λ feedback.
+				// subscriber is never idle while the merge waits.
 				flush()
-				waitStart := time.Now() //lint:allow determinism stall telemetry only: the wait duration feeds metrics and the adaptive-λ signal, never delivered state
-				if !srcs[i].refill(n.done) {
+				if !n.awaitTurn(&cur, groups, srcs) {
 					// Ring stream ended. At Stop that is normal; while
 					// the node is still running it means the ring
 					// terminated delivery (e.g. a catch-up range trimmed
@@ -707,7 +711,6 @@ func (n *Node) merge(groups []transport.RingID, srcs []*ringSource, handler Batc
 					n.noteMergeHalt(groups[i])
 					return
 				}
-				n.observeMergeStall(srcs[i], groups[i], time.Since(waitStart)) //lint:allow determinism stall telemetry only: the wait duration feeds metrics and the adaptive-λ signal, never delivered state
 			}
 			d := srcs[i].next()
 			if d.Value.Buf != nil {
@@ -879,8 +882,7 @@ func (n *Node) switchSubscription(pending *resubRequest, groups []transport.Ring
 			delete(bySrc, g)
 			continue
 		}
-		rn := rings[g]
-		newSrcs[idx] = &ringSource{rn: rn, ch: rn.DeliveryBatches()}
+		newSrcs[idx] = n.newSource(g, rings[g])
 	}
 	if len(bySrc) > 0 {
 		n.mu.Lock()
@@ -950,13 +952,15 @@ func (n *Node) MergeHalted() (transport.RingID, bool) {
 	return n.haltedRing, n.halted
 }
 
-// observeMergeStall records one refill wait in the per-ring stall
-// telemetry and, when adaptive rate leveling is on, reports the
-// accumulated stall to the ring's coordinator at most once per feedback
-// interval. Runs on the merge goroutine.
+// observeMergeStall records one wait of d on ring g in the per-ring stall
+// telemetry and, when adaptive rate leveling is on, reports the part of it
+// during which another ring held a value (straggle) to the ring's
+// coordinator at most once per feedback interval: waiting on a ring while
+// nothing is deliverable is idleness, not a stall λ should rise for. Runs
+// on the merge goroutine.
 //
 //lint:allow determinism stall telemetry and feedback pacing only: nothing here feeds delivered state or serialized bytes
-func (n *Node) observeMergeStall(s *ringSource, g transport.RingID, d time.Duration) {
+func (n *Node) observeMergeStall(s *ringSource, g transport.RingID, d, straggle time.Duration) {
 	if d <= 0 {
 		return
 	}
@@ -966,7 +970,7 @@ func (n *Node) observeMergeStall(s *ringSource, g transport.RingID, d time.Durat
 	if !n.cfg.Ring.AdaptiveSkip || !n.cfg.Ring.SkipEnabled {
 		return
 	}
-	s.stallAcc += d
+	s.stallAcc += straggle
 	now := time.Now()
 	if s.lastFB.IsZero() {
 		s.lastFB = now
@@ -1163,7 +1167,7 @@ func (n *Node) MergeCursor() Cursor {
 // nowNanos reads the monotonic clock as nanoseconds (wall-clock jumps must
 // not fake or hide merge progress).
 //
-//lint:allow determinism liveness telemetry only: the monotonic reading feeds SinceProgress staleness bounds, never delivered state
+//lint:allow determinism telemetry only: the monotonic reading feeds SinceProgress staleness bounds and merge-stall durations, never delivered state
 func nowNanos() int64 { return int64(time.Since(progressEpoch)) }
 
 var progressEpoch = time.Now()

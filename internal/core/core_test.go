@@ -24,6 +24,13 @@ type deployment struct {
 // processes participating with full roles (proposer+acceptor+learner).
 func newDeployment(t *testing.T, n int, ringsOf map[transport.RingID][]transport.ProcessID, tweak func(*Config)) *deployment {
 	t.Helper()
+	return newDeploymentOver(t, n, ringsOf, nil, tweak)
+}
+
+// newDeploymentOver is newDeployment with every process's transport passed
+// through wrap (nil: as attached), e.g. to lose chosen messages.
+func newDeploymentOver(t *testing.T, n int, ringsOf map[transport.RingID][]transport.ProcessID, wrap func(transport.Transport) transport.Transport, tweak func(*Config)) *deployment {
+	t.Helper()
 	d := &deployment{
 		t:     t,
 		net:   transport.NewNetwork(nil),
@@ -42,7 +49,11 @@ func newDeployment(t *testing.T, n int, ringsOf map[transport.RingID][]transport
 	}
 	for i := 1; i <= n; i++ {
 		id := transport.ProcessID(i)
-		router := transport.NewRouter(d.net.Attach(id, netem.SiteLocal))
+		tr := d.net.Attach(id, netem.SiteLocal)
+		if wrap != nil {
+			tr = wrap(tr)
+		}
+		router := transport.NewRouter(tr)
 		cfg := Config{
 			Self:   id,
 			Router: router,

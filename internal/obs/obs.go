@@ -43,11 +43,13 @@ func (k Kind) String() string {
 }
 
 // entry is one registered metric: a stable dotted name, constant labels
-// and a read function sampled at scrape time.
+// (fp is their fingerprint, the scrape's sort key) and a read function
+// sampled at scrape time.
 type entry struct {
 	name   string
 	kind   Kind
 	labels map[string]string
+	fp     string
 	read   func() float64
 }
 
@@ -93,7 +95,7 @@ func (r *Registry) register(name string, kind Kind, labels map[string]string, re
 		}
 	}
 	r.mu.Lock()
-	r.entries = append(r.entries, entry{name: name, kind: kind, labels: copied, read: read})
+	r.entries = append(r.entries, entry{name: name, kind: kind, labels: copied, fp: labelFingerprint(copied), read: read})
 	r.mu.Unlock()
 }
 
@@ -106,16 +108,16 @@ func (r *Registry) Samples() []Sample {
 	r.mu.Lock()
 	entries := append([]entry(nil), r.entries...)
 	r.mu.Unlock()
+	sort.Slice(entries, func(i, j int) bool {
+		if entries[i].name != entries[j].name {
+			return entries[i].name < entries[j].name
+		}
+		return entries[i].fp < entries[j].fp
+	})
 	out := make([]Sample, len(entries))
 	for i, e := range entries {
 		out[i] = Sample{Name: e.name, Kind: e.kind.String(), Labels: e.labels, Value: e.read()}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return labelFingerprint(out[i].Labels) < labelFingerprint(out[j].Labels)
-	})
 	return out
 }
 

@@ -42,6 +42,31 @@ func TestRegistryPrometheusText(t *testing.T) {
 	}
 }
 
+// TestSamplesAllocationsDoNotGrowWithSeries pins the scrape's cost: the
+// sort key of a series is built when it registers, so a scrape allocates
+// its two slices and the sort's closure, not a label string per
+// comparison (a 200-series registry used to cost ~3 000 allocations a
+// scrape, and a harness that scrapes inside its measured window saw every
+// newly registered series as allocations per operation).
+func TestSamplesAllocationsDoNotGrowWithSeries(t *testing.T) {
+	reg := NewRegistry()
+	for p := 0; p < 9; p++ {
+		for m := 0; m < 24; m++ {
+			reg.Counter("mrp.m"+strconv.Itoa(m), map[string]string{"process": "p" + strconv.Itoa(p), "ring": "1"}, func() float64 { return 1 })
+		}
+	}
+	var got []Sample
+	if n := testing.AllocsPerRun(10, func() { got = reg.Samples() }); n > 8 {
+		t.Errorf("one scrape of %d series = %.0f allocations, want <= 8", len(got), n)
+	}
+	for i := 1; i < len(got); i++ {
+		a, b := got[i-1], got[i]
+		if a.Name > b.Name || a.Name == b.Name && a.Labels["process"] >= b.Labels["process"] {
+			t.Fatalf("samples out of order at %d: %v then %v", i, a, b)
+		}
+	}
+}
+
 func TestRegistryNilSafe(t *testing.T) {
 	var reg *Registry
 	reg.Counter("x", nil, func() float64 { return 1 })

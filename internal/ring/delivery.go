@@ -47,12 +47,34 @@ func (n *Node) enqueueBatch(b []Delivery) bool {
 		n.dmu.Unlock()
 		return false
 	}
+	n.stage(b)
+	return true
+}
+
+// stage queues b for the delivery loop (dmu held; unlocks) and publishes
+// the last value in it. With the channel full no put, hence no poke, will
+// follow until the consumer drains this ring — which a merge blocked on
+// another ring has stopped doing — so it is poked here to learn that this
+// ring holds a value.
+func (n *Node) stage(b []Delivery) {
+	for i := len(b) - 1; i >= 0; i-- { // before queueing: b is the consumer's from then on
+		if !b[i].Value.Skip {
+			n.lastValue.Store(b[i].Instance)
+			break
+		}
+	}
 	n.dqueue = append(n.dqueue, b)
 	n.dlag += len(b)
 	n.dmu.Unlock()
 	n.dcond.Signal()
-	return true
+	if len(n.deliverCh) == cap(n.deliverCh) {
+		n.poke()
+	}
 }
+
+// LastValue returns the highest instance carrying a value (not a skip)
+// handed to the delivery stage so far (0: none).
+func (n *Node) LastValue() uint64 { return n.lastValue.Load() }
 
 // closeDelivery tells the delivery stage to drain what it holds and close
 // the delivery channel. Called from the run loop's exit paths.
@@ -84,6 +106,7 @@ func (n *Node) deliveryRoom() int {
 // as documented.
 func (n *Node) deliveryLoop() {
 	defer close(n.deliveryDone)
+	defer n.poke() // after the close below: the consumer sees the stream end
 	defer close(n.deliverCh)
 	for {
 		n.dmu.Lock()
@@ -110,15 +133,27 @@ func (n *Node) deliveryLoop() {
 		// even while the node shuts down.
 		select {
 		case n.deliverCh <- b:
+			n.poke()
 			continue
 		default:
 		}
 		select {
 		case n.deliverCh <- b:
+			n.poke()
 		case <-n.done:
 			n.ReleaseBatch(b) // consumer gone; drop the batch's references
 			return
 		}
+	}
+}
+
+// poke tells the consumer waiting on Config.Wake that the delivery stage
+// or its channel changed. The slot is level-triggered: a poke that finds
+// it full is covered by the one already there.
+func (n *Node) poke() {
+	select {
+	case n.cfg.Wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -193,10 +228,7 @@ func (n *Node) forceEnqueue(b []Delivery) {
 		n.ReleaseBatch(b) // stage already closed: the batch is dropped
 		return
 	}
-	n.dqueue = append(n.dqueue, b)
-	n.dlag += len(b)
-	n.dmu.Unlock()
-	n.dcond.Signal()
+	n.stage(b)
 }
 
 // pumpCatchup advances catch-up once the consumer has drained enough of
@@ -396,6 +428,13 @@ type FlowStats struct {
 	// QueueDepth is the number of proposals this coordinator left queued
 	// behind its pipeline window at its last propose point.
 	QueueDepth int
+	// SkipRequestsSent counts the skip-on-stall requests this learner sent
+	// to the ring's coordinator and SkipAwaited is the instance the last
+	// one named; SkipsOnDemand counts the skips this coordinator proposed
+	// because of one, outside the Δ tick.
+	SkipRequestsSent uint64
+	SkipAwaited      uint64
+	SkipsOnDemand    uint64
 }
 
 // FlowStats snapshots the node's flow-control instrumentation. Safe to
@@ -415,6 +454,10 @@ func (n *Node) FlowStats() FlowStats {
 		ShedProposals:  n.shedCount.Load(),
 		StallFeedback:  n.fbCount.Load(),
 		QueueDepth:     int(n.queueDepth.Load()),
+
+		SkipRequestsSent: n.skipReqCount.Load(),
+		SkipAwaited:      n.skipAwaited.Load(),
+		SkipsOnDemand:    n.onDemandCount.Load(),
 	}
 }
 
@@ -431,18 +474,32 @@ func (n *Node) LambdaNow() int {
 // also subscribe to faster rings. Safe to call from any goroutine (the
 // merge goroutine calls it).
 func (n *Node) ReportMergeStall(stall time.Duration) {
-	if stall <= 0 {
-		return
+	if stall > 0 {
+		n.tellCoordinator(transport.KindFlowFeedback, uint64(stall))
 	}
+}
+
+// RequestSkip asks this ring's coordinator to skip through instance target
+// now instead of at its next Δ tick: the deterministic merge holds a value
+// of another ring that it cannot deliver before this ring has decided that
+// far (see skipOnDemand). Best effort — a lost request costs the rest of
+// the Δ window, as before. Safe to call from any goroutine (the merge
+// goroutine calls it).
+func (n *Node) RequestSkip(target uint64) {
+	if !n.cfg.SkipEnabled || target <= n.skipAwaited.Load() {
+		return // no rate leveling here, or asked already: one request per new target
+	}
+	n.skipAwaited.Store(target)
+	n.skipReqCount.Add(1)
+	n.tellCoordinator(transport.KindSkipRequest, target)
+}
+
+// tellCoordinator sends a learner's one-number report to the coordinator.
+func (n *Node) tellCoordinator(kind transport.Kind, instance uint64) {
 	n.mu.Lock()
 	coordID := n.rc.Coordinator
 	n.mu.Unlock()
-	if coordID == 0 {
-		return
+	if coordID != 0 {
+		_ = n.tr.Send(coordID, transport.Message{Kind: kind, Ring: n.ring, Instance: instance})
 	}
-	_ = n.tr.Send(coordID, transport.Message{
-		Kind:     transport.KindFlowFeedback,
-		Ring:     n.ring,
-		Instance: uint64(stall),
-	})
 }

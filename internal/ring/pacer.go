@@ -26,21 +26,24 @@ import (
 //     keep pace stop flooding skip traffic through the WAL and network
 //     (deficit ≤ 0 ⇒ no skip instance at all).
 //
+// Between ticks a learner may ask for a skip (onDemand, skip on stall);
+// its span is charged to the open window.
+//
 // Window accounting: a deficit that cannot be proposed because the
 // pipeline is saturated is CARRIED into the next window, capped at one
 // window's target — the merge still needs those instances to advance, but
 // an unbounded carry would burst a huge skip range after a long stall
 // (TestSkipPacerCarriesDeficitWhenSaturated pins this behavior).
 type skipPacer struct {
-	delta        time.Duration
-	lambdaStatic float64
-	adaptive     bool
-	lambdaMin    float64
-	lambdaMax    float64
+	delta     time.Duration
+	adaptive  bool
+	lambdaMin float64
+	lambdaMax float64
 
 	lambdaNow float64
 	rate      *metrics.EWMA
 	carry     int
+	skipped   int // instances skipped on demand in the open window
 	stallNs   int64
 	calm      int
 }
@@ -60,17 +63,19 @@ const (
 	// pacerStallFrac: stall reports below Δ/pacerStallFrac per window are
 	// noise, not a straggling merge.
 	pacerStallFrac = 8
+	// maxSkipSpan bounds one on-demand skip, whatever target a request
+	// names: a corrupt one must not mint a skip that overflows Value.Count.
+	maxSkipSpan = 1 << 20
 )
 
 func newSkipPacer(cfg Config) *skipPacer {
 	return &skipPacer{
-		delta:        cfg.Delta,
-		lambdaStatic: float64(cfg.Lambda),
-		adaptive:     cfg.AdaptiveSkip,
-		lambdaMin:    float64(cfg.LambdaMin),
-		lambdaMax:    float64(cfg.LambdaMax),
-		lambdaNow:    float64(cfg.Lambda),
-		rate:         metrics.NewEWMA(pacerRateAlpha),
+		delta:     cfg.Delta,
+		adaptive:  cfg.AdaptiveSkip,
+		lambdaMin: float64(cfg.LambdaMin),
+		lambdaMax: float64(cfg.LambdaMax),
+		lambdaNow: float64(cfg.Lambda),
+		rate:      metrics.NewEWMA(pacerRateAlpha),
 	}
 }
 
@@ -81,20 +86,36 @@ func (p *skipPacer) observeStall(d time.Duration) {
 	}
 }
 
+// target is the current window's instance budget λ·Δ (λ never moves in
+// static mode).
+func (p *skipPacer) target() int { return max(1, int(p.lambdaNow*p.delta.Seconds())) }
+
+// onDemand sizes a skip proposed between ticks because a learner's merge
+// cannot deliver a value it holds until this ring is need instances further
+// (skipOnDemand): at least need, widened to what is left of the open
+// window's budget so the window's later values find the ring already
+// there, and never more than maxSkipSpan. The span is charged to the
+// window, whose closing tick then proposes only the remainder.
+func (p *skipPacer) onDemand(need uint64, proposed int) int {
+	span := int(min(need, maxSkipSpan))
+	if left := p.target() - proposed - p.skipped; left > span {
+		span = min(left, maxSkipSpan)
+	}
+	p.skipped += span
+	return span
+}
+
 // window closes one Δ window. proposed is the number of non-skip values
 // proposed in the window; saturated reports a full proposal pipeline.
 // It returns the skip span to propose (0 = none).
 func (p *skipPacer) window(proposed int, saturated bool) int {
 	p.rate.Update(float64(proposed) / p.delta.Seconds())
-	lambda := p.lambdaStatic
 	if p.adaptive {
-		lambda = p.adapt()
+		p.adapt()
 	}
-	target := int(lambda * p.delta.Seconds())
-	if target < 1 {
-		target = 1
-	}
-	deficit := target - proposed + p.carry
+	target := p.target()
+	deficit := target - proposed - p.skipped + p.carry
+	p.skipped = 0
 	p.carry = 0
 	if deficit <= 0 {
 		return 0
@@ -117,7 +138,7 @@ func (p *skipPacer) window(proposed int, saturated bool) int {
 
 // adapt closes one adaptive window: consume the window's stall feedback
 // and move λ within [λmin, λmax].
-func (p *skipPacer) adapt() float64 {
+func (p *skipPacer) adapt() {
 	stall := p.stallNs
 	p.stallNs = 0
 	if stall > int64(p.delta)/pacerStallFrac {
@@ -141,5 +162,4 @@ func (p *skipPacer) adapt() float64 {
 	if p.lambdaNow < p.lambdaMin {
 		p.lambdaNow = p.lambdaMin
 	}
-	return p.lambdaNow
 }

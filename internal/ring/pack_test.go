@@ -145,6 +145,7 @@ func endBurst(n *Node, msgs ...transport.Message) {
 		n.consume(m)
 	}
 	n.tryPropose()
+	n.skipOnDemand()
 	n.commitStaged()
 	n.handoffPending()
 	n.releaseBurst()

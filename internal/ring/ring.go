@@ -111,6 +111,12 @@ type Config struct {
 	// Figure 3 baseline.
 	BatchBytes int
 
+	// Wake, when set, is poked (a non-blocking send) whenever a batch is
+	// put on the delivery channel or staged behind a full one, and when
+	// the channel closes, so one consumer can wait on several rings at
+	// once (the Multi-Ring Paxos merge).
+	Wake chan<- struct{}
+
 	// StartInstance makes the learner begin in-order delivery at this
 	// instance, skipping everything below. Replica recovery uses it to
 	// resume after an installed checkpoint (Section 5.2).
@@ -214,6 +220,7 @@ type Node struct {
 	dlag         int
 	dclosed      bool
 	deliveryDone chan struct{}
+	lastValue    atomic.Uint64 // see LastValue
 
 	// Catch-up state: catchupNext (written only by the run loop; atomic
 	// so FlowStats can read the watermark) is the next instance the
@@ -233,6 +240,9 @@ type Node struct {
 	catchupAborted atomic.Uint64
 	shedCount      atomic.Uint64
 	fbCount        atomic.Uint64
+	skipReqCount   atomic.Uint64
+	skipAwaited    atomic.Uint64
+	onDemandCount  atomic.Uint64
 	lambdaGauge    metrics.Gauge
 
 	// Run-loop owned: pacer does the rate-leveling accounting, drain
@@ -259,6 +269,7 @@ type Node struct {
 	pendingQ      proposalQueue
 	inFlight      map[uint64]flight // by value: the map recycles its own slots
 	proposedInWin int               // non-skip instances proposed this Δ window (λ is an instance rate)
+	skipTarget    uint64            // highest instance a learner asked this coordinator to skip through (0: none)
 
 	learned     map[uint64]transport.Value
 	nextDeliver uint64

@@ -107,8 +107,9 @@ func (n *Node) run() {
 		// arrived in this burst is packed together (Section 4), logged as
 		// one vote per acceptor and forwarded as one Phase 2 message. No
 		// timer: a lone proposal is proposed in the iteration that
-		// received it.
+		// received it, and so is the skip a learner asked for.
 		n.tryPropose()
+		n.skipOnDemand()
 		// Commit the burst's staged votes and sends before handing
 		// deliveries over: a delivery must never outrun the durability
 		// of the votes that decided it.
@@ -309,6 +310,13 @@ func (n *Node) handle(m transport.Message) {
 		n.handleTrim(m)
 	case transport.KindFlowFeedback:
 		n.handleFlowFeedback(m)
+	case transport.KindSkipRequest:
+		// Only recorded: the loop's propose point acts on it. Dropped
+		// anywhere but at the coordinator — the Δ tick covers a request
+		// that raced a coordinator change.
+		if n.isCoord && m.Instance > n.skipTarget {
+			n.skipTarget = m.Instance
+		}
 	default:
 		// The router only delivers ring-protocol kinds to this mailbox
 		// (transport.isRingKind); service/heartbeat traffic never reaches
@@ -969,9 +977,33 @@ func (n *Node) maybeSkip() {
 	n.proposedInWin = 0
 	span := n.pacer.window(proposed, len(n.inFlight) >= n.cfg.Window)
 	n.lambdaGauge.Set(int64(n.pacer.lambdaNow))
-	if span <= 0 {
+	if span > 0 {
+		n.proposeSkip(span)
+	}
+}
+
+// skipOnDemand closes a frontier offset the tick cannot: windows this
+// coordinator missed (Phase 1 finished late, a dropped tick, a ring added
+// later) are never made up by a pacer that only levels each window to λ·Δ,
+// and a value at index k of another ring is held at every learner until
+// this ring reaches k. A learner whose merge holds such a value names the
+// instance it needs (KindSkipRequest, recorded as skipTarget); here, at
+// the loop's propose point, one skip from nextInstance through it is
+// proposed at once — logged and forwarded like any value. A target already
+// assigned costs nothing, so N learners asking for one index cost one
+// skip; without Phase 1 or a free pipeline slot it stays recorded.
+func (n *Node) skipOnDemand() {
+	if n.skipTarget < n.nextInstance || !n.isCoord || !n.phase1Ready || !n.cfg.SkipEnabled || len(n.inFlight) >= n.cfg.Window {
 		return
 	}
+	span := n.pacer.onDemand(n.skipTarget-n.nextInstance+1, n.proposedInWin)
+	n.skipTarget = 0 // one request, one skip: a clamped span is not chased
+	n.onDemandCount.Add(1)
+	n.proposeSkip(span)
+}
+
+// proposeSkip proposes one skip value covering span null instances.
+func (n *Node) proposeSkip(span int) {
 	n.proposeValue(transport.Value{
 		ID:    transport.MakeValueID(n.id, n.proposeSeq.Add(1)),
 		Skip:  true,

@@ -38,6 +38,10 @@ func FuzzFrameDecode(f *testing.F) {
 	traced := seed
 	traced.Traces = []TraceRef{{ValueID: 5, Ctx: trace.Context{TraceID: 11, SpanID: 12, Flags: trace.FlagSampled}}}
 	f.Add(traced.Encode())
+	// A skip-on-stall request: envelope only, the target instance at the
+	// top of the range a learner can ask for.
+	request := Message{Kind: KindSkipRequest, From: 3, To: 1, Ring: 2, Instance: 1 << 63}
+	f.Add(request.Encode())
 	// Forward compatibility: an UNKNOWN optional trailing header (type
 	// 0x7f) on an otherwise valid frame must be skipped, not rejected,
 	// and headers after it must still parse.

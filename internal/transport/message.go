@@ -117,6 +117,11 @@ const (
 	// payload beyond the envelope: the arrival time at the receiver is
 	// the signal (φ-accrual inter-arrival estimation in coord.Detector).
 	KindHeartbeat
+	// KindSkipRequest carries a learner's skip-on-stall request to a
+	// ring's coordinator (rate leveling): the deterministic merge holds a
+	// value of another ring that it cannot deliver before this ring has
+	// decided through Instance, an absolute instance of this ring.
+	KindSkipRequest
 )
 
 var kindNames = map[Kind]string{
@@ -145,6 +150,7 @@ var kindNames = map[Kind]string{
 	KindLocalRead:       "LocalRead",
 	KindLocalReadResp:   "LocalReadResp",
 	KindHeartbeat:       "Heartbeat",
+	KindSkipRequest:     "SkipRequest",
 }
 
 func (k Kind) String() string {

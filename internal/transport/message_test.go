@@ -165,6 +165,9 @@ func TestKindString(t *testing.T) {
 	if KindPhase2.String() != "Phase2" {
 		t.Errorf("KindPhase2.String() = %q", KindPhase2.String())
 	}
+	if KindSkipRequest.String() != "SkipRequest" || !isRingKind(KindSkipRequest) {
+		t.Errorf("KindSkipRequest: String() = %q, ring kind = %v", KindSkipRequest.String(), isRingKind(KindSkipRequest))
+	}
 	if Kind(200).String() != "Kind(200)" {
 		t.Errorf("unknown kind String() = %q", Kind(200).String())
 	}
