@@ -59,7 +59,6 @@ func run() error {
 	replicas := flag.Int("replicas", 3, "replicas per partition")
 	global := flag.Bool("global", true, "add a global ring for ordered scans")
 	rangePart := flag.Bool("range", false, "range partitioning (default hash)")
-	execWorkers := flag.Int("exec-workers", 0, "parallel-apply workers per replica (0 = sequential)")
 	obsAddr := flag.String("obs", "", "serve /metrics, /debug and pprof endpoints on this address (e.g. 127.0.0.1:8090)")
 	traceSample := flag.Uint64("trace-sample", 0, "trace every Nth client submission (0 = off, 1 = all)")
 	flag.Parse()
@@ -76,7 +75,6 @@ func run() error {
 		Replicas:        *replicas,
 		Global:          *global,
 		Kind:            kind,
-		ExecWorkers:     *execWorkers,
 		CheckpointEvery: 100,
 		RecoveryTimeout: 2 * time.Second,
 		Ring: core.RingOptions{

@@ -7,7 +7,6 @@ package cluster
 
 import (
 	"fmt"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,18 +33,6 @@ const GlobalRing transport.RingID = 1000
 // (1-based).
 func ReplicaID(p, r int) transport.ProcessID {
 	return transport.ProcessID(p*100 + r)
-}
-
-// FileWALFactory returns a NewLog function that opens one FileWAL per
-// (ring, process) under dir — real durable acceptor logs for deployments
-// that exercise crash recovery or disk-bound throughput (the io bench),
-// where the in-memory default would hide the cost being measured. Each log
-// lives in dir/ring<R>-p<P>, so a restarted process recovers its own votes
-// by replaying the same directory.
-func FileWALFactory(dir string, opts storage.WALOptions) func(ring transport.RingID, self transport.ProcessID) (storage.Log, error) {
-	return func(ring transport.RingID, self transport.ProcessID) (storage.Log, error) {
-		return storage.OpenWAL(filepath.Join(dir, fmt.Sprintf("ring%d-p%d", ring, self)), opts)
-	}
 }
 
 // Deployment owns the emulated network and coordination service, plus
@@ -251,14 +238,6 @@ type StoreOptions struct {
 	// (e.g. a recovery.FileStore so checkpoint durability costs are
 	// real); nil = in-memory.
 	NewCheckpointStore func(self transport.ProcessID) (recovery.Store, error)
-	// ExecWorkers sizes every replica's conflict-aware parallel apply
-	// pool (see smr.ReplicaConfig.ExecWorkers): 0/1 sequential, >= 2
-	// that many workers, negative GOMAXPROCS.
-	ExecWorkers int
-	// ExecWorkersOf, when set, overrides ExecWorkers per replica — a
-	// test hook for mixing sequential and parallel appliers in one
-	// cluster to check they stay byte-identical.
-	ExecWorkersOf func(partition, replica int) int
 	// Detector, when set, runs a heartbeat failure detector on every
 	// store server: crashes are noticed and marked down by suspicion
 	// quorum (coord.Detector) with no oracle MarkDown calls.
@@ -266,7 +245,7 @@ type StoreOptions struct {
 	// RetainLogs keeps each (ring, process) acceptor log across
 	// Kill/Restart, so a restarted replica recovers from an intact WAL
 	// even with the default in-memory logs. Ignored when the NewLog
-	// factory already persists (e.g. FileWALFactory).
+	// factory already persists (a storage.FileWAL on disk).
 	RetainLogs bool
 }
 
@@ -434,11 +413,7 @@ func (c *StoreCluster) startServer(p, r int, peerRecovery bool) error {
 		Batch:           c.opts.Batch,
 		M:               c.opts.M,
 		GlobalLambda:    c.opts.GlobalLambda,
-		ExecWorkers:     c.opts.ExecWorkers,
 		Tracer:          c.D.recorderFor(id, fmt.Sprintf("p%dr%d", p, r)),
-	}
-	if c.opts.ExecWorkersOf != nil {
-		cfg.ExecWorkers = c.opts.ExecWorkersOf(p, r)
 	}
 	if peerRecovery {
 		cfg.RecoveryTimeout = c.opts.RecoveryTimeout
@@ -690,9 +665,6 @@ type DLogOptions struct {
 	NewDataDisk func(self transport.ProcessID) storage.Log
 	// CacheLimit bounds each server's per-log entry cache in bytes.
 	CacheLimit int
-	// ExecWorkers sizes each server's conflict-aware parallel apply
-	// pool (see smr.ReplicaConfig.ExecWorkers).
-	ExecWorkers int
 }
 
 // DLogCluster is a running dLog deployment.
@@ -776,15 +748,14 @@ func (d *Deployment) StartDLog(opts DLogOptions) (*DLogCluster, error) {
 			return nil, err
 		}
 		rep, err := smr.NewReplica(smr.ReplicaConfig{
-			Self:        id,
-			Partition:   transport.RingID(1), // all servers share one partition
-			Groups:      groups,
-			Node:        node,
-			Transport:   tr,
-			Service:     router.Service(),
-			SM:          sm,
-			ExecWorkers: opts.ExecWorkers,
-			Tracer:      rec,
+			Self:      id,
+			Partition: transport.RingID(1), // all servers share one partition
+			Groups:    groups,
+			Node:      node,
+			Transport: tr,
+			Service:   router.Service(),
+			SM:        sm,
+			Tracer:    rec,
 		}, recovery.Checkpoint{})
 		if err != nil {
 			node.Stop()

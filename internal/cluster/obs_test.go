@@ -26,7 +26,8 @@ func TestEndToEndTraceAndMetrics(t *testing.T) {
 	d := NewDeployment(nil)
 	defer d.Close()
 	d.SetTraceSampling(1)
-	c, err := d.StartStore(StoreOptions{Partitions: 2, Replicas: 3, Global: true, Ring: fastRing()})
+	const globalLambda = 1000 // the global ring's λ override; the partition rings keep fastRing's
+	c, err := d.StartStore(StoreOptions{Partitions: 2, Replicas: 3, Global: true, Ring: fastRing(), GlobalLambda: globalLambda})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +81,7 @@ func TestEndToEndTraceAndMetrics(t *testing.T) {
 			Rings   []struct {
 				Ring             uint64  `json:"ring"`
 				Applied          uint64  `json:"applied"`
+				Lambda           int     `json:"lambda"`
 				Frontier         *uint64 `json:"frontier"`
 				Waiting          *bool   `json:"waiting"`
 				AwaitedInstance  *uint64 `json:"awaited_instance"`
@@ -105,6 +107,13 @@ func TestEndToEndTraceAndMetrics(t *testing.T) {
 			}
 			if *r.Frontier != r.Applied+1 {
 				t.Fatalf("/debug/rings: %s ring %d frontier %d, applied %d", s.Process, r.Ring, *r.Frontier, r.Applied)
+			}
+			want := fastRing().Lambda
+			if r.Ring == uint64(GlobalRing) {
+				want = globalLambda
+			}
+			if r.Lambda != want {
+				t.Fatalf("/debug/rings: %s ring %d lambda %d, want the configured %d", s.Process, r.Ring, r.Lambda, want)
 			}
 			requests += *r.SkipRequestsSent
 			onDemand += *r.SkipsOnDemand

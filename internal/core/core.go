@@ -117,21 +117,8 @@ type RingOptions struct {
 	// Delta is the rate-leveling interval (paper: 5 ms LAN, 20 ms WAN).
 	Delta time.Duration
 	// Lambda is the maximum expected rate, msgs/s (paper: 9000 LAN,
-	// 2000 WAN). With AdaptiveSkip it is only the initial target.
+	// 2000 WAN).
 	Lambda int
-	// AdaptiveSkip replaces the statically preset λ with a feedback
-	// loop: coordinators track their decided-rate EWMA per Δ window and
-	// move the skip target within [LambdaMin, LambdaMax], raised sharply
-	// when this node's merge reports stalling on a ring and decayed when
-	// nobody waits. See ring.Config.AdaptiveSkip.
-	AdaptiveSkip bool
-	// LambdaMin / LambdaMax bound the adaptive skip target (defaults:
-	// Lambda/16 and Lambda*16).
-	LambdaMin int
-	LambdaMax int
-	// FeedbackInterval paces the merge's per-ring stall reports to ring
-	// coordinators (adaptive rate leveling). Default 4×Delta.
-	FeedbackInterval time.Duration
 	// TrimInterval enables coordinator-driven acceptor log trimming.
 	TrimInterval time.Duration
 	// BatchBytes enables coordinator message packing up to this many
@@ -255,13 +242,9 @@ type Node struct {
 	// consumes it when it delivers the marker value. Written by
 	// PrepareResubscribe, read per consensus instance by the merge.
 	resub atomic.Pointer[resubRequest]
-	// resubStall is the longest a subscription switch blocked the merge
-	// goroutine, in ns (instrumentation for the reconfig bench).
-	resubStall metrics.Gauge
 
 	// Merge stall telemetry: per-ring records of how long the
-	// deterministic merge waited on each subscribed ring (the straggler
-	// signal that feeds adaptive rate leveling).
+	// deterministic merge waited on each subscribed ring.
 	stallMu sync.Mutex
 	stalls  map[transport.RingID]*ringStallRec
 
@@ -347,9 +330,6 @@ func (n *Node) Join(ringID transport.RingID) error {
 		SkipEnabled:         n.cfg.Ring.SkipEnabled,
 		Delta:               n.cfg.Ring.Delta,
 		Lambda:              lambda,
-		AdaptiveSkip:        n.cfg.Ring.AdaptiveSkip,
-		LambdaMin:           n.cfg.Ring.LambdaMin,
-		LambdaMax:           n.cfg.Ring.LambdaMax,
 		TrimInterval:        n.cfg.Ring.TrimInterval,
 		BatchBytes:          n.cfg.Ring.BatchBytes,
 		StartInstance:       n.cfg.StartVector[ringID] + 1,
@@ -526,8 +506,7 @@ func (n *Node) CancelResubscribe(marker uint64) bool {
 // ringSource adapts one ring's batch delivery channel into a pull
 // interface for the merge: it holds the in-progress batch and recycles
 // exhausted buffers back to the ring. frontier is the next instance the
-// ring owes the merge; stallAcc/lastFB pace the merge's stall feedback to
-// this ring's coordinator (adaptive rate leveling).
+// ring owes the merge.
 type ringSource struct {
 	rn     *ring.Node
 	ch     <-chan []ring.Delivery
@@ -536,8 +515,6 @@ type ringSource struct {
 	closed bool // the ring ended its delivery stream
 
 	frontier uint64
-	stallAcc time.Duration
-	lastFB   time.Time
 }
 
 // newSource starts reading ring g where its learner starts delivering.
@@ -759,13 +736,8 @@ func (n *Node) merge(groups []transport.RingID, srcs []*ringSource, handler Batc
 				// instance, switch the subscription, then hand the
 				// batch over — the handler observes the new cursor
 				// (epoch+1, fresh round-robin) at this boundary.
-				// Time only the switch itself: emit() runs the handler's
-				// ordinary batch execution, which happens for every
-				// batch and would drown the transition cost.
-				start := time.Now() //lint:allow determinism resubscribe-stall telemetry only: the duration feeds a local gauge, never delivered state
 				groups, srcs = n.switchSubscription(pending, groups, srcs, &cur, publish)
 				high = make([]uint64, len(groups))
-				n.resubStall.SetMax(int64(time.Since(start))) //lint:allow determinism resubscribe-stall telemetry only: the duration feeds a local gauge, never delivered state
 				emit()
 				if fn := n.boundary.Load(); fn != nil {
 					(*fn)()
@@ -953,46 +925,14 @@ func (n *Node) MergeHalted() (transport.RingID, bool) {
 }
 
 // observeMergeStall records one wait of d on ring g in the per-ring stall
-// telemetry and, when adaptive rate leveling is on, reports the part of it
-// during which another ring held a value (straggle) to the ring's
-// coordinator at most once per feedback interval: waiting on a ring while
-// nothing is deliverable is idleness, not a stall λ should rise for. Runs
-// on the merge goroutine.
-//
-//lint:allow determinism stall telemetry and feedback pacing only: nothing here feeds delivered state or serialized bytes
-func (n *Node) observeMergeStall(s *ringSource, g transport.RingID, d, straggle time.Duration) {
+// telemetry. Runs on the merge goroutine.
+func (n *Node) observeMergeStall(g transport.RingID, d time.Duration) {
 	if d <= 0 {
 		return
 	}
 	rec := n.stallRec(g)
 	rec.hist.Record(d)
 	rec.total.Add(int64(d))
-	if !n.cfg.Ring.AdaptiveSkip || !n.cfg.Ring.SkipEnabled {
-		return
-	}
-	s.stallAcc += straggle
-	now := time.Now()
-	if s.lastFB.IsZero() {
-		s.lastFB = now
-	}
-	if now.Sub(s.lastFB) >= n.feedbackInterval() {
-		s.rn.ReportMergeStall(s.stallAcc)
-		s.stallAcc = 0
-		s.lastFB = now
-	}
-}
-
-// feedbackInterval returns the configured stall-report pacing (default
-// 4×Delta).
-func (n *Node) feedbackInterval() time.Duration {
-	if n.cfg.Ring.FeedbackInterval > 0 {
-		return n.cfg.Ring.FeedbackInterval
-	}
-	d := n.cfg.Ring.Delta
-	if d == 0 {
-		d = 5 * time.Millisecond
-	}
-	return 4 * d
 }
 
 // stallRec returns (lazily creating) the stall record of one ring.
@@ -1022,7 +962,7 @@ type RingStall struct {
 }
 
 // MergeStalls snapshots the per-ring merge-stall telemetry, sorted by
-// total stall descending — the first entry is the straggler.
+// total stall descending.
 func (n *Node) MergeStalls() []RingStall {
 	n.stallMu.Lock()
 	recs := make(map[transport.RingID]*ringStallRec, len(n.stalls))
@@ -1043,16 +983,6 @@ func (n *Node) MergeStalls() []RingStall {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Total > out[j].Total })
 	return out
-}
-
-// Straggler reports the ring the merge has waited on the longest (ok is
-// false when the merge never waited).
-func (n *Node) Straggler() (RingStall, bool) {
-	stalls := n.MergeStalls()
-	if len(stalls) == 0 || stalls[0].Total == 0 {
-		return RingStall{}, false
-	}
-	return stalls[0], true
 }
 
 // RingFlowStats returns a joined ring's delivery-stage flow-control
@@ -1094,8 +1024,8 @@ func (n *Node) RingWALHealth(ringID transport.RingID) (failures uint64, steppedO
 	return failures, steppedOut, lastErr, true
 }
 
-// RingLambdaNow reports a joined ring's current rate-leveling target λ
-// (static Lambda unless AdaptiveSkip moved it); ok=false if not joined.
+// RingLambdaNow reports a joined ring's rate-leveling target λ (Ring.Lambda,
+// or the ring's LambdaOverride); ok=false if not joined.
 func (n *Node) RingLambdaNow(ringID transport.RingID) (int, bool) {
 	n.mu.Lock()
 	rn := n.rings[ringID]
@@ -1104,12 +1034,6 @@ func (n *Node) RingLambdaNow(ringID transport.RingID) (int, bool) {
 		return 0, false
 	}
 	return rn.LambdaNow(), true
-}
-
-// ResubscribeStallMax reports the longest time an epoch transition blocked
-// the merge goroutine (instrumentation for cmd/bench -reconfig).
-func (n *Node) ResubscribeStallMax() time.Duration {
-	return time.Duration(n.resubStall.Load())
 }
 
 func containsRing(ids []transport.RingID, g transport.RingID) bool {

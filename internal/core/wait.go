@@ -18,7 +18,7 @@ import (
 // time the wait for telemetry; the request depends on none.
 func (n *Node) awaitTurn(cur *Cursor, groups []transport.RingID, srcs []*ringSource) bool {
 	s, g := srcs[cur.Next], groups[cur.Next]
-	start, heldAt := nowNanos(), int64(0)
+	start := nowNanos()
 	for !s.ready() {
 		if s.closed {
 			return false
@@ -29,9 +29,6 @@ func (n *Node) awaitTurn(cur *Cursor, groups []transport.RingID, srcs []*ringSou
 		}
 		n.heldScratch = held
 		if t, ok := cur.skipTarget(uint64(n.cfg.M), s.frontier, held); ok {
-			if heldAt == 0 {
-				heldAt = nowNanos()
-			}
 			s.rn.RequestSkip(t)
 		}
 		select {
@@ -40,10 +37,6 @@ func (n *Node) awaitTurn(cur *Cursor, groups []transport.RingID, srcs []*ringSou
 			return false
 		}
 	}
-	end, straggle := nowNanos(), time.Duration(0)
-	if heldAt != 0 {
-		straggle = time.Duration(end - heldAt)
-	}
-	n.observeMergeStall(s, g, time.Duration(end-start), straggle)
+	n.observeMergeStall(g, time.Duration(nowNanos()-start))
 	return true
 }

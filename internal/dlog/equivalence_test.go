@@ -4,32 +4,29 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
-	"amcast/internal/smr"
 	"amcast/internal/transport"
 )
 
-// TestParallelApplyEquivalence drives identical randomized op streams —
-// appends, reads of live and just-staged positions, multi-appends, and
-// trims (barriers) — through sequential batches and through an Applier.
-// Results are compared decoded (Result.Positions is a map, so its
-// encoding order is nondeterministic even between two sequential runs);
-// snapshots are compared byte for byte (serialized in log-id order).
-func TestParallelApplyEquivalence(t *testing.T) {
+// TestBatchApplyEquivalence drives one randomized op stream — appends,
+// reads of live positions and of positions appended earlier in the same
+// batch, multi-appends, and trims — through the two paths a replica's
+// flushRun has: ExecuteBatch on one state machine, one-at-a-time Execute
+// on a fresh one. Replies and snapshots must match byte for byte: replicas
+// cut their batches at different points, and their bytes must not show it.
+func TestBatchApplyEquivalence(t *testing.T) {
 	const logs = 4
 	rng := rand.New(rand.NewSource(0xd109))
 	hosted := make([]LogID, logs)
 	for i := range hosted {
 		hosted[i] = LogID(i + 1)
 	}
-	seqSM := NewSM(SMConfig{Hosted: hosted})
-	parSM := NewSM(SMConfig{Hosted: hosted})
-	applier := smr.NewApplier(parSM, 4)
-	defer applier.Close()
+	batchSM := NewSM(SMConfig{Hosted: hosted})
+	oneSM := NewSM(SMConfig{Hosted: hosted})
 
 	next := make(map[LogID]uint64) // shadow of assigned positions
+	trims := 0
 	randOp := func() Op {
 		l := LogID(1 + rng.Intn(logs))
 		switch roll := rng.Intn(100); {
@@ -52,11 +49,12 @@ func TestParallelApplyEquivalence(t *testing.T) {
 			return Op{Kind: OpMultiAppend, Logs: ls, Value: []byte("multi")}
 		case roll < 95:
 			// Read a random position around the written range, so some
-			// hit staged appends from the same batch, some live entries,
-			// and some miss.
+			// hit appends of the same batch, some older entries, and
+			// some miss.
 			hi := next[l] + 2
 			return Op{Kind: OpRead, Log: l, Pos: rng.Uint64() % hi}
 		default:
+			trims++
 			hi := next[l] + 1
 			return Op{Kind: OpTrim, Log: l, Pos: rng.Uint64() % hi}
 		}
@@ -70,28 +68,18 @@ func TestParallelApplyEquivalence(t *testing.T) {
 			groups[i] = transport.RingID(1 + rng.Intn(logs))
 			ops[i] = randOp().Encode()
 		}
-		seqOut := seqSM.ExecuteBatch(groups, ops)
-		parOut := make([][]byte, n)
-		applier.Apply(groups, ops, parOut)
+		batchOut := batchSM.ExecuteBatch(groups, ops)
 		for i := range ops {
-			sr, serr := DecodeResult(seqOut[i])
-			pr, perr := DecodeResult(parOut[i])
-			if serr != nil || perr != nil || !reflect.DeepEqual(sr, pr) {
+			if one := oneSM.Execute(groups[i], ops[i]); !bytes.Equal(batchOut[i], one) {
 				op, _ := DecodeOp(ops[i])
-				t.Fatalf("batch %d op %d (%+v): sequential %+v (%v) != parallel %+v (%v)",
-					b, i, op, sr, serr, pr, perr)
+				t.Fatalf("batch %d op %d (%+v): batched %x != one at a time %x", b, i, op, batchOut[i], one)
 			}
 		}
-		if b%10 == 9 {
-			if !bytes.Equal(seqSM.Snapshot(), parSM.Snapshot()) {
-				t.Fatalf("log state diverged after batch %d", b)
-			}
+		if !bytes.Equal(batchSM.Snapshot(), oneSM.Snapshot()) {
+			t.Fatalf("log state diverged after batch %d", b)
 		}
 	}
-	if !bytes.Equal(seqSM.Snapshot(), parSM.Snapshot()) {
-		t.Fatal("final log states differ")
-	}
-	if applier.Barriers() == 0 {
-		t.Fatal("no trims executed as barriers; the stream did not exercise the barrier path")
+	if trims == 0 {
+		t.Fatal("the stream drew no trim")
 	}
 }

@@ -197,7 +197,6 @@ func TestAnnotationRoots(t *testing.T) {
 		"core.Node).merge",
 		"store.SM).ExecuteBatch",
 		"dlog.SM).ExecuteBatch",
-		"smr.Applier).Apply",
 		"smr.Replica).deliverBatch",
 	} {
 		found := false

@@ -46,7 +46,7 @@ import (
 	"amcast/internal/transport"
 )
 
-// Metrics is the reconfiguration instrumentation surfaced by the bench.
+// Metrics is the controller's reconfiguration instrumentation.
 type Metrics struct {
 	// SchemaEpoch is the latest schema version this controller published.
 	SchemaEpoch metrics.Gauge
@@ -78,7 +78,7 @@ type Controller struct {
 	cfg     Config
 	timeout time.Duration
 
-	// Metrics is exported instrumentation (see cmd/bench -reconfig).
+	// Metrics is exported instrumentation.
 	Metrics Metrics
 
 	markerSeq atomic.Uint32

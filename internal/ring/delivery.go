@@ -1,10 +1,6 @@
 package ring
 
-import (
-	"time"
-
-	"amcast/internal/transport"
-)
+import "amcast/internal/transport"
 
 // This file implements the delivery stage: the half of the learner that
 // used to live inside the protocol event loop.
@@ -422,9 +418,6 @@ type FlowStats struct {
 	// ShedProposals counts proposals refused at this coordinator with an
 	// Overloaded reply because the proposal queue was full.
 	ShedProposals uint64
-	// StallFeedback counts merge-stall feedback messages received by this
-	// coordinator from learners (adaptive rate leveling).
-	StallFeedback uint64
 	// QueueDepth is the number of proposals this coordinator left queued
 	// behind its pipeline window at its last propose point.
 	QueueDepth int
@@ -452,7 +445,6 @@ func (n *Node) FlowStats() FlowStats {
 		ServedEntries:  n.catchupServed.Load(),
 		CatchupAborted: n.catchupAborted.Load(),
 		ShedProposals:  n.shedCount.Load(),
-		StallFeedback:  n.fbCount.Load(),
 		QueueDepth:     int(n.queueDepth.Load()),
 
 		SkipRequestsSent: n.skipReqCount.Load(),
@@ -461,23 +453,8 @@ func (n *Node) FlowStats() FlowStats {
 	}
 }
 
-// LambdaNow reports the coordinator's current rate-leveling target λ in
-// messages/second (the static Lambda unless AdaptiveSkip moved it).
-func (n *Node) LambdaNow() int {
-	return int(n.lambdaGauge.Load())
-}
-
-// ReportMergeStall sends rate-leveling feedback to this ring's
-// coordinator: the deterministic merge waited `stall` on this ring since
-// the last report. The coordinator raises its skip cadence (within
-// [LambdaMin, LambdaMax]) so lagging rings stop throttling learners that
-// also subscribe to faster rings. Safe to call from any goroutine (the
-// merge goroutine calls it).
-func (n *Node) ReportMergeStall(stall time.Duration) {
-	if stall > 0 {
-		n.tellCoordinator(transport.KindFlowFeedback, uint64(stall))
-	}
-}
+// LambdaNow reports the ring's rate-leveling target λ in messages/second.
+func (n *Node) LambdaNow() int { return n.cfg.Lambda }
 
 // RequestSkip asks this ring's coordinator to skip through instance target
 // now instead of at its next Δ tick: the deterministic merge holds a value
@@ -491,15 +468,10 @@ func (n *Node) RequestSkip(target uint64) {
 	}
 	n.skipAwaited.Store(target)
 	n.skipReqCount.Add(1)
-	n.tellCoordinator(transport.KindSkipRequest, target)
-}
-
-// tellCoordinator sends a learner's one-number report to the coordinator.
-func (n *Node) tellCoordinator(kind transport.Kind, instance uint64) {
 	n.mu.Lock()
 	coordID := n.rc.Coordinator
 	n.mu.Unlock()
 	if coordID != 0 {
-		_ = n.tr.Send(coordID, transport.Message{Kind: kind, Ring: n.ring, Instance: instance})
+		_ = n.tr.Send(coordID, transport.Message{Kind: transport.KindSkipRequest, Ring: n.ring, Instance: target})
 	}
 }

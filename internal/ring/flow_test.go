@@ -55,45 +55,6 @@ func TestSkipPacerCarriesDeficitWhenSaturated(t *testing.T) {
 	}
 }
 
-// TestSkipPacerAdaptsToStallFeedback drives the adaptive λ loop directly:
-// stall reports raise λ toward λmax, calm windows decay it toward λmin.
-func TestSkipPacerAdaptsToStallFeedback(t *testing.T) {
-	cfg := (&Config{
-		Delta:        5 * time.Millisecond,
-		Lambda:       1000,
-		SkipEnabled:  true,
-		AdaptiveSkip: true,
-		LambdaMin:    100,
-		LambdaMax:    50000,
-	}).withDefaults()
-	p := newSkipPacer(cfg)
-
-	// Stalled windows: λ must climb to λmax.
-	for i := 0; i < 20; i++ {
-		p.observeStall(cfg.Delta) // a full window of merge waiting
-		p.window(0, false)
-	}
-	if p.lambdaNow != float64(cfg.LambdaMax) {
-		t.Fatalf("lambdaNow = %v after sustained stalls, want λmax %d", p.lambdaNow, cfg.LambdaMax)
-	}
-	// Calm windows: λ must decay toward λmin (bounded below by it).
-	for i := 0; i < 20000; i++ {
-		p.window(0, false)
-	}
-	if p.lambdaNow != float64(cfg.LambdaMin) {
-		t.Fatalf("lambdaNow = %v after sustained calm, want λmin %d", p.lambdaNow, cfg.LambdaMin)
-	}
-	// A stall raise clears the ring's own recent rate in one step.
-	for i := 0; i < 10; i++ {
-		p.window(40, false) // 8000/s of own traffic
-	}
-	p.observeStall(cfg.Delta)
-	p.window(40, false)
-	if p.lambdaNow < 8000 {
-		t.Fatalf("lambdaNow = %v after stall under own traffic, want >= recent rate 8000", p.lambdaNow)
-	}
-}
-
 // TestSlowSubscriberDoesNotStallRing is the isolation acceptance test: a
 // learner consuming at a fraction of the ring's speed must not stall
 // acceptor voting or the other learners' delivery. The slow subscriber

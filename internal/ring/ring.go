@@ -85,21 +85,8 @@ type Config struct {
 	// Delta is the rate-leveling interval (paper: 5 ms LAN, 20 ms WAN).
 	Delta time.Duration
 	// Lambda is the maximum expected message rate per second (paper:
-	// 9000 LAN, 2000 WAN). With AdaptiveSkip it is only the initial
-	// target.
+	// 9000 LAN, 2000 WAN).
 	Lambda int
-	// AdaptiveSkip replaces the statically preset λ with a feedback loop:
-	// the coordinator tracks its decided-rate EWMA per Δ window and moves
-	// the skip target within [LambdaMin, LambdaMax] — up sharply when
-	// learners report that the deterministic merge is stalling on this
-	// ring (KindFlowFeedback), down gently when nobody is waiting, so a
-	// lagging ring levels itself and fast rings stop flooding skip
-	// traffic through the WAL and network.
-	AdaptiveSkip bool
-	// LambdaMin / LambdaMax bound the adaptive skip target (defaults:
-	// Lambda/16 and Lambda*16).
-	LambdaMin int
-	LambdaMax int
 
 	// TrimInterval enables coordinator-driven log trimming (Section 5.2).
 	// Zero disables it.
@@ -156,14 +143,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.Lambda == 0 {
 		out.Lambda = 9000
-	}
-	if out.AdaptiveSkip {
-		if out.LambdaMin == 0 {
-			out.LambdaMin = max(1, out.Lambda/16)
-		}
-		if out.LambdaMax == 0 {
-			out.LambdaMax = out.Lambda * 16
-		}
 	}
 	if out.CommitFailureBudget == 0 {
 		out.CommitFailureBudget = 32
@@ -239,11 +218,9 @@ type Node struct {
 	catchupServed  atomic.Uint64
 	catchupAborted atomic.Uint64
 	shedCount      atomic.Uint64
-	fbCount        atomic.Uint64
 	skipReqCount   atomic.Uint64
 	skipAwaited    atomic.Uint64
 	onDemandCount  atomic.Uint64
-	lambdaGauge    metrics.Gauge
 
 	// Run-loop owned: pacer does the rate-leveling accounting, drain
 	// measures how fast the proposal queue empties (the Overloaded
@@ -400,7 +377,6 @@ func newNode(cfg Config) (*Node, error) {
 	n.dcond = sync.NewCond(&n.dmu)
 	n.pacer = newSkipPacer(cfg)
 	n.drain.rate = metrics.NewEWMA(drainRateAlpha)
-	n.lambdaGauge.Set(int64(cfg.Lambda))
 	n.batchTr, _ = n.tr.(transport.BatchSender)
 	// Recover durable acceptor state and apply the initial configuration
 	// before accepting traffic, so proposals arriving immediately after

@@ -308,8 +308,6 @@ func (n *Node) handle(m transport.Message) {
 		n.handleSafeResp(m)
 	case transport.KindTrim:
 		n.handleTrim(m)
-	case transport.KindFlowFeedback:
-		n.handleFlowFeedback(m)
 	case transport.KindSkipRequest:
 		// Only recorded: the loop's propose point acts on it. Dropped
 		// anywhere but at the coordinator — the Δ tick covers a request
@@ -323,16 +321,6 @@ func (n *Node) handle(m transport.Message) {
 		// here. Anything else is a kind this ring version does not speak —
 		// fair-lossy transport semantics make dropping it safe.
 	}
-}
-
-// handleFlowFeedback feeds a learner's merge-stall report into the
-// coordinator's rate-leveling pacer (adaptive λ).
-func (n *Node) handleFlowFeedback(m transport.Message) {
-	if !n.isCoord || !n.cfg.AdaptiveSkip {
-		return
-	}
-	n.pacer.observeStall(time.Duration(m.Instance))
-	n.fbCount.Add(1)
 }
 
 // handleProposal enqueues a value at the coordinator (the loop's propose
@@ -966,9 +954,8 @@ func (n *Node) noteCatchupUnavailable(from transport.ProcessID) {
 // maybeSkip implements rate leveling: if the coordinator proposed fewer
 // values than the pacer's target λ·Δ in the last window, it proposes one
 // skip value covering the shortfall so learners merging this ring do not
-// stall (Section 4). The pacer owns the window accounting — including the
-// saturated-pipeline deficit carry and, with AdaptiveSkip, the
-// feedback-driven λ adjustment.
+// stall (Section 4). The pacer owns the window accounting, including the
+// saturated-pipeline deficit carry.
 func (n *Node) maybeSkip() {
 	if !n.isCoord || !n.phase1Ready {
 		return
@@ -976,7 +963,6 @@ func (n *Node) maybeSkip() {
 	proposed := n.proposedInWin
 	n.proposedInWin = 0
 	span := n.pacer.window(proposed, len(n.inFlight) >= n.cfg.Window)
-	n.lambdaGauge.Set(int64(n.pacer.lambdaNow))
 	if span > 0 {
 		n.proposeSkip(span)
 	}

@@ -172,6 +172,20 @@ func TestSkipRequestOnlyAtCoordinator(t *testing.T) {
 	}
 }
 
+// TestRetiredKindIsDropped: wire number 21 was FlowFeedback. A frame an
+// older peer still sends is dropped like any kind this ring does not
+// speak: nothing proposed, no flow-control counter moved.
+func TestRetiredKindIsDropped(t *testing.T) {
+	expectOutstanding(t)
+	n, sink := levelingCoordinator(t, nil)
+	before := n.FlowStats()
+	endBurst(n, transport.Message{Kind: 21, Ring: 1, From: 2, Instance: uint64(skipDelta)})
+	endBurst(n)
+	if got := sink.take(transport.KindPhase2); len(got) != 0 || n.FlowStats() != before {
+		t.Fatalf("kind 21 was acted on: proposed %v, FlowStats %+v → %+v", got, before, n.FlowStats())
+	}
+}
+
 // TestLateCoordinatorMakesUpMissedWindows pins the frontier offset the tick
 // never closes: while Phase 1 is outstanding every Δ tick returns before any
 // accounting, so each is λ·Δ instances lost for good (five of them: the

@@ -244,9 +244,8 @@ func (r *Replica) serveLocalRead(m transport.Message) {
 		}
 	}
 	// The apply gate keeps command application out while the read runs,
-	// so the read observes a batch-boundary state — never a partially
-	// applied batch (parallel apply commits runs out of delivery order
-	// within a batch).
+	// so the read observes a batch-boundary state, the only kind the
+	// applied vector describes.
 	// The state machine writes its result behind the status byte: the
 	// prefix is full (cap 1), so the append moves to one buffer sized for
 	// both and never writes to the shared prefix.

@@ -113,12 +113,6 @@ type ReplicaConfig struct {
 	// transfers). It runs on the replica's service goroutine; it returns
 	// true when it consumed the message.
 	ServiceHook func(transport.Message) bool
-	// ExecWorkers sizes the conflict-aware parallel apply pool when the
-	// state machine implements ConflictExecutor: 0 or 1 applies
-	// sequentially (the default), >= 2 uses that many workers, and a
-	// negative value sizes the pool to GOMAXPROCS. Results, state and
-	// checkpoints are byte-identical either way.
-	ExecWorkers int
 	// Tracer, when set, records "apply" spans for sampled deliveries and
 	// rides the trace context back on the client response frame. Purely
 	// telemetry; never feeds replicated state.
@@ -133,12 +127,12 @@ type Replica struct {
 	tr      transport.Transport
 	batchSM BatchExecutor    // non-nil when SM supports batch apply
 	snapSM  SnapshotCapturer // non-nil when SM supports cheap capture
-	applier *Applier         // non-nil when parallel apply is enabled
 
 	// applyGate serializes command application (write side, held across
-	// deliverBatch) against local reads (read side): a parallel batch
-	// commits its runs out of delivery order, so mid-batch states are
-	// not prefixes of the delivered order and must never be observed.
+	// deliverBatch) against local reads and forced checkpoints (read
+	// side): the applied vector, the dedup windows and a checkpoint's
+	// tuple describe batch boundaries, so a mid-batch state must never
+	// be observed.
 	applyGate sync.RWMutex
 
 	// Read-index state: appliedVec is the delivered prefix whose
@@ -195,7 +189,6 @@ type Replica struct {
 	runKeys   map[cmdKey]struct{}
 	respBuf   []transport.Message
 	respVec   recovery.Vector // delivered high-water marks stamped on respBuf
-	outBuf    [][]byte        // parallel-apply result staging, reused across runs
 
 	executedTotal atomic.Uint64
 	checkpoints   atomic.Uint64
@@ -603,9 +596,6 @@ func NewReplica(cfg ReplicaConfig, recovered recovery.Checkpoint) (*Replica, err
 	}
 	r.batchSM, _ = cfg.SM.(BatchExecutor)
 	r.snapSM, _ = cfg.SM.(SnapshotCapturer)
-	if cx, ok := cfg.SM.(ConflictExecutor); ok && (cfg.ExecWorkers >= 2 || cfg.ExecWorkers < 0) {
-		r.applier = NewApplier(cx, cfg.ExecWorkers)
-	}
 	groups := cfg.Groups
 	if len(recovered.State) > 0 {
 		cur, dedup, snap, err := decodeStateParts(recovered.State)
@@ -681,9 +671,7 @@ func NewReplica(cfg ReplicaConfig, recovered recovery.Checkpoint) (*Replica, err
 //
 //lint:deterministic
 func (r *Replica) deliverBatch(ds []core.Delivery) {
-	// Local reads are shut out for the duration: parallel apply commits
-	// runs out of delivery order, so mid-batch states are not prefixes
-	// of the delivered order.
+	// Local reads and forced checkpoints are shut out for the duration.
 	r.applyGate.Lock()
 	r.respBuf = r.respBuf[:0]
 	executed := 0
@@ -809,20 +797,7 @@ func (r *Replica) flushRun() int {
 	if nrun == 0 {
 		return 0
 	}
-	if r.applier != nil && nrun > 1 {
-		// Conflict-aware parallel apply: results come back positionally
-		// in r.outBuf (reused across batches), byte-identical to
-		// sequential execution.
-		for len(r.outBuf) < nrun {
-			r.outBuf = append(r.outBuf, nil)
-		}
-		out := r.outBuf[:nrun]
-		r.applier.Apply(r.runGroups, r.runOps, out)
-		for i := range out {
-			r.settleRun(i, out[i])
-			out[i] = nil // release result references
-		}
-	} else if r.batchSM != nil && nrun > 1 {
+	if r.batchSM != nil && nrun > 1 {
 		for i, out := range r.batchSM.ExecuteBatch(r.runGroups, r.runOps) {
 			r.settleRun(i, out)
 		}
@@ -999,7 +974,7 @@ func (r *Replica) noteStall(d time.Duration) {
 }
 
 // CheckpointStallMax reports the longest delivery stall a checkpoint has
-// caused since start (instrumentation for cmd/bench -ckpt).
+// caused since start (the benchmark's recovery.ckpt_stall_max_ms).
 func (r *Replica) CheckpointStallMax() time.Duration {
 	return time.Duration(r.ckptStallNs.Load())
 }
@@ -1173,12 +1148,6 @@ func (r *Replica) Subscription() []transport.RingID {
 // stats, merge stalls, WAL health).
 func (r *Replica) CoreNode() *core.Node { return r.cfg.Node }
 
-// ResubscribeStallMax reports the longest an epoch transition blocked the
-// node's merge goroutine (instrumentation for cmd/bench -reconfig).
-func (r *Replica) ResubscribeStallMax() time.Duration {
-	return r.cfg.Node.ResubscribeStallMax()
-}
-
 // EncodeRingIDs serializes a group list for reconfiguration RPC payloads.
 //
 //lint:deterministic
@@ -1248,12 +1217,5 @@ func (r *Replica) Stop() {
 		close(r.done)
 		<-r.loopDone
 		<-r.ckptDone
-		if r.applier != nil {
-			r.applier.Close()
-		}
 	})
 }
-
-// Applier exposes the parallel-apply scheduler for instrumentation (nil
-// when the replica executes sequentially).
-func (r *Replica) Applier() *Applier { return r.applier }

@@ -8,9 +8,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"amcast/internal/smr"
-	"amcast/internal/transport"
 )
 
 // goldenOps is one operation of every kind and outcome, a scan, a nested
@@ -87,11 +84,9 @@ func TestWireGolden(t *testing.T) {
 	if len(ops) != len(golden) {
 		t.Fatalf("%d operations, %d golden rows", len(ops), len(golden))
 	}
-	seq, par := NewSM(), NewSM()
+	seq, batched := NewSM(), NewSM()
 	seq.SetOwnedRange("", "")
-	par.SetOwnedRange("", "")
-	applier := smr.NewApplier(par, 2)
-	defer applier.Close()
+	batched.SetOwnedRange("", "")
 	for i, op := range ops {
 		enc := op.Encode()
 		if got := hex.EncodeToString(enc); got != golden[i][0] {
@@ -103,19 +98,15 @@ func TestWireGolden(t *testing.T) {
 		if got := hex.EncodeToString(seq.Execute(1, enc)); got != golden[i][1] {
 			t.Errorf("op %d (%s) answers\n %s, want\n %s", i, op.Kind, got, golden[i][1])
 		}
-		// The staged backend: an Applier stages whatever is no barrier,
-		// a run of one included.
-		out := make([][]byte, 1)
-		applier.Apply([]transport.RingID{1}, [][]byte{enc}, out)
-		if got := hex.EncodeToString(out[0]); got != golden[i][1] {
-			t.Errorf("op %d (%s) answers, staged,\n %s, want\n %s", i, op.Kind, got, golden[i][1])
+		if got := hex.EncodeToString(batched.ExecuteBatch(nil, [][]byte{enc})[0]); got != golden[i][1] {
+			t.Errorf("op %d (%s) answers, batched,\n %s, want\n %s", i, op.Kind, got, golden[i][1])
 		}
 	}
 	if got := hex.EncodeToString(seq.Snapshot()); got != goldenSnapshot {
 		t.Errorf("snapshot\n %s, want\n %s", got, goldenSnapshot)
 	}
-	if !bytes.Equal(seq.Snapshot(), par.Snapshot()) {
-		t.Error("the staged backend ended in another state")
+	if !bytes.Equal(seq.Snapshot(), batched.Snapshot()) {
+		t.Error("the batch path ended in another state")
 	}
 }
 
@@ -183,9 +174,6 @@ func TestWrappedKeyPrefixIsRefused(t *testing.T) {
 	if _, ok := sm.ReadLocal(1, frame); ok {
 		t.Error("ReadLocal served it")
 	}
-	if _, barrier := sm.ConflictKeys(frame, nil); !barrier {
-		t.Error("ConflictKeys let it into a staged run")
-	}
 	if _, err := DecodeOp(frame); err == nil {
 		t.Error("DecodeOp accepted it")
 	}
@@ -203,10 +191,10 @@ func poison(ops [][]byte) {
 
 // TestAppliedOperationIsNotRetained: operations are applied from the
 // delivered bytes, which are recycled when the batch returns. Nothing of
-// them — not an inserted key, not a split bound, not a staged write — may
-// live on in the state machine: after every batch its buffers are
-// overwritten, and the state must still equal that of a machine whose
-// buffers were left alone, sequentially and through staged parallel runs.
+// them — not an inserted key, not a split bound — may live on in the state
+// machine: after every batch its buffers are overwritten, and the state
+// must still equal that of a machine whose buffers were left alone, through
+// ExecuteBatch and through one-at-a-time Execute.
 func TestAppliedOperationIsNotRetained(t *testing.T) {
 	batches := func() [][][]byte {
 		var out [][][]byte
@@ -235,7 +223,7 @@ func TestAppliedOperationIsNotRetained(t *testing.T) {
 		}
 		return out
 	}
-	for _, mode := range []string{"sequential", "staged"} {
+	for _, mode := range []string{"sequential", "one-at-a-time"} {
 		t.Run(mode, func(t *testing.T) {
 			kept, scribbled := NewSM(), NewSM()
 			kept.SetOwnedRange("", "")
@@ -244,11 +232,11 @@ func TestAppliedOperationIsNotRetained(t *testing.T) {
 				if mode == "sequential" {
 					return func(ops [][]byte) [][]byte { return sm.ExecuteBatch(nil, ops) }
 				}
-				applier := smr.NewApplier(sm, 4)
-				t.Cleanup(applier.Close)
 				return func(ops [][]byte) [][]byte {
 					out := make([][]byte, len(ops))
-					applier.Apply(make([]transport.RingID, len(ops)), ops, out)
+					for i, op := range ops {
+						out[i] = sm.Execute(1, op)
+					}
 					return out
 				}
 			}
@@ -357,7 +345,7 @@ func TestParseReply(t *testing.T) {
 // same operation and sub-operation extent — as do the client's in-place
 // reader and DecodeResult on everything shaped like a single-key reply;
 // nothing panics, a state machine answers every input with a well-formed
-// result, and what decodes encodes back to the bytes it was read from.
+// result, the same through Execute and ExecuteBatch, and what decodes encodes back to the bytes it was read from.
 func FuzzStoreCodec(f *testing.F) {
 	for _, op := range goldenOps() {
 		f.Add(op.Encode())
@@ -391,15 +379,17 @@ func FuzzStoreCodec(f *testing.F) {
 				t.Fatalf("decoded an operation the client would refuse to encode: %v", err)
 			}
 		}
-		sm := NewSM()
-		sm.Execute(1, Op{Kind: OpInsert, Key: string(v.Key), Value: []byte("v")}.Encode())
+		sm, batched := NewSM(), NewSM()
+		seed := Op{Kind: OpInsert, Key: string(v.Key), Value: []byte("v")}.Encode()
+		sm.Execute(1, seed)
+		batched.Execute(1, seed)
 		reply := sm.Execute(1, data)
 		got, err := DecodeResult(reply)
 		if err != nil || (!ok && got.Status != StatusBadRequest) {
 			t.Fatalf("Execute answered %x (%+v, %v); the operation parsed: %v", reply, got, err, ok)
 		}
-		if toks, barrier := sm.ConflictKeys(data, nil); !ok && !barrier {
-			t.Fatalf("undecodable operation is no barrier (tokens %v)", toks)
+		if b := batched.ExecuteBatch(nil, [][]byte{data})[0]; !bytes.Equal(b, reply) {
+			t.Fatalf("ExecuteBatch answered %x, Execute %x", b, reply)
 		}
 
 		res, rrest, rerr := decodeResult(data)

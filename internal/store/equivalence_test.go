@@ -6,15 +6,12 @@ import (
 	"math/rand"
 	"testing"
 
-	"amcast/internal/smr"
 	"amcast/internal/transport"
 )
 
 // randOp draws one operation from a YCSB-A-flavoured mix extended with
-// the cases parallel apply must get right: overlapping scan ranges
-// (barriers), deletes and re-inserts of hot keys, and batches mixing
-// point ops — occasionally containing a scan, which must demote the
-// whole batch to a barrier.
+// overlapping scan ranges, deletes and re-inserts of hot keys, and batches
+// mixing point ops, occasionally with a scan among them.
 func randOp(rng *rand.Rand, nested bool) Op {
 	key := func() string { return fmt.Sprintf("user%03d", rng.Intn(200)) }
 	roll := rng.Intn(100)
@@ -47,35 +44,33 @@ func randOp(rng *rand.Rand, nested bool) Op {
 	}
 }
 
-// TestParallelApplyEquivalence drives identical randomized op streams
-// through the sequential batch path and through an Applier and demands
-// byte-identical responses, byte-identical snapshots at every batch
-// boundary, and byte-identical final checkpoint captures.
-func TestParallelApplyEquivalence(t *testing.T) {
+// TestBatchApplyEquivalence drives one randomized op stream, a scale-out
+// split in the middle of it, through the two paths a replica's flushRun
+// has: ExecuteBatch on one state machine, one-at-a-time Execute on a fresh
+// one. Replies, snapshots and checkpoint captures must match byte for byte
+// at every batch boundary: replicas cut their batches at different points,
+// and their bytes must not show it.
+func TestBatchApplyEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		workers int
 		bounded bool
 	}{
-		{"4workers", 4, false},
-		{"8workers", 8, false},
-		{"bounded", 4, true},
+		{"unbounded", false},
+		{"bounded", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(0xfeed + int64(tc.workers)))
-			seqSM, parSM := NewSM(), NewSM()
+			rng := rand.New(rand.NewSource(0xfeed))
+			batchSM, oneSM := NewSM(), NewSM()
 			if tc.bounded {
-				seqSM.SetOwnedRange("user050", "user150")
-				parSM.SetOwnedRange("user050", "user150")
+				batchSM.SetOwnedRange("user050", "user150")
+				oneSM.SetOwnedRange("user050", "user150")
 			}
-			applier := smr.NewApplier(parSM, tc.workers)
-			defer applier.Close()
 
 			// Preload half the keyspace on both.
 			for i := 0; i < 100; i++ {
 				raw := Op{Kind: OpInsert, Key: fmt.Sprintf("user%03d", i*2), Value: []byte("seed")}.Encode()
-				seqSM.Execute(1, raw)
-				parSM.Execute(1, raw)
+				batchSM.Execute(1, raw)
+				oneSM.Execute(1, raw)
 			}
 
 			const batches = 60
@@ -87,65 +82,28 @@ func TestParallelApplyEquivalence(t *testing.T) {
 					groups[i] = transport.RingID(1 + rng.Intn(3))
 					ops[i] = randOp(rng, false).Encode()
 				}
+				if b == batches/2 {
+					ops[n/2] = Op{Kind: OpSplit, Key: "user120", Value: SplitSpec{ID: 1, NewGroup: 2}.Encode()}.Encode()
+				}
 
-				seqOut := seqSM.ExecuteBatch(groups, ops)
-				parOut := make([][]byte, n)
-				applier.Apply(groups, ops, parOut)
-
+				batchOut := batchSM.ExecuteBatch(groups, ops)
 				for i := range ops {
-					if !bytes.Equal(seqOut[i], parOut[i]) {
+					if one := oneSM.Execute(groups[i], ops[i]); !bytes.Equal(batchOut[i], one) {
 						op, _ := DecodeOp(ops[i])
-						t.Fatalf("batch %d op %d (%+v): sequential %x != parallel %x", b, i, op, seqOut[i], parOut[i])
+						t.Fatalf("batch %d op %d (%+v): batched %x != one at a time %x", b, i, op, batchOut[i], one)
 					}
 				}
-				if b%10 == 9 {
-					if !bytes.Equal(seqSM.Snapshot(), parSM.Snapshot()) {
-						t.Fatalf("state diverged after batch %d", b)
-					}
+				if !bytes.Equal(batchSM.Snapshot(), oneSM.Snapshot()) {
+					t.Fatalf("state diverged after batch %d", b)
+				}
+				bs, os := batchSM.CaptureSnapshot(), oneSM.CaptureSnapshot()
+				if !bytes.Equal(bs.Serialize(), os.Serialize()) {
+					t.Fatalf("checkpoint captures diverged after batch %d", b)
 				}
 			}
-
-			seqSnap, parSnap := seqSM.CaptureSnapshot(), parSM.CaptureSnapshot()
-			if !bytes.Equal(seqSnap.Serialize(), parSnap.Serialize()) {
-				t.Fatal("final checkpoint captures differ")
-			}
-			if applier.RunSizes().Mean() == 0 {
-				t.Fatal("applier recorded no conflict runs; the parallel path never ran")
+			if _, hi, _ := batchSM.OwnedRange(); hi != "user120" {
+				t.Fatalf("owned range ends at %q, want the split key user120", hi)
 			}
 		})
-	}
-}
-
-// TestParallelApplyConcurrentSnapshots interleaves snapshot captures with
-// parallel batches: the COW treap capture must observe batch-boundary
-// states only, never a half-committed wave.
-func TestParallelApplyConcurrentSnapshots(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	seqSM, parSM := NewSM(), NewSM()
-	applier := smr.NewApplier(parSM, 4)
-	defer applier.Close()
-
-	for b := 0; b < 30; b++ {
-		n := 1 + rng.Intn(48)
-		groups := make([]transport.RingID, n)
-		ops := make([][]byte, n)
-		for i := 0; i < n; i++ {
-			groups[i] = 1
-			ops[i] = randOp(rng, false).Encode()
-		}
-		seqOut := seqSM.ExecuteBatch(groups, ops)
-		parOut := make([][]byte, n)
-		applier.Apply(groups, ops, parOut)
-		for i := range ops {
-			if !bytes.Equal(seqOut[i], parOut[i]) {
-				t.Fatalf("batch %d op %d diverged", b, i)
-			}
-		}
-		// A capture taken between batches must serialize identically on
-		// both machines (batch-boundary equivalence).
-		ss, ps := seqSM.CaptureSnapshot(), parSM.CaptureSnapshot()
-		if !bytes.Equal(ss.Serialize(), ps.Serialize()) {
-			t.Fatalf("captures diverged after batch %d", b)
-		}
 	}
 }

@@ -38,7 +38,7 @@ func (s *SM) AppendLocalRead(dst []byte, _ transport.RingID, raw []byte) ([]byte
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	dst, _ = apply(s, dst, v, subs)
+	dst, _ = s.apply(dst, v, subs)
 	return dst, true
 }
 

@@ -105,7 +105,7 @@ func (s *SM) OwnedRange() (lo, hi string, ok bool) {
 }
 
 // MigratedKeys reports how many keys OpSplit markers have split off for
-// migration (instrumentation for cmd/bench -reconfig).
+// migration (instrumentation).
 func (s *SM) MigratedKeys() uint64 { return s.migrated.Load() }
 
 // SplitStallMax reports the longest an OpSplit stalled execution — the
@@ -178,7 +178,7 @@ var (
 func (s *SM) Execute(_ transport.RingID, raw []byte) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return execute(s, raw)
+	return s.execute(raw)
 }
 
 // ExecuteBatch applies a run of encoded operations under one lock
@@ -191,75 +191,58 @@ func (s *SM) ExecuteBatch(_ []transport.RingID, ops [][]byte) [][]byte {
 	defer s.mu.Unlock()
 	s.out = s.out[:0]
 	for _, raw := range ops {
-		s.out = append(s.out, execute(s, raw))
+		s.out = append(s.out, s.execute(raw))
 	}
 	return s.out
 }
 
-// table is what operations execute against: the live tree (SM) or a staged
-// run's snapshot and overlay (stagedRun). Keys are views of the delivered
-// operation, so an implementation copies a key it keeps; put takes over
-// value.
-type table interface {
-	owns(key []byte) bool
-	get(key []byte) ([]byte, bool)
-	put(key, value []byte)
-	del(key []byte) // of a key get found
-}
-
-func (s *SM) get(key []byte) ([]byte, bool) { return s.db.Get(key) }
-func (s *SM) put(key, value []byte)         { s.db.Put(key, value) }
-func (s *SM) del(key []byte)                { s.db.Delete(key) }
-
-// execute applies the encoded operation raw to t and returns its encoded
+// execute applies the encoded operation raw and returns its encoded
 // Result: a buffer of its own, or the shared encoding of a bare status.
-func execute(t table, raw []byte) []byte {
+// Callers hold mu.
+func (s *SM) execute(raw []byte) []byte {
 	v, subs, ok := parseRequest(raw)
 	if !ok {
 		return statusEnc[StatusBadRequest]
 	}
-	res, _ := apply(t, nil, v, subs)
+	res, _ := s.apply(nil, v, subs)
 	return res
 }
 
 // apply executes v, whose sub-operations lie at the head of subs and were
 // checked by parseRequest, and appends the encoded Result to dst — the same
 // bytes Result.Encode gives, written once, from the delivered operation and
-// the tree, for the sequential and the staged path alike. It returns what
-// follows v's sub-operations.
-func apply(t table, dst []byte, v opView, subs []byte) (out, rest []byte) {
+// the tree. It returns what follows v's sub-operations.
+func (s *SM) apply(dst []byte, v opView, subs []byte) (out, rest []byte) {
 	if v.Kind == OpBatch {
 		dst = slices.Grow(dst, (1+v.n)*len(statusEnc[StatusOK]))
 		dst = append(dst, byte(StatusOK), 0, 0, 0, 0)
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(v.n))
 		for i := 0; i < v.n; i++ {
 			sub, r, _ := parseOp(subs)
-			dst, subs = apply(t, dst, sub, r)
+			dst, subs = s.apply(dst, sub, r)
 		}
 		return dst, subs
 	}
 	rest, _ = skipOps(subs, v.n) // only a batch executes what it carries
 	switch v.Kind {
 	case OpRead, OpUpdate, OpInsert, OpDelete:
-		return applyPoint(t, dst, v), rest
-	case OpScan, OpSplit:
-		// Scans and splits touch more than one key: ConflictKeys makes
-		// them barriers, which run against the live tree only.
-		if s, live := t.(*SM); live && v.Kind == OpScan {
-			return s.scan(dst, v), rest
-		} else if live {
-			return appendStatus(dst, s.applySplit(v)), rest
-		}
+		return s.applyPoint(dst, v), rest
+	case OpScan:
+		return s.scan(dst, v), rest
+	case OpSplit:
+		return appendStatus(dst, s.applySplit(v)), rest
 	}
 	return appendStatus(dst, StatusBadRequest), rest
 }
 
-// applyPoint executes a single-key operation.
-func applyPoint(t table, dst []byte, v opView) []byte {
-	if !t.owns(v.Key) {
+// applyPoint executes a single-key operation. v.Key and v.Value are views
+// of the delivered operation: the tree copies a key it inserts, the value
+// is copied here.
+func (s *SM) applyPoint(dst []byte, v opView) []byte {
+	if !s.owns(v.Key) {
 		return appendStatus(dst, StatusWrongPartition)
 	}
-	val, found := t.get(v.Key)
+	val, found := s.db.Get(v.Key)
 	switch {
 	case found && v.Kind == OpInsert:
 		return appendStatus(dst, StatusExists)
@@ -268,9 +251,9 @@ func applyPoint(t table, dst []byte, v opView) []byte {
 	case v.Kind == OpRead:
 		return appendReadResult(dst, v.Key, val)
 	case v.Kind == OpDelete:
-		t.del(v.Key)
+		s.db.Delete(v.Key)
 	default: // an update of what is there, an insert of what is not
-		t.put(v.Key, append([]byte(nil), v.Value...))
+		s.db.Put(v.Key, append([]byte(nil), v.Value...))
 	}
 	return appendStatus(dst, StatusOK)
 }
@@ -567,10 +550,6 @@ type ServerConfig struct {
 	GlobalLambda int
 	// RecoveryTimeout bounds peer recovery; zero skips peer recovery.
 	RecoveryTimeout time.Duration
-	// ExecWorkers sizes the conflict-aware parallel apply pool: 0 or 1
-	// applies sequentially, >= 2 uses that many workers, negative uses
-	// GOMAXPROCS (see smr.ReplicaConfig.ExecWorkers).
-	ExecWorkers int
 	// Tracer, when set, records this process's spans for distributed
 	// tracing (telemetry only).
 	Tracer *trace.Recorder
@@ -638,7 +617,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		Checkpoints:     cfg.Checkpoints,
 		CheckpointEvery: cfg.CheckpointEvery,
 		ServiceHook:     rangeTransferHook(sm, tr),
-		ExecWorkers:     cfg.ExecWorkers,
 		Tracer:          cfg.Tracer,
 	}, built.Checkpoint)
 	if err != nil {

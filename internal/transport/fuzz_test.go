@@ -42,6 +42,10 @@ func FuzzFrameDecode(f *testing.F) {
 	// top of the range a learner can ask for.
 	request := Message{Kind: KindSkipRequest, From: 3, To: 1, Ring: 2, Instance: 1 << 63}
 	f.Add(request.Encode())
+	// Kind 21 is retired (it was FlowFeedback): a frame an older peer
+	// still sends decodes like any kind this build does not speak.
+	retired := Message{Kind: 21, From: 3, To: 1, Ring: 2, Instance: 5_000_000}
+	f.Add(retired.Encode())
 	// Forward compatibility: an UNKNOWN optional trailing header (type
 	// 0x7f) on an otherwise valid frame must be skipped, not rejected,
 	// and headers after it must still parse.

@@ -93,10 +93,7 @@ const (
 	// KindRangeChunk streams the captured range back with the same
 	// chunked framing as KindSnapshotChunk (offset/index/count/size/CRC).
 	KindRangeChunk
-	// KindFlowFeedback carries a learner's merge-stall report to a ring's
-	// coordinator (adaptive rate leveling): Instance is the nanoseconds
-	// the deterministic merge waited on this ring since the last report.
-	KindFlowFeedback
+	_ // 21: was FlowFeedback
 	// KindOverloaded is a coordinator's admission-control reply to a
 	// proposal it refused because its queue is full: Value.ID echoes the
 	// refused proposal's value id, Instance carries the suggested
@@ -145,7 +142,6 @@ var kindNames = map[Kind]string{
 	KindReconfigAck:     "ReconfigAck",
 	KindRangeReq:        "RangeReq",
 	KindRangeChunk:      "RangeChunk",
-	KindFlowFeedback:    "FlowFeedback",
 	KindOverloaded:      "Overloaded",
 	KindLocalRead:       "LocalRead",
 	KindLocalReadResp:   "LocalReadResp",

@@ -173,6 +173,40 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+// TestKindNumbers pins the wire number of every message kind: a kind is
+// one byte of every frame, so removing a constant from the middle of the
+// iota (or the blank that reserves retired number 21) would silently
+// renumber what peers of another build send.
+func TestKindNumbers(t *testing.T) {
+	want := []struct {
+		k Kind
+		n uint8
+	}{
+		{KindProposal, 1}, {KindPhase1A, 2}, {KindPhase1B, 3}, {KindPhase2, 4},
+		{KindDecision, 5}, {KindRetransmitReq, 6}, {KindRetransmitResp, 7},
+		{KindSafeReq, 8}, {KindSafeResp, 9}, {KindTrim, 10}, {KindCommand, 11},
+		{KindResponse, 12}, {KindCheckpointReq, 13}, {KindCheckpointResp, 14},
+		{KindSnapshotReq, 15}, {KindSnapshotChunk, 16}, {KindReconfigPrepare, 17},
+		{KindReconfigAck, 18}, {KindRangeReq, 19}, {KindRangeChunk, 20},
+		{KindOverloaded, 22}, {KindLocalRead, 23}, {KindLocalReadResp, 24},
+		{KindHeartbeat, 25}, {KindSkipRequest, 26},
+	}
+	if len(want) != len(kindNames) {
+		t.Fatalf("table has %d kinds, kindNames %d", len(want), len(kindNames))
+	}
+	for _, w := range want {
+		if uint8(w.k) != w.n {
+			t.Errorf("%v = %d on the wire, want %d", w.k, uint8(w.k), w.n)
+		}
+		if _, ok := kindNames[w.k]; !ok {
+			t.Errorf("kind %d has no name", w.n)
+		}
+	}
+	if got := Kind(21).String(); got != "Kind(21)" || isRingKind(21) {
+		t.Errorf("retired kind 21: String() = %q, ring kind = %v; want unnamed and unrouted", got, isRingKind(21))
+	}
+}
+
 func BenchmarkMessageEncode(b *testing.B) {
 	data := make([]byte, 1024)
 	rand.New(rand.NewSource(1)).Read(data)

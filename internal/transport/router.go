@@ -24,7 +24,7 @@ func isRingKind(k Kind) bool {
 	switch k {
 	case KindProposal, KindPhase1A, KindPhase1B, KindPhase2, KindDecision,
 		KindRetransmitReq, KindRetransmitResp, KindSafeResp, KindTrim,
-		KindFlowFeedback, KindSkipRequest:
+		KindSkipRequest:
 		return true
 	default:
 		return false
