@@ -141,11 +141,9 @@ type Config struct {
 	// NewLog builds the stable log for each ring this process accepts
 	// in. Figure 6 attaches one disk per ring through this hook.
 	// Defaults to in-memory logs. An error fails the Join — durability
-	// requested but unavailable must not degrade silently. Deployments
-	// that close their logs on shutdown can return
-	// storage.NewPooledMemLog() here to recycle vote-record storage
-	// instead of growing the heap (the core never closes logs itself —
-	// they may be retained across restarts for recovery).
+	// requested but unavailable must not degrade silently. The core never
+	// closes logs itself: they may be retained across restarts for
+	// recovery.
 	NewLog func(transport.RingID) (storage.Log, error)
 	// M is the deterministic-merge quota: consensus instances delivered
 	// per ring per round-robin turn. The paper uses M=1.

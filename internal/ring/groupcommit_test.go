@@ -333,6 +333,112 @@ func TestGroupCommitCrashRecovery(t *testing.T) {
 	t.Logf("verified %d forwarded votes against the replayed WAL", len(captured))
 }
 
+// TestRestartedAcceptorServesRetransmitFromWAL restarts a FileWAL-backed
+// acceptor on the same directory, so its in-memory accepted map is empty,
+// and asks it for pre-crash instances: it must serve them from disk byte
+// for byte, and report a trimmed prefix as unavailable.
+func TestRestartedAcceptorServesRetransmitFromWAL(t *testing.T) {
+	dir := t.TempDir()
+	openWAL := func() *storage.FileWAL {
+		w, err := storage.OpenWAL(dir, storage.WALOptions{Mode: storage.SyncEveryPut})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	withLog := func(log storage.Log, start uint64) func(*Config) {
+		return func(cfg *Config) {
+			if cfg.Self == 2 {
+				cfg.Log = log
+				cfg.StartInstance = start
+			}
+		}
+	}
+	wal := openWAL()
+	c := newCluster(t, 3, withLog(wal, 0))
+
+	const total = 40
+	want := make(map[uint64][]byte)
+	var last uint64
+	for i := 0; i < total; i++ {
+		if err := c.nodes[1].Propose([]byte(fmt.Sprintf("value-%04d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, d := range collect(t, c.nodes[2], total, 10*time.Second) {
+		want[d.Instance] = append([]byte(nil), d.Value.Data...)
+		last = max(last, d.Instance)
+	}
+
+	c.crash(2)
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened := openWAL()
+	const trimTo = 10
+	if err := reopened.Trim(trimTo); err != nil {
+		t.Fatal(err)
+	}
+	// Resume delivery past the pre-crash prefix, as replica recovery
+	// does, so those instances count as decided at the restarted node.
+	c.svc.MarkUp(2)
+	c.start(2, withLog(reopened, last+1))
+	restarted := c.nodes[2]
+	t.Cleanup(func() {
+		restarted.Stop() // before its log closes
+		_ = reopened.Close()
+	})
+
+	probe := c.net.Attach(9, netem.SiteLocal)
+	ask := func(from uint64, count uint32) transport.Message {
+		t.Helper()
+		if err := probe.Send(2, transport.Message{
+			Kind: transport.KindRetransmitReq, Ring: c.ring, Instance: from, Count: count,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.After(5 * time.Second)
+		for {
+			select {
+			case m := <-probe.Recv():
+				if m.Kind == transport.KindRetransmitResp && m.Instance == from {
+					return m
+				}
+			case <-deadline:
+				t.Fatalf("no retransmit response for instance %d", from)
+			}
+		}
+	}
+
+	if resp := ask(1, trimTo); resp.Count != retransmitUnavailable || len(resp.Payload) != 0 {
+		t.Errorf("trimmed range served: count=%d payload=%d bytes", resp.Count, len(resp.Payload))
+	}
+	resp := ask(trimTo+1, uint32(last-trimTo))
+	batch, err := transport.DecodeBatch(resp.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := 0
+	for _, iv := range batch {
+		if iv.Value.Skip {
+			continue
+		}
+		if !bytes.Equal(iv.Value.Data, want[iv.Instance]) {
+			t.Errorf("instance %d served %q, delivered %q before the crash", iv.Instance, iv.Value.Data, want[iv.Instance])
+		}
+		served++
+	}
+	expect := 0
+	for inst := range want {
+		if inst > trimTo {
+			expect++
+		}
+	}
+	if expect == 0 || served != expect {
+		t.Errorf("served %d pre-crash values from the WAL, want %d", served, expect)
+	}
+}
+
 // TestGroupCommitWedgeWithholdsDeliveries proves deliveries never outrun
 // durability even when the log fails: a decision learned in a burst whose
 // group commit failed stays pending until the retained batch commits.

@@ -7,6 +7,5 @@ import (
 )
 
 // TestMain gates the package on goroutine-leak verification and on the
-// buffer pool reporting zero outstanding buffers (the pooled MemLog
-// retains records in pool buffers until Trim/Close).
+// buffer pool reporting zero outstanding buffers.
 func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -19,8 +19,6 @@ package storage
 import (
 	"errors"
 	"sync"
-
-	"amcast/internal/bufpool"
 )
 
 // Record pairs a consensus instance with its durable record, for batched
@@ -76,35 +74,15 @@ type MemLog struct {
 	records map[uint64][]byte
 	trimmed uint64
 	closed  bool
-	// slab is the unused rest of the block plain-mode record copies are
-	// cut from: one allocation per slabSize of records, not one each. The
-	// collector frees a block once its last record is trimmed.
+	// slab is the unused rest of the block record copies are cut from:
+	// one allocation per slabSize of records, not one each. The collector
+	// frees a block once its last record is trimmed.
 	slab []byte
-
-	// pooled mode (NewPooledMemLog): records are copied into refcounted
-	// pool buffers tracked in bufs, released on overwrite/trim/close.
-	pooled bool
-	bufs   map[uint64]*bufpool.Buf
 }
 
 // NewMemLog returns an empty in-memory log.
 func NewMemLog() *MemLog {
 	return &MemLog{records: make(map[uint64][]byte)}
-}
-
-// NewPooledMemLog returns an in-memory log whose record copies live in
-// refcounted pool buffers instead of per-record heap allocations: the
-// steady-state accept path (one record copied per vote) stops producing
-// garbage, and Trim returns the bytes to the pool deterministically. Get
-// returns a heap copy so callers never alias storage that a concurrent
-// Trim could recycle. Close releases all retained records (Get misses
-// afterwards, unlike the plain MemLog).
-func NewPooledMemLog() *MemLog {
-	return &MemLog{
-		records: make(map[uint64][]byte),
-		bufs:    make(map[uint64]*bufpool.Buf),
-		pooled:  true,
-	}
 }
 
 var _ Log = (*MemLog)(nil)
@@ -126,26 +104,16 @@ func (l *MemLog) Put(instance uint64, record []byte) error {
 	return nil
 }
 
-// Plain-mode records are cut from slabSize blocks; a record of slabOwn
-// bytes or more keeps an allocation of its own, so that a block is never
-// mostly one record's tail.
+// Records are cut from slabSize blocks; a record of slabOwn bytes or more
+// keeps an allocation of its own, so that a block is never mostly one
+// record's tail.
 const (
 	slabSize = 64 << 10
 	slabOwn  = 16 << 10
 )
 
-// store copies record into the map under l.mu, using a pool buffer in
-// pooled mode (releasing any overwritten one).
+// store copies record into the map under l.mu.
 func (l *MemLog) store(instance uint64, record []byte) {
-	if l.pooled {
-		if old, ok := l.bufs[instance]; ok {
-			old.Release()
-		}
-		b := bufpool.Copy(record)
-		l.bufs[instance] = b
-		l.records[instance] = b.Bytes()
-		return
-	}
 	n := len(record)
 	if n >= slabOwn {
 		l.records[instance] = append([]byte(nil), record...)
@@ -179,16 +147,11 @@ func (l *MemLog) PutBatch(recs []Record) error {
 	return nil
 }
 
-// Get returns the record for instance. In pooled mode the result is a
-// heap copy (the stored bytes may recycle on a concurrent Trim); the
-// plain mode returns the stored copy directly, as before.
+// Get returns the stored copy of the record for instance.
 func (l *MemLog) Get(instance uint64) ([]byte, bool) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	rec, ok := l.records[instance]
-	if ok && l.pooled {
-		rec = append([]byte(nil), rec...)
-	}
 	return rec, ok
 }
 
@@ -204,10 +167,6 @@ func (l *MemLog) Trim(upTo uint64) error {
 	}
 	for inst := range l.records {
 		if inst != metaInstance && inst <= upTo {
-			if b, ok := l.bufs[inst]; ok {
-				b.Release()
-				delete(l.bufs, inst)
-			}
 			delete(l.records, inst)
 		}
 	}
@@ -235,18 +194,10 @@ func (l *MemLog) Len() int {
 // Sync is a no-op for the in-memory log.
 func (l *MemLog) Sync() error { return nil }
 
-// Close marks the log closed. In pooled mode the retained records return
-// to the pool.
+// Close marks the log closed.
 func (l *MemLog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.closed = true
-	if l.pooled {
-		for inst, b := range l.bufs {
-			b.Release()
-			delete(l.bufs, inst)
-			delete(l.records, inst)
-		}
-	}
 	return nil
 }

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bufio"
-	"container/list"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -43,8 +42,11 @@ const (
 // (Section 5.1, acceptor recovery).
 //
 // The index holds only record locations — (segment, offset, length) — not
-// record bytes: Get serves reads with pread through a small LRU of hot
-// records, so memory stays flat no matter how much untrimmed log exists.
+// record bytes: Get preads each record into a fresh slice, so memory stays
+// flat no matter how much untrimmed log exists. Nothing is cached: the
+// acceptor keeps its untrimmed votes in memory and reads the log only for
+// what that map no longer holds (the promise at recovery, catch-up served
+// after a restart).
 type FileWAL struct {
 	dir     string
 	mode    SyncMode
@@ -61,7 +63,7 @@ type FileWAL struct {
 	curLast    uint64
 	curBase    int // numeric name of current segment
 	index      map[uint64]walLoc
-	cache      *recordCache
+	hdr        [16]byte // frame header buffer, a field so it never escapes
 	trimmed    uint64
 	closed     bool
 
@@ -96,9 +98,6 @@ type WALOptions struct {
 	MaxSegmentBytes int64
 	// FlushInterval is the async flush period. Default 10 ms.
 	FlushInterval time.Duration
-	// CacheBytes bounds the in-memory LRU of hot records served by Get
-	// (retransmissions read the recent tail). Default 4 MB.
-	CacheBytes int
 }
 
 // OpenWAL opens (creating if needed) a WAL in dir and replays existing
@@ -113,9 +112,6 @@ func OpenWAL(dir string, opts WALOptions) (*FileWAL, error) {
 	if opts.FlushInterval == 0 {
 		opts.FlushInterval = 10 * time.Millisecond
 	}
-	if opts.CacheBytes == 0 {
-		opts.CacheBytes = 4 << 20
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: create wal dir: %w", err)
 	}
@@ -125,7 +121,6 @@ func OpenWAL(dir string, opts WALOptions) (*FileWAL, error) {
 		maxSeg:    opts.MaxSegmentBytes,
 		flushEv:   opts.FlushInterval,
 		index:     make(map[uint64]walLoc),
-		cache:     newRecordCache(opts.CacheBytes),
 		flushDone: make(chan struct{}),
 		flushStop: make(chan struct{}),
 	}
@@ -272,19 +267,17 @@ func (w *FileWAL) rollSegment() error {
 //
 //lint:deterministic
 func (w *FileWAL) appendLocked(instance uint64, record []byte) error {
-	var hdr [16]byte
+	hdr := w.hdr[:]
 	binary.LittleEndian.PutUint64(hdr[:8], instance)
 	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(record)))
 	binary.LittleEndian.PutUint32(hdr[12:16], crc32.ChecksumIEEE(record))
-	if _, err := w.curW.Write(hdr[:]); err != nil {
+	if _, err := w.curW.Write(hdr); err != nil {
 		return err
 	}
 	if _, err := w.curW.Write(record); err != nil {
 		return err
 	}
-	loc := walLoc{base: w.curBase, off: w.curSize + 16, n: len(record)}
-	w.index[instance] = loc
-	w.cache.addCopy(loc, record)
+	w.index[instance] = walLoc{base: w.curBase, off: w.curSize + 16, n: len(record)}
 	if w.curFirst == 0 || instance < w.curFirst {
 		w.curFirst = instance
 	}
@@ -358,8 +351,8 @@ func (w *FileWAL) PutBatch(recs []Record) error {
 	return w.commitLocked()
 }
 
-// Get returns the record for instance, reading it back from disk (via the
-// LRU) if it is not cached.
+// Get returns the record for instance, read back from disk into a slice
+// the caller owns.
 func (w *FileWAL) Get(instance uint64) ([]byte, bool) {
 	w.mu.Lock()
 	if w.closed {
@@ -368,21 +361,16 @@ func (w *FileWAL) Get(instance uint64) ([]byte, bool) {
 		return nil, false
 	}
 	loc, ok := w.index[instance]
+	w.mu.Unlock()
 	if !ok {
-		w.mu.Unlock()
 		return nil, false
 	}
-	if data, ok := w.cache.get(loc); ok {
-		w.mu.Unlock()
-		return data, true
-	}
-	w.mu.Unlock()
 	// pread outside the lock: a cold read (retransmission serving) must
 	// never stall the hot-path group commit. A concurrent segment roll
 	// can close the handle between resolution and ReadAt; the retry
 	// re-resolves (the rolled segment reopens via segByBase). Only a
 	// Trim or Close — which really removed the record — fails twice.
-	var data []byte
+	data := make([]byte, loc.n)
 	for attempt := 0; ; attempt++ {
 		w.mu.Lock()
 		f, err := w.readHandleLocked(loc)
@@ -390,20 +378,13 @@ func (w *FileWAL) Get(instance uint64) ([]byte, bool) {
 		if err != nil {
 			return nil, false
 		}
-		data = make([]byte, loc.n)
 		if _, err := f.ReadAt(data, loc.off); err == nil {
-			break
+			return data, true
 		}
 		if attempt == 1 {
 			return nil, false
 		}
 	}
-	w.mu.Lock()
-	if !w.closed {
-		w.cache.add(loc, data)
-	}
-	w.mu.Unlock()
-	return data, true
 }
 
 // readHandleLocked resolves the file to pread loc from, flushing the
@@ -571,72 +552,4 @@ func (w *FileWAL) SegmentCount() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return len(w.segs) + 1
-}
-
-// recordCache is a byte-bounded LRU of record payloads keyed by their file
-// location. It keeps the hot tail of the log — what retransmission serving
-// actually reads — in memory without the full-log copy the index used to
-// carry. Locations are unique per appended record, so rewritten keys (the
-// promise record) can never serve a stale cached value.
-type recordCache struct {
-	maxBytes int
-	bytes    int
-	ll       *list.List // front = most recent
-	ents     map[walLoc]*list.Element
-}
-
-type cacheEnt struct {
-	loc  walLoc
-	data []byte
-}
-
-func newRecordCache(maxBytes int) *recordCache {
-	return &recordCache{
-		maxBytes: maxBytes,
-		ll:       list.New(),
-		ents:     make(map[walLoc]*list.Element),
-	}
-}
-
-func (c *recordCache) get(loc walLoc) ([]byte, bool) {
-	e, ok := c.ents[loc]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(e)
-	return e.Value.(*cacheEnt).data, true
-}
-
-// add caches data, taking ownership of the slice.
-func (c *recordCache) add(loc walLoc, data []byte) {
-	if len(data) > c.maxBytes {
-		return // larger than the whole cache; don't thrash it
-	}
-	if e, ok := c.ents[loc]; ok {
-		c.ll.MoveToFront(e)
-		return
-	}
-	c.ents[loc] = c.ll.PushFront(&cacheEnt{loc: loc, data: data})
-	c.bytes += len(data)
-	for c.bytes > c.maxBytes {
-		e := c.ll.Back()
-		if e == nil {
-			return
-		}
-		ent := e.Value.(*cacheEnt)
-		c.ll.Remove(e)
-		delete(c.ents, ent.loc)
-		c.bytes -= len(ent.data)
-	}
-}
-
-// addCopy caches a copy of data (for callers that keep mutating or reusing
-// the slice).
-func (c *recordCache) addCopy(loc walLoc, data []byte) {
-	if len(data) > c.maxBytes {
-		return
-	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	c.add(loc, cp)
 }

@@ -66,10 +66,9 @@ func TestFileWALPutBatchSurvivesReopen(t *testing.T) {
 }
 
 func TestFileWALGetReadsBackFromDisk(t *testing.T) {
-	// A cache smaller than the data forces Get to pread records the LRU
-	// evicted — the index holds locations only, not bytes.
+	// The index holds locations only, not bytes: every Get is a pread.
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, WALOptions{Mode: SyncEveryPut, CacheBytes: 256})
+	w, err := OpenWAL(dir, WALOptions{Mode: SyncEveryPut})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,13 +81,16 @@ func TestFileWALGetReadsBackFromDisk(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Early records were evicted (cache holds ~2); all must still read
-	// back correctly, repeatedly (cache re-admission included).
+	// The returned slice is the caller's: scribbling on it must not
+	// change what the next Get reads.
 	for pass := 0; pass < 2; pass++ {
 		for i := uint64(1); i <= 50; i++ {
 			rec, ok := w.Get(i)
 			if !ok || !bytes.Equal(rec, payload(i)) {
 				t.Fatalf("pass %d Get(%d): ok=%v", pass, i, ok)
+			}
+			for j := range rec {
+				rec[j] = 0xff
 			}
 		}
 	}
@@ -97,7 +99,7 @@ func TestFileWALGetReadsBackFromDisk(t *testing.T) {
 func TestFileWALGetAcrossSegments(t *testing.T) {
 	// Records spread over several rolled segments must all pread back.
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, WALOptions{Mode: SyncEveryPut, MaxSegmentBytes: 512, CacheBytes: 128})
+	w, err := OpenWAL(dir, WALOptions{Mode: SyncEveryPut, MaxSegmentBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,8 +114,12 @@ func TestFileWALGetAcrossSegments(t *testing.T) {
 	}
 	for i := uint64(1); i <= 40; i++ {
 		rec, ok := w.Get(i)
-		if !ok || len(rec) != 64 || rec[0] != byte(i) {
+		if !ok || !bytes.Equal(rec, bytes.Repeat([]byte{byte(i)}, 64)) {
 			t.Fatalf("Get(%d) across segments failed: ok=%v", i, ok)
+		}
+		rec[0] = ^rec[0]
+		if again, _ := w.Get(i); again[0] != byte(i) {
+			t.Fatalf("Get(%d) aliased the caller's slice: %d", i, again[0])
 		}
 	}
 }
@@ -122,7 +128,7 @@ func TestFileWALGetUnflushedAsyncRecord(t *testing.T) {
 	// In async mode a record can still sit in the write buffer; Get must
 	// flush before pread rather than return torn data.
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, WALOptions{Mode: SyncPeriodic, FlushInterval: time.Hour, CacheBytes: 1})
+	w, err := OpenWAL(dir, WALOptions{Mode: SyncPeriodic, FlushInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +136,42 @@ func TestFileWALGetUnflushedAsyncRecord(t *testing.T) {
 	if err := w.Put(7, []byte("buffered")); err != nil {
 		t.Fatal(err)
 	}
-	// CacheBytes=1 keeps "buffered" (8 bytes) out of the cache, so this
-	// exercises the flush-then-pread path.
 	rec, ok := w.Get(7)
 	if !ok || string(rec) != "buffered" {
 		t.Fatalf("Get(7) = %q, %v", rec, ok)
+	}
+	copy(rec, "XXXXXXXX")
+	if rec, ok := w.Get(7); !ok || string(rec) != "buffered" {
+		t.Fatalf("second Get(7) = %q, %v", rec, ok)
+	}
+}
+
+func TestFileWALPutBatchAllocs(t *testing.T) {
+	// The acceptor's group commit is on every vote's path: framing and
+	// indexing a batch that overwrites indexed instances allocates
+	// nothing once the write buffer and index exist.
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	w, err := OpenWAL(t.TempDir(), WALOptions{Mode: SyncPeriodic, FlushInterval: time.Hour, MaxSegmentBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = w.Close() }()
+	recs := make([]Record, 16)
+	for i := range recs {
+		recs[i] = Record{Instance: uint64(i + 1), Data: bytes.Repeat([]byte{byte(i)}, 1024)}
+	}
+	if err := w.PutBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := w.PutBatch(recs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("PutBatch of 16 x 1 KB allocates %.1f per call, want 0", allocs)
 	}
 }
 
@@ -167,7 +204,7 @@ func TestFileWALPutBatchRespectsTrim(t *testing.T) {
 
 func TestFileWALPromiseRewriteNotStale(t *testing.T) {
 	// Rewriting a key (the promise record) must always serve the newest
-	// record, including through the location-keyed cache.
+	// record.
 	dir := t.TempDir()
 	w, err := OpenWAL(dir, WALOptions{Mode: SyncEveryPut})
 	if err != nil {
