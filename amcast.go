@@ -284,7 +284,8 @@ func (n *Node) Join(g GroupID) error {
 // message, in the deterministic merge order shared by every subscriber of
 // the same group set. Call once, after joining all groups with the learner
 // role. It is a thin per-message adapter over SubscribeBatch; throughput-
-// sensitive subscribers should use SubscribeBatch directly.
+// sensitive subscribers should use SubscribeBatch directly. Data is valid
+// only during the call, as with SubscribeBatch.
 func (n *Node) Subscribe(handler func(Delivery), groups ...GroupID) error {
 	if handler == nil {
 		return errors.New("amcast: nil handler")
@@ -301,8 +302,9 @@ func (n *Node) Subscribe(handler func(Delivery), groups ...GroupID) error {
 // Batches are bounded by Options.DeliveryBatchMessages/Bytes and end
 // whenever the merge would otherwise wait for the network, so batching
 // adds no delivery latency. The slice is reused between calls — handlers
-// must not retain it. Call once, after joining all groups with the
-// learner role.
+// must not retain it — and each Data may sit in a pooled buffer that
+// recycles once the handler returns: copy what you keep. Call once, after
+// joining all groups with the learner role.
 func (n *Node) SubscribeBatch(handler func([]Delivery), groups ...GroupID) error {
 	if handler == nil {
 		return errors.New("amcast: nil handler")

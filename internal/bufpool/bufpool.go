@@ -2,7 +2,7 @@
 // for the steady-state delivery path.
 //
 // The protocol stack moves one payload through many holders: the TCP
-// read block it arrives in, the acceptor's accepted map, the WAL batch,
+// read block it arrives in, the coordinator's flight table, the WAL batch,
 // the forward queue, the merge layer and finally the state machine. A
 // naive implementation allocates at each hop and leaves the garbage
 // collector to clean up millions of short-to-medium-lived buffers per

@@ -234,10 +234,6 @@ type StoreOptions struct {
 	RecoveryTimeout time.Duration
 	// NewLog supplies acceptor logs per (ring, process); nil = memory.
 	NewLog func(ring transport.RingID, self transport.ProcessID) (storage.Log, error)
-	// NewCheckpointStore supplies each replica's stable checkpoint store
-	// (e.g. a recovery.FileStore so checkpoint durability costs are
-	// real); nil = in-memory.
-	NewCheckpointStore func(self transport.ProcessID) (recovery.Store, error)
 	// Detector, when set, runs a heartbeat failure detector on every
 	// store server: crashes are noticed and marked down by suspicion
 	// quorum (coord.Detector) with no oracle MarkDown calls.
@@ -385,21 +381,7 @@ func (c *StoreCluster) startServer(p, r int, peerRecovery bool) error {
 			peers = append(peers, ReplicaID(p, rr))
 		}
 	}
-	c.mu.Lock()
-	ckpt, ok := c.ckpts[id]
-	if !ok {
-		if c.opts.NewCheckpointStore != nil {
-			var err error
-			if ckpt, err = c.opts.NewCheckpointStore(id); err != nil {
-				c.mu.Unlock()
-				return fmt.Errorf("cluster: checkpoint store for %d: %w", id, err)
-			}
-		} else {
-			ckpt = recovery.NewMemStore()
-		}
-		c.ckpts[id] = ckpt
-	}
-	c.mu.Unlock()
+	ckpt := c.checkpointStore(id)
 
 	cfg := store.ServerConfig{
 		Self:            id,
@@ -471,6 +453,19 @@ func (c *StoreCluster) startServer(p, r int, peerRecovery bool) error {
 	c.mu.Unlock()
 	c.wireStoreObs(p, r)
 	return nil
+}
+
+// checkpointStore returns a replica's stable checkpoint store, creating
+// an in-memory one on first use; it outlives the replica's crashes.
+func (c *StoreCluster) checkpointStore(id transport.ProcessID) recovery.Store {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ckpt, ok := c.ckpts[id]
+	if !ok {
+		ckpt = recovery.NewMemStore()
+		c.ckpts[id] = ckpt
+	}
+	return ckpt
 }
 
 // stopDetector halts and discards the failure detector running for a
@@ -584,22 +579,7 @@ func (c *StoreCluster) AddPartition(p int, group transport.RingID) error {
 func (c *StoreCluster) SeedPartition(p int, seed recovery.Checkpoint) error {
 	for r := 1; r <= c.opts.Replicas; r++ {
 		id := ReplicaID(p, r)
-		c.mu.Lock()
-		ckpt, ok := c.ckpts[id]
-		if !ok {
-			if c.opts.NewCheckpointStore != nil {
-				var err error
-				if ckpt, err = c.opts.NewCheckpointStore(id); err != nil {
-					c.mu.Unlock()
-					return fmt.Errorf("cluster: checkpoint store for %d: %w", id, err)
-				}
-			} else {
-				ckpt = recovery.NewMemStore()
-			}
-			c.ckpts[id] = ckpt
-		}
-		c.mu.Unlock()
-		if err := ckpt.Save(seed); err != nil {
+		if err := c.checkpointStore(id).Save(seed); err != nil {
 			return fmt.Errorf("cluster: seed checkpoint for %d: %w", id, err)
 		}
 	}
@@ -660,11 +640,6 @@ type DLogOptions struct {
 	// NewAcceptorLog supplies per-ring acceptor logs (Figure 6: one disk
 	// per ring); nil = memory.
 	NewAcceptorLog func(ring transport.RingID, self transport.ProcessID) (storage.Log, error)
-	// NewDataDisk supplies the dLog entry store per server; nil = none
-	// (memory only).
-	NewDataDisk func(self transport.ProcessID) storage.Log
-	// CacheLimit bounds each server's per-log entry cache in bytes.
-	CacheLimit int
 }
 
 // DLogCluster is a running dLog deployment.
@@ -727,11 +702,7 @@ func (d *Deployment) StartDLog(opts DLogOptions) (*DLogCluster, error) {
 		id := DLogServerID(s)
 		tr := d.Net.Attach(id, netem.SiteLocal)
 		router := transport.NewRouter(tr)
-		var dataDisk storage.Log
-		if opts.NewDataDisk != nil {
-			dataDisk = opts.NewDataDisk(id)
-		}
-		sm := dlog.NewSM(dlog.SMConfig{Hosted: hosted, Disk: dataDisk, CacheLimit: opts.CacheLimit})
+		sm := dlog.NewSM(dlog.SMConfig{Hosted: hosted})
 		rec := d.recorderFor(id, fmt.Sprintf("dlog%d", s))
 		nodeCfg := core.Config{
 			Self: id, Router: router, Coord: d.Svc,

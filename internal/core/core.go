@@ -71,14 +71,17 @@ type Delivery struct {
 }
 
 // Handler consumes deliveries in merged order. It runs on the merge
-// goroutine; blocking it back-pressures the whole subscription.
+// goroutine; blocking it back-pressures the whole subscription. Data may
+// be backed by a pooled buffer that recycles after the call (see
+// BatchHandler): a handler that keeps it must copy it.
 type Handler func(Delivery)
 
 // BatchHandler consumes batches of deliveries in merged order. It runs on
 // the merge goroutine; blocking it back-pressures the whole subscription.
 // The slice is reused between calls — handlers must not retain it. On
-// pooled transports (TCP) the payload bytes are backed by refcounted pool
-// buffers that recycle after the handler returns, so handlers must also
+// pooled transports (TCP), and for packed values on any transport, the
+// payload bytes are backed by refcounted pool buffers that recycle after
+// the handler returns, so handlers must also
 // not retain Data: anything kept past the call (applied state, queued
 // replies) must be copied. smr.Replica applies and replies synchronously
 // inside the handler, so the contract holds there by construction.

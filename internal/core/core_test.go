@@ -90,7 +90,12 @@ func (d *deployment) joinAll(id transport.ProcessID, rings []transport.RingID, s
 	}
 	if len(subs) > 0 {
 		ch := d.chans[id]
-		if err := d.nodes[id].Subscribe(func(dd Delivery) { ch <- dd }, subs...); err != nil {
+		// Data is only valid during the call: a packed value's pooled
+		// buffer recycles once the merge has handed it over.
+		if err := d.nodes[id].Subscribe(func(dd Delivery) {
+			dd.Data = append([]byte(nil), dd.Data...)
+			ch <- dd
+		}, subs...); err != nil {
 			d.t.Fatalf("node %d subscribe: %v", id, err)
 		}
 	}

@@ -18,6 +18,7 @@ func (discardLog) PutBatch([]storage.Record) error { return nil }
 func (discardLog) Get(uint64) ([]byte, bool)       { return nil, false }
 func (discardLog) Trim(uint64) error               { return nil }
 func (discardLog) FirstRetained() uint64           { return 0 }
+func (discardLog) Last() uint64                    { return 0 }
 func (discardLog) Sync() error                     { return nil }
 func (discardLog) Close() error                    { return nil }
 
@@ -34,10 +35,10 @@ func soloCoordinator(t *testing.T) *Node {
 }
 
 // TestPackBurstAllocs pins the coordinator's hot path once warm: sixteen
-// one-KB proposals consumed as a burst, the propose point, the group
-// commit and the trim that lets the packet's buffer recycle allocate
-// nothing — the flight table and the vote map hold their entries by value
-// and reuse their own slots.
+// one-KB proposals consumed as a burst, the propose point and the group
+// commit allocate nothing — the flight table holds its entries by value
+// and reuses its own slots, and once the vote is logged nothing holds the
+// packet's buffer, so it recycles.
 func TestPackBurstAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates alloc counts")
@@ -52,7 +53,6 @@ func TestPackBurstAllocs(t *testing.T) {
 		n.tryPropose()
 		n.commitStaged()
 		n.releaseBurst()
-		n.applyTrim(n.nextDeliver - 1)
 	}
 	for i := 0; i < 64; i++ {
 		burst()

@@ -229,10 +229,11 @@ func (n *Node) forceEnqueue(b []Delivery) {
 
 // pumpCatchup advances catch-up once the consumer has drained enough of
 // the delivery buffer: the dropped range [catchupNext, nextDeliver) is
-// re-fetched through the retransmit path — served locally when this
-// process is an acceptor (the accepted map and the stable log hold every
-// decided instance below the delivery watermark), requested from a peer
-// acceptor otherwise. allowRemote gates the network request to the retry
+// re-fetched through the retransmit path — served locally from the log
+// when this process is an acceptor (its vote for every decided instance it
+// voted on below the delivery watermark is committed there: this runs
+// after the burst's group commit), requested from a peer acceptor
+// otherwise. allowRemote gates the network request to the retry
 // tick so a hot event loop does not spam duplicate RetransmitReqs while a
 // response is in flight. Runs on the event loop.
 func (n *Node) pumpCatchup(allowRemote bool) {
@@ -297,9 +298,6 @@ func (n *Node) serveCatchupLocal(room int) {
 		if !ok {
 			break
 		}
-		// Accepted-map values are pooled: the batch entry takes its own
-		// reference (nil-safe for log-served heap copies).
-		v.Buf.Retain()
 		batch = append(batch, Delivery{Ring: n.ring, Instance: next, Value: v})
 		next += v.Span()
 		room--
@@ -324,16 +322,13 @@ func (n *Node) serveCatchupLocal(room int) {
 }
 
 // lookupDecided returns the decided value of an instance below the
-// delivery watermark, from the volatile accepted map or the stable log.
+// delivery watermark from this acceptor's log. The value is a heap view of
+// the logged record (no pooled reference); callers must have committed the
+// burst's staged votes.
 func (n *Node) lookupDecided(inst uint64) (transport.Value, bool) {
-	if rec, ok := n.accepted[inst]; ok {
-		return rec.value, true
-	}
-	if n.cfg.Log != nil {
-		if rec, ok := n.cfg.Log.Get(inst); ok {
-			if _, rinst, v, err := decodeAccept(rec); err == nil && rinst == inst {
-				return v, true
-			}
+	if rec, ok := n.cfg.Log.Get(inst); ok {
+		if _, rinst, v, err := decodeAccept(rec); err == nil && rinst == inst {
+			return v, true
 		}
 	}
 	return transport.Value{}, false

@@ -139,6 +139,7 @@ func (f *failLog) PutBatch(recs []storage.Record) error {
 func (f *failLog) Get(instance uint64) ([]byte, bool) { return f.inner.Get(instance) }
 func (f *failLog) Trim(upTo uint64) error             { return f.inner.Trim(upTo) }
 func (f *failLog) FirstRetained() uint64              { return f.inner.FirstRetained() }
+func (f *failLog) Last() uint64                       { return f.inner.Last() }
 func (f *failLog) Sync() error                        { return f.inner.Sync() }
 func (f *failLog) Close() error                       { return f.inner.Close() }
 
@@ -334,9 +335,9 @@ func TestGroupCommitCrashRecovery(t *testing.T) {
 }
 
 // TestRestartedAcceptorServesRetransmitFromWAL restarts a FileWAL-backed
-// acceptor on the same directory, so its in-memory accepted map is empty,
-// and asks it for pre-crash instances: it must serve them from disk byte
-// for byte, and report a trimmed prefix as unavailable.
+// acceptor on the same directory and asks it for pre-crash instances: it
+// must serve them from disk byte for byte, and report a trimmed prefix as
+// unavailable.
 func TestRestartedAcceptorServesRetransmitFromWAL(t *testing.T) {
 	dir := t.TempDir()
 	openWAL := func() *storage.FileWAL {

@@ -90,11 +90,27 @@ func (s *sinkTransport) take(kind transport.Kind) []sentMsg {
 }
 
 // quietCoordinator builds process 1 of a ring of `members` processes (all
-// holding `roles`) over a sinkTransport, with Phase 1 completed by hand
-// and neither loop started. Cleanup starts the loops and stops the node,
-// so every reference the test left in run-loop state is dropped by the
-// node's own exit path.
+// holding `roles`) as an idleNode, with Phase 1 completed by hand.
 func quietCoordinator(t *testing.T, members int, roles coord.Role, tweak func(*Config)) (*Node, *sinkTransport) {
+	t.Helper()
+	n, sink := idleNode(t, ringService(t, members, roles), 1, tweak)
+	if members > 1 {
+		// The startup Phase 1A comes back around the ring with a promise
+		// from every acceptor.
+		endBurst(n, transport.Message{
+			Kind: transport.KindPhase1A, Ring: 1, Ballot: n.ballot,
+			Instance: n.nextDeliver, Votes: uint32(members),
+		})
+		sink.take(transport.KindPhase1A)
+	}
+	if !n.phase1Ready {
+		t.Fatal("coordinator's Phase 1 did not complete")
+	}
+	return n, sink
+}
+
+// ringService registers ring 1 with processes 1..members holding roles.
+func ringService(t *testing.T, members int, roles coord.Role) *coord.Service {
 	t.Helper()
 	svc := coord.NewService()
 	var ms []coord.Member
@@ -104,9 +120,18 @@ func quietCoordinator(t *testing.T, members int, roles coord.Role, tweak func(*C
 	if err := svc.CreateRing(1, ms); err != nil {
 		t.Fatal(err)
 	}
-	sink := newSinkTransport(1)
+	return svc
+}
+
+// idleNode builds process self of ring 1 over a sinkTransport and a
+// MemLog (tweak may replace either setting), with neither loop started.
+// Cleanup starts the loops and stops the node, so every reference the
+// test left in run-loop state is dropped by the node's own exit path.
+func idleNode(t *testing.T, svc *coord.Service, self transport.ProcessID, tweak func(*Config)) (*Node, *sinkTransport) {
+	t.Helper()
+	sink := newSinkTransport(self)
 	cfg := Config{
-		Ring: 1, Self: 1, Router: transport.NewRouter(sink), Coord: svc,
+		Ring: 1, Self: self, Router: transport.NewRouter(sink), Coord: svc,
 		Log: storage.NewMemLog(), RetryInterval: time.Hour,
 	}
 	if tweak != nil {
@@ -122,18 +147,6 @@ func quietCoordinator(t *testing.T, members int, roles coord.Role, tweak func(*C
 		n.Stop()
 		_ = sink.Close()
 	})
-	if members > 1 {
-		// The startup Phase 1A comes back around the ring with a promise
-		// from every acceptor.
-		endBurst(n, transport.Message{
-			Kind: transport.KindPhase1A, Ring: 1, Ballot: n.ballot,
-			Instance: n.nextDeliver, Votes: uint32(members),
-		})
-		sink.take(transport.KindPhase1A)
-	}
-	if !n.phase1Ready {
-		t.Fatal("coordinator's Phase 1 did not complete")
-	}
 	return n, sink
 }
 
@@ -313,9 +326,9 @@ func TestPackingBoundaries(t *testing.T) {
 
 // TestPackedVoteWedgedThenRecovered: the log rejects the burst that
 // carries a packed vote. The packed Phase 2 must not leave the node, the
-// packet must stay in the flight table and the vote map, and once the log
-// accepts writes again the retry path sends the same packet — whose
-// decision then delivers every message once, in queue order.
+// packet must stay in the flight table and the retained WAL batch, and
+// once the log accepts writes again the retry path sends the same packet —
+// whose decision then delivers every message once, in queue order.
 func TestPackedVoteWedgedThenRecovered(t *testing.T) {
 	expectOutstanding(t)
 	fl := newFailLog(storage.NewMemLog())
@@ -336,9 +349,16 @@ func TestPackedVoteWedgedThenRecovered(t *testing.T) {
 		t.Fatalf("commit not wedged with the vote retained (wedged=%v, staged records=%d)", n.commitWedged, len(n.walBatch))
 	}
 	f, inFlight := n.inFlight[1]
-	acc, voted := n.accepted[1]
-	if !inFlight || !voted || !f.value.Batched || !acc.value.Batched || len(n.inFlight) != 1 {
-		t.Fatalf("packet not held for retry: inFlight=%v accepted=%v", n.inFlight, n.accepted)
+	var staged transport.Value
+	for _, r := range n.walBatch {
+		if r.Instance == 1 {
+			if _, _, v, err := decodeAccept(r.Data); err == nil {
+				staged = v
+			}
+		}
+	}
+	if !inFlight || !f.value.Batched || !staged.Batched || len(n.inFlight) != 1 {
+		t.Fatalf("packet not held for retry: inFlight=%v staged vote=%+v", n.inFlight, staged)
 	}
 	if _, ok := fl.Get(1); ok {
 		t.Fatal("rejected vote reached the log")
@@ -354,8 +374,13 @@ func TestPackedVoteWedgedThenRecovered(t *testing.T) {
 	if len(got) != 1 || got[0].instance != 1 || len(got[0].ids) != 16 {
 		t.Fatalf("after recovery: %+v, want instance 1 carrying 16 values", got)
 	}
-	if _, ok := fl.Get(1); !ok {
+	rec, ok := fl.Get(1)
+	if !ok {
 		t.Fatal("packed Phase 2 sent before its vote was durable")
+	}
+	_, _, logged, err := decodeAccept(rec)
+	if err != nil || !logged.Batched {
+		t.Fatalf("logged vote %+v (err %v), want the packet", logged, err)
 	}
 	if n.commitWedged {
 		t.Fatal("still wedged after the retained batch committed")
@@ -364,9 +389,7 @@ func TestPackedVoteWedgedThenRecovered(t *testing.T) {
 	// Decided: one delivery entry carries the packet, messages in queue
 	// order, and nothing is delivered twice when the decision loops again.
 	endBurst(n, decisionFor(n, 1))
-	dup := transport.Message{Kind: transport.KindDecision, Ring: 1, Instance: 1, Value: n.accepted[1].value, Seq: 2}
-	dup.Value.Buf.Retain()
-	endBurst(n, dup)
+	endBurst(n, transport.Message{Kind: transport.KindDecision, Ring: 1, Instance: 1, Value: logged, Seq: 2})
 	n.dmu.Lock()
 	var delivered []Delivery
 	for _, b := range n.dqueue[n.dhead:] {

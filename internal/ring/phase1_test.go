@@ -1,0 +1,104 @@
+package ring
+
+import (
+	"bytes"
+	"testing"
+
+	"amcast/internal/storage"
+	"amcast/internal/transport"
+)
+
+// White-box tests of the acceptor's vote memory: the log is the only place
+// a vote lives, so Phase 1 and retransmission read it back from there.
+
+// TestRestartedAcceptorReportsLoggedVotes: an acceptor rebuilt over the
+// log of a previous incarnation — a promise and votes for three instances
+// — promises a higher ballot and reports all three votes in its Phase 1B,
+// so a new coordinator can re-propose values that may have been chosen.
+func TestRestartedAcceptorReportsLoggedVotes(t *testing.T) {
+	log := storage.NewMemLog()
+	values := [][]byte{[]byte("first-vote"), []byte("second-vote"), []byte("third-vote")}
+	recs := []storage.Record{{Instance: promiseInstance, Data: encodePromise(3)}}
+	for i, data := range values {
+		inst := uint64(i + 1)
+		recs = append(recs, storage.Record{Instance: inst, Data: encodeAccept(3, inst, transport.Value{ID: inst, Count: 1, Data: data})})
+	}
+	if err := log.PutBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	n, _ := idleNode(t, ringService(t, 3, fullRoles), 2, func(cfg *Config) { cfg.Log = log })
+	if n.promised != 3 {
+		t.Fatalf("recovered promise %d, want 3", n.promised)
+	}
+
+	m := transport.Message{Kind: transport.KindPhase1A, Ring: 1, Ballot: 5, Instance: 1}
+	n.acceptPhase1(&m)
+	if m.Votes != 1 || n.promised != 5 {
+		t.Fatalf("votes %d, promised %d: want one vote for ballot 5", m.Votes, n.promised)
+	}
+	for i, data := range values {
+		if !bytes.Contains(m.Payload, data) {
+			t.Errorf("Phase 1B report lacks the logged vote for instance %d (%q)", i+1, data)
+		}
+	}
+	if rec, ok := log.Get(promiseInstance); !ok || decodePromise(rec) != 5 {
+		t.Error("the raised promise is not durable after the report")
+	}
+}
+
+// TestPhase1ProposesHighestBallotVote: two acceptors report different
+// values for one instance, cast at different ballots, the lower-ballot one
+// first around the ring. The new coordinator must re-propose the value of
+// the highest-ballot vote (Paxos Phase 2a), not the first it reads.
+func TestPhase1ProposesHighestBallotVote(t *testing.T) {
+	svc := ringService(t, 3, fullRoles)
+	c, sink := idleNode(t, svc, 1, nil)
+	low, _ := idleNode(t, svc, 2, nil)
+	high, _ := idleNode(t, svc, 3, nil)
+	old := transport.Value{ID: 21, Count: 1, Data: []byte("voted-at-ballot-2")}
+	newer := transport.Value{ID: 31, Count: 1, Data: []byte("voted-at-ballot-4")}
+	low.recordVote(2, 1, old)
+	low.commitStaged()
+	high.recordVote(4, 1, newer)
+	high.commitStaged()
+
+	c.ballot = 9
+	m := transport.Message{Kind: transport.KindPhase1A, Ring: 1, Ballot: 9, Instance: 1}
+	c.acceptPhase1(&m)
+	low.acceptPhase1(&m)
+	high.acceptPhase1(&m)
+	c.completePhase1(m)
+	c.commitStaged()
+
+	if !c.phase1Ready {
+		t.Fatalf("Phase 1 did not complete with %d votes", m.Votes)
+	}
+	if f, ok := c.inFlight[1]; !ok || f.value.ID != newer.ID {
+		t.Fatalf("instance 1 re-proposed with %+v, want the ballot-4 value %d", f.value, newer.ID)
+	}
+	if got := sink.take(transport.KindPhase2); len(got) != 1 || got[0].instance != 1 || got[0].ids[0] != newer.ID {
+		t.Fatalf("Phase 2 sent %+v, want instance 1 carrying value %d", got, newer.ID)
+	}
+}
+
+// TestLookupDecidedAllocs: serving a decided value from an in-memory log
+// — the path every retransmission, catch-up and Phase 1 read takes —
+// allocates nothing.
+func TestLookupDecidedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates alloc counts")
+	}
+	log := storage.NewMemLog()
+	if err := log.Put(7, encodeAccept(1, 7, transport.Value{ID: 7, Count: 1, Data: make([]byte, 1<<10)})); err != nil {
+		t.Fatal(err)
+	}
+	n := &Node{cfg: Config{Log: log}}
+	lookup := func() {
+		if v, ok := n.lookupDecided(7); !ok || v.ID != 7 || len(v.Data) != 1<<10 {
+			t.Fatalf("lookupDecided(7) = %+v, %v", v, ok)
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, lookup); allocs != 0 {
+		t.Errorf("lookupDecided allocates %.2f times per read, want 0", allocs)
+	}
+}

@@ -3,7 +3,6 @@ package ring
 import (
 	"testing"
 
-	"amcast/internal/storage"
 	"amcast/internal/transport"
 )
 
@@ -57,41 +56,6 @@ func TestProposalQueueAtMatchesPop(t *testing.T) {
 		}
 		if v := q.pop(); v.ID != want {
 			t.Fatalf("pop = %d, want %d", v.ID, want)
-		}
-	}
-}
-
-func TestAcceptedIndexSortedInsertAndTrim(t *testing.T) {
-	n := &Node{accepted: make(map[uint64]acceptedRec)}
-	for _, inst := range []uint64{5, 1, 9, 3, 9, 7, 2} { // dup 9 ignored
-		if _, ok := n.accepted[inst]; !ok {
-			n.acceptedInsert(inst)
-		}
-		n.accepted[inst] = acceptedRec{}
-	}
-	want := []uint64{1, 2, 3, 5, 7, 9}
-	if len(n.acceptedIdx) != len(want) {
-		t.Fatalf("index = %v, want %v", n.acceptedIdx, want)
-	}
-	for i, inst := range want {
-		if n.acceptedIdx[i] != inst {
-			t.Fatalf("index = %v, want %v", n.acceptedIdx, want)
-		}
-	}
-	n.cfg.Log = storage.NewMemLog() // applyTrim forwards to the log
-	n.applyTrim(4)
-	want = []uint64{5, 7, 9}
-	if len(n.acceptedIdx) != len(want) {
-		t.Fatalf("after trim index = %v, want %v", n.acceptedIdx, want)
-	}
-	for i, inst := range want {
-		if n.acceptedIdx[i] != inst {
-			t.Fatalf("after trim index = %v, want %v", n.acceptedIdx, want)
-		}
-	}
-	for inst := uint64(1); inst <= 4; inst++ {
-		if _, ok := n.accepted[inst]; ok {
-			t.Errorf("instance %d not deleted from accepted map", inst)
 		}
 	}
 }

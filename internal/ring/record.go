@@ -2,6 +2,7 @@ package ring
 
 import (
 	"encoding/binary"
+	"sort"
 
 	"amcast/internal/transport"
 )
@@ -45,20 +46,52 @@ func encodeAccept(ballot uint32, instance uint64, v transport.Value) []byte {
 	return appendAccept(make([]byte, 0, acceptRecordSize(v)), ballot, instance, v)
 }
 
-// decodeAccept parses a record written by encodeAccept.
+// decodeAccept parses a record written by encodeAccept. The value aliases
+// rec; reading its one entry in place keeps every log read allocation-free.
 func decodeAccept(rec []byte) (ballot uint32, instance uint64, v transport.Value, err error) {
-	if len(rec) < 4 {
+	if len(rec) < 4+transport.BatchHeaderSize || binary.LittleEndian.Uint32(rec[4:]) != 1 {
 		return 0, 0, transport.Value{}, transport.ErrShortMessage
 	}
-	ballot = binary.LittleEndian.Uint32(rec[:4])
-	batch, err := transport.DecodeBatch(rec[4:])
-	if err != nil {
-		return 0, 0, transport.Value{}, err
+	it := transport.IterBatch(rec[4:])
+	iv, ok := it.Next()
+	if !ok {
+		return 0, 0, transport.Value{}, it.Err()
 	}
-	if len(batch) != 1 {
-		return 0, 0, transport.Value{}, transport.ErrShortMessage
+	return binary.LittleEndian.Uint32(rec[:4]), iv.Instance, iv.Value, nil
+}
+
+// A Phase 1B report rides the circulating Phase 1A payload as one batch
+// with an entry per vote: the instance, and as the value's Data the vote's
+// log record as stored, so each vote carries the ballot it was cast at.
+
+// reportedVote is one vote decoded from a Phase 1B report.
+type reportedVote struct {
+	ballot   uint32
+	instance uint64
+	value    transport.Value
+}
+
+// decodeReport returns the votes a Phase 1A payload reports, sorted by
+// instance and, within an instance, highest ballot first. Entries that do
+// not decode are dropped.
+func decodeReport(payload []byte) []reportedVote {
+	var votes []reportedVote
+	for it := transport.IterBatch(payload); ; {
+		iv, ok := it.Next()
+		if !ok {
+			break
+		}
+		if ballot, inst, v, err := decodeAccept(iv.Value.Data); err == nil && inst == iv.Instance {
+			votes = append(votes, reportedVote{ballot: ballot, instance: inst, value: v})
+		}
 	}
-	return ballot, batch[0].Instance, batch[0].Value, nil
+	sort.Slice(votes, func(i, j int) bool {
+		if votes[i].instance != votes[j].instance {
+			return votes[i].instance < votes[j].instance
+		}
+		return votes[i].ballot > votes[j].ballot
+	})
+	return votes
 }
 
 // promiseInstance is the reserved log key for the acceptor's highest

@@ -24,7 +24,6 @@ import (
 //
 //	pendingQ entry      push retains; pop transfers to the caller
 //	inFlight flight     released when the slot frees (decided/stale/exit)
-//	accepted map        released on overwrite, trim, or exit
 //	learned map         transfers to the pending Delivery on drain,
 //	                    released if delivery is suppressed
 //	Delivery entry      released by ReleaseBatch
@@ -93,9 +92,6 @@ func (n *Node) releaseBurst() {
 // outstanding. Runs after the final commitStaged/finalHandoff, with the
 // delivery stage's own cleanup handled by Stop.
 func (n *Node) releaseRunState() {
-	for _, rec := range n.accepted {
-		rec.value.Buf.Release()
-	}
 	for _, v := range n.learned {
 		v.Buf.Release()
 	}

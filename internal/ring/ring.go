@@ -163,12 +163,6 @@ type flight struct {
 	lastSent time.Time
 }
 
-// acceptedRec is the acceptor's volatile view of a vote (mirrored in Log).
-type acceptedRec struct {
-	ballot uint32
-	value  transport.Value
-}
-
 // Node is one process's participation in one ring. A process participates
 // in several rings by creating one Node per ring over a shared Router.
 type Node struct {
@@ -252,12 +246,6 @@ type Node struct {
 	nextDeliver uint64
 	maxDecided  uint64
 	idleTicks   int // retry ticks since the learner last made progress
-
-	accepted map[uint64]acceptedRec
-	// acceptedIdx keeps the keys of accepted sorted so Phase 1A report
-	// walks visit only instances >= the scan point instead of the whole
-	// map.
-	acceptedIdx []uint64
 
 	// Group-commit staging (run-loop owned): handlers append durable
 	// votes to walBatch and outbound messages to stagedSends; at the end
@@ -365,7 +353,6 @@ func newNode(cfg Config) (*Node, error) {
 		learned:      make(map[uint64]transport.Value),
 		nextDeliver:  max(1, cfg.StartInstance),
 		nextInstance: 1,
-		accepted:     make(map[uint64]acceptedRec),
 		safeResps:    make(map[transport.ProcessID]uint64),
 		done:         make(chan struct{}),
 		loopDone:     make(chan struct{}),

@@ -1,7 +1,6 @@
 package ring
 
 import (
-	"sort"
 	"time"
 
 	"amcast/internal/bufpool"
@@ -150,11 +149,12 @@ func (n *Node) commitStaged() {
 		}
 		if err := n.cfg.Log.PutBatch(n.walBatch); err != nil {
 			// Durability failed. Drop the staged sends — un-logged votes
-			// must not circulate — but KEEP the staged records: the
-			// volatile accepted map already holds these votes and later
-			// Phase 1A reports will advertise them, so they must stay
+			// must not circulate — but KEEP the staged records: the node
+			// has already acted on these votes and promises, so they stay
 			// queued for the next commit attempt rather than be silently
-			// forgotten while the node keeps acting on them. A log that
+			// forgotten. Phase 1 reports and retransmissions read the log
+			// and commit first, so while the batch is retained they answer
+			// nothing instead of reporting without these votes. A log that
 			// fails persistently wedges this acceptor's output (sends
 			// dropped, deliveries withheld) — and once the failure
 			// budget is spent the node steps out loudly (self MarkDown)
@@ -227,8 +227,9 @@ func (n *Node) stagePut(instance uint64, record []byte) {
 	n.walBatch = append(n.walBatch, storage.Record{Instance: instance, Data: record})
 }
 
-// recoverFromLog rebuilds volatile acceptor state from the stable log after
-// a restart (Section 5.1, acceptor recovery).
+// recoverFromLog restores the acceptor's promise from the stable log after
+// a restart (Section 5.1, acceptor recovery). Its votes need no restoring:
+// they stay in the log, where Phase 1 and retransmission read them.
 func (n *Node) recoverFromLog() {
 	if n.cfg.Log == nil {
 		return
@@ -276,10 +277,13 @@ func (n *Node) becomeCoordinator(ballot uint32) {
 		Kind:     transport.KindPhase1A,
 		Ring:     n.ring,
 		Ballot:   ballot,
-		Instance: n.nextDeliver, // report accepted values from here up
+		Instance: n.nextDeliver, // report votes from here up
 	}
-	// Vote for our own Phase 1A (the coordinator is an acceptor).
-	n.acceptPhase1(&m)
+	// Vote for our own Phase 1A (the coordinator is an acceptor). A wedged
+	// log cannot report our votes: the retry tick runs Phase 1 again.
+	if !n.acceptPhase1(&m) {
+		return
+	}
 	if n.succ == 0 {
 		// Single-member ring: phase 1 trivially complete.
 		n.completePhase1(m)
@@ -443,12 +447,11 @@ func (n *Node) proposeValue(v transport.Value, now time.Time) {
 	n.sendPhase2(inst, v)
 }
 
-// recordVote stages the durable vote record for an instance and tracks it
-// in the volatile accepted map and its sorted index. The staged record
-// commits (group commit) before any message of this burst leaves the node.
-// The record is encoded into a pooled buffer (tracked in walBufs, recycled
-// once the commit lands) and the accepted map takes its own payload
-// reference, held until the instance is trimmed or overwritten.
+// recordVote stages the durable vote record for an instance; the log is
+// the acceptor's only memory of it. The staged record commits (group
+// commit) before any message of this burst leaves the node. The record is
+// encoded into a pooled buffer, tracked in walBufs and recycled once the
+// commit lands.
 //
 //lint:pooled
 func (n *Node) recordVote(ballot uint32, inst uint64, v transport.Value) {
@@ -457,29 +460,6 @@ func (n *Node) recordVote(ballot uint32, inst uint64, v transport.Value) {
 	n.walBufs = append(n.walBufs, rec)
 	n.spanNow("vote", inst, v)
 	n.traceStagedVote(inst, v)
-	if old, ok := n.accepted[inst]; ok {
-		old.value.Buf.Release() // re-vote: drop the superseded value's ref
-	} else {
-		n.acceptedInsert(inst)
-	}
-	v.Buf.Retain()
-	n.accepted[inst] = acceptedRec{ballot: ballot, value: v}
-}
-
-// acceptedInsert adds a new instance to the sorted index. Votes arrive in
-// almost-increasing instance order, so the append path dominates.
-func (n *Node) acceptedInsert(inst uint64) {
-	if k := len(n.acceptedIdx); k == 0 || inst > n.acceptedIdx[k-1] {
-		n.acceptedIdx = append(n.acceptedIdx, inst)
-		return
-	}
-	i := sort.Search(len(n.acceptedIdx), func(i int) bool { return n.acceptedIdx[i] >= inst })
-	if i < len(n.acceptedIdx) && n.acceptedIdx[i] == inst {
-		return
-	}
-	n.acceptedIdx = append(n.acceptedIdx, 0)
-	copy(n.acceptedIdx[i+1:], n.acceptedIdx[i:])
-	n.acceptedIdx[i] = inst
 }
 
 // stagePromise stages the durable record of a raised promise.
@@ -514,27 +494,30 @@ func (n *Node) sendPhase2(inst uint64, v transport.Value) {
 }
 
 // acceptPhase1 applies a Phase 1A message at an acceptor: promise the
-// ballot (durably), vote, and attach this acceptor's accepted values so a
-// new coordinator can re-propose possibly-chosen values.
-func (n *Node) acceptPhase1(m *transport.Message) {
-	if !n.isAcceptor() {
-		return
-	}
-	if m.Ballot < n.promised {
-		return // no vote for stale ballots
+// ballot (durably), vote, and attach this acceptor's logged votes so a new
+// coordinator can re-propose possibly-chosen values. The votes are read
+// from the log, so the burst's staged ones are committed first; it reports
+// false when that commit is wedged, and the caller then sends nothing.
+func (n *Node) acceptPhase1(m *transport.Message) bool {
+	if !n.isAcceptor() || m.Ballot < n.promised {
+		return true // no vote: a learner, or a stale ballot
 	}
 	if m.Ballot > n.promised {
 		n.promised = m.Ballot
 		n.stagePromise()
 	}
+	n.commitStaged()
+	if n.commitWedged {
+		return false
+	}
 	m.Votes++
-	// Report accepted values at or above the scan point: the sorted
-	// index finds the scan start in O(log n) and walks only instances
-	// >= it, instead of scanning the whole accepted map.
+	// Report every logged vote at or above the scan point, record as
+	// stored, so each keeps the ballot it was cast at.
 	var report []transport.InstanceValue
-	start := sort.Search(len(n.acceptedIdx), func(i int) bool { return n.acceptedIdx[i] >= m.Instance })
-	for _, inst := range n.acceptedIdx[start:] {
-		report = append(report, transport.InstanceValue{Instance: inst, Value: n.accepted[inst].value})
+	for inst, last := max(m.Instance, n.cfg.Log.FirstRetained(), 1), n.cfg.Log.Last(); inst <= last; inst++ {
+		if rec, ok := n.cfg.Log.Get(inst); ok {
+			report = append(report, transport.InstanceValue{Instance: inst, Value: transport.Value{Data: rec}})
+		}
 	}
 	if len(report) > 0 {
 		existing, err := transport.DecodeBatch(m.Payload)
@@ -543,6 +526,7 @@ func (n *Node) acceptPhase1(m *transport.Message) {
 		}
 		m.Payload = transport.EncodeBatch(append(existing, report...))
 	}
+	return true
 }
 
 // handlePhase1A processes a circulating Phase 1A: the originating
@@ -553,15 +537,14 @@ func (n *Node) handlePhase1A(m transport.Message) {
 		n.completePhase1(m)
 		return
 	}
-	n.acceptPhase1(&m)
-	if n.succ != 0 {
+	if n.acceptPhase1(&m) && n.succ != 0 {
 		n.send(n.succ, m)
 	}
 }
 
 // completePhase1 finishes the coordinator's Phase 1: with a majority of
-// promises it re-proposes every reported accepted value (they may have been
-// chosen) and opens the pipeline.
+// promises it re-proposes, for every reported instance, the value of the
+// highest-ballot vote (it may have been chosen) and opens the pipeline.
 func (n *Node) completePhase1(m transport.Message) {
 	n.mu.Lock()
 	majority := n.rc.Majority()
@@ -572,25 +555,22 @@ func (n *Node) completePhase1(m transport.Message) {
 		n.phase1Ready = false
 		return
 	}
-	reported, err := transport.DecodeBatch(m.Payload)
-	if err == nil {
-		// Re-propose reported values at the new ballot, highest
-		// instance first to fix nextInstance.
-		for _, iv := range reported {
-			if iv.Instance+iv.Value.Span() > n.nextInstance {
-				n.nextInstance = iv.Instance + iv.Value.Span()
-			}
+	votes := decodeReport(m.Payload)
+	for _, vt := range votes {
+		n.nextInstance = max(n.nextInstance, vt.instance+vt.value.Span())
+	}
+	for i, vt := range votes {
+		if i > 0 && votes[i-1].instance == vt.instance {
+			continue // a lower-ballot vote for an instance already handled
 		}
-		for _, iv := range reported {
-			if iv.Instance < n.nextDeliver {
-				continue // already decided and delivered
-			}
-			if _, busy := n.inFlight[iv.Instance]; busy {
-				continue
-			}
-			n.inFlight[iv.Instance] = flight{value: iv.Value, lastSent: time.Now()}
-			n.sendPhase2(iv.Instance, iv.Value)
+		if vt.instance < n.nextDeliver {
+			continue // already decided and delivered
 		}
+		if _, busy := n.inFlight[vt.instance]; busy {
+			continue // this coordinator's own proposal is in flight
+		}
+		n.inFlight[vt.instance] = flight{value: vt.value, lastSent: time.Now()}
+		n.sendPhase2(vt.instance, vt.value)
 	}
 	n.phase1Ready = true
 }
@@ -787,9 +767,15 @@ func (n *Node) chaseGaps() {
 
 // handleRetransmitReq serves decided values from the acceptor log. Only
 // instances below the acceptor's own contiguous decision watermark are
-// served: those are stable and their accepted value equals the decision.
+// served: those are stable and their logged vote equals the decision. The
+// burst's staged votes are committed first so the log holds them; a
+// wedged commit answers nothing.
 func (n *Node) handleRetransmitReq(m transport.Message) {
 	if !n.isAcceptor() {
+		return
+	}
+	n.commitStaged()
+	if n.commitWedged {
 		return
 	}
 	var batch []transport.InstanceValue
@@ -805,15 +791,12 @@ func (n *Node) handleRetransmitReq(m transport.Message) {
 			// The range is decided but this acceptor cannot serve any of
 			// it — it was trimmed (Section 5.2: a checkpoint quorum made
 			// it reclaimable). Say so explicitly: a catch-up learner
-			// would otherwise retry a silent void forever. Seq carries
-			// the first decided instance still retained (0 if none) as
-			// positive evidence of the trim.
+			// would otherwise retry a silent void forever.
 			n.send(m.From, transport.Message{
 				Kind:     transport.KindRetransmitResp,
 				Ring:     n.ring,
 				Instance: m.Instance,
 				Count:    retransmitUnavailable,
-				Seq:      n.firstRetainedFrom(m.Instance),
 			})
 		}
 		return
@@ -838,16 +821,6 @@ func (n *Node) handleRetransmitReq(m transport.Message) {
 // a decided-but-trimmed range.
 const retransmitUnavailable = 1
 
-// firstRetainedFrom returns the smallest decided instance >= from that
-// this acceptor can still serve, or 0 if none.
-func (n *Node) firstRetainedFrom(from uint64) uint64 {
-	i := sort.Search(len(n.acceptedIdx), func(i int) bool { return n.acceptedIdx[i] >= from })
-	if i < len(n.acceptedIdx) && n.acceptedIdx[i] < n.nextDeliver {
-		return n.acceptedIdx[i]
-	}
-	return 0
-}
-
 // handleRetransmitResp applies retransmitted decisions. During catch-up,
 // entries contiguous from catchupNext are replayed straight into the
 // delivery stage (they are below the protocol watermark — learnDecision
@@ -856,8 +829,7 @@ func (n *Node) firstRetainedFrom(from uint64) uint64 {
 func (n *Node) handleRetransmitResp(m transport.Message) {
 	if len(m.Payload) == 0 && m.Count == retransmitUnavailable {
 		// The acceptor reported our catch-up range unservable: trimmed
-		// (Seq names its first retained instance) or simply absent.
-		// Either way the data is gone from that peer — the dropped
+		// or simply absent. Either way the data is gone from that peer — the dropped
 		// deliveries may be unrecoverable at ring level, so count the
 		// report toward an abort instead of wedging in catch-up forever;
 		// the consumer recovers via checkpoint transfer, the same path
@@ -1041,7 +1013,7 @@ func (n *Node) handleSafeResp(m transport.Message) {
 	n.lastTrim = min
 	for _, a := range acceptors {
 		if a == n.id {
-			n.applyTrim(min)
+			_ = n.cfg.Log.Trim(min)
 			continue
 		}
 		n.send(a, transport.Message{Kind: transport.KindTrim, Ring: n.ring, Instance: min})
@@ -1053,20 +1025,7 @@ func (n *Node) handleTrim(m transport.Message) {
 	if !n.isAcceptor() {
 		return
 	}
-	n.applyTrim(m.Instance)
-}
-
-func (n *Node) applyTrim(upTo uint64) {
-	_ = n.cfg.Log.Trim(upTo)
-	i := sort.Search(len(n.acceptedIdx), func(i int) bool { return n.acceptedIdx[i] > upTo })
-	for _, inst := range n.acceptedIdx[:i] {
-		// Trim is the acceptor's release point for its payload reference.
-		n.accepted[inst].value.Buf.Release()
-		delete(n.accepted, inst)
-	}
-	// Copy down rather than re-slice so the trimmed prefix does not pin
-	// the backing array.
-	n.acceptedIdx = append(n.acceptedIdx[:0], n.acceptedIdx[i:]...)
+	_ = n.cfg.Log.Trim(m.Instance)
 }
 
 // send stages a message for transmission on this ring, stamping the ring

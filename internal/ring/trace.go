@@ -10,7 +10,7 @@ import (
 )
 
 // Trace-context plumbing. The ring protocol's queues (pendingQ, learned,
-// accepted) store transport.Values, not Messages, so the sampled trace
+// inFlight) and its log store values, not Messages, so the sampled trace
 // contexts that arrive as optional frame headers are parked in a bounded
 // value-id-keyed tag table and re-attached when the value leaves the
 // node again (Phase 2, Decision, retransmission). All of it is

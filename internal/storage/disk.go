@@ -268,6 +268,9 @@ func (d *SimDisk) Trim(upTo uint64) error { return d.inner.Trim(upTo) }
 // FirstRetained forwards to the wrapped log.
 func (d *SimDisk) FirstRetained() uint64 { return d.inner.FirstRetained() }
 
+// Last forwards to the wrapped log.
+func (d *SimDisk) Last() uint64 { return d.inner.Last() }
+
 // Sync waits for the virtual device to drain.
 func (d *SimDisk) Sync() error {
 	d.mu.Lock()

@@ -53,6 +53,10 @@ type Log interface {
 	// FirstRetained returns the lowest instance that is guaranteed still
 	// retrievable (0 if nothing was trimmed yet).
 	FirstRetained() uint64
+	// Last returns an instance no retained record exceeds: the highest
+	// one stored (0 if none). Together with FirstRetained it bounds a
+	// scan of the retained records.
+	Last() uint64
 	// Sync flushes any buffered records to stable storage.
 	Sync() error
 	// Close releases resources, flushing buffered data first.
@@ -73,6 +77,7 @@ type MemLog struct {
 	mu      sync.RWMutex
 	records map[uint64][]byte
 	trimmed uint64
+	last    uint64
 	closed  bool
 	// slab is the unused rest of the block record copies are cut from:
 	// one allocation per slabSize of records, not one each. The collector
@@ -114,6 +119,7 @@ const (
 
 // store copies record into the map under l.mu.
 func (l *MemLog) store(instance uint64, record []byte) {
+	l.last = max(l.last, instance)
 	n := len(record)
 	if n >= slabOwn {
 		l.records[instance] = append([]byte(nil), record...)
@@ -182,6 +188,13 @@ func (l *MemLog) FirstRetained() uint64 {
 		return 0
 	}
 	return l.trimmed + 1
+}
+
+// Last returns the highest instance ever stored.
+func (l *MemLog) Last() uint64 {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.last
 }
 
 // Len reports the number of retained records.

@@ -69,6 +69,9 @@ func TestMemLogTrim(t *testing.T) {
 	if got := l.FirstRetained(); got != 7 {
 		t.Errorf("FirstRetained after lower trim = %d, want 7", got)
 	}
+	if got := l.Last(); got != 10 {
+		t.Errorf("Last = %d, want 10", got)
+	}
 }
 
 func TestMemLogClosed(t *testing.T) {
@@ -162,6 +165,9 @@ func TestFileWALRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = w2.Close() }()
+	if got := w2.Last(); got != 100 {
+		t.Errorf("Last after recovery = %d, want 100", got)
+	}
 	for i := uint64(1); i <= 100; i++ {
 		rec, ok := w2.Get(i)
 		if !ok {
@@ -188,6 +194,14 @@ func TestFileWALSegmentRollAndTrim(t *testing.T) {
 	}
 	if w.SegmentCount() < 2 {
 		t.Fatalf("expected multiple segments, got %d", w.SegmentCount())
+	}
+	// A re-vote for an old instance lands in the current segment and
+	// must not lower Last.
+	if err := w.Put(3, payload); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Last(); got != 64 {
+		t.Errorf("Last across segments = %d, want 64", got)
 	}
 	before := w.SegmentCount()
 	if err := w.Trim(32); err != nil {

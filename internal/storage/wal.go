@@ -44,9 +44,8 @@ const (
 // The index holds only record locations — (segment, offset, length) — not
 // record bytes: Get preads each record into a fresh slice, so memory stays
 // flat no matter how much untrimmed log exists. Nothing is cached: the
-// acceptor keeps its untrimmed votes in memory and reads the log only for
-// what that map no longer holds (the promise at recovery, catch-up served
-// after a restart).
+// log is the acceptor's only record of its votes, read back for Phase 1
+// reports, retransmission and catch-up, all cold paths.
 type FileWAL struct {
 	dir     string
 	mode    SyncMode
@@ -469,6 +468,17 @@ func (w *FileWAL) FirstRetained() uint64 {
 		return 0
 	}
 	return w.trimmed + 1
+}
+
+// Last returns the highest instance stored in a retained segment.
+func (w *FileWAL) Last() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	last := w.curLast
+	for _, seg := range w.segs {
+		last = max(last, seg.last)
+	}
+	return last
 }
 
 // Sync flushes buffered records and fsyncs the current segment.

@@ -177,8 +177,8 @@ type Value struct {
 	// Buf, when non-nil, is the pooled refcounted buffer backing Data.
 	// It never rides the wire (encoders ignore it) and is only set on
 	// pooled paths: the ring interns a TCP-delivered payload once into a
-	// pooled buffer and every downstream holder (accepted map, WAL
-	// batch, staged forward, delivery batch) takes its own reference.
+	// pooled buffer and every downstream holder (flight table, learned
+	// map, staged forward, delivery batch) takes its own reference.
 	// Holders that copy a Value for retention must Retain; whoever
 	// drops the last copy Releases. Code that stores Data beyond the
 	// current call without touching Buf must heap-detach it first.
