@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"amcast/internal/dlog"
 	"amcast/internal/netem"
 	"amcast/internal/store"
 )
@@ -60,6 +61,66 @@ func TestStoreOpAllocs(t *testing.T) {
 		{"Read", readAllocBudget, func() error { _, _, err := sc.Read(key); return err }},
 		{"Update", updateAllocBudget, func() error { return sc.Update(key, value) }},
 		{"ReadLocal", readLocalAllocBudget, func() error { _, _, err := sc.ReadLocal(key); return err }},
+	} {
+		run := func() {
+			if err := tc.op(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 100; i++ {
+			run() // let queues, windows and batch buffers reach their size
+		}
+		got := testing.AllocsPerRun(500, run)
+		t.Logf("%s: %.1f allocs", tc.name, got)
+		if got > tc.budget {
+			t.Errorf("%s: %.1f allocs, budget %.0f", tc.name, got, tc.budget)
+		}
+	}
+}
+
+// Allocation budgets of one dLog operation, counted the same way — two
+// logs and a global ring, three servers that host both, 1 KB values —
+// each what was measured, plus one.
+//
+//   - Append (measured 3): the encoded op, the command around it and the
+//     client's one copy of the response, which it reads the position from
+//     in place. Each server cuts its stored entry from a 64 KB block and
+//     its reply from a 4 KB block, and reuses its batch's result slice.
+//   - MultiAppend (measured 6): the same three, the slice smr.Client.Submit
+//     returns the response in, and the positions map the call returns (a
+//     map header and its one group), filled straight from the reply.
+//
+// Append cost 10–11 and MultiAppend 18–21 when each server allocated every
+// stored copy and reply, and the client decoded the reply into a Result.
+const (
+	appendAllocBudget      = 4
+	multiAppendAllocBudget = 7
+)
+
+func TestDLogOpAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts inflated under the race detector")
+	}
+	d := NewDeployment(nil)
+	defer d.Close()
+	c, err := d.StartDLog(DLogOptions{Logs: 2, Servers: 3, Global: true, Ring: fastRing()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc, cl, err := c.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	value := make([]byte, 1000)
+	logs := []dlog.LogID{1, 2}
+	for _, tc := range []struct {
+		name   string
+		budget float64
+		op     func() error
+	}{
+		{"Append", appendAllocBudget, func() error { _, err := dc.Append(1, value); return err }},
+		{"MultiAppend", multiAppendAllocBudget, func() error { _, err := dc.MultiAppend(logs, value); return err }},
 	} {
 		run := func() {
 			if err := tc.op(); err != nil {

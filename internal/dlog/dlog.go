@@ -8,6 +8,12 @@
 // everything else. Servers keep recent appends in an in-memory cache and
 // write entries to disk synchronously or asynchronously (Section 7.3);
 // a trim flushes the cache up to the trim position.
+//
+// A server applies an operation from the delivered bytes and copies an
+// appended value once, into a block of entries it cuts forward and never
+// rewrites; a Disk, when set, keeps a copy of its own. Replies are cut from
+// a block in the same way, and the client reads them in place. This is safe
+// only because the log is append-only: nothing written is ever changed.
 package dlog
 
 import (
@@ -71,32 +77,58 @@ func (o Op) Encode() []byte {
 	return append(buf, o.Value...)
 }
 
-// DecodeOp parses an encoded operation. Value aliases buf: the state
-// machine copies the one value it stores.
-func DecodeOp(buf []byte) (Op, error) {
-	var o Op
+// opView is one operation read in place: logs and Value alias the encoded
+// bytes, which belong to whoever delivered them. logs holds the
+// multi-append targets, four bytes each.
+type opView struct {
+	Kind  OpKind
+	Log   LogID
+	Pos   uint64
+	logs  []byte
+	Value []byte
+}
+
+// logAt is the i-th multi-append target.
+func (v opView) logAt(i int) LogID {
+	return LogID(binary.LittleEndian.Uint32(v.logs[4*i:]))
+}
+
+// parseOp is the one operation parser: the state machine applies its view,
+// and DecodeOp materialises an Op over it.
+func parseOp(buf []byte) (v opView, ok bool) {
 	if len(buf) < 15 {
-		return o, transport.ErrShortMessage
+		return v, false
 	}
-	o.Kind = OpKind(buf[0])
-	o.Log = LogID(binary.LittleEndian.Uint32(buf[1:5]))
-	o.Pos = binary.LittleEndian.Uint64(buf[5:13])
-	n := int(binary.LittleEndian.Uint16(buf[13:15]))
+	v.Kind = OpKind(buf[0])
+	v.Log = LogID(binary.LittleEndian.Uint32(buf[1:5]))
+	v.Pos = binary.LittleEndian.Uint64(buf[5:13])
+	n := 4 * int(binary.LittleEndian.Uint16(buf[13:15]))
 	buf = buf[15:]
-	if len(buf) < 4*n+4 {
-		return o, transport.ErrShortMessage
+	if len(buf) < n+4 {
+		return v, false
 	}
-	for i := 0; i < n; i++ {
-		o.Logs = append(o.Logs, LogID(binary.LittleEndian.Uint32(buf[:4])))
-		buf = buf[4:]
-	}
+	v.logs, buf = buf[:n], buf[n:]
 	vn := int(binary.LittleEndian.Uint32(buf[:4]))
 	buf = buf[4:]
 	if len(buf) < vn {
-		return o, transport.ErrShortMessage
+		return v, false
 	}
 	if vn > 0 {
-		o.Value = buf[:vn:vn]
+		v.Value = buf[:vn:vn]
+	}
+	return v, true
+}
+
+// DecodeOp parses an encoded operation into an Op of its own, except that
+// Value still aliases buf.
+func DecodeOp(buf []byte) (Op, error) {
+	v, ok := parseOp(buf)
+	if !ok {
+		return Op{}, transport.ErrShortMessage
+	}
+	o := Op{Kind: v.Kind, Log: v.Log, Pos: v.Pos, Value: v.Value}
+	for i := 0; i < len(v.logs)/4; i++ {
+		o.Logs = append(o.Logs, v.logAt(i))
 	}
 	return o, nil
 }
@@ -131,7 +163,7 @@ func (r Result) Encode() []byte {
 	for l, pos := range r.Positions {
 		ps = ps.with(l, pos)
 	}
-	return encodeResult(r.Status, ps, r.Value)
+	return appendResult(make([]byte, 0, resultLen(ps, r.Value)), r.Status, ps, r.Value)
 }
 
 // logPos is one log's position in a reply.
@@ -159,46 +191,92 @@ func (ps positions) with(l LogID, pos uint64) positions {
 	return slices.Insert(ps, i, logPos{l, pos})
 }
 
-// encodeResult writes a result into one exactly-sized buffer.
-func encodeResult(st Status, ps positions, value []byte) []byte {
-	buf := make([]byte, 0, 1+2+12*len(ps)+4+len(value))
-	buf = append(buf, byte(st))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(ps)))
-	for _, p := range ps {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(p.log))
-		buf = binary.LittleEndian.AppendUint64(buf, p.pos)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(value)))
-	return append(buf, value...)
+// resultLen is the number of bytes appendResult writes.
+func resultLen(ps positions, value []byte) int {
+	return 1 + 2 + 12*len(ps) + 4 + len(value)
 }
 
-// DecodeResult parses an encoded result.
-func DecodeResult(buf []byte) (Result, error) {
-	var r Result
+// appendResult is the one place a result is written.
+func appendResult(dst []byte, st Status, ps positions, value []byte) []byte {
+	dst = append(dst, byte(st))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(ps)))
+	for _, p := range ps {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(p.log))
+		dst = binary.LittleEndian.AppendUint64(dst, p.pos)
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(value)))
+	return append(dst, value...)
+}
+
+// resultView is one result read in place: ps holds the positions, twelve
+// bytes (log, position) each, and Value aliases the encoded bytes, capped
+// at its own length.
+type resultView struct {
+	Status Status
+	ps     []byte
+	Value  []byte
+}
+
+// parseResult is the one result parser: the client reads its view, and
+// DecodeResult materialises a Result over it.
+func parseResult(buf []byte) (r resultView, err error) {
 	if len(buf) < 3 {
 		return r, transport.ErrShortMessage
 	}
 	r.Status = Status(buf[0])
-	n := int(binary.LittleEndian.Uint16(buf[1:3]))
+	n := 12 * int(binary.LittleEndian.Uint16(buf[1:3]))
 	buf = buf[3:]
-	if len(buf) < 12*n+4 {
+	if len(buf) < n+4 {
 		return r, transport.ErrShortMessage
 	}
-	if n > 0 {
-		r.Positions = make(map[LogID]uint64, n)
-	}
-	for i := 0; i < n; i++ {
-		l := LogID(binary.LittleEndian.Uint32(buf[:4]))
-		r.Positions[l] = binary.LittleEndian.Uint64(buf[4:12])
-		buf = buf[12:]
-	}
+	r.ps, buf = buf[:n], buf[n:]
 	vn := int(binary.LittleEndian.Uint32(buf[:4]))
 	buf = buf[4:]
 	if len(buf) < vn {
 		return r, transport.ErrShortMessage
 	}
 	if vn > 0 {
-		r.Value = append([]byte(nil), buf[:vn]...)
+		r.Value = buf[:vn:vn]
+	}
+	return r, nil
+}
+
+// numPositions is the number of logs the result names.
+func (r resultView) numPositions() int { return len(r.ps) / 12 }
+
+// positionAt is the i-th log the result names and its position.
+func (r resultView) positionAt(i int) (LogID, uint64) {
+	p := r.ps[12*i:]
+	return LogID(binary.LittleEndian.Uint32(p)), binary.LittleEndian.Uint64(p[4:])
+}
+
+// position is l's position, if the result names l.
+func (r resultView) position(l LogID) (uint64, bool) {
+	for i := 0; i < r.numPositions(); i++ {
+		if pl, pos := r.positionAt(i); pl == l {
+			return pos, true
+		}
+	}
+	return 0, false
+}
+
+// DecodeResult parses an encoded result into a Result of its own: Value is
+// a copy.
+func DecodeResult(buf []byte) (Result, error) {
+	v, err := parseResult(buf)
+	if err != nil {
+		return Result{}, err
+	}
+	r := Result{Status: v.Status}
+	if n := v.numPositions(); n > 0 {
+		r.Positions = make(map[LogID]uint64, n)
+		for i := 0; i < n; i++ {
+			l, pos := v.positionAt(i)
+			r.Positions[l] = pos
+		}
+	}
+	if len(v.Value) > 0 {
+		r.Value = append([]byte(nil), v.Value...)
 	}
 	return r, nil
 }
@@ -223,6 +301,17 @@ type SM struct {
 	// the oldest cached entries are dropped first (reads fall back to
 	// disk).
 	cacheLimit int
+
+	// slab and replies are the unused rests of the blocks stored entries
+	// and replies are cut from: one allocation per block, not one per
+	// entry or reply. A block is only ever cut forward, so an entry or a
+	// reply never changes once written, and whoever holds one (a capture,
+	// a dedup window, the transport) may keep it as long as it likes. The
+	// collector frees a block once nothing refers to any part of it.
+	slab    []byte
+	replies []byte
+	// out is ExecuteBatch's result slice, reused from call to call.
+	out [][]byte
 
 	// Snapshot pinning: while captures are outstanding, disk trims are
 	// deferred so the background checkpoint writer can still resolve
@@ -297,62 +386,111 @@ func (s *SM) diskTrimWatermark() (uint64, bool) {
 //
 //lint:deterministic
 func (s *SM) Execute(_ transport.RingID, raw []byte) []byte {
-	op, err := DecodeOp(raw)
-	if err != nil {
-		return encodeResult(StatusBadRequest, nil, nil)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.apply(op)
+	return s.apply(raw)
 }
 
 // ExecuteBatch applies a run of encoded operations under one lock
-// acquisition (batch-at-a-time delivery's entry point).
+// acquisition (batch-at-a-time delivery's entry point). The returned slice
+// is reused by the next call; the replies in it are not.
 //
 //lint:deterministic
 func (s *SM) ExecuteBatch(_ []transport.RingID, ops [][]byte) [][]byte {
-	out := make([][]byte, len(ops))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, raw := range ops {
-		op, err := DecodeOp(raw)
-		if err != nil {
-			out[i] = encodeResult(StatusBadRequest, nil, nil)
-			continue
-		}
-		out[i] = s.apply(op)
+	s.out = s.out[:0]
+	for _, raw := range ops {
+		s.out = append(s.out, s.apply(raw))
 	}
-	return out
+	return s.out
 }
 
-// apply executes op and returns its encoded result.
-func (s *SM) apply(op Op) []byte {
+// Entries are cut from entrySlab blocks and replies from replySlab blocks.
+// An entry of entryOwn bytes or more, or a reply of replyOwn bytes or more
+// (a read of a large entry), keeps an allocation of its own, so that a
+// block is never mostly one entry's or reply's tail.
+const (
+	entrySlab = 64 << 10
+	entryOwn  = 16 << 10
+	replySlab = 4 << 10
+	replyOwn  = 1 << 10
+)
+
+// cut returns the first n bytes of *block, capped at n so that appending
+// to them cannot reach the bytes behind, and moves *block past them. A
+// block with fewer than n bytes left is replaced by a fresh one of size.
+func cut(block *[]byte, size, n int) []byte {
+	if len(*block) < n {
+		*block = make([]byte, size)
+	}
+	b := (*block)[:n:n]
+	*block = (*block)[n:]
+	return b
+}
+
+// result writes a reply into bytes of its own, cut from the reply block.
+// Callers hold s.mu.
+func (s *SM) result(st Status, ps positions, value []byte) []byte {
+	n := resultLen(ps, value)
+	if n >= replyOwn {
+		return appendResult(make([]byte, 0, n), st, ps, value)
+	}
+	return appendResult(cut(&s.replies, replySlab, n)[:0], st, ps, value)
+}
+
+// keep returns the stored copy of an appended value, cut from the entry
+// slab and, like every entry, capped at its length. An empty value is kept
+// as nil whatever the slab holds, so that every replica stores the same
+// thing. Callers hold s.mu.
+func (s *SM) keep(v []byte) []byte {
+	var e []byte
+	switch n := len(v); {
+	case n == 0:
+		return nil
+	case n >= entryOwn:
+		e = make([]byte, n)
+	default:
+		e = cut(&s.slab, entrySlab, n)
+	}
+	copy(e, v)
+	return e
+}
+
+// apply executes one encoded operation, read in place, and returns its
+// encoded result.
+func (s *SM) apply(raw []byte) []byte {
+	op, ok := parseOp(raw)
+	if !ok {
+		return s.result(StatusBadRequest, nil, nil)
+	}
 	switch op.Kind {
 	case OpAppend:
 		ls, ok := s.hosted[op.Log]
 		if !ok {
-			return encodeResult(StatusNotFound, nil, nil)
+			return s.result(StatusNotFound, nil, nil)
 		}
-		return encodeResult(StatusOK, positions{{op.Log, s.append(op.Log, ls, op.Value)}}, nil)
+		return s.result(StatusOK, positions{{op.Log, s.append(op.Log, ls, op.Value)}}, nil)
 	case OpMultiAppend:
 		// Apply to the subset of addressed logs hosted here; other
 		// partitions' servers handle theirs (same global order). A command
 		// names a few logs: their positions are ordered on the stack.
 		var few [8]logPos
 		ps := positions(few[:0])
-		for _, l := range op.Logs {
+		for i := 0; i < len(op.logs)/4; i++ {
+			l := op.logAt(i)
 			if ls, ok := s.hosted[l]; ok {
 				ps = ps.with(l, s.append(l, ls, op.Value))
 			}
 		}
 		if len(ps) == 0 {
-			return encodeResult(StatusNotFound, nil, nil)
+			return s.result(StatusNotFound, nil, nil)
 		}
-		return encodeResult(StatusOK, ps, nil)
+		return s.result(StatusOK, ps, nil)
 	case OpRead:
 		ls, ok := s.hosted[op.Log]
 		if !ok || op.Pos < ls.base || op.Pos >= ls.next {
-			return encodeResult(StatusNotFound, nil, nil)
+			return s.result(StatusNotFound, nil, nil)
 		}
 		v := ls.entries[op.Pos-ls.base]
 		if v == nil && s.disk != nil {
@@ -361,13 +499,13 @@ func (s *SM) apply(op Op) []byte {
 			}
 		}
 		if v == nil {
-			return encodeResult(StatusNotFound, nil, nil)
+			return s.result(StatusNotFound, nil, nil)
 		}
-		return encodeResult(StatusOK, nil, v)
+		return s.result(StatusOK, nil, v)
 	case OpTrim:
 		ls, ok := s.hosted[op.Log]
 		if !ok {
-			return encodeResult(StatusNotFound, nil, nil)
+			return s.result(StatusNotFound, nil, nil)
 		}
 		if op.Pos > ls.next {
 			op.Pos = ls.next
@@ -390,18 +528,19 @@ func (s *SM) apply(op Op) []byte {
 				_ = s.disk.Trim(w)
 			}
 		}
-		return encodeResult(StatusOK, positions{{op.Log, ls.base}}, nil)
+		return s.result(StatusOK, positions{{op.Log, ls.base}}, nil)
 	default:
-		return encodeResult(StatusBadRequest, nil, nil)
+		return s.result(StatusBadRequest, nil, nil)
 	}
 }
 
-// append stores one entry — a copy of v, the only one the state machine
-// makes of an appended value — persists it and maintains the cache cap.
+// append stores one entry — the state machine's one copy of v, cut from
+// the entry slab; a disk, when set, keeps a copy of its own — persists it
+// and maintains the cache cap.
 func (s *SM) append(l LogID, ls *logState, v []byte) uint64 {
 	pos := ls.next
 	ls.next++
-	cp := append([]byte(nil), v...)
+	cp := s.keep(v)
 	ls.entries = append(ls.entries, cp)
 	ls.bytes += len(cp)
 	if s.disk != nil {
@@ -533,8 +672,11 @@ func (s *SM) Snapshot() []byte {
 	return buf
 }
 
-// Restore replaces state with a snapshot.
+// Restore replaces state with a snapshot. Entries are cut from the entry
+// slab, as appends are.
 func (s *SM) Restore(snap []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if len(snap) < 4 {
 		return recovery.ErrCorrupt
 	}
@@ -561,16 +703,13 @@ func (s *SM) Restore(snap []byte) error {
 			if len(snap) < vn {
 				return recovery.ErrCorrupt
 			}
-			e := append([]byte(nil), snap[:vn]...)
-			ls.entries = append(ls.entries, e)
+			ls.entries = append(ls.entries, s.keep(snap[:vn]))
 			ls.bytes += vn
 			snap = snap[vn:]
 		}
 		hosted[l] = ls
 	}
-	s.mu.Lock()
 	s.hosted = hosted
-	s.mu.Unlock()
 	return nil
 }
 
@@ -603,21 +742,26 @@ func (c *Client) OverloadBackoffs() uint64 { return c.cl.OverloadBackoffs() }
 // groupOf maps a log to its multicast group (1:1 by convention).
 func groupOf(l LogID) transport.RingID { return transport.RingID(l) }
 
-// Append appends v to log l and returns the assigned position.
+// Append appends v to log l and returns the assigned position, read from
+// the reply in place.
 func (c *Client) Append(l LogID, v []byte) (uint64, error) {
 	op := Op{Kind: OpAppend, Log: l, Value: v}
 	resp, err := c.cl.SubmitOne(groupOf(l), op.Encode(), c.Timeout)
 	if err != nil {
 		return 0, err
 	}
-	res, err := DecodeResult(resp)
+	res, err := parseResult(resp)
 	if err != nil {
 		return 0, err
 	}
 	if res.Status != StatusOK {
 		return 0, fmt.Errorf("dlog: append to %d: status %d", l, res.Status)
 	}
-	return res.Positions[l], nil
+	pos, ok := res.position(l)
+	if !ok {
+		return 0, fmt.Errorf("dlog: append to %d: the reply names no position for it", l)
+	}
+	return pos, nil
 }
 
 // MultiAppend appends v to every log in logs atomically and returns the
@@ -645,14 +789,15 @@ func (c *Client) MultiAppendN(logs []LogID, v []byte, wantPartitions int) (map[L
 	}
 	out := make(map[LogID]uint64, len(logs))
 	for _, raw := range resps {
-		res, err := DecodeResult(raw)
+		res, err := parseResult(raw)
 		if err != nil {
 			return nil, err
 		}
 		if res.Status != StatusOK {
 			continue
 		}
-		for l, p := range res.Positions {
+		for i := 0; i < res.numPositions(); i++ {
+			l, p := res.positionAt(i)
 			out[l] = p
 		}
 	}
@@ -662,14 +807,15 @@ func (c *Client) MultiAppendN(logs []LogID, v []byte, wantPartitions int) (map[L
 	return out, nil
 }
 
-// Read returns the value at position p in log l.
+// Read returns the value at position p in log l: a view of the client's
+// own copy of the reply, capped at the value's length.
 func (c *Client) Read(l LogID, p uint64) ([]byte, error) {
 	op := Op{Kind: OpRead, Log: l, Pos: p}
 	resp, err := c.cl.SubmitOne(groupOf(l), op.Encode(), c.Timeout)
 	if err != nil {
 		return nil, err
 	}
-	res, err := DecodeResult(resp)
+	res, err := parseResult(resp)
 	if err != nil {
 		return nil, err
 	}
@@ -686,7 +832,7 @@ func (c *Client) Trim(l LogID, p uint64) error {
 	if err != nil {
 		return err
 	}
-	res, err := DecodeResult(resp)
+	res, err := parseResult(resp)
 	if err != nil {
 		return err
 	}
