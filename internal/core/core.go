@@ -113,8 +113,6 @@ type RingOptions struct {
 	MaxPending int
 	// RetryInterval drives coordinator re-proposals and gap chasing.
 	RetryInterval time.Duration
-	// DeliverBuffer is each ring's local delivery buffer.
-	DeliverBuffer int
 	// SkipEnabled turns on rate leveling.
 	SkipEnabled bool
 	// Delta is the rate-leveling interval (paper: 5 ms LAN, 20 ms WAN).
@@ -208,13 +206,13 @@ type Node struct {
 	merging    bool
 	stopped    bool
 	// dropped records rings removed by a past epoch transition. Their
-	// delivery stream is (partially) consumed by a drain goroutine, so
+	// delivery stream ended at the marker (ring.Node.DropDeliveries), so
 	// re-subscribing one would silently skip instances; it is refused.
 	dropped map[transport.RingID]bool
 
 	mergeDone chan struct{}
 	done      chan struct{}
-	// wake is poked by every joined ring's delivery stage (ring.Config.Wake)
+	// wake is poked by every joined ring's delivery queue (ring.Config.Wake)
 	// so a merge blocked on one ring still sees what the others deliver;
 	// heldScratch is that merge's per-ring view of them (awaitTurn).
 	wake        chan struct{}
@@ -326,7 +324,6 @@ func (n *Node) Join(ringID transport.RingID) error {
 		Window:              n.cfg.Ring.Window,
 		MaxPending:          n.cfg.Ring.MaxPending,
 		RetryInterval:       n.cfg.Ring.RetryInterval,
-		DeliverBuffer:       n.cfg.Ring.DeliverBuffer,
 		Wake:                n.wake,
 		SkipEnabled:         n.cfg.Ring.SkipEnabled,
 		Delta:               n.cfg.Ring.Delta,
@@ -465,11 +462,11 @@ func (n *Node) PrepareResubscribe(marker uint64, groups ...transport.RingID) err
 			return fmt.Errorf("core: duplicate group %d in resubscription", g)
 		}
 		if n.dropped[g] {
-			// A past transition dropped this ring and its delivery
-			// stream has been partially discarded by the drain
-			// goroutine; re-adding it would skip those instances and
-			// diverge from peers. Re-join semantics need ring-level
-			// redelivery, which does not exist yet.
+			// A past transition dropped this ring and ended its
+			// delivery stream at the marker; re-adding it would skip
+			// the instances decided since and diverge from peers.
+			// Re-join semantics need ring-level redelivery, which does
+			// not exist yet.
 			return fmt.Errorf("core: group %d was dropped by a previous epoch transition and cannot be re-added", g)
 		}
 		if _, ok := n.rings[g]; !ok {
@@ -504,13 +501,11 @@ func (n *Node) CancelResubscribe(marker uint64) bool {
 	return n.resub.CompareAndSwap(p, nil)
 }
 
-// ringSource adapts one ring's batch delivery channel into a pull
-// interface for the merge: it holds the in-progress batch and recycles
-// exhausted buffers back to the ring. frontier is the next instance the
-// ring owes the merge.
+// ringSource is the merge's cursor over one ring's delivery queue: it
+// holds the batch in progress and recycles exhausted buffers back to the
+// ring. frontier is the next instance the ring owes the merge.
 type ringSource struct {
 	rn     *ring.Node
-	ch     <-chan []ring.Delivery
 	buf    []ring.Delivery
 	idx    int
 	closed bool // the ring ended its delivery stream
@@ -520,31 +515,26 @@ type ringSource struct {
 
 // newSource starts reading ring g where its learner starts delivering.
 func (n *Node) newSource(g transport.RingID, rn *ring.Node) *ringSource {
-	return &ringSource{rn: rn, ch: rn.DeliveryBatches(), frontier: n.cfg.StartVector[g] + 1}
+	return &ringSource{rn: rn, frontier: n.cfg.StartVector[g] + 1}
 }
 
-// ready reports whether a delivery is available without blocking,
-// refilling from the channel opportunistically.
+// ready reports whether a delivery is available without blocking, taking
+// the ring's next queued batch once the current one is exhausted.
 func (s *ringSource) ready() bool {
 	if s.idx < len(s.buf) {
 		return true
 	}
 	s.recycle()
-	select {
-	case b, ok := <-s.ch:
-		s.buf, s.idx, s.closed = b, 0, !ok
-		return len(b) > 0
-	default:
-		return false
-	}
+	s.buf, s.closed = s.rn.TakeBatch()
+	return s.buf != nil
 }
 
 // held counts the instances the ring's learner has decided from the
 // frontier through its last value: what a merge blocked on another ring
 // could deliver if that ring caught up. Skips past the last value are not
 // worth chasing (two idle rings would ask for each other's fillers
-// forever). It reads the ring's delivery stage, not buf: the value may sit
-// behind a batch of skips the blocked merge has not pulled yet.
+// forever). It reads the ring's queue, not buf: the value may sit behind
+// a batch of skips the blocked merge has not taken yet.
 func (s *ringSource) held() uint64 {
 	if last := s.rn.LastValue(); last >= s.frontier {
 		return last - s.frontier + 1
@@ -812,10 +802,10 @@ func (n *Node) traceDelivery(rn *ring.Node, d *Delivery) {
 // boundary: it publishes the delivered marks (including the marker
 // instance), prunes/extends the vector for the new group set, installs a
 // fresh cursor at epoch+1 and rebuilds the ring sources — kept rings
-// continue from their exact positions, removed rings are handed to a
-// drain goroutine (their node may still be an acceptor whose delivery
-// channel must not wedge the ring), added rings start at their join
-// point. Runs on the merge goroutine.
+// continue from their exact positions, removed rings end their delivery
+// stream (ring.Node.DropDeliveries: the node may still be an acceptor of
+// that ring, and it must queue nothing for a merge that left), added rings
+// start at their join point. Runs on the merge goroutine.
 func (n *Node) switchSubscription(pending *resubRequest, groups []transport.RingID, srcs []*ringSource, cur *Cursor, publish func()) ([]transport.RingID, []*ringSource) {
 	newGroups := append([]transport.RingID(nil), pending.groups...)
 
@@ -830,6 +820,18 @@ func (n *Node) switchSubscription(pending *resubRequest, groups []transport.Ring
 		if _, ok := n.vector[g]; !ok {
 			n.vector[g] = n.cfg.StartVector[g]
 		}
+	}
+	for idx, g := range groups {
+		if containsRing(newGroups, g) {
+			continue
+		}
+		// Fully leaving a ring (stopping the learner) is future work.
+		srcs[idx].recycle()
+		srcs[idx].rn.DropDeliveries()
+		if n.dropped == nil {
+			n.dropped = make(map[transport.RingID]bool)
+		}
+		n.dropped[g] = true
 	}
 	*cur = Cursor{
 		Groups:  append([]transport.RingID(nil), newGroups...),
@@ -852,46 +854,12 @@ func (n *Node) switchSubscription(pending *resubRequest, groups []transport.Ring
 	for idx, g := range newGroups {
 		if s, ok := bySrc[g]; ok {
 			newSrcs[idx] = s
-			delete(bySrc, g)
 			continue
 		}
 		newSrcs[idx] = n.newSource(g, rings[g])
 	}
-	if len(bySrc) > 0 {
-		n.mu.Lock()
-		if n.dropped == nil {
-			n.dropped = make(map[transport.RingID]bool)
-		}
-		for g := range bySrc {
-			n.dropped[g] = true
-		}
-		n.mu.Unlock()
-	}
-	//lint:allow determinism drainer launch order is irrelevant: each dropped source gets its own goroutine and no state depends on the order
-	for _, s := range bySrc {
-		go n.drainRemoved(s)
-	}
 	n.resub.CompareAndSwap(pending, nil)
 	return newGroups, newSrcs
-}
-
-// drainRemoved keeps consuming a dropped ring's delivery channel so the
-// ring node (possibly still an acceptor of that ring) never wedges on a
-// full channel. Fully leaving a ring (stopping the learner) is future
-// work; the drained batches are recycled immediately.
-func (n *Node) drainRemoved(s *ringSource) {
-	s.recycle()
-	for {
-		select {
-		case b, ok := <-s.ch:
-			if !ok {
-				return
-			}
-			s.rn.ReleaseBatch(b)
-		case <-n.done:
-			return
-		}
-	}
 }
 
 // noteMergeHalt records that the merge exited because a subscribed

@@ -81,7 +81,8 @@ func TestResubscribeSwitchesAtMarker(t *testing.T) {
 }
 
 // TestResubscribeDropsGroup verifies that removing a group at the marker
-// stops its deliveries and prunes its vector entry.
+// stops its deliveries and prunes its vector entry, while the node keeps
+// deciding on the dropped ring and queues nothing for the merge that left.
 func TestResubscribeDropsGroup(t *testing.T) {
 	rings := map[transport.RingID][]transport.ProcessID{
 		1: {1},
@@ -128,9 +129,31 @@ func TestResubscribeDropsGroup(t *testing.T) {
 	if got := d.nodes[1].Subscription(); len(got) != 1 || got[0] != 1 {
 		t.Errorf("subscription = %v, want [1]", got)
 	}
-	// A dropped ring's delivery stream has been partially discarded by
-	// the drain goroutine; re-adding it must be refused, not silently
-	// diverge.
+	// The node is still ring 2's acceptor: it keeps deciding there, more
+	// than one delivery batch's worth, without queueing any of it.
+	decided, _, _ := d.nodes[1].RingStats(2)
+	const more = 300
+	for i := 0; i < more; i++ {
+		if err := d.nodes[1].Multicast(2, []byte(fmt.Sprintf("after%03d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		now, _, _ := d.nodes[1].RingStats(2)
+		if now >= decided+more {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("ring 2 decided %d of %d values after the drop", now-decided, more)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if fs, _ := d.nodes[1].RingFlowStats(2); fs.Lag != 0 || fs.Overruns != 0 {
+		t.Errorf("dropped ring queues for nobody: Lag %d, Overruns %d; want 0, 0", fs.Lag, fs.Overruns)
+	}
+	// A dropped ring's delivery stream ended at the marker; re-adding it
+	// must be refused, not silently diverge.
 	err := d.nodes[1].PrepareResubscribe(d.nodes[1].MarkerID(), 1, 2)
 	if err == nil || !strings.Contains(err.Error(), "dropped") {
 		t.Errorf("re-adding dropped ring: err = %v, want dropped-ring rejection", err)

@@ -11,7 +11,7 @@ import (
 //
 //   - bare channel sends (a send outside a select comm clause can block
 //     forever on a slow receiver — exactly the slow-learner wedge the
-//     delivery stage exists to prevent);
+//     pull-based delivery queue exists to prevent);
 //   - time.Sleep;
 //   - fsync ((*os.File).Sync, syscall.Fsync/Fdatasync) — durable writes
 //     belong to the group-commit release function, reached through the
@@ -20,9 +20,7 @@ import (
 //     between Lock and Unlock).
 //
 // Goroutines launched from the loop (`go ...`) are exempt by
-// construction — they cannot block the loop — which is also why the
-// delivery stage's deliveryLoop needs no annotation: it is spawned, never
-// called.
+// construction — they cannot block the loop.
 var LoopblockAnalyzer = &Analyzer{
 	Name: "loopblock",
 	Doc:  "flags blocking operations reachable from //lint:eventloop roots",

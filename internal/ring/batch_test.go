@@ -11,10 +11,10 @@ import (
 	"amcast/internal/transport"
 )
 
-// TestDeliveryBatches exercises the batch delivery channel directly: all
-// decided instances arrive in order, batches are never empty, and
-// released buffers are recycled through the pool.
-func TestDeliveryBatches(t *testing.T) {
+// TestTakeBatchDeliversInOrder takes batches from the delivery queue
+// directly: all decided instances arrive in order, batches are never
+// empty, and released buffers are recycled through the pool.
+func TestTakeBatchDeliversInOrder(t *testing.T) {
 	net := transport.NewNetwork(nil)
 	defer net.Close()
 	svc := coord.NewService()
@@ -55,30 +55,32 @@ func TestDeliveryBatches(t *testing.T) {
 
 	var got int
 	var batches int
-	deadline := time.After(20 * time.Second)
+	deadline := time.Now().Add(20 * time.Second)
 	for got < count {
-		select {
-		case b, ok := <-nodes[1].DeliveryBatches():
-			if !ok {
-				t.Fatalf("channel closed at %d/%d", got, count)
+		b, closed := nodes[1].TakeBatch()
+		switch {
+		case closed:
+			t.Fatalf("stream ended at %d/%d", got, count)
+		case b == nil:
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out at %d/%d (in %d batches)", got, count, batches)
 			}
-			if len(b) == 0 {
-				t.Fatal("empty batch delivered")
-			}
-			batches++
-			for _, d := range b {
-				if d.Value.Skip {
-					continue
-				}
-				if want := fmt.Sprintf("v%03d", got); string(d.Value.Data) != want {
-					t.Fatalf("delivery %d = %q, want %q", got, d.Value.Data, want)
-				}
-				got++
-			}
-			nodes[1].ReleaseBatch(b)
-		case <-deadline:
-			t.Fatalf("timed out at %d/%d (in %d batches)", got, count, batches)
+			time.Sleep(time.Millisecond)
+			continue
+		case len(b) == 0:
+			t.Fatal("empty batch delivered")
 		}
+		batches++
+		for _, d := range b {
+			if d.Value.Skip {
+				continue
+			}
+			if want := fmt.Sprintf("v%03d", got); string(d.Value.Data) != want {
+				t.Fatalf("delivery %d = %q, want %q", got, d.Value.Data, want)
+			}
+			got++
+		}
+		nodes[1].ReleaseBatch(b)
 	}
 	if batches > count {
 		t.Errorf("batches (%d) exceed messages (%d)", batches, count)

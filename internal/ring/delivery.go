@@ -6,12 +6,11 @@ import "amcast/internal/transport"
 // used to live inside the protocol event loop.
 //
 // Decided instances accumulate (run-loop owned) into n.pending; at burst
-// boundaries the loop hands finished batches to a bounded, lag-tracked
-// queue drained by a dedicated goroutine (deliveryLoop), which owns every
-// potentially blocking channel send. The protocol event loop therefore
-// NEVER blocks on a slow subscriber: acceptor voting, forwarding and
-// coordinator progress continue at full speed no matter how far behind
-// the consumer falls.
+// boundaries the loop appends finished batches to a bounded, lag-tracked
+// queue and pokes Config.Wake. The consumer pulls from that queue
+// (TakeBatch); nothing pushes, so the protocol event loop NEVER blocks on a
+// slow subscriber: acceptor voting, forwarding and coordinator progress
+// continue at full speed no matter how far behind the consumer falls.
 //
 // A consumer that overruns the queue's lag cap transitions the learner to
 // catch-up: the overflowing batch is dropped locally, live deliveries are
@@ -22,11 +21,11 @@ import "amcast/internal/transport"
 // consumer drains. Delivery order stays contiguous: the queue holds a
 // prefix ending exactly where catch-up resumes.
 
-// enqueueBatch hands one batch of contiguous deliveries to the delivery
-// stage without blocking. It reports false when the lag cap is reached —
-// the consumer is too far behind and the caller must transition to
-// catch-up instead of wedging the event loop. During shutdown batches are
-// accepted (and possibly dropped), matching Stop's documented semantics.
+// enqueueBatch queues one batch of contiguous deliveries for the consumer
+// without blocking. It reports false when the batch would take the lag past
+// the cap — the consumer is too far behind and the caller must transition
+// to catch-up instead of wedging the event loop. Once the stream has ended
+// batches are accepted and released, matching Stop's documented semantics.
 func (n *Node) enqueueBatch(b []Delivery) bool {
 	if len(b) == 0 {
 		return true
@@ -34,8 +33,8 @@ func (n *Node) enqueueBatch(b []Delivery) bool {
 	n.dmu.Lock()
 	if n.dclosed {
 		n.dmu.Unlock()
-		// Shutting down; pending deliveries may be lost. Nothing will
-		// drain the batch, so drop its payload references here.
+		// The stream ended; pending deliveries may be lost. Nothing will
+		// take the batch, so drop its payload references here.
 		n.ReleaseBatch(b)
 		return true
 	}
@@ -47,11 +46,9 @@ func (n *Node) enqueueBatch(b []Delivery) bool {
 	return true
 }
 
-// stage queues b for the delivery loop (dmu held; unlocks) and publishes
-// the last value in it. With the channel full no put, hence no poke, will
-// follow until the consumer drains this ring — which a merge blocked on
-// another ring has stopped doing — so it is poked here to learn that this
-// ring holds a value.
+// stage queues b for the consumer (dmu held; unlocks), publishes the last
+// value in it and pokes the consumer, which may be waiting on another ring
+// and must learn that this one holds a value.
 func (n *Node) stage(b []Delivery) {
 	for i := len(b) - 1; i >= 0; i-- { // before queueing: b is the consumer's from then on
 		if !b[i].Value.Skip {
@@ -62,28 +59,64 @@ func (n *Node) stage(b []Delivery) {
 	n.dqueue = append(n.dqueue, b)
 	n.dlag += len(b)
 	n.dmu.Unlock()
-	n.dcond.Signal()
-	if len(n.deliverCh) == cap(n.deliverCh) {
-		n.poke()
+	n.poke()
+}
+
+// TakeBatch pops the oldest queued batch of contiguous decided instances
+// (skip markers included) without blocking. Batches are never empty; hand
+// each back with ReleaseBatch so its buffer is reused. nil, false means
+// nothing is queued: wait on Config.Wake and call again. nil, true means
+// the stream ended, after everything queued before the end was taken. It
+// ends at Stop, or — with the node still running its acceptor and
+// forwarder duties — when the consumer fell so far behind that its
+// catch-up range was trimmed from every live acceptor's log
+// (FlowStats.CatchupAborted): the lost range is unrecoverable at ring
+// level and the consumer must recover via checkpoint transfer (Section
+// 5.2). A node has at most one consumer.
+func (n *Node) TakeBatch() (b []Delivery, closed bool) {
+	n.dmu.Lock()
+	defer n.dmu.Unlock()
+	if n.dhead == len(n.dqueue) {
+		return nil, n.dclosed
 	}
+	// O(1) pop via head index (no per-batch copy-down); the backing array
+	// resets once fully taken, so the consumed prefix is pinned only while
+	// a backlog exists.
+	b = n.dqueue[n.dhead]
+	n.dqueue[n.dhead] = nil
+	n.dhead++
+	if n.dhead == len(n.dqueue) {
+		n.dqueue = n.dqueue[:0]
+		n.dhead = 0
+	}
+	n.dlag -= len(b)
+	return b, false
+}
+
+// DropDeliveries ends the delivery stream of a consumer that left: what is
+// queued is released, and so is every batch the node decides later, so a
+// node that stays an acceptor or forwarder of the ring queues nothing.
+func (n *Node) DropDeliveries() {
+	n.closeDelivery()
+	n.releaseQueuedBatches()
 }
 
 // LastValue returns the highest instance carrying a value (not a skip)
-// handed to the delivery stage so far (0: none).
+// queued for the consumer so far (0: none).
 func (n *Node) LastValue() uint64 { return n.lastValue.Load() }
 
-// closeDelivery tells the delivery stage to drain what it holds and close
-// the delivery channel. Called from the run loop's exit paths.
+// closeDelivery ends the delivery stream: the consumer still takes what is
+// queued, then TakeBatch reports the end. Called from the run loop's exit
+// paths, at a catch-up abort and by DropDeliveries.
 func (n *Node) closeDelivery() {
 	n.dmu.Lock()
 	n.dclosed = true
 	n.dmu.Unlock()
-	n.dcond.Broadcast()
+	n.poke()
 }
 
-// deliveryRoom reports how many more delivery entries the stage accepts
-// before the lag cap (approximate: batches already handed to the channel
-// are not counted against the cap).
+// deliveryRoom reports how many more delivery entries the queue accepts
+// before the lag cap.
 func (n *Node) deliveryRoom() int {
 	n.dmu.Lock()
 	room := n.cfg.DeliverBuffer - n.dlag
@@ -94,58 +127,9 @@ func (n *Node) deliveryRoom() int {
 	return room
 }
 
-// deliveryLoop is the dedicated delivery stage: it drains staged batches
-// into the delivery channel, absorbing all consumer-side blocking. After
-// closeDelivery it keeps draining (a live consumer receives every staged
-// decision, as the final flush always did); once done is closed a blocked
-// handover is abandoned instead — pending deliveries may be lost on Stop,
-// as documented.
-func (n *Node) deliveryLoop() {
-	defer close(n.deliveryDone)
-	defer n.poke() // after the close below: the consumer sees the stream end
-	defer close(n.deliverCh)
-	for {
-		n.dmu.Lock()
-		for n.dhead == len(n.dqueue) && !n.dclosed {
-			n.dcond.Wait()
-		}
-		if n.dhead == len(n.dqueue) {
-			n.dmu.Unlock()
-			return
-		}
-		// O(1) pop via head index (no per-batch copy-down); the backing
-		// array resets once fully drained, so the consumed prefix is
-		// pinned only while a backlog exists.
-		b := n.dqueue[n.dhead]
-		n.dqueue[n.dhead] = nil
-		n.dhead++
-		if n.dhead == len(n.dqueue) {
-			n.dqueue = n.dqueue[:0]
-			n.dhead = 0
-		}
-		n.dlag -= len(b)
-		n.dmu.Unlock()
-		// Prefer the immediate send so an actively draining consumer wins
-		// even while the node shuts down.
-		select {
-		case n.deliverCh <- b:
-			n.poke()
-			continue
-		default:
-		}
-		select {
-		case n.deliverCh <- b:
-			n.poke()
-		case <-n.done:
-			n.ReleaseBatch(b) // consumer gone; drop the batch's references
-			return
-		}
-	}
-}
-
-// poke tells the consumer waiting on Config.Wake that the delivery stage
-// or its channel changed. The slot is level-triggered: a poke that finds
-// it full is covered by the one already there.
+// poke tells the consumer waiting on Config.Wake that the queue changed.
+// The slot is level-triggered: a poke that finds it full is covered by the
+// one already there.
 func (n *Node) poke() {
 	select {
 	case n.cfg.Wake <- struct{}{}:
@@ -153,18 +137,15 @@ func (n *Node) poke() {
 	}
 }
 
-// releaseQueuedBatches drops every batch still staged in the delivery
-// queue. Called by Stop after both loops exited, so nothing concurrently
-// touches dqueue.
+// releaseQueuedBatches drops every batch still queued. Its callers closed
+// the stream first, so nothing is queued again afterwards.
 func (n *Node) releaseQueuedBatches() {
 	n.dmu.Lock()
 	q := n.dqueue[n.dhead:]
 	n.dqueue, n.dhead, n.dlag = nil, 0, 0
 	n.dmu.Unlock()
 	for _, b := range q {
-		if b != nil {
-			n.ReleaseBatch(b)
-		}
+		n.ReleaseBatch(b)
 	}
 }
 
@@ -195,11 +176,11 @@ func (n *Node) handoffPending() {
 }
 
 // finalHandoff runs on the run loop's exit paths: the pending batch is
-// force-enqueued past the lag cap (the delivery stage drains it to a
-// live consumer before closing the stream, as the old blocking final
-// flush did), and a catch-up still in progress is recorded as aborted —
-// the stream is about to end with the dropped range unrecovered, and the
-// consumer must not mistake that for a complete clean shutdown.
+// force-enqueued past the lag cap (a live consumer takes it before it
+// sees the stream end), and a catch-up still in progress is recorded as
+// aborted — the stream is about to end with the dropped range
+// unrecovered, and the consumer must not mistake that for a complete
+// clean shutdown.
 func (n *Node) finalHandoff() {
 	if n.commitWedged {
 		return // withheld deliveries must never outrun durability
@@ -221,7 +202,7 @@ func (n *Node) forceEnqueue(b []Delivery) {
 	n.dmu.Lock()
 	if n.dclosed {
 		n.dmu.Unlock()
-		n.ReleaseBatch(b) // stage already closed: the batch is dropped
+		n.ReleaseBatch(b) // stream already ended: the batch is dropped
 		return
 	}
 	n.stage(b)
@@ -391,8 +372,8 @@ func (n *Node) abortCatchup() {
 
 // FlowStats reports the delivery stage's flow-control counters.
 type FlowStats struct {
-	// Lag is the number of delivery entries currently staged between the
-	// event loop and the consumer.
+	// Lag is the number of delivery entries queued and not yet taken by
+	// the consumer.
 	Lag int
 	// CatchupActive reports whether the learner is re-fetching dropped
 	// deliveries through the retransmit path; CatchupNext is the next

@@ -22,7 +22,7 @@ func TestAcceptorCrashWithQuorumLeft(t *testing.T) {
 	for {
 		_ = c.nodes[1].Propose([]byte("with-2-acceptors"))
 		select {
-		case d := <-c.nodes[1].Deliveries():
+		case d := <-deliveries(c.nodes[1]):
 			if !d.Value.Skip && string(d.Value.Data) == "with-2-acceptors" {
 				return
 			}
@@ -48,7 +48,7 @@ func TestDoubleFailureBlocksThenRecovers(t *testing.T) {
 	// No quorum: proposals must not be decided.
 	_ = c.nodes[1].Propose([]byte("blocked"))
 	select {
-	case d := <-c.nodes[1].Deliveries():
+	case d := <-deliveries(c.nodes[1]):
 		if !d.Value.Skip {
 			t.Fatalf("decided %q without a quorum!", d.Value.Data)
 		}
@@ -62,7 +62,7 @@ func TestDoubleFailureBlocksThenRecovers(t *testing.T) {
 	for {
 		_ = c.nodes[1].Propose([]byte("after-heal"))
 		select {
-		case d := <-c.nodes[1].Deliveries():
+		case d := <-deliveries(c.nodes[1]):
 			if !d.Value.Skip && string(d.Value.Data) == "after-heal" {
 				return
 			}
@@ -91,7 +91,7 @@ func TestCascadingCoordinatorFailures(t *testing.T) {
 	for {
 		_ = c.nodes[4].Propose([]byte("third-coordinator"))
 		select {
-		case d := <-c.nodes[5].Deliveries():
+		case d := <-deliveries(c.nodes[5]):
 			if !d.Value.Skip && string(d.Value.Data) == "third-coordinator" {
 				return
 			}
@@ -128,7 +128,7 @@ func TestNoDuplicateDeliveries(t *testing.T) {
 	deadline := time.After(30 * time.Second)
 	for got < count*80/100 { // some proposals may be shed during flaps
 		select {
-		case d := <-c.nodes[3].Deliveries():
+		case d := <-deliveries(c.nodes[3]):
 			if d.Value.Skip {
 				continue
 			}
@@ -162,7 +162,7 @@ func TestBatchingPreservesProposalOrderPerProposer(t *testing.T) {
 	deadline := time.After(15 * time.Second)
 	for len(values) < count {
 		select {
-		case d := <-c.nodes[1].Deliveries():
+		case d := <-deliveries(c.nodes[1]):
 			if d.Value.Skip {
 				continue
 			}

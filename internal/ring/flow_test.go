@@ -84,7 +84,7 @@ func TestSlowSubscriberDoesNotStallRing(t *testing.T) {
 	fastDone := make(chan struct{})
 	consume := func(n *Node, perEntryDelay time.Duration, done chan learnerResult) {
 		var res learnerResult
-		for batch := range n.DeliveryBatches() {
+		for batch := range batchesOf(n) {
 			for _, d := range batch {
 				if d.Instance <= res.lastInst && res.lastInst != 0 {
 					if d.Instance == res.lastInst {
@@ -251,7 +251,7 @@ func testCatchupAbortsWhenRangeTrimmed(t *testing.T, trimInsideWindow bool) {
 	done3 := make(chan uint64, 1)
 	drain := func(n *Node, done chan uint64) {
 		count, last := 0, uint64(0)
-		for batch := range n.DeliveryBatches() {
+		for batch := range batchesOf(n) {
 			for _, d := range batch {
 				if !d.Value.Skip {
 					count++
@@ -309,7 +309,7 @@ func testCatchupAbortsWhenRangeTrimmed(t *testing.T, trimInsideWindow bool) {
 	// The slow consumer's stream must close (not wedge silently).
 	streamClosed := make(chan struct{})
 	go func() {
-		for batch := range c.nodes[2].DeliveryBatches() {
+		for batch := range batchesOf(c.nodes[2]) {
 			c.nodes[2].ReleaseBatch(batch)
 		}
 		close(streamClosed)

@@ -475,7 +475,7 @@ func TestGroupCommitWedgeWithholdsDeliveries(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case d := <-n.Deliveries():
+	case d := <-deliveries(n):
 		t.Fatalf("delivery %q released while its vote was un-durable", d.Value.Data)
 	case <-time.After(300 * time.Millisecond):
 	}

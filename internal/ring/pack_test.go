@@ -124,9 +124,9 @@ func ringService(t *testing.T, members int, roles coord.Role) *coord.Service {
 }
 
 // idleNode builds process self of ring 1 over a sinkTransport and a
-// MemLog (tweak may replace either setting), with neither loop started.
-// Cleanup starts the loops and stops the node, so every reference the
-// test left in run-loop state is dropped by the node's own exit path.
+// MemLog (tweak may replace either setting), with its loop not started.
+// Cleanup starts the loop and stops the node, so every reference the test
+// left in run-loop state is dropped by the node's own exit path.
 func idleNode(t *testing.T, svc *coord.Service, self transport.ProcessID, tweak func(*Config)) (*Node, *sinkTransport) {
 	t.Helper()
 	sink := newSinkTransport(self)
@@ -142,7 +142,6 @@ func idleNode(t *testing.T, svc *coord.Service, self transport.ProcessID, tweak 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		go n.deliveryLoop()
 		go n.run()
 		n.Stop()
 		_ = sink.Close()

@@ -81,6 +81,44 @@ func TestPhase1ProposesHighestBallotVote(t *testing.T) {
 	}
 }
 
+// TestPhase1ReportBeatsOwnFlight: a coordinator proposed X for instance 1
+// at ballot 5 and lost the role before learning the outcome; a majority
+// then accepted Y at ballot 7, so Y may have been chosen. Back in the role
+// at ballot 9, the coordinator must re-propose Y, not retry its own stale
+// flight: that could choose a second value for the instance.
+func TestPhase1ReportBeatsOwnFlight(t *testing.T) {
+	svc := ringService(t, 3, fullRoles)
+	c, sink := idleNode(t, svc, 1, nil)
+	p2, _ := idleNode(t, svc, 2, nil)
+	p3, _ := idleNode(t, svc, 3, nil)
+	peers := []*Node{p2, p3}
+	own := transport.Value{ID: 11, Count: 1, Data: []byte("proposed-at-ballot-5")}
+	accepted := transport.Value{ID: 21, Count: 1, Data: []byte("accepted-at-ballot-7")}
+	c.recordVote(5, 1, own)
+	c.commitStaged()
+	c.inFlight[1] = flight{value: own}
+	for _, p := range peers {
+		p.recordVote(7, 1, accepted)
+		p.commitStaged()
+	}
+
+	c.ballot = 9
+	m := transport.Message{Kind: transport.KindPhase1A, Ring: 1, Ballot: 9, Instance: 1}
+	c.acceptPhase1(&m)
+	for _, p := range peers {
+		p.acceptPhase1(&m)
+	}
+	c.completePhase1(m)
+	c.commitStaged()
+
+	if f := c.inFlight[1]; f.value.ID != accepted.ID {
+		t.Fatalf("flight carries value %d, want %d", f.value.ID, accepted.ID)
+	}
+	if got := sink.take(transport.KindPhase2); len(got) != 1 || got[0].instance != 1 || got[0].ids[0] != accepted.ID {
+		t.Fatalf("Phase 2 sent %+v, want instance 1 carrying value %d", got, accepted.ID)
+	}
+}
+
 // TestLookupDecidedAllocs: serving a decided value from an in-memory log
 // — the path every retransmission, catch-up and Phase 1 read takes —
 // allocates nothing.

@@ -26,7 +26,8 @@ import (
 //	inFlight flight     released when the slot frees (decided/stale/exit)
 //	learned map         transfers to the pending Delivery on drain,
 //	                    released if delivery is suppressed
-//	Delivery entry      released by ReleaseBatch
+//	Delivery entry      released by ReleaseBatch (the consumer's, or the
+//	                    queue's at Stop and DropDeliveries)
 //	staged send         retained by send, released by commitStaged
 //	WAL record (pooled) tracked in walBufs, released after PutBatch
 
@@ -89,8 +90,8 @@ func (n *Node) releaseBurst() {
 
 // releaseRunState drops every pooled reference still held by run-loop
 // state when the event loop exits, so a stopped node leaves no buffers
-// outstanding. Runs after the final commitStaged/finalHandoff, with the
-// delivery stage's own cleanup handled by Stop.
+// outstanding. Runs after the final commitStaged/finalHandoff; batches
+// still queued for the consumer are released by Stop.
 func (n *Node) releaseRunState() {
 	for _, v := range n.learned {
 		v.Buf.Release()

@@ -51,7 +51,7 @@ type Delivery struct {
 
 // deliveryBatchCap is the target size of one delivery batch: the learner
 // coalesces contiguous decided instances into batches of at most this many
-// entries before the batch channel send becomes blocking.
+// entries.
 const deliveryBatchCap = 256
 
 // Config configures a ring node.
@@ -74,10 +74,11 @@ type Config struct {
 	// RetryInterval is how often the coordinator re-proposes undecided
 	// instances and learners chase delivery gaps.
 	RetryInterval time.Duration
-	// DeliverBuffer caps the delivery stage's lag, in delivery entries: a
-	// subscriber that falls further behind than this transitions the
-	// learner to catch-up (retransmit-path redelivery) instead of
-	// blocking the protocol event loop.
+	// DeliverBuffer caps the delivery queue's lag: every entry queued and
+	// not yet taken (TakeBatch) counts. A consumer that falls further
+	// behind than this transitions the learner to catch-up
+	// (retransmit-path redelivery) instead of blocking the protocol event
+	// loop.
 	DeliverBuffer int
 
 	// SkipEnabled turns on rate leveling (Section 4).
@@ -98,10 +99,9 @@ type Config struct {
 	// Figure 3 baseline.
 	BatchBytes int
 
-	// Wake, when set, is poked (a non-blocking send) whenever a batch is
-	// put on the delivery channel or staged behind a full one, and when
-	// the channel closes, so one consumer can wait on several rings at
-	// once (the Multi-Ring Paxos merge).
+	// Wake, when set, is poked (a non-blocking send) for every batch
+	// queued and once at the stream's end, so one consumer can wait on
+	// several rings at once (the Multi-Ring Paxos merge).
 	Wake chan<- struct{}
 
 	// StartInstance makes the learner begin in-order delivery at this
@@ -175,25 +175,21 @@ type Node struct {
 	watch       <-chan coord.RingConfig
 	cancelWatch func()
 
-	// deliverCh carries batches of contiguous decided instances; pending
-	// accumulates the next batch (run-loop owned) and batchFree recycles
-	// consumed batch buffers so the hot path does not allocate per batch.
-	deliverCh chan []Delivery
+	// pending accumulates the next batch of contiguous decided instances
+	// (run-loop owned) and batchFree recycles consumed batch buffers so
+	// the hot path does not allocate per batch.
 	pending   []Delivery
 	batchFree chan []Delivery
 
-	// Delivery stage (delivery.go): the run loop hands finished batches
+	// Delivery queue (delivery.go): the run loop appends finished batches
 	// to dqueue (bounded by DeliverBuffer entries, tracked in dlag) and
-	// the deliveryLoop goroutine drains them into deliverCh, absorbing
-	// all consumer-side blocking.
-	dmu          sync.Mutex
-	dcond        *sync.Cond
-	dqueue       [][]Delivery
-	dhead        int // index of the next batch to drain (O(1) pops)
-	dlag         int
-	dclosed      bool
-	deliveryDone chan struct{}
-	lastValue    atomic.Uint64 // see LastValue
+	// the consumer pops them with TakeBatch.
+	dmu       sync.Mutex
+	dqueue    [][]Delivery
+	dhead     int // index of the next batch to take (O(1) pops)
+	dlag      int
+	dclosed   bool
+	lastValue atomic.Uint64 // see LastValue
 
 	// Catch-up state: catchupNext (written only by the run loop; atomic
 	// so FlowStats can read the watermark) is the next instance the
@@ -221,10 +217,6 @@ type Node struct {
 	// retry-after hint).
 	pacer *skipPacer
 	drain drainMeter
-
-	// perMsgOnce/perMsgCh back the per-message Deliveries adapter.
-	perMsgOnce sync.Once
-	perMsgCh   chan Delivery
 
 	// mu guards rc (read by Propose from other goroutines).
 	mu sync.Mutex
@@ -314,13 +306,12 @@ func New(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	go n.deliveryLoop()
 	go n.run()
 	return n, nil
 }
 
 // newNode builds a node with its durable state recovered and its initial
-// configuration applied, but starts neither loop: white-box tests drive
+// configuration applied, but does not start its loop: white-box tests drive
 // the handlers of a not-yet-running node directly.
 func newNode(cfg Config) (*Node, error) {
 	cfg = cfg.withDefaults()
@@ -345,10 +336,8 @@ func newNode(cfg Config) (*Node, error) {
 		in:           cfg.Router.Ring(cfg.Ring),
 		watch:        watch,
 		cancelWatch:  cancel,
-		deliverCh:    make(chan []Delivery, 2),
 		pending:      make([]Delivery, 0, deliveryBatchCap),
 		batchFree:    make(chan []Delivery, 32),
-		deliveryDone: make(chan struct{}),
 		inFlight:     make(map[uint64]flight),
 		learned:      make(map[uint64]transport.Value),
 		nextDeliver:  max(1, cfg.StartInstance),
@@ -361,7 +350,6 @@ func newNode(cfg Config) (*Node, error) {
 	if n.tracer != nil {
 		n.tags = newTraceTags()
 	}
-	n.dcond = sync.NewCond(&n.dmu)
 	n.pacer = newSkipPacer(cfg)
 	n.drain.rate = metrics.NewEWMA(drainRateAlpha)
 	n.batchTr, _ = n.tr.(transport.BatchSender)
@@ -390,21 +378,7 @@ func (n *Node) PackGauge() *metrics.BatchGauge { return &n.packGauge }
 // Ring returns the ring identifier.
 func (n *Node) Ring() transport.RingID { return n.ring }
 
-// DeliveryBatches returns the ordered stream of decided instances
-// (including skip markers) as batches of contiguous instances. Batches are
-// never empty and are closed when the node stops. Consumers should hand
-// exhausted batches back with ReleaseBatch so their buffers are reused.
-// At most one of DeliveryBatches and Deliveries may be consumed.
-//
-// The stream also closes — with the node still running its acceptor and
-// forwarder duties — if the consumer falls so far behind that its
-// catch-up range was trimmed from every live acceptor's log
-// (FlowStats.CatchupAborted): the lost range is unrecoverable at ring
-// level and the consumer must recover via checkpoint transfer
-// (Section 5.2).
-func (n *Node) DeliveryBatches() <-chan []Delivery { return n.deliverCh }
-
-// ReleaseBatch returns a batch obtained from DeliveryBatches to the node's
+// ReleaseBatch returns a batch obtained from TakeBatch to the node's
 // buffer pool and drops the entries' pooled payload references. The caller
 // must not touch the slice afterwards; on pooled transports payload bytes
 // may recycle once every holder has released, so consumers that keep a
@@ -432,49 +406,6 @@ func (n *Node) getBatch() []Delivery {
 	default:
 		return make([]Delivery, 0, deliveryBatchCap)
 	}
-}
-
-// Deliveries returns the ordered stream of decided instances (including
-// skip markers), one message at a time. It adapts DeliveryBatches; use it
-// for tests and simple consumers, and the batch form on hot paths. At most
-// one of DeliveryBatches and Deliveries may be consumed.
-func (n *Node) Deliveries() <-chan Delivery {
-	n.perMsgOnce.Do(func() {
-		out := make(chan Delivery, n.cfg.DeliverBuffer)
-		n.perMsgCh = out
-		go func() {
-			defer close(out)
-			for batch := range n.deliverCh {
-				for _, d := range batch {
-					if d.Value.Buf != nil {
-						// Per-message consumers park deliveries in a
-						// buffered channel indefinitely: detach this
-						// copy onto the heap so the pooled bytes can
-						// recycle when the batch is released below.
-						d.Value.Data = append([]byte(nil), d.Value.Data...)
-						d.Value.Buf = nil
-					}
-					// Prefer forwarding: an actively draining consumer
-					// receives every buffered delivery even across
-					// Stop (as the plain buffered channel did); only a
-					// consumer that stopped reading is abandoned.
-					select {
-					case out <- d:
-						continue
-					default:
-					}
-					select {
-					case out <- d:
-					case <-n.done:
-						n.ReleaseBatch(batch)
-						return
-					}
-				}
-				n.ReleaseBatch(batch)
-			}
-		}()
-	})
-	return n.perMsgCh
 }
 
 // Propose multicasts a value on this ring: the value is sent to the ring's
@@ -552,28 +483,11 @@ func (n *Node) Stop() {
 		n.cancelWatch()
 		close(n.done)
 		<-n.loopDone
-		<-n.deliveryDone
-		// Both loops have exited: batches still staged between them can
-		// no longer reach a consumer, so drop their pooled references.
+		// The run loop ended the stream on its way out. What the consumer
+		// has not taken by now is dropped — Stop's documented lossy
+		// semantics — so a node whose deliveries were never consumed
+		// leaves no pooled buffers outstanding.
 		n.releaseQueuedBatches()
-		// deliverCh is closed and nothing sends on it anymore; batches
-		// still buffered go to whoever drains first. An actively draining
-		// consumer keeps receiving its prefix, and what it has not taken
-		// by now is dropped here — Stop's documented lossy semantics —
-		// so a node whose deliveries were never consumed leaves no
-		// pooled buffers outstanding.
-	drain:
-		for {
-			select {
-			case b, ok := <-n.deliverCh:
-				if !ok {
-					break drain
-				}
-				n.ReleaseBatch(b)
-			default:
-				break drain
-			}
-		}
 	})
 }
 

@@ -98,7 +98,7 @@ func collect(t *testing.T, n *Node, count int, timeout time.Duration) []Delivery
 	deadline := time.After(timeout)
 	for len(out) < count {
 		select {
-		case d, ok := <-n.Deliveries():
+		case d, ok := <-deliveries(n):
 			if !ok {
 				t.Fatalf("delivery channel closed after %d/%d", len(out), count)
 			}
@@ -296,7 +296,7 @@ func TestCoordinatorFailover(t *testing.T) {
 			t.Fatal(err)
 		}
 		select {
-		case d := <-c.nodes[3].Deliveries():
+		case d := <-deliveries(c.nodes[3]):
 			if d.Value.Skip {
 				continue
 			}
@@ -347,7 +347,7 @@ func TestRateLevelingSkips(t *testing.T) {
 	deadline := time.After(5 * time.Second)
 	for {
 		select {
-		case d := <-c.nodes[2].Deliveries():
+		case d := <-deliveries(c.nodes[2]):
 			if d.Value.Skip && d.Value.Span() >= 1 {
 				return // rate leveling works
 			}

@@ -21,8 +21,8 @@ import (
 //lint:eventloop
 func (n *Node) run() {
 	defer close(n.loopDone)
-	// The delivery stage owns deliverCh: tell it to drain what it holds
-	// and close the channel once this loop exits.
+	// End the delivery stream once this loop exits: the consumer takes
+	// what is queued, then sees the end.
 	defer n.closeDelivery()
 	// Drop every pooled buffer reference the loop state still holds, so
 	// a stopped node leaves nothing outstanding in the pool. The exit
@@ -545,6 +545,9 @@ func (n *Node) handlePhase1A(m transport.Message) {
 // completePhase1 finishes the coordinator's Phase 1: with a majority of
 // promises it re-proposes, for every reported instance, the value of the
 // highest-ballot vote (it may have been chosen) and opens the pipeline.
+// That vote wins over this coordinator's own flight for the instance too:
+// its own vote is among the reports, so a higher one means its flight may
+// have lost.
 func (n *Node) completePhase1(m transport.Message) {
 	n.mu.Lock()
 	majority := n.rc.Majority()
@@ -566,8 +569,8 @@ func (n *Node) completePhase1(m transport.Message) {
 		if vt.instance < n.nextDeliver {
 			continue // already decided and delivered
 		}
-		if _, busy := n.inFlight[vt.instance]; busy {
-			continue // this coordinator's own proposal is in flight
+		if f, busy := n.inFlight[vt.instance]; busy {
+			f.value.Buf.Release() // superseded by the reported vote
 		}
 		n.inFlight[vt.instance] = flight{value: vt.value, lastSent: time.Now()}
 		n.sendPhase2(vt.instance, vt.value)

@@ -107,7 +107,7 @@ func collectUnpacked(t *testing.T, n *Node, count int, timeout time.Duration) (i
 	deadline := time.After(timeout)
 	for len(ids) < count {
 		select {
-		case d, ok := <-n.Deliveries():
+		case d, ok := <-deliveries(n):
 			if !ok {
 				t.Fatalf("delivery channel closed after %d/%d values", len(ids), count)
 			}
@@ -171,7 +171,7 @@ func TestPackedBurstSurvivesCoordinatorWALFailure(t *testing.T) {
 	// Several retry rounds re-stage the vote against the failing log; no
 	// learner may see any of it.
 	select {
-	case d := <-c.nodes[2].Deliveries():
+	case d := <-deliveries(c.nodes[2]):
 		t.Fatalf("instance %d delivered while the coordinator's vote was un-durable", d.Instance)
 	case <-time.After(200 * time.Millisecond):
 	}
@@ -204,7 +204,7 @@ func TestPackedBurstSurvivesCoordinatorWALFailure(t *testing.T) {
 	// Retries of an already decided packet must not deliver it again.
 	for id := transport.ProcessID(1); id <= 3; id++ {
 		select {
-		case d := <-c.nodes[id].Deliveries():
+		case d := <-deliveries(c.nodes[id]):
 			if !d.Value.Skip {
 				t.Fatalf("learner %d: instance %d delivered after the burst was complete", id, d.Instance)
 			}
