@@ -18,8 +18,10 @@ import (
 //   - Read (measured 6): the encoded op, the command around it, one
 //     exactly-sized reply per replica and the client's one copy of the
 //     first.
-//   - Update (measured 6): op, command, the stored value on each replica;
-//     the reply is a shared status encoding, which the client copies.
+//   - Update (measured 3): op, command and the client's copy of the reply,
+//     a shared status encoding. Each replica overwrites the stored value
+//     in place: no checkpoint captured it since it was written (6 when
+//     every replica copied every value).
 //   - ReadLocal (measured 6): the op, the one-buffer request, the serving
 //     replica's goroutine (two), its reply written behind the status byte,
 //     and the client's copy.
@@ -29,7 +31,7 @@ import (
 // its own.
 const (
 	readAllocBudget      = 7
-	updateAllocBudget    = 7
+	updateAllocBudget    = 4
 	readLocalAllocBudget = 7
 )
 

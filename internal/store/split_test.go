@@ -2,20 +2,21 @@ package store
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"amcast/internal/transport"
 )
 
-func fillTreap(t *treap, n int) {
+func fillTree(t *btree, n int) {
 	for i := 0; i < n; i++ {
 		t.Put([]byte(fmt.Sprintf("k%04d", i)), []byte{byte(i)})
 	}
 }
 
 func TestTreapSplitOff(t *testing.T) {
-	tr := newTreap()
-	fillTreap(tr, 100)
+	tr := newBTree()
+	fillTree(tr, 100)
 	pre := tr.snapshot()
 
 	out := tr.splitOff([]byte("k0060"))
@@ -24,6 +25,11 @@ func TestTreapSplitOff(t *testing.T) {
 	}
 	if out.Len() != 40 {
 		t.Errorf("moved size = %d, want 40", out.Len())
+	}
+	for name, half := range map[string]btreeSnapshot{"kept": {tr.root, tr.Len()}, "moved": out, "pre-split": pre} {
+		if err := check(half.root, half.Len()); err != nil {
+			t.Errorf("%s tree: %v", name, err)
+		}
 	}
 	out.All(func(k string, _ []byte) bool {
 		if k < "k0060" {
@@ -53,20 +59,84 @@ func TestTreapSplitOff(t *testing.T) {
 	if _, ok := tr.Get([]byte("k0070")); ok {
 		t.Error("k0070 should have moved out")
 	}
+	if err := check(tr.root, tr.Len()); err != nil {
+		t.Errorf("kept tree after a write: %v", err)
+	}
+}
+
+// TestSplitOffEverywhere splits a tree of three levels at every key,
+// at bounds between keys and beyond both ends: both halves keep the tree
+// invariants and together hold what the tree held, the pre-split capture
+// does not change, and the split copies or creates only the nodes on its
+// path — at most two per level.
+func TestSplitOffEverywhere(t *testing.T) {
+	const n = 600
+	for _, at := range []string{"", "k", "k0000", "k00005", "k0001", "k0299", "k02995", "k0300", "k0599", "k0600", "z"} {
+		for _, captured := range []bool{false, true} {
+			tr := newBTree()
+			fillTree(tr, n)
+			if h := height(tr.root); h != 3 {
+				t.Fatalf("height %d, want 3", h)
+			}
+			pre := tr.snapshot()
+			if !captured {
+				tr.Put([]byte("k0000"), []byte{0}) // own the leftmost path again
+			}
+			h := height(tr.root)
+			var out btreeSnapshot
+			if allocs := mallocs(func() { out = tr.splitOff([]byte(at)) }); !raceEnabled && allocs > uint64(2*h) {
+				t.Errorf("split at %q: %d allocs, height %d", at, allocs, h)
+			}
+			kept := btreeSnapshot{tr.root, tr.Len()}
+			if tr.Len()+out.Len() != n {
+				t.Errorf("split at %q: %d + %d entries, want %d", at, tr.Len(), out.Len(), n)
+			}
+			for name, half := range map[string]btreeSnapshot{"kept": kept, "moved": out, "pre-split": pre} {
+				if err := check(half.root, half.Len()); err != nil {
+					t.Errorf("split at %q, %s tree: %v", at, name, err)
+				}
+			}
+			kept.All(func(k string, _ []byte) bool {
+				if k >= at {
+					t.Errorf("split at %q kept %q", at, k)
+				}
+				return k < at
+			})
+			out.All(func(k string, _ []byte) bool {
+				if k < at {
+					t.Errorf("split at %q moved %q", at, k)
+				}
+				return k >= at
+			})
+		}
+	}
+}
+
+// mallocs counts the heap allocations fn makes, run once.
+func mallocs(fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 func TestTreapSubtreeCounts(t *testing.T) {
-	tr := newTreap()
-	fillTreap(tr, 512)
+	tr := newBTree()
+	fillTree(tr, 512)
 	for i := 0; i < 256; i += 2 {
 		tr.Delete([]byte(fmt.Sprintf("k%04d", i)))
 	}
-	if got := subCount(tr.root); got != tr.Len() || got != 384 {
+	if got := tr.root.count(); got != tr.Len() || got != 384 {
 		t.Errorf("root subtree count = %d, Len = %d, want 384", got, tr.Len())
 	}
 	out := tr.splitOff([]byte("k0256"))
-	if subCount(tr.root) != tr.Len() || out.Len() != subCount(out.root) {
-		t.Error("subtree counts inconsistent after split")
+	if err := check(tr.root, tr.Len()); err != nil {
+		t.Errorf("kept half: %v", err)
+	}
+	if err := check(out.root, out.Len()); err != nil {
+		t.Errorf("moved half: %v", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,7 +35,7 @@ import (
 // range transfer.
 type SM struct {
 	mu sync.Mutex
-	db *treap
+	db *btree
 
 	keyRange // the owned range
 
@@ -79,13 +80,13 @@ func (r *keyRange) owns(key []byte) bool {
 
 // outgoingRange is a captured, immutable key range awaiting transfer.
 type outgoingRange struct {
-	snap   treapSnapshot
+	snap   btreeSnapshot
 	lo, hi string
 }
 
 // NewSM returns an empty database state machine.
 func NewSM() *SM {
-	return &SM{db: newTreap()}
+	return &SM{db: newBTree()}
 }
 
 // SetOwnedRange configures ownership enforcement: operations on keys
@@ -109,8 +110,8 @@ func (s *SM) OwnedRange() (lo, hi string, ok bool) {
 func (s *SM) MigratedKeys() uint64 { return s.migrated.Load() }
 
 // SplitStallMax reports the longest an OpSplit stalled execution — the
-// split touches only the O(log n) nodes on its path, so this stays
-// microseconds no matter how many keys move.
+// split touches only the nodes on its path, so this stays microseconds no
+// matter how many keys move.
 func (s *SM) SplitStallMax() time.Duration {
 	return time.Duration(s.splitStall.Load())
 }
@@ -236,8 +237,10 @@ func (s *SM) apply(dst []byte, v opView, subs []byte) (out, rest []byte) {
 }
 
 // applyPoint executes a single-key operation. v.Key and v.Value are views
-// of the delivered operation: the tree copies a key it inserts, the value
-// is copied here.
+// of the delivered operation: the tree copies a key it inserts and the
+// value it stores — over the bytes it already holds for the key when the
+// live tree owns them, so an update repeated between two checkpoint
+// captures allocates nothing.
 func (s *SM) applyPoint(dst []byte, v opView) []byte {
 	if !s.owns(v.Key) {
 		return appendStatus(dst, StatusWrongPartition)
@@ -253,7 +256,7 @@ func (s *SM) applyPoint(dst []byte, v opView) []byte {
 	case v.Kind == OpDelete:
 		s.db.Delete(v.Key)
 	default: // an update of what is there, an insert of what is not
-		s.db.Put(v.Key, append([]byte(nil), v.Value...))
+		s.db.Put(v.Key, v.Value)
 	}
 	return appendStatus(dst, StatusOK)
 }
@@ -279,7 +282,7 @@ func (s *SM) scan(dst []byte, v opView) []byte {
 // applySplit executes the partition-split marker. In-place splits (same
 // replicas host the new ring) change no state — the marker only pins the
 // epoch transition's position in the merged stream. Scale-out splits cut
-// the tree at the split key in O(log n) node visits, stash the outgoing
+// the tree at the split key along one root-to-leaf path, stash the outgoing
 // half for the range transfer and shrink the owned range, so every
 // operation on a moved key from here on returns StatusWrongPartition.
 func (s *SM) applySplit(v opView) Status {
@@ -335,7 +338,7 @@ func SnapshotLen(snap []byte) int {
 	return int(binary.LittleEndian.Uint64(snap[:8]))
 }
 
-// dbSnapshot adapts a captured treap version to smr.StateSnapshot. It
+// dbSnapshot adapts a captured tree version to smr.StateSnapshot. It
 // carries the owned-range bounds captured with the data, so a restored
 // replica enforces the post-split ownership its checkpoint was taken
 // under, not whatever an out-of-date schema would suggest — and any
@@ -344,7 +347,7 @@ func SnapshotLen(snap []byte) int {
 // checkpoint that recorded the shrunken bounds without the stash would
 // make a crash before the transfer completes lose the range permanently.
 type dbSnapshot struct {
-	db       treapSnapshot
+	db       btreeSnapshot
 	bounded  bool
 	lo, hi   string
 	outgoing map[uint64]outgoingRange
@@ -358,49 +361,66 @@ type dbSnapshot struct {
 //
 //lint:deterministic
 func (d dbSnapshot) Serialize() []byte {
-	buf := make([]byte, 0, 8+d.db.Len()*16)
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], uint64(d.db.Len()))
-	buf = append(buf, tmp[:]...)
-	d.db.All(func(k string, v []byte) bool {
-		buf = appendString(buf, k)
-		buf = appendBytes(buf, v)
-		return true
-	})
+	// Measure everything first, so the buffer is allocated once at its
+	// final size: a checkpoint of 1 KB values would otherwise regrow it
+	// about seven times.
+	size := treeLen(d.db)
+	var ids []uint64
 	if d.bounded {
-		buf = append(buf, 1)
-		buf = appendString(buf, d.lo)
-		buf = appendString(buf, d.hi)
 		// Emit stashes in ascending id order: identical states must
 		// serialize to identical (checksummable) bytes regardless of
 		// map iteration order, as with the dedup table.
-		ids := make([]uint64, 0, len(d.outgoing))
+		ids = make([]uint64, 0, len(d.outgoing))
 		for id := range d.outgoing {
 			ids = append(ids, id)
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		binary.LittleEndian.PutUint32(tmp[:4], uint32(len(ids)))
-		buf = append(buf, tmp[:4]...)
+		size += 1 + 2 + len(d.lo) + 2 + len(d.hi) + 4
 		for _, id := range ids {
 			out := d.outgoing[id]
-			binary.LittleEndian.PutUint64(tmp[:], id)
-			buf = append(buf, tmp[:]...)
+			size += 8 + 2 + len(out.lo) + 2 + len(out.hi) + treeLen(out.snap)
+		}
+	}
+	buf := appendTree(make([]byte, 0, size), d.db)
+	if d.bounded {
+		buf = append(buf, 1)
+		buf = appendString(buf, d.lo)
+		buf = appendString(buf, d.hi)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ids)))
+		for _, id := range ids {
+			out := d.outgoing[id]
+			buf = binary.LittleEndian.AppendUint64(buf, id)
 			buf = appendString(buf, out.lo)
 			buf = appendString(buf, out.hi)
-			binary.LittleEndian.PutUint64(tmp[:], uint64(out.snap.Len()))
-			buf = append(buf, tmp[:]...)
-			out.snap.All(func(k string, v []byte) bool {
-				buf = appendString(buf, k)
-				buf = appendBytes(buf, v)
-				return true
-			})
+			buf = appendTree(buf, out.snap)
 		}
 	}
 	return buf
 }
 
+// treeLen is the number of bytes appendTree writes for s.
+func treeLen(s btreeSnapshot) int {
+	n := 8
+	s.All(func(k string, v []byte) bool {
+		n += 2 + len(k) + 4 + len(v)
+		return true
+	})
+	return n
+}
+
+// appendTree writes s's entry count, then its length-prefixed pairs in key
+// order.
+func appendTree(buf []byte, s btreeSnapshot) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.Len()))
+	s.All(func(k string, v []byte) bool {
+		buf = appendEntry(buf, k, v)
+		return true
+	})
+	return buf
+}
+
 // CaptureSnapshot captures the current database version in O(1) — the
-// capture bumps the treap's epoch, so the returned view shares structure
+// capture bumps the tree's epoch, so the returned view shares structure
 // with the live tree but never changes: the live tree copies a captured
 // node before its first write to it. The outgoing stash rides along by
 // reference (its snapshots are immutable too).
@@ -458,7 +478,7 @@ func (s *SM) Restore(snap []byte) error {
 				if olo, ohi, snap, ok = readBounds(snap[8:]); !ok || len(snap) < 8 {
 					return recovery.ErrCorrupt
 				}
-				var rdb *treap
+				var rdb *btree
 				if rdb, snap, ok = restoreTree(snap[8:], binary.LittleEndian.Uint64(snap)); !ok {
 					return recovery.ErrCorrupt
 				}
@@ -496,18 +516,39 @@ func (s *SM) Restore(snap []byte) error {
 	return nil
 }
 
-// restoreTree reads the n key-value pairs at the head of snap into a tree.
-func restoreTree(snap []byte, n uint64) (db *treap, rest []byte, ok bool) {
-	db = newTreap()
-	for ; n > 0; n-- {
-		k, v, rest, ok := readEntry(snap)
-		if !ok {
+// restoreTree bulk-loads the n key-value pairs at the head of snap, which
+// must be in strictly ascending key order, into a tree. n comes from the
+// snapshot and is not trusted: nothing is sized from it. A first pass
+// checks and measures the pairs; then all keys are copied into one string
+// and all values into one block, each value capped at its own length, so a
+// restore costs one allocation per node and a few more, not three per
+// entry.
+func restoreTree(snap []byte, n uint64) (db *btree, rest []byte, ok bool) {
+	count, keyBytes, valBytes := 0, 0, 0
+	var prev []byte
+	for rest = snap; n > 0; n-- {
+		k, v, r, ok := readEntry(rest)
+		if !ok || count > 0 && string(k) <= string(prev) {
 			return nil, nil, false
 		}
-		db.Put(k, append([]byte(nil), v...))
-		snap = rest
+		count, keyBytes, valBytes, prev, rest = count+1, keyBytes+len(k), valBytes+len(v), k, r
 	}
-	return db, snap, true
+	var keys strings.Builder
+	keys.Grow(keyBytes)
+	for p, i := snap, 0; i < count; i++ {
+		k, _, r, _ := readEntry(p)
+		keys.Write(k)
+		p = r
+	}
+	all, block, p := keys.String(), make([]byte, 0, valBytes), snap
+	db = bulkLoad(count, func() (string, []byte) {
+		k, v, r, _ := readEntry(p)
+		key := all[:len(k)]
+		block = append(block, v...)
+		all, p = all[len(k):], r
+		return key, block[len(block)-len(v) : len(block) : len(block)]
+	})
+	return db, rest, true
 }
 
 // readBounds reads a serialized range's two bounds.
