@@ -97,12 +97,6 @@ type Options struct {
 	Durable bool
 	// DataDir is the durable log directory (required when Durable).
 	DataDir string
-	// DeliveryBatchMessages bounds the messages per batch handed to
-	// SubscribeBatch handlers (0 uses the library default).
-	DeliveryBatchMessages int
-	// DeliveryBatchBytes bounds the payload bytes per delivered batch
-	// (0 uses the library default).
-	DeliveryBatchBytes int
 }
 
 // Defaults returns the paper's datacenter configuration.
@@ -243,10 +237,6 @@ func (s *System) NewNode(id ProcessID, opts Options) (*Node, error) {
 			Lambda:        opts.MaxRate,
 			BatchBytes:    opts.BatchBytes,
 		},
-		Batch: core.BatchOptions{
-			MaxMessages: opts.DeliveryBatchMessages,
-			MaxBytes:    opts.DeliveryBatchBytes,
-		},
 	}
 	if opts.Durable {
 		if opts.DataDir == "" {
@@ -299,7 +289,7 @@ func (n *Node) Subscribe(handler func(Delivery), groups ...GroupID) error {
 
 // SubscribeBatch starts delivery from the given groups, invoking handler
 // with batches of consecutive messages in the deterministic merge order.
-// Batches are bounded by Options.DeliveryBatchMessages/Bytes and end
+// Batches hold at most 512 messages and 1 MB of payload and end
 // whenever the merge would otherwise wait for the network, so batching
 // adds no delivery latency. The slice is reused between calls — handlers
 // must not retain it — and each Data may sit in a pooled buffer that

@@ -41,8 +41,6 @@ type Options struct {
 	// Records is the YCSB database size (paper: 1 GB of 1 KB records;
 	// default scaled down).
 	Records int
-	// Verbose adds per-configuration progress lines.
-	Verbose bool
 }
 
 func (o Options) withDefaults() Options {

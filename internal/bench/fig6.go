@@ -68,12 +68,12 @@ func fig6Run(o Options, rings int) (Fig6Point, error) {
 	defer d.Close()
 	// One asynchronous emulated disk per ring per server, as in the
 	// paper's 5-disk acceptors.
-	type diskKey struct {
+	type ringDisk struct {
 		ring transport.RingID
 		self transport.ProcessID
 	}
 	var mu sync.Mutex
-	disks := make(map[diskKey]storage.Log)
+	disks := make(map[ringDisk]storage.Log)
 	c, err := d.StartDLog(cluster.DLogOptions{
 		Logs:    rings,
 		Servers: 3,
@@ -89,7 +89,7 @@ func fig6Run(o Options, rings int) (Fig6Point, error) {
 		NewAcceptorLog: func(ring transport.RingID, self transport.ProcessID) (storage.Log, error) {
 			mu.Lock()
 			defer mu.Unlock()
-			k := diskKey{ring, self}
+			k := ringDisk{ring, self}
 			if l, ok := disks[k]; ok {
 				return l, nil
 			}

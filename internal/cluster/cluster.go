@@ -222,8 +222,6 @@ type StoreOptions struct {
 	SiteOfReplica func(partition, replica int) netem.Site
 	// Ring tunes the consensus rings.
 	Ring core.RingOptions
-	// Batch bounds the delivery batches executed by each replica.
-	Batch core.BatchOptions
 	// M is the deterministic merge quota (default 1).
 	M int
 	// GlobalLambda overrides rate-leveling λ on the global ring.
@@ -392,7 +390,6 @@ func (c *StoreCluster) startServer(p, r int, peerRecovery bool) error {
 		Checkpoints:     ckpt,
 		CheckpointEvery: c.opts.CheckpointEvery,
 		Ring:            c.opts.Ring,
-		Batch:           c.opts.Batch,
 		M:               c.opts.M,
 		GlobalLambda:    c.opts.GlobalLambda,
 		Tracer:          c.D.recorderFor(id, fmt.Sprintf("p%dr%d", p, r)),
@@ -633,8 +630,6 @@ type DLogOptions struct {
 	Global bool
 	// Ring tunes the consensus rings.
 	Ring core.RingOptions
-	// Batch bounds the delivery batches executed by each server.
-	Batch core.BatchOptions
 	// M is the deterministic merge quota.
 	M int
 	// NewAcceptorLog supplies per-ring acceptor logs (Figure 6: one disk
@@ -706,7 +701,7 @@ func (d *Deployment) StartDLog(opts DLogOptions) (*DLogCluster, error) {
 		rec := d.recorderFor(id, fmt.Sprintf("dlog%d", s))
 		nodeCfg := core.Config{
 			Self: id, Router: router, Coord: d.Svc,
-			M: opts.M, Ring: opts.Ring, Batch: opts.Batch,
+			M: opts.M, Ring: opts.Ring,
 			Tracer: rec,
 		}
 		if opts.NewAcceptorLog != nil {

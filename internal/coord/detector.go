@@ -12,10 +12,6 @@ import (
 type DetectorOptions struct {
 	// Interval is the heartbeat period. Default 50ms.
 	Interval time.Duration
-	// Phi is the φ-accrual suspicion threshold: suspect once the
-	// probability that a beat is merely late drops below 10^-Phi.
-	// Default 8.
-	Phi float64
 	// MinTimeout floors the silence before suspicion regardless of φ
 	// (guards against a too-confident estimator on a quiet, regular
 	// network). Default 10×Interval.
@@ -23,20 +19,23 @@ type DetectorOptions struct {
 	// MaxTimeout caps the silence: past it a peer is suspected even
 	// without enough samples for a φ estimate. Default 60×Interval.
 	MaxTimeout time.Duration
-	// RejoinBeats is the hysteresis: consecutive beats a suspected peer
-	// must deliver before the suspicion is withdrawn, so a flapping link
-	// does not yo-yo the membership. Default 3.
-	RejoinBeats int
-	// Window is the number of inter-arrival samples kept. Default 64.
-	Window int
 }
+
+const (
+	// phiThreshold is the φ-accrual suspicion threshold: suspect once the
+	// probability that a beat is merely late drops below 10^-8.
+	phiThreshold = 8
+	// rejoinBeats is the hysteresis: consecutive beats a suspected peer
+	// must deliver before the suspicion is withdrawn, so a flapping link
+	// does not yo-yo the membership.
+	rejoinBeats = 3
+	// sampleWindow is the number of inter-arrival samples kept.
+	sampleWindow = 64
+)
 
 func (o DetectorOptions) withDefaults() DetectorOptions {
 	if o.Interval <= 0 {
 		o.Interval = 50 * time.Millisecond
-	}
-	if o.Phi <= 0 {
-		o.Phi = 8
 	}
 	if o.MinTimeout <= 0 {
 		o.MinTimeout = 10 * o.Interval
@@ -46,12 +45,6 @@ func (o DetectorOptions) withDefaults() DetectorOptions {
 	}
 	if o.MaxTimeout < o.MinTimeout {
 		o.MaxTimeout = o.MinTimeout
-	}
-	if o.RejoinBeats <= 0 {
-		o.RejoinBeats = 3
-	}
-	if o.Window <= 0 {
-		o.Window = 64
 	}
 	return o
 }
@@ -207,7 +200,7 @@ func (d *Detector) onBeat(p transport.ProcessID, now time.Time) {
 		return // not monitored (e.g. a client); refresh governs the set
 	}
 	if ps.suspected {
-		// Hysteresis: withdraw only after RejoinBeats consecutive beats.
+		// Hysteresis: withdraw only after rejoinBeats consecutive beats.
 		// A beat arriving after another long silence restarts the count.
 		if now.Sub(ps.last) > d.opts.MinTimeout {
 			ps.beats = 1
@@ -215,7 +208,7 @@ func (d *Detector) onBeat(p transport.ProcessID, now time.Time) {
 			ps.beats++
 		}
 		ps.last = now
-		if ps.beats >= d.opts.RejoinBeats {
+		if ps.beats >= rejoinBeats {
 			ps.suspected = false
 			ps.beats = 0
 			// The silence polluted the window; restart the estimate.
@@ -233,12 +226,12 @@ func (d *Detector) onBeat(p transport.ProcessID, now time.Time) {
 }
 
 func (d *Detector) record(ps *peerState, interval float64) {
-	if len(ps.samples) < d.opts.Window {
+	if len(ps.samples) < sampleWindow {
 		ps.samples = append(ps.samples, interval)
 		return
 	}
 	ps.samples[ps.idx] = interval
-	ps.idx = (ps.idx + 1) % d.opts.Window
+	ps.idx = (ps.idx + 1) % sampleWindow
 	ps.filled = true
 }
 
@@ -265,7 +258,7 @@ func (d *Detector) beatAndEvaluate(now time.Time) {
 		if elapsed < d.opts.MinTimeout {
 			continue
 		}
-		if elapsed >= d.opts.MaxTimeout || d.phi(ps, elapsed) >= d.opts.Phi {
+		if elapsed >= d.opts.MaxTimeout || d.phi(ps, elapsed) >= phiThreshold {
 			ps.suspected = true
 			ps.beats = 0
 			verdicts = append(verdicts, verdict{id, true})

@@ -91,20 +91,19 @@ func TestSubscribeBatchMatchesSubscribe(t *testing.T) {
 	}
 }
 
-// TestBatchBoundsRespected checks that batches never exceed the
-// configured message bound and that LimitBatch tightens it. Packing is
-// off: batch bounds hold at consensus-instance granularity (an instance
-// is never split across batches, so a packed instance may overshoot).
+// TestBatchBoundsRespected checks that batches never exceed the message
+// bound LimitBatch sets. Packing is off: batch bounds hold at
+// consensus-instance granularity (an instance is never split across
+// batches, so a packed instance may overshoot).
 func TestBatchBoundsRespected(t *testing.T) {
 	rings := map[transport.RingID][]transport.ProcessID{1: {1, 2, 3}}
-	d := newDeployment(t, 3, rings, func(cfg *Config) {
-		cfg.Batch = BatchOptions{MaxMessages: 16}
-	})
+	d := newDeployment(t, 3, rings, nil)
 	for i := 1; i <= 3; i++ {
 		if err := d.nodes[transport.ProcessID(i)].Join(1); err != nil {
 			t.Fatal(err)
 		}
 	}
+	d.nodes[1].LimitBatch(16)
 	d.nodes[2].LimitBatch(7)
 
 	type sub struct {

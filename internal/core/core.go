@@ -26,14 +26,14 @@
 // handler invoked inline by the merge goroutine with a batch of
 // consecutive merged deliveries, so every layer above (SMR, MRP-Store,
 // dLog) amortizes its per-message lock, dispatch and allocation costs over
-// the batch. Batches are bounded by count and bytes (BatchOptions) and the
-// merge hands a batch over whenever it would otherwise block waiting for a
-// ring, so batching never adds latency. Checkpointing stays consistent:
-// DeliveredVector and MergeCursor are published together once per batch
-// and, inside the handler, exactly describe the state after the batch's
-// last delivery — which is what Section 5.2's tuple-identified checkpoints
-// require, now at batch boundaries. Subscribe remains as a thin
-// per-message adapter.
+// the batch. Batches are bounded by count and bytes (512 messages, 1 MB)
+// and the merge hands a batch over whenever it would otherwise block
+// waiting for a ring, so batching never adds latency. Checkpointing stays
+// consistent: DeliveredVector and MergeCursor are published together once
+// per batch and, inside the handler, exactly describe the state after the
+// batch's last delivery — which is what Section 5.2's tuple-identified
+// checkpoints require, now at batch boundaries. Subscribe remains as a
+// thin per-message adapter.
 package core
 
 import (
@@ -87,23 +87,12 @@ type Handler func(Delivery)
 // inside the handler, so the contract holds there by construction.
 type BatchHandler func([]Delivery)
 
-// BatchOptions bounds the delivery batches handed to batch subscribers.
-type BatchOptions struct {
-	// MaxMessages bounds application messages per batch (default 512).
-	MaxMessages int
-	// MaxBytes bounds cumulative payload bytes per batch (default 1 MB).
-	MaxBytes int
-}
-
-func (b BatchOptions) withDefaults() BatchOptions {
-	if b.MaxMessages <= 0 {
-		b.MaxMessages = 512
-	}
-	if b.MaxBytes <= 0 {
-		b.MaxBytes = 1 << 20
-	}
-	return b
-}
+// Delivery batches handed to batch subscribers are bounded by message
+// count (LimitBatch may lower it per node) and by cumulative payload bytes.
+const (
+	maxBatchMessages = 512
+	maxBatchBytes    = 1 << 20
+)
 
 // RingOptions tunes every ring this node participates in.
 type RingOptions struct {
@@ -151,9 +140,6 @@ type Config struct {
 	M int
 	// Ring tunes the per-ring protocol.
 	Ring RingOptions
-	// Batch bounds the delivery batches handed to SubscribeBatch
-	// handlers.
-	Batch BatchOptions
 	// LambdaOverride raises or lowers the rate-leveling λ for specific
 	// rings (e.g. a global ring whose skip stream must outrun the
 	// partition rings so the deterministic merge never waits on it).
@@ -178,7 +164,6 @@ func (c *Config) withDefaults() Config {
 	if out.NewLog == nil {
 		out.NewLog = func(transport.RingID) (storage.Log, error) { return storage.NewMemLog(), nil }
 	}
-	out.Batch = out.Batch.withDefaults()
 	return out
 }
 
@@ -209,6 +194,10 @@ type Node struct {
 	// delivery stream ended at the marker (ring.Node.DropDeliveries), so
 	// re-subscribing one would silently skip instances; it is refused.
 	dropped map[transport.RingID]bool
+
+	// batchMessages bounds the messages per delivery batch: maxBatchMessages
+	// unless LimitBatch lowered it before the merge started.
+	batchMessages int
 
 	mergeDone chan struct{}
 	done      chan struct{}
@@ -273,15 +262,16 @@ func New(cfg Config) (*Node, error) {
 	}
 	c := cfg.withDefaults()
 	return &Node{
-		cfg:       c,
-		id:        c.Self,
-		tr:        c.Router.Transport(),
-		coord:     c.Coord,
-		rings:     make(map[transport.RingID]*ring.Node),
-		vector:    make(recovery.Vector),
-		mergeDone: make(chan struct{}),
-		done:      make(chan struct{}),
-		wake:      make(chan struct{}, 1),
+		cfg:           c,
+		id:            c.Self,
+		tr:            c.Router.Transport(),
+		coord:         c.Coord,
+		rings:         make(map[transport.RingID]*ring.Node),
+		vector:        make(recovery.Vector),
+		batchMessages: maxBatchMessages,
+		mergeDone:     make(chan struct{}),
+		done:          make(chan struct{}),
+		wake:          make(chan struct{}, 1),
 	}, nil
 }
 
@@ -586,8 +576,7 @@ func (n *Node) merge(groups []transport.RingID, srcs []*ringSource, handler Batc
 		}
 	}()
 	m := uint64(n.cfg.M)
-	maxMsgs := n.cfg.Batch.MaxMessages
-	maxBytes := n.cfg.Batch.MaxBytes
+	maxMsgs := n.batchMessages
 	n.progressNs.Store(nowNanos()) // merge is live from this point
 	batch := make([]Delivery, 0, maxMsgs)
 	batchBytes := 0
@@ -735,7 +724,7 @@ func (n *Node) merge(groups []transport.RingID, srcs []*ringSource, handler Batc
 				}
 				break // restart the round-robin on the new group set
 			}
-			if len(batch) >= maxMsgs || batchBytes >= maxBytes {
+			if len(batch) >= maxMsgs || batchBytes >= maxBatchBytes {
 				flush()
 			}
 			select {
@@ -1097,15 +1086,15 @@ func (n *Node) SinceProgress() (time.Duration, bool) {
 // subscribing; replicas with periodic checkpoints use it so the
 // every-N-commands checkpoint cadence survives batch-at-a-time delivery
 // (a batch never spans more than one checkpoint interval). Values <= 0 and
-// values above the configured bound are ignored.
+// values above the current bound are ignored.
 func (n *Node) LimitBatch(maxMessages int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if maxMessages <= 0 || n.merging {
 		return
 	}
-	if maxMessages < n.cfg.Batch.MaxMessages {
-		n.cfg.Batch.MaxMessages = maxMessages
+	if maxMessages < n.batchMessages {
+		n.batchMessages = maxMessages
 	}
 }
 

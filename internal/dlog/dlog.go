@@ -5,15 +5,15 @@
 // Each log maps to a multicast group; append, read and trim commands are
 // multicast to the log's group, and multi-append commands to a group all
 // log servers subscribe to, so appends spanning logs are ordered against
-// everything else. Servers keep recent appends in an in-memory cache and
-// write entries to disk synchronously or asynchronously (Section 7.3);
-// a trim flushes the cache up to the trim position.
+// everything else. A server keeps every entry in memory until a trim drops
+// it; entries are durable through the acceptors' write-ahead logs and the
+// replica's checkpoints, not through a data disk of the server's own.
 //
 // A server applies an operation from the delivered bytes and copies an
 // appended value once, into a block of entries it cuts forward and never
-// rewrites; a Disk, when set, keeps a copy of its own. Replies are cut from
-// a block in the same way, and the client reads them in place. This is safe
-// only because the log is append-only: nothing written is ever changed.
+// rewrites. Replies are cut from a block in the same way, and the client
+// reads them in place. This is safe only because the log is append-only:
+// nothing written is ever changed.
 package dlog
 
 import (
@@ -26,7 +26,6 @@ import (
 
 	"amcast/internal/recovery"
 	"amcast/internal/smr"
-	"amcast/internal/storage"
 	"amcast/internal/transport"
 )
 
@@ -285,8 +284,7 @@ func DecodeResult(buf []byte) (Result, error) {
 type logState struct {
 	base    uint64   // lowest retained position
 	next    uint64   // next append position
-	entries [][]byte // entries[i] holds position base+i (nil if evicted)
-	bytes   int      // cached bytes, for the cache cap
+	entries [][]byte // entries[i] holds position base+i
 }
 
 // SM is the dLog state machine for one server, hosting a set of logs. It
@@ -294,13 +292,6 @@ type logState struct {
 type SM struct {
 	mu     sync.Mutex
 	hosted map[LogID]*logState
-	// disk receives every appended entry, keyed by (log, position);
-	// wrap it in a storage.SimDisk to model sync/async device timing.
-	disk storage.Log
-	// cacheLimit bounds cached entry bytes per log (paper: 200 MB);
-	// the oldest cached entries are dropped first (reads fall back to
-	// disk).
-	cacheLimit int
 
 	// slab and replies are the unused rests of the blocks stored entries
 	// and replies are cut from: one allocation per block, not one per
@@ -312,75 +303,24 @@ type SM struct {
 	replies []byte
 	// out is ExecuteBatch's result slice, reused from call to call.
 	out [][]byte
-
-	// Snapshot pinning: while captures are outstanding, disk trims are
-	// deferred so the background checkpoint writer can still resolve
-	// cache-evicted entries from disk. The last capture's release
-	// applies the pending trim (outside the lock).
-	captures    int
-	trimPending bool
 }
 
 // SMConfig configures a dLog state machine.
 type SMConfig struct {
 	// Hosted lists the logs this server replicates.
 	Hosted []LogID
-	// Disk persists appended entries; nil keeps entries in memory only.
-	Disk storage.Log
-	// CacheLimit bounds the in-memory cache per log in bytes
-	// (default 200 MB, the paper's setting).
-	CacheLimit int
 }
 
 // NewSM builds a dLog state machine.
 func NewSM(cfg SMConfig) *SM {
-	if cfg.CacheLimit == 0 {
-		cfg.CacheLimit = 200 << 20
-	}
-	sm := &SM{
-		hosted:     make(map[LogID]*logState, len(cfg.Hosted)),
-		disk:       cfg.Disk,
-		cacheLimit: cfg.CacheLimit,
-	}
+	sm := &SM{hosted: make(map[LogID]*logState, len(cfg.Hosted))}
 	for _, l := range cfg.Hosted {
 		sm.hosted[l] = &logState{}
 	}
 	return sm
 }
 
-var (
-	_ smr.StateMachine     = (*SM)(nil)
-	_ smr.BatchExecutor    = (*SM)(nil)
-	_ smr.SnapshotCapturer = (*SM)(nil)
-)
-
-// diskKey packs (log, position) into a storage key.
-func diskKey(l LogID, pos uint64) uint64 {
-	return uint64(l)<<40 | (pos & (1<<40 - 1))
-}
-
-// diskTrimWatermark returns the largest watermark that is safe to hand to
-// the backing store's Trim, and whether any trim is safe at all.
-// storage.Log.Trim is a global prefix drop over the packed (log, position)
-// keyspace, so the watermark is capped by the lowest hosted log's retained
-// base — trimming key-wise past it would wipe lower-numbered logs'
-// retained records wholesale. A hosted log still retaining key 0 (log 0,
-// base 0) makes every watermark unsafe. Callers hold s.mu.
-func (s *SM) diskTrimWatermark() (uint64, bool) {
-	w := uint64(0)
-	first := true
-	//lint:allow determinism commutative min with an absorbing zero: the result is the same whatever order the hosted logs are visited in
-	for l, ls := range s.hosted {
-		k := diskKey(l, ls.base)
-		if k == 0 {
-			return 0, false
-		}
-		if first || k-1 < w {
-			w, first = k-1, false
-		}
-	}
-	return w, !first
-}
+var _ smr.StateMachine = (*SM)(nil)
 
 // Execute applies one encoded operation.
 //
@@ -470,7 +410,7 @@ func (s *SM) apply(raw []byte) []byte {
 		if !ok {
 			return s.result(StatusNotFound, nil, nil)
 		}
-		return s.result(StatusOK, positions{{op.Log, s.append(op.Log, ls, op.Value)}}, nil)
+		return s.result(StatusOK, positions{{op.Log, s.append(ls, op.Value)}}, nil)
 	case OpMultiAppend:
 		// Apply to the subset of addressed logs hosted here; other
 		// partitions' servers handle theirs (same global order). A command
@@ -480,7 +420,7 @@ func (s *SM) apply(raw []byte) []byte {
 		for i := 0; i < len(op.logs)/4; i++ {
 			l := op.logAt(i)
 			if ls, ok := s.hosted[l]; ok {
-				ps = ps.with(l, s.append(l, ls, op.Value))
+				ps = ps.with(l, s.append(ls, op.Value))
 			}
 		}
 		if len(ps) == 0 {
@@ -492,16 +432,7 @@ func (s *SM) apply(raw []byte) []byte {
 		if !ok || op.Pos < ls.base || op.Pos >= ls.next {
 			return s.result(StatusNotFound, nil, nil)
 		}
-		v := ls.entries[op.Pos-ls.base]
-		if v == nil && s.disk != nil {
-			if rec, ok := s.disk.Get(diskKey(op.Log, op.Pos)); ok {
-				v = rec
-			}
-		}
-		if v == nil {
-			return s.result(StatusNotFound, nil, nil)
-		}
-		return s.result(StatusOK, nil, v)
+		return s.result(StatusOK, nil, ls.entries[op.Pos-ls.base])
 	case OpTrim:
 		ls, ok := s.hosted[op.Log]
 		if !ok {
@@ -510,23 +441,13 @@ func (s *SM) apply(raw []byte) []byte {
 		if op.Pos > ls.next {
 			op.Pos = ls.next
 		}
-		for ls.base < op.Pos {
-			e := ls.entries[0]
-			ls.bytes -= len(e)
-			ls.entries = ls.entries[1:]
-			ls.base++
-		}
-		if s.disk != nil {
-			// A trim "flushes the cache up to the trim position and
-			// creates a new log file on disk" (Section 7.3): trim
-			// the backing store too — deferred while snapshot
-			// captures are outstanding, so the checkpoint writer can
-			// still resolve evicted entries.
-			if s.captures > 0 {
-				s.trimPending = true
-			} else if w, ok := s.diskTrimWatermark(); ok {
-				_ = s.disk.Trim(w)
-			}
+		if op.Pos > ls.base {
+			// Drop the references too, so the collector can free
+			// trimmed entries before the index array is regrown.
+			k := op.Pos - ls.base
+			clear(ls.entries[:k])
+			ls.entries = ls.entries[k:]
+			ls.base = op.Pos
 		}
 		return s.result(StatusOK, positions{{op.Log, ls.base}}, nil)
 	default:
@@ -535,26 +456,11 @@ func (s *SM) apply(raw []byte) []byte {
 }
 
 // append stores one entry — the state machine's one copy of v, cut from
-// the entry slab; a disk, when set, keeps a copy of its own — persists it
-// and maintains the cache cap.
-func (s *SM) append(l LogID, ls *logState, v []byte) uint64 {
-	pos := ls.next
+// the entry slab — and returns its position.
+func (s *SM) append(ls *logState, v []byte) uint64 {
+	ls.entries = append(ls.entries, s.keep(v))
 	ls.next++
-	cp := s.keep(v)
-	ls.entries = append(ls.entries, cp)
-	ls.bytes += len(cp)
-	if s.disk != nil {
-		_ = s.disk.Put(diskKey(l, pos), cp)
-	}
-	// Evict oldest cached values beyond the cap (entries stay addressable
-	// via disk).
-	for i := 0; ls.bytes > s.cacheLimit && i < len(ls.entries); i++ {
-		if ls.entries[i] != nil {
-			ls.bytes -= len(ls.entries[i])
-			ls.entries[i] = nil
-		}
-	}
-	return pos
+	return ls.next - 1
 }
 
 // LenOf reports retained entries of a log (instrumentation).
@@ -569,9 +475,9 @@ func (s *SM) LenOf(l LogID) int {
 
 // logSnapshot is one hosted log's captured view. The entries slice header
 // array is copied at capture time, but the entry byte slices themselves
-// are shared: an appended entry is never mutated afterwards (eviction and
-// trim only drop references from the live state), so the capture stays a
-// faithful point-in-time image while the live log keeps moving.
+// are shared: an appended entry is never mutated afterwards (trim only
+// drops references from the live state), so the capture stays a faithful
+// point-in-time image while the live log keeps moving.
 type logSnapshot struct {
 	log     LogID
 	base    uint64
@@ -579,86 +485,35 @@ type logSnapshot struct {
 	entries [][]byte
 }
 
-// smSnapshot adapts a captured set of logs to smr.StateSnapshot. While it
-// is outstanding (until Release), the SM defers disk trims so the lazy
-// disk reads in Serialize stay answerable.
-type smSnapshot struct {
-	sm       *SM
-	logs     []logSnapshot // ascending log id
-	released sync.Once
-}
+// smSnapshot adapts a captured set of logs, in ascending log id, to
+// smr.StateSnapshot.
+type smSnapshot []logSnapshot
 
-var _ smr.ReleasableSnapshot = (*smSnapshot)(nil)
-
-// CaptureSnapshot captures every hosted log with O(cached entries)
-// pointer copies — no entry bytes are touched, so capture cost is
-// independent of log data volume. Entries already evicted to disk are
-// resolved lazily by Serialize; the capture pins disk trims until
-// Release so those reads cannot race a trim into silent holes.
+// CaptureSnapshot captures every hosted log with O(entries) pointer copies
+// — no entry bytes are touched, so capture cost is independent of log data
+// volume.
 func (s *SM) CaptureSnapshot() smr.StateSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.captures++
-	snap := &smSnapshot{sm: s, logs: make([]logSnapshot, 0, len(s.hosted))}
+	snap := make(smSnapshot, 0, len(s.hosted))
 	for l, ls := range s.hosted {
-		entries := make([][]byte, len(ls.entries))
-		copy(entries, ls.entries)
-		snap.logs = append(snap.logs, logSnapshot{log: l, base: ls.base, next: ls.next, entries: entries})
+		snap = append(snap, logSnapshot{log: l, base: ls.base, next: ls.next, entries: slices.Clone(ls.entries)})
 	}
-	sort.Slice(snap.logs, func(i, j int) bool { return snap.logs[i].log < snap.logs[j].log })
+	sort.Slice(snap, func(i, j int) bool { return snap[i].log < snap[j].log })
 	return snap
 }
 
-// Release unpins the capture; the last outstanding release applies the
-// disk trim deferred while captures were in flight. The trim I/O runs
-// outside the lock so command execution never waits on it; the watermark
-// computed under the lock only falls below bases that can only advance,
-// so a capture taken after the unlock cannot lose entries to it.
-func (sn *smSnapshot) Release() {
-	sn.released.Do(func() {
-		s := sn.sm
-		s.mu.Lock()
-		s.captures--
-		var watermark uint64
-		doTrim := s.captures == 0 && s.trimPending && s.disk != nil
-		if doTrim {
-			s.trimPending = false
-			watermark, doTrim = s.diskTrimWatermark()
-		}
-		s.mu.Unlock()
-		if doTrim {
-			_ = s.disk.Trim(watermark)
-		}
-	})
-}
-
 // Serialize encodes the captured logs in ascending log-id order, so
-// identical states serialize to identical (checksummable) bytes. Entries
-// evicted from the cache before the capture are re-read from disk here,
-// off the delivery path (safe until Release: disk trims are deferred).
-func (sn *smSnapshot) Serialize() []byte {
-	disk := sn.sm.disk
-	var buf []byte
-	var tmp [8]byte
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(sn.logs)))
-	buf = append(buf, tmp[:4]...)
-	for _, ls := range sn.logs {
-		binary.LittleEndian.PutUint32(tmp[:4], uint32(ls.log))
-		buf = append(buf, tmp[:4]...)
-		binary.LittleEndian.PutUint64(tmp[:8], ls.base)
-		buf = append(buf, tmp[:8]...)
-		binary.LittleEndian.PutUint64(tmp[:8], ls.next)
-		buf = append(buf, tmp[:8]...)
-		for i, e := range ls.entries {
-			v := e
-			if v == nil && disk != nil {
-				if rec, ok := disk.Get(diskKey(ls.log, ls.base+uint64(i))); ok {
-					v = rec
-				}
-			}
-			binary.LittleEndian.PutUint32(tmp[:4], uint32(len(v)))
-			buf = append(buf, tmp[:4]...)
-			buf = append(buf, v...)
+// identical states serialize to identical (checksummable) bytes.
+func (sn smSnapshot) Serialize() []byte {
+	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(sn)))
+	for _, ls := range sn {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(ls.log))
+		buf = binary.LittleEndian.AppendUint64(buf, ls.base)
+		buf = binary.LittleEndian.AppendUint64(buf, ls.next)
+		for _, e := range ls.entries {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e)))
+			buf = append(buf, e...)
 		}
 	}
 	return buf
@@ -666,24 +521,26 @@ func (sn *smSnapshot) Serialize() []byte {
 
 // Snapshot serializes all hosted logs.
 func (s *SM) Snapshot() []byte {
-	snap := s.CaptureSnapshot()
-	buf := snap.Serialize()
-	snap.(*smSnapshot).Release()
-	return buf
+	return s.CaptureSnapshot().Serialize()
 }
 
 // Restore replaces state with a snapshot. Entries are cut from the entry
-// slab, as appends are.
+// slab, as appends are. Nothing is sized from a count the snapshot claims:
+// more logs or entries than its bytes can hold, a log whose next position
+// lies below its base and a log named twice are all ErrCorrupt.
 func (s *SM) Restore(snap []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(snap) < 4 {
 		return recovery.ErrCorrupt
 	}
-	n := int(binary.LittleEndian.Uint32(snap[:4]))
+	n := binary.LittleEndian.Uint32(snap[:4])
 	snap = snap[4:]
-	hosted := make(map[LogID]*logState, n)
-	for i := 0; i < n; i++ {
+	if uint64(n) > uint64(len(snap)/20) {
+		return recovery.ErrCorrupt
+	}
+	hosted := make(map[LogID]*logState)
+	for ; n > 0; n-- {
 		if len(snap) < 20 {
 			return recovery.ErrCorrupt
 		}
@@ -693,18 +550,19 @@ func (s *SM) Restore(snap []byte) error {
 			next: binary.LittleEndian.Uint64(snap[12:20]),
 		}
 		snap = snap[20:]
-		count := int(ls.next - ls.base)
-		for j := 0; j < count; j++ {
+		if ls.next < ls.base || ls.next-ls.base > uint64(len(snap)/4) || hosted[l] != nil {
+			return recovery.ErrCorrupt
+		}
+		for pos := ls.base; pos < ls.next; pos++ {
 			if len(snap) < 4 {
 				return recovery.ErrCorrupt
 			}
-			vn := int(binary.LittleEndian.Uint32(snap[:4]))
+			vn := uint64(binary.LittleEndian.Uint32(snap[:4]))
 			snap = snap[4:]
-			if len(snap) < vn {
+			if uint64(len(snap)) < vn {
 				return recovery.ErrCorrupt
 			}
 			ls.entries = append(ls.entries, s.keep(snap[:vn]))
-			ls.bytes += vn
 			snap = snap[vn:]
 		}
 		hosted[l] = ls

@@ -3,11 +3,12 @@ package dlog
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 	"testing/quick"
 
-	"amcast/internal/storage"
+	"amcast/internal/recovery"
 	"amcast/internal/transport"
 )
 
@@ -121,6 +122,26 @@ func TestSMAppendReadTrim(t *testing.T) {
 	}
 }
 
+// TestSMReadEmptyValue: an appended empty value is an entry like any
+// other, so reading it answers StatusOK with an empty value — before and
+// after a snapshot round trip.
+func TestSMReadEmptyValue(t *testing.T) {
+	sm := NewSM(SMConfig{Hosted: []LogID{1}})
+	execOp(t, sm, Op{Kind: OpAppend, Log: 1, Value: []byte("a")})
+	if r := execOp(t, sm, Op{Kind: OpAppend, Log: 1}); r.Status != StatusOK || r.Positions[1] != 1 {
+		t.Fatalf("append of an empty value = %+v", r)
+	}
+	restored := NewSM(SMConfig{Hosted: []LogID{1}})
+	if err := restored.Restore(sm.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*SM{sm, restored} {
+		if r := execOp(t, m, Op{Kind: OpRead, Log: 1, Pos: 1}); r.Status != StatusOK || len(r.Value) != 0 {
+			t.Errorf("read of an empty value = %+v, want StatusOK and no bytes", r)
+		}
+	}
+}
+
 func TestSMUnhostedLog(t *testing.T) {
 	sm := NewSM(SMConfig{Hosted: []LogID{1}})
 	if r := execOp(t, sm, Op{Kind: OpAppend, Log: 9, Value: []byte("x")}); r.Status != StatusNotFound {
@@ -136,21 +157,6 @@ func TestSMMultiAppendSubset(t *testing.T) {
 	r := execOp(t, sm, Op{Kind: OpMultiAppend, Logs: []LogID{1, 2, 3}, Value: []byte("m")})
 	if r.Status != StatusOK || len(r.Positions) != 2 {
 		t.Fatalf("multi-append = %+v", r)
-	}
-}
-
-func TestSMCacheEvictionFallsBackToDisk(t *testing.T) {
-	disk := storage.NewMemLog()
-	sm := NewSM(SMConfig{Hosted: []LogID{1}, Disk: disk, CacheLimit: 64})
-	big := bytes.Repeat([]byte("x"), 40)
-	for i := 0; i < 5; i++ {
-		execOp(t, sm, Op{Kind: OpAppend, Log: 1, Value: big})
-	}
-	// Early entries are evicted from cache, but reads must still work
-	// via the backing disk.
-	r := execOp(t, sm, Op{Kind: OpRead, Log: 1, Pos: 0})
-	if r.Status != StatusOK || !bytes.Equal(r.Value, big) {
-		t.Fatalf("read of evicted entry = status %d", r.Status)
 	}
 }
 
@@ -182,6 +188,66 @@ func TestSMSnapshotRestore(t *testing.T) {
 	if err := sm2.Restore([]byte{1}); err == nil {
 		t.Error("corrupt snapshot accepted")
 	}
+}
+
+// TestDLogRestoreRejectsCorrupt: a snapshot that claims more logs than its
+// bytes can hold, a log whose next position lies below its base, or a log
+// named twice is corrupt — and the claimed count must not size anything.
+func TestDLogRestoreRejectsCorrupt(t *testing.T) {
+	header := func(l LogID, base, next uint64) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, uint32(l))
+		b = binary.LittleEndian.AppendUint64(b, base)
+		return binary.LittleEndian.AppendUint64(b, next)
+	}
+	logs := func(n uint32, parts ...[]byte) []byte {
+		return bytes.Join(append([][]byte{binary.LittleEndian.AppendUint32(nil, n)}, parts...), nil)
+	}
+	entry := []byte{1, 0, 0, 0, 'x'}
+	for name, snap := range map[string][]byte{
+		"count past the data": {0xff, 0xff, 0xff, 0xff},
+		"next below base":     logs(1, header(1, 5, 4)),
+		"entries past data":   logs(1, header(1, 0, 1<<40)),
+		"duplicate log id":    logs(2, header(1, 0, 1), entry, header(1, 0, 1), entry),
+	} {
+		if err := NewSM(SMConfig{Hosted: []LogID{1}}).Restore(snap); !errors.Is(err, recovery.ErrCorrupt) {
+			t.Errorf("%s: Restore = %v, want ErrCorrupt", name, err)
+		}
+	}
+	// Four billion claimed logs in four bytes fail before anything is made.
+	sm := NewSM(SMConfig{Hosted: []LogID{1}})
+	if allocs := testing.AllocsPerRun(10, func() { _ = sm.Restore([]byte{0xff, 0xff, 0xff, 0xff}) }); allocs != 0 {
+		t.Errorf("Restore of a bare count made %.0f allocations", allocs)
+	}
+}
+
+// FuzzDLogRestore: arbitrary bytes either fail to restore, or restore into
+// a state machine whose snapshot restores into one that serializes to the
+// very same bytes.
+func FuzzDLogRestore(f *testing.F) {
+	sm := NewSM(SMConfig{Hosted: []LogID{2, 1}})
+	for i := 0; i < 6; i++ {
+		sm.Execute(1, Op{Kind: OpAppend, Log: LogID(1 + i%2), Value: bytes.Repeat([]byte{byte(i)}, i)}.Encode())
+	}
+	sm.Execute(1, Op{Kind: OpTrim, Log: 1, Pos: 2}.Encode())
+	f.Add(sm.Snapshot())
+	f.Add(NewSM(SMConfig{}).Snapshot())
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sm := NewSM(SMConfig{})
+		if sm.Restore(data) != nil {
+			return
+		}
+		snap := sm.Snapshot()
+		again := NewSM(SMConfig{})
+		if err := again.Restore(snap); err != nil {
+			t.Fatalf("Restore(Snapshot()) = %v", err)
+		}
+		if got := again.Snapshot(); !bytes.Equal(got, snap) {
+			t.Fatalf("Snapshot after a round trip\n %x, want\n %x", got, snap)
+		}
+	})
 }
 
 func TestSMGarbageOp(t *testing.T) {
@@ -278,107 +344,6 @@ func TestSMSnapshotDeterministic(t *testing.T) {
 	sm := build()
 	if !bytes.Equal(sm.Snapshot(), sm.Snapshot()) {
 		t.Error("repeated snapshots differ")
-	}
-}
-
-// TestSMCaptureDefersTrimUntilRelease: entries evicted to disk before a
-// capture must stay resolvable until the capture is released — a trim
-// racing the background checkpoint writer would otherwise delete them
-// from disk and the checkpoint would silently serialize holes. After the
-// release, the deferred disk trim must apply.
-func TestSMCaptureDefersTrimUntilRelease(t *testing.T) {
-	disk := storage.NewMemLog()
-	sm := NewSM(SMConfig{Hosted: []LogID{1}, Disk: disk, CacheLimit: 64})
-	big := bytes.Repeat([]byte("x"), 40)
-	for i := 0; i < 5; i++ {
-		execOp(t, sm, Op{Kind: OpAppend, Log: 1, Value: big})
-	}
-	// Position 0 is evicted from the cache by now (64 B cap, 40 B entries).
-	snap := sm.CaptureSnapshot()
-	// A trim lands before the checkpoint writer serializes: the cache
-	// drops the early positions, but the disk trim is deferred.
-	execOp(t, sm, Op{Kind: OpTrim, Log: 1, Pos: 5})
-
-	sm2 := NewSM(SMConfig{Hosted: []LogID{1}})
-	if err := sm2.Restore(snap.Serialize()); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		r := execOp(t, sm2, Op{Kind: OpRead, Log: 1, Pos: uint64(i)})
-		if r.Status != StatusOK || !bytes.Equal(r.Value, big) {
-			t.Fatalf("restored read %d = status %d (len %d); capture lost an evicted entry", i, r.Status, len(r.Value))
-		}
-	}
-
-	// Releasing the capture applies the deferred disk trim.
-	if _, ok := disk.Get(diskKey(1, 0)); !ok {
-		t.Fatal("disk entry gone before the capture was released")
-	}
-	snap.(interface{ Release() }).Release()
-	if _, ok := disk.Get(diskKey(1, 0)); ok {
-		t.Error("deferred disk trim not applied on release")
-	}
-	// Double release is harmless and does not unpin a later capture.
-	snap.(interface{ Release() }).Release()
-}
-
-// TestSMTrimDoesNotWipeOtherLogsOnSharedDisk: the backing store's Trim is
-// a global prefix drop over the packed (log, position) keyspace, so
-// trimming a higher-numbered log must not discard lower-numbered logs'
-// disk records — cache-evicted entries of those logs must stay readable
-// (and checkpointable).
-func TestSMTrimDoesNotWipeOtherLogsOnSharedDisk(t *testing.T) {
-	disk := storage.NewMemLog()
-	sm := NewSM(SMConfig{Hosted: []LogID{1, 2}, Disk: disk, CacheLimit: 64})
-	big := bytes.Repeat([]byte("y"), 40)
-	for i := 0; i < 5; i++ {
-		execOp(t, sm, Op{Kind: OpAppend, Log: 1, Value: big})
-	}
-	execOp(t, sm, Op{Kind: OpAppend, Log: 2, Value: []byte("two-0")})
-	execOp(t, sm, Op{Kind: OpAppend, Log: 2, Value: []byte("two-1")})
-
-	// Trim log 2: log 1's disk records (including cache-evicted position
-	// 0) must survive.
-	execOp(t, sm, Op{Kind: OpTrim, Log: 2, Pos: 1})
-	r := execOp(t, sm, Op{Kind: OpRead, Log: 1, Pos: 0})
-	if r.Status != StatusOK || !bytes.Equal(r.Value, big) {
-		t.Fatalf("log 1 evicted entry lost after trimming log 2: status %d", r.Status)
-	}
-	// And the snapshot still carries it.
-	sm2 := NewSM(SMConfig{Hosted: []LogID{1, 2}})
-	if err := sm2.Restore(sm.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	r = execOp(t, sm2, Op{Kind: OpRead, Log: 1, Pos: 0})
-	if r.Status != StatusOK || !bytes.Equal(r.Value, big) {
-		t.Fatalf("restored log 1 entry lost after trimming log 2: status %d", r.Status)
-	}
-	// Once log 1 itself is trimmed, the shared watermark may advance and
-	// drop its prefix from disk.
-	execOp(t, sm, Op{Kind: OpTrim, Log: 1, Pos: 5})
-	if _, ok := disk.Get(diskKey(1, 0)); ok {
-		t.Error("log 1 disk prefix survived its own trim")
-	}
-}
-
-// TestSMTrimWithLogZeroHostedNeverTrimsDisk: a hosted log 0 still
-// retaining position 0 occupies disk key 0, so no global watermark is
-// safe — trimming another log must leave the disk untouched rather than
-// wrapping the watermark and wiping log 0.
-func TestSMTrimWithLogZeroHostedNeverTrimsDisk(t *testing.T) {
-	disk := storage.NewMemLog()
-	sm := NewSM(SMConfig{Hosted: []LogID{0, 2}, Disk: disk, CacheLimit: 64})
-	big := bytes.Repeat([]byte("z"), 40)
-	for i := 0; i < 5; i++ {
-		execOp(t, sm, Op{Kind: OpAppend, Log: 0, Value: big})
-	}
-	execOp(t, sm, Op{Kind: OpAppend, Log: 2, Value: []byte("two")})
-	execOp(t, sm, Op{Kind: OpTrim, Log: 2, Pos: 1})
-	// Log 0's records — including the cache-evicted position 0 at disk
-	// key 0 — must survive.
-	r := execOp(t, sm, Op{Kind: OpRead, Log: 0, Pos: 0})
-	if r.Status != StatusOK || !bytes.Equal(r.Value, big) {
-		t.Fatalf("log 0 entry lost after trimming log 2: status %d", r.Status)
 	}
 }
 

@@ -11,9 +11,8 @@ import (
 
 // TestBatchApplyEquivalence drives one randomized op stream — appends,
 // reads of live positions and of positions appended earlier in the same
-// batch, multi-appends, and trims — through the two paths a replica's
-// flushRun has: ExecuteBatch on one state machine, one-at-a-time Execute
-// on a fresh one. Replies and snapshots must match byte for byte: replicas
+// batch, multi-appends, and trims — through ExecuteBatch on one state
+// machine and the one-at-a-time Execute reference on a fresh one. Replies and snapshots must match byte for byte: replicas
 // cut their batches at different points, and their bytes must not show it.
 func TestBatchApplyEquivalence(t *testing.T) {
 	const logs = 4

@@ -1,13 +1,12 @@
 // Package metrics provides the measurement primitives the benchmark
 // harness uses to regenerate the paper's figures: latency histograms with
-// quantiles and CDF extraction, throughput meters, and time series for the
-// recovery timeline (Figure 8).
+// quantiles and CDF extraction, throughput meters, counters, gauges and
+// moving averages.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -329,44 +328,3 @@ func (e *EWMA) Update(sample float64) float64 {
 
 // Value returns the current average (0 before the first sample).
 func (e *EWMA) Value() float64 { return e.v }
-
-// SeriesPoint is one sample of a time series.
-type SeriesPoint struct {
-	At    time.Duration // offset from series start
-	Value float64
-}
-
-// Series collects a time series, e.g. throughput per second during the
-// recovery experiment (Figure 8).
-type Series struct {
-	mu     sync.Mutex
-	start  time.Time
-	points []SeriesPoint
-}
-
-// NewSeries starts a series clocked from now.
-func NewSeries() *Series {
-	return &Series{start: time.Now()}
-}
-
-// Append records a sample at the current offset.
-func (s *Series) Append(v float64) {
-	s.mu.Lock()
-	s.points = append(s.points, SeriesPoint{At: time.Since(s.start), Value: v})
-	s.mu.Unlock()
-}
-
-// Points returns a copy of the collected samples.
-func (s *Series) Points() []SeriesPoint {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]SeriesPoint(nil), s.points...)
-}
-
-// SortedCopy returns samples sorted by time (Append is already ordered when
-// called from one goroutine; this guards multi-recorder series).
-func (s *Series) SortedCopy() []SeriesPoint {
-	pts := s.Points()
-	sort.Slice(pts, func(i, j int) bool { return pts[i].At < pts[j].At })
-	return pts
-}

@@ -140,24 +140,3 @@ func TestMeter(t *testing.T) {
 		t.Error("Reset did not clear counts")
 	}
 }
-
-func TestSeries(t *testing.T) {
-	s := NewSeries()
-	s.Append(1)
-	time.Sleep(5 * time.Millisecond)
-	s.Append(2)
-	pts := s.Points()
-	if len(pts) != 2 {
-		t.Fatalf("Points = %d", len(pts))
-	}
-	if pts[1].At <= pts[0].At {
-		t.Error("timestamps not increasing")
-	}
-	if pts[0].Value != 1 || pts[1].Value != 2 {
-		t.Error("values wrong")
-	}
-	sorted := s.SortedCopy()
-	if len(sorted) != 2 || sorted[0].At > sorted[1].At {
-		t.Error("SortedCopy broken")
-	}
-}

@@ -16,28 +16,23 @@ import (
 	"amcast/internal/transport"
 )
 
-// StateMachine is the deterministic service a Replica replicates.
-// Execute, Snapshot and Restore are always invoked from a single
-// goroutine.
+// StateMachine is the deterministic service a Replica replicates. The
+// replica executes delivered commands in merged order and checkpoints the
+// state under the (vector, cursor) tuple (Sections 5–5.2). All three
+// methods are invoked from a single goroutine.
 type StateMachine interface {
-	// Execute applies one operation and returns the response sent back
-	// to the client.
-	Execute(group transport.RingID, op []byte) []byte
-	// Snapshot serializes the complete state.
-	Snapshot() []byte
-	// Restore replaces the state with a snapshot.
-	Restore(snapshot []byte) error
-}
-
-// BatchExecutor is an optional StateMachine extension: state machines
-// implement it to apply a run of operations under one internal
-// synchronization acquisition instead of per-operation. ExecuteBatch must
-// be equivalent to calling Execute for each (group, op) pair in order and
-// returning the responses positionally. The replica is done with the
-// returned slice (not with the responses in it) before it calls again, so
-// an implementation may reuse it.
-type BatchExecutor interface {
+	// ExecuteBatch applies a run of operations in order and returns the
+	// responses sent back to the clients, positionally. The replica is
+	// done with the returned slice (not with the responses in it) before
+	// it calls again, so an implementation may reuse it.
 	ExecuteBatch(groups []transport.RingID, ops [][]byte) [][]byte
+	// CaptureSnapshot returns a cheap (ideally O(1)) immutable view of the
+	// state after the last executed command. It is called at a batch
+	// boundary; the background checkpoint writer serializes the view, so
+	// delivery never stalls for the full encoding.
+	CaptureSnapshot() StateSnapshot
+	// Restore replaces the state with a serialized snapshot.
+	Restore(snapshot []byte) error
 }
 
 // StateSnapshot is an immutable point-in-time capture of a state
@@ -46,33 +41,6 @@ type BatchExecutor interface {
 // against the live state, so implementations must not read mutable state.
 type StateSnapshot interface {
 	Serialize() []byte
-}
-
-// SnapshotCapturer is an optional StateMachine extension for non-blocking
-// checkpoints: CaptureSnapshot returns a cheap (ideally O(1)) immutable
-// view of the current state, letting the replica hand serialization to a
-// background checkpoint writer instead of stalling delivery for the full
-// encoding. CaptureSnapshot is called from the delivery goroutine at a
-// batch boundary; the returned snapshot must reflect exactly the state
-// after the last executed command.
-type SnapshotCapturer interface {
-	CaptureSnapshot() StateSnapshot
-}
-
-// ReleasableSnapshot is an optional StateSnapshot extension for state
-// machines that pin resources while a capture is outstanding (e.g. dLog
-// defers disk trims so lazily-resolved entries stay readable). The
-// checkpoint writer calls Release exactly once per capture — after
-// Serialize, or when the capture is superseded or dropped at shutdown.
-type ReleasableSnapshot interface {
-	Release()
-}
-
-// releaseSnapshot releases a capture's pinned resources, if any.
-func releaseSnapshot(s StateSnapshot) {
-	if r, ok := s.(ReleasableSnapshot); ok {
-		r.Release()
-	}
 }
 
 // ReplicaConfig configures a replica process.
@@ -123,10 +91,8 @@ type ReplicaConfig struct {
 // partition's groups, executes delivered commands, responds to clients,
 // checkpoints, answers the trim protocol and serves recovery RPCs.
 type Replica struct {
-	cfg     ReplicaConfig
-	tr      transport.Transport
-	batchSM BatchExecutor    // non-nil when SM supports batch apply
-	snapSM  SnapshotCapturer // non-nil when SM supports cheap capture
+	cfg ReplicaConfig
+	tr  transport.Transport
 
 	// applyGate serializes command application (write side, held across
 	// deliverBatch) against local reads and forced checkpoints (read
@@ -594,8 +560,6 @@ func NewReplica(cfg ReplicaConfig, recovered recovery.Checkpoint) (*Replica, err
 		loopDone:   make(chan struct{}),
 		readWait:   metrics.NewHistogram(),
 	}
-	r.batchSM, _ = cfg.SM.(BatchExecutor)
-	r.snapSM, _ = cfg.SM.(SnapshotCapturer)
 	groups := cfg.Groups
 	if len(recovered.State) > 0 {
 		cur, dedup, snap, err := decodeStateParts(recovered.State)
@@ -657,8 +621,7 @@ func NewReplica(cfg ReplicaConfig, recovered recovery.Checkpoint) (*Replica, err
 
 // deliverBatch executes one batch of delivered commands; it runs on the
 // merge goroutine, so state machine access is single-threaded and the
-// whole pass — duplicate suppression, execution (through the state
-// machine's batch entry point when it has one) and checkpoint accounting
+// whole pass — duplicate suppression, execution and checkpoint accounting
 // — touches only merge-owned state, lock-free. Client responses are
 // flushed together after execution.
 //
@@ -788,22 +751,19 @@ func (r *Replica) appendResp(cmd Command, group transport.RingID, payload []byte
 	return len(r.respBuf) - 1
 }
 
-// flushRun executes the pending run of dedup-cleared commands — through
-// the state machine's batch entry point when available — records results
-// in the client windows and fills the queued responses. Runs on the merge
-// goroutine. Returns the number of commands executed.
+// flushRun executes the pending run of dedup-cleared commands in one
+// ExecuteBatch call, records results in the client windows and fills the
+// queued responses. Runs on the merge goroutine. Returns the number of
+// commands executed.
 func (r *Replica) flushRun() int {
 	nrun := len(r.runOps)
 	if nrun == 0 {
 		return 0
 	}
-	if r.batchSM != nil && nrun > 1 {
-		for i, out := range r.batchSM.ExecuteBatch(r.runGroups, r.runOps) {
-			r.settleRun(i, out)
-		}
-	} else {
-		for i, op := range r.runOps {
-			r.settleRun(i, r.cfg.SM.Execute(r.runGroups[i], op))
+	for i, out := range r.cfg.SM.ExecuteBatch(r.runGroups, r.runOps) {
+		r.runWins[i].record(r.runSeqs[i], out)
+		if idx := r.runResp[i]; idx >= 0 {
+			r.respBuf[idx].Payload = out
 		}
 	}
 	r.runGroups = r.runGroups[:0]
@@ -815,37 +775,26 @@ func (r *Replica) flushRun() int {
 	return nrun
 }
 
-// settleRun records one run entry's execution result.
-func (r *Replica) settleRun(i int, out []byte) {
-	r.runWins[i].record(r.runSeqs[i], out)
-	if idx := r.runResp[i]; idx >= 0 {
-		r.respBuf[idx].Payload = out
-	}
-}
-
 // ckptCapture is everything the checkpoint writer needs, captured
-// consistently at a batch boundary on the merge goroutine. Exactly one of
-// snap/state is set: snap when the state machine supports cheap capture
-// (serialization then runs on the writer), state when the full snapshot
-// had to be serialized at capture time.
+// consistently at a batch boundary on the merge goroutine; the writer
+// serializes snap.
 type ckptCapture struct {
 	vector  recovery.Vector
 	cursor  core.Cursor
 	dedup   []byte
 	snap    StateSnapshot
-	state   []byte
 	waiters []chan bool // signalled (buffered) once durably written or dropped
 }
 
 // checkpoint captures the state machine with its identifying tuple and
 // merge cursor and hands the capture to the background writer. Runs on the
 // merge goroutine at a batch boundary (inside deliverBatch), so vector,
-// cursor and snapshot are mutually consistent (Section 5.2). With a
-// SnapshotCapturer state machine the blocking part is an O(1) root capture
-// plus the (small) dedup encoding — microseconds, independent of state
-// size; serialization, CRC and the durable write all happen off the
-// delivery path. safeVec advances only on the writer's durability ack, so
-// trim never outruns a checkpoint that is actually on disk.
+// cursor and snapshot are mutually consistent (Section 5.2). The blocking
+// part is the state machine's cheap capture plus the (small) dedup
+// encoding — microseconds, independent of state size; serialization, CRC
+// and the durable write all happen off the delivery path. safeVec advances
+// only on the writer's durability ack, so trim never outruns a checkpoint
+// that is actually on disk.
 func (r *Replica) checkpoint(waiter chan bool) {
 	if r.cfg.Checkpoints == nil {
 		if waiter != nil {
@@ -859,14 +808,10 @@ func (r *Replica) checkpoint(waiter chan bool) {
 		vector: r.cfg.Node.DeliveredVector(),
 		cursor: r.cfg.Node.MergeCursor(),
 		dedup:  encodeDedup(r.dedup), // merge-goroutine-owned state
+		snap:   r.cfg.SM.CaptureSnapshot(),
 	}
 	if waiter != nil {
 		c.waiters = append(c.waiters, waiter)
-	}
-	if r.snapSM != nil {
-		c.snap = r.snapSM.CaptureSnapshot()
-	} else {
-		c.state = r.cfg.SM.Snapshot()
 	}
 	r.enqueueCheckpoint(c)
 	r.noteStall(time.Since(start)) //lint:allow determinism checkpoint-stall telemetry only: the duration feeds a local gauge, never replicated state or checkpoint bytes
@@ -880,9 +825,6 @@ func (r *Replica) enqueueCheckpoint(c *ckptCapture) {
 	r.ckptMu.Lock()
 	if prev := r.ckptPending; prev != nil {
 		c.waiters = append(c.waiters, prev.waiters...)
-		if prev.snap != nil {
-			releaseSnapshot(prev.snap)
-		}
 		r.coalesced.Add(1)
 	}
 	r.ckptPending = c
@@ -903,12 +845,7 @@ func (r *Replica) writeCheckpoint(c *ckptCapture) {
 			w <- ok
 		}
 	}()
-	snap := c.state
-	if c.snap != nil {
-		snap = c.snap.Serialize()
-		releaseSnapshot(c.snap)
-	}
-	state := encodeStateParts(c.cursor, c.dedup, snap)
+	state := encodeStateParts(c.cursor, c.dedup, c.snap.Serialize())
 	if err := r.cfg.Checkpoints.Save(recovery.Checkpoint{Vector: c.vector, State: state}); err != nil {
 		r.ckptRetry.Store(true)
 		return // keep serving; trim just cannot advance yet
@@ -928,16 +865,12 @@ func (r *Replica) writeCheckpoint(c *ckptCapture) {
 func (r *Replica) checkpointWriter() {
 	defer close(r.ckptDone)
 	defer func() {
-		// Fail any capture still parked at shutdown so waiters unblock
-		// and pinned resources release.
+		// Fail any capture still parked at shutdown so waiters unblock.
 		r.ckptMu.Lock()
 		c := r.ckptPending
 		r.ckptPending = nil
 		r.ckptMu.Unlock()
 		if c != nil {
-			if c.snap != nil {
-				releaseSnapshot(c.snap)
-			}
 			for _, w := range c.waiters {
 				w <- false
 			}
@@ -1209,8 +1142,8 @@ func (r *Replica) SafeVector() recovery.Vector {
 
 // Stop halts the replica, its checkpoint writer and its node. The node
 // stops first — Node.Stop joins the merge goroutine — so no capture can
-// be enqueued after the checkpoint writer drains and every capture is
-// written or released exactly once.
+// be enqueued after the checkpoint writer drains and every capture's
+// waiters are answered exactly once.
 func (r *Replica) Stop() {
 	r.stopOnce.Do(func() {
 		r.cfg.Node.Stop()

@@ -16,7 +16,7 @@ import (
 )
 
 // counterSM is a trivial state machine: ops are "add <n>" encoded as 8
-// bytes; the response is the running total. Snapshot/Restore serialize the
+// bytes; the response is the running total. Snapshots serialize the
 // counter, padded with pad zero bytes so tests can inflate the state to
 // exercise multi-chunk snapshot transfers.
 type counterSM struct {
@@ -24,6 +24,7 @@ type counterSM struct {
 	total uint64
 	pad   int
 	log   []uint64 // applied values, for order checks
+	runs  []int    // len(ops) of each ExecuteBatch call
 }
 
 func addOp(n uint64) []byte {
@@ -43,12 +44,28 @@ func (c *counterSM) Execute(_ transport.RingID, op []byte) []byte {
 	return out[:]
 }
 
-func (c *counterSM) Snapshot() []byte {
+func (c *counterSM) ExecuteBatch(groups []transport.RingID, ops [][]byte) [][]byte {
+	c.mu.Lock()
+	c.runs = append(c.runs, len(ops))
+	c.mu.Unlock()
+	out := make([][]byte, len(ops))
+	for i, op := range ops {
+		out[i] = c.Execute(groups[i], op)
+	}
+	return out
+}
+
+// counterSnap is a counterSM capture, serialized when it is taken.
+type counterSnap []byte
+
+func (s counterSnap) Serialize() []byte { return s }
+
+func (c *counterSM) CaptureSnapshot() StateSnapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]byte, 8+c.pad)
 	binary.LittleEndian.PutUint64(out[:8], c.total)
-	return out
+	return counterSnap(out)
 }
 
 func (c *counterSM) Restore(snap []byte) error {

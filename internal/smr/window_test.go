@@ -104,7 +104,6 @@ func TestDeliverBatchDuplicateWithinBatch(t *testing.T) {
 		dedup:   make(map[transport.ProcessID]*clientWindow),
 		runKeys: make(map[cmdKey]struct{}),
 	}
-	r.batchSM, _ = any(sm).(BatchExecutor)
 
 	r.deliverBatch([]core.Delivery{
 		makeDelivery(9, 1, 5),
@@ -125,47 +124,32 @@ func TestDeliverBatchDuplicateWithinBatch(t *testing.T) {
 	}
 }
 
-// batchCounterSM wraps counterSM with a BatchExecutor implementation so
-// the replica's batch entry point is exercised.
-type batchCounterSM struct {
-	counterSM
-	batchCalls int
-}
-
-func (b *batchCounterSM) ExecuteBatch(groups []transport.RingID, ops [][]byte) [][]byte {
-	b.batchCalls++
-	out := make([][]byte, len(ops))
-	for i, op := range ops {
-		out[i] = b.Execute(groups[i], op)
-	}
-	return out
-}
-
-// TestDeliverBatchUsesBatchExecutor verifies multi-command runs go through
-// ExecuteBatch and responses land positionally.
+// TestDeliverBatchUsesBatchExecutor verifies every run, a one-command run
+// included, goes through one ExecuteBatch call and responses land
+// positionally.
 func TestDeliverBatchUsesBatchExecutor(t *testing.T) {
-	sm := &batchCounterSM{}
+	sm := &counterSM{}
 	r := &Replica{
 		cfg:     ReplicaConfig{Partition: 1, SM: sm},
 		dedup:   make(map[transport.ProcessID]*clientWindow),
 		runKeys: make(map[cmdKey]struct{}),
 	}
-	r.batchSM = sm
 
 	var batch []core.Delivery
 	for s := uint64(1); s <= 5; s++ {
 		batch = append(batch, makeDelivery(4, s, s))
 	}
 	r.deliverBatch(batch)
-	if sm.batchCalls != 1 {
-		t.Fatalf("ExecuteBatch calls = %d, want 1", sm.batchCalls)
+	r.deliverBatch([]core.Delivery{makeDelivery(4, 6, 6)})
+	if fmt.Sprint(sm.runs) != "[5 1]" {
+		t.Fatalf("ExecuteBatch runs = %v, want [5 1]", sm.runs)
 	}
-	if got := sm.Total(); got != 15 {
-		t.Fatalf("total = %d, want 15", got)
+	if got := sm.Total(); got != 21 {
+		t.Fatalf("total = %d, want 21", got)
 	}
 	// Responses cached for duplicate re-reply carry the running totals.
 	w := r.dedup[4]
-	for s := uint64(1); s <= 5; s++ {
+	for s := uint64(1); s <= 6; s++ {
 		_, resp := w.check(s)
 		want := s * (s + 1) / 2
 		if got := binary.LittleEndian.Uint64(resp); got != want {
@@ -174,10 +158,10 @@ func TestDeliverBatchUsesBatchExecutor(t *testing.T) {
 	}
 }
 
-// TestExecuteBatchMatchesExecute is the store-level equivalence property
-// between the per-op and batch apply entry points.
+// TestExecuteBatchMatchesExecute is the equivalence property between the
+// test state machine's per-op reference and its batch apply entry point.
 func TestExecuteBatchMatchesExecute(t *testing.T) {
-	a, b := &batchCounterSM{}, &batchCounterSM{}
+	a, b := &counterSM{}, &counterSM{}
 	var ops [][]byte
 	var groups []transport.RingID
 	for i := 0; i < 20; i++ {

@@ -45,9 +45,8 @@ func randOp(rng *rand.Rand, nested bool) Op {
 }
 
 // TestBatchApplyEquivalence drives one randomized op stream, a scale-out
-// split in the middle of it, through the two paths a replica's flushRun
-// has: ExecuteBatch on one state machine, one-at-a-time Execute on a fresh
-// one. Replies, snapshots and checkpoint captures must match byte for byte
+// split in the middle of it, through ExecuteBatch on one state machine and
+// the one-at-a-time Execute reference on a fresh one. Replies, snapshots and checkpoint captures must match byte for byte
 // at every batch boundary: replicas cut their batches at different points,
 // and their bytes must not show it.
 func TestBatchApplyEquivalence(t *testing.T) {

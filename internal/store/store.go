@@ -167,11 +167,7 @@ func (s *SM) ReleaseOutgoing(id uint64) {
 	s.mu.Unlock()
 }
 
-var (
-	_ smr.StateMachine     = (*SM)(nil)
-	_ smr.BatchExecutor    = (*SM)(nil)
-	_ smr.SnapshotCapturer = (*SM)(nil)
-)
+var _ smr.StateMachine = (*SM)(nil)
 
 // Execute applies one encoded operation.
 //
@@ -581,8 +577,6 @@ type ServerConfig struct {
 	CheckpointEvery int
 	// Ring tunes the consensus rings.
 	Ring core.RingOptions
-	// Batch bounds the delivery batches executed by the replica.
-	Batch core.BatchOptions
 	// M is the deterministic merge quota.
 	M int
 	// GlobalLambda overrides the rate-leveling λ on the global ring (0
@@ -626,7 +620,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			NewLog:         cfg.NewLog,
 			M:              cfg.M,
 			Ring:           cfg.Ring,
-			Batch:          cfg.Batch,
 			Tracer:         cfg.Tracer,
 			LambdaOverride: globalLambdaOverride(schema.GlobalGroup, cfg.GlobalLambda),
 		},
