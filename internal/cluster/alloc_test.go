@@ -2,12 +2,16 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
+	"amcast/internal/core"
 	"amcast/internal/dlog"
 	"amcast/internal/netem"
+	"amcast/internal/smr"
 	"amcast/internal/store"
+	"amcast/internal/transport"
 )
 
 // Allocation budgets of one MRP-Store operation, counted over the whole
@@ -15,24 +19,26 @@ import (
 // in-process replicas and the reply — with 1 KB values: each is what was
 // measured, plus one.
 //
-//   - Read (measured 6): the encoded op, the command around it, one
-//     exactly-sized reply per replica and the client's one copy of the
-//     first.
-//   - Update (measured 3): op, command and the client's copy of the reply,
+//   - Read (measured 2): the command, with the op encoded straight into
+//     it, and the client's one copy of the first reply. Each replica cuts
+//     its reply from a 64 KB block.
+//   - Update (measured 2): the command and the client's copy of the reply,
 //     a shared status encoding. Each replica overwrites the stored value
 //     in place: no checkpoint captured it since it was written (6 when
 //     every replica copied every value).
-//   - ReadLocal (measured 6): the op, the one-buffer request, the serving
-//     replica's goroutine (two), its reply written behind the status byte,
-//     and the client's copy.
+//   - ReadLocal (measured 2): the one-buffer request — mode, the observed
+//     vector and the op — and the client's copy. The serving replica
+//     answers on its service loop, with no goroutine, and cuts the reply
+//     from a block the loop owns.
 //
 // The acceptors' log records come out of slabs (3/64 per operation). The
-// same three cost 23, 13 and 23 when every layer decoded into structures of
-// its own.
+// same three cost 6, 3 and 6 with an encoded op copied into the command, a
+// reply of its own per replica and a goroutine per local read, and 23, 13
+// and 23 when every layer decoded into structures of its own.
 const (
-	readAllocBudget      = 7
-	updateAllocBudget    = 4
-	readLocalAllocBudget = 7
+	readAllocBudget      = 3
+	updateAllocBudget    = 3
+	readLocalAllocBudget = 3
 )
 
 func TestStoreOpAllocs(t *testing.T) {
@@ -84,19 +90,22 @@ func TestStoreOpAllocs(t *testing.T) {
 // logs and a global ring, three servers that host both, 1 KB values —
 // each what was measured, plus one.
 //
-//   - Append (measured 3): the encoded op, the command around it and the
-//     client's one copy of the response, which it reads the position from
-//     in place. Each server cuts its stored entry from a 64 KB block and
-//     its reply from a 4 KB block, and reuses its batch's result slice.
-//   - MultiAppend (measured 6): the same three, the slice smr.Client.Submit
+//   - Append (measured 2): the command, with the op encoded straight into
+//     it, and the client's one copy of the response, which it reads the
+//     position from in place. Each server cuts its stored entry from a
+//     64 KB block and its reply from a 4 KB block, and reuses its batch's
+//     result slice.
+//   - MultiAppend (measured 5): the same two, the slice smr.Client.Submit
 //     returns the response in, and the positions map the call returns (a
 //     map header and its one group), filled straight from the reply.
 //
-// Append cost 10–11 and MultiAppend 18–21 when each server allocated every
-// stored copy and reply, and the client decoded the reply into a Result.
+// Append cost 3 and MultiAppend 6 while the op was encoded into a buffer of
+// its own and copied into the command, and 10–11 and 18–21 when each server
+// allocated every stored copy and reply, and the client decoded the reply
+// into a Result.
 const (
-	appendAllocBudget      = 4
-	multiAppendAllocBudget = 7
+	appendAllocBudget      = 3
+	multiAppendAllocBudget = 6
 )
 
 func TestDLogOpAllocs(t *testing.T) {
@@ -189,6 +198,97 @@ func TestStoreReadValueIsTheCallersCopy(t *testing.T) {
 		got, _ := store.DecodeResult(sm.Execute(1, store.Op{Kind: store.OpRead, Key: "k"}.Encode()))
 		if len(got.Entries) != 1 || !bytes.Equal(got.Entries[0].Value, want) {
 			t.Errorf("replica %d holds %+v after the caller scribbled over its reads, want %q", r+1, got, want)
+		}
+	}
+}
+
+// TestStoreReplyFromBlockNeverChanges: a replica cuts its read replies from
+// blocks it only ever cuts forward, and keeps each in its duplicate window.
+// So a retransmitted read is answered with the bytes of its first reply,
+// even after thousands of later reads were cut from the blocks behind it
+// and the key was overwritten; and the first replies themselves — the
+// replicas' own slices, on a Network that hands them over by reference —
+// never change.
+func TestStoreReplyFromBlockNeverChanges(t *testing.T) {
+	d := NewDeployment(nil)
+	defer d.Close()
+	c, err := d.StartStore(StoreOptions{Partitions: 1, Replicas: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, cl, err := c.NewClient(netem.SiteLocal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	const key = "the key"
+	if err := sc.Insert(key, []byte("the value at the first read")); err != nil {
+		t.Fatal(err)
+	}
+
+	// A bare process sends the read as a command, so that it can send the
+	// very same command again, as a client whose reply was lost does.
+	id, router := d.NewRawProcess(netem.SiteLocal)
+	node, err := core.New(core.Config{Self: id, Router: router, Coord: d.Svc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Stop()
+	group := sc.Schema().PartitionOf(key)
+	cmd := smr.Command{Client: id, Seq: 1, Op: store.Op{Kind: store.OpRead, Key: key}.Encode()}.Encode()
+	ask := func() (replies [][]byte) {
+		t.Helper()
+		if err := node.Multicast(group, cmd); err != nil {
+			t.Fatal(err)
+		}
+		timeout := time.After(5 * time.Second)
+		for len(replies) < 3 {
+			select {
+			case m := <-router.Service():
+				if m.Kind == transport.KindResponse && m.Seq == 1 {
+					replies = append(replies, m.Payload)
+				}
+			case <-timeout:
+				t.Fatalf("%d of 3 replicas answered the read", len(replies))
+			}
+		}
+		return replies
+	}
+	first := ask()
+	want := bytes.Clone(first[0])
+	if got, err := store.DecodeResult(want); err != nil || len(got.Entries) != 1 || string(got.Entries[0].Value) != "the value at the first read" {
+		t.Fatalf("first read = %+v, %v", got, err)
+	}
+
+	value := make([]byte, 1000)
+	for i := 0; i < 3000; i++ {
+		k := fmt.Sprintf("key%03d", i%100)
+		switch {
+		case i < 100:
+			err = sc.Insert(k, value)
+		case i%3 == 0:
+			clear(value)
+			value[0] = byte(i)
+			err = sc.Update(k, value)
+		default:
+			_, _, err = sc.Read(k)
+		}
+		if err != nil {
+			t.Fatalf("operation %d: %v", i, err)
+		}
+	}
+	if err := sc.Update(key, []byte("a later value")); err != nil {
+		t.Fatal(err)
+	}
+
+	for r, got := range ask() {
+		if !bytes.Equal(got, want) {
+			t.Errorf("duplicate answered by reply %d = %q, want the first reply %q", r, got, want)
+		}
+	}
+	for r, got := range first {
+		if !bytes.Equal(got, want) {
+			t.Errorf("first reply %d now reads %q, want %q: its block was rewritten", r, got, want)
 		}
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"amcast/internal/bufpool"
 	"amcast/internal/recovery"
 	"amcast/internal/smr"
 	"amcast/internal/transport"
@@ -58,21 +59,27 @@ type Op struct {
 
 // Encode serializes the operation.
 func (o Op) Encode() []byte {
-	buf := make([]byte, 0, 1+4+8+2+4*len(o.Logs)+4+len(o.Value))
+	return o.appendTo(make([]byte, 0, o.encodedLen()))
+}
+
+// Request is the operation as an smr client encodes it: straight into the
+// command it sends, with no buffer of its own.
+func (o Op) Request() smr.Op {
+	return smr.Op{Len: o.encodedLen(), Append: o.appendTo}
+}
+
+// encodedLen is the number of bytes appendTo writes.
+func (o Op) encodedLen() int { return 1 + 4 + 8 + 2 + 4*len(o.Logs) + 4 + len(o.Value) }
+
+func (o Op) appendTo(buf []byte) []byte {
 	buf = append(buf, byte(o.Kind))
-	var tmp [8]byte
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(o.Log))
-	buf = append(buf, tmp[:4]...)
-	binary.LittleEndian.PutUint64(tmp[:8], o.Pos)
-	buf = append(buf, tmp[:8]...)
-	binary.LittleEndian.PutUint16(tmp[:2], uint16(len(o.Logs)))
-	buf = append(buf, tmp[:2]...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(o.Log))
+	buf = binary.LittleEndian.AppendUint64(buf, o.Pos)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(o.Logs)))
 	for _, l := range o.Logs {
-		binary.LittleEndian.PutUint32(tmp[:4], uint32(l))
-		buf = append(buf, tmp[:4]...)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(l))
 	}
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(o.Value)))
-	buf = append(buf, tmp[:4]...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(o.Value)))
 	return append(buf, o.Value...)
 }
 
@@ -346,37 +353,17 @@ func (s *SM) ExecuteBatch(_ []transport.RingID, ops [][]byte) [][]byte {
 	return s.out
 }
 
-// Entries are cut from entrySlab blocks and replies from replySlab blocks.
-// An entry of entryOwn bytes or more, or a reply of replyOwn bytes or more
-// (a read of a large entry), keeps an allocation of its own, so that a
-// block is never mostly one entry's or reply's tail.
+// Entries are cut from entrySlab blocks and replies from replySlab blocks
+// (bufpool.Cut).
 const (
 	entrySlab = 64 << 10
-	entryOwn  = 16 << 10
 	replySlab = 4 << 10
-	replyOwn  = 1 << 10
 )
-
-// cut returns the first n bytes of *block, capped at n so that appending
-// to them cannot reach the bytes behind, and moves *block past them. A
-// block with fewer than n bytes left is replaced by a fresh one of size.
-func cut(block *[]byte, size, n int) []byte {
-	if len(*block) < n {
-		*block = make([]byte, size)
-	}
-	b := (*block)[:n:n]
-	*block = (*block)[n:]
-	return b
-}
 
 // result writes a reply into bytes of its own, cut from the reply block.
 // Callers hold s.mu.
 func (s *SM) result(st Status, ps positions, value []byte) []byte {
-	n := resultLen(ps, value)
-	if n >= replyOwn {
-		return appendResult(make([]byte, 0, n), st, ps, value)
-	}
-	return appendResult(cut(&s.replies, replySlab, n)[:0], st, ps, value)
+	return appendResult(bufpool.Cut(&s.replies, replySlab, resultLen(ps, value))[:0], st, ps, value)
 }
 
 // keep returns the stored copy of an appended value, cut from the entry
@@ -384,15 +371,10 @@ func (s *SM) result(st Status, ps positions, value []byte) []byte {
 // as nil whatever the slab holds, so that every replica stores the same
 // thing. Callers hold s.mu.
 func (s *SM) keep(v []byte) []byte {
-	var e []byte
-	switch n := len(v); {
-	case n == 0:
+	if len(v) == 0 {
 		return nil
-	case n >= entryOwn:
-		e = make([]byte, n)
-	default:
-		e = cut(&s.slab, entrySlab, n)
 	}
+	e := bufpool.Cut(&s.slab, entrySlab, len(v))
 	copy(e, v)
 	return e
 }
@@ -604,7 +586,7 @@ func groupOf(l LogID) transport.RingID { return transport.RingID(l) }
 // the reply in place.
 func (c *Client) Append(l LogID, v []byte) (uint64, error) {
 	op := Op{Kind: OpAppend, Log: l, Value: v}
-	resp, err := c.cl.SubmitOne(groupOf(l), op.Encode(), c.Timeout)
+	resp, err := c.cl.SubmitOne(groupOf(l), op.Request(), c.Timeout)
 	if err != nil {
 		return 0, err
 	}
@@ -641,7 +623,7 @@ func (c *Client) MultiAppendN(logs []LogID, v []byte, wantPartitions int) (map[L
 		return nil, fmt.Errorf("dlog: multi-append requires a global group")
 	}
 	op := Op{Kind: OpMultiAppend, Logs: logs, Value: v}
-	resps, err := c.cl.Submit([]transport.RingID{c.Global}, op.Encode(), nil, wantPartitions, c.Timeout)
+	resps, err := c.cl.Submit([]transport.RingID{c.Global}, op.Request(), nil, wantPartitions, c.Timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -669,7 +651,7 @@ func (c *Client) MultiAppendN(logs []LogID, v []byte, wantPartitions int) (map[L
 // own copy of the reply, capped at the value's length.
 func (c *Client) Read(l LogID, p uint64) ([]byte, error) {
 	op := Op{Kind: OpRead, Log: l, Pos: p}
-	resp, err := c.cl.SubmitOne(groupOf(l), op.Encode(), c.Timeout)
+	resp, err := c.cl.SubmitOne(groupOf(l), op.Request(), c.Timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -686,7 +668,7 @@ func (c *Client) Read(l LogID, p uint64) ([]byte, error) {
 // Trim discards entries of log l below position p.
 func (c *Client) Trim(l LogID, p uint64) error {
 	op := Op{Kind: OpTrim, Log: l, Pos: p}
-	resp, err := c.cl.SubmitOne(groupOf(l), op.Encode(), c.Timeout)
+	resp, err := c.cl.SubmitOne(groupOf(l), op.Request(), c.Timeout)
 	if err != nil {
 		return err
 	}

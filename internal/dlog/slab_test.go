@@ -14,7 +14,7 @@ import (
 func TestSlabAliasing(t *testing.T) {
 	sm := NewSM(SMConfig{Hosted: []LogID{1, 2}})
 	// Large enough to keep an allocation of its own, as a read of it does.
-	big := bytes.Repeat([]byte{'b'}, entryOwn+100)
+	big := bytes.Repeat([]byte{'b'}, entrySlab/4+100)
 	junk := []byte("junk")
 	// appendJunk appends to b, as whoever holds b may.
 	appendJunk := func(b []byte) {

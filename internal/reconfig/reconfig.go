@@ -256,7 +256,7 @@ func (c *Controller) Split(spec SplitSpec, boot func(*SplitResult) error) (*Spli
 	// the schema never flips, so the new ring carries no commands and
 	// per-key order is unaffected; a retried split re-arms everyone and
 	// converges the subscriptions at its own marker.
-	raw, err := c.cfg.Client.SubmitMarker(spec.OldGroup, op.Encode(), res.Marker, c.timeout)
+	raw, err := c.cfg.Client.SubmitMarker(spec.OldGroup, op.Request(), res.Marker, c.timeout)
 	if err != nil {
 		if spec.InPlace {
 			c.cancelAll(spec, res.Marker)

@@ -301,7 +301,7 @@ func TestCheckpointSaveFailureRetriesAtNextBatch(t *testing.T) {
 	}
 	defer cl.Close()
 	submit := func(n uint64) {
-		if _, err := cl.Submit([]transport.RingID{1}, addOp(n), []transport.RingID{1}, 1, 5*time.Second); err != nil {
+		if _, err := cl.Submit([]transport.RingID{1}, add(n), []transport.RingID{1}, 1, 5*time.Second); err != nil {
 			t.Fatalf("submit: %v", err)
 		}
 	}

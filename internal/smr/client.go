@@ -126,7 +126,8 @@ var ErrClientClosed = errors.New("smr: client closed")
 
 // Submit multicasts op to each group in groups (one command per group,
 // same sequence number) and waits until `need` matching responses arrive,
-// retrying the multicast on timeout.
+// retrying the multicast on timeout. The command is the one buffer the
+// call allocates for its request: op is encoded straight into it.
 //
 // accept filters which responses count: a response matches if its delivery
 // group or its partition tag is in accept (nil accepts any, deduplicated by
@@ -139,7 +140,7 @@ var ErrClientClosed = errors.New("smr: client closed")
 //
 // Every response returned, here and by SubmitOne, SubmitMarker and
 // LocalRead, is the caller's own copy.
-func (c *Client) Submit(groups []transport.RingID, op []byte, accept []transport.RingID, need int, timeout time.Duration) ([][]byte, error) {
+func (c *Client) Submit(groups []transport.RingID, op Op, accept []transport.RingID, need int, timeout time.Duration) ([][]byte, error) {
 	one, all, err := c.submit(groups, op, accept, need, timeout, 0)
 	if err == nil && all == nil {
 		all = [][]byte{one}
@@ -149,7 +150,7 @@ func (c *Client) Submit(groups []transport.RingID, op []byte, accept []transport
 
 // SubmitOne multicasts a single-partition command to its group and returns
 // the first replica's response, by value: no slice to hold it.
-func (c *Client) SubmitOne(group transport.RingID, op []byte, timeout time.Duration) ([]byte, error) {
+func (c *Client) SubmitOne(group transport.RingID, op Op, timeout time.Duration) ([]byte, error) {
 	return c.SubmitMarker(group, op, 0, timeout)
 }
 
@@ -159,14 +160,14 @@ func (c *Client) SubmitOne(group transport.RingID, op []byte, timeout time.Durat
 // decided twice still triggers exactly one epoch transition (the second
 // decision is an ordinary duplicate the replicas suppress). Zero lets the
 // client pick the id.
-func (c *Client) SubmitMarker(group transport.RingID, op []byte, marker uint64, timeout time.Duration) ([]byte, error) {
+func (c *Client) SubmitMarker(group transport.RingID, op Op, marker uint64, timeout time.Duration) ([]byte, error) {
 	resp, _, err := c.submit([]transport.RingID{group}, op, []transport.RingID{group}, 1, timeout, marker)
 	return resp, err
 }
 
 // submit returns the response of a call that needs one, all of them
 // otherwise.
-func (c *Client) submit(groups []transport.RingID, op []byte, accept []transport.RingID, need int, timeout time.Duration, valueID uint64) ([]byte, [][]byte, error) {
+func (c *Client) submit(groups []transport.RingID, op Op, accept []transport.RingID, need int, timeout time.Duration, valueID uint64) ([]byte, [][]byte, error) {
 	if need <= 0 {
 		need = max(len(accept), 1)
 	}
@@ -183,7 +184,8 @@ func (c *Client) submit(groups []transport.RingID, op []byte, accept []transport
 		e.accept = append(e.acceptBuf[:0], accept...)
 	}
 	e.seen = e.seenBuf[:0]
-	e.payload = Command{Client: c.id, Seq: e.seq, Op: op}.Encode()
+	// The command's encoding, with op written straight behind its header.
+	e.payload = op.Append(appendCommandHeader(make([]byte, 0, commandHeaderLen+op.Len), c.id, e.seq))
 	// Sampled submissions carry a trace context on every multicast frame
 	// (retransmissions reuse the value id, so their spans join the same
 	// trace); the root "submit" span is recorded when the reply arrives.
@@ -476,7 +478,7 @@ func (c *Client) expire(now time.Duration) {
 // applied state covers it; with mode BoundedStale the replica serves
 // only if it proved merge progress within bound, else ErrStale. The
 // returned bytes are the state machine's encoded result.
-func (c *Client) LocalRead(target transport.ProcessID, group transport.RingID, op []byte, mode LocalReadMode, bound, timeout time.Duration) ([]byte, error) {
+func (c *Client) LocalRead(target transport.ProcessID, group transport.RingID, op Op, mode LocalReadMode, bound, timeout time.Duration) ([]byte, error) {
 	if c.tr == nil {
 		return nil, errors.New("smr: local read: client has no transport")
 	}

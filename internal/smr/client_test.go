@@ -76,16 +76,17 @@ func (e *echoNet) client(t *testing.T, id transport.ProcessID) *Client {
 
 // Allocation budgets of one SubmitOne → reply, counted over the whole
 // process: against three replicas of one ring on the in-process Network
-// (measured 4: the client's two, the coordinator's instance, the replicas'
-// reply; the acceptors' MemLog records come out of slabs), and against a
-// responder that allocates nothing, which leaves the client's own share
-// (measured 2: the encoded command and the one copy of the response,
+// (measured 2: the client's two; the acceptors' MemLog records and the
+// replicas' replies come out of slabs, and counterSM reuses its result
+// slice as the services do), and against a responder that allocates
+// nothing, which leaves the client's own share (measured 2: the command,
+// with the op written straight into it, and the one copy of the response,
 // returned by value — table entry, completion channel, timer and
 // configuration watch are reused). Before the client had one event loop the
 // same two round trips cost 44 and 30; with a slice around the response and
-// a slice per log record, 8 and 3.
+// a slice per log record, 8 and 3; with a reply of its own per replica, 4–7.
 const (
-	submitAllocBudget      = 5
+	submitAllocBudget      = 3
 	submitClientAllocShare = 3
 )
 
@@ -93,7 +94,7 @@ func TestSubmitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts inflated under the race detector")
 	}
-	op := addOp(1)
+	op := add(1)
 	submit := func(cl *Client) func() {
 		return func() {
 			if _, err := cl.SubmitOne(1, op, 5*time.Second); err != nil {
@@ -171,7 +172,7 @@ func TestClientLoopReroutesOneGroup(t *testing.T) {
 	cl := e.client(t, 21)
 	// One command per group first, so that the watches exist.
 	for g := transport.RingID(1); g <= 3; g++ {
-		go func() { _, _ = cl.Submit([]transport.RingID{g}, addOp(0), []transport.RingID{g}, 1, 30*time.Second) }()
+		go func() { _, _ = cl.Submit([]transport.RingID{g}, add(0), []transport.RingID{g}, 1, 30*time.Second) }()
 	}
 	for _, a := range seen.waitFor(t, 3, 5*time.Second) {
 		answer(e.trs[a.at], a.ring, a.cmd)
@@ -189,7 +190,7 @@ func TestClientLoopReroutesOneGroup(t *testing.T) {
 	for i := 0; i < inflight; i++ {
 		g := transport.RingID(1 + i%3)
 		go func() {
-			_, err := cl.Submit([]transport.RingID{g}, addOp(1), []transport.RingID{g}, 1, 30*time.Second)
+			_, err := cl.Submit([]transport.RingID{g}, add(1), []transport.RingID{g}, 1, 30*time.Second)
 			errs <- err
 		}()
 	}
@@ -243,7 +244,7 @@ func TestClientLoopReroutesOneGroup(t *testing.T) {
 			t.Errorf("group %d still has %d watchers after Close", g, n)
 		}
 	}
-	if _, err := cl.Submit([]transport.RingID{1}, addOp(1), []transport.RingID{1}, 1, time.Second); !errors.Is(err, ErrClientClosed) {
+	if _, err := cl.Submit([]transport.RingID{1}, add(1), []transport.RingID{1}, 1, time.Second); !errors.Is(err, ErrClientClosed) {
 		t.Errorf("Submit after Close: %v, want ErrClientClosed", err)
 	}
 }
@@ -266,7 +267,7 @@ func TestClientBackoffIsPerCommand(t *testing.T) {
 	errs := make(chan error, 2)
 	for _, op := range []string{"A", "B"} {
 		go func() {
-			_, err := cl.Submit([]transport.RingID{1}, []byte(op), []transport.RingID{1}, 1, timeout)
+			_, err := cl.Submit([]transport.RingID{1}, bytesOp([]byte(op)), []transport.RingID{1}, 1, timeout)
 			errs <- err
 		}()
 	}
@@ -303,18 +304,18 @@ func TestClientBackoffIsPerCommand(t *testing.T) {
 func TestResponseIsTheCallersCopy(t *testing.T) {
 	h := newSMRHarness(t, 0)
 	c := h.client
-	first, err := c.SubmitOne(1, addOp(5), 5*time.Second)
+	first, err := c.SubmitOne(1, add(5), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seq, want := c.seq.Load(), bytes.Clone(first)
 	clear(first)
-	all, err := c.Submit([]transport.RingID{1}, addOp(1), []transport.RingID{1}, 1, 5*time.Second)
+	all, err := c.Submit([]transport.RingID{1}, add(1), []transport.RingID{1}, 1, 5*time.Second)
 	if err != nil || len(all) != 1 || binary.LittleEndian.Uint64(all[0]) != 6 {
 		t.Fatalf("Submit after the scribble = %x, %v, want total 6", all, err)
 	}
 	clear(all[0])
-	local, err := c.LocalRead(2, 1, nil, ReadIndex, 0, 5*time.Second)
+	local, err := c.LocalRead(2, 1, bytesOp(nil), ReadIndex, 0, 5*time.Second)
 	if err != nil || binary.LittleEndian.Uint64(local) != 6 {
 		t.Fatalf("LocalRead = %x, %v, want total 6", local, err)
 	}

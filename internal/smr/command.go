@@ -27,23 +27,37 @@ type Command struct {
 	Op []byte
 }
 
+// Op is an operation a client encodes straight into the one buffer of its
+// request: Len bytes, which Append appends to dst. The client calls Append
+// once, before the call returns, and keeps neither it nor what it captures,
+// so a method value passed here stays on the caller's stack.
+type Op struct {
+	Len    int
+	Append func(dst []byte) []byte
+}
+
+// commandHeaderLen is the size of a command's client and sequence number.
+const commandHeaderLen = 12
+
+func appendCommandHeader(dst []byte, client transport.ProcessID, seq uint64) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(client))
+	return binary.LittleEndian.AppendUint64(dst, seq)
+}
+
 // Encode serializes the command.
 func (c Command) Encode() []byte {
-	buf := make([]byte, 12+len(c.Op))
-	binary.LittleEndian.PutUint32(buf[:4], uint32(c.Client))
-	binary.LittleEndian.PutUint64(buf[4:12], c.Seq)
-	copy(buf[12:], c.Op)
-	return buf
+	buf := appendCommandHeader(make([]byte, 0, commandHeaderLen+len(c.Op)), c.Client, c.Seq)
+	return append(buf, c.Op...)
 }
 
 // DecodeCommand parses Encode output. The Op slice aliases buf.
 func DecodeCommand(buf []byte) (Command, error) {
-	if len(buf) < 12 {
+	if len(buf) < commandHeaderLen {
 		return Command{}, transport.ErrShortMessage
 	}
 	return Command{
 		Client: transport.ProcessID(binary.LittleEndian.Uint32(buf[:4])),
 		Seq:    binary.LittleEndian.Uint64(buf[4:12]),
-		Op:     buf[12:],
+		Op:     buf[commandHeaderLen:],
 	}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"amcast/internal/bufpool"
 	"amcast/internal/metrics"
 	"amcast/internal/recovery"
 	"amcast/internal/transport"
@@ -66,15 +67,15 @@ var (
 )
 
 // localReadWaitMax bounds how long a replica parks a read-index read
-// waiting for its applied vector to cover the client's requirement.
+// waiting for its applied vector to cover the client's requirement: the
+// default of Replica.readWaitMax.
 const localReadWaitMax = 10 * time.Second
 
 // LocalReader is the optional state-machine extension serving local
 // reads. AppendLocalRead executes op against current state if it is
 // read-only and appends the encoded result to dst, returning ok=false
-// otherwise. It is called with the replica's apply gate held in read
-// mode: concurrently with other local reads, never concurrently with
-// command application.
+// otherwise. It is called on the replica's service loop with the apply
+// gate held in read mode: never concurrently with command application.
 type LocalReader interface {
 	AppendLocalRead(dst []byte, group transport.RingID, op []byte) (resp []byte, ok bool)
 }
@@ -82,22 +83,22 @@ type LocalReader interface {
 // localReadRequest builds a KindLocalRead payload in one buffer: mode
 // byte, then for ReadIndex the client's observed vector as the
 // self-delimiting encoded requirement, for BoundedStale the bound in
-// big-endian nanoseconds, then the inner op.
-func (c *Client) localReadRequest(mode LocalReadMode, bound time.Duration, op []byte) []byte {
+// big-endian nanoseconds, then the inner op, encoded straight into it.
+func (c *Client) localReadRequest(mode LocalReadMode, bound time.Duration, op Op) []byte {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	head := 8
 	if mode == ReadIndex {
 		head = recovery.EncodedVectorLen(len(c.observedGroups))
 	}
-	out := append(make([]byte, 0, 1+head+len(op)), byte(mode))
+	out := append(make([]byte, 0, 1+head+op.Len), byte(mode))
 	switch mode {
 	case ReadIndex:
 		out = recovery.AppendVector(out, c.observed, c.observedGroups)
 	case BoundedStale:
 		out = binary.BigEndian.AppendUint64(out, uint64(bound))
 	}
-	return append(out, op...)
+	c.mu.Unlock()
+	return op.Append(out)
 }
 
 // decodeLocalRead splits a KindLocalRead payload back into its parts, all
@@ -125,78 +126,114 @@ func decodeLocalRead(payload []byte) (mode LocalReadMode, req []byte, bound time
 	return mode, req, bound, rest, nil
 }
 
-// readWaiter is one parked read-index read. req is the encoded requirement
-// as the request carried it: a service message's payload is heap memory
-// nothing recycles, on both transports.
-type readWaiter struct {
-	req []byte
-	ch  chan struct{}
+// parkedRead is a read-index read the service loop holds until the
+// replica's applied vector covers req, the encoded requirement as the
+// request carried it (a service message's payload is heap memory nothing
+// recycles, on both transports), or until readWaitMax has passed since it
+// arrived.
+type parkedRead struct {
+	m       transport.Message
+	req, op []byte
+	arrived time.Time
+	expired bool // answered LocalReadTimeout, not served
 }
 
-// noteBoundary runs on the merge goroutine after every batch boundary:
-// it advances the replica's applied vector to the node's delivered
-// vector (all of which has now been applied) and wakes every read-index
-// waiter the new vector covers.
+// noteBoundary runs on the merge goroutine after every batch boundary: it
+// advances the replica's applied vector to the node's delivered vector
+// (all of which has now been applied) and, while reads are parked, kicks
+// the service loop to serve the ones the new vector covers.
 func (r *Replica) noteBoundary() {
 	r.readMu.Lock()
 	r.cfg.Node.FoldDeliveredVector(r.appliedVec)
-	if len(r.readWaiters) > 0 {
-		keep := r.readWaiters[:0]
-		for _, w := range r.readWaiters {
-			if r.appliedVec.Covers(w.req) {
-				close(w.ch)
-			} else {
-				keep = append(keep, w)
-			}
-		}
-		for i := len(keep); i < len(r.readWaiters); i++ {
-			r.readWaiters[i] = nil
-		}
-		r.readWaiters = keep
-	}
+	kick := len(r.parked) > 0
 	r.readMu.Unlock()
+	if kick {
+		select {
+		case r.readKick <- struct{}{}:
+		default: // a kick is pending: the loop sweeps everything parked
+		}
+	}
 }
 
-// waitCovered blocks until the replica's applied vector covers req, an
-// encoded requirement, returning false on timeout or shutdown. A client's
+// localRead handles one KindLocalRead request on the service loop. A read
+// the replica can answer now is answered inline; a read-index read its
+// applied vector does not cover yet is parked for sweepReads. A client's
 // observed vector spans all partitions: requirements on rings this replica
 // does not serve are ignored (see recovery.Vector.Covers).
-func (r *Replica) waitCovered(req []byte, timeout time.Duration) bool {
-	r.readMu.Lock()
-	if r.appliedVec.Covers(req) {
+func (r *Replica) localRead(m transport.Message) {
+	if _, ok := r.cfg.SM.(LocalReader); !ok {
+		r.replyLocalRead(m, localReadStatus(LocalReadUnsupported))
+		return
+	}
+	mode, req, bound, op, err := decodeLocalRead(m.Payload)
+	if err != nil {
+		r.replyLocalRead(m, localReadStatus(LocalReadBadRequest))
+		return
+	}
+	switch mode {
+	case ReadIndex:
+		r.readMu.Lock()
+		covered := r.appliedVec.Covers(req)
+		if !covered {
+			r.parked = append(r.parked, parkedRead{m: m, req: req, op: op, arrived: time.Now()})
+		}
 		r.readMu.Unlock()
-		return true
-	}
-	w := &readWaiter{req: req, ch: make(chan struct{})}
-	r.readWaiters = append(r.readWaiters, w)
-	r.readMu.Unlock()
-
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case <-w.ch:
-		return true
-	case <-timer.C:
-	case <-r.done:
-	}
-	// Unregister; the boundary callback may have closed w.ch while we
-	// were giving up, in which case the wait did succeed.
-	r.readMu.Lock()
-	for i, cand := range r.readWaiters {
-		if cand == w {
-			last := len(r.readWaiters) - 1
-			r.readWaiters[i] = r.readWaiters[last]
-			r.readWaiters[last] = nil
-			r.readWaiters = r.readWaiters[:last]
-			break
+		if !covered {
+			if len(r.parked) == 1 {
+				r.armReadTimer()
+			}
+			return
+		}
+		r.readWait.Record(0)
+	case BoundedStale:
+		since, ok := r.cfg.Node.SinceProgress()
+		if !ok || since > bound {
+			r.replyLocalRead(m, localReadStatus(LocalReadStale))
+			return
 		}
 	}
+	r.serveLocalRead(m, op)
+}
+
+// sweepReads answers every parked read the applied vector now covers, and
+// with LocalReadTimeout every other one past its deadline, or all of them
+// when the replica stops.
+func (r *Replica) sweepReads(stopping bool) {
+	now := time.Now()
+	r.readMu.Lock()
+	keep := r.parked[:0]
+	for _, p := range r.parked {
+		switch {
+		case r.appliedVec.Covers(p.req):
+		case stopping || now.Sub(p.arrived) >= r.readWaitMax:
+			p.expired = true
+		default:
+			keep = append(keep, p)
+			continue
+		}
+		r.ready = append(r.ready, p)
+	}
+	clear(r.parked[len(keep):])
+	r.parked = keep
 	r.readMu.Unlock()
-	select {
-	case <-w.ch:
-		return true
-	default:
-		return false
+	for i := range r.ready {
+		if p := &r.ready[i]; p.expired {
+			r.replyLocalRead(p.m, localReadStatus(LocalReadTimeout))
+		} else {
+			r.readWait.Record(now.Sub(p.arrived))
+			r.serveLocalRead(p.m, p.op)
+		}
+	}
+	clear(r.ready)
+	r.ready = r.ready[:0]
+	r.armReadTimer()
+}
+
+// armReadTimer arms the loop's timer to the earliest deadline of a parked
+// read: the first one's, as reads stay parked in arrival order.
+func (r *Replica) armReadTimer() {
+	if len(r.parked) > 0 {
+		r.readTimer.Reset(r.readWaitMax - time.Since(r.parked[0].arrived))
 	}
 }
 
@@ -215,52 +252,37 @@ func (r *Replica) ReadWait() *metrics.Histogram { return r.readWait }
 // LocalReads reports how many local reads this replica has served.
 func (r *Replica) LocalReads() uint64 { return r.localReads.Load() }
 
-// serveLocalRead handles one KindLocalRead request on its own goroutine
-// (read-index waits park; the service loop must not).
-func (r *Replica) serveLocalRead(m transport.Message) {
-	reader, ok := r.cfg.SM.(LocalReader)
-	if !ok {
-		r.replyLocalRead(m, []byte{LocalReadUnsupported})
-		return
-	}
-	mode, req, bound, op, err := decodeLocalRead(m.Payload)
-	if err != nil {
-		r.replyLocalRead(m, []byte{LocalReadBadRequest})
-		return
-	}
-	switch mode {
-	case ReadIndex:
-		start := time.Now()
-		if !r.waitCovered(req, localReadWaitMax) {
-			r.replyLocalRead(m, []byte{LocalReadTimeout})
-			return
-		}
-		r.readWait.Record(time.Since(start))
-	case BoundedStale:
-		since, ok := r.cfg.Node.SinceProgress()
-		if !ok || since > bound {
-			r.replyLocalRead(m, []byte{LocalReadStale})
-			return
-		}
-	}
-	// The apply gate keeps command application out while the read runs,
-	// so the read observes a batch-boundary state, the only kind the
-	// applied vector describes.
-	// The state machine writes its result behind the status byte: the
-	// prefix is full (cap 1), so the append moves to one buffer sized for
-	// both and never writes to the shared prefix.
+// serveLocalRead executes a read the replica may answer now and replies
+// with its result. The apply gate keeps command application out while the
+// read runs, so the read observes a batch-boundary state, the only kind the
+// applied vector describes. The state machine writes its result behind the
+// status byte into the loop's scratch buffer; the reply is cut from the
+// loop's block, which is never rewritten, so the transport may keep it.
+func (r *Replica) serveLocalRead(m transport.Message, op []byte) {
 	r.applyGate.RLock()
-	payload, ok := reader.AppendLocalRead(localReadOK, m.Ring, op)
+	res, ok := r.cfg.SM.(LocalReader).AppendLocalRead(append(r.readBuf[:0], LocalReadOK), m.Ring, op)
 	r.applyGate.RUnlock()
+	if cap(res) <= localReplySlab {
+		r.readBuf = res[:0] // a large scan's buffer is not kept
+	}
 	if !ok {
-		r.replyLocalRead(m, []byte{LocalReadUnsupported})
+		r.replyLocalRead(m, localReadStatus(LocalReadUnsupported))
 		return
 	}
+	payload := bufpool.Cut(&r.readReplies, localReplySlab, len(res))
+	copy(payload, res)
 	r.localReads.Add(1)
 	r.replyLocalRead(m, payload)
 }
 
-var localReadOK = []byte{LocalReadOK}
+// localReplySlab is the size of the blocks local-read replies are cut from.
+const localReplySlab = 64 << 10
+
+// localReadStatus is the payload of a reply that is a status byte alone:
+// shared and read-only, as the client copies what it receives.
+func localReadStatus(st byte) []byte { return localReadStatuses[st : st+1 : st+1] }
+
+var localReadStatuses = []byte{LocalReadOK, LocalReadStale, LocalReadUnsupported, LocalReadTimeout, LocalReadBadRequest}
 
 // replyLocalRead sends payload — status byte, then the result — back,
 // stamped with the replica's applied high-water mark for the addressed

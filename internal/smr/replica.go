@@ -95,21 +95,33 @@ type Replica struct {
 	tr  transport.Transport
 
 	// applyGate serializes command application (write side, held across
-	// deliverBatch) against local reads and forced checkpoints (read
-	// side): the applied vector, the dedup windows and a checkpoint's
-	// tuple describe batch boundaries, so a mid-batch state must never
-	// be observed.
+	// deliverBatch) against local reads (read side): the applied vector
+	// describes batch boundaries, so a mid-batch state must never be
+	// observed.
 	applyGate sync.RWMutex
 
 	// Read-index state: appliedVec is the delivered prefix whose
 	// commands have all been executed (advanced by the node's
-	// batch-boundary callback, including skip-only flushes); waiters
-	// park until it covers their requirement.
-	readMu      sync.Mutex
-	appliedVec  recovery.Vector
-	readWaiters []*readWaiter
-	readWait    *metrics.Histogram
-	localReads  atomic.Uint64
+	// batch-boundary callback, including skip-only flushes). parked holds
+	// the reads that wait until it covers their requirement, in arrival
+	// order; the service loop alone changes it, under readMu, and a
+	// boundary kicks the loop on readKick while it is not empty.
+	readMu     sync.Mutex
+	appliedVec recovery.Vector
+	parked     []parkedRead
+	readKick   chan struct{} // buffered 1
+	readWait   *metrics.Histogram
+	localReads atomic.Uint64
+
+	// Owned by the service loop: the timer armed to the earliest parked
+	// deadline, how long a read may stay parked, the reads a sweep answers,
+	// the scratch buffer a state machine writes a local read's result
+	// into and the block replies are cut from.
+	readTimer   *time.Timer
+	readWaitMax time.Duration
+	ready       []parkedRead
+	readBuf     []byte
+	readReplies []byte
 
 	// mu guards safeVec/safeEpoch, the only state shared with the
 	// service loop (trim and recovery RPCs). Everything below it is owned
@@ -129,8 +141,8 @@ type Replica struct {
 	// (vector, cursor, dedup, snapshot) at a batch boundary and parks it
 	// in ckptPending; the writer goroutine serializes and persists it.
 	// At most one capture is pending — a newer capture supersedes an
-	// unwritten older one (their waiters carry over), so a slow disk
-	// coalesces checkpoints instead of queueing them.
+	// unwritten older one, so a slow disk coalesces checkpoints instead of
+	// queueing them.
 	ckptMu      sync.Mutex
 	ckptPending *ckptCapture
 	ckptKick    chan struct{} // signals the writer (buffered, 1)
@@ -547,19 +559,23 @@ func NewReplica(cfg ReplicaConfig, recovered recovery.Checkpoint) (*Replica, err
 		return nil, errors.New("smr: Node and SM are required")
 	}
 	r := &Replica{
-		cfg:        cfg,
-		tr:         cfg.Transport,
-		dedup:      make(map[transport.ProcessID]*clientWindow),
-		safeVec:    make(recovery.Vector),
-		appliedVec: make(recovery.Vector),
-		respVec:    make(recovery.Vector),
-		runKeys:    make(map[cmdKey]struct{}),
-		ckptKick:   make(chan struct{}, 1),
-		ckptDone:   make(chan struct{}),
-		done:       make(chan struct{}),
-		loopDone:   make(chan struct{}),
-		readWait:   metrics.NewHistogram(),
+		cfg:         cfg,
+		tr:          cfg.Transport,
+		dedup:       make(map[transport.ProcessID]*clientWindow),
+		safeVec:     make(recovery.Vector),
+		appliedVec:  make(recovery.Vector),
+		respVec:     make(recovery.Vector),
+		runKeys:     make(map[cmdKey]struct{}),
+		ckptKick:    make(chan struct{}, 1),
+		ckptDone:    make(chan struct{}),
+		done:        make(chan struct{}),
+		loopDone:    make(chan struct{}),
+		readKick:    make(chan struct{}, 1),
+		readWait:    metrics.NewHistogram(),
+		readTimer:   time.NewTimer(localReadWaitMax),
+		readWaitMax: localReadWaitMax,
 	}
+	r.readTimer.Stop()
 	groups := cfg.Groups
 	if len(recovered.State) > 0 {
 		cur, dedup, snap, err := decodeStateParts(recovered.State)
@@ -634,7 +650,7 @@ func NewReplica(cfg ReplicaConfig, recovered recovery.Checkpoint) (*Replica, err
 //
 //lint:deterministic
 func (r *Replica) deliverBatch(ds []core.Delivery) {
-	// Local reads and forced checkpoints are shut out for the duration.
+	// Local reads are shut out for the duration.
 	r.applyGate.Lock()
 	r.respBuf = r.respBuf[:0]
 	executed := 0
@@ -713,7 +729,7 @@ func (r *Replica) deliverBatch(ds []core.Delivery) {
 	// Checkpoint at the batch boundary: DeliveredVector/MergeCursor
 	// describe exactly the state after this batch (Section 5.2).
 	if takeCkpt {
-		r.checkpoint(nil)
+		r.checkpoint()
 	}
 	r.applyGate.Unlock()
 	// Flush the batch's client responses. Ring carries the delivery
@@ -779,11 +795,10 @@ func (r *Replica) flushRun() int {
 // consistently at a batch boundary on the merge goroutine; the writer
 // serializes snap.
 type ckptCapture struct {
-	vector  recovery.Vector
-	cursor  core.Cursor
-	dedup   []byte
-	snap    StateSnapshot
-	waiters []chan bool // signalled (buffered) once durably written or dropped
+	vector recovery.Vector
+	cursor core.Cursor
+	dedup  []byte
+	snap   StateSnapshot
 }
 
 // checkpoint captures the state machine with its identifying tuple and
@@ -795,11 +810,8 @@ type ckptCapture struct {
 // and the durable write all happen off the delivery path. safeVec advances
 // only on the writer's durability ack, so trim never outruns a checkpoint
 // that is actually on disk.
-func (r *Replica) checkpoint(waiter chan bool) {
+func (r *Replica) checkpoint() {
 	if r.cfg.Checkpoints == nil {
-		if waiter != nil {
-			waiter <- false
-		}
 		return
 	}
 	start := time.Now() //lint:allow determinism checkpoint-stall telemetry only: the duration feeds a local gauge, never replicated state or checkpoint bytes
@@ -810,21 +822,16 @@ func (r *Replica) checkpoint(waiter chan bool) {
 		dedup:  encodeDedup(r.dedup), // merge-goroutine-owned state
 		snap:   r.cfg.SM.CaptureSnapshot(),
 	}
-	if waiter != nil {
-		c.waiters = append(c.waiters, waiter)
-	}
 	r.enqueueCheckpoint(c)
 	r.noteStall(time.Since(start)) //lint:allow determinism checkpoint-stall telemetry only: the duration feeds a local gauge, never replicated state or checkpoint bytes
 }
 
 // enqueueCheckpoint parks a capture for the writer, coalescing: if an
 // older capture is still waiting, the newer one supersedes it (at most one
-// pending), carrying the old capture's waiters since they will be acked by
-// an at-least-as-new durable checkpoint.
+// pending).
 func (r *Replica) enqueueCheckpoint(c *ckptCapture) {
 	r.ckptMu.Lock()
-	if prev := r.ckptPending; prev != nil {
-		c.waiters = append(c.waiters, prev.waiters...)
+	if r.ckptPending != nil {
 		r.coalesced.Add(1)
 	}
 	r.ckptPending = c
@@ -839,12 +846,6 @@ func (r *Replica) enqueueCheckpoint(c *ckptCapture) {
 // safeVec on success. On failure it arms the retry flag so the next batch
 // boundary re-captures instead of waiting out a full interval.
 func (r *Replica) writeCheckpoint(c *ckptCapture) {
-	ok := false
-	defer func() {
-		for _, w := range c.waiters {
-			w <- ok
-		}
-	}()
 	state := encodeStateParts(c.cursor, c.dedup, c.snap.Serialize())
 	if err := r.cfg.Checkpoints.Save(recovery.Checkpoint{Vector: c.vector, State: state}); err != nil {
 		r.ckptRetry.Store(true)
@@ -864,18 +865,6 @@ func (r *Replica) writeCheckpoint(c *ckptCapture) {
 // captures into durable checkpoints, one at a time.
 func (r *Replica) checkpointWriter() {
 	defer close(r.ckptDone)
-	defer func() {
-		// Fail any capture still parked at shutdown so waiters unblock.
-		r.ckptMu.Lock()
-		c := r.ckptPending
-		r.ckptPending = nil
-		r.ckptMu.Unlock()
-		if c != nil {
-			for _, w := range c.waiters {
-				w <- false
-			}
-		}
-	}()
 	for {
 		select {
 		case <-r.done:
@@ -916,31 +905,12 @@ func (r *Replica) CheckpointStallMax() time.Duration {
 // (instrumentation).
 func (r *Replica) CheckpointsCoalesced() uint64 { return r.coalesced.Load() }
 
-// ForceCheckpoint takes a checkpoint outside the delivery path and waits
-// for it to be durable; used by services that checkpoint on a timer while
-// idle. It is only safe when no command is concurrently executing (the
-// caller pauses traffic), so it is primarily for tests and controlled
-// experiments.
-func (r *Replica) ForceCheckpoint() {
-	if r.cfg.Checkpoints == nil {
-		return
-	}
-	w := make(chan bool, 1)
-	// The apply gate's read side keeps the capture off a mid-batch
-	// state: delivery holds the write side across each batch, so the
-	// capture waits for a batch boundary (and dedup state is stable).
-	r.applyGate.RLock()
-	r.checkpoint(w)
-	r.applyGate.RUnlock()
-	select {
-	case <-w:
-	case <-r.done:
-	}
-}
-
-// serviceLoop answers trim and recovery RPCs.
+// serviceLoop answers trim and recovery RPCs and serves local reads: a
+// parked read is answered from here when a batch boundary covers it, when
+// its deadline passes or, at the latest, when the loop exits.
 func (r *Replica) serviceLoop() {
 	defer close(r.loopDone)
+	defer r.sweepReads(true)
 	for {
 		select {
 		case <-r.done:
@@ -950,6 +920,10 @@ func (r *Replica) serviceLoop() {
 				return
 			}
 			r.handleService(m)
+		case <-r.readKick:
+			r.sweepReads(false)
+		case <-r.readTimer.C:
+			r.sweepReads(false)
 		}
 	}
 }
@@ -998,10 +972,9 @@ func (r *Replica) handleService(m transport.Message) {
 		// cannot carry states past the transport frame cap.
 		sendSnapshotChunks(r.tr, m.From, m.Seq, cp.Encode())
 	case transport.KindLocalRead:
-		// Local reads run on their own goroutine: a read-index wait can
-		// park until delivery covers the requirement, and the service
-		// loop must keep answering trim and recovery RPCs meanwhile.
-		go r.serveLocalRead(m)
+		// Answered inline or parked, never waited for: the loop keeps
+		// answering trim and recovery RPCs while reads are parked.
+		r.localRead(m)
 	case transport.KindReconfigPrepare:
 		// Reconfiguration handshake: arm the epoch transition before the
 		// controller multicasts the marker, and ack so the controller
@@ -1142,8 +1115,8 @@ func (r *Replica) SafeVector() recovery.Vector {
 
 // Stop halts the replica, its checkpoint writer and its node. The node
 // stops first — Node.Stop joins the merge goroutine — so no capture can
-// be enqueued after the checkpoint writer drains and every capture's
-// waiters are answered exactly once.
+// be enqueued after the checkpoint writer exits. The service loop answers
+// the reads still parked on its way out.
 func (r *Replica) Stop() {
 	r.stopOnce.Do(func() {
 		r.cfg.Node.Stop()

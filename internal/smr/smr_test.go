@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"amcast/internal/bufpool"
 	"amcast/internal/coord"
 	"amcast/internal/core"
 	"amcast/internal/netem"
@@ -20,11 +21,13 @@ import (
 // counter, padded with pad zero bytes so tests can inflate the state to
 // exercise multi-chunk snapshot transfers.
 type counterSM struct {
-	mu    sync.Mutex
-	total uint64
-	pad   int
-	log   []uint64 // applied values, for order checks
-	runs  []int    // len(ops) of each ExecuteBatch call
+	mu      sync.Mutex
+	total   uint64
+	pad     int
+	log     []uint64 // applied values, for order checks
+	runs    []int    // len(ops) of each ExecuteBatch call
+	out     [][]byte // ExecuteBatch's result slice, reused as the contract allows
+	replies []byte   // the block responses are cut from, as the services cut theirs
 }
 
 func addOp(n uint64) []byte {
@@ -33,26 +36,34 @@ func addOp(n uint64) []byte {
 	return b[:]
 }
 
+// add is addOp as a client submits it.
+func add(n uint64) Op { return bytesOp(addOp(n)) }
+
+// bytesOp is an operation already encoded, as a client submits it.
+func bytesOp(b []byte) Op {
+	return Op{Len: len(b), Append: func(dst []byte) []byte { return append(dst, b...) }}
+}
+
 func (c *counterSM) Execute(_ transport.RingID, op []byte) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := binary.LittleEndian.Uint64(op)
 	c.total += n
 	c.log = append(c.log, n)
-	var out [8]byte
-	binary.LittleEndian.PutUint64(out[:], c.total)
-	return out[:]
+	out := bufpool.Cut(&c.replies, 4<<10, 8)
+	binary.LittleEndian.PutUint64(out, c.total)
+	return out
 }
 
 func (c *counterSM) ExecuteBatch(groups []transport.RingID, ops [][]byte) [][]byte {
 	c.mu.Lock()
 	c.runs = append(c.runs, len(ops))
 	c.mu.Unlock()
-	out := make([][]byte, len(ops))
+	c.out = c.out[:0]
 	for i, op := range ops {
-		out[i] = c.Execute(groups[i], op)
+		c.out = append(c.out, c.Execute(groups[i], op))
 	}
-	return out
+	return c.out
 }
 
 // counterSnap is a counterSM capture, serialized when it is taken.
@@ -198,7 +209,7 @@ func (h *smrHarness) startReplica(id transport.ProcessID, checkpointEvery int, r
 
 func (h *smrHarness) submit(n uint64) uint64 {
 	h.t.Helper()
-	resps, err := h.client.Submit([]transport.RingID{1}, addOp(n), []transport.RingID{1}, 1, 5*time.Second)
+	resps, err := h.client.Submit([]transport.RingID{1}, add(n), []transport.RingID{1}, 1, 5*time.Second)
 	if err != nil {
 		h.t.Fatalf("submit: %v", err)
 	}
@@ -454,7 +465,7 @@ func TestTrimAfterCheckpoints(t *testing.T) {
 	defer cl.Close()
 
 	for i := 0; i < 30; i++ {
-		if _, err := cl.Submit([]transport.RingID{1}, addOp(1), []transport.RingID{1}, 1, 5*time.Second); err != nil {
+		if _, err := cl.Submit([]transport.RingID{1}, add(1), []transport.RingID{1}, 1, 5*time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -474,7 +485,7 @@ func TestClientTimeout(t *testing.T) {
 	// Multicast to a ring that exists but whose members never respond to
 	// this client: use an unknown group to force an immediate error, and
 	// a blocked network to force a timeout.
-	if _, err := h.client.Submit([]transport.RingID{99}, addOp(1), []transport.RingID{99}, 1, 200*time.Millisecond); err == nil {
+	if _, err := h.client.Submit([]transport.RingID{99}, add(1), []transport.RingID{99}, 1, 200*time.Millisecond); err == nil {
 		t.Error("submit to unknown group should fail")
 	}
 }
@@ -490,7 +501,7 @@ func TestConcurrentClients(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				if _, err := h.client.Submit([]transport.RingID{1}, addOp(1), []transport.RingID{1}, 1, 10*time.Second); err != nil {
+				if _, err := h.client.Submit([]transport.RingID{1}, add(1), []transport.RingID{1}, 1, 10*time.Second); err != nil {
 					errs <- fmt.Errorf("submit: %w", err)
 					return
 				}

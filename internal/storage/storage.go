@@ -19,6 +19,8 @@ package storage
 import (
 	"errors"
 	"sync"
+
+	"amcast/internal/bufpool"
 )
 
 // Record pairs a consensus instance with its durable record, for batched
@@ -109,29 +111,15 @@ func (l *MemLog) Put(instance uint64, record []byte) error {
 	return nil
 }
 
-// Records are cut from slabSize blocks; a record of slabOwn bytes or more
-// keeps an allocation of its own, so that a block is never mostly one
-// record's tail.
-const (
-	slabSize = 64 << 10
-	slabOwn  = 16 << 10
-)
+// Records are cut from blocks of slabSize bytes (bufpool.Cut).
+const slabSize = 64 << 10
 
 // store copies record into the map under l.mu.
 func (l *MemLog) store(instance uint64, record []byte) {
 	l.last = max(l.last, instance)
-	n := len(record)
-	if n >= slabOwn {
-		l.records[instance] = append([]byte(nil), record...)
-		return
-	}
-	if len(l.slab) < n {
-		l.slab = make([]byte, slabSize)
-	}
-	// Capped at its own length: appending to a record cannot reach the next.
-	l.records[instance] = l.slab[:n:n]
-	copy(l.slab, record)
-	l.slab = l.slab[n:]
+	r := bufpool.Cut(&l.slab, slabSize, len(record))
+	copy(r, record)
+	l.records[instance] = r
 }
 
 // PutBatch stores copies of all records under one lock acquisition.

@@ -2,7 +2,11 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -324,5 +328,120 @@ func TestMemLogPromiseSurvivesTrim(t *testing.T) {
 	}
 	if _, ok := l.Get(5); ok {
 		t.Error("trimmed instance survived")
+	}
+}
+
+// TestFileWALFlushRacesEverything: the periodic flush fsyncs outside the
+// WAL's lock, so writers, readers, trims and segment rolls run while a
+// 1 ms flush loop syncs, and Close arrives in the middle of all of them.
+// No operation fails before Close, nothing deadlocks, every record read
+// back is the one written, and the loop keeps issuing fsyncs.
+func TestFileWALFlushRacesEverything(t *testing.T) {
+	w, err := OpenWAL(t.TempDir(), WALOptions{Mode: SyncPeriodic, FlushInterval: time.Millisecond, MaxSegmentBytes: 16 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, batches, perBatch = 2, 300, 4
+	var (
+		next    atomic.Uint64 // instances handed out so far
+		closed  atomic.Bool
+		wg      sync.WaitGroup
+		errs    = make(chan error, 16)
+		readers = make(chan struct{})
+	)
+	fail := func(err error) {
+		select {
+		case errs <- err:
+		default:
+		}
+	}
+	record := func(inst uint64) []byte {
+		b := make([]byte, 300)
+		binary.LittleEndian.PutUint64(b, inst)
+		return b
+	}
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				last := next.Add(perBatch)
+				recs := make([]Record, 0, perBatch)
+				for inst := last - perBatch + 1; inst <= last; inst++ {
+					recs = append(recs, Record{Instance: inst, Data: record(inst)})
+				}
+				if err := w.PutBatch(recs); err != nil {
+					fail(fmt.Errorf("PutBatch: %w", err))
+					return
+				}
+			}
+		}()
+	}
+	var side sync.WaitGroup
+	side.Add(2)
+	go func() { // reader
+		defer side.Done()
+		for inst := uint64(1); ; inst++ {
+			select {
+			case <-readers:
+				return
+			default:
+			}
+			if top := next.Load(); inst > top {
+				inst = max(top/2, 1)
+			}
+			if got, ok := w.Get(inst); ok && binary.LittleEndian.Uint64(got) != inst {
+				fail(fmt.Errorf("Get(%d) read the record of instance %d", inst, binary.LittleEndian.Uint64(got)))
+			}
+		}
+	}()
+	go func() { // trimmer
+		defer side.Done()
+		for {
+			select {
+			case <-readers:
+				return
+			case <-time.After(time.Millisecond):
+			}
+			if err := w.Trim(next.Load() / 2); err != nil && !(closed.Load() && errors.Is(err, ErrLogClosed)) {
+				fail(fmt.Errorf("Trim: %w", err))
+			}
+		}
+	}()
+
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	select {
+	case <-finished:
+	case <-time.After(20 * time.Second):
+		t.Fatal("writers deadlocked against the flush loop")
+	}
+	before := w.Fsyncs()
+	for deadline := time.Now().Add(5 * time.Second); w.Fsyncs() < before+3; {
+		if time.Now().After(deadline) {
+			t.Fatalf("Fsyncs stuck at %d: the flush loop stopped syncing", w.Fsyncs())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	closed.Store(true)
+	closeDone := make(chan error, 1)
+	go func() { closeDone <- w.Close() }()
+	select {
+	case err := <-closeDone:
+		if err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close deadlocked against the flush loop")
+	}
+	close(readers)
+	side.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+	if got := next.Load(); got != writers*batches*perBatch {
+		t.Fatalf("wrote %d records, want %d", got, writers*batches*perBatch)
 	}
 }

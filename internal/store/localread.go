@@ -56,8 +56,7 @@ func (c *Client) pickReplica(group transport.RingID) (transport.ProcessID, bool)
 // localRead routes one single-key local read to a replica of the owning
 // partition, refreshing the schema on StatusWrongPartition like single().
 func (c *Client) localRead(op Op, mode smr.LocalReadMode, bound time.Duration) (reply, error) {
-	enc, err := encode(op)
-	if err != nil {
+	if err := op.check(); err != nil {
 		return reply{}, err
 	}
 	deadline := time.Now().Add(c.Timeout)
@@ -67,7 +66,7 @@ func (c *Client) localRead(op Op, mode smr.LocalReadMode, bound time.Duration) (
 		if !ok {
 			return reply{}, fmt.Errorf("store: local read %q: no live replica for group %d", op.Key, group)
 		}
-		raw, err := c.cl.LocalRead(target, group, enc, mode, bound, c.Timeout)
+		raw, err := c.cl.LocalRead(target, group, op.Request(), mode, bound, c.Timeout)
 		if err != nil {
 			return reply{}, err
 		}
@@ -110,11 +109,11 @@ func (c *Client) ReadLocal(k string) ([]byte, bool, error) {
 // point of the local-read path is that this replica may be in the
 // client's region while the multicast round spans the ring's.
 func (c *Client) ReadLocalAt(target transport.ProcessID, k string) ([]byte, bool, error) {
-	enc, err := encode(Op{Kind: OpRead, Key: k})
-	if err != nil {
+	op := Op{Kind: OpRead, Key: k}
+	if err := op.check(); err != nil {
 		return nil, false, err
 	}
-	raw, err := c.cl.LocalRead(target, c.Schema().PartitionOf(k), enc, smr.ReadIndex, 0, c.Timeout)
+	raw, err := c.cl.LocalRead(target, c.Schema().PartitionOf(k), op.Request(), smr.ReadIndex, 0, c.Timeout)
 	if err != nil {
 		return nil, false, err
 	}
@@ -134,8 +133,8 @@ func (c *Client) ReadStale(k string, bound time.Duration) ([]byte, bool, error) 
 // the total order. Retried under a fresh schema if a split commits
 // mid-scan, like Scan.
 func (c *Client) ScanLocal(k, kHi string) ([]Entry, error) {
-	enc, err := encode(Op{Kind: OpScan, Key: k, KeyHi: kHi})
-	if err != nil {
+	op := Op{Kind: OpScan, Key: k, KeyHi: kHi}
+	if err := op.check(); err != nil {
 		return nil, err
 	}
 	deadline := time.Now().Add(c.Timeout)
@@ -147,7 +146,7 @@ func (c *Client) ScanLocal(k, kHi string) ([]Entry, error) {
 			if !ok {
 				return nil, fmt.Errorf("store: local scan: no live replica for group %d", g)
 			}
-			raw, err := c.cl.LocalRead(target, g, enc, smr.ReadIndex, 0, c.Timeout)
+			raw, err := c.cl.LocalRead(target, g, op.Request(), smr.ReadIndex, 0, c.Timeout)
 			if err != nil {
 				return nil, err
 			}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"slices"
 
+	"amcast/internal/bufpool"
+	"amcast/internal/smr"
 	"amcast/internal/transport"
 )
 
@@ -203,6 +205,12 @@ func (o Op) Encode() []byte {
 	return o.appendTo(make([]byte, 0, o.encodedLen()))
 }
 
+// Request is the operation as an smr client encodes it: straight into the
+// command it sends, with no buffer of its own.
+func (o Op) Request() smr.Op {
+	return smr.Op{Len: o.encodedLen(), Append: o.appendTo}
+}
+
 // encodedLen is the number of bytes appendTo writes.
 func (o Op) encodedLen() int {
 	n := 1 + 2 + len(o.Key) + 2 + len(o.KeyHi) + 4 + len(o.Value) + 2
@@ -334,10 +342,17 @@ func appendEntry[K bytestring](dst []byte, key K, value []byte) []byte {
 
 // appendReadResult is the one place a read's reply is written: StatusOK and
 // the entry, from the tree's value straight into dst, which is grown once
-// to the exact size (a reply is retained by the duplicate window, so it is
-// heap memory of its own, not pooled).
-func appendReadResult(dst, key, value []byte) []byte {
-	dst = slices.Grow(dst, 1+4+2+len(key)+4+len(value)+4)
+// to the exact size. A nil dst — the reply is the whole result — gets bytes
+// of the reply's own, cut from the state machine's reply block: the
+// duplicate window and the transport may keep a reply for as long as they
+// like, and a block is never rewritten. Callers hold s.mu.
+func (s *SM) appendReadResult(dst, key, value []byte) []byte {
+	n := 1 + 4 + 2 + len(key) + 4 + len(value) + 4
+	if dst == nil {
+		dst = bufpool.Cut(&s.replies, replySlab, n)[:0]
+	} else {
+		dst = slices.Grow(dst, n)
+	}
 	dst = append(dst, byte(StatusOK), 1, 0, 0, 0)
 	dst = appendEntry(dst, key, value)
 	return append(dst, 0, 0, 0, 0)

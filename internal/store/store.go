@@ -40,6 +40,10 @@ type SM struct {
 	keyRange // the owned range
 
 	out [][]byte // ExecuteBatch's results, reused from call to call
+	// replies is the unused rest of the block read replies are cut from
+	// (bufpool.Cut): one allocation per replySlab bytes of replies, not
+	// one per read.
+	replies []byte
 
 	// outgoing stashes split-off key ranges by split id until the
 	// reconfig controller has streamed them to the new partition.
@@ -193,6 +197,10 @@ func (s *SM) ExecuteBatch(_ []transport.RingID, ops [][]byte) [][]byte {
 	return s.out
 }
 
+// replySlab is the size of the blocks read replies are cut from: a quarter
+// of it, the most one block takes, holds a YCSB read's 1 KB value.
+const replySlab = 64 << 10
+
 // execute applies the encoded operation raw and returns its encoded
 // Result: a buffer of its own, or the shared encoding of a bare status.
 // Callers hold mu.
@@ -248,7 +256,7 @@ func (s *SM) applyPoint(dst []byte, v opView) []byte {
 	case !found && v.Kind != OpInsert:
 		return appendStatus(dst, StatusNotFound)
 	case v.Kind == OpRead:
-		return appendReadResult(dst, v.Key, val)
+		return s.appendReadResult(dst, v.Key, val)
 	case v.Kind == OpDelete:
 		s.db.Delete(v.Key)
 	default: // an update of what is there, an insert of what is not
@@ -826,14 +834,7 @@ var (
 	ErrBatchTooLarge = errors.New("store: batch of more than 65535 operations")
 )
 
-// encode checks that op fits the encoding and encodes it.
-func encode(op Op) ([]byte, error) {
-	if err := op.check(); err != nil {
-		return nil, err
-	}
-	return op.Encode(), nil
-}
-
+// check reports whether o fits the encoding.
 func (o Op) check() error {
 	switch {
 	case len(o.Key) > maxKeyLen || len(o.KeyHi) > maxKeyLen:
@@ -888,13 +889,12 @@ func (c *Client) write(op Op) error {
 // the new owner until the deadline; during the short window between a
 // split marker and the schema flip it polls for the new version.
 func (c *Client) single(op Op) (reply, error) {
-	enc, err := encode(op)
-	if err != nil {
+	if err := op.check(); err != nil {
 		return reply{}, err
 	}
 	deadline := time.Now().Add(c.Timeout)
 	for {
-		resp, err := c.cl.SubmitOne(c.Schema().PartitionOf(op.Key), enc, c.Timeout)
+		resp, err := c.cl.SubmitOne(c.Schema().PartitionOf(op.Key), op.Request(), c.Timeout)
 		if err != nil {
 			return reply{}, err
 		}
@@ -930,8 +930,8 @@ func (c *Client) single(op Op) (reply, error) {
 // partition serves the rest" from "clipped because a split is in
 // flight" until the new schema exists to retry against.
 func (c *Client) Scan(k, kHi string) ([]Entry, error) {
-	enc, err := encode(Op{Kind: OpScan, Key: k, KeyHi: kHi})
-	if err != nil {
+	op := Op{Kind: OpScan, Key: k, KeyHi: kHi}
+	if err := op.check(); err != nil {
 		return nil, err
 	}
 	deadline := time.Now().Add(c.Timeout)
@@ -942,7 +942,7 @@ func (c *Client) Scan(k, kHi string) ([]Entry, error) {
 		if schema.GlobalGroup != 0 {
 			groups = []transport.RingID{schema.GlobalGroup}
 		}
-		resps, err := c.cl.Submit(groups, enc, targets, len(targets), c.Timeout)
+		resps, err := c.cl.Submit(groups, op.Request(), targets, len(targets), c.Timeout)
 		if err != nil {
 			return nil, err
 		}
@@ -974,11 +974,11 @@ func (c *Client) Scan(k, kHi string) ([]Entry, error) {
 // (client-side batching, Section 7.2). All ops in one call must belong to
 // the same partition; the helper BatchByPartition groups them.
 func (c *Client) Batch(group transport.RingID, ops []Op) ([]Result, error) {
-	enc, err := encode(Op{Kind: OpBatch, Batch: ops})
-	if err != nil {
+	op := Op{Kind: OpBatch, Batch: ops}
+	if err := op.check(); err != nil {
 		return nil, err
 	}
-	resp, err := c.cl.SubmitOne(group, enc, c.Timeout)
+	resp, err := c.cl.SubmitOne(group, op.Request(), c.Timeout)
 	if err != nil {
 		return nil, err
 	}
