@@ -19,26 +19,27 @@ import (
 // in-process replicas and the reply — with 1 KB values: each is what was
 // measured, plus one.
 //
-//   - Read (measured 2): the command, with the op encoded straight into
-//     it, and the client's one copy of the first reply. Each replica cuts
-//     its reply from a 64 KB block.
-//   - Update (measured 2): the command and the client's copy of the reply,
-//     a shared status encoding. Each replica overwrites the stored value
-//     in place: no checkpoint captured it since it was written (6 when
-//     every replica copied every value).
-//   - ReadLocal (measured 2): the one-buffer request — mode, the observed
-//     vector and the op — and the client's copy. The serving replica
-//     answers on its service loop, with no goroutine, and cuts the reply
-//     from a block the loop owns.
+//   - Read (measured 0): the command, with the op encoded straight into
+//     it, and the client's one copy of the first reply are cut from the
+//     client's 64 KB blocks. Each replica cuts its reply from a 64 KB block.
+//   - Update (measured 0): the command and the client's copy of the reply,
+//     a shared status encoding, cut the same way. Each replica overwrites
+//     the stored value in place: no checkpoint captured it since it was
+//     written (6 when every replica copied every value).
+//   - ReadLocal (measured 0): the request — mode, the observed vector and
+//     the op — and the client's copy, cut from the client's blocks. The
+//     serving replica answers on its service loop, with no goroutine, and
+//     cuts the reply from a block the loop owns.
 //
 // The acceptors' log records come out of slabs (3/64 per operation). The
-// same three cost 6, 3 and 6 with an encoded op copied into the command, a
-// reply of its own per replica and a goroutine per local read, and 23, 13
-// and 23 when every layer decoded into structures of its own.
+// same three cost 2 each with a request and a response copy of their own,
+// 6, 3 and 6 with an encoded op copied into the command, a reply of its own
+// per replica and a goroutine per local read, and 23, 13 and 23 when every
+// layer decoded into structures of its own.
 const (
-	readAllocBudget      = 3
-	updateAllocBudget    = 3
-	readLocalAllocBudget = 3
+	readAllocBudget      = 1
+	updateAllocBudget    = 1
+	readLocalAllocBudget = 1
 )
 
 func TestStoreOpAllocs(t *testing.T) {
@@ -90,22 +91,23 @@ func TestStoreOpAllocs(t *testing.T) {
 // logs and a global ring, three servers that host both, 1 KB values —
 // each what was measured, plus one.
 //
-//   - Append (measured 2): the command, with the op encoded straight into
+//   - Append (measured 0): the command, with the op encoded straight into
 //     it, and the client's one copy of the response, which it reads the
-//     position from in place. Each server cuts its stored entry from a
-//     64 KB block and its reply from a 4 KB block, and reuses its batch's
-//     result slice.
-//   - MultiAppend (measured 5): the same two, the slice smr.Client.Submit
-//     returns the response in, and the positions map the call returns (a
-//     map header and its one group), filled straight from the reply.
+//     position from in place, are cut from the client's 64 KB blocks. Each
+//     server cuts its stored entry from a 64 KB block and its reply from a
+//     4 KB block, and reuses its batch's result slice.
+//   - MultiAppend (measured 3): the slice smr.Client.Submit returns the
+//     response in, and the positions map the call returns (a map header and
+//     its one group), filled straight from the reply.
 //
-// Append cost 3 and MultiAppend 6 while the op was encoded into a buffer of
-// its own and copied into the command, and 10–11 and 18–21 when each server
-// allocated every stored copy and reply, and the client decoded the reply
-// into a Result.
+// Append cost 2 and MultiAppend 5 with a request and a response copy of
+// their own, 3 and 6 while the op was encoded into a buffer of its own and
+// copied into the command, and 10–11 and 18–21 when each server allocated
+// every stored copy and reply, and the client decoded the reply into a
+// Result.
 const (
-	appendAllocBudget      = 3
-	multiAppendAllocBudget = 6
+	appendAllocBudget      = 1
+	multiAppendAllocBudget = 4
 )
 
 func TestDLogOpAllocs(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"amcast/internal/bufpool"
 	"amcast/internal/coord"
 	"amcast/internal/core"
 	"amcast/internal/recovery"
@@ -45,6 +46,9 @@ type Client struct {
 	// request encodes them in.
 	observed       recovery.Vector
 	observedGroups []transport.RingID
+	// requests and responses are the blocks the client cuts each request
+	// and its copy of each response from (bufpool.Cut).
+	requests, responses []byte
 	// timer wakes respLoop at armed (never: not armed), no later than the
 	// earliest instant a call needs it. Instants are offsets from start.
 	start time.Time
@@ -69,6 +73,13 @@ type Client struct {
 	loopDone chan struct{}
 	stopOnce sync.Once
 }
+
+// clientBlock is the size of the blocks a client cuts its requests and its
+// copies of responses from, as the store's replicas cut their replies:
+// many 1 KB operations share one, and a piece of 16 KB or more gets an
+// allocation of its own. The price is retention: a piece still held, such
+// as a kept value, keeps its whole block alive.
+const clientBlock = 64 << 10
 
 // ClientConfig configures a Client.
 type ClientConfig struct {
@@ -126,12 +137,14 @@ var ErrClientClosed = errors.New("smr: client closed")
 
 // Submit multicasts op to each group in groups (one command per group,
 // same sequence number) and waits until `need` matching responses arrive,
-// retrying the multicast on timeout. The command is the one buffer the
-// call allocates for its request: op is encoded straight into it.
+// retrying the multicast on timeout. The command is the call's one request
+// buffer, cut from a client block: op is encoded straight into it.
 //
 // accept filters which responses count: a response matches if its delivery
 // group or its partition tag is in accept (nil accepts any, deduplicated by
 // partition). need <= 0 defaults to len(accept), or 1 when accept is nil.
+// A call that could never complete — no group, or more responses needed
+// than accept has partitions — fails at once instead of timing out.
 //
 // Recipes: single-partition command → SubmitOne. Scan via a global group →
 // groups=[global], accept=target partitions. Scan over independent rings →
@@ -139,7 +152,11 @@ var ErrClientClosed = errors.New("smr: client closed")
 // name partitions → accept=nil, need=partition count.
 //
 // Every response returned, here and by SubmitOne, SubmitMarker and
-// LocalRead, is the caller's own copy.
+// LocalRead, is bytes cut from a client block (bufpool.Cut), capped at
+// their own length and never written again by the client: the caller may
+// keep, scribble over or append to them. A response held pins its 64 KB
+// block, so a caller keeping a few small responses for long should copy
+// them out.
 func (c *Client) Submit(groups []transport.RingID, op Op, accept []transport.RingID, need int, timeout time.Duration) ([][]byte, error) {
 	one, all, err := c.submit(groups, op, accept, need, timeout, 0)
 	if err == nil && all == nil {
@@ -168,8 +185,14 @@ func (c *Client) SubmitMarker(group transport.RingID, op Op, marker uint64, time
 // submit returns the response of a call that needs one, all of them
 // otherwise.
 func (c *Client) submit(groups []transport.RingID, op Op, accept []transport.RingID, need int, timeout time.Duration, valueID uint64) ([]byte, [][]byte, error) {
+	if len(groups) == 0 {
+		return nil, nil, errors.New("smr: submit: no group to multicast to")
+	}
 	if need <= 0 {
 		need = max(len(accept), 1)
+	}
+	if accept != nil && need > len(accept) {
+		return nil, nil, fmt.Errorf("smr: submit: responses needed from %d partitions, but accept names only %d: the call could never complete", need, len(accept))
 	}
 	// Pre-allocate the multicast value id so coordinator admission
 	// control can address its Overloaded reply to this command (the
@@ -184,8 +207,12 @@ func (c *Client) submit(groups []transport.RingID, op Op, accept []transport.Rin
 		e.accept = append(e.acceptBuf[:0], accept...)
 	}
 	e.seen = e.seenBuf[:0]
-	// The command's encoding, with op written straight behind its header.
-	e.payload = op.Append(appendCommandHeader(make([]byte, 0, commandHeaderLen+op.Len), c.id, e.seq))
+	// The command's encoding, with op written straight behind its header,
+	// into bytes cut under the lock and written after it.
+	c.mu.Lock()
+	buf := bufpool.Cut(&c.requests, clientBlock, commandHeaderLen+op.Len)
+	c.mu.Unlock()
+	e.payload = op.Append(appendCommandHeader(buf[:0], c.id, e.seq))
 	// Sampled submissions carry a trace context on every multicast frame
 	// (retransmissions reuse the value id, so their spans join the same
 	// trace); the root "submit" span is recorded when the reply arrives.
@@ -415,9 +442,11 @@ func (c *Client) receiveLocked(m transport.Message) {
 			}
 			e.seen = append(e.seen, key)
 		}
-		// The one copy the client makes: on the in-process Network the
-		// payload is the replica's own, which its duplicate window keeps.
-		resp := append([]byte(nil), m.Payload...)
+		// The one copy the client makes, cut from its response block: on
+		// the in-process Network the payload is the replica's own, which
+		// its duplicate window keeps.
+		resp := bufpool.Cut(&c.responses, clientBlock, len(m.Payload))
+		copy(resp, m.Payload)
 		if e.need == 1 {
 			e.resp = resp
 			c.completeLocked(e, nil)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -76,18 +77,19 @@ func (e *echoNet) client(t *testing.T, id transport.ProcessID) *Client {
 
 // Allocation budgets of one SubmitOne → reply, counted over the whole
 // process: against three replicas of one ring on the in-process Network
-// (measured 2: the client's two; the acceptors' MemLog records and the
-// replicas' replies come out of slabs, and counterSM reuses its result
-// slice as the services do), and against a responder that allocates
-// nothing, which leaves the client's own share (measured 2: the command,
-// with the op written straight into it, and the one copy of the response,
-// returned by value — table entry, completion channel, timer and
-// configuration watch are reused). Before the client had one event loop the
-// same two round trips cost 44 and 30; with a slice around the response and
-// a slice per log record, 8 and 3; with a reply of its own per replica, 4–7.
+// (measured 0: the acceptors' MemLog records and the replicas' replies come
+// out of slabs, and counterSM reuses its result slice as the services do),
+// and against a responder that allocates nothing, which leaves the client's
+// own share (measured 0: the command, with the op written straight into it,
+// and the one copy of the response are cut from the client's 64 KB blocks —
+// table entry, completion channel, timer and configuration watch are
+// reused). Before the client had one event loop the same two round trips
+// cost 44 and 30; with a slice around the response and a slice per log
+// record, 8 and 3; with a reply of its own per replica, 4–7; with a request
+// and a response copy of their own, 2 and 2.
 const (
-	submitAllocBudget      = 3
-	submitClientAllocShare = 3
+	submitAllocBudget      = 1
+	submitClientAllocShare = 1
 )
 
 func TestSubmitAllocs(t *testing.T) {
@@ -344,6 +346,103 @@ func TestResponseIsTheCallersCopy(t *testing.T) {
 		r.applyGate.RUnlock()
 		if !dup || !bytes.Equal(kept, want) {
 			t.Errorf("replica %d's window holds %x (executed=%v) for the first command, want %x", id, kept, dup, want)
+		}
+	}
+}
+
+// TestSubmitRejectsWhatCannotComplete: a call with no group to multicast
+// to, or that needs more responses than accept has partitions, gets no
+// countable response however long it waits. It fails at once with an error
+// that says so, sends nothing, and is not mistaken for message loss.
+func TestSubmitRejectsWhatCannotComplete(t *testing.T) {
+	var seen arrivals
+	e := newEchoNet(t, 2, seen.record)
+	cl := e.client(t, 21)
+	for _, tc := range []struct {
+		name           string
+		groups, accept []transport.RingID
+		need           int
+	}{
+		{"no group", nil, nil, 1},
+		{"no group, empty accept", []transport.RingID{}, []transport.RingID{}, 0},
+		{"need beyond accept", []transport.RingID{1, 2}, []transport.RingID{1, 2}, 3},
+		{"empty accept", []transport.RingID{1}, []transport.RingID{}, 0},
+	} {
+		start := time.Now()
+		_, err := cl.Submit(tc.groups, add(1), tc.accept, tc.need, 5*time.Second)
+		if took := time.Since(start); err == nil || errors.Is(err, ErrTimeout) || took > time.Second {
+			t.Errorf("%s: Submit = %v after %v, want a descriptive error at once", tc.name, err, took)
+		} else {
+			t.Logf("%s: %v", tc.name, err)
+		}
+	}
+	time.Sleep(20 * time.Millisecond) // anything sent would have arrived
+	if got := seen.snapshot(); len(got) != 0 {
+		t.Errorf("%d proposals sent for calls that cannot complete", len(got))
+	}
+}
+
+// TestClientBuffersNeverChange: the client cuts each request, and its copy
+// of each response, from blocks it only ever cuts forward, while several
+// callers submit at once. A request a stand-in replica kept — the client's
+// own bytes, on a Network that hands slices over by reference — still
+// decodes to what was sent after 3 000 later submits, and 1 000 responses
+// kept by their callers stay byte-identical, each capped at its own length.
+func TestClientBuffersNeverChange(t *testing.T) {
+	type kept struct{ got, want []byte }
+	var mu sync.Mutex
+	var requests []kept
+	e := newEchoNet(t, 1, func(tr transport.Transport, m transport.Message, cmd Command) {
+		mu.Lock()
+		requests = append(requests, kept{m.Value.Data, bytes.Clone(m.Value.Data)})
+		mu.Unlock()
+		// The op echoed back, so that every response is different.
+		_ = tr.Send(cmd.Client, transport.Message{Kind: transport.KindResponse, Ring: m.Ring, Count: uint32(m.Ring), Seq: cmd.Seq, Payload: cmd.Op})
+	})
+	cl := e.client(t, 21)
+	const callers = 4
+	submitAll := func(n int, prefix string) [][]kept {
+		out := make([][]kept, callers)
+		var wg sync.WaitGroup
+		for w := 0; w < callers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < n/callers; i++ {
+					op := fmt.Appendf(nil, "%s %d %d %s", prefix, w, i, bytes.Repeat([]byte{'x'}, i%97))
+					resp, err := cl.SubmitOne(1, bytesOp(op), 10*time.Second)
+					if err != nil {
+						t.Errorf("%s %d/%d: %v", prefix, w, i, err)
+						return
+					}
+					out[w] = append(out[w], kept{resp, op})
+				}
+			}()
+		}
+		wg.Wait()
+		return out
+	}
+
+	first := submitAll(1000, "kept")
+	mu.Lock()
+	firstRequests := requests[:len(requests):len(requests)]
+	mu.Unlock()
+	if t.Failed() || len(firstRequests) != 1000 {
+		t.Fatalf("%d requests arrived for 1 000 submits", len(firstRequests))
+	}
+	submitAll(3000, "later")
+
+	for _, r := range firstRequests {
+		cmd, err := DecodeCommand(r.got)
+		if err != nil || cmd.Client != 21 || !bytes.HasPrefix(cmd.Op, []byte("kept ")) || !bytes.Equal(r.got, r.want) {
+			t.Fatalf("a kept request now decodes to %+v, %v; sent as %q", cmd, err, r.want)
+		}
+	}
+	for _, rs := range first {
+		for _, r := range rs {
+			if !bytes.Equal(r.got, r.want) || cap(r.got) != len(r.got) {
+				t.Fatalf("a kept response reads %q (cap %d), want %q with cap %d", r.got, cap(r.got), r.want, len(r.want))
+			}
 		}
 	}
 }

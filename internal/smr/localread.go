@@ -80,17 +80,18 @@ type LocalReader interface {
 	AppendLocalRead(dst []byte, group transport.RingID, op []byte) (resp []byte, ok bool)
 }
 
-// localReadRequest builds a KindLocalRead payload in one buffer: mode
-// byte, then for ReadIndex the client's observed vector as the
-// self-delimiting encoded requirement, for BoundedStale the bound in
-// big-endian nanoseconds, then the inner op, encoded straight into it.
+// localReadRequest builds a KindLocalRead payload in bytes cut from the
+// client's request block: mode byte, then for ReadIndex the client's
+// observed vector as the self-delimiting encoded requirement, for
+// BoundedStale the bound in big-endian nanoseconds, then the inner op,
+// encoded straight into it after the lock is released.
 func (c *Client) localReadRequest(mode LocalReadMode, bound time.Duration, op Op) []byte {
 	c.mu.Lock()
 	head := 8
 	if mode == ReadIndex {
 		head = recovery.EncodedVectorLen(len(c.observedGroups))
 	}
-	out := append(make([]byte, 0, 1+head+op.Len), byte(mode))
+	out := append(bufpool.Cut(&c.requests, clientBlock, 1+head+op.Len)[:0], byte(mode))
 	switch mode {
 	case ReadIndex:
 		out = recovery.AppendVector(out, c.observed, c.observedGroups)
