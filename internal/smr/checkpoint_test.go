@@ -2,9 +2,11 @@ package smr
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -262,49 +264,8 @@ func TestDecodeDedupRejectsCorrupt(t *testing.T) {
 // silently postpone durability a full interval — the replica re-captures
 // at the next batch boundary once the store recovers.
 func TestCheckpointSaveFailureRetriesAtNextBatch(t *testing.T) {
-	net := transport.NewNetwork(nil)
-	defer net.Close()
-	svc := coord.NewService()
-	members := []coord.Member{{ID: 1, Roles: coord.RoleProposer | coord.RoleAcceptor | coord.RoleLearner}}
-	if err := svc.CreateRing(1, members); err != nil {
-		t.Fatal(err)
-	}
-	tr := net.Attach(1, netem.SiteLocal)
-	router := transport.NewRouter(tr)
-	node, err := core.New(core.Config{Self: 1, Router: router, Coord: svc,
-		Ring: core.RingOptions{RetryInterval: 30 * time.Millisecond}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	store := &flakyStore{failing: true}
-	rep, err := NewReplica(ReplicaConfig{
-		Self: 1, Partition: 1, Groups: []transport.RingID{1},
-		Node: node, Transport: tr, Service: router.Service(),
-		SM: &counterSM{}, Checkpoints: store, CheckpointEvery: 5,
-	}, recovery.Checkpoint{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rep.Stop()
-
-	// Client.
-	ctr := net.Attach(10, netem.SiteLocal)
-	crouter := transport.NewRouter(ctr)
-	cnode, err := core.New(core.Config{Self: 10, Router: crouter, Coord: svc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cnode.Stop()
-	cl, err := NewClient(ClientConfig{Self: 10, Node: cnode, Transport: ctr, Service: crouter.Service()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	submit := func(n uint64) {
-		if _, err := cl.Submit([]transport.RingID{1}, add(n), []transport.RingID{1}, 1, 5*time.Second); err != nil {
-			t.Fatalf("submit: %v", err)
-		}
-	}
+	rep, _, submit := soloReplica(t, store, 5)
 
 	// Cross the first checkpoint interval while the store fails.
 	for i := 0; i < 6; i++ {
@@ -334,6 +295,134 @@ func TestCheckpointSaveFailureRetriesAtNextBatch(t *testing.T) {
 	}
 	if vec := rep.SafeVector(); vec[1] == 0 {
 		t.Error("safeVec did not advance after the retried save")
+	}
+}
+
+// soloReplica starts a replica that is its ring's only member, with a
+// counterSM and checkpoints into store every `every` commands, and returns
+// it, its state machine and a submit of one add through a client. Both
+// stop when the test ends.
+func soloReplica(t *testing.T, store recovery.Store, every int) (*Replica, *counterSM, func(uint64)) {
+	t.Helper()
+	net := transport.NewNetwork(nil)
+	t.Cleanup(net.Close)
+	svc := coord.NewService()
+	members := []coord.Member{{ID: 1, Roles: coord.RoleProposer | coord.RoleAcceptor | coord.RoleLearner}}
+	if err := svc.CreateRing(1, members); err != nil {
+		t.Fatal(err)
+	}
+	tr := net.Attach(1, netem.SiteLocal)
+	router := transport.NewRouter(tr)
+	node, err := core.New(core.Config{Self: 1, Router: router, Coord: svc,
+		Ring: core.RingOptions{RetryInterval: 30 * time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm := &counterSM{}
+	rep, err := NewReplica(ReplicaConfig{
+		Self: 1, Partition: 1, Groups: []transport.RingID{1},
+		Node: node, Transport: tr, Service: router.Service(),
+		SM: sm, Checkpoints: store, CheckpointEvery: every,
+	}, recovery.Checkpoint{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rep.Stop)
+
+	ctr := net.Attach(10, netem.SiteLocal)
+	crouter := transport.NewRouter(ctr)
+	cnode, err := core.New(core.Config{Self: 10, Router: crouter, Coord: svc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cnode.Stop)
+	cl, err := NewClient(ClientConfig{Self: 10, Node: cnode, Transport: ctr, Service: crouter.Service()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	return rep, sm, func(n uint64) {
+		t.Helper()
+		if _, err := cl.Submit([]transport.RingID{1}, add(n), []transport.RingID{1}, 1, 5*time.Second); err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+	}
+}
+
+// waitFor polls cond until it holds or 5 s pass.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// gatedStore is a checkpoint store whose Save waits until the test opens
+// its gate.
+type gatedStore struct {
+	mem     recovery.MemStore
+	gate    chan struct{}
+	waiting atomic.Int32 // Saves held at the gate
+}
+
+func (g *gatedStore) Save(c recovery.Checkpoint) error {
+	g.waiting.Add(1)
+	<-g.gate
+	g.waiting.Add(-1)
+	return g.mem.Save(c)
+}
+
+func (g *gatedStore) Latest() (recovery.Checkpoint, bool) { return g.mem.Latest() }
+
+// TestCheckpointCaptureSerializedOnce: the replica serializes every capture
+// it takes exactly once and never holds two unserialized (the
+// StateSnapshot contract a copy-on-write state machine relies on to write
+// in place again). While a durable write hangs, a boundary that finds a
+// capture pending is skipped and counted, not superseded; once the write
+// completes, the owed checkpoint is taken even though no command follows.
+func TestCheckpointCaptureSerializedOnce(t *testing.T) {
+	store := &gatedStore{gate: make(chan struct{})}
+	rep, sm, submit := soloReplica(t, store, 2)
+	open := sync.OnceFunc(func() { close(store.gate) })
+	t.Cleanup(open) // before rep.Stop, which waits for the writer
+	submit(1)
+	submit(1) // a capture, serialized; its Save hangs
+	waitFor(t, "the first Save", func() bool { return store.waiting.Load() == 1 })
+	submit(1)
+	submit(1) // a capture, pending behind the hung writer
+	for i := 0; i < 6; i++ {
+		submit(1) // three boundaries that find it pending
+	}
+	if got := sm.captures.Load(); got != 2 {
+		t.Errorf("captures while the writer hangs = %d, want 2", got)
+	}
+	if got := sm.serialized.Load(); got != 1 {
+		t.Errorf("serialized while the writer hangs = %d, want 1", got)
+	}
+	if got := rep.CheckpointsCoalesced(); got != 3 {
+		t.Errorf("CheckpointsCoalesced = %d, want the 3 skipped boundaries", got)
+	}
+
+	// No command follows: the writer itself pays the owed checkpoint once
+	// it has serialized the pending capture, since no batch has been
+	// applied since the owed cut.
+	open()
+	waitFor(t, "the owed checkpoint", func() bool { return rep.CheckpointCount() == 3 })
+	cp, _ := store.Latest()
+	_, _, snap, err := decodeStateParts(cp.State)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := binary.LittleEndian.Uint64(snap); got != 10 {
+		t.Errorf("newest checkpoint holds %d commands, want all 10", got)
+	}
+	if vec := rep.SafeVector(); vec[1] != cp.Vector[1] {
+		t.Errorf("safe vector %v, newest checkpoint at %v", vec, cp.Vector)
+	}
+	if c, s, m := sm.captures.Load(), sm.serialized.Load(), sm.misused.Load(); c != 3 || s != 3 || m != 0 {
+		t.Errorf("captures %d, serialized %d, misused %d; want 3, 3, 0", c, s, m)
 	}
 }
 

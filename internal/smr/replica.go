@@ -29,7 +29,9 @@ type StateMachine interface {
 	// CaptureSnapshot returns a cheap (ideally O(1)) immutable view of the
 	// state after the last executed command. It is called at a batch
 	// boundary; the background checkpoint writer serializes the view, so
-	// delivery never stalls for the full encoding.
+	// delivery never stalls for the full encoding. The replica serializes
+	// every capture it takes, and takes no new one while the last is
+	// still unserialized.
 	CaptureSnapshot() StateSnapshot
 	// Restore replaces the state with a serialized snapshot.
 	Restore(snapshot []byte) error
@@ -39,6 +41,10 @@ type StateMachine interface {
 // machine's state. Serialize encodes the captured state; it may be called
 // from a background goroutine concurrently with new commands executing
 // against the live state, so implementations must not read mutable state.
+//
+// Serialize is called exactly once per capture. Once it returns, the state
+// machine may reuse what the capture shared with the live state — write
+// over it in place — so the capture must not be read again.
 type StateSnapshot interface {
 	Serialize() []byte
 }
@@ -139,21 +145,29 @@ type Replica struct {
 
 	// Checkpoint writer pipeline: the delivery goroutine captures
 	// (vector, cursor, dedup, snapshot) at a batch boundary and parks it
-	// in ckptPending; the writer goroutine serializes and persists it.
-	// At most one capture is pending — a newer capture supersedes an
-	// unwritten older one, so a slow disk coalesces checkpoints instead of
-	// queueing them.
+	// in ckptPending; the writer goroutine serializes it, clears
+	// ckptPending and persists it. At most one capture is unserialized: a
+	// boundary that finds one pending leaves it to the writer and owes a
+	// checkpoint instead, recording its cut (vector, cursor, dedup) in
+	// ckptOwed. The owed checkpoint is taken at the first boundary after
+	// the writer has serialized the pending one or, if no batch has been
+	// applied since the cut, by the writer itself — so an owed checkpoint
+	// never waits for more traffic. A slow disk thus coalesces checkpoints
+	// instead of queueing them, and every capture is serialized (the
+	// StateSnapshot contract).
 	ckptMu      sync.Mutex
-	ckptPending *ckptCapture
-	ckptKick    chan struct{} // signals the writer (buffered, 1)
-	ckptDone    chan struct{} // closed when the writer exits
-	ckptRetry   atomic.Bool   // a Save failed; retry at the next batch boundary
-	ckptStallNs atomic.Int64  // max time checkpointing blocked delivery
-	coalesced   atomic.Uint64 // captures superseded before being written
+	ckptPending *ckptCapture                // guarded by ckptMu
+	ckptOwed    atomic.Pointer[ckptCapture] // snap unset; stored under ckptMu
+	ckptKick    chan struct{}               // signals the writer (buffered, 1)
+	ckptDone    chan struct{}               // closed when the writer exits
+	ckptRetry   atomic.Bool                 // a Save failed; retry at the next batch boundary
+	ckptStallNs atomic.Int64                // max time checkpointing blocked delivery
+	coalesced   atomic.Uint64               // checkpoint boundaries skipped: a capture was pending
 
 	// Merge-goroutine-owned execution state.
 	dedup     map[transport.ProcessID]*clientWindow // duplicate suppression
 	executed  uint64
+	batches   uint64 // batches applied; written under applyGate
 	sinceCkpt int
 
 	// Scratch buffers for batch execution, owned by the merge goroutine
@@ -652,6 +666,7 @@ func NewReplica(cfg ReplicaConfig, recovered recovery.Checkpoint) (*Replica, err
 func (r *Replica) deliverBatch(ds []core.Delivery) {
 	// Local reads are shut out for the duration.
 	r.applyGate.Lock()
+	r.batches++
 	r.respBuf = r.respBuf[:0]
 	executed := 0
 
@@ -793,12 +808,13 @@ func (r *Replica) flushRun() int {
 
 // ckptCapture is everything the checkpoint writer needs, captured
 // consistently at a batch boundary on the merge goroutine; the writer
-// serializes snap.
+// serializes snap. batch is the replica's batch count at the cut.
 type ckptCapture struct {
 	vector recovery.Vector
 	cursor core.Cursor
 	dedup  []byte
 	snap   StateSnapshot
+	batch  uint64
 }
 
 // checkpoint captures the state machine with its identifying tuple and
@@ -810,43 +826,117 @@ type ckptCapture struct {
 // and the durable write all happen off the delivery path. safeVec advances
 // only on the writer's durability ack, so trim never outruns a checkpoint
 // that is actually on disk.
+//
+// While the writer has not yet serialized the previous capture, the
+// boundary is skipped and counted, and the checkpoint is owed (see
+// takeCheckpoint).
 func (r *Replica) checkpoint() {
 	if r.cfg.Checkpoints == nil {
 		return
 	}
-	start := time.Now() //lint:allow determinism checkpoint-stall telemetry only: the duration feeds a local gauge, never replicated state or checkpoint bytes
-	r.ckptRetry.Store(false)
-	c := &ckptCapture{
-		vector: r.cfg.Node.DeliveredVector(),
-		cursor: r.cfg.Node.MergeCursor(),
-		dedup:  encodeDedup(r.dedup), // merge-goroutine-owned state
-		snap:   r.cfg.SM.CaptureSnapshot(),
-	}
-	r.enqueueCheckpoint(c)
-	r.noteStall(time.Since(start)) //lint:allow determinism checkpoint-stall telemetry only: the duration feeds a local gauge, never replicated state or checkpoint bytes
-}
-
-// enqueueCheckpoint parks a capture for the writer, coalescing: if an
-// older capture is still waiting, the newer one supersedes it (at most one
-// pending).
-func (r *Replica) enqueueCheckpoint(c *ckptCapture) {
-	r.ckptMu.Lock()
-	if r.ckptPending != nil {
+	if !r.takeCheckpoint() {
 		r.coalesced.Add(1)
 	}
-	r.ckptPending = c
+}
+
+// payOwedCheckpoint runs at every batch boundary: while a checkpoint is
+// owed it takes it once the writer has serialized the pending capture,
+// and otherwise moves the owed cut up to this boundary. Runs on the merge
+// goroutine.
+func (r *Replica) payOwedCheckpoint() {
+	if r.ckptOwed.Load() == nil {
+		return
+	}
+	r.applyGate.Lock()
+	r.takeCheckpoint()
+	r.applyGate.Unlock()
+}
+
+// takeCheckpoint captures a checkpoint at this boundary and reports true,
+// or, while a capture is still pending, records the boundary's cut as the
+// owed checkpoint and reports false. Runs on the merge goroutine with
+// applyGate held, which keeps the writer from paying an owed checkpoint
+// meanwhile.
+func (r *Replica) takeCheckpoint() bool {
+	start := time.Now() //lint:allow determinism checkpoint-stall telemetry only: the duration feeds a local gauge, never replicated state or checkpoint bytes
+	r.ckptMu.Lock()
+	if r.ckptPending != nil {
+		if owed := r.ckptOwed.Load(); owed == nil || owed.batch != r.batches {
+			r.ckptOwed.Store(r.cut())
+		}
+		r.ckptMu.Unlock()
+		return false
+	}
+	c := r.cut()
+	c.snap = r.cfg.SM.CaptureSnapshot()
+	r.park(c)
 	r.ckptMu.Unlock()
 	select {
 	case r.ckptKick <- struct{}{}:
 	default:
 	}
+	r.noteStall(time.Since(start)) //lint:allow determinism checkpoint-stall telemetry only: the duration feeds a local gauge, never replicated state or checkpoint bytes
+	return true
 }
 
-// writeCheckpoint serializes and durably persists one capture, advancing
-// safeVec on success. On failure it arms the retry flag so the next batch
-// boundary re-captures instead of waiting out a full interval.
+// cut reads the identifying tuple, merge cursor and dedup windows of the
+// state after the last applied batch. Runs on the merge goroutine.
+func (r *Replica) cut() *ckptCapture {
+	return &ckptCapture{
+		vector: r.cfg.Node.DeliveredVector(),
+		cursor: r.cfg.Node.MergeCursor(),
+		dedup:  encodeDedup(r.dedup), // merge-goroutine-owned state
+		batch:  r.batches,
+	}
+}
+
+// park hands a capture to the writer; it pays any owed checkpoint. The
+// caller holds ckptMu, and no capture is pending.
+func (r *Replica) park(c *ckptCapture) {
+	r.ckptRetry.Store(false)
+	r.ckptPending = c
+	r.ckptOwed.Store(nil)
+}
+
+// payOwedFromWriter takes the owed checkpoint on the writer goroutine,
+// once it has serialized the pending capture, if no batch has been applied
+// since the owed cut: the state machine still holds exactly the cut's
+// state, so the capture pairs with it. Otherwise the boundary of the
+// batch applied since pays it (payOwedCheckpoint).
+func (r *Replica) payOwedFromWriter() {
+	if r.ckptOwed.Load() == nil {
+		return
+	}
+	start := time.Now()
+	r.applyGate.Lock()
+	r.ckptMu.Lock()
+	if c := r.ckptOwed.Load(); c != nil && r.ckptPending == nil && c.batch == r.batches {
+		c.snap = r.cfg.SM.CaptureSnapshot()
+		r.park(c)
+	}
+	r.ckptMu.Unlock()
+	r.applyGate.Unlock()
+	r.noteStall(time.Since(start))
+}
+
+// nextCapture returns the pending capture, or nil.
+func (r *Replica) nextCapture() *ckptCapture {
+	r.ckptMu.Lock()
+	defer r.ckptMu.Unlock()
+	return r.ckptPending
+}
+
+// writeCheckpoint serializes the pending capture, which frees the slot for
+// the next one, and durably persists it, advancing safeVec on success. On
+// failure it arms the retry flag so the next batch boundary re-captures
+// instead of waiting out a full interval.
 func (r *Replica) writeCheckpoint(c *ckptCapture) {
-	state := encodeStateParts(c.cursor, c.dedup, c.snap.Serialize())
+	snap := c.snap.Serialize()
+	r.ckptMu.Lock()
+	r.ckptPending = nil
+	r.ckptMu.Unlock()
+	r.payOwedFromWriter()
+	state := encodeStateParts(c.cursor, c.dedup, snap)
 	if err := r.cfg.Checkpoints.Save(recovery.Checkpoint{Vector: c.vector, State: state}); err != nil {
 		r.ckptRetry.Store(true)
 		return // keep serving; trim just cannot advance yet
@@ -862,7 +952,9 @@ func (r *Replica) writeCheckpoint(c *ckptCapture) {
 }
 
 // checkpointWriter is the dedicated background goroutine that turns
-// captures into durable checkpoints, one at a time.
+// captures into durable checkpoints, one at a time. A capture still
+// pending when the replica stops is dropped unserialized: the state
+// machine executes nothing more for this replica.
 func (r *Replica) checkpointWriter() {
 	defer close(r.ckptDone)
 	for {
@@ -870,14 +962,7 @@ func (r *Replica) checkpointWriter() {
 		case <-r.done:
 			return
 		case <-r.ckptKick:
-			for {
-				r.ckptMu.Lock()
-				c := r.ckptPending
-				r.ckptPending = nil
-				r.ckptMu.Unlock()
-				if c == nil {
-					break
-				}
+			for c := r.nextCapture(); c != nil; c = r.nextCapture() {
 				r.writeCheckpoint(c)
 			}
 		}
@@ -901,8 +986,8 @@ func (r *Replica) CheckpointStallMax() time.Duration {
 	return time.Duration(r.ckptStallNs.Load())
 }
 
-// CheckpointsCoalesced reports captures superseded before being written
-// (instrumentation).
+// CheckpointsCoalesced reports the checkpoint boundaries skipped because
+// the writer had not yet serialized the previous capture (instrumentation).
 func (r *Replica) CheckpointsCoalesced() uint64 { return r.coalesced.Load() }
 
 // serviceLoop answers trim and recovery RPCs and serves local reads: a

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,6 +29,12 @@ type counterSM struct {
 	runs    []int    // len(ops) of each ExecuteBatch call
 	out     [][]byte // ExecuteBatch's result slice, reused as the contract allows
 	replies []byte   // the block responses are cut from, as the services cut theirs
+
+	// captures counts CaptureSnapshot calls and serialized the first
+	// Serialize of each; misused counts breaches of the StateSnapshot
+	// contract: a second Serialize of a capture, or a capture taken while
+	// an earlier one is unserialized.
+	captures, serialized, misused atomic.Uint64
 }
 
 func addOp(n uint64) []byte {
@@ -66,17 +73,33 @@ func (c *counterSM) ExecuteBatch(groups []transport.RingID, ops [][]byte) [][]by
 	return c.out
 }
 
-// counterSnap is a counterSM capture, serialized when it is taken.
-type counterSnap []byte
+// counterSnap is a counterSM capture, encoded when it is taken; Serialize
+// only counts its calls.
+type counterSnap struct {
+	b     []byte
+	sm    *counterSM
+	calls atomic.Int32
+}
 
-func (s counterSnap) Serialize() []byte { return s }
+func (s *counterSnap) Serialize() []byte {
+	if s.calls.Add(1) == 1 {
+		s.sm.serialized.Add(1)
+	} else {
+		s.sm.misused.Add(1)
+	}
+	return s.b
+}
 
 func (c *counterSM) CaptureSnapshot() StateSnapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.captures.Load() != c.serialized.Load() {
+		c.misused.Add(1)
+	}
+	c.captures.Add(1)
 	out := make([]byte, 8+c.pad)
 	binary.LittleEndian.PutUint64(out[:8], c.total)
-	return counterSnap(out)
+	return &counterSnap{b: out, sm: c}
 }
 
 func (c *counterSM) Restore(snap []byte) error {

@@ -11,9 +11,10 @@
 // (scans) are ordered with respect to all other operations.
 //
 // Every replica keeps its partition in an in-memory copy-on-write B+tree
-// (btree): capturing a checkpoint is an epoch bump, the first write after
-// a capture copies one leaf and its few ancestors, and later writes to a
-// value the tree owns overwrite its bytes in place.
+// (btree): capturing a checkpoint is an epoch bump, and while the capture
+// is unreleased the first write to what it holds copies one leaf and its
+// few ancestors. Once the capture is serialized, writes land in place
+// again, and a value's bytes are overwritten whenever they fit.
 package store
 
 // fanout is the most entries a leaf holds and the most children an inner
@@ -31,32 +32,38 @@ const fanout = 32
 // dropped, and a root left with one child gives way to it.
 //
 // Copy-on-write is epoch-owned: the tree, every node and every stored
-// value carry an epoch, and a node whose epoch equals the tree's is
-// reachable from the live root only, so updates mutate it in place.
-// snapshot() and splitOff() hand the current root to a reader and bump the
-// tree's epoch — O(1) — which turns every existing node into shared,
-// read-only structure; the next update that reaches such a node copies it
-// into the new epoch first. A node is therefore copied at most once per
-// captured snapshot, not once per update, and a captured snapshot never
+// value carry an epoch. snapshot() and splitOff() hand the current root to
+// a reader and bump the tree's epoch — O(1). A snapshot also raises the
+// tree's floor to the new epoch: every node and value below the floor may
+// be held by a captured view, so it is shared, read-only structure, and the
+// next update that reaches it copies it into the current epoch first.
+// Whatever is at or above the floor is reachable from the live root only,
+// and updates mutate it in place. A node is therefore copied at most once
+// per held snapshot, not once per update, and a held snapshot never
 // changes — the foundation of the replica's non-blocking checkpoint
 // pipeline, where serialization runs on a background goroutine while new
 // commands keep executing against the live tree.
 //
+// The floor only rises here. Its owner lowers it once the views it handed
+// out can no longer be read: SM sets it to 1 + the newest epoch a capture
+// not yet serialized holds, or to 0 when there is none (SM.prune), so the
+// structure a released capture shared is written in place again.
+//
 // A value's bytes are the tree's own: Put copies what it is given, over
-// the old bytes when they were allocated in the current epoch and are
-// large enough. That is safe because no captured view holds a value of the
-// current epoch, and every reader of the live tree copies what it reads
-// before the next write (SM.mu guards the tree, which is not safe for
-// concurrent use).
+// the old bytes when they are at or above the floor and large enough.
+// That is safe because no held view reaches them, and every reader of the
+// live tree copies what it reads before the next write (SM.mu guards the
+// tree, which is not safe for concurrent use).
 type btree struct {
 	root  *node // nil when the tree is empty
 	size  int
 	epoch uint64
+	floor uint64 // nodes and values of an epoch below it are shared
 }
 
-// node is a leaf or an inner node. It is immutable once its epoch is older
-// than its tree's (some snapshot may hold it); own() copies it into the
-// current epoch first. Slots at and past n are zero, so a node never keeps
+// node is a leaf or an inner node. It is immutable while its epoch is
+// below its tree's floor (some snapshot may hold it); own() copies it into
+// the current epoch first. Slots at and past n are zero, so a node never keeps
 // a removed key, value or child alive.
 type node struct {
 	epoch uint64
@@ -171,11 +178,11 @@ func collapse(n *node) *node {
 	return n
 }
 
-// own returns n if the live tree owns it exclusively (no snapshot captured
-// since it was created or last copied), else a copy in the current epoch.
-// The result may be mutated in place.
+// own returns n if the live tree owns it exclusively (it is at or above
+// the floor: no held snapshot reaches it), else a copy in the current
+// epoch. The result may be mutated in place.
 func (t *btree) own(n *node) *node {
-	if n.epoch == t.epoch {
+	if n.epoch >= t.floor {
 		return n
 	}
 	c := *n
@@ -183,10 +190,10 @@ func (t *btree) own(n *node) *node {
 	return &c
 }
 
-// assign copies b into v: over v's own bytes when the live tree owns them
-// and they fit, else into bytes allocated in the current epoch.
+// assign copies b into v: over v's own bytes when they are at or above the
+// floor and fit, else into bytes allocated in the current epoch.
 func (t *btree) assign(v *stored, b []byte) {
-	if v.epoch == t.epoch && cap(v.b) >= len(b) {
+	if v.epoch >= t.floor && cap(v.b) >= len(b) {
 		v.b = append(v.b[:0], b...)
 		return
 	}
@@ -202,15 +209,19 @@ func newBTree() *btree {
 func (t *btree) Len() int { return t.size }
 
 // snapshot captures the current version of the tree in O(1). The returned
-// view is immutable: bumping the epoch disowns every captured node and
-// value, so later Put/Delete calls copy before they write.
+// view is immutable for as long as the floor stays above the epoch it was
+// taken in: bumping the epoch and raising the floor to it disowns every
+// captured node and value, so later Put/Delete calls copy before they
+// write.
 func (t *btree) snapshot() btreeSnapshot {
 	t.epoch++
+	t.floor = t.epoch
 	return btreeSnapshot{root: t.root, size: t.size}
 }
 
 // btreeSnapshot is a point-in-time immutable view of a btree, safe to read
-// from any goroutine concurrently with writes to the live tree.
+// from any goroutine concurrently with writes to the live tree for as long
+// as the tree's floor stays above the epoch it was taken in.
 type btreeSnapshot struct {
 	root *node
 	size int
@@ -365,9 +376,10 @@ func (t *btree) del(n *node, key []byte) (*node, bool) {
 // makes a live partition split's delivery stall independent of how many
 // keys move: the delivery goroutine only pays the path, while serializing
 // the outgoing half happens later, off the hot path. The live tree can no
-// longer reach the outgoing half, so the epoch bump is not what protects
-// it; it keeps the invariant checkable — every node a captured view holds
-// is older than the tree's epoch.
+// longer reach the outgoing half, so it does not raise the floor: nothing
+// protects the stash but that. The epoch bump keeps the invariant
+// checkable — every node a captured view holds is older than the tree's
+// epoch.
 func (t *btree) splitOff(at []byte) btreeSnapshot {
 	var l, r *node
 	if t.root != nil {

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -22,7 +23,7 @@ import (
 
 // The TestTreap* tests keep the names they had when the store's tree was a
 // treap, so their results compare across the history; they test the
-// B+tree now.
+// B+tree now. TestBTreePutAllocs was TestTreapPutAllocs.
 
 // checker walks a tree for check.
 type checker struct {
@@ -410,17 +411,48 @@ func TestHeldSnapshotKeepsValueBytes(t *testing.T) {
 }
 
 // TestSMCaptureConcurrentWithWrites drives SM.CaptureSnapshot/Serialize
-// from a background goroutine while the state machine keeps executing —
-// the race detector guards the COW invariants, and every serialized
-// snapshot must be a decodable, internally consistent database image.
+// from a background goroutine while the state machine keeps executing, as
+// the replica's checkpoint writer does. Once a capture is serialized the
+// live tree writes in place again what it shared, so the race detector
+// guards the release, and every serialized snapshot must be a state the
+// store passed through: rounds update the keys in order, so some prefix of
+// the keys holds round r and the rest round r−1.
 func TestSMCaptureConcurrentWithWrites(t *testing.T) {
+	const keys, rounds, snapshots = 200, 50, 20
+	key := func(i int) string { return fmt.Sprintf("k%04d", i) }
+	value := func(round int) []byte { return []byte(fmt.Sprintf("r%05d-%s", round, strings.Repeat("v", 60))) }
 	sm := NewSM()
-	for i := 0; i < 200; i++ {
-		op := Op{Kind: OpInsert, Key: fmt.Sprintf("k%04d", i), Value: []byte("init")}
-		sm.Execute(1, op.Encode())
+	for i := 0; i < keys; i++ {
+		sm.Execute(1, Op{Kind: OpInsert, Key: key(i), Value: value(-1)}.Encode())
+	}
+	// passedThrough reports why buf is not a state of the store, or nil.
+	passedThrough := func(buf []byte) error {
+		probe := NewSM()
+		if err := probe.Restore(buf); err != nil {
+			return fmt.Errorf("undecodable: %w", err)
+		}
+		got := entries(probe)
+		if len(got) != keys {
+			return fmt.Errorf("%d entries, want %d", len(got), keys)
+		}
+		first := -1
+		if _, err := fmt.Sscanf(string(got[0].Value), "r%05d", &first); err != nil {
+			return fmt.Errorf("%s = %q: %v", got[0].Key, got[0].Value, err)
+		}
+		round := first // the prefix's round; past the prefix, first − 1
+		for i, e := range got {
+			if i > 0 && round == first && string(e.Value) == string(value(first-1)) {
+				round = first - 1
+			}
+			if e.Key != key(i) || string(e.Value) != string(value(round)) {
+				return fmt.Errorf("entry %d is %s = %q: not a prefix at round %d and the rest at %d", i, e.Key, e.Value, first, first-1)
+			}
+		}
+		return nil
 	}
 	stop := make(chan struct{})
 	done := make(chan error, 1)
+	var serialized atomic.Int64
 	go func() {
 		defer close(done)
 		for n := 0; ; n++ {
@@ -429,24 +461,26 @@ func TestSMCaptureConcurrentWithWrites(t *testing.T) {
 				return
 			default:
 			}
-			snap := sm.CaptureSnapshot()
-			buf := snap.Serialize()
-			probe := NewSM()
-			if err := probe.Restore(buf); err != nil {
-				done <- fmt.Errorf("snapshot %d undecodable: %w", n, err)
+			if err := passedThrough(sm.CaptureSnapshot().Serialize()); err != nil {
+				done <- fmt.Errorf("snapshot %d: %w", n, err)
 				return
 			}
+			serialized.Add(1)
 		}
 	}()
-	for round := 0; round < 50; round++ {
-		for i := 0; i < 200; i++ {
-			op := Op{Kind: OpUpdate, Key: fmt.Sprintf("k%04d", i), Value: []byte(fmt.Sprintf("r%d", round))}
-			sm.Execute(1, op.Encode())
+	// At least rounds rounds, and more until enough snapshots overlapped
+	// them.
+	for round := 0; round < rounds || serialized.Load() < snapshots && round < 100*rounds; round++ {
+		for i := 0; i < keys; i++ {
+			sm.Execute(1, Op{Kind: OpUpdate, Key: key(i), Value: value(round)}.Encode())
 		}
 	}
 	close(stop)
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+	if err := passedThrough(sm.Snapshot()); err != nil {
+		t.Fatalf("final snapshot: %v", err)
 	}
 }
 
@@ -860,11 +894,11 @@ func FuzzStoreRestore(f *testing.F) {
 	})
 }
 
-// TestTreapPutAllocs pins the copy-on-write cost: nothing for an overwrite
-// of a value the live tree owns; after a capture, one copy per node on the
-// key's path and the new value's bytes, once; and nothing for a delete that
-// misses.
-func TestTreapPutAllocs(t *testing.T) {
+// TestBTreePutAllocs pins the copy-on-write cost while a capture is held:
+// nothing for an overwrite of a value the live tree owns; after a capture,
+// one copy per node on the key's path and the new value's bytes, once; and
+// nothing for a delete that misses.
+func TestBTreePutAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts inflated under the race detector")
 	}

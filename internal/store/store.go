@@ -45,6 +45,10 @@ type SM struct {
 	// one per read.
 	replies []byte
 
+	// holds are the captures not yet serialized, oldest first; the tree
+	// shares with them whatever is below its floor (see prune).
+	holds []*hold
+
 	// outgoing stashes split-off key ranges by split id until the
 	// reconfig controller has streamed them to the new partition.
 	// outgoingOrder tracks stash age: at most the two newest stashes are
@@ -80,6 +84,33 @@ type keyRange struct {
 // owns reports whether the range holds key.
 func (r *keyRange) owns(key []byte) bool {
 	return !r.bounded || string(key) >= r.lo && (r.hi == "" || string(key) < r.hi)
+}
+
+// hold is a capture's claim on the structure it shares with the live tree:
+// nodes and values of epoch at most epoch, which the tree must not write
+// in place until released is set.
+type hold struct {
+	epoch    uint64
+	released atomic.Bool // set by Serialize as its last step
+}
+
+// prune drops the released holds and sets the tree's floor to 1 + the
+// newest epoch a remaining one holds, or to 0 when none remains, so the
+// live tree writes in place again what only released captures shared.
+// Callers hold mu.
+func (s *SM) prune() {
+	live := s.holds[:0]
+	for _, h := range s.holds {
+		if !h.released.Load() {
+			live = append(live, h)
+		}
+	}
+	clear(s.holds[len(live):])
+	s.holds = live
+	s.db.floor = 0
+	if len(live) > 0 {
+		s.db.floor = live[len(live)-1].epoch + 1
+	}
 }
 
 // outgoingRange is a captured, immutable key range awaiting transfer.
@@ -122,7 +153,8 @@ func (s *SM) SplitStallMax() time.Duration {
 
 // OutgoingRange serializes a stashed split-off range (with its bounds, so
 // the receiving partition restores ownership along with the data). It
-// runs off the delivery path: the stash is an immutable snapshot.
+// runs off the delivery path: the stash is an immutable snapshot, which
+// the live tree cannot reach, so the view holds nothing.
 func (s *SM) OutgoingRange(id uint64) ([]byte, bool) {
 	s.mu.Lock()
 	out, ok := s.outgoing[id]
@@ -173,12 +205,16 @@ func (s *SM) ReleaseOutgoing(id uint64) {
 
 var _ smr.StateMachine = (*SM)(nil)
 
-// Execute applies one encoded operation.
+// Execute applies one encoded operation. Like ExecuteBatch, it first lets
+// the tree write in place again what serialized captures shared.
 //
 //lint:deterministic
 func (s *SM) Execute(_ transport.RingID, raw []byte) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if len(s.holds) > 0 {
+		s.prune()
+	}
 	return s.execute(raw)
 }
 
@@ -190,6 +226,9 @@ func (s *SM) Execute(_ transport.RingID, raw []byte) []byte {
 func (s *SM) ExecuteBatch(_ []transport.RingID, ops [][]byte) [][]byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if len(s.holds) > 0 {
+		s.prune()
+	}
 	s.out = s.out[:0]
 	for _, raw := range ops {
 		s.out = append(s.out, s.execute(raw))
@@ -350,8 +389,12 @@ func SnapshotLen(snap []byte) int {
 // controller's release, the moved keys exist ONLY in the stash, so a
 // checkpoint that recorded the shrunken bounds without the stash would
 // make a crash before the transfer completes lose the range permanently.
+//
+// A capture of the live tree carries its hold; a view of a stash, which
+// the live tree cannot reach, carries none.
 type dbSnapshot struct {
 	db       btreeSnapshot
+	hold     *hold
 	bounded  bool
 	lo, hi   string
 	outgoing map[uint64]outgoingRange
@@ -360,11 +403,19 @@ type dbSnapshot struct {
 // Serialize encodes the captured database: count(8) then length-prefixed
 // pairs in key order, then (when ownership is enforced) a bounds trailer
 // and the in-flight outgoing stash. Runs off the delivery path (the
-// captured version is immutable), so serialization cost no longer stalls
-// delivery.
+// captured version is immutable until released), so serialization cost
+// no longer stalls delivery.
+//
+// Its last step releases the capture's hold: from the next Execute or
+// ExecuteBatch on, the live tree writes in place what the capture shared.
+// A capture is therefore serialized once; a second Serialize panics rather
+// than encode bytes the live tree may have overwritten since.
 //
 //lint:deterministic
 func (d dbSnapshot) Serialize() []byte {
+	if d.hold != nil && d.hold.released.Load() {
+		panic("store: Serialize called twice on one capture; the live tree may have overwritten what it shared")
+	}
 	// Measure everything first, so the buffer is allocated once at its
 	// final size: a checkpoint of 1 KB values would otherwise regrow it
 	// about seven times.
@@ -399,6 +450,9 @@ func (d dbSnapshot) Serialize() []byte {
 			buf = appendTree(buf, out.snap)
 		}
 	}
+	if d.hold != nil {
+		d.hold.released.Store(true)
+	}
 	return buf
 }
 
@@ -424,14 +478,20 @@ func appendTree(buf []byte, s btreeSnapshot) []byte {
 }
 
 // CaptureSnapshot captures the current database version in O(1) — the
-// capture bumps the tree's epoch, so the returned view shares structure
-// with the live tree but never changes: the live tree copies a captured
-// node before its first write to it. The outgoing stash rides along by
+// capture bumps the tree's epoch and holds it, so the returned view shares
+// structure with the live tree but does not change until it is serialized:
+// until then the live tree copies a captured node or value below its floor
+// before its first write to it. The outgoing stash rides along by
 // reference (its snapshots are immutable too).
 func (s *SM) CaptureSnapshot() smr.StateSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	d := dbSnapshot{db: s.db.snapshot(), bounded: s.bounded, lo: s.lo, hi: s.hi}
+	if len(s.holds) > 0 {
+		s.prune() // keeps the list to the captures still unserialized
+	}
+	h := &hold{epoch: s.db.epoch}
+	s.holds = append(s.holds, h)
+	d := dbSnapshot{db: s.db.snapshot(), hold: h, bounded: s.bounded, lo: s.lo, hi: s.hi}
 	if len(s.outgoing) > 0 {
 		d.outgoing = make(map[uint64]outgoingRange, len(s.outgoing))
 		for id, out := range s.outgoing {
@@ -495,6 +555,10 @@ func (s *SM) Restore(snap []byte) error {
 	}
 	s.mu.Lock()
 	s.db = db
+	// The replaced tree is never written again: captures of it may still
+	// be serialized, but they hold nothing of the new one.
+	clear(s.holds)
+	s.holds = s.holds[:0]
 	if bounded {
 		s.bounded, s.lo, s.hi = true, lo, hi
 		s.outgoing = outgoing
