@@ -350,28 +350,50 @@ func (d *Deployment) StartStore(opts StoreOptions) (*StoreCluster, error) {
 		obsWired: make(map[transport.ProcessID]bool),
 		walWired: make(map[logKey]bool),
 	}
-	for p := 1; p <= opts.Partitions; p++ {
-		for r := 1; r <= opts.Replicas; r++ {
-			if err := c.startServer(p, r, false); err != nil {
-				return nil, err
-			}
-		}
+	if err := c.startPartitions(1, opts.Partitions); err != nil {
+		return nil, err
 	}
 	d.onClose(c.StopAll)
 	return c, nil
 }
 
-// startServer boots one replica process. peerRecovery controls whether the
-// replica consults partition peers for newer checkpoints.
-func (c *StoreCluster) startServer(p, r int, peerRecovery bool) error {
-	id := ReplicaID(p, r)
+// startPartitions boots every replica of partitions first..last. All of
+// them are on the network before any node starts, so a coordinator's
+// first Phase 1A reaches peers the Network knows instead of being dropped
+// and re-sent only at the ring's retry tick.
+func (c *StoreCluster) startPartitions(first, last int) error {
+	trs := make(map[transport.ProcessID]transport.Transport)
+	for p := first; p <= last; p++ {
+		for r := 1; r <= c.opts.Replicas; r++ {
+			trs[ReplicaID(p, r)] = c.attach(p, r)
+		}
+	}
+	for p := first; p <= last; p++ {
+		for r := 1; r <= c.opts.Replicas; r++ {
+			if err := c.startServer(p, r, trs[ReplicaID(p, r)], false); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// attach puts replica r of partition p on the network at its site.
+func (c *StoreCluster) attach(p, r int) transport.Transport {
 	site := netem.SiteLocal
 	if c.opts.SiteOfReplica != nil {
 		site = c.opts.SiteOfReplica(p, r)
 	} else if c.opts.SiteOf != nil {
 		site = c.opts.SiteOf(p)
 	}
-	tr := c.D.Net.Attach(id, site)
+	return c.D.Net.Attach(ReplicaID(p, r), site)
+}
+
+// startServer boots one replica process on its attached transport.
+// peerRecovery controls whether the replica consults partition peers for
+// newer checkpoints.
+func (c *StoreCluster) startServer(p, r int, tr transport.Transport, peerRecovery bool) error {
+	id := ReplicaID(p, r)
 	router := transport.NewRouter(tr)
 	var peers []transport.ProcessID
 	for rr := 1; rr <= c.opts.Replicas; rr++ {
@@ -537,14 +559,14 @@ func (c *StoreCluster) Kill(p, r int) {
 func (c *StoreCluster) Restart(p, r int) error {
 	id := ReplicaID(p, r)
 	c.D.Svc.MarkUp(id)
-	return c.startServer(p, r, c.opts.RecoveryTimeout > 0)
+	return c.startServer(p, r, c.attach(p, r), c.opts.RecoveryTimeout > 0)
 }
 
 // RestartQuiet reboots a killed replica with NO liveness mark: the peer
 // detectors notice its resumed heartbeats and mark it up once the rejoin
 // hysteresis is satisfied. Pair with Kill for oracle-free crash/recovery.
 func (c *StoreCluster) RestartQuiet(p, r int) error {
-	return c.startServer(p, r, c.opts.RecoveryTimeout > 0)
+	return c.startServer(p, r, c.attach(p, r), c.opts.RecoveryTimeout > 0)
 }
 
 // AddPartition registers a new partition ring (online reconfiguration):
@@ -586,12 +608,7 @@ func (c *StoreCluster) SeedPartition(p int, seed recovery.Checkpoint) error {
 // StartPartition boots every replica of a partition added with
 // AddPartition (after SeedPartition, for scale-out splits).
 func (c *StoreCluster) StartPartition(p int) error {
-	for r := 1; r <= c.opts.Replicas; r++ {
-		if err := c.startServer(p, r, false); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.startPartitions(p, p)
 }
 
 // DropCheckpoints simulates losing a replica's stable storage.
@@ -693,9 +710,14 @@ func (d *Deployment) StartDLog(opts DLogOptions) (*DLogCluster, error) {
 	for l := 1; l <= opts.Logs; l++ {
 		hosted[l-1] = dlog.LogID(l)
 	}
+	// Every server is on the network before any node starts, as
+	// StartStore's replicas are.
+	trs := make([]transport.Transport, opts.Servers)
+	for s := range trs {
+		trs[s] = d.Net.Attach(DLogServerID(s+1), netem.SiteLocal)
+	}
 	for s := 1; s <= opts.Servers; s++ {
-		id := DLogServerID(s)
-		tr := d.Net.Attach(id, netem.SiteLocal)
+		id, tr := DLogServerID(s), trs[s-1]
 		router := transport.NewRouter(tr)
 		sm := dlog.NewSM(dlog.SMConfig{Hosted: hosted})
 		rec := d.recorderFor(id, fmt.Sprintf("dlog%d", s))

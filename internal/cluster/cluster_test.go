@@ -21,6 +21,62 @@ func fastRing() core.RingOptions {
 	}
 }
 
+// TestFirstOpDoesNotWaitForRetryTick: a deployment attaches every server
+// to the network before it starts any node, so no coordinator's first
+// Phase 1A is lost to a peer not attached yet. The retry tick that would
+// re-send it (a quarter of RetryInterval) is set far beyond the bound, so
+// the first operation of a fresh dLog or store deployment returns within
+// it only if no boot message was lost.
+func TestFirstOpDoesNotWaitForRetryTick(t *testing.T) {
+	const bound = time.Second
+	ring := fastRing()
+	ring.RetryInterval = 10 * time.Second
+
+	d := NewDeployment(nil)
+	defer d.Close()
+	dl, err := d.StartDLog(DLogOptions{Logs: 2, Servers: 3, Global: true, Ring: ring})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc, dcl, err := dl.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dcl.Close()
+	start := time.Now()
+	if _, err := dc.MultiAppend([]dlog.LogID{1, 2}, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > bound {
+		t.Errorf("dLog: the first MultiAppend took %v, want at most %v", took, bound)
+	}
+
+	sd := NewDeployment(nil)
+	defer sd.Close()
+	sc, err := sd.StartStore(StoreOptions{Partitions: 3, Replicas: 3, Global: true, Ring: ring})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, scl, err := sc.NewClient(netem.SiteLocal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer scl.Close()
+	for _, g := range sc.Schema.Groups() {
+		k := 0
+		for sc.Schema.PartitionOf(fmt.Sprint(k)) != g {
+			k++
+		}
+		start := time.Now()
+		if err := cl.Insert(fmt.Sprint(k), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(start); took > bound {
+			t.Errorf("store: the first Insert into partition %d took %v, want at most %v", g, took, bound)
+		}
+	}
+}
+
 func TestStoreEndToEnd(t *testing.T) {
 	d := NewDeployment(nil)
 	defer d.Close()

@@ -623,7 +623,8 @@ func (c *Client) MultiAppendN(logs []LogID, v []byte, wantPartitions int) (map[L
 		return nil, fmt.Errorf("dlog: multi-append requires a global group")
 	}
 	op := Op{Kind: OpMultiAppend, Logs: logs, Value: v}
-	resps, err := c.cl.Submit([]transport.RingID{c.Global}, op.Request(), nil, wantPartitions, c.Timeout)
+	var buf [4][]byte // room for every reply of a multi-append up to four partitions
+	resps, err := c.cl.Submit(buf[:0], []transport.RingID{c.Global}, op.Request(), nil, wantPartitions, c.Timeout)
 	if err != nil {
 		return nil, err
 	}

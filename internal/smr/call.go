@@ -3,7 +3,6 @@ package smr
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"amcast/internal/ring"
@@ -15,7 +14,7 @@ import (
 // in await on done. Until respLoop, which alone completes calls, signals
 // done, the request does not change and the rest is touched only under
 // Client.mu: the loop may send a call it has not completed without the
-// lock. Calls are recycled, channel included.
+// lock. Calls are recycled through their Client, channel included.
 type call struct {
 	seq     uint64
 	target  transport.ProcessID // a LocalRead's replica; 0 for a multicast command
@@ -30,19 +29,18 @@ type call struct {
 	due      time.Duration // next retransmission, as an offset from Client.start
 	deadline time.Duration
 	seen     []transport.RingID // dedup keys of the responses counted
-	resp     []byte             // the response, of a call that needs one
-	resps    [][]byte           // the responses counted, of one that needs more
+	resps    [][]byte           // the responses counted
 	// Coordinator sheds and no-coordinator windows met, which name the
 	// cause should the deadline pass.
 	overloaded, noCoord int
 	err                 error
 	done                chan struct{} // buffered 1: one signal per await
 
-	// A handful of groups fits: the lists above start out in here.
+	// A handful of groups and responses fits: the lists above start out
+	// in here.
 	groupBuf, acceptBuf, seenBuf [4]transport.RingID
+	respBuf                      [4][]byte
 }
-
-var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
 
 // match classifies a response by its delivery group and partition tag and
 // returns the dedup key, or ok=false if the response is not counted (e.g.

@@ -343,7 +343,7 @@ func soloReplica(t *testing.T, store recovery.Store, every int) (*Replica, *coun
 	t.Cleanup(cl.Close)
 	return rep, sm, func(n uint64) {
 		t.Helper()
-		if _, err := cl.Submit([]transport.RingID{1}, add(n), []transport.RingID{1}, 1, 5*time.Second); err != nil {
+		if _, err := cl.Submit(nil, []transport.RingID{1}, add(n), []transport.RingID{1}, 1, 5*time.Second); err != nil {
 			t.Fatalf("submit: %v", err)
 		}
 	}

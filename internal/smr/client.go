@@ -37,6 +37,10 @@ type Client struct {
 	// by sequence number. Callers insert; only respLoop completes.
 	inflight map[uint64]*call
 	closed   bool
+	// free holds the calls completed and reset, for the next Submit,
+	// SubmitMarker or LocalRead to reuse: never more than the client's
+	// peak concurrency. Unlike a sync.Pool it survives garbage collection.
+	free []*call
 	// observed is the client's session read index: per group, the
 	// highest applied instance any reply (command response or local
 	// read) has carried. A read-index local read presents it as the
@@ -140,6 +144,11 @@ var ErrClientClosed = errors.New("smr: client closed")
 // retrying the multicast on timeout. The command is the call's one request
 // buffer, cut from a client block: op is encoded straight into it.
 //
+// The responses are appended to dst, and the extended slice is returned,
+// as strconv.AppendInt does: a caller passing a buffer with room for them
+// allocates no slice. dst's existing elements are left as they are, and on
+// an error dst is returned unchanged.
+//
 // accept filters which responses count: a response matches if its delivery
 // group or its partition tag is in accept (nil accepts any, deduplicated by
 // partition). need <= 0 defaults to len(accept), or 1 when accept is nil.
@@ -157,12 +166,8 @@ var ErrClientClosed = errors.New("smr: client closed")
 // keep, scribble over or append to them. A response held pins its 64 KB
 // block, so a caller keeping a few small responses for long should copy
 // them out.
-func (c *Client) Submit(groups []transport.RingID, op Op, accept []transport.RingID, need int, timeout time.Duration) ([][]byte, error) {
-	one, all, err := c.submit(groups, op, accept, need, timeout, 0)
-	if err == nil && all == nil {
-		all = [][]byte{one}
-	}
-	return all, err
+func (c *Client) Submit(dst [][]byte, groups []transport.RingID, op Op, accept []transport.RingID, need int, timeout time.Duration) ([][]byte, error) {
+	return c.submit(dst, groups, op, accept, need, timeout, 0)
 }
 
 // SubmitOne multicasts a single-partition command to its group and returns
@@ -178,21 +183,25 @@ func (c *Client) SubmitOne(group transport.RingID, op Op, timeout time.Duration)
 // decision is an ordinary duplicate the replicas suppress). Zero lets the
 // client pick the id.
 func (c *Client) SubmitMarker(group transport.RingID, op Op, marker uint64, timeout time.Duration) ([]byte, error) {
-	resp, _, err := c.submit([]transport.RingID{group}, op, []transport.RingID{group}, 1, timeout, marker)
-	return resp, err
+	var one [1][]byte
+	resps, err := c.submit(one[:0], []transport.RingID{group}, op, []transport.RingID{group}, 1, timeout, marker)
+	if err != nil {
+		return nil, err
+	}
+	return resps[0], nil
 }
 
-// submit returns the response of a call that needs one, all of them
-// otherwise.
-func (c *Client) submit(groups []transport.RingID, op Op, accept []transport.RingID, need int, timeout time.Duration, valueID uint64) ([]byte, [][]byte, error) {
+// submit is Submit with a caller-chosen multicast value id (0: the
+// client picks one).
+func (c *Client) submit(dst [][]byte, groups []transport.RingID, op Op, accept []transport.RingID, need int, timeout time.Duration, valueID uint64) ([][]byte, error) {
 	if len(groups) == 0 {
-		return nil, nil, errors.New("smr: submit: no group to multicast to")
+		return dst, errors.New("smr: submit: no group to multicast to")
 	}
 	if need <= 0 {
 		need = max(len(accept), 1)
 	}
 	if accept != nil && need > len(accept) {
-		return nil, nil, fmt.Errorf("smr: submit: responses needed from %d partitions, but accept names only %d: the call could never complete", need, len(accept))
+		return dst, fmt.Errorf("smr: submit: responses needed from %d partitions, but accept names only %d: the call could never complete", need, len(accept))
 	}
 	// Pre-allocate the multicast value id so coordinator admission
 	// control can address its Overloaded reply to this command (the
@@ -200,18 +209,18 @@ func (c *Client) submit(groups []transport.RingID, op Op, accept []transport.Rin
 	if valueID == 0 {
 		valueID = c.node.MarkerID()
 	}
-	e := callPool.Get().(*call)
+	// The command's encoding, with op written straight behind its header,
+	// into bytes cut under the lock and written after it.
+	c.mu.Lock()
+	e := c.newCallLocked()
+	buf := bufpool.Cut(&c.requests, clientBlock, commandHeaderLen+op.Len)
+	c.mu.Unlock()
 	e.seq, e.valueID, e.need = c.seq.Add(1), valueID, need
 	e.groups = append(e.groupBuf[:0], groups...)
 	if accept != nil {
 		e.accept = append(e.acceptBuf[:0], accept...)
 	}
 	e.seen = e.seenBuf[:0]
-	// The command's encoding, with op written straight behind its header,
-	// into bytes cut under the lock and written after it.
-	c.mu.Lock()
-	buf := bufpool.Cut(&c.requests, clientBlock, commandHeaderLen+op.Len)
-	c.mu.Unlock()
 	e.payload = op.Append(appendCommandHeader(buf[:0], c.id, e.seq))
 	// Sampled submissions carry a trace context on every multicast frame
 	// (retransmissions reuse the value id, so their spans join the same
@@ -224,7 +233,7 @@ func (c *Client) submit(groups []transport.RingID, op Op, accept []transport.Rin
 	}
 	// Retransmit on a quarter of the budget (lost command or response;
 	// replicas suppress duplicates); the deadline bounds the whole attempt.
-	resp, resps, err := c.await(e, timeout, 4)
+	out, err := c.await(e, timeout, 4, dst)
 	if err == nil && tctx.Sampled() {
 		c.tracer.Record(trace.Span{
 			TraceID:  tctx.TraceID,
@@ -236,16 +245,32 @@ func (c *Client) submit(groups []transport.RingID, op Op, accept []transport.Rin
 			Duration: time.Since(tstart),
 		})
 	}
-	return resp, resps, err
+	return out, err
+}
+
+// newCallLocked pops a recycled call, or makes the first one. Caller holds
+// c.mu.
+func (c *Client) newCallLocked() *call {
+	if n := len(c.free); n > 0 {
+		e := c.free[n-1]
+		c.free = c.free[:n-1]
+		return e
+	}
+	return &call{done: make(chan struct{}, 1)}
 }
 
 // await puts e in flight (due every timeout/retries, its groups watched
-// from now on), sends it and blocks until respLoop completes it. What it
-// returns is read out of e before e is recycled.
-func (c *Client) await(e *call, timeout time.Duration, retries int) (resp []byte, resps [][]byte, err error) {
+// from now on), sends it and blocks until respLoop completes it. It
+// appends e's responses to dst before e is reset and recycled: what it
+// returns holds nothing of e.
+func (c *Client) await(e *call, timeout time.Duration, retries int, dst [][]byte) ([][]byte, error) {
 	defer func() {
 		*e = call{done: e.done}
-		callPool.Put(e)
+		c.mu.Lock()
+		if !c.closed {
+			c.free = append(c.free, e)
+		}
+		c.mu.Unlock()
 	}()
 	if timeout == 0 {
 		timeout = 5 * time.Second
@@ -253,10 +278,11 @@ func (c *Client) await(e *call, timeout time.Duration, retries int) (resp []byte
 	now := time.Since(c.start)
 	e.retry = timeout / time.Duration(retries)
 	e.due, e.deadline = now+e.retry, now+timeout
+	e.resps = e.respBuf[:0]
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, nil, ErrClientClosed
+		return dst, ErrClientClosed
 	}
 	for _, g := range e.groups {
 		if c.svc != nil && e.target == 0 && !slices.Contains(c.watched, g) {
@@ -276,7 +302,10 @@ func (c *Client) await(e *call, timeout time.Duration, retries int) (resp []byte
 		c.mu.Unlock()
 	}
 	<-e.done
-	return e.resp, e.resps, e.err
+	if e.err != nil {
+		return dst, e.err
+	}
+	return append(dst, e.resps...), nil
 }
 
 // never is the instant an unarmed timer is armed to.
@@ -447,14 +476,6 @@ func (c *Client) receiveLocked(m transport.Message) {
 		// its duplicate window keeps.
 		resp := bufpool.Cut(&c.responses, clientBlock, len(m.Payload))
 		copy(resp, m.Payload)
-		if e.need == 1 {
-			e.resp = resp
-			c.completeLocked(e, nil)
-			return
-		}
-		if e.resps == nil {
-			e.resps = make([][]byte, 0, e.need)
-		}
 		if e.resps = append(e.resps, resp); len(e.resps) >= e.need {
 			c.completeLocked(e, nil)
 		}
@@ -511,14 +532,18 @@ func (c *Client) LocalRead(target transport.ProcessID, group transport.RingID, o
 	if c.tr == nil {
 		return nil, errors.New("smr: local read: client has no transport")
 	}
-	e := callPool.Get().(*call)
+	c.mu.Lock()
+	e := c.newCallLocked()
+	c.mu.Unlock()
 	e.seq, e.target, e.need = c.seq.Add(1), target, 1
 	e.groups = append(e.groupBuf[:0], group)
 	e.payload = c.localReadRequest(mode, bound, op)
-	resp, _, err := c.await(e, timeout, 1) // never re-sent: due at its deadline
+	var one [1][]byte
+	resps, err := c.await(e, timeout, 1, one[:0]) // never re-sent: due at its deadline
 	if err != nil {
 		return nil, err
 	}
+	resp := resps[0]
 	if len(resp) < 1 {
 		return nil, fmt.Errorf("smr: local read: malformed response")
 	}
@@ -540,6 +565,7 @@ func (c *Client) Close() {
 	c.stopOnce.Do(func() {
 		c.mu.Lock()
 		c.closed = true
+		c.free = nil
 		unwatch := c.unwatch
 		c.mu.Unlock()
 		close(c.done)

@@ -47,7 +47,7 @@ func TestClientReroutesOnReelection(t *testing.T) {
 	cl := h.coordClient(t, 11)
 
 	// Warm up through the original coordinator (replica 1).
-	if _, err := cl.Submit([]transport.RingID{1}, add(1), []transport.RingID{1}, 1, 5*time.Second); err != nil {
+	if _, err := cl.Submit(nil, []transport.RingID{1}, add(1), []transport.RingID{1}, 1, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 
@@ -62,7 +62,7 @@ func TestClientReroutesOnReelection(t *testing.T) {
 	done := make(chan result, 1)
 	const timeout = 30 * time.Second // retry backstop at 7.5s: re-route must beat it
 	go func() {
-		resps, err := cl.Submit([]transport.RingID{1}, add(2), []transport.RingID{1}, 1, timeout)
+		resps, err := cl.Submit(nil, []transport.RingID{1}, add(2), []transport.RingID{1}, 1, timeout)
 		if err != nil {
 			done <- result{0, err}
 			return
@@ -98,7 +98,7 @@ func TestClientToleratesNoCoordinatorWindow(t *testing.T) {
 	h := newSMRHarness(t, 0)
 	cl := h.coordClient(t, 11)
 
-	if _, err := cl.Submit([]transport.RingID{1}, add(1), []transport.RingID{1}, 1, 5*time.Second); err != nil {
+	if _, err := cl.Submit(nil, []transport.RingID{1}, add(1), []transport.RingID{1}, 1, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 
@@ -112,7 +112,7 @@ func TestClientToleratesNoCoordinatorWindow(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := cl.Submit([]transport.RingID{1}, add(2), []transport.RingID{1}, 1, 30*time.Second)
+		_, err := cl.Submit(nil, []transport.RingID{1}, add(2), []transport.RingID{1}, 1, 30*time.Second)
 		done <- err
 	}()
 

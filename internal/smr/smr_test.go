@@ -232,7 +232,7 @@ func (h *smrHarness) startReplica(id transport.ProcessID, checkpointEvery int, r
 
 func (h *smrHarness) submit(n uint64) uint64 {
 	h.t.Helper()
-	resps, err := h.client.Submit([]transport.RingID{1}, add(n), []transport.RingID{1}, 1, 5*time.Second)
+	resps, err := h.client.Submit(nil, []transport.RingID{1}, add(n), []transport.RingID{1}, 1, 5*time.Second)
 	if err != nil {
 		h.t.Fatalf("submit: %v", err)
 	}
@@ -488,7 +488,7 @@ func TestTrimAfterCheckpoints(t *testing.T) {
 	defer cl.Close()
 
 	for i := 0; i < 30; i++ {
-		if _, err := cl.Submit([]transport.RingID{1}, add(1), []transport.RingID{1}, 1, 5*time.Second); err != nil {
+		if _, err := cl.Submit(nil, []transport.RingID{1}, add(1), []transport.RingID{1}, 1, 5*time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -508,7 +508,7 @@ func TestClientTimeout(t *testing.T) {
 	// Multicast to a ring that exists but whose members never respond to
 	// this client: use an unknown group to force an immediate error, and
 	// a blocked network to force a timeout.
-	if _, err := h.client.Submit([]transport.RingID{99}, add(1), []transport.RingID{99}, 1, 200*time.Millisecond); err == nil {
+	if _, err := h.client.Submit(nil, []transport.RingID{99}, add(1), []transport.RingID{99}, 1, 200*time.Millisecond); err == nil {
 		t.Error("submit to unknown group should fail")
 	}
 }
@@ -524,7 +524,7 @@ func TestConcurrentClients(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				if _, err := h.client.Submit([]transport.RingID{1}, add(1), []transport.RingID{1}, 1, 10*time.Second); err != nil {
+				if _, err := h.client.Submit(nil, []transport.RingID{1}, add(1), []transport.RingID{1}, 1, 10*time.Second); err != nil {
 					errs <- fmt.Errorf("submit: %w", err)
 					return
 				}

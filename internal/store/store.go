@@ -999,6 +999,7 @@ func (c *Client) Scan(k, kHi string) ([]Entry, error) {
 		return nil, err
 	}
 	deadline := time.Now().Add(c.Timeout)
+	var buf [4][]byte // room for the replies of up to four partitions
 	for {
 		schema := c.Schema()
 		targets := schema.GroupsForScan(k, kHi)
@@ -1006,7 +1007,7 @@ func (c *Client) Scan(k, kHi string) ([]Entry, error) {
 		if schema.GlobalGroup != 0 {
 			groups = []transport.RingID{schema.GlobalGroup}
 		}
-		resps, err := c.cl.Submit(groups, op.Request(), targets, len(targets), c.Timeout)
+		resps, err := c.cl.Submit(buf[:0], groups, op.Request(), targets, len(targets), c.Timeout)
 		if err != nil {
 			return nil, err
 		}

@@ -35,7 +35,7 @@ type linkState struct {
 	mu          sync.Mutex
 	nextFree    time.Time // when the link finishes serializing prior sends
 	lastDeliver time.Time // monotonic delivery horizon (FIFO with jitter)
-	queue       []scheduledMsg
+	queue       fifo[scheduledMsg]
 	draining    bool
 }
 
@@ -188,11 +188,14 @@ func (n *Network) sendRun(from ProcessID, run []Message) error {
 	// the ready-prefix batching); untouched links keep the fast path.
 	faulty := n.faults.Active()
 
-	now := time.Now()
 	ready := 0 // prefix of run deliverable immediately
 	pushed := false
 	ls.mu.Lock()
-	busy := ls.draining || len(ls.queue) > 0
+	// Read under the lock: a clock read before it could lag the horizon a
+	// concurrent sender on this link has just stamped, and queue a message
+	// a zero-delay link can deliver at once.
+	now := time.Now()
+	busy := ls.draining || ls.queue.len() > 0
 	for _, m := range run {
 		var oc netem.FaultOutcome
 		if faulty {
@@ -231,10 +234,10 @@ func (n *Network) sendRun(from ProcessID, run []Message) error {
 			pushed = true
 		}
 		busy = true
-		ls.queue = append(ls.queue, scheduledMsg{deliverAt: deliverAt, msg: m, dst: dst})
+		ls.queue.push(scheduledMsg{deliverAt: deliverAt, msg: m, dst: dst})
 		if oc.Dup {
 			m.RetainRefs() // the duplicate is its own in-flight copy
-			ls.queue = append(ls.queue, scheduledMsg{deliverAt: deliverAt, msg: m, dst: dst})
+			ls.queue.push(scheduledMsg{deliverAt: deliverAt, msg: m, dst: dst})
 		}
 		if !ls.draining {
 			ls.draining = true
@@ -255,13 +258,12 @@ func (n *Network) drainLink(ls *linkState) {
 	defer n.timers.Done()
 	for {
 		ls.mu.Lock()
-		if len(ls.queue) == 0 {
+		sm, ok := ls.queue.pop()
+		if !ok {
 			ls.draining = false
 			ls.mu.Unlock()
 			return
 		}
-		sm := ls.queue[0]
-		ls.queue = ls.queue[1:]
 		ls.mu.Unlock()
 
 		if d := time.Until(sm.deliverAt); d > 0 {

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -261,5 +262,70 @@ func TestNetworkSendBatchToCrashedAndBlocked(t *testing.T) {
 	}
 	if m := recvOne(t, b, 5*time.Second); m.Seq != 3 {
 		t.Fatalf("got seq %d, want 3", m.Seq)
+	}
+}
+
+// TestZeroDelayLinkNeverQueues: on a zero-delay link every message is
+// deliverable the moment it is sent, however many goroutines of one
+// process send over the link at once. None may take the queued path — a
+// drain goroutine and a queue slot per message — and each sender's
+// messages still arrive in the order it sent them.
+func TestZeroDelayLinkNeverQueues(t *testing.T) {
+	const senders, each = 8, 10000
+	n := NewNetwork(nil)
+	defer n.Close()
+	a := n.Attach(1, netem.SiteLocal)
+	b := n.Attach(2, netem.SiteLocal)
+	if err := a.Send(2, Message{Kind: KindCommand, Ring: senders, Seq: 0}); err != nil {
+		t.Fatal(err) // creates the link the sampler watches
+	}
+	recvOne(t, b, time.Second)
+	n.mu.Lock()
+	ls := n.links[[2]ProcessID{1, 2}]
+	n.mu.Unlock()
+
+	stop := make(chan struct{})
+	queued := make(chan int, 1)
+	go func() {
+		seen := 0
+		for {
+			select {
+			case <-stop:
+				queued <- seen
+				return
+			default:
+			}
+			ls.mu.Lock()
+			if ls.draining || ls.queue.len() > 0 {
+				seen++
+			}
+			ls.mu.Unlock()
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < senders; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := uint64(0); i < each; i++ {
+				if err := a.Send(2, Message{Kind: KindCommand, Ring: RingID(w), Seq: i}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	var next [senders]uint64
+	for got := 0; got < senders*each; got++ {
+		m := recvOne(t, b, 5*time.Second)
+		if next[m.Ring] != m.Seq {
+			t.Fatalf("sender %d: message %d arrived where %d was due", m.Ring, m.Seq, next[m.Ring])
+		}
+		next[m.Ring]++
+	}
+	wg.Wait()
+	close(stop)
+	if seen := <-queued; seen > 0 {
+		t.Errorf("the zero-delay link was seen queueing %d times", seen)
 	}
 }

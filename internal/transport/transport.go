@@ -53,28 +53,74 @@ func forEachRun(msgs []Message, fn func(run []Message) error) error {
 	return nil
 }
 
-// mailbox is an unbounded FIFO queue bridged onto a channel so receivers
-// can select on incoming messages together with shutdown signals.
+// fifo is an unbounded FIFO queue; its owner guards it with its own lock.
 //
-// The queue is a slice with an explicit head index rather than the usual
+// It is a slice with an explicit head index rather than the usual
 // queue = queue[1:] pop: re-slicing strands the popped prefix, so every
 // append past cap sheds the whole backing array as garbage. Compacting in
 // place lets steady-state traffic cycle through one array with zero
 // allocation, which matters at millions of messages per second.
-type mailbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []Message
-	head   int
-	closed bool
-
-	out  chan Message
-	done chan struct{} // pump exited
+type fifo[T any] struct {
+	buf  []T
+	head int
 }
 
 // maxRetainedQueue bounds the backing array kept after a burst drains;
 // larger arrays are dropped so one spike does not pin memory forever.
 const maxRetainedQueue = 4096
+
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+
+// push appends vs. When that would grow the array past cap, it first
+// slides the live region to the front, so popped slots are reused instead
+// of abandoned.
+func (q *fifo[T]) push(vs ...T) {
+	if q.head > 0 && len(q.buf)+len(vs) > cap(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:]) // drop stale payload/pool pointers
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, vs...)
+}
+
+// pop removes the oldest element; ok is false when the queue is empty.
+func (q *fifo[T]) pop() (v T, ok bool) {
+	if q.head == len(q.buf) {
+		return v, false
+	}
+	v = q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero // release payload/pool pointers to GC
+	q.head++
+	if q.head == len(q.buf) {
+		if cap(q.buf) > maxRetainedQueue {
+			q.buf = nil
+		} else {
+			q.buf = q.buf[:0]
+		}
+		q.head = 0
+	}
+	return v, true
+}
+
+// takeAll empties the queue and returns what it held.
+func (q *fifo[T]) takeAll() []T {
+	rest := q.buf[q.head:]
+	q.buf, q.head = nil, 0
+	return rest
+}
+
+// mailbox is an unbounded FIFO queue bridged onto a channel so receivers
+// can select on incoming messages together with shutdown signals.
+type mailbox struct {
+	mu     sync.Mutex
+	cond   *sync.Cond
+	queue  fifo[Message]
+	closed bool
+
+	out  chan Message
+	done chan struct{} // pump exited
+}
 
 func newMailbox() *mailbox {
 	mb := &mailbox{
@@ -94,25 +140,9 @@ func (mb *mailbox) push(m Message) {
 		m.ReleaseRefs()
 		return
 	}
-	mb.compactLocked()
-	mb.queue = append(mb.queue, m)
+	mb.queue.push(m)
 	mb.mu.Unlock()
 	mb.cond.Signal()
-}
-
-// compactLocked slides the live region to the front of the backing array
-// when the next append would otherwise grow past cap, so popped slots are
-// reused instead of abandoned. Caller holds mb.mu.
-func (mb *mailbox) compactLocked() {
-	if mb.head == 0 || len(mb.queue) < cap(mb.queue) {
-		return
-	}
-	n := copy(mb.queue, mb.queue[mb.head:])
-	for i := n; i < len(mb.queue); i++ {
-		mb.queue[i] = Message{} // drop stale payload/pool pointers
-	}
-	mb.queue = mb.queue[:n]
-	mb.head = 0
 }
 
 // pushAll enqueues a batch of messages under one lock acquisition and one
@@ -129,8 +159,7 @@ func (mb *mailbox) pushAll(msgs []Message) {
 		}
 		return
 	}
-	mb.compactLocked()
-	mb.queue = append(mb.queue, msgs...)
+	mb.queue.push(msgs...)
 	mb.mu.Unlock()
 	mb.cond.Signal()
 }
@@ -141,25 +170,14 @@ func (mb *mailbox) pump() {
 	defer close(mb.out)
 	for {
 		mb.mu.Lock()
-		for mb.head == len(mb.queue) && !mb.closed {
+		for mb.queue.len() == 0 && !mb.closed {
 			mb.cond.Wait()
 		}
-		if mb.head == len(mb.queue) {
-			mb.mu.Unlock()
+		m, ok := mb.queue.pop()
+		mb.mu.Unlock()
+		if !ok {
 			return
 		}
-		m := mb.queue[mb.head]
-		mb.queue[mb.head] = Message{} // release payload/pool pointers to GC
-		mb.head++
-		if mb.head == len(mb.queue) {
-			if cap(mb.queue) > maxRetainedQueue {
-				mb.queue = nil
-			} else {
-				mb.queue = mb.queue[:0]
-			}
-			mb.head = 0
-		}
-		mb.mu.Unlock()
 		mb.out <- m
 	}
 }
@@ -173,9 +191,7 @@ func (mb *mailbox) close() {
 		return
 	}
 	mb.closed = true
-	dropped := mb.queue[mb.head:]
-	mb.queue = nil
-	mb.head = 0
+	dropped := mb.queue.takeAll()
 	mb.mu.Unlock()
 	for i := range dropped {
 		dropped[i].ReleaseRefs()
