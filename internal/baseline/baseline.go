@@ -52,7 +52,7 @@ func (c *serviceClock) occupy(d time.Duration) time.Duration {
 	return done.Sub(now)
 }
 
-// rpcClient matches responses to requests over a Router's service channel.
+// rpcClient matches responses to requests over a Router's service inbox.
 type rpcClient struct {
 	tr transport.Transport
 
@@ -65,7 +65,7 @@ type rpcClient struct {
 	once     sync.Once
 }
 
-func newRPCClient(tr transport.Transport, service <-chan transport.Message) *rpcClient {
+func newRPCClient(tr transport.Transport, service *transport.Inbox) *rpcClient {
 	c := &rpcClient{
 		tr:       tr,
 		pending:  make(map[uint64]chan transport.Message),
@@ -74,30 +74,43 @@ func newRPCClient(tr transport.Transport, service <-chan transport.Message) *rpc
 	}
 	go func() {
 		defer close(c.loopDone)
-		for {
-			select {
-			case <-c.done:
+		serve(service, c.done, func(m transport.Message) {
+			if m.Kind != transport.KindResponse {
 				return
-			case m, ok := <-service:
-				if !ok {
-					return
-				}
-				if m.Kind != transport.KindResponse {
-					continue
-				}
-				c.mu.Lock()
-				ch := c.pending[m.Seq]
-				c.mu.Unlock()
-				if ch != nil {
-					select {
-					case ch <- m:
-					default:
-					}
+			}
+			c.mu.Lock()
+			ch := c.pending[m.Seq]
+			c.mu.Unlock()
+			if ch != nil {
+				select {
+				case ch <- m:
+				default:
 				}
 			}
-		}
+		})
 	}()
 	return c
+}
+
+// serve calls handle on each message service receives, a burst at a time,
+// until done or the inbox closes.
+func serve(service *transport.Inbox, done <-chan struct{}, handle func(transport.Message)) {
+	var burst []transport.Message
+	for {
+		select {
+		case <-done:
+			return
+		case <-service.Ready():
+			var open bool
+			burst, open = service.Take(burst[:0], 64)
+			for _, m := range burst {
+				handle(m)
+			}
+			if !open {
+				return
+			}
+		}
+	}
 }
 
 // errTimeout reports an unanswered baseline request.

@@ -130,11 +130,12 @@ func (b *BookLog) Stop() {
 	}
 }
 
-func (l *bookLeader) loop(service <-chan transport.Message) {
+func (l *bookLeader) loop(service *transport.Inbox) {
 	defer close(l.loopDone)
 	flush := time.NewTicker(l.cfg.FlushInterval)
 	defer flush.Stop()
 	batchID := uint64(0)
+	var burst []transport.Message
 	for {
 		select {
 		case <-l.done:
@@ -170,28 +171,36 @@ func (l *bookLeader) loop(service <-chan transport.Message) {
 				})
 			}
 			l.maybeCommit(batchID)
-		case m, ok := <-service:
-			if !ok {
+		case <-service.Ready():
+			var open bool
+			burst, open = service.Take(burst[:0], 64)
+			for _, m := range burst {
+				l.handle(m)
+			}
+			if !open {
 				return
 			}
-			switch m.Kind {
-			case transport.KindCommand: // client append
-				l.mu.Lock()
-				l.batch = append(l.batch, pendingAppend{
-					client: m.From, seq: m.Seq, size: len(m.Payload),
-				})
-				l.mu.Unlock()
-			case transport.KindResponse: // follower ack
-				l.mu.Lock()
-				l.acks[m.Seq]++
-				l.mu.Unlock()
-				l.maybeCommit(m.Seq)
-			default:
-				// The bookkeeper baseline speaks only append/ack; other
-				// kinds addressed to this process are stray traffic from
-				// the shared transport and are dropped.
-			}
 		}
+	}
+}
+
+func (l *bookLeader) handle(m transport.Message) {
+	switch m.Kind {
+	case transport.KindCommand: // client append
+		l.mu.Lock()
+		l.batch = append(l.batch, pendingAppend{
+			client: m.From, seq: m.Seq, size: len(m.Payload),
+		})
+		l.mu.Unlock()
+	case transport.KindResponse: // follower ack
+		l.mu.Lock()
+		l.acks[m.Seq]++
+		l.mu.Unlock()
+		l.maybeCommit(m.Seq)
+	default:
+		// The bookkeeper baseline speaks only append/ack; other kinds
+		// addressed to this process are stray traffic from the shared
+		// transport and are dropped.
 	}
 }
 
@@ -221,24 +230,16 @@ func (l *bookLeader) maybeCommit(batchID uint64) {
 	}
 }
 
-func (n *bookNode) loop(service <-chan transport.Message) {
+func (n *bookNode) loop(service *transport.Inbox) {
 	defer close(n.loopDone)
-	for {
-		select {
-		case <-n.done:
+	serve(service, n.done, func(m transport.Message) {
+		if m.Kind != transport.KindCommand || len(m.Payload) < 8 {
 			return
-		case m, ok := <-service:
-			if !ok {
-				return
-			}
-			if m.Kind != transport.KindCommand || len(m.Payload) < 8 {
-				continue
-			}
-			batchID := binary.LittleEndian.Uint64(m.Payload[:8])
-			_ = n.disk.Put(batchID, m.Payload[8:]) // synchronous journal write
-			_ = n.tr.Send(m.From, transport.Message{Kind: transport.KindResponse, Seq: batchID})
 		}
-	}
+		batchID := binary.LittleEndian.Uint64(m.Payload[:8])
+		_ = n.disk.Put(batchID, m.Payload[8:]) // synchronous journal write
+		_ = n.tr.Send(m.From, transport.Message{Kind: transport.KindResponse, Seq: batchID})
+	})
 }
 
 // BookClient appends to the Bookkeeper model.

@@ -131,25 +131,15 @@ func (s *EventualStore) Stop() {
 	}
 }
 
-func (srv *eventualServer) loop(service <-chan transport.Message) {
+func (srv *eventualServer) loop(service *transport.Inbox) {
 	defer close(srv.loopDone)
-	for {
-		select {
-		case <-srv.done:
-			return
-		case m, ok := <-service:
-			if !ok {
-				return
-			}
-			if m.Kind != transport.KindCommand {
-				continue
-			}
-			srv.handle(m)
-		}
-	}
+	serve(service, srv.done, srv.handle)
 }
 
 func (srv *eventualServer) handle(m transport.Message) {
+	if m.Kind != transport.KindCommand {
+		return
+	}
 	op, err := store.DecodeOp(m.Payload)
 	if err != nil {
 		return

@@ -68,47 +68,41 @@ func (s *SingleNode) Stop() {
 	_ = s.tr.Close()
 }
 
-func (s *SingleNode) loop(service <-chan transport.Message) {
+func (s *SingleNode) loop(service *transport.Inbox) {
 	defer close(s.loopDone)
-	for {
-		select {
-		case <-s.done:
-			return
-		case m, ok := <-service:
-			if !ok {
-				return
-			}
-			if m.Kind != transport.KindCommand {
-				continue
-			}
-			op, err := store.DecodeOp(m.Payload)
-			if err != nil {
-				continue
-			}
-			s.mu.Lock()
-			raw := s.db.Execute(0, m.Payload)
-			if s.cfg.WAL != nil {
-				switch op.Kind {
-				case store.OpUpdate, store.OpInsert, store.OpDelete:
-					s.walSeq++
-					_ = s.cfg.WAL.Put(s.walSeq, m.Payload)
-				}
-			}
-			s.mu.Unlock()
-			// One service queue models the single server's capacity;
-			// replies are deferred so the accept loop keeps draining.
-			wait := s.clock.occupy(s.cfg.ServiceTime)
-			from, seq := m.From, m.Seq
-			go func() {
-				if wait > 0 {
-					time.Sleep(wait)
-				}
-				_ = s.tr.Send(from, transport.Message{
-					Kind: transport.KindResponse, Seq: seq, Payload: raw,
-				})
-			}()
+	serve(service, s.done, s.handle)
+}
+
+func (s *SingleNode) handle(m transport.Message) {
+	if m.Kind != transport.KindCommand {
+		return
+	}
+	op, err := store.DecodeOp(m.Payload)
+	if err != nil {
+		return
+	}
+	s.mu.Lock()
+	raw := s.db.Execute(0, m.Payload)
+	if s.cfg.WAL != nil {
+		switch op.Kind {
+		case store.OpUpdate, store.OpInsert, store.OpDelete:
+			s.walSeq++
+			_ = s.cfg.WAL.Put(s.walSeq, m.Payload)
 		}
 	}
+	s.mu.Unlock()
+	// One service queue models the single server's capacity; replies are
+	// deferred so the accept loop keeps draining.
+	wait := s.clock.occupy(s.cfg.ServiceTime)
+	from, seq := m.From, m.Seq
+	go func() {
+		if wait > 0 {
+			time.Sleep(wait)
+		}
+		_ = s.tr.Send(from, transport.Message{
+			Kind: transport.KindResponse, Seq: seq, Payload: raw,
+		})
+	}()
 }
 
 // SingleNodeClient is a client of the MySQL model.

@@ -247,9 +247,12 @@ func TestStoreReplyFromBlockNeverChanges(t *testing.T) {
 		timeout := time.After(5 * time.Second)
 		for len(replies) < 3 {
 			select {
-			case m := <-router.Service():
-				if m.Kind == transport.KindResponse && m.Seq == 1 {
-					replies = append(replies, m.Payload)
+			case <-router.Service().Ready():
+				got, _ := router.Service().Take(nil, 64)
+				for _, m := range got {
+					if m.Kind == transport.KindResponse && m.Seq == 1 {
+						replies = append(replies, m.Payload)
+					}
 				}
 			case <-timeout:
 				t.Fatalf("%d of 3 replicas answered the read", len(replies))

@@ -165,7 +165,7 @@ func (d *Deployment) NewClient(site netem.Site) (*Client, error) {
 
 // NewRawProcess attaches a bare process (transport + router) at a site.
 // Reconfiguration controllers use it for their RPC traffic: each
-// process's service channel has a single consumer, so the controller
+// process's service inbox has a single consumer, so the controller
 // cannot share a client's.
 func (d *Deployment) NewRawProcess(site netem.Site) (transport.ProcessID, *transport.Router) {
 	id := transport.ProcessID(d.nextClient.Add(1))

@@ -60,7 +60,7 @@ type Detector struct {
 	self transport.ProcessID
 	svc  *Service
 	tr   transport.Transport
-	in   <-chan transport.Message
+	in   *transport.Inbox
 	opts DetectorOptions
 
 	mu    sync.Mutex
@@ -82,9 +82,9 @@ type peerState struct {
 }
 
 // NewDetector starts a detector for self. in must be the router's
-// Heartbeats channel; tr the matching transport. The detector stops when
-// in closes or Stop is called.
-func NewDetector(self transport.ProcessID, svc *Service, tr transport.Transport, in <-chan transport.Message, opts DetectorOptions) *Detector {
+// Heartbeats inbox; tr the matching transport. The detector stops
+// heartbeating when Stop is called; it stops listening when in closes.
+func NewDetector(self transport.ProcessID, svc *Service, tr transport.Transport, in *transport.Inbox, opts DetectorOptions) *Detector {
 	d := &Detector{
 		self:  self,
 		svc:   svc,
@@ -95,9 +95,8 @@ func NewDetector(self transport.ProcessID, svc *Service, tr transport.Transport,
 		done:  make(chan struct{}),
 	}
 	d.refreshPeers(time.Now())
-	d.wg.Add(2)
-	go d.recvLoop()
-	go d.tickLoop()
+	d.wg.Add(1)
+	go d.loop()
 	return d
 }
 
@@ -125,31 +124,30 @@ func (d *Detector) Suspects() []transport.ProcessID {
 	return out
 }
 
-func (d *Detector) recvLoop() {
-	defer d.wg.Done()
-	for {
-		select {
-		case m, ok := <-d.in:
-			if !ok {
-				return
-			}
-			if m.Kind == transport.KindHeartbeat {
-				d.onBeat(m.From, time.Now())
-			}
-		case <-d.done:
-			return
-		}
-	}
-}
-
-func (d *Detector) tickLoop() {
+// loop records heartbeats as they arrive and, every interval, sends its
+// own and re-evaluates suspicion.
+func (d *Detector) loop() {
 	defer d.wg.Done()
 	t := time.NewTicker(d.opts.Interval)
 	defer t.Stop()
+	ready := d.in.Ready()
+	var burst []transport.Message
 	for {
 		select {
 		case <-d.done:
 			return
+		case <-ready:
+			var open bool
+			burst, open = d.in.Take(burst[:0], 64)
+			now := time.Now()
+			for _, m := range burst {
+				if m.Kind == transport.KindHeartbeat {
+					d.onBeat(m.From, now)
+				}
+			}
+			if !open {
+				ready = nil // keep heartbeating: peers still watch us
+			}
 		case now := <-t.C:
 			d.refreshPeers(now)
 			d.beatAndEvaluate(now)

@@ -64,10 +64,10 @@ type Config struct {
 	// Self/Transport/Service are the controller's own process: prepare
 	// acks and range chunks arrive on Service, requests go out on
 	// Transport. Use a process distinct from Client's (each process's
-	// service channel has a single consumer).
+	// service inbox has a single consumer).
 	Self      transport.ProcessID
 	Transport transport.Transport
-	Service   <-chan transport.Message
+	Service   *transport.Inbox
 	// Timeout bounds each protocol phase (default 5s).
 	Timeout time.Duration
 }
@@ -83,16 +83,15 @@ type Controller struct {
 
 	markerSeq atomic.Uint32
 
-	mu   sync.Mutex // single-flight: one reconfiguration at a time
-	acks chan transport.Message
-	chks chan transport.Message
+	// mu makes reconfigurations single-flight, so the phase running is
+	// the one reader of the service inbox.
+	mu sync.Mutex
 
 	done     chan struct{}
-	loopDone chan struct{}
 	stopOnce sync.Once
 }
 
-// NewController starts a controller.
+// NewController returns a controller.
 func NewController(cfg Config) (*Controller, error) {
 	if cfg.Coord == nil || cfg.Client == nil || cfg.Transport == nil || cfg.Service == nil {
 		return nil, errors.New("reconfig: Coord, Client, Transport and Service are required")
@@ -100,57 +99,15 @@ func NewController(cfg Config) (*Controller, error) {
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 5 * time.Second
 	}
-	c := &Controller{
-		cfg:      cfg,
-		timeout:  cfg.Timeout,
-		acks:     make(chan transport.Message, 64),
-		chks:     make(chan transport.Message, 64),
-		done:     make(chan struct{}),
-		loopDone: make(chan struct{}),
-	}
-	go c.serviceLoop()
-	return c, nil
+	return &Controller{cfg: cfg, timeout: cfg.Timeout, done: make(chan struct{})}, nil
 }
 
-// Close stops the controller's RPC loop.
+// Close aborts a reconfiguration in progress.
 func (c *Controller) Close() {
-	c.stopOnce.Do(func() {
-		close(c.done)
-		<-c.loopDone
-	})
+	c.stopOnce.Do(func() { close(c.done) })
 }
 
-// serviceLoop routes the controller's incoming RPC traffic.
-func (c *Controller) serviceLoop() {
-	defer close(c.loopDone)
-	for {
-		select {
-		case <-c.done:
-			return
-		case m, ok := <-c.cfg.Service:
-			if !ok {
-				return
-			}
-			switch m.Kind {
-			case transport.KindReconfigAck:
-				select {
-				case c.acks <- m:
-				default: // stale ack from a past phase
-				}
-			case transport.KindRangeChunk:
-				select {
-				case c.chks <- m:
-				case <-c.done:
-					return
-				}
-			default:
-				// The controller's service mailbox receives only the RPC
-				// replies it solicited (acks and range chunks); anything
-				// else is late traffic from a finished phase — dropped.
-			}
-		}
-	}
-}
+var errClosed = errors.New("reconfig: controller closed")
 
 // SplitSpec parameterizes a partition split.
 type SplitSpec struct {
@@ -344,20 +301,28 @@ func (c *Controller) prepareAll(spec SplitSpec, marker uint64, schema store.Sche
 		need[p] = true
 	}
 	deadline := time.After(c.timeout)
+	var burst []transport.Message
 	for len(need) > 0 {
 		select {
-		case m := <-c.acks:
-			if m.Seq != marker {
-				continue
+		case <-c.cfg.Service.Ready():
+			var open bool
+			burst, open = c.cfg.Service.Take(burst[:0], 64)
+			for _, m := range burst {
+				if m.Kind != transport.KindReconfigAck || m.Seq != marker {
+					continue // late traffic from a finished phase
+				}
+				if m.Instance != 0 {
+					return fmt.Errorf("reconfig: replica %d rejected prepare: %s", m.From, m.Payload)
+				}
+				delete(need, m.From)
 			}
-			if m.Instance != 0 {
-				return fmt.Errorf("reconfig: replica %d rejected prepare: %s", m.From, m.Payload)
+			if !open {
+				return errClosed
 			}
-			delete(need, m.From)
 		case <-deadline:
 			return fmt.Errorf("reconfig: prepare timed out waiting for %d replica(s)", len(need))
 		case <-c.done:
-			return errors.New("reconfig: controller closed")
+			return errClosed
 		}
 	}
 	return nil
@@ -394,15 +359,6 @@ func (c *Controller) fetchRange(spec SplitSpec, marker uint64) ([]byte, error) {
 }
 
 func (c *Controller) fetchRangeFrom(p transport.ProcessID, marker uint64) ([]byte, error) {
-	// Drain chunks left over from a previously failed attempt.
-	for {
-		select {
-		case <-c.chks:
-			continue
-		default:
-		}
-		break
-	}
 	req := transport.Message{
 		Kind:     transport.KindRangeReq,
 		Seq:      marker,
@@ -419,24 +375,34 @@ func (c *Controller) fetchRangeFrom(p transport.ProcessID, marker uint64) ([]byt
 	resend := time.NewTicker(25 * time.Millisecond)
 	defer resend.Stop()
 	var asm *smr.ChunkAssembly
+	var burst []transport.Message
 	deadline := time.After(c.timeout)
 	for {
 		select {
-		case m := <-c.chks:
-			if m.Seq != marker || m.From != p {
-				continue
-			}
-			if asm == nil {
-				if asm = smr.NewChunkAssembly(m); asm == nil {
-					return nil, fmt.Errorf("reconfig: replica %d sent nonsensical transfer framing", p)
+		case <-c.cfg.Service.Ready():
+			var open bool
+			burst, open = c.cfg.Service.Take(burst[:0], 64)
+			for _, m := range burst {
+				// Chunks of an earlier attempt, from another replica, are
+				// skipped here.
+				if m.Kind != transport.KindRangeChunk || m.Seq != marker || m.From != p {
+					continue
+				}
+				if asm == nil {
+					if asm = smr.NewChunkAssembly(m); asm == nil {
+						return nil, fmt.Errorf("reconfig: replica %d sent nonsensical transfer framing", p)
+					}
+				}
+				done, err := asm.Add(m)
+				if err != nil {
+					return nil, fmt.Errorf("reconfig: range transfer from %d: %w", p, err)
+				}
+				if done {
+					return asm.Bytes(), nil
 				}
 			}
-			done, err := asm.Add(m)
-			if err != nil {
-				return nil, fmt.Errorf("reconfig: range transfer from %d: %w", p, err)
-			}
-			if done {
-				return asm.Bytes(), nil
+			if !open {
+				return nil, errClosed
 			}
 		case <-resend.C:
 			if asm == nil {
@@ -447,7 +413,7 @@ func (c *Controller) fetchRangeFrom(p transport.ProcessID, marker uint64) ([]byt
 		case <-deadline:
 			return nil, fmt.Errorf("reconfig: range transfer from %d timed out", p)
 		case <-c.done:
-			return nil, errors.New("reconfig: controller closed")
+			return nil, errClosed
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"amcast/internal/bufpool"
+	"amcast/internal/netem"
 	"amcast/internal/storage"
 	"amcast/internal/transport"
 )
@@ -162,24 +163,58 @@ func TestDeliveryQueueContract(t *testing.T) {
 	}
 }
 
-// TestNewStartsOnlyTheEventLoop: a node runs one goroutine, its event loop.
-// The consumer pulls from the delivery queue, so no relay sits between the
-// loop and the merge.
+// TestNewStartsOnlyTheEventLoop: a process joined to one ring runs one
+// goroutine for it, the event loop. The transport hands each message to
+// the ring's inbox as it arrives and the consumer pulls from the delivery
+// queue, so no relay sits on either side of the loop.
 func TestNewStartsOnlyTheEventLoop(t *testing.T) {
-	sink := newSinkTransport(2)
-	defer sink.Close()
-	router := transport.NewRouter(sink)
-	router.Ring(1) // the router's own pump for the ring's mailbox
 	svc := ringService(t, 3, fullRoles)
-	before := stableGoroutines()
-	n, err := New(Config{Ring: 1, Self: 2, Router: router, Coord: svc, Log: storage.NewMemLog(), RetryInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
+	start := func(t *testing.T, tr transport.Transport) {
+		n, err := New(Config{Ring: 1, Self: 2, Router: transport.NewRouter(tr), Coord: svc, Log: storage.NewMemLog(), RetryInterval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(n.Stop)
 	}
-	defer n.Stop()
-	if got := stableGoroutines() - before; got != 1 {
-		t.Fatalf("New started %d goroutines, want 1 (the event loop)", got)
-	}
+	t.Run("network", func(t *testing.T) {
+		net := transport.NewNetwork(nil)
+		t.Cleanup(net.Close)
+		before := stableGoroutines()
+		start(t, net.Attach(2, netem.SiteLocal))
+		if got := stableGoroutines() - before; got != 1 {
+			t.Fatalf("Attach, NewRouter and New started %d goroutines, want 1 (the event loop)", got)
+		}
+	})
+	t.Run("tcp", func(t *testing.T) {
+		peer, err := transport.ListenTCP(3, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = peer.Close() })
+		before := stableGoroutines()
+		tr, err := transport.ListenTCP(2, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = tr.Close() })
+		start(t, tr)
+		if got := stableGoroutines() - before; got != 2 {
+			t.Fatalf("ListenTCP, NewRouter and New started %d goroutines, want 2 (accept loop, event loop)", got)
+		}
+		// A connection adds its read loops — one at each end — and
+		// nothing per inbox.
+		peer.SetPeer(2, tr.Addr())
+		if err := peer.Send(2, transport.Message{Kind: transport.KindCommand}); err != nil {
+			t.Fatal(err)
+		}
+		got := stableGoroutines() - before
+		for deadline := time.Now().Add(2 * time.Second); got < 4 && time.Now().Before(deadline); {
+			got = stableGoroutines() - before // the accepting end starts its read loop asynchronously
+		}
+		if got != 4 {
+			t.Fatalf("with one connection the process runs %d more goroutines, want 4", got)
+		}
+	})
 }
 
 // stableGoroutines counts goroutines once two readings 10 ms apart agree,

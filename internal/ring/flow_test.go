@@ -185,10 +185,8 @@ func TestOverloadedCoordinatorRepliesLoudly(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 
 	// An external proposer (not a ring member) sends proposals straight
-	// to the coordinator; overflow must come back as KindOverloaded on
-	// its service channel.
+	// to the coordinator; overflow must come back to it as KindOverloaded.
 	tr := c.net.Attach(99, "local")
-	router := transport.NewRouter(tr)
 	for i := 0; i < 5; i++ {
 		_ = tr.Send(1, transport.Message{
 			Kind:  transport.KindProposal,
@@ -199,7 +197,7 @@ func TestOverloadedCoordinatorRepliesLoudly(t *testing.T) {
 	deadline := time.After(5 * time.Second)
 	for {
 		select {
-		case m := <-router.Service():
+		case m := <-tr.Recv():
 			if m.Kind != transport.KindOverloaded {
 				continue
 			}

@@ -170,7 +170,7 @@ type Node struct {
 	id   transport.ProcessID
 	ring transport.RingID
 	tr   transport.Transport
-	in   <-chan transport.Message
+	in   *transport.Inbox
 
 	watch       <-chan coord.RingConfig
 	cancelWatch func()

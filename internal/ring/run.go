@@ -25,10 +25,12 @@ func (n *Node) run() {
 	// what is queued, then sees the end.
 	defer n.closeDelivery()
 	// Drop every pooled buffer reference the loop state still holds, so
-	// a stopped node leaves nothing outstanding in the pool. The exit
-	// paths run commitStaged and finalHandoff before returning, so only
-	// references with no remaining consumer are left by then.
+	// a stopped node leaves nothing outstanding in the pool. The deferred
+	// commitStaged and finalHandoff below run first, so only references
+	// with no remaining consumer are left by then.
 	defer n.releaseRunState()
+	defer n.finalHandoff()
+	defer n.commitStaged()
 
 	// The retry ticker fires at a quarter of the retry interval so phase-1
 	// re-runs and gap probes react quickly after startup or elections; the
@@ -53,44 +55,29 @@ func (n *Node) run() {
 	// release it before first blocking.
 	n.commitStaged()
 
+	var burst []transport.Message
+
 	for {
 		allowRemoteCatchup := false
 		select {
 		case <-n.done:
-			n.commitStaged()
-			n.finalHandoff()
 			return
 		case cfg, ok := <-n.watch:
 			if !ok {
-				n.commitStaged()
-				n.finalHandoff()
 				return
 			}
 			n.applyConfig(cfg)
-		case m, ok := <-n.in:
-			if !ok {
-				n.commitStaged()
-				n.finalHandoff()
-				return
+		case <-n.in.Ready():
+			// Take the burst that arrived, up to 128 messages, so one WAL
+			// group commit and one coalesced transport flush cover it
+			// instead of paying a write barrier and a syscall per message.
+			var open bool
+			burst, open = n.in.Take(burst[:0], 128)
+			for _, m := range burst {
+				n.consume(m)
 			}
-			n.consume(m)
-			// Drain whatever else already arrived before committing, so
-			// one WAL group commit and one coalesced transport flush
-			// cover a burst of messages instead of paying a write
-			// barrier and a syscall per message.
-		drain:
-			for drained := 0; drained < 128; drained++ {
-				select {
-				case m, more := <-n.in:
-					if !more {
-						n.commitStaged()
-						n.finalHandoff()
-						return
-					}
-					n.consume(m)
-				default:
-					break drain
-				}
+			if !open {
+				return
 			}
 		case <-retry.C:
 			n.retryUndecided()
@@ -320,7 +307,7 @@ func (n *Node) handle(m transport.Message) {
 			n.skipTarget = m.Instance
 		}
 	default:
-		// The router only delivers ring-protocol kinds to this mailbox
+		// The router only delivers ring-protocol kinds to this inbox
 		// (transport.isRingKind); service/heartbeat traffic never reaches
 		// here. Anything else is a kind this ring version does not speak —
 		// fair-lossy transport semantics make dropping it safe.

@@ -48,9 +48,8 @@ func TestBuildNodeCorruptRemoteSnapshotFallsBackLocal(t *testing.T) {
 
 			// Fake peer: advertises instance 50, serves a corrupt snapshot.
 			peerTr := net.Attach(2, netem.SiteLocal)
-			peerRouter := transport.NewRouter(peerTr)
 			go func() {
-				for m := range peerRouter.Service() {
+				for m := range peerTr.Recv() {
 					switch m.Kind {
 					case transport.KindCheckpointReq:
 						_ = peerTr.Send(m.From, transport.Message{

@@ -95,8 +95,8 @@ type ClientConfig struct {
 	// Transport receives responses (via Service) and is kept for
 	// symmetry with Replica.
 	Transport transport.Transport
-	// Service is the process's non-consensus message channel.
-	Service <-chan transport.Message
+	// Service is the process's inbox of non-consensus messages.
+	Service *transport.Inbox
 	// Coord, when set, lets in-flight submissions ride out coordinator
 	// failover: a proposal addressed to a dead coordinator is re-routed
 	// to the newly elected one as soon as the configuration changes
@@ -393,8 +393,10 @@ func (c *Client) OverloadBackoffs() uint64 { return c.overloadBackoff.Load() }
 // backoffs, deadlines and re-routing.
 //
 //lint:eventloop
-func (c *Client) respLoop(service <-chan transport.Message) {
+func (c *Client) respLoop(service *transport.Inbox) {
 	defer close(c.loopDone)
+	ready := service.Ready()
+	var burst []transport.Message
 	for {
 		select {
 		case <-c.done:
@@ -404,13 +406,17 @@ func (c *Client) respLoop(service <-chan transport.Message) {
 			}
 			c.mu.Unlock()
 			return
-		case m, ok := <-service:
-			if !ok {
-				service = nil // deadlines still need the loop
+		case <-ready:
+			var open bool
+			burst, open = service.Take(burst[:0], 64)
+			if !open {
+				ready = nil // deadlines still need the loop
 				continue
 			}
 			c.mu.Lock()
-			c.receiveLocked(m)
+			for _, m := range burst {
+				c.receiveLocked(m)
+			}
 			c.mu.Unlock()
 		case g := <-c.rerouted:
 			// New coordinator: re-route promptly, each command with its

@@ -71,9 +71,9 @@ type ReplicaConfig struct {
 	Node *core.Node
 	// Transport sends client responses and recovery RPC replies.
 	Transport transport.Transport
-	// Service is the non-consensus message channel of this process's
+	// Service is the non-consensus message inbox of this process's
 	// router.
-	Service <-chan transport.Message
+	Service *transport.Inbox
 	// SM is the replicated state machine.
 	SM StateMachine
 	// Checkpoints persists checkpoints (required when CheckpointEvery
@@ -215,9 +215,9 @@ type RecoveryOptions struct {
 	Store recovery.Store
 	// Peers are partition peers to query for newer checkpoints.
 	Peers []transport.ProcessID
-	// Service is the process's service channel (consumed during
-	// recovery only; hand it to the Replica afterwards).
-	Service <-chan transport.Message
+	// Service is the process's service inbox (consumed during recovery
+	// only; hand it to the Replica afterwards).
+	Service *transport.Inbox
 	// Timeout bounds waiting for peer checkpoint responses.
 	Timeout time.Duration
 }
@@ -261,39 +261,33 @@ func BuildNode(opts RecoveryOptions) (BuildNodeResult, error) {
 		}
 		got := 1 // self
 		deadline := time.After(opts.Timeout)
-	collect:
 		for got < quorum {
-			select {
-			case m, ok := <-opts.Service:
-				if !ok {
-					break collect
-				}
-				if m.Kind != transport.KindCheckpointResp || m.Seq != reqSeq {
-					continue // stale traffic during recovery
-				}
-				vec, rest, err := recovery.DecodeVector(m.Payload)
-				if err != nil {
-					continue
-				}
-				// Subscription epoch rides after the vector (absent
-				// in pre-reconfig responses → epoch 0). A higher
-				// epoch wins outright: vectors across an epoch
-				// boundary are not comparable entrywise (the group
-				// set changed), but the transition itself was
-				// checkpointed, so the higher-epoch tuple is by
-				// construction the later one.
-				var epoch uint64
-				if len(rest) >= 8 {
-					epoch = binary.LittleEndian.Uint64(rest[:8])
-				}
-				got++
-				if epoch > bestEpoch || (epoch == bestEpoch && recovery.Compare(vec, best.Vector) > 0) {
-					best = recovery.Checkpoint{Vector: vec}
-					bestEpoch = epoch
-					bestPeer = m.From
-				}
-			case <-deadline:
-				break collect
+			m, ok := nextMessage(opts.Service, deadline)
+			if !ok {
+				break
+			}
+			if m.Kind != transport.KindCheckpointResp || m.Seq != reqSeq {
+				continue // stale traffic during recovery
+			}
+			vec, rest, err := recovery.DecodeVector(m.Payload)
+			if err != nil {
+				continue
+			}
+			// Subscription epoch rides after the vector (absent in
+			// pre-reconfig responses → epoch 0). A higher epoch wins
+			// outright: vectors across an epoch boundary are not
+			// comparable entrywise (the group set changed), but the
+			// transition itself was checkpointed, so the higher-epoch
+			// tuple is by construction the later one.
+			var epoch uint64
+			if len(rest) >= 8 {
+				epoch = binary.LittleEndian.Uint64(rest[:8])
+			}
+			got++
+			if epoch > bestEpoch || (epoch == bestEpoch && recovery.Compare(vec, best.Vector) > 0) {
+				best = recovery.Checkpoint{Vector: vec}
+				bestEpoch = epoch
+				bestPeer = m.From
 			}
 		}
 		// Fetch the remote snapshot if a peer is ahead of us. The peer
@@ -310,40 +304,32 @@ func BuildNode(opts RecoveryOptions) (BuildNodeResult, error) {
 			deadline := time.After(opts.Timeout)
 			var asm *ChunkAssembly
 			best = local
-		fetch:
+			// A timeout leaves the local checkpoint: the acceptors still
+			// have the gap between it and the tip (Predicate 5).
 			for {
-				select {
-				case m, ok := <-opts.Service:
-					if !ok {
-						break fetch
-					}
-					if m.Kind != transport.KindSnapshotChunk || m.Seq != reqSeq {
-						continue
-					}
-					if asm == nil {
-						if asm = NewChunkAssembly(m); asm == nil {
-							break fetch
-						}
-					}
-					done, err := asm.Add(m)
-					if err != nil {
-						break fetch
-					}
-					if !done {
-						continue
-					}
-					cp, err := recovery.DecodeCheckpoint(asm.buf)
-					if err != nil {
-						break fetch
-					}
-					best = cp
-					remote = true
-					break fetch
-				case <-deadline:
-					// The acceptors still have the gap between the
-					// local checkpoint and the tip (Predicate 5).
-					break fetch
+				m, ok := nextMessage(opts.Service, deadline)
+				if !ok {
+					break
 				}
+				if m.Kind != transport.KindSnapshotChunk || m.Seq != reqSeq {
+					continue
+				}
+				if asm == nil {
+					if asm = NewChunkAssembly(m); asm == nil {
+						break
+					}
+				}
+				done, err := asm.Add(m)
+				if err != nil {
+					break
+				}
+				if !done {
+					continue
+				}
+				if cp, err := recovery.DecodeCheckpoint(asm.buf); err == nil {
+					best, remote = cp, true
+				}
+				break
 			}
 		}
 	}
@@ -360,6 +346,27 @@ func BuildNode(opts RecoveryOptions) (BuildNodeResult, error) {
 		return BuildNodeResult{}, err
 	}
 	return BuildNodeResult{Node: node, Checkpoint: best, Remote: remote}, nil
+}
+
+// nextMessage takes the next message from a service inbox, or reports
+// false once deadline fires or the inbox closes. It takes one at a time,
+// so what recovery does not wait for stays queued for the replica.
+func nextMessage(in *transport.Inbox, deadline <-chan time.Time) (transport.Message, bool) {
+	var one [1]transport.Message
+	for {
+		select {
+		case <-in.Ready():
+			got, open := in.Take(one[:0], 1)
+			if !open {
+				return transport.Message{}, false
+			}
+			if len(got) == 1 {
+				return got[0], true
+			}
+		case <-deadline:
+			return transport.Message{}, false
+		}
+	}
 }
 
 // Checkpoint state layout: cursorLen(4) || cursor || dedupLen(4) || dedup ||
@@ -996,15 +1003,20 @@ func (r *Replica) CheckpointsCoalesced() uint64 { return r.coalesced.Load() }
 func (r *Replica) serviceLoop() {
 	defer close(r.loopDone)
 	defer r.sweepReads(true)
+	var burst []transport.Message
 	for {
 		select {
 		case <-r.done:
 			return
-		case m, ok := <-r.cfg.Service:
-			if !ok {
+		case <-r.cfg.Service.Ready():
+			var open bool
+			burst, open = r.cfg.Service.Take(burst[:0], 64)
+			for _, m := range burst {
+				r.handleService(m)
+			}
+			if !open {
 				return
 			}
-			r.handleService(m)
 		case <-r.readKick:
 			r.sweepReads(false)
 		case <-r.readTimer.C:

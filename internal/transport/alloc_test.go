@@ -63,14 +63,14 @@ func roundTrip(t *testing.T, send, recv *TCPNode, msgs []Message, seq *uint64) {
 // warm, pushing ring-kind bursts through encode -> syscall -> pooled
 // block read -> decode -> deliver -> release must not allocate. The
 // bound is a whole-process measurement (AllocsPerRun reads MemStats),
-// so it charges the sender, readLoop, mailbox and pump together.
+// so it charges the sender, readLoop, inbox and Recv bridge together.
 func TestTCPSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates alloc counts")
 	}
 	send, recv, msgs := allocPair(t)
 	var seq uint64
-	// Warm up: fill pool free lists, grow the mailbox queue and the
+	// Warm up: fill pool free lists, grow the inbox queue and the
 	// connection's retained write buffer to their steady-state sizes.
 	for i := 0; i < 50; i++ {
 		roundTrip(t, send, recv, msgs, &seq)
@@ -127,7 +127,7 @@ func TestTCPRefcountRoundTrip(t *testing.T) {
 
 	_ = send.Close()
 	_ = recv.Close()
-	// Closing tears down readLoops and mailboxes asynchronously; the
+	// Closing tears down readLoops and the Recv bridge asynchronously; the
 	// ledger must return to its starting point once they finish.
 	deadline := time.Now().Add(5 * time.Second)
 	for bufpool.Outstanding() != before {

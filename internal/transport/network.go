@@ -30,7 +30,7 @@ type Network struct {
 
 // linkState serializes deliveries on one sender-receiver path. A single
 // drain goroutine per active link sleeps until each message's delivery time
-// and pushes it to the destination mailbox, guaranteeing FIFO order.
+// and hands it to the destination, guaranteeing FIFO order.
 type linkState struct {
 	mu          sync.Mutex
 	nextFree    time.Time // when the link finishes serializing prior sends
@@ -73,14 +73,15 @@ func (n *Network) Faults() *netem.FaultPlan { return n.faults }
 // an existing id replaces the previous endpoint (the old one is closed),
 // which models a process recovering with an empty volatile state.
 func (n *Network) Attach(id ProcessID, site netem.Site) Transport {
-	ep := &netEndpoint{id: id, net: n, mb: newMailbox()}
+	ep := &netEndpoint{id: id, net: n}
+	ep.rx = newRouter(ep)
 	n.mu.Lock()
 	old := n.eps[id]
 	n.eps[id] = ep
 	n.sites[id] = site
 	n.mu.Unlock()
 	if old != nil {
-		old.closeLocal()
+		old.rx.close()
 	}
 	return ep
 }
@@ -93,7 +94,7 @@ func (n *Network) Detach(id ProcessID) {
 	delete(n.eps, id)
 	n.mu.Unlock()
 	if ep != nil {
-		ep.closeLocal()
+		ep.rx.close()
 	}
 }
 
@@ -127,7 +128,7 @@ func (n *Network) Close() {
 	n.eps = make(map[ProcessID]*netEndpoint)
 	n.mu.Unlock()
 	for _, ep := range eps {
-		ep.closeLocal()
+		ep.rx.close()
 	}
 	n.timers.Wait()
 }
@@ -143,8 +144,8 @@ func (n *Network) send(from ProcessID, m Message) error {
 // sendBatch routes a staged batch: consecutive same-destination messages
 // (the dominant shape — a ring burst forwards almost everything to the
 // successor) resolve the destination and take the link lock once per run,
-// and messages deliverable immediately land in the destination mailbox
-// with a single push.
+// and messages deliverable immediately reach the destination's inbox with
+// a single push.
 func (n *Network) sendBatch(from ProcessID, msgs []Message) error {
 	return forEachRun(msgs, func(run []Message) error {
 		return n.sendRun(from, run)
@@ -155,7 +156,7 @@ func (n *Network) sendBatch(from ProcessID, msgs []Message) error {
 // send's per-message schedule computation; messages whose delivery time
 // has already passed on an idle link form a prefix of the run (once one
 // message queues, FIFO forces the rest behind it) and are delivered
-// together.
+// together, on the sender's goroutine.
 func (n *Network) sendRun(from ProcessID, run []Message) error {
 	to := run[0].To
 	n.mu.Lock()
@@ -220,7 +221,7 @@ func (n *Network) sendRun(from ProcessID, run []Message) error {
 		// wire copy: each delivered copy pins its buffers so the sender
 		// releasing its own references cannot recycle bytes a receiver
 		// still reads. Dropped messages (above) take no reference; the
-		// mailbox and drainLink release on their drop paths.
+		// inbox and drainLink release on their drop paths.
 		m.RetainRefs()
 		if !faulty && !busy && deliverAt.Sub(now) <= 0 {
 			ready++
@@ -230,7 +231,7 @@ func (n *Network) sendRun(from ProcessID, run []Message) error {
 			// Release the ready prefix before the first message queues:
 			// once drainLink is running it could otherwise deliver the
 			// suffix ahead of a prefix pushed after unlock.
-			dst.mb.pushAll(run[:ready])
+			dst.rx.route(run[:ready]...)
 			pushed = true
 		}
 		busy = true
@@ -247,7 +248,7 @@ func (n *Network) sendRun(from ProcessID, run []Message) error {
 	}
 	ls.mu.Unlock()
 	if !pushed {
-		dst.mb.pushAll(run[:ready])
+		dst.rx.route(run[:ready]...)
 	}
 	return nil
 }
@@ -274,7 +275,7 @@ func (n *Network) drainLink(ls *linkState) {
 		n.mu.Unlock()
 		// Deliver only if the same endpoint incarnation is attached.
 		if ok && cur == sm.dst {
-			sm.dst.mb.push(sm.msg)
+			sm.dst.rx.route(sm.msg)
 		} else {
 			sm.msg.ReleaseRefs()
 		}
@@ -285,10 +286,7 @@ func (n *Network) drainLink(ls *linkState) {
 type netEndpoint struct {
 	id  ProcessID
 	net *Network
-	mb  *mailbox
-
-	mu     sync.Mutex
-	closed bool
+	rx  *Router // what the endpoint receives goes here
 }
 
 var _ Transport = (*netEndpoint)(nil)
@@ -296,15 +294,14 @@ var _ BatchSender = (*netEndpoint)(nil)
 
 func (e *netEndpoint) ID() ProcessID { return e.id }
 
+func (e *netEndpoint) router() *Router { return e.rx }
+
 // SendBatch routes a staged batch through the hub's coalescing path. Each
 // message's To must be set; From is stamped here.
 func (e *netEndpoint) SendBatch(msgs []Message) error {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
+	if e.rx.isClosed() {
 		return ErrClosed
 	}
-	e.mu.Unlock()
 	for i := range msgs {
 		msgs[i].From = e.id
 	}
@@ -312,18 +309,15 @@ func (e *netEndpoint) SendBatch(msgs []Message) error {
 }
 
 func (e *netEndpoint) Send(to ProcessID, m Message) error {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
+	if e.rx.isClosed() {
 		return ErrClosed
 	}
-	e.mu.Unlock()
 	m.From = e.id
 	m.To = to
 	return e.net.send(e.id, m)
 }
 
-func (e *netEndpoint) Recv() <-chan Message { return e.mb.out }
+func (e *netEndpoint) Recv() <-chan Message { return e.rx.recv() }
 
 func (e *netEndpoint) Close() error {
 	e.net.mu.Lock()
@@ -331,17 +325,6 @@ func (e *netEndpoint) Close() error {
 		delete(e.net.eps, e.id)
 	}
 	e.net.mu.Unlock()
-	e.closeLocal()
+	e.rx.close()
 	return nil
-}
-
-func (e *netEndpoint) closeLocal() {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	e.closed = true
-	e.mu.Unlock()
-	e.mb.close()
 }

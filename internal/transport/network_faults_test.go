@@ -111,14 +111,12 @@ func TestRouterHeartbeatChannel(t *testing.T) {
 	if err := a.Send(2, Message{Kind: KindHeartbeat, Seq: 42}); err != nil {
 		t.Fatal(err)
 	}
-	got := recvN(t, hb, 1, time.Second)
+	got := takeN(t, hb, 1, time.Second)
 	if len(got) != 1 || got[0].Seq != 42 {
-		t.Fatalf("heartbeat channel got %v", got)
+		t.Fatalf("heartbeat inbox got %v", got)
 	}
-	// Heartbeats must not leak into the service channel.
-	select {
-	case m := <-r.Service():
-		t.Fatalf("heartbeat leaked to service channel: %v", m)
-	default:
+	// Heartbeats must not leak into the service inbox.
+	if got, _ := r.Service().Take(nil, 1); len(got) != 0 {
+		t.Fatalf("heartbeat leaked to service inbox: %v", got)
 	}
 }

@@ -175,27 +175,6 @@ func TestNetworkBandwidthSerialization(t *testing.T) {
 	}
 }
 
-func TestMailboxCloseDiscards(t *testing.T) {
-	mb := newMailbox()
-	for i := 0; i < 10; i++ {
-		mb.push(Message{Seq: uint64(i)})
-	}
-	mb.close()
-	mb.push(Message{Seq: 99}) // no-op after close
-	// Channel must be closed eventually.
-	deadline := time.After(time.Second)
-	for {
-		select {
-		case _, ok := <-mb.out:
-			if !ok {
-				return
-			}
-		case <-deadline:
-			t.Fatal("mailbox channel never closed")
-		}
-	}
-}
-
 func TestNetworkSendBatch(t *testing.T) {
 	n := NewNetwork(nil)
 	defer n.Close()

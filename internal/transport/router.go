@@ -1,22 +1,33 @@
 package transport
 
 import (
+	"math"
 	"sync"
 )
 
-// Router demultiplexes one process's incoming messages: consensus traffic
-// is routed to a per-ring channel (a process participates in many rings
-// over a single transport), everything else — client commands, responses,
-// recovery RPCs — goes to the service channel.
+// Router demultiplexes one process's incoming messages into inboxes:
+// consensus traffic into one per ring (a process participates in many
+// rings over a single transport), heartbeats into the failure detector's,
+// and everything else — client commands, responses, recovery RPCs — into
+// the service inbox. It routes on the goroutine that received the message
+// and runs none of its own.
+//
+// A Network endpoint or a TCPNode owns its router from birth and NewRouter
+// hands it out. Until then the router sorts nothing: what arrives waits,
+// in order, in the service inbox, which is what Recv reads.
 type Router struct {
 	tr Transport
 
-	mu     sync.Mutex
-	rings  map[RingID]*mailbox
-	other  *mailbox
-	hb     *mailbox // lazily created by Heartbeats; nil => heartbeats dropped
-	closed bool
-	done   chan struct{}
+	mu      sync.Mutex
+	bound   bool // handed out by NewRouter: demultiplex
+	rings   map[RingID]*Inbox
+	service *Inbox
+	hb      *Inbox // created by Heartbeats; nil => heartbeats dropped
+	closed  bool
+
+	recvOnce sync.Once
+	recvCh   chan Message
+	done     chan struct{} // closed with the router; stops the Recv bridge
 }
 
 // ringKinds are handled by ring.Node instances.
@@ -31,100 +42,181 @@ func isRingKind(k Kind) bool {
 	}
 }
 
-// NewRouter starts routing messages from tr. Close the transport to stop it.
+func newRouter(tr Transport) *Router {
+	return &Router{tr: tr, rings: make(map[RingID]*Inbox), service: newInbox(), done: make(chan struct{})}
+}
+
+// NewRouter returns the router of the messages tr receives; closing tr
+// closes every inbox. A Network endpoint or a TCPNode hands out its own,
+// and what arrived before the first call is sorted first, in order. Any
+// other Transport is read from its Recv channel by one goroutine.
 func NewRouter(tr Transport) *Router {
-	r := &Router{
-		tr:    tr,
-		rings: make(map[RingID]*mailbox),
-		other: newMailbox(),
-		done:  make(chan struct{}),
+	if own, ok := tr.(interface{ router() *Router }); ok {
+		r := own.router()
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if !r.bound {
+			r.bound = true
+			early, _ := r.service.Take(nil, math.MaxInt)
+			r.routeLocked(early)
+		}
+		return r
 	}
-	go r.loop()
+	r := newRouter(tr)
+	r.bound = true
+	go func() {
+		for m := range tr.Recv() {
+			r.route(m)
+		}
+		r.close()
+	}()
 	return r
 }
 
 // Transport returns the underlying transport (for sending).
 func (r *Router) Transport() Transport { return r.tr }
 
-func (r *Router) loop() {
-	defer close(r.done)
-	for m := range r.tr.Recv() {
-		if m.Kind == KindHeartbeat {
-			// Heartbeats are only buffered once a consumer asked for
-			// them; otherwise they are dropped on the floor so an
-			// unconsumed mailbox cannot grow without bound.
-			r.mu.Lock()
-			hb := r.hb
-			r.mu.Unlock()
-			if hb != nil {
-				hb.push(m)
-			} else {
-				m.ReleaseRefs()
-			}
-			continue
-		}
-		if isRingKind(m.Kind) {
-			r.ringMailbox(m.Ring).push(m)
-		} else {
-			r.other.push(m)
-		}
+// route pushes msgs to their inboxes in order, one push per run of
+// messages bound for the same inbox.
+func (r *Router) route(msgs ...Message) {
+	if len(msgs) == 0 {
+		return
 	}
-	// Transport closed: close all mailboxes.
-	r.mu.Lock()
-	r.closed = true
-	boxes := make([]*mailbox, 0, len(r.rings)+2)
-	for _, mb := range r.rings {
-		boxes = append(boxes, mb)
-	}
-	boxes = append(boxes, r.other)
-	if r.hb != nil {
-		boxes = append(boxes, r.hb)
-	}
-	r.mu.Unlock()
-	for _, mb := range boxes {
-		mb.close()
-	}
-}
-
-func (r *Router) ringMailbox(ring RingID) *mailbox {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	mb, ok := r.rings[ring]
-	if !ok {
-		mb = newMailbox()
-		r.rings[ring] = mb
+	r.routeLocked(msgs)
+}
+
+func (r *Router) routeLocked(msgs []Message) {
+	if !r.bound {
+		r.service.push(msgs...)
+		return
 	}
-	return mb
+	for i := 0; i < len(msgs); {
+		in, j := r.inbox(&msgs[i]), i+1
+		for j < len(msgs) && r.inbox(&msgs[j]) == in {
+			j++
+		}
+		if in != nil {
+			in.push(msgs[i:j]...)
+		} else {
+			// Nobody asked for heartbeats: dropped, not buffered, so an
+			// unconsumed inbox cannot grow without bound.
+			releaseAll(msgs[i:j])
+		}
+		i = j
+	}
 }
 
-// Ring returns the channel of consensus messages for one ring. The channel
-// closes when the transport closes.
-func (r *Router) Ring(ring RingID) <-chan Message {
-	return r.ringMailbox(ring).out
+// inbox returns m's inbox (mu held).
+func (r *Router) inbox(m *Message) *Inbox {
+	switch {
+	case m.Kind == KindHeartbeat:
+		return r.hb
+	case isRingKind(m.Kind):
+		return r.ring(m.Ring)
+	default:
+		return r.service
+	}
 }
 
-// Service returns the channel of non-consensus messages (commands,
-// responses, recovery RPCs). The channel closes when the transport closes.
-func (r *Router) Service() <-chan Message {
-	return r.other.out
+func (r *Router) isClosed() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.closed
 }
 
-// Heartbeats returns the channel of failure-detector heartbeats. Until the
+// close closes every inbox and the Recv channel; an inbox created later is
+// born closed, and later arrivals are dropped.
+func (r *Router) close() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return
+	}
+	r.closed = true
+	r.service.close()
+	if r.hb != nil {
+		r.hb.close()
+	}
+	for _, in := range r.rings {
+		in.close()
+	}
+	close(r.done)
+}
+
+// Ring returns the inbox of consensus messages for one ring.
+func (r *Router) Ring(ring RingID) *Inbox {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.ring(ring)
+}
+
+func (r *Router) ring(ring RingID) *Inbox {
+	in, ok := r.rings[ring]
+	if !ok {
+		in = r.newInbox()
+		r.rings[ring] = in
+	}
+	return in
+}
+
+// Service returns the inbox of non-consensus messages (commands,
+// responses, recovery RPCs).
+func (r *Router) Service() *Inbox { return r.service }
+
+// Heartbeats returns the inbox of failure-detector heartbeats. Until the
 // first call, incoming heartbeats are dropped (no consumer, no buffering).
-// The channel closes when the transport closes.
-func (r *Router) Heartbeats() <-chan Message {
+func (r *Router) Heartbeats() *Inbox {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.hb == nil {
-		r.hb = newMailbox()
-		if r.closed {
-			// Router already shut down: close the fresh mailbox so the
-			// caller observes a closed channel rather than a stuck one.
-			r.hb.close()
-		}
+		r.hb = r.newInbox()
 	}
-	return r.hb.out
+	return r.hb
 }
 
-// Done is closed after the router has shut down.
-func (r *Router) Done() <-chan struct{} { return r.done }
+// newInbox returns an inbox for a new consumer, closed if the router
+// already is (mu held).
+func (r *Router) newInbox() *Inbox {
+	in := newInbox()
+	if r.closed {
+		in.close()
+	}
+	return in
+}
+
+// recv returns the channel Recv reads: one goroutine, started on first
+// use, bridges the service inbox onto it.
+func (r *Router) recv() <-chan Message {
+	r.recvOnce.Do(func() {
+		r.recvCh = make(chan Message, 128)
+		go r.bridge()
+	})
+	return r.recvCh
+}
+
+func (r *Router) bridge() {
+	defer func() {
+		close(r.recvCh)
+		for m := range r.recvCh { // what no reader took before the close
+			m.ReleaseRefs()
+		}
+	}()
+	var burst []Message
+	for range r.service.Ready() {
+		var open bool
+		burst, open = r.service.Take(burst[:0], 64)
+		for i, m := range burst {
+			select {
+			case r.recvCh <- m:
+			case <-r.done:
+				releaseAll(burst[i:])
+				return
+			}
+		}
+		if !open {
+			return
+		}
+	}
+}

@@ -19,7 +19,7 @@ import (
 type TCPNode struct {
 	id ProcessID
 	ln net.Listener
-	mb *mailbox
+	rx *Router // what the node receives goes here
 
 	mu     sync.Mutex
 	addrs  map[ProcessID]string
@@ -98,11 +98,11 @@ func ListenTCP(id ProcessID, addr string) (*TCPNode, error) {
 	n := &TCPNode{
 		id:     id,
 		ln:     ln,
-		mb:     newMailbox(),
 		addrs:  make(map[ProcessID]string),
 		conns:  make(map[ProcessID]*tcpConn),
 		redial: make(map[ProcessID]*redialState),
 	}
+	n.rx = newRouter(n)
 	n.wg.Add(1)
 	go n.acceptLoop()
 	return n, nil
@@ -131,8 +131,10 @@ func (n *TCPNode) SetPeer(id ProcessID, addr string) {
 	n.addrs[id] = addr
 }
 
-// Recv returns the incoming message channel.
-func (n *TCPNode) Recv() <-chan Message { return n.mb.out }
+// Recv returns the incoming message channel (see Transport.Recv).
+func (n *TCPNode) Recv() <-chan Message { return n.rx.recv() }
+
+func (n *TCPNode) router() *Router { return n.rx }
 
 // Send encodes and writes m to the peer, dialing if necessary. Connection
 // errors drop the cached connection so a later Send re-dials; the message
@@ -202,7 +204,7 @@ func (n *TCPNode) Close() error {
 		_ = c.c.Close()
 	}
 	n.wg.Wait()
-	n.mb.close()
+	n.rx.close()
 	return err
 }
 
@@ -334,12 +336,13 @@ const readBlockSize = 256 << 10
 
 // readLoop drains one inbound connection. It reads many frames per
 // syscall into a pooled block and decodes them aliasing the block's
-// storage: each ring-kind message carries a block reference that its
-// consumer releases after the burst drains, while other kinds — whose
-// consumers may hold bytes indefinitely — are detached onto the heap
-// immediately. A partial frame left at the end of a block is moved (never
-// compacted in place — earlier frames in the block are still referenced)
-// to a fresh block sized for the frame.
+// storage, and hands each read's frames over together: each ring-kind
+// message carries a block reference that its consumer releases after the
+// burst drains, while other kinds — whose consumers may hold bytes
+// indefinitely — are detached onto the heap immediately. A partial frame
+// left at the end of a block is moved (never compacted in place — earlier
+// frames in the block are still referenced) to a fresh block sized for
+// the frame.
 //
 //lint:pooled
 func (n *TCPNode) readLoop(raw net.Conn) {
@@ -349,6 +352,8 @@ func (n *TCPNode) readLoop(raw net.Conn) {
 	defer func() { block.Release() }()
 	data := block.Bytes()
 	start, end := 0, 0
+	var arrived []Message
+	defer func() { n.rx.route(arrived...) }() // the frames ahead of a corrupt one
 	for {
 		// Decode every complete frame buffered in [start, end).
 		for end-start >= 4 {
@@ -374,8 +379,11 @@ func (n *TCPNode) readLoop(raw net.Conn) {
 				// by its consumer: detach from the block here.
 				m.DetachAlias()
 			}
-			n.mb.push(m)
+			arrived = append(arrived, m)
 		}
+		// One hand-off per read: a coalesced burst reaches its inbox whole.
+		n.rx.route(arrived...)
+		arrived = arrived[:0]
 		// Refill. If the remaining space cannot hold the next frame
 		// (partial tail near the block's end, or an oversized frame),
 		// move the tail to a fresh block first.

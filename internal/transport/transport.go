@@ -1,9 +1,6 @@
 package transport
 
-import (
-	"errors"
-	"sync"
-)
+import "errors"
 
 // Transport lets a process exchange messages with other processes. Send is
 // asynchronous and best-effort: delivery fails silently if the destination
@@ -16,8 +13,10 @@ type Transport interface {
 	// receiver. An error is returned only for local failures (closed
 	// transport, unknown destination address).
 	Send(to ProcessID, m Message) error
-	// Recv returns the channel of incoming messages. The channel is
-	// closed when the transport is closed.
+	// Recv returns the channel of incoming messages, for a transport used
+	// without a Router: once NewRouter binds one, messages go to its
+	// inboxes instead. The channel is closed when the transport is
+	// closed.
 	Recv() <-chan Message
 	// Close releases resources and closes the Recv channel.
 	Close() error
@@ -85,13 +84,17 @@ func (q *fifo[T]) push(vs ...T) {
 
 // pop removes the oldest element; ok is false when the queue is empty.
 func (q *fifo[T]) pop() (v T, ok bool) {
-	if q.head == len(q.buf) {
-		return v, false
-	}
-	v = q.buf[q.head]
-	var zero T
-	q.buf[q.head] = zero // release payload/pool pointers to GC
-	q.head++
+	var one [1]T
+	ok = len(q.take(one[:0], 1)) == 1
+	return one[0], ok
+}
+
+// take moves up to max of the oldest elements onto dst and returns it.
+func (q *fifo[T]) take(dst []T, max int) []T {
+	k := min(max, q.len())
+	dst = append(dst, q.buf[q.head:q.head+k]...)
+	clear(q.buf[q.head : q.head+k]) // release payload/pool pointers to GC
+	q.head += k
 	if q.head == len(q.buf) {
 		if cap(q.buf) > maxRetainedQueue {
 			q.buf = nil
@@ -100,110 +103,5 @@ func (q *fifo[T]) pop() (v T, ok bool) {
 		}
 		q.head = 0
 	}
-	return v, true
-}
-
-// takeAll empties the queue and returns what it held.
-func (q *fifo[T]) takeAll() []T {
-	rest := q.buf[q.head:]
-	q.buf, q.head = nil, 0
-	return rest
-}
-
-// mailbox is an unbounded FIFO queue bridged onto a channel so receivers
-// can select on incoming messages together with shutdown signals.
-type mailbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  fifo[Message]
-	closed bool
-
-	out  chan Message
-	done chan struct{} // pump exited
-}
-
-func newMailbox() *mailbox {
-	mb := &mailbox{
-		out:  make(chan Message, 128),
-		done: make(chan struct{}),
-	}
-	mb.cond = sync.NewCond(&mb.mu)
-	go mb.pump()
-	return mb
-}
-
-// push enqueues a message; drops it if the mailbox is closed.
-func (mb *mailbox) push(m Message) {
-	mb.mu.Lock()
-	if mb.closed {
-		mb.mu.Unlock()
-		m.ReleaseRefs()
-		return
-	}
-	mb.queue.push(m)
-	mb.mu.Unlock()
-	mb.cond.Signal()
-}
-
-// pushAll enqueues a batch of messages under one lock acquisition and one
-// wakeup, so coalesced sends stay coalesced through the receive queue.
-func (mb *mailbox) pushAll(msgs []Message) {
-	if len(msgs) == 0 {
-		return
-	}
-	mb.mu.Lock()
-	if mb.closed {
-		mb.mu.Unlock()
-		for i := range msgs {
-			msgs[i].ReleaseRefs()
-		}
-		return
-	}
-	mb.queue.push(msgs...)
-	mb.mu.Unlock()
-	mb.cond.Signal()
-}
-
-// pump moves messages from the unbounded queue to the bounded channel.
-func (mb *mailbox) pump() {
-	defer close(mb.done)
-	defer close(mb.out)
-	for {
-		mb.mu.Lock()
-		for mb.queue.len() == 0 && !mb.closed {
-			mb.cond.Wait()
-		}
-		m, ok := mb.queue.pop()
-		mb.mu.Unlock()
-		if !ok {
-			return
-		}
-		mb.out <- m
-	}
-}
-
-// close stops the pump after the queue drains to empty-or-closed state.
-// Pending messages are discarded.
-func (mb *mailbox) close() {
-	mb.mu.Lock()
-	if mb.closed {
-		mb.mu.Unlock()
-		return
-	}
-	mb.closed = true
-	dropped := mb.queue.takeAll()
-	mb.mu.Unlock()
-	for i := range dropped {
-		dropped[i].ReleaseRefs()
-	}
-	mb.cond.Signal()
-	// Drain out so the pump can observe closure even if a message is
-	// parked on the channel send; drained messages are dropped, so their
-	// pooled references are dropped with them.
-	go func() {
-		for m := range mb.out {
-			m.ReleaseRefs()
-		}
-	}()
-	<-mb.done
+	return dst
 }
