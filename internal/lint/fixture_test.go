@@ -109,6 +109,10 @@ func TestBufownFixtures(t *testing.T) {
 	runFixture(t, []*Analyzer{BufownAnalyzer}, "bufownfail", "bufownpass")
 }
 
+func TestFileSizeFixtures(t *testing.T) {
+	runFixture(t, []*Analyzer{FileSizeAnalyzer}, "filesizefail")
+}
+
 // TestFullSuiteOnFixtures runs all analyzers together over every
 // fail/pass fixture, proving the analyzers do not interfere (an
 // eventloop root in the logfwd fixtures must not trip loopblock, and
@@ -120,6 +124,7 @@ func TestFullSuiteOnFixtures(t *testing.T) {
 		"kindswitchfail", "kindswitchpass",
 		"logfwdfail", "logfwdpass",
 		"bufownfail", "bufownpass",
+		"filesizefail",
 	)
 }
 

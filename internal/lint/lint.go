@@ -62,6 +62,7 @@ func All() []*Analyzer {
 		KindswitchAnalyzer,
 		LogBeforeForwardAnalyzer,
 		BufownAnalyzer,
+		FileSizeAnalyzer,
 	}
 }
 

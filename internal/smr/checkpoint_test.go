@@ -303,6 +303,14 @@ func TestCheckpointSaveFailureRetriesAtNextBatch(t *testing.T) {
 // stop when the test ends.
 func soloReplica(t *testing.T, store recovery.Store, every int) (*Replica, *counterSM, func(uint64)) {
 	t.Helper()
+	sm := &counterSM{}
+	rep, submit := soloReplicaSM(t, store, every, sm)
+	return rep, sm, submit
+}
+
+// soloReplicaSM is soloReplica with the state machine sm.
+func soloReplicaSM(t *testing.T, store recovery.Store, every int, sm StateMachine) (*Replica, func(uint64)) {
+	t.Helper()
 	net := transport.NewNetwork(nil)
 	t.Cleanup(net.Close)
 	svc := coord.NewService()
@@ -317,7 +325,6 @@ func soloReplica(t *testing.T, store recovery.Store, every int) (*Replica, *coun
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm := &counterSM{}
 	rep, err := NewReplica(ReplicaConfig{
 		Self: 1, Partition: 1, Groups: []transport.RingID{1},
 		Node: node, Transport: tr, Service: router.Service(),
@@ -340,7 +347,7 @@ func soloReplica(t *testing.T, store recovery.Store, every int) (*Replica, *coun
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Close)
-	return rep, sm, func(n uint64) {
+	return rep, func(n uint64) {
 		t.Helper()
 		if _, err := cl.Submit(nil, []transport.RingID{1}, add(n), []transport.RingID{1}, 1, 5*time.Second); err != nil {
 			t.Fatalf("submit: %v", err)
@@ -422,6 +429,53 @@ func TestCheckpointCaptureSerializedOnce(t *testing.T) {
 	}
 	if c, s, m := sm.captures.Load(), sm.serialized.Load(), sm.misused.Load(); c != 3 || s != 3 || m != 0 {
 		t.Errorf("captures %d, serialized %d, misused %d; want 3, 3, 0", c, s, m)
+	}
+}
+
+// slowSM is a counterSM whose next ExecuteBatch, once armed, closes
+// entered and then takes block.
+type slowSM struct {
+	*counterSM
+	armed   atomic.Bool
+	entered chan struct{}
+	block   time.Duration
+}
+
+func (s *slowSM) ExecuteBatch(groups []transport.RingID, ops [][]byte) [][]byte {
+	if s.armed.CompareAndSwap(true, false) {
+		close(s.entered)
+		time.Sleep(s.block)
+	}
+	return s.counterSM.ExecuteBatch(groups, ops)
+}
+
+// TestCheckpointStallCountsOnlyTheCapture: CheckpointStallMax counts the
+// time a capture blocks delivery, not the writer's own wait for a batch
+// being applied. A cut is owed when the writer is released, and the batch
+// the writer then waits behind takes 200 ms.
+func TestCheckpointStallCountsOnlyTheCapture(t *testing.T) {
+	const block = 200 * time.Millisecond
+	store := &gatedStore{gate: make(chan struct{})}
+	sm := &slowSM{counterSM: &counterSM{}, entered: make(chan struct{}), block: block}
+	rep, submit := soloReplicaSM(t, store, 2, sm)
+	open := sync.OnceFunc(func() { close(store.gate) })
+	t.Cleanup(open) // before rep.Stop, which waits for the writer
+	submit(1)
+	submit(1) // a capture, serialized; its Save hangs
+	waitFor(t, "the first Save", func() bool { return store.waiting.Load() == 1 })
+	submit(1)
+	submit(1) // a capture, pending behind the hung writer
+	submit(1)
+	submit(1) // a boundary that finds it pending and owes its cut
+	sm.armed.Store(true)
+	go func() {
+		<-sm.entered
+		open() // the writer serializes the pending capture, then waits for the batch
+	}()
+	submit(1) // the slow batch
+	waitFor(t, "the owed checkpoint", func() bool { return rep.CheckpointCount() == 3 })
+	if got := rep.CheckpointStallMax(); got > block/4 {
+		t.Errorf("CheckpointStallMax = %v; the only batch that blocked took %v and no capture waited for it", got, block)
 	}
 }
 

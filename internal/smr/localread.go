@@ -142,11 +142,8 @@ type parkedRead struct {
 // noteBoundary runs on the merge goroutine after every batch boundary: it
 // advances the replica's applied vector to the node's delivered vector
 // (all of which has now been applied) and, while reads are parked, kicks
-// the service loop to serve the ones the new vector covers. It also pays
-// a checkpoint an earlier boundary owes (payOwedCheckpoint), at a
-// skip-only boundary too, which deliverBatch never sees.
+// the service loop to serve the ones the new vector covers.
 func (r *Replica) noteBoundary() {
-	r.payOwedCheckpoint()
 	r.readMu.Lock()
 	r.cfg.Node.FoldDeliveredVector(r.appliedVec)
 	kick := len(r.parked) > 0

@@ -129,13 +129,11 @@ type Replica struct {
 	readBuf     []byte
 	readReplies []byte
 
-	// mu guards safeVec/safeEpoch, the only state shared with the
-	// service loop (trim and recovery RPCs). Everything below it is owned
-	// by the merge goroutine, so batch execution never holds a lock a
-	// service RPC could wait on.
-	mu        sync.Mutex
-	safeVec   recovery.Vector // vector of the last durable checkpoint
-	safeEpoch uint64          // subscription epoch of that checkpoint
+	// ckpt is the checkpoint pipeline (checkpoint.go); it holds safeVec,
+	// the only state shared with the service loop (trim and recovery
+	// RPCs). Everything below it is owned by the merge goroutine, so
+	// batch execution never holds a lock a service RPC could wait on.
+	ckpt ckptPipeline
 
 	// resubArmed is set while an epoch transition is registered with the
 	// node and cleared once the merge applies it (observed at a batch
@@ -143,31 +141,8 @@ type Replica struct {
 	resubArmed atomic.Bool
 	epoch      uint64 // merge-goroutine view of the subscription epoch
 
-	// Checkpoint writer pipeline: the delivery goroutine captures
-	// (vector, cursor, dedup, snapshot) at a batch boundary and parks it
-	// in ckptPending; the writer goroutine serializes it, clears
-	// ckptPending and persists it. At most one capture is unserialized: a
-	// boundary that finds one pending leaves it to the writer and owes a
-	// checkpoint instead, recording its cut (vector, cursor, dedup) in
-	// ckptOwed. The owed checkpoint is taken at the first boundary after
-	// the writer has serialized the pending one or, if no batch has been
-	// applied since the cut, by the writer itself — so an owed checkpoint
-	// never waits for more traffic. A slow disk thus coalesces checkpoints
-	// instead of queueing them, and every capture is serialized (the
-	// StateSnapshot contract).
-	ckptMu      sync.Mutex
-	ckptPending *ckptCapture                // guarded by ckptMu
-	ckptOwed    atomic.Pointer[ckptCapture] // snap unset; stored under ckptMu
-	ckptKick    chan struct{}               // signals the writer (buffered, 1)
-	ckptDone    chan struct{}               // closed when the writer exits
-	ckptRetry   atomic.Bool                 // a Save failed; retry at the next batch boundary
-	ckptStallNs atomic.Int64                // max time checkpointing blocked delivery
-	coalesced   atomic.Uint64               // checkpoint boundaries skipped: a capture was pending
-
 	// Merge-goroutine-owned execution state.
 	dedup     map[transport.ProcessID]*clientWindow // duplicate suppression
-	executed  uint64
-	batches   uint64 // batches applied; written under applyGate
 	sinceCkpt int
 
 	// Scratch buffers for batch execution, owned by the merge goroutine
@@ -183,10 +158,9 @@ type Replica struct {
 	respVec   recovery.Vector // delivered high-water marks stamped on respBuf
 
 	executedTotal atomic.Uint64
-	checkpoints   atomic.Uint64
 
 	done     chan struct{}
-	loopDone chan struct{}
+	loops    sync.WaitGroup // the service loop and the checkpoint writer
 	stopOnce sync.Once
 }
 
@@ -195,178 +169,6 @@ type Replica struct {
 type cmdKey struct {
 	client transport.ProcessID
 	seq    uint64
-}
-
-// BuildNodeResult carries what BuildNode recovered.
-type BuildNodeResult struct {
-	// Node is ready to Join/Subscribe with recovery applied.
-	Node *core.Node
-	// Checkpoint is the state snapshot to restore (nil state if none).
-	Checkpoint recovery.Checkpoint
-	// Remote reports whether the checkpoint came from a peer.
-	Remote bool
-}
-
-// RecoveryOptions parameterizes BuildNode.
-type RecoveryOptions struct {
-	// Self, Router, Coord, NewLog, M, Ring: as core.Config.
-	Core core.Config
-	// Store is the local checkpoint store.
-	Store recovery.Store
-	// Peers are partition peers to query for newer checkpoints.
-	Peers []transport.ProcessID
-	// Service is the process's service inbox (consumed during recovery
-	// only; hand it to the Replica afterwards).
-	Service *transport.Inbox
-	// Timeout bounds waiting for peer checkpoint responses.
-	Timeout time.Duration
-}
-
-// BuildNode performs replica recovery per Section 5.2 and returns a
-// configured (but not yet joined/subscribed) core.Node:
-//
-//  1. Load the latest local checkpoint.
-//  2. Ask partition peers for their checkpoint tuples and wait for a
-//     recovery quorum Q_R (majority of the partition, counting self).
-//  3. Select the most up-to-date checkpoint (Predicate 3); if remote,
-//     fetch its snapshot.
-//  4. Configure the node's StartVector/StartCursor from it.
-//
-// On a fresh partition (no checkpoints anywhere) it returns a clean node.
-func BuildNode(opts RecoveryOptions) (BuildNodeResult, error) {
-	if opts.Timeout == 0 {
-		opts.Timeout = 2 * time.Second
-	}
-	var local recovery.Checkpoint
-	if opts.Store != nil {
-		if cp, ok := opts.Store.Latest(); ok {
-			local = cp
-		}
-	}
-	localEpoch := uint64(0)
-	if cur, err := decodeStateCursor(local.State); err == nil {
-		localEpoch = cur.Epoch
-	}
-	best := local
-	bestEpoch := localEpoch
-	bestPeer := transport.ProcessID(0)
-	remote := false
-
-	tr := opts.Core.Router.Transport()
-	if len(opts.Peers) > 0 && opts.Service != nil {
-		quorum := (len(opts.Peers)+1)/2 + 1 // majority incl. self
-		reqSeq := uint64(time.Now().UnixNano())
-		for _, p := range opts.Peers {
-			_ = tr.Send(p, transport.Message{Kind: transport.KindCheckpointReq, Seq: reqSeq})
-		}
-		got := 1 // self
-		deadline := time.After(opts.Timeout)
-		for got < quorum {
-			m, ok := nextMessage(opts.Service, deadline)
-			if !ok {
-				break
-			}
-			if m.Kind != transport.KindCheckpointResp || m.Seq != reqSeq {
-				continue // stale traffic during recovery
-			}
-			vec, rest, err := recovery.DecodeVector(m.Payload)
-			if err != nil {
-				continue
-			}
-			// Subscription epoch rides after the vector (absent in
-			// pre-reconfig responses → epoch 0). A higher epoch wins
-			// outright: vectors across an epoch boundary are not
-			// comparable entrywise (the group set changed), but the
-			// transition itself was checkpointed, so the higher-epoch
-			// tuple is by construction the later one.
-			var epoch uint64
-			if len(rest) >= 8 {
-				epoch = binary.LittleEndian.Uint64(rest[:8])
-			}
-			got++
-			if epoch > bestEpoch || (epoch == bestEpoch && recovery.Compare(vec, best.Vector) > 0) {
-				best = recovery.Checkpoint{Vector: vec}
-				bestEpoch = epoch
-				bestPeer = m.From
-			}
-		}
-		// Fetch the remote snapshot if a peer is ahead of us. The peer
-		// streams it as KindSnapshotChunk frames (a monolithic response
-		// could not carry a state larger than one transport frame);
-		// reassemble and verify before adopting it. On ANY failure —
-		// timeout, inconsistent framing, CRC mismatch, undecodable
-		// checkpoint — fall back to the LOCAL checkpoint: a vector
-		// without its state must never survive here, because restarting
-		// with a safeVec we do not actually hold would let the trim
-		// protocol (Predicate 2) discard instances we still need.
-		if bestPeer != 0 {
-			_ = tr.Send(bestPeer, transport.Message{Kind: transport.KindSnapshotReq, Seq: reqSeq})
-			deadline := time.After(opts.Timeout)
-			var asm *ChunkAssembly
-			best = local
-			// A timeout leaves the local checkpoint: the acceptors still
-			// have the gap between it and the tip (Predicate 5).
-			for {
-				m, ok := nextMessage(opts.Service, deadline)
-				if !ok {
-					break
-				}
-				if m.Kind != transport.KindSnapshotChunk || m.Seq != reqSeq {
-					continue
-				}
-				if asm == nil {
-					if asm = NewChunkAssembly(m); asm == nil {
-						break
-					}
-				}
-				done, err := asm.Add(m)
-				if err != nil {
-					break
-				}
-				if !done {
-					continue
-				}
-				if cp, err := recovery.DecodeCheckpoint(asm.buf); err == nil {
-					best, remote = cp, true
-				}
-				break
-			}
-		}
-	}
-
-	cfg := opts.Core
-	if len(best.Vector) > 0 {
-		cfg.StartVector = best.Vector
-		if cur, err := decodeStateCursor(best.State); err == nil {
-			cfg.StartCursor = cur
-		}
-	}
-	node, err := core.New(cfg)
-	if err != nil {
-		return BuildNodeResult{}, err
-	}
-	return BuildNodeResult{Node: node, Checkpoint: best, Remote: remote}, nil
-}
-
-// nextMessage takes the next message from a service inbox, or reports
-// false once deadline fires or the inbox closes. It takes one at a time,
-// so what recovery does not wait for stays queued for the replica.
-func nextMessage(in *transport.Inbox, deadline <-chan time.Time) (transport.Message, bool) {
-	var one [1]transport.Message
-	for {
-		select {
-		case <-in.Ready():
-			got, open := in.Take(one[:0], 1)
-			if !open {
-				return transport.Message{}, false
-			}
-			if len(got) == 1 {
-				return got[0], true
-			}
-		case <-deadline:
-			return transport.Message{}, false
-		}
-	}
 }
 
 // Checkpoint state layout: cursorLen(4) || cursor || dedupLen(4) || dedup ||
@@ -583,14 +385,11 @@ func NewReplica(cfg ReplicaConfig, recovered recovery.Checkpoint) (*Replica, err
 		cfg:         cfg,
 		tr:          cfg.Transport,
 		dedup:       make(map[transport.ProcessID]*clientWindow),
-		safeVec:     make(recovery.Vector),
 		appliedVec:  make(recovery.Vector),
 		respVec:     make(recovery.Vector),
 		runKeys:     make(map[cmdKey]struct{}),
-		ckptKick:    make(chan struct{}, 1),
-		ckptDone:    make(chan struct{}),
+		ckpt:        ckptPipeline{captures: make(chan *ckptCapture, 1)},
 		done:        make(chan struct{}),
-		loopDone:    make(chan struct{}),
 		readKick:    make(chan struct{}, 1),
 		readWait:    metrics.NewHistogram(),
 		readTimer:   time.NewTimer(localReadWaitMax),
@@ -598,6 +397,7 @@ func NewReplica(cfg ReplicaConfig, recovered recovery.Checkpoint) (*Replica, err
 	}
 	r.readTimer.Stop()
 	groups := cfg.Groups
+	r.ckpt.safeVec = recovered.Vector.Clone()
 	if len(recovered.State) > 0 {
 		cur, dedup, snap, err := decodeStateParts(recovered.State)
 		if err != nil {
@@ -609,8 +409,7 @@ func NewReplica(cfg ReplicaConfig, recovered recovery.Checkpoint) (*Replica, err
 		if r.dedup, err = decodeDedup(dedup); err != nil {
 			return nil, fmt.Errorf("smr: corrupt recovered dedup table: %w", err)
 		}
-		r.safeVec = recovered.Vector.Clone()
-		r.safeEpoch = cur.Epoch
+		r.ckpt.safeEpoch = cur.Epoch
 		r.epoch = cur.Epoch
 		// The checkpointed cursor records the subscription in force when
 		// it was taken — including epoch transitions applied since the
@@ -626,8 +425,6 @@ func NewReplica(cfg ReplicaConfig, recovered recovery.Checkpoint) (*Replica, err
 				return nil, fmt.Errorf("smr: persist recovered checkpoint: %w", err)
 			}
 		}
-	} else if len(recovered.Vector) > 0 {
-		r.safeVec = recovered.Vector.Clone()
 	}
 	r.cfg.Groups = groups
 	for _, g := range groups {
@@ -651,6 +448,7 @@ func NewReplica(cfg ReplicaConfig, recovered recovery.Checkpoint) (*Replica, err
 	r.readMu.Lock()
 	cfg.Node.FoldDeliveredVector(r.appliedVec)
 	r.readMu.Unlock()
+	r.loops.Add(2)
 	go r.checkpointWriter()
 	go r.serviceLoop()
 	return r, nil
@@ -673,7 +471,6 @@ func NewReplica(cfg ReplicaConfig, recovered recovery.Checkpoint) (*Replica, err
 func (r *Replica) deliverBatch(ds []core.Delivery) {
 	// Local reads are shut out for the duration.
 	r.applyGate.Lock()
-	r.batches++
 	r.respBuf = r.respBuf[:0]
 	executed := 0
 
@@ -716,21 +513,16 @@ func (r *Replica) deliverBatch(ds []core.Delivery) {
 		}
 	}
 	executed += r.flushRun()
-	r.executed += uint64(executed)
 	r.sinceCkpt += executed
-	takeCkpt := r.cfg.CheckpointEvery > 0 && r.sinceCkpt >= r.cfg.CheckpointEvery
-	if takeCkpt {
+	ckptEv := ckptBoundary
+	if r.cfg.CheckpointEvery > 0 && r.sinceCkpt >= r.cfg.CheckpointEvery {
 		// Carry the overshoot: a checkpoint is taken at the first
 		// batch boundary after each interval. One oversized batch
 		// (a packed instance can exceed LimitBatch) yields a single
 		// checkpoint — taking several at the same boundary would
 		// snapshot identical state.
 		r.sinceCkpt %= r.cfg.CheckpointEvery
-	} else if r.cfg.CheckpointEvery > 0 && r.ckptRetry.Load() {
-		// A previous durable write failed: retry at this batch boundary
-		// instead of silently waiting out another full interval while
-		// trim stays pinned at the stale safeVec.
-		takeCkpt = true
+		ckptEv = ckptDueBoundary
 	}
 	if r.resubArmed.Load() {
 		// An epoch transition is registered with the node; the merge cut
@@ -741,7 +533,7 @@ func (r *Replica) deliverBatch(ds []core.Delivery) {
 		if cur := r.cfg.Node.MergeCursor(); cur.Epoch > r.epoch {
 			r.epoch = cur.Epoch
 			r.resubArmed.Store(false)
-			takeCkpt = r.cfg.Checkpoints != nil
+			ckptEv = ckptDueBoundary
 		}
 	}
 
@@ -750,8 +542,8 @@ func (r *Replica) deliverBatch(ds []core.Delivery) {
 	}
 	// Checkpoint at the batch boundary: DeliveredVector/MergeCursor
 	// describe exactly the state after this batch (Section 5.2).
-	if takeCkpt {
-		r.checkpoint()
+	if r.cfg.Checkpoints != nil {
+		r.feed(ckptEv, nil)
 	}
 	r.applyGate.Unlock()
 	// Flush the batch's client responses. Ring carries the delivery
@@ -813,195 +605,11 @@ func (r *Replica) flushRun() int {
 	return nrun
 }
 
-// ckptCapture is everything the checkpoint writer needs, captured
-// consistently at a batch boundary on the merge goroutine; the writer
-// serializes snap. batch is the replica's batch count at the cut.
-type ckptCapture struct {
-	vector recovery.Vector
-	cursor core.Cursor
-	dedup  []byte
-	snap   StateSnapshot
-	batch  uint64
-}
-
-// checkpoint captures the state machine with its identifying tuple and
-// merge cursor and hands the capture to the background writer. Runs on the
-// merge goroutine at a batch boundary (inside deliverBatch), so vector,
-// cursor and snapshot are mutually consistent (Section 5.2). The blocking
-// part is the state machine's cheap capture plus the (small) dedup
-// encoding — microseconds, independent of state size; serialization, CRC
-// and the durable write all happen off the delivery path. safeVec advances
-// only on the writer's durability ack, so trim never outruns a checkpoint
-// that is actually on disk.
-//
-// While the writer has not yet serialized the previous capture, the
-// boundary is skipped and counted, and the checkpoint is owed (see
-// takeCheckpoint).
-func (r *Replica) checkpoint() {
-	if r.cfg.Checkpoints == nil {
-		return
-	}
-	if !r.takeCheckpoint() {
-		r.coalesced.Add(1)
-	}
-}
-
-// payOwedCheckpoint runs at every batch boundary: while a checkpoint is
-// owed it takes it once the writer has serialized the pending capture,
-// and otherwise moves the owed cut up to this boundary. Runs on the merge
-// goroutine.
-func (r *Replica) payOwedCheckpoint() {
-	if r.ckptOwed.Load() == nil {
-		return
-	}
-	r.applyGate.Lock()
-	r.takeCheckpoint()
-	r.applyGate.Unlock()
-}
-
-// takeCheckpoint captures a checkpoint at this boundary and reports true,
-// or, while a capture is still pending, records the boundary's cut as the
-// owed checkpoint and reports false. Runs on the merge goroutine with
-// applyGate held, which keeps the writer from paying an owed checkpoint
-// meanwhile.
-func (r *Replica) takeCheckpoint() bool {
-	start := time.Now() //lint:allow determinism checkpoint-stall telemetry only: the duration feeds a local gauge, never replicated state or checkpoint bytes
-	r.ckptMu.Lock()
-	if r.ckptPending != nil {
-		if owed := r.ckptOwed.Load(); owed == nil || owed.batch != r.batches {
-			r.ckptOwed.Store(r.cut())
-		}
-		r.ckptMu.Unlock()
-		return false
-	}
-	c := r.cut()
-	c.snap = r.cfg.SM.CaptureSnapshot()
-	r.park(c)
-	r.ckptMu.Unlock()
-	select {
-	case r.ckptKick <- struct{}{}:
-	default:
-	}
-	r.noteStall(time.Since(start)) //lint:allow determinism checkpoint-stall telemetry only: the duration feeds a local gauge, never replicated state or checkpoint bytes
-	return true
-}
-
-// cut reads the identifying tuple, merge cursor and dedup windows of the
-// state after the last applied batch. Runs on the merge goroutine.
-func (r *Replica) cut() *ckptCapture {
-	return &ckptCapture{
-		vector: r.cfg.Node.DeliveredVector(),
-		cursor: r.cfg.Node.MergeCursor(),
-		dedup:  encodeDedup(r.dedup), // merge-goroutine-owned state
-		batch:  r.batches,
-	}
-}
-
-// park hands a capture to the writer; it pays any owed checkpoint. The
-// caller holds ckptMu, and no capture is pending.
-func (r *Replica) park(c *ckptCapture) {
-	r.ckptRetry.Store(false)
-	r.ckptPending = c
-	r.ckptOwed.Store(nil)
-}
-
-// payOwedFromWriter takes the owed checkpoint on the writer goroutine,
-// once it has serialized the pending capture, if no batch has been applied
-// since the owed cut: the state machine still holds exactly the cut's
-// state, so the capture pairs with it. Otherwise the boundary of the
-// batch applied since pays it (payOwedCheckpoint).
-func (r *Replica) payOwedFromWriter() {
-	if r.ckptOwed.Load() == nil {
-		return
-	}
-	start := time.Now()
-	r.applyGate.Lock()
-	r.ckptMu.Lock()
-	if c := r.ckptOwed.Load(); c != nil && r.ckptPending == nil && c.batch == r.batches {
-		c.snap = r.cfg.SM.CaptureSnapshot()
-		r.park(c)
-	}
-	r.ckptMu.Unlock()
-	r.applyGate.Unlock()
-	r.noteStall(time.Since(start))
-}
-
-// nextCapture returns the pending capture, or nil.
-func (r *Replica) nextCapture() *ckptCapture {
-	r.ckptMu.Lock()
-	defer r.ckptMu.Unlock()
-	return r.ckptPending
-}
-
-// writeCheckpoint serializes the pending capture, which frees the slot for
-// the next one, and durably persists it, advancing safeVec on success. On
-// failure it arms the retry flag so the next batch boundary re-captures
-// instead of waiting out a full interval.
-func (r *Replica) writeCheckpoint(c *ckptCapture) {
-	snap := c.snap.Serialize()
-	r.ckptMu.Lock()
-	r.ckptPending = nil
-	r.ckptMu.Unlock()
-	r.payOwedFromWriter()
-	state := encodeStateParts(c.cursor, c.dedup, snap)
-	if err := r.cfg.Checkpoints.Save(recovery.Checkpoint{Vector: c.vector, State: state}); err != nil {
-		r.ckptRetry.Store(true)
-		return // keep serving; trim just cannot advance yet
-	}
-	r.mu.Lock()
-	if c.cursor.Epoch > r.safeEpoch ||
-		(c.cursor.Epoch == r.safeEpoch && recovery.Compare(c.vector, r.safeVec) > 0) {
-		r.safeVec = c.vector.Clone()
-		r.safeEpoch = c.cursor.Epoch
-	}
-	r.mu.Unlock()
-	r.checkpoints.Add(1)
-}
-
-// checkpointWriter is the dedicated background goroutine that turns
-// captures into durable checkpoints, one at a time. A capture still
-// pending when the replica stops is dropped unserialized: the state
-// machine executes nothing more for this replica.
-func (r *Replica) checkpointWriter() {
-	defer close(r.ckptDone)
-	for {
-		select {
-		case <-r.done:
-			return
-		case <-r.ckptKick:
-			for c := r.nextCapture(); c != nil; c = r.nextCapture() {
-				r.writeCheckpoint(c)
-			}
-		}
-	}
-}
-
-// noteStall records the time a checkpoint capture blocked the delivery
-// goroutine.
-func (r *Replica) noteStall(d time.Duration) {
-	for {
-		cur := r.ckptStallNs.Load()
-		if int64(d) <= cur || r.ckptStallNs.CompareAndSwap(cur, int64(d)) {
-			return
-		}
-	}
-}
-
-// CheckpointStallMax reports the longest delivery stall a checkpoint has
-// caused since start (the benchmark's recovery.ckpt_stall_max_ms).
-func (r *Replica) CheckpointStallMax() time.Duration {
-	return time.Duration(r.ckptStallNs.Load())
-}
-
-// CheckpointsCoalesced reports the checkpoint boundaries skipped because
-// the writer had not yet serialized the previous capture (instrumentation).
-func (r *Replica) CheckpointsCoalesced() uint64 { return r.coalesced.Load() }
-
 // serviceLoop answers trim and recovery RPCs and serves local reads: a
 // parked read is answered from here when a batch boundary covers it, when
 // its deadline passes or, at the latest, when the loop exits.
 func (r *Replica) serviceLoop() {
-	defer close(r.loopDone)
+	defer r.loops.Done()
 	defer r.sweepReads(true)
 	var burst []transport.Message
 	for {
@@ -1030,9 +638,8 @@ func (r *Replica) handleService(m transport.Message) {
 	case transport.KindSafeReq:
 		// Trim protocol: report k[x]p, the group's instance in our
 		// last durable checkpoint (Section 5.2, Predicate 2).
-		r.mu.Lock()
-		k := r.safeVec[m.Ring]
-		r.mu.Unlock()
+		vec, _ := r.safe()
+		k := vec[m.Ring]
 		if r.tr != nil {
 			_ = r.tr.Send(m.From, transport.Message{
 				Kind:     transport.KindSafeResp,
@@ -1041,10 +648,7 @@ func (r *Replica) handleService(m transport.Message) {
 			})
 		}
 	case transport.KindCheckpointReq:
-		r.mu.Lock()
-		vec := r.safeVec.Clone()
-		epoch := r.safeEpoch
-		r.mu.Unlock()
+		vec, epoch := r.safe()
 		if r.tr != nil {
 			// The subscription epoch rides after the vector so the
 			// recovering peer can rank tuples across reconfigurations.
@@ -1135,13 +739,6 @@ func (r *Replica) Halted() (transport.RingID, bool) {
 	return r.cfg.Node.MergeHalted()
 }
 
-// Epoch reports the subscription epoch of the last durable checkpoint.
-func (r *Replica) Epoch() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.safeEpoch
-}
-
 // Subscription reports the node's current subscribed groups (ascending).
 func (r *Replica) Subscription() []transport.RingID {
 	return r.cfg.Node.Subscription()
@@ -1200,16 +797,6 @@ func SeedCheckpoint(groups []transport.RingID, epoch uint64, snap []byte) recove
 // ExecutedCount reports commands executed (excluding duplicates).
 func (r *Replica) ExecutedCount() uint64 { return r.executedTotal.Load() }
 
-// CheckpointCount reports checkpoints taken since start.
-func (r *Replica) CheckpointCount() uint64 { return r.checkpoints.Load() }
-
-// SafeVector returns the tuple of the last durable checkpoint.
-func (r *Replica) SafeVector() recovery.Vector {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.safeVec.Clone()
-}
-
 // Stop halts the replica, its checkpoint writer and its node. The node
 // stops first — Node.Stop joins the merge goroutine — so no capture can
 // be enqueued after the checkpoint writer exits. The service loop answers
@@ -1218,7 +805,6 @@ func (r *Replica) Stop() {
 	r.stopOnce.Do(func() {
 		r.cfg.Node.Stop()
 		close(r.done)
-		<-r.loopDone
-		<-r.ckptDone
+		r.loops.Wait()
 	})
 }
