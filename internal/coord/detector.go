@@ -111,19 +111,6 @@ func (d *Detector) Stop() {
 	d.svc.ClearObserver(d.self)
 }
 
-// Suspects returns the peers this observer currently suspects (diagnostics).
-func (d *Detector) Suspects() []transport.ProcessID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var out []transport.ProcessID
-	for id, ps := range d.peers {
-		if ps.suspected {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // loop records heartbeats as they arrive and, every interval, sends its
 // own and re-evaluates suspicion.
 func (d *Detector) loop() {

@@ -62,17 +62,6 @@ func (s *Service) ClearObserver(observer transport.ProcessID) {
 	s.evalSuspicionAllLocked()
 }
 
-// Suspectors returns the observers currently suspecting target (diagnostics).
-func (s *Service) Suspectors(target transport.ProcessID) []transport.ProcessID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []transport.ProcessID
-	for obs := range s.suspicion[target] {
-		out = append(out, obs)
-	}
-	return out
-}
-
 // downAnywhereLocked reports whether id is marked down in some ring.
 func (s *Service) downAnywhereLocked(id transport.ProcessID) bool {
 	for _, st := range s.rings {

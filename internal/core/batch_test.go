@@ -218,7 +218,6 @@ func TestUnpackAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates alloc counts")
 	}
-	n := &Node{}
 	var packed []transport.InstanceValue
 	for id := uint64(1); id <= 16; id++ {
 		packed = append(packed, transport.InstanceValue{Value: transport.Value{ID: id, Count: 1, Data: make([]byte, 1<<10)}})
@@ -228,9 +227,9 @@ func TestUnpackAllocs(t *testing.T) {
 	}}
 	batch := make([]Delivery, 0, 64)
 	allocs := testing.AllocsPerRun(200, func() {
-		out, added, hitMarker := n.unpack(batch, 1, nil, d, 16)
-		if len(out) != 16 || added != 16<<10 || !hitMarker || out[15].ValueID != 16 || out[0].Instance != 7 {
-			t.Fatalf("unpacked %d messages, %d bytes, marker=%v", len(out), added, hitMarker)
+		out, hitMarker := unpack(batch, 1, d, 16)
+		if len(out) != 16 || !hitMarker || out[15].ValueID != 16 || out[0].Instance != 7 || len(out[15].Data) != 1<<10 {
+			t.Fatalf("unpacked %d messages, marker=%v", len(out), hitMarker)
 		}
 	})
 	if allocs != 0 {
@@ -238,7 +237,7 @@ func TestUnpackAllocs(t *testing.T) {
 	}
 	// A truncated packet delivers none of its messages.
 	d.Value.Data = d.Value.Data[:len(d.Value.Data)-1]
-	if out, added, hitMarker := n.unpack(batch, 1, nil, d, 16); len(out) != 0 || added != 0 || hitMarker {
-		t.Errorf("corrupt packet delivered %d messages (%d bytes, marker=%v)", len(out), added, hitMarker)
+	if out, hitMarker := unpack(batch, 1, d, 16); len(out) != 0 || hitMarker {
+		t.Errorf("corrupt packet delivered %d messages (marker=%v)", len(out), hitMarker)
 	}
 }

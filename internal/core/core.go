@@ -44,7 +44,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"amcast/internal/bufpool"
 	"amcast/internal/coord"
 	"amcast/internal/metrics"
 	"amcast/internal/recovery"
@@ -202,10 +201,8 @@ type Node struct {
 	mergeDone chan struct{}
 	done      chan struct{}
 	// wake is poked by every joined ring's delivery queue (ring.Config.Wake)
-	// so a merge blocked on one ring still sees what the others deliver;
-	// heldScratch is that merge's per-ring view of them (awaitTurn).
-	wake        chan struct{}
-	heldScratch []uint64
+	// so a merge blocked on one ring still sees what the others deliver.
+	wake chan struct{}
 
 	proposeSeq atomic.Uint32
 	delivered  atomic.Uint64
@@ -397,7 +394,7 @@ func (n *Node) SubscribeBatch(handler BatchHandler, groups ...transport.RingID) 
 		if !rc.Roles(n.id).Has(coord.RoleLearner) {
 			return ErrNotSubscribed
 		}
-		srcs = append(srcs, n.newSource(g, rn))
+		srcs = append(srcs, &ringSource{rn: rn})
 		if _, ok := n.vector[g]; !ok {
 			n.vector[g] = n.cfg.StartVector[g]
 		}
@@ -412,7 +409,7 @@ func (n *Node) SubscribeBatch(handler BatchHandler, groups ...transport.RingID) 
 	n.subscribed = sorted
 	n.cursor = cur
 	n.merging = true
-	go n.merge(sorted, srcs, handler, cur.Clone())
+	go n.merge(newMergeState(n.cfg.M, cur.Clone(), n.cfg.StartVector), srcs, handler)
 	return nil
 }
 
@@ -491,366 +488,6 @@ func (n *Node) CancelResubscribe(marker uint64) bool {
 	return n.resub.CompareAndSwap(p, nil)
 }
 
-// ringSource is the merge's cursor over one ring's delivery queue: it
-// holds the batch in progress and recycles exhausted buffers back to the
-// ring. frontier is the next instance the ring owes the merge.
-type ringSource struct {
-	rn     *ring.Node
-	buf    []ring.Delivery
-	idx    int
-	closed bool // the ring ended its delivery stream
-
-	frontier uint64
-}
-
-// newSource starts reading ring g where its learner starts delivering.
-func (n *Node) newSource(g transport.RingID, rn *ring.Node) *ringSource {
-	return &ringSource{rn: rn, frontier: n.cfg.StartVector[g] + 1}
-}
-
-// ready reports whether a delivery is available without blocking, taking
-// the ring's next queued batch once the current one is exhausted.
-func (s *ringSource) ready() bool {
-	if s.idx < len(s.buf) {
-		return true
-	}
-	s.recycle()
-	s.buf, s.closed = s.rn.TakeBatch()
-	return s.buf != nil
-}
-
-// held counts the instances the ring's learner has decided from the
-// frontier through its last value: what a merge blocked on another ring
-// could deliver if that ring caught up. Skips past the last value are not
-// worth chasing (two idle rings would ask for each other's fillers
-// forever). It reads the ring's queue, not buf: the value may sit behind
-// a batch of skips the blocked merge has not taken yet.
-func (s *ringSource) held() uint64 {
-	if last := s.rn.LastValue(); last >= s.frontier {
-		return last - s.frontier + 1
-	}
-	return 0
-}
-
-// next returns the current delivery and advances. Call only after ready or
-// awaitTurn returned true.
-func (s *ringSource) next() ring.Delivery {
-	d := s.buf[s.idx]
-	s.idx++
-	s.frontier = d.Instance + d.Value.Span()
-	return d
-}
-
-// recycle hands an exhausted batch buffer back to the ring for reuse.
-func (s *ringSource) recycle() {
-	if s.buf != nil {
-		s.rn.ReleaseBatch(s.buf)
-		s.buf, s.idx = nil, 0
-	}
-}
-
-// merge implements the deterministic merge, batch-at-a-time: round-robin
-// over subscribed rings in ascending ring-id order, consuming M consensus
-// instances per turn. Skip values advance the cursor without delivering.
-// Credit from skip ranges that overshoot a turn's quota carries over to
-// later turns, so all learners observe identical turn boundaries.
-//
-// Deliveries accumulate into one output batch; the batch is flushed — the
-// delivered vector and cursor published under a single lock acquisition,
-// then the handler invoked — when it reaches the configured bounds or when
-// the merge would otherwise block waiting for a ring.
-//
-// When an epoch transition is armed (PrepareResubscribe) and the consumed
-// instance carries the marker value, the batch is cut immediately after
-// that instance and the subscription switches before the handler runs: the
-// published cursor already carries the new group set and incremented
-// epoch, so a checkpoint taken inside that handler records the
-// transition exactly at the marker.
-//
-//lint:deterministic
-func (n *Node) merge(groups []transport.RingID, srcs []*ringSource, handler BatchHandler, cur Cursor) {
-	defer close(n.mergeDone)
-	defer func() {
-		for _, s := range srcs {
-			s.recycle()
-		}
-	}()
-	m := uint64(n.cfg.M)
-	maxMsgs := n.batchMessages
-	n.progressNs.Store(nowNanos()) // merge is live from this point
-	batch := make([]Delivery, 0, maxMsgs)
-	batchBytes := 0
-	high := make([]uint64, len(groups)) // delivered marks pending publication
-
-	// held pins the pooled buffers backing the batch's payload aliases:
-	// a ring batch can recycle (ringSource.recycle) before this batch is
-	// emitted, so the merge takes one reference per consumed delivery and
-	// drops them only after the handler has run.
-	var held []*bufpool.Buf
-	releaseHeld := func() {
-		for idx, b := range held {
-			b.Release()
-			held[idx] = nil
-		}
-		held = held[:0]
-	}
-	defer releaseHeld()
-
-	// emit hands the accumulated batch to the handler (after the vector
-	// and cursor were published by the caller).
-	emit := func() {
-		if len(batch) > 0 {
-			n.delivered.Add(uint64(len(batch)))
-			handler(batch)
-			for idx := range batch {
-				batch[idx] = Delivery{} // release payload references
-			}
-			batch = batch[:0]
-			batchBytes = 0
-		}
-		// No batch entry aliases pooled bytes anymore.
-		releaseHeld()
-	}
-	// publish writes the delivered high-water marks under the node lock;
-	// the caller extends the same critical section with cursor (and, on a
-	// switch, subscription) updates before unlocking.
-	publish := func() {
-		for idx, hi := range high {
-			if hi > n.vector[groups[idx]] {
-				n.vector[groups[idx]] = hi
-			}
-			high[idx] = 0
-		}
-	}
-	flush := func() {
-		n.mu.Lock()
-		publish()
-		if n.cursor.Epoch == cur.Epoch && len(n.cursor.Credits) == len(cur.Credits) {
-			// Same subscription as the last publication (a switch
-			// installs a fresh clone): only the position moved, and
-			// MergeCursor hands out copies, so overwrite in place.
-			copy(n.cursor.Credits, cur.Credits)
-			n.cursor.Next, n.cursor.Remaining = cur.Next, cur.Remaining
-		} else {
-			n.cursor = cur.Clone()
-		}
-		n.mu.Unlock()
-		n.progressNs.Store(nowNanos())
-		emit()
-		if fn := n.boundary.Load(); fn != nil {
-			(*fn)()
-		}
-	}
-
-	for {
-		i := cur.Next
-		if cur.Remaining == 0 {
-			if cur.Credits[i] >= m {
-				cur.Credits[i] -= m
-				cur.Next = (i + 1) % len(groups)
-				continue
-			}
-			cur.Remaining = m - cur.Credits[i]
-			cur.Credits[i] = 0
-		}
-		for cur.Remaining > 0 {
-			if !srcs[i].ready() {
-				// About to block: hand over what we have so the
-				// subscriber is never idle while the merge waits.
-				flush()
-				if !n.awaitTurn(&cur, groups, srcs) {
-					// Ring stream ended. At Stop that is normal; while
-					// the node is still running it means the ring
-					// terminated delivery (e.g. a catch-up range trimmed
-					// beyond recovery) — record it so the halt is
-					// observable (MergeHalted / Replica.Halted) instead
-					// of the merge vanishing silently.
-					n.noteMergeHalt(groups[i])
-					return
-				}
-			}
-			d := srcs[i].next()
-			if d.Value.Buf != nil {
-				d.Value.Buf.Retain()
-				held = append(held, d.Value.Buf)
-			}
-			span := d.Value.Span()
-			if span >= cur.Remaining {
-				cur.Credits[i] += span - cur.Remaining
-				cur.Remaining = 0
-				// Normalize so a snapshot taken at the flush resumes
-				// at the next group's turn.
-				cur.Next = (i + 1) % len(groups)
-			} else {
-				cur.Remaining -= span
-			}
-			if end := d.Instance + span - 1; end > high[i] {
-				high[i] = end
-			}
-			pending := n.resub.Load()
-			var marker uint64 // armed transition's value id (never 0)
-			if pending != nil {
-				marker = pending.marker
-			}
-			hitMarker := false
-			switch {
-			case d.Value.Skip:
-				// Rate-leveling filler: consumed silently.
-			case d.Value.Batched:
-				var added int
-				batch, added, hitMarker = n.unpack(batch, groups[i], srcs[i].rn, d, marker)
-				batchBytes += added
-			default:
-				batch = append(batch, Delivery{
-					Group:    groups[i],
-					Instance: d.Instance,
-					ValueID:  d.Value.ID,
-					Data:     d.Value.Data,
-				})
-				n.traceDelivery(srcs[i].rn, &batch[len(batch)-1])
-				batchBytes += len(d.Value.Data)
-				hitMarker = marker != 0 && d.Value.ID == marker
-			}
-			if hitMarker {
-				// Epoch transition: cut the batch at the marker
-				// instance, switch the subscription, then hand the
-				// batch over — the handler observes the new cursor
-				// (epoch+1, fresh round-robin) at this boundary.
-				groups, srcs = n.switchSubscription(pending, groups, srcs, &cur, publish)
-				high = make([]uint64, len(groups))
-				emit()
-				if fn := n.boundary.Load(); fn != nil {
-					(*fn)()
-				}
-				break // restart the round-robin on the new group set
-			}
-			if len(batch) >= maxMsgs || batchBytes >= maxBatchBytes {
-				flush()
-			}
-			select {
-			case <-n.done:
-				return
-			default:
-			}
-		}
-	}
-}
-
-// unpack appends the application messages packed into one consensus
-// instance (message packing, Section 4) to batch in packet order, every one
-// stamped with the packet's instance. It walks the packet with an iterator,
-// not a callback: a closure over the merge's batch state would be a heap
-// allocation per packed instance. A corrupt payload rolls back, so a packed
-// instance delivers all of its messages or none. It returns the extended
-// batch, the payload bytes added, and whether a message carried marker (the
-// armed epoch transition's value id; 0 when none is armed).
-func (n *Node) unpack(batch []Delivery, group transport.RingID, rn *ring.Node, d ring.Delivery, marker uint64) ([]Delivery, int, bool) {
-	mark, added, hitMarker := len(batch), 0, false
-	it := transport.IterBatch(d.Value.Data)
-	for {
-		iv, ok := it.Next()
-		if !ok {
-			break
-		}
-		batch = append(batch, Delivery{
-			Group:    group,
-			Instance: d.Instance,
-			ValueID:  iv.Value.ID,
-			Data:     iv.Value.Data,
-		})
-		n.traceDelivery(rn, &batch[len(batch)-1])
-		added += len(iv.Value.Data)
-		if marker != 0 && iv.Value.ID == marker {
-			hitMarker = true
-		}
-	}
-	if it.Err() != nil {
-		return batch[:mark], 0, false
-	}
-	return batch, added, hitMarker
-}
-
-// traceDelivery stamps an unpacked delivery with the sampled trace
-// context its ring saw for the value id (if any) and records the
-// "merge" hop: the instant the deterministic merge emitted the value
-// into the globally ordered stream. Runs on the merge goroutine;
-// telemetry only — the context never feeds delivered state.
-func (n *Node) traceDelivery(rn *ring.Node, d *Delivery) {
-	if n.cfg.Tracer == nil {
-		return
-	}
-	ctx, ok := rn.TraceContextOf(d.ValueID)
-	if !ok {
-		return
-	}
-	d.Trace = ctx
-	n.cfg.Tracer.Add(ctx, "merge", uint32(d.Group), d.Instance, d.ValueID, time.Now(), 0) //lint:allow determinism trace telemetry only: the span timestamp feeds the trace recorder, never delivered state
-}
-
-// switchSubscription applies an armed epoch transition at the marker
-// boundary: it publishes the delivered marks (including the marker
-// instance), prunes/extends the vector for the new group set, installs a
-// fresh cursor at epoch+1 and rebuilds the ring sources — kept rings
-// continue from their exact positions, removed rings end their delivery
-// stream (ring.Node.DropDeliveries: the node may still be an acceptor of
-// that ring, and it must queue nothing for a merge that left), added rings
-// start at their join point. Runs on the merge goroutine.
-func (n *Node) switchSubscription(pending *resubRequest, groups []transport.RingID, srcs []*ringSource, cur *Cursor, publish func()) ([]transport.RingID, []*ringSource) {
-	newGroups := append([]transport.RingID(nil), pending.groups...)
-
-	n.mu.Lock()
-	publish()
-	for g := range n.vector {
-		if !containsRing(newGroups, g) {
-			delete(n.vector, g)
-		}
-	}
-	for _, g := range newGroups {
-		if _, ok := n.vector[g]; !ok {
-			n.vector[g] = n.cfg.StartVector[g]
-		}
-	}
-	for idx, g := range groups {
-		if containsRing(newGroups, g) {
-			continue
-		}
-		// Fully leaving a ring (stopping the learner) is future work.
-		srcs[idx].recycle()
-		srcs[idx].rn.DropDeliveries()
-		if n.dropped == nil {
-			n.dropped = make(map[transport.RingID]bool)
-		}
-		n.dropped[g] = true
-	}
-	*cur = Cursor{
-		Groups:  append([]transport.RingID(nil), newGroups...),
-		Credits: make([]uint64, len(newGroups)),
-		Epoch:   cur.Epoch + 1,
-	}
-	n.cursor = cur.Clone()
-	n.subscribed = append([]transport.RingID(nil), newGroups...)
-	rings := make(map[transport.RingID]*ring.Node, len(newGroups))
-	for _, g := range newGroups {
-		rings[g] = n.rings[g]
-	}
-	n.mu.Unlock()
-
-	bySrc := make(map[transport.RingID]*ringSource, len(groups))
-	for idx, g := range groups {
-		bySrc[g] = srcs[idx]
-	}
-	newSrcs := make([]*ringSource, len(newGroups))
-	for idx, g := range newGroups {
-		if s, ok := bySrc[g]; ok {
-			newSrcs[idx] = s
-			continue
-		}
-		newSrcs[idx] = n.newSource(g, rings[g])
-	}
-	n.resub.CompareAndSwap(pending, nil)
-	return newGroups, newSrcs
-}
-
 // noteMergeHalt records that the merge exited because a subscribed
 // ring's delivery stream ended while the node was NOT stopping.
 func (n *Node) noteMergeHalt(g transport.RingID) {
@@ -863,11 +500,6 @@ func (n *Node) noteMergeHalt(g transport.RingID) {
 	n.halted, n.haltedRing = true, g
 	n.mu.Unlock()
 }
-
-// MergeDone is closed when the deterministic merge goroutine exits — at
-// Stop, or prematurely if a subscribed ring's delivery stream terminated
-// (see MergeHalted). It never closes on a node that was not subscribed.
-func (n *Node) MergeDone() <-chan struct{} { return n.mergeDone }
 
 // MergeHalted reports whether the merge exited prematurely — a
 // subscribed ring terminated its delivery stream while the node was
@@ -1054,12 +686,6 @@ func nowNanos() int64 { return int64(time.Since(progressEpoch)) }
 
 var progressEpoch = time.Now()
 
-// SinceProgress reports how long ago the deterministic merge last flushed
-// a batch boundary (published its vector and cursor). Skip-only flushes
-// count as progress — they prove the merge is consuming the streams — so
-// the value bounds how stale this learner's state can be relative to the
-// global delivered order. ok is false before the first subscription
-// flush, when no bound can be given.
 // SetBatchBoundary installs fn to be called by the merge goroutine after
 // every batch-boundary flush, once the flushed prefix has been fully
 // processed by the delivery handler (including skip-only flushes, which
@@ -1074,6 +700,12 @@ func (n *Node) SetBatchBoundary(fn func()) {
 	n.boundary.Store(&fn)
 }
 
+// SinceProgress reports how long ago the deterministic merge last flushed
+// a batch boundary (published its vector and cursor). Skip-only flushes
+// count as progress — they prove the merge is consuming the streams — so
+// the value bounds how stale this learner's state can be relative to the
+// global delivered order. ok is false before the first subscription
+// flush, when no bound can be given.
 func (n *Node) SinceProgress() (time.Duration, bool) {
 	at := n.progressNs.Load()
 	if at == 0 {

@@ -405,11 +405,12 @@ func TestDeliveredCount(t *testing.T) {
 }
 
 // TestBatchedMulticastUnpacks: a burst of messages reaching the
-// coordinator together is packed into few consensus instances (Section 4)
-// and unpacked by the merge in proposal order. The burst is one SendBatch
-// from a client process, the way a busy proposer's coalesced flush
-// arrives; the exact split into instances is the event loop's (the
-// deterministic count is pinned white-box in internal/ring).
+// coordinator together is delivered in proposal order at every learner,
+// however the event loop splits it into packed instances (Section 4). The
+// burst is one SendBatch from a client process, the way a busy proposer's
+// coalesced flush arrives. How many instances it takes is timing: the
+// count is pinned white-box in internal/ring
+// (TestCoordinatorPacksDrainedBurst), and unpacking in TestMergeModel.
 func TestBatchedMulticastUnpacks(t *testing.T) {
 	rings := map[transport.RingID][]transport.ProcessID{1: {1, 2, 3}}
 	d := newDeployment(t, 3, rings, func(cfg *Config) {
@@ -442,14 +443,6 @@ func TestBatchedMulticastUnpacks(t *testing.T) {
 				t.Fatalf("node %d delivery %d = %q, want %q", id, i, dd.Data, want)
 			}
 		}
-	}
-	// Far fewer consensus instances than messages prove packing engaged.
-	vec := d.nodes[1].DeliveredVector()
-	if vec[1] >= count/4 {
-		t.Errorf("instances used = %d for a burst of %d messages; want < %d", vec[1], count, count/4)
-	}
-	if pack := d.nodes[1].RingPackGauge(1); pack.Mean() <= 4 {
-		t.Errorf("pack gauge mean = %.1f messages per instance, want > 4", pack.Mean())
 	}
 }
 

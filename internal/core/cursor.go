@@ -44,27 +44,6 @@ func (c Cursor) Clone() Cursor {
 	}
 }
 
-// skipTarget answers, for a merge blocked on ring c.Next whose next
-// undelivered instance is next: through which instance must that ring
-// decide before everything the other rings hold can be delivered? held[j]
-// counts the instances ring j has ready up to its last non-skip entry (0:
-// nothing worth delivering). Ring j burns its credits first, so it needs
-// ⌈(Credits[j]+held[j])/m⌉ turns, and the k-th of them comes after the
-// blocked ring finished its turn in progress and k−1 whole ones. ok is false
-// when no other ring holds a value.
-func (c Cursor) skipTarget(m, next uint64, held []uint64) (target uint64, ok bool) {
-	var backlog uint64
-	for j, h := range held {
-		if j != c.Next && h > 0 {
-			backlog = max(backlog, c.Credits[j]+h)
-		}
-	}
-	if backlog == 0 {
-		return 0, false
-	}
-	return next + c.Remaining + m*((backlog+m-1)/m-1) - 1, true
-}
-
 // Encode serializes the cursor for inclusion in a checkpoint.
 func (c Cursor) Encode() []byte {
 	buf := make([]byte, 0, 4+len(c.Groups)*12+20)

@@ -6,21 +6,23 @@ import (
 	"time"
 
 	"amcast/internal/bufpool"
+	"amcast/internal/recovery"
 	"amcast/internal/ring"
 	"amcast/internal/transport"
 )
 
-// Tests of skip on stall (wait.go): deterministic in what they assert —
-// delivery, order, who asked and who skipped — never a latency.
+// Tests of skip on stall (mergeState.stall, Node.awaitTurn): deterministic
+// in what they assert — delivery, order, who asked and who skipped — never
+// a latency.
 
-// TestSkipTarget tables Cursor.skipTarget: the merge is blocked on ring
+// TestSkipTarget tables mergeState.stall: the merge is blocked on ring
 // Next at instance next; held lists what the other rings have decided up
 // to their last value.
 func TestSkipTarget(t *testing.T) {
 	groups := []transport.RingID{1, 2, 3}
 	for _, tc := range []struct {
 		name      string
-		m         uint64
+		m         int
 		cur       Cursor
 		next      uint64
 		held      []uint64
@@ -44,9 +46,23 @@ func TestSkipTarget(t *testing.T) {
 		if cur.Credits == nil {
 			cur.Credits = make([]uint64, len(groups))
 		}
-		got, ok := cur.skipTarget(tc.m, tc.next, tc.held)
-		if ok == tc.wantNoAsk || got != tc.want {
-			t.Errorf("%s: skipTarget = %d, %v; want %d, %v", tc.name, got, ok, tc.want, !tc.wantNoAsk)
+		// Every other ring delivers from instance 100; the blocked one
+		// from next.
+		start := recovery.Vector{1: 99, 2: 99, 3: 99}
+		start[groups[cur.Next]] = tc.next - 1
+		st := newMergeState(tc.m, cur, start)
+		last := make([]uint64, len(groups))
+		for j, h := range tc.held {
+			if h > 0 {
+				last[j] = st.frontier[j] + h - 1
+			}
+		}
+		got, ok := st.stall(last)
+		if ok == tc.wantNoAsk || ok && got != tc.want {
+			t.Errorf("%s: stall = %d, %v; want %d, %v", tc.name, got, ok, tc.want, !tc.wantNoAsk)
+		}
+		if _, again := st.stall(last); again {
+			t.Errorf("%s: asked twice for one target", tc.name)
 		}
 	}
 }

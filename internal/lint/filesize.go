@@ -19,7 +19,7 @@ const maxFileLines = 700
 // name, each with its length when its ceiling was last lowered.
 var fileCeilings = map[string]int{
 	"amcast/internal/cluster/cluster.go": 788,
-	"amcast/internal/core/core.go":       1222,
+	"amcast/internal/core/core.go":       854,
 	"amcast/internal/ring/run.go":        1031,
 	"amcast/internal/smr/replica.go":     810,
 	"amcast/internal/store/store.go":     1070,

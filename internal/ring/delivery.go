@@ -436,11 +436,11 @@ func (n *Node) LambdaNow() int { return n.cfg.Lambda }
 // now instead of at its next Δ tick: the deterministic merge holds a value
 // of another ring that it cannot deliver before this ring has decided that
 // far (see skipOnDemand). Best effort — a lost request costs the rest of
-// the Δ window, as before. Safe to call from any goroutine (the merge
-// goroutine calls it).
+// the Δ window, as before. The merge asks once per new target. Safe to
+// call from any goroutine (the merge goroutine calls it).
 func (n *Node) RequestSkip(target uint64) {
-	if !n.cfg.SkipEnabled || target <= n.skipAwaited.Load() {
-		return // no rate leveling here, or asked already: one request per new target
+	if !n.cfg.SkipEnabled {
+		return
 	}
 	n.skipAwaited.Store(target)
 	n.skipReqCount.Add(1)

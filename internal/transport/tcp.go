@@ -143,6 +143,9 @@ func (n *TCPNode) router() *Router { return n.rx }
 func (n *TCPNode) Send(to ProcessID, m Message) error {
 	m.From = n.id
 	m.To = to
+	if to == n.id {
+		return n.sendSelf(m)
+	}
 	conn, err := n.conn(to)
 	if err != nil {
 		return err
@@ -168,6 +171,9 @@ func (n *TCPNode) SendBatch(msgs []Message) error {
 		for k := range run {
 			run[k].From = n.id
 		}
+		if to == n.id {
+			return n.sendSelf(run...)
+		}
 		conn, err := n.conn(to)
 		if err != nil {
 			return err
@@ -182,6 +188,23 @@ func (n *TCPNode) SendBatch(msgs []Message) error {
 		}
 		return nil
 	})
+}
+
+// sendSelf hands messages addressed to the node itself straight to its own
+// router, as a Network endpoint does: by alias, with one reference per copy
+// on the pooled buffers they carry.
+func (n *TCPNode) sendSelf(msgs ...Message) error {
+	n.mu.Lock()
+	closed := n.closed
+	n.mu.Unlock()
+	if closed {
+		return ErrClosed
+	}
+	for i := range msgs {
+		msgs[i].RetainRefs()
+	}
+	n.rx.route(msgs...)
+	return nil
 }
 
 // Close shuts down the listener and all connections.
@@ -315,11 +338,7 @@ func (n *TCPNode) acceptLoop() {
 			_ = raw.Close()
 			return
 		}
-		// The accepted end of the node's connection to itself is only
-		// read: filed under the node's own id it could win against the
-		// dialled end, which conn() would then close — and the first
-		// self-send would be written into a dead connection.
-		if _, ok := n.conns[peer]; !ok && peer != n.id {
+		if _, ok := n.conns[peer]; !ok {
 			n.conns[peer] = c
 		}
 		n.mu.Unlock()

@@ -354,32 +354,47 @@ func TestTCPSendBatchUnknownPeerSkipsRun(t *testing.T) {
 	}
 }
 
-// TestTCPFirstSelfSendArrives: a node's connection to itself has both of
-// its ends in the same process. The accepted end used to be filed under
-// the node's own id whenever acceptLoop won the race against conn(), which
-// then closed the dialled end it had just made — and the first message a
-// fresh node sent to itself (a coordinator's own proposal) was lost.
+// TestTCPFirstSelfSendArrives: a message a node sends to itself goes
+// straight to its own router, by Send or SendBatch, with or without its
+// own address registered, and the node never dials itself. (Through a connection to itself, the
+// accepted end once won the race against the dialled one and the first
+// self-send — a coordinator's own proposal — was lost.)
 func TestTCPFirstSelfSendArrives(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		n, err := ListenTCP(1, "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.SetPeer(1, n.Addr())
-		if err := n.Send(1, Message{Kind: KindProposal, Seq: uint64(i)}); err != nil {
+		m := Message{Kind: KindProposal, To: 1, Seq: uint64(i)}
+		if i%2 == 0 {
+			n.SetPeer(1, n.Addr())
+			err = n.Send(1, m)
+		} else {
+			err = n.SendBatch([]Message{m})
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		select {
 		case m := <-n.Recv():
-			if m.Seq != uint64(i) || m.From != 1 {
+			if m.Seq != uint64(i) || m.From != 1 || m.To != 1 {
 				t.Fatalf("node %d received %+v", i, m)
 			}
 			m.ReleaseRefs()
 		case <-time.After(2 * time.Second):
 			t.Fatalf("node %d: first self-send lost", i)
 		}
+		n.mu.Lock()
+		conns := len(n.conns)
+		n.mu.Unlock()
+		if conns != 0 {
+			t.Fatalf("node %d holds %d connections after sending only to itself", i, conns)
+		}
 		if err := n.Close(); err != nil {
 			t.Fatal(err)
+		}
+		if err := n.Send(1, Message{Kind: KindProposal}); err != ErrClosed {
+			t.Fatalf("self-send after Close = %v, want ErrClosed", err)
 		}
 	}
 }
