@@ -115,7 +115,7 @@ type RingOptions struct {
 	BatchBytes int
 	// CommitFailureBudget bounds consecutive failed group commits before
 	// an acceptor steps out of the membership (see
-	// ring.Config.CommitFailureBudget). 0 = default, negative = never.
+	// ring.Config.CommitFailureBudget). 0 or less = the default.
 	CommitFailureBudget int
 }
 

@@ -50,18 +50,71 @@ func TestPackBurstAllocs(t *testing.T) {
 			id++
 			n.consume(pooledProposal(id, 1<<10))
 		}
-		n.tryPropose()
+		n.feed(&paxosEvent{kind: evPropose})
 		n.commitStaged()
 		n.releaseBurst()
 	}
 	for i := 0; i < 64; i++ {
 		burst()
 	}
-	if got := n.nextInstance - 1; got != 64 {
+	if got := n.px.nextInstance - 1; got != 64 {
 		t.Fatalf("%d instances for 64 bursts: the burst is not packed into one", got)
 	}
 	if allocs := testing.AllocsPerRun(200, burst); allocs != 0 {
 		t.Errorf("a packed burst of 16 allocates %.2f times, want 0", allocs)
+	}
+}
+
+// discardTransport sends nothing anywhere, so the pin below charges the
+// ring's own code, not a transport's copy of each frame.
+type discardTransport struct{ recv chan transport.Message }
+
+func (discardTransport) ID() transport.ProcessID                           { return 2 }
+func (d discardTransport) Recv() <-chan transport.Message                  { return d.recv }
+func (discardTransport) Send(transport.ProcessID, transport.Message) error { return nil }
+func (discardTransport) SendBatch([]transport.Message) error               { return nil }
+func (discardTransport) Close() error                                      { return nil }
+
+// TestAcceptorBurstAllocs pins a warm acceptor-learner's hot path: process 2
+// of a three-acceptor ring takes sixteen Phase 2 messages as a burst, votes
+// on each (the vote that decides), sends each Decision on, learns the
+// instances, hands them to the delivery stage, and its consumer takes and
+// releases the batch — without allocating.
+func TestAcceptorBurstAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates alloc counts")
+	}
+	tr := discardTransport{recv: make(chan transport.Message)}
+	t.Cleanup(func() { close(tr.recv) }) // after the node stopped: ends its router
+	n, _ := idleNode(t, ringService(t, 3, fullRoles), 2, func(cfg *Config) {
+		cfg.Router = transport.NewRouter(tr)
+		cfg.Log = discardLog{}
+		cfg.Tracer = trace.NewRecorder("p2", 0)
+	})
+	inst := uint64(0)
+	burst := func() {
+		for i := 0; i < 16; i++ {
+			inst++
+			m := pooledProposal(inst, 1<<10)
+			m.Kind, m.From, m.Ballot, m.Instance, m.Votes = transport.KindPhase2, 1, 1, inst, 1
+			n.consume(m)
+		}
+		tick(n, evPropose)
+		n.commitStaged()
+		n.handoffPending()
+		n.releaseBurst()
+		for b, _ := n.TakeBatch(); b != nil; b, _ = n.TakeBatch() {
+			n.ReleaseBatch(b)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		burst()
+	}
+	if decided, _ := n.Stats(); decided != inst || n.px.nextDeliver != inst+1 {
+		t.Fatalf("decided %d, delivering from %d, after %d Phase 2 messages", decided, n.px.nextDeliver, inst)
+	}
+	if allocs := testing.AllocsPerRun(200, burst); allocs != 0 {
+		t.Errorf("an acceptor burst of 16 allocates %.2f times, want 0", allocs)
 	}
 }
 
@@ -75,9 +128,9 @@ func TestPackBatchAllocs(t *testing.T) {
 	payload := make([]byte, 1<<10)
 	pack := func() {
 		for id := uint64(1); id <= 16; id++ {
-			n.pendingQ.push(transport.Value{ID: id, Count: 1, Data: payload})
+			n.px.pendingQ.push(transport.Value{ID: id, Count: 1, Data: payload})
 		}
-		v, packed := n.packBatch()
+		v, packed := n.px.packBatch()
 		if packed != 16 || !v.Batched {
 			t.Fatalf("packed %d (batched=%v), want 16", packed, v.Batched)
 		}

@@ -221,7 +221,7 @@ func (n *Node) pumpCatchup(allowRemote bool) {
 	if !n.inCatchup.Load() || n.commitWedged || n.deliveryClosed() {
 		return
 	}
-	if n.catchupNext.Load() >= n.nextDeliver {
+	if n.catchupNext.Load() >= n.px.nextDeliver {
 		n.inCatchup.Store(false) // caught up; live delivery resumes seamlessly
 		return
 	}
@@ -229,9 +229,9 @@ func (n *Node) pumpCatchup(allowRemote bool) {
 	if threshold := min(deliveryBatchCap, n.cfg.DeliverBuffer/2); room < max(1, threshold) {
 		return // consumer still backlogged; try again next tick
 	}
-	if n.isAcceptor() {
+	if n.px.isAcceptor() {
 		n.serveCatchupLocal(room)
-		if n.catchupNext.Load() >= n.nextDeliver {
+		if n.catchupNext.Load() >= n.px.nextDeliver {
 			n.inCatchup.Store(false)
 			return
 		}
@@ -253,7 +253,7 @@ func (n *Node) pumpCatchup(allowRemote bool) {
 		return
 	}
 	count := uint64(room)
-	if c := n.nextDeliver - n.catchupNext.Load(); c < count {
+	if c := n.px.nextDeliver - n.catchupNext.Load(); c < count {
 		count = c
 	}
 	if count > 512 {
@@ -274,8 +274,8 @@ func (n *Node) pumpCatchup(allowRemote bool) {
 func (n *Node) serveCatchupLocal(room int) {
 	batch := n.getBatch()
 	next := n.catchupNext.Load()
-	for room > 0 && next < n.nextDeliver {
-		v, ok := n.lookupDecided(next)
+	for room > 0 && next < n.px.nextDeliver {
+		v, ok := n.px.lookupDecided(next)
 		if !ok {
 			break
 		}
@@ -302,53 +302,105 @@ func (n *Node) serveCatchupLocal(room int) {
 	n.ReleaseBatch(batch)
 }
 
-// lookupDecided returns the decided value of an instance below the
-// delivery watermark from this acceptor's log. The value is a heap view of
-// the logged record (no pooled reference); callers must have committed the
-// burst's staged votes.
-func (n *Node) lookupDecided(inst uint64) (transport.Value, bool) {
-	if rec, ok := n.cfg.Log.Get(inst); ok {
-		if _, rinst, v, err := decodeAccept(rec); err == nil && rinst == inst {
-			return v, true
-		}
-	}
-	return transport.Value{}, false
-}
-
-// peerAcceptors returns the live peer acceptors (excluding self) — the
-// single source for retransmission targets and the catch-up abort
-// threshold, so the queried set and the abort quorum cannot diverge.
-func (n *Node) peerAcceptors() []transport.ProcessID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	var peers []transport.ProcessID
-	for _, a := range n.rc.AliveAcceptors() {
-		if a != n.id {
-			peers = append(peers, a)
-		}
-	}
-	return peers
-}
-
-// retransmitTarget picks a live peer acceptor to request retransmissions
-// from (0 if none).
-func (n *Node) retransmitTarget() transport.ProcessID {
-	if peers := n.peerAcceptors(); len(peers) > 0 {
-		return peers[0]
-	}
-	return 0
-}
-
-// catchupTarget rotates over the live peer acceptors so consecutive
-// catch-up requests consult different peers — one acceptor's vote hole
-// must not look like a trimmed range.
+// catchupTarget rotates over the live peer acceptors (the state's copy, the
+// same set that decides a catch-up abort) so consecutive catch-up requests
+// consult different peers — one acceptor's vote hole must not look like a
+// trimmed range.
 func (n *Node) catchupTarget() transport.ProcessID {
-	peers := n.peerAcceptors()
+	peers := n.px.peers
 	if len(peers) == 0 {
 		return 0
 	}
 	n.catchupRR++
 	return peers[n.catchupRR%len(peers)]
+}
+
+// catchUpFrom replays a retransmission into the delivery stage while the
+// learner catches up (entries contiguous from catchupNext, which the Paxos
+// state, learning the response next, discards as duplicates).
+func (n *Node) catchUpFrom(m *transport.Message) {
+	if !n.inCatchup.Load() {
+		return
+	}
+	next := n.catchupNext.Load()
+	if len(m.Payload) == 0 && m.Count == retransmitUnavailable {
+		// The range is gone from that peer (trimmed, or absent): the
+		// report counts toward an abort, after which the consumer
+		// recovers by checkpoint transfer (Section 5.2, Predicate 2).
+		if m.Instance == next {
+			n.noteCatchupUnavailable(m.From)
+		}
+		return
+	}
+	batch, err := transport.DecodeBatch(m.Payload)
+	if err != nil {
+		return
+	}
+	var cb []Delivery
+	room := n.deliveryRoom()
+	// Starved-above trim evidence counts only for a response to OUR
+	// request (echoed start = watermark), not a late gap-chase response.
+	forCatchup := m.Instance == next
+	starvedAbove, sawNext := false, false
+	for _, iv := range batch {
+		switch {
+		case iv.Instance >= n.px.nextDeliver:
+		case iv.Instance == next && room > 0:
+			if cb == nil {
+				cb = n.getBatch()
+			}
+			cb = append(cb, Delivery{Ring: n.ring, Instance: iv.Instance, Value: iv.Value})
+			next += iv.Value.Span()
+			room--
+		case iv.Instance == next:
+			sawNext = true // only the local room ran out: no trim evidence
+		case iv.Instance > next:
+			// Served above the watermark but not at it (the trim point
+			// fell inside the window): as good as an unavailable report.
+			starvedAbove = true
+		}
+	}
+	if len(cb) == 0 {
+		if cb != nil {
+			n.ReleaseBatch(cb)
+		}
+		if starvedAbove && !sawNext && forCatchup {
+			n.noteCatchupUnavailable(m.From)
+		}
+		return
+	}
+	if !n.enqueueBatch(cb) {
+		n.ReleaseBatch(cb) // room raced away; the next tick re-requests
+		return
+	}
+	n.catchupServed.Add(uint64(len(cb)))
+	n.catchupNext.Store(next)
+	n.catchupUnavailFrom = nil // progress: earlier unavailable reports are stale
+	if next >= n.px.nextDeliver {
+		n.inCatchup.Store(false)
+	}
+}
+
+// noteCatchupUnavailable records one peer's report that the catch-up
+// range cannot be served. One acceptor might merely have a vote hole (or
+// a fresh post-crash log) where others still serve, so the stream aborts
+// only once every live peer acceptor has reported the range gone —
+// distinct peers, not repeated reports from one (requests rotate over
+// them).
+func (n *Node) noteCatchupUnavailable(from transport.ProcessID) {
+	if n.catchupUnavailFrom == nil {
+		n.catchupUnavailFrom = make(map[transport.ProcessID]bool)
+	}
+	n.catchupUnavailFrom[from] = true
+	if len(n.px.peers) == 0 {
+		return
+	}
+	for _, p := range n.px.peers {
+		if !n.catchupUnavailFrom[p] {
+			return
+		}
+	}
+	n.abortCatchup()
 }
 
 // deliveryClosed reports whether the delivery stream has been closed.

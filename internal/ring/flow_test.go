@@ -303,6 +303,18 @@ func testCatchupAbortsWhenRangeTrimmed(t *testing.T, trimInsideWindow bool) {
 	for id := transport.ProcessID(1); id <= 3; id++ {
 		_ = tr.Send(id, transport.Message{Kind: transport.KindTrim, Ring: c.ring, Instance: trimTo})
 	}
+	// Drain only once every log applied its trim: node 2 is an acceptor,
+	// and a catch-up pumped before its own trim landed replays the whole
+	// range from its untrimmed log instead of aborting.
+	deadline = time.Now().Add(5 * time.Second)
+	for id := transport.ProcessID(1); id <= 3; id++ {
+		for c.logs[id].FirstRetained() <= trimTo {
+			if time.Now().After(deadline) {
+				t.Fatalf("node %d never trimmed its log through %d", id, trimTo)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 
 	// The slow consumer's stream must close (not wedge silently).
 	streamClosed := make(chan struct{})

@@ -98,12 +98,12 @@ func quietCoordinator(t *testing.T, members int, roles coord.Role, tweak func(*C
 		// The startup Phase 1A comes back around the ring with a promise
 		// from every acceptor.
 		endBurst(n, transport.Message{
-			Kind: transport.KindPhase1A, Ring: 1, Ballot: n.ballot,
-			Instance: n.nextDeliver, Votes: uint32(members),
+			Kind: transport.KindPhase1A, Ring: 1, Ballot: n.px.ballot,
+			Instance: n.px.nextDeliver, Votes: uint32(members),
 		})
 		sink.take(transport.KindPhase1A)
 	}
-	if !n.phase1Ready {
+	if !n.px.phase1Ready {
 		t.Fatal("coordinator's Phase 1 did not complete")
 	}
 	return n, sink
@@ -156,11 +156,16 @@ func endBurst(n *Node, msgs ...transport.Message) {
 	for _, m := range msgs {
 		n.consume(m)
 	}
-	n.tryPropose()
-	n.skipOnDemand()
+	tick(n, evPropose)
 	n.commitStaged()
 	n.handoffPending()
 	n.releaseBurst()
+}
+
+// tick feeds the node one event of kind — the retry tick at the current
+// time, the Δ tick, the propose point — as the event loop does.
+func tick(n *Node, kind paxosEventKind) {
+	n.feed(&paxosEvent{kind: kind, now: time.Now()})
 }
 
 // pooledProposal is a client proposal whose payload sits in a pooled
@@ -181,7 +186,7 @@ func pooledProposal(id uint64, size int) transport.Message {
 // decisionFor is the Decision of an in-flight instance arriving back at
 // the coordinator (originated by process 2).
 func decisionFor(n *Node, inst uint64) transport.Message {
-	v := n.inFlight[inst].value
+	v := n.px.inFlight[inst].value
 	v.Buf.Retain() // the reference a transport hands over with the message
 	return transport.Message{Kind: transport.KindDecision, Ring: 1, Instance: inst, Value: v, Seq: 2}
 }
@@ -232,8 +237,8 @@ func TestCoordinatorPacksDrainedBurst(t *testing.T) {
 
 	// 100 KB wants four packets; the window admits three.
 	phase2 := sink.take(transport.KindPhase2)
-	if len(phase2) != window || len(n.inFlight) != window {
-		t.Fatalf("proposed %d instances (%d in flight), want the window's %d", len(phase2), len(n.inFlight), window)
+	if len(phase2) != window || len(n.px.inFlight) != window {
+		t.Fatalf("proposed %d instances (%d in flight), want the window's %d", len(phase2), len(n.px.inFlight), window)
 	}
 	for i, m := range phase2 {
 		if m.instance != uint64(i+1) || !m.value.Batched || len(m.ids) != batchBytes/size {
@@ -241,8 +246,8 @@ func TestCoordinatorPacksDrainedBurst(t *testing.T) {
 		}
 	}
 	left := count - window*batchBytes/size
-	if n.pendingQ.len() != left || n.FlowStats().QueueDepth != left {
-		t.Fatalf("queued = %d (gauge %d), want %d", n.pendingQ.len(), n.FlowStats().QueueDepth, left)
+	if n.px.pendingQ.len() != left || n.FlowStats().QueueDepth != left {
+		t.Fatalf("queued = %d (gauge %d), want %d", n.px.pendingQ.len(), n.FlowStats().QueueDepth, left)
 	}
 
 	// A decision frees a slot; the propose point of that burst fills it.
@@ -252,7 +257,7 @@ func TestCoordinatorPacksDrainedBurst(t *testing.T) {
 		t.Fatalf("after one decision: %+v, want instance %d carrying %d values", rest, window+1, left)
 	}
 	want := (count*size + batchBytes - 1) / batchBytes
-	if got := int(n.nextInstance - 1); got != want {
+	if got := int(n.px.nextInstance - 1); got != want {
 		t.Fatalf("instances used = %d, want ⌈%d·%d/%d⌉ = %d", got, count, size, batchBytes, want)
 	}
 	for i, id := range flatten(append(phase2, rest...)) {
@@ -263,8 +268,8 @@ func TestCoordinatorPacksDrainedBurst(t *testing.T) {
 	if batches, items, _ := n.PackGauge().Snapshot(); batches != uint64(want) || items != count {
 		t.Fatalf("pack gauge saw %d instances / %d messages, want %d / %d", batches, items, want, count)
 	}
-	if n.pendingQ.len() != 0 || n.FlowStats().QueueDepth != 0 {
-		t.Fatalf("queue not drained: %d", n.pendingQ.len())
+	if n.px.pendingQ.len() != 0 || n.FlowStats().QueueDepth != 0 {
+		t.Fatalf("queue not drained: %d", n.px.pendingQ.len())
 	}
 }
 
@@ -318,8 +323,8 @@ func TestPackingBoundaries(t *testing.T) {
 	if batches, items, _ := n.PackGauge().Snapshot(); batches != 4 || items != 8 {
 		t.Fatalf("pack gauge saw %d instances / %d messages, want 4 / 8", batches, items)
 	}
-	if n.proposedInWin != 4 {
-		t.Fatalf("proposedInWin = %d, want 4 (instances, skips excluded)", n.proposedInWin)
+	if n.px.proposedInWin != 4 {
+		t.Fatalf("proposedInWin = %d, want 4 (instances, skips excluded)", n.px.proposedInWin)
 	}
 }
 
@@ -347,7 +352,7 @@ func TestPackedVoteWedgedThenRecovered(t *testing.T) {
 	if !n.commitWedged || len(n.walBatch) == 0 {
 		t.Fatalf("commit not wedged with the vote retained (wedged=%v, staged records=%d)", n.commitWedged, len(n.walBatch))
 	}
-	f, inFlight := n.inFlight[1]
+	f, inFlight := n.px.inFlight[1]
 	var staged transport.Value
 	for _, r := range n.walBatch {
 		if r.Instance == 1 {
@@ -356,8 +361,8 @@ func TestPackedVoteWedgedThenRecovered(t *testing.T) {
 			}
 		}
 	}
-	if !inFlight || !f.value.Batched || !staged.Batched || len(n.inFlight) != 1 {
-		t.Fatalf("packet not held for retry: inFlight=%v staged vote=%+v", n.inFlight, staged)
+	if !inFlight || !f.value.Batched || !staged.Batched || len(n.px.inFlight) != 1 {
+		t.Fatalf("packet not held for retry: inFlight=%v staged vote=%+v", n.px.inFlight, staged)
 	}
 	if _, ok := fl.Get(1); ok {
 		t.Fatal("rejected vote reached the log")
@@ -366,8 +371,8 @@ func TestPackedVoteWedgedThenRecovered(t *testing.T) {
 	// The log recovers; the retry tick finds the instance overdue.
 	fl.heal()
 	f.lastSent = time.Time{}
-	n.inFlight[1] = f
-	n.retryUndecided()
+	n.px.inFlight[1] = f
+	tick(n, evRetry)
 	endBurst(n)
 	got := sink.take(transport.KindPhase2)
 	if len(got) != 1 || got[0].instance != 1 || len(got[0].ids) != 16 {
@@ -440,15 +445,15 @@ func TestOverloadHintTracksDrainTime(t *testing.T) {
 				// Refill the queue to MaxPending plus one proposal to shed,
 				// and decide what is in flight (one ring circulation).
 				var burst []transport.Message
-				for i := n.pendingQ.len(); i <= maxPending; i++ {
+				for i := n.px.pendingQ.len(); i <= maxPending; i++ {
 					id++
 					burst = append(burst, pooledProposal(id, size))
 				}
-				for inst := range n.inFlight {
+				for inst := range n.px.inFlight {
 					burst = append(burst, decisionFor(n, inst))
 				}
 				if skips {
-					n.maybeSkip() // the Δ tick
+					tick(n, evDelta)
 				}
 				endBurst(n, burst...)
 				if round == 0 {

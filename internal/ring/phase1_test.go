@@ -11,6 +11,19 @@ import (
 // White-box tests of the acceptor's vote memory: the log is the only place
 // a vote lives, so Phase 1 and retransmission read it back from there.
 
+// encodeAccept builds the durable record for a vote on the heap.
+func encodeAccept(ballot uint32, instance uint64, v transport.Value) []byte {
+	return appendAccept(make([]byte, 0, acceptRecordSize(v)), ballot, instance, v)
+}
+
+// accept1 runs n's acceptor side of Phase 1 on m, as a Phase 1A passing
+// through it does, and commits what it staged.
+func accept1(n *Node, m *transport.Message) {
+	n.px.acceptPhase1(&n.out, m)
+	n.apply()
+	n.commitStaged()
+}
+
 // TestRestartedAcceptorReportsLoggedVotes: an acceptor rebuilt over the
 // log of a previous incarnation — a promise and votes for three instances
 // — promises a higher ballot and reports all three votes in its Phase 1B,
@@ -27,14 +40,14 @@ func TestRestartedAcceptorReportsLoggedVotes(t *testing.T) {
 		t.Fatal(err)
 	}
 	n, _ := idleNode(t, ringService(t, 3, fullRoles), 2, func(cfg *Config) { cfg.Log = log })
-	if n.promised != 3 {
-		t.Fatalf("recovered promise %d, want 3", n.promised)
+	if n.px.promised != 3 {
+		t.Fatalf("recovered promise %d, want 3", n.px.promised)
 	}
 
 	m := transport.Message{Kind: transport.KindPhase1A, Ring: 1, Ballot: 5, Instance: 1}
-	n.acceptPhase1(&m)
-	if m.Votes != 1 || n.promised != 5 {
-		t.Fatalf("votes %d, promised %d: want one vote for ballot 5", m.Votes, n.promised)
+	accept1(n, &m)
+	if m.Votes != 1 || n.px.promised != 5 {
+		t.Fatalf("votes %d, promised %d: want one vote for ballot 5", m.Votes, n.px.promised)
 	}
 	for i, data := range values {
 		if !bytes.Contains(m.Payload, data) {
@@ -62,18 +75,18 @@ func TestPhase1ProposesHighestBallotVote(t *testing.T) {
 	high.recordVote(4, 1, newer)
 	high.commitStaged()
 
-	c.ballot = 9
+	c.px.ballot = 9
 	m := transport.Message{Kind: transport.KindPhase1A, Ring: 1, Ballot: 9, Instance: 1}
-	c.acceptPhase1(&m)
-	low.acceptPhase1(&m)
-	high.acceptPhase1(&m)
-	c.completePhase1(m)
+	accept1(c, &m)
+	accept1(low, &m)
+	accept1(high, &m)
+	c.feed(&paxosEvent{kind: evMessage, msg: m})
 	c.commitStaged()
 
-	if !c.phase1Ready {
+	if !c.px.phase1Ready {
 		t.Fatalf("Phase 1 did not complete with %d votes", m.Votes)
 	}
-	if f, ok := c.inFlight[1]; !ok || f.value.ID != newer.ID {
+	if f, ok := c.px.inFlight[1]; !ok || f.value.ID != newer.ID {
 		t.Fatalf("instance 1 re-proposed with %+v, want the ballot-4 value %d", f.value, newer.ID)
 	}
 	if got := sink.take(transport.KindPhase2); len(got) != 1 || got[0].instance != 1 || got[0].ids[0] != newer.ID {
@@ -96,22 +109,22 @@ func TestPhase1ReportBeatsOwnFlight(t *testing.T) {
 	accepted := transport.Value{ID: 21, Count: 1, Data: []byte("accepted-at-ballot-7")}
 	c.recordVote(5, 1, own)
 	c.commitStaged()
-	c.inFlight[1] = flight{value: own}
+	c.px.inFlight[1] = flight{value: own}
 	for _, p := range peers {
 		p.recordVote(7, 1, accepted)
 		p.commitStaged()
 	}
 
-	c.ballot = 9
+	c.px.ballot = 9
 	m := transport.Message{Kind: transport.KindPhase1A, Ring: 1, Ballot: 9, Instance: 1}
-	c.acceptPhase1(&m)
+	accept1(c, &m)
 	for _, p := range peers {
-		p.acceptPhase1(&m)
+		accept1(p, &m)
 	}
-	c.completePhase1(m)
+	c.feed(&paxosEvent{kind: evMessage, msg: m})
 	c.commitStaged()
 
-	if f := c.inFlight[1]; f.value.ID != accepted.ID {
+	if f := c.px.inFlight[1]; f.value.ID != accepted.ID {
 		t.Fatalf("flight carries value %d, want %d", f.value.ID, accepted.ID)
 	}
 	if got := sink.take(transport.KindPhase2); len(got) != 1 || got[0].instance != 1 || got[0].ids[0] != accepted.ID {
@@ -130,9 +143,9 @@ func TestLookupDecidedAllocs(t *testing.T) {
 	if err := log.Put(7, encodeAccept(1, 7, transport.Value{ID: 7, Count: 1, Data: make([]byte, 1<<10)})); err != nil {
 		t.Fatal(err)
 	}
-	n := &Node{cfg: Config{Log: log}}
+	s := &paxosState{log: log}
 	lookup := func() {
-		if v, ok := n.lookupDecided(7); !ok || v.ID != 7 || len(v.Data) != 1<<10 {
+		if v, ok := s.lookupDecided(7); !ok || v.ID != 7 || len(v.Data) != 1<<10 {
 			t.Fatalf("lookupDecided(7) = %+v, %v", v, ok)
 		}
 	}

@@ -38,15 +38,7 @@ func appendAccept(buf []byte, ballot uint32, instance uint64, v transport.Value)
 	return transport.AppendValue(buf, v)
 }
 
-// encodeAccept builds the durable record for a vote on the heap (tests
-// and cold paths; recordVote encodes into a pooled buffer instead).
-//
-//lint:deterministic
-func encodeAccept(ballot uint32, instance uint64, v transport.Value) []byte {
-	return appendAccept(make([]byte, 0, acceptRecordSize(v)), ballot, instance, v)
-}
-
-// decodeAccept parses a record written by encodeAccept. The value aliases
+// decodeAccept parses a record written by appendAccept. The value aliases
 // rec; reading its one entry in place keeps every log read allocation-free.
 func decodeAccept(rec []byte) (ballot uint32, instance uint64, v transport.Value, err error) {
 	if len(rec) < 4+transport.BatchHeaderSize || binary.LittleEndian.Uint32(rec[4:]) != 1 {

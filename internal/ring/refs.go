@@ -24,8 +24,8 @@ import (
 //
 //	pendingQ entry      push retains; pop transfers to the caller
 //	inFlight flight     released when the slot frees (decided/stale/exit)
-//	learned map         transfers to the pending Delivery on drain,
-//	                    released if delivery is suppressed
+//	learned map         transfers to the step's decided entry, then to
+//	                    the pending Delivery, released if suppressed
 //	Delivery entry      released by ReleaseBatch (the consumer's, or the
 //	                    queue's at Stop and DropDeliveries)
 //	staged send         retained by send, released by commitStaged
@@ -61,9 +61,8 @@ func (n *Node) internInbound(m *transport.Message) {
 	}
 }
 
-// consume interns and dispatches one inbound message, parking its pooled
-// references for release once the burst's group commit and staged flush
-// are done.
+// consume interns one inbound message, parks its pooled references until
+// the burst is committed and flushed, and feeds it to the Paxos state.
 func (n *Node) consume(m transport.Message) {
 	n.internInbound(&m)
 	if m.Block != nil {
@@ -73,7 +72,11 @@ func (n *Node) consume(m transport.Message) {
 	if m.Value.Buf != nil {
 		n.burstRefs = append(n.burstRefs, m.Value.Buf)
 	}
-	n.handle(m)
+	n.ingestTraces(&m)
+	if m.Kind == transport.KindRetransmitResp && !n.commitWedged {
+		n.catchUpFrom(&m)
+	}
+	n.feed(&paxosEvent{kind: evMessage, msg: m})
 }
 
 // releaseBurst drops the read-block and interned-value references owned
@@ -93,14 +96,14 @@ func (n *Node) releaseBurst() {
 // outstanding. Runs after the final commitStaged/finalHandoff; batches
 // still queued for the consumer are released by Stop.
 func (n *Node) releaseRunState() {
-	for _, v := range n.learned {
+	for _, v := range n.px.learned {
 		v.Buf.Release()
 	}
-	for _, f := range n.inFlight {
+	for _, f := range n.px.inFlight {
 		f.value.Buf.Release()
 	}
-	for n.pendingQ.len() > 0 {
-		v := n.pendingQ.pop()
+	for n.px.pendingQ.len() > 0 {
+		v := n.px.pendingQ.pop()
 		v.Buf.Release()
 	}
 	for i := range n.pending {

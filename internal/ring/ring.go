@@ -119,8 +119,7 @@ type Config struct {
 	// coordination service so the surviving quorum routes around it,
 	// instead of silently retrying a dead disk forever. The retained
 	// batch keeps retrying; if the log recovers the node marks itself up
-	// again. Zero means the default (32); negative disables stepping out
-	// (retry forever, the pre-budget behaviour).
+	// again. Zero or less means the default (32).
 	CommitFailureBudget int
 }
 
@@ -144,7 +143,7 @@ func (c *Config) withDefaults() Config {
 	if out.Lambda == 0 {
 		out.Lambda = 9000
 	}
-	if out.CommitFailureBudget == 0 {
+	if out.CommitFailureBudget <= 0 {
 		out.CommitFailureBudget = 32
 	}
 	return out
@@ -156,12 +155,6 @@ var (
 	ErrOverloaded    = errors.New("ring: proposal queue full")
 	ErrStopped       = errors.New("ring: node stopped")
 )
-
-// flight tracks an instance proposed by this coordinator, for retries.
-type flight struct {
-	value    transport.Value
-	lastSent time.Time
-}
 
 // Node is one process's participation in one ring. A process participates
 // in several rings by creating one Node per ring over a shared Router.
@@ -212,35 +205,19 @@ type Node struct {
 	skipAwaited    atomic.Uint64
 	onDemandCount  atomic.Uint64
 
-	// Run-loop owned: pacer does the rate-leveling accounting, drain
-	// measures how fast the proposal queue empties (the Overloaded
-	// retry-after hint).
-	pacer *skipPacer
+	// Run-loop owned: px is the Paxos state the loop drives and out the
+	// reused output of its steps; drain measures how fast the proposal
+	// queue empties (the Overloaded retry-after hint).
+	px    paxosState
+	out   paxosOut
 	drain drainMeter
 
-	// mu guards rc (read by Propose from other goroutines).
+	// mu guards rc, the configuration Propose reads from other goroutines.
 	mu sync.Mutex
 	rc coord.RingConfig
 
-	// Run-loop-owned state (accessed only by run()).
-	succ          transport.ProcessID
-	isCoord       bool
-	phase1Ready   bool
-	ballot        uint32
-	promised      uint32
-	nextInstance  uint64
-	pendingQ      proposalQueue
-	inFlight      map[uint64]flight // by value: the map recycles its own slots
-	proposedInWin int               // non-skip instances proposed this Δ window (λ is an instance rate)
-	skipTarget    uint64            // highest instance a learner asked this coordinator to skip through (0: none)
-
-	learned     map[uint64]transport.Value
-	nextDeliver uint64
-	maxDecided  uint64
-	idleTicks   int // retry ticks since the learner last made progress
-
-	// Group-commit staging (run-loop owned): handlers append durable
-	// votes to walBatch and outbound messages to stagedSends; at the end
+	// Group-commit staging (run-loop owned): steps stage durable votes
+	// into walBatch and outbound messages into stagedSends; at the end
 	// of each drained burst commitStaged issues one Log.PutBatch — one
 	// buffered write + one fsync for the burst under SyncEveryPut — and
 	// only then releases the staged sends, preserving the paper's "log
@@ -255,10 +232,13 @@ type Node struct {
 	burstRefs []*bufpool.Buf
 	batchTr   transport.BatchSender // non-nil when tr coalesces writes
 	// commitWedged is set while a group commit has failed and its batch
-	// is retained for retry: sends were dropped and delivery release is
-	// withheld until the log accepts the batch, so neither messages nor
-	// deliveries ever outrun durability.
+	// is retained for retry: sends were dropped, no event that reads the
+	// log is fed, and delivery release is withheld until the log accepts
+	// the batch, so neither messages nor deliveries ever outrun
+	// durability. cfgPending marks a configuration change (stored in rc)
+	// the Paxos state has yet to apply: it reads the log.
 	commitWedged bool
+	cfgPending   bool
 	// commitFails counts consecutive failed group commits (run-loop
 	// owned); at CommitFailureBudget the node steps out (self MarkDown).
 	commitFails int
@@ -285,9 +265,6 @@ type Node struct {
 	tags         *traceTags
 	stagedTraces []stagedTrace
 
-	safeResps map[transport.ProcessID]uint64
-	lastTrim  uint64
-
 	// Counters for instrumentation (atomic; read by Stats).
 	decidedCount atomic.Uint64
 	skippedCount atomic.Uint64
@@ -311,8 +288,8 @@ func New(cfg Config) (*Node, error) {
 }
 
 // newNode builds a node with its durable state recovered and its initial
-// configuration applied, but does not start its loop: white-box tests drive
-// the handlers of a not-yet-running node directly.
+// configuration applied, but does not start its loop: white-box tests feed
+// a not-yet-running node directly.
 func newNode(cfg Config) (*Node, error) {
 	cfg = cfg.withDefaults()
 	rc, ok := cfg.Coord.Ring(cfg.Ring)
@@ -328,38 +305,32 @@ func newNode(cfg Config) (*Node, error) {
 	}
 	watch, cancel := cfg.Coord.Watch(cfg.Ring)
 	n := &Node{
-		rc:           rc,
-		cfg:          cfg,
-		id:           cfg.Self,
-		ring:         cfg.Ring,
-		tr:           cfg.Router.Transport(),
-		in:           cfg.Router.Ring(cfg.Ring),
-		watch:        watch,
-		cancelWatch:  cancel,
-		pending:      make([]Delivery, 0, deliveryBatchCap),
-		batchFree:    make(chan []Delivery, 32),
-		inFlight:     make(map[uint64]flight),
-		learned:      make(map[uint64]transport.Value),
-		nextDeliver:  max(1, cfg.StartInstance),
-		nextInstance: 1,
-		safeResps:    make(map[transport.ProcessID]uint64),
-		done:         make(chan struct{}),
-		loopDone:     make(chan struct{}),
-		tracer:       cfg.Tracer,
+		rc:          rc,
+		cfg:         cfg,
+		id:          cfg.Self,
+		ring:        cfg.Ring,
+		tr:          cfg.Router.Transport(),
+		in:          cfg.Router.Ring(cfg.Ring),
+		watch:       watch,
+		cancelWatch: cancel,
+		pending:     make([]Delivery, 0, deliveryBatchCap),
+		batchFree:   make(chan []Delivery, 32),
+		px:          newPaxosState(cfg, cfg.Log, time.Now()),
+		done:        make(chan struct{}),
+		loopDone:    make(chan struct{}),
+		tracer:      cfg.Tracer,
 	}
 	if n.tracer != nil {
 		n.tags = newTraceTags()
 	}
-	n.pacer = newSkipPacer(cfg)
 	n.drain.rate = metrics.NewEWMA(drainRateAlpha)
 	n.batchTr, _ = n.tr.(transport.BatchSender)
-	// Recover durable acceptor state and apply the initial configuration
-	// before accepting traffic, so proposals arriving immediately after
-	// startup find the coordinator role already established. Anything
-	// staged here (a coordinator's initial Phase 1A) is committed by the
-	// run loop before it first blocks.
-	n.recoverFromLog()
-	n.applyConfig(rc)
+	// Apply the initial configuration before accepting traffic, so
+	// proposals arriving immediately after startup find the coordinator
+	// role already established. Anything staged here (a coordinator's
+	// initial Phase 1A) is committed by the run loop before it first
+	// blocks.
+	n.feed(&paxosEvent{kind: evConfig, cfg: rc})
 	return n, nil
 }
 
@@ -490,13 +461,3 @@ func (n *Node) Stop() {
 		n.releaseQueuedBatches()
 	})
 }
-
-// roles returns this process's roles under the current config.
-func (n *Node) roles() coord.Role {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.rc.Roles(n.id)
-}
-
-func (n *Node) isAcceptor() bool { return n.roles().Has(coord.RoleAcceptor) }
-func (n *Node) isLearner() bool  { return n.roles().Has(coord.RoleLearner) }

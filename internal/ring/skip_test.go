@@ -56,8 +56,8 @@ func TestSkipOnDemandOnePerTarget(t *testing.T) {
 	endBurst(n, skipRequest(100), skipRequest(100), skipRequest(100))
 	endBurst(n, skipRequest(100))
 	got := takeSkips(t, sink)
-	if len(got) != 1 || got[0] != [2]uint64{1, 100} || n.nextInstance != 101 {
-		t.Fatalf("skips = %v (next instance %d), want one skip of instances 1..100", got, n.nextInstance)
+	if len(got) != 1 || got[0] != [2]uint64{1, 100} || n.px.nextInstance != 101 {
+		t.Fatalf("skips = %v (next instance %d), want one skip of instances 1..100", got, n.px.nextInstance)
 	}
 	if fs := n.FlowStats(); fs.SkipsOnDemand != 1 {
 		t.Fatalf("SkipsOnDemand = %d, want 1", fs.SkipsOnDemand)
@@ -94,22 +94,22 @@ func TestSkipOnDemandChargesTheWindow(t *testing.T) {
 	if len(onDemand) != 1 || onDemand[0] != [2]uint64{3, skipBudget - 2} {
 		t.Fatalf("on-demand skip = %v, want instances 3.. spanning the budget's remaining %d", onDemand, skipBudget-2)
 	}
-	n.maybeSkip()
+	tick(n, evDelta)
 	endBurst(n)
 	if tick := takeSkips(t, sink); len(tick) != 0 {
 		t.Fatalf("the tick skipped %v on top of a window already at λ·Δ", tick)
 	}
-	if n.nextInstance != skipBudget+1 {
-		t.Fatalf("window ended at instance %d, want λ·Δ = %d instances", n.nextInstance-1, skipBudget)
+	if n.px.nextInstance != skipBudget+1 {
+		t.Fatalf("window ended at instance %d, want λ·Δ = %d instances", n.px.nextInstance-1, skipBudget)
 	}
 
 	// A need past the budget is met in full and the tick adds nothing.
-	start := n.nextInstance
+	start := n.px.nextInstance
 	endBurst(n, skipRequest(start+3*skipBudget-1))
 	if got := takeSkips(t, sink); len(got) != 1 || got[0] != [2]uint64{start, 3 * skipBudget} {
 		t.Fatalf("skips = %v, want one of %d instances from %d", got, 3*skipBudget, start)
 	}
-	n.maybeSkip()
+	tick(n, evDelta)
 	endBurst(n)
 	if tick := takeSkips(t, sink); len(tick) != 0 {
 		t.Fatalf("the tick skipped %v after the window overran its budget on demand", tick)
@@ -125,8 +125,8 @@ func TestSkipOnDemandWaitsForTheWindow(t *testing.T) {
 	endBurst(n, pooledProposal(1, 64))
 	sink.take(transport.KindPhase2)
 	endBurst(n, skipRequest(10))
-	if got := takeSkips(t, sink); len(got) != 0 || n.skipTarget != 10 {
-		t.Fatalf("window full: proposed %v, recorded target %d; want nothing and 10", got, n.skipTarget)
+	if got := takeSkips(t, sink); len(got) != 0 || n.px.skipTarget != 10 {
+		t.Fatalf("window full: proposed %v, recorded target %d; want nothing and 10", got, n.px.skipTarget)
 	}
 	endBurst(n, decisionFor(n, 1))
 	if got := takeSkips(t, sink); len(got) != 1 || got[0][0] != 2 || got[0][0]+got[0][1]-1 < 10 {
@@ -146,8 +146,8 @@ func TestSkipOnDemandClampsCorruptTarget(t *testing.T) {
 	if got := takeSkips(t, sink); len(got) != 1 || got[0] != [2]uint64{1, maxSkipSpan} {
 		t.Fatalf("skips = %v, want one clamped to %d instances", got, maxSkipSpan)
 	}
-	if n.nextInstance != maxSkipSpan+1 {
-		t.Fatalf("next instance = %d, want %d", n.nextInstance, maxSkipSpan+1)
+	if n.px.nextInstance != maxSkipSpan+1 {
+		t.Fatalf("next instance = %d, want %d", n.px.nextInstance, maxSkipSpan+1)
 	}
 }
 
@@ -157,12 +157,12 @@ func TestSkipOnDemandClampsCorruptTarget(t *testing.T) {
 func TestSkipRequestOnlyAtCoordinator(t *testing.T) {
 	expectOutstanding(t)
 	n, sink := levelingCoordinator(t, nil)
-	n.isCoord = false
+	n.px.isCoord = false
 	endBurst(n, skipRequest(50))
-	n.isCoord = true
+	n.px.isCoord = true
 	endBurst(n)
-	if got := sink.take(transport.KindPhase2); len(got) != 0 || n.skipTarget != 0 {
-		t.Fatalf("non-coordinator acted on a request: %v (recorded %d)", got, n.skipTarget)
+	if got := sink.take(transport.KindPhase2); len(got) != 0 || n.px.skipTarget != 0 {
+		t.Fatalf("non-coordinator acted on a request: %v (recorded %d)", got, n.px.skipTarget)
 	}
 
 	off, offSink := quietCoordinator(t, 3, fullRoles, nil)
@@ -195,18 +195,18 @@ func TestRetiredKindIsDropped(t *testing.T) {
 func TestLateCoordinatorMakesUpMissedWindows(t *testing.T) {
 	expectOutstanding(t)
 	n, sink := levelingCoordinator(t, nil)
-	n.phase1Ready = false
-	for tick := 0; tick < 5; tick++ {
-		n.maybeSkip()
+	n.px.phase1Ready = false
+	for range 5 {
+		tick(n, evDelta)
 		endBurst(n)
 	}
 	endBurst(n, skipRequest(5*skipBudget))
-	if got := sink.take(transport.KindPhase2); len(got) != 0 || n.nextInstance != 1 {
+	if got := sink.take(transport.KindPhase2); len(got) != 0 || n.px.nextInstance != 1 {
 		t.Fatalf("proposed %v before Phase 1 completed", got)
 	}
 	// The Phase 1A returns with every promise: same burst, one skip.
 	endBurst(n, transport.Message{
-		Kind: transport.KindPhase1A, Ring: 1, Ballot: n.ballot, Instance: n.nextDeliver, Votes: 3,
+		Kind: transport.KindPhase1A, Ring: 1, Ballot: n.px.ballot, Instance: n.px.nextDeliver, Votes: 3,
 	})
 	got := takeSkips(t, sink)
 	if len(got) != 1 || got[0] != [2]uint64{1, 5 * skipBudget} {
@@ -214,7 +214,7 @@ func TestLateCoordinatorMakesUpMissedWindows(t *testing.T) {
 	}
 	// On the tick path alone the offset would stay: the next tick levels
 	// its own window only.
-	n.maybeSkip()
+	tick(n, evDelta)
 	endBurst(n)
 	if tick := takeSkips(t, sink); len(tick) != 0 {
 		t.Fatalf("tick after the on-demand skip proposed %v, want nothing (window overran)", tick)

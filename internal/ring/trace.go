@@ -146,11 +146,18 @@ func (n *Node) attachTraces(m *transport.Message, v transport.Value) {
 	}
 }
 
-// attachBatchTraces re-attaches parked contexts for a retransmission
-// batch, so the catch-up path re-delivers trace context along with the
-// decided values it replays.
-func (n *Node) attachBatchTraces(m *transport.Message, batch []transport.InstanceValue) {
-	for _, iv := range batch {
+// attachBatchTraces re-attaches parked contexts for the values of a
+// retransmission batch, so the catch-up path re-delivers trace context
+// along with the decided values it replays.
+func (n *Node) attachBatchTraces(m *transport.Message) {
+	if n.tracer == nil || n.tags.empty() {
+		return
+	}
+	for it := transport.IterBatch(m.Payload); ; {
+		iv, ok := it.Next()
+		if !ok {
+			return
+		}
 		n.attachTraces(m, iv.Value)
 	}
 }

@@ -99,6 +99,68 @@ func TestWALFailureBudgetStepOut(t *testing.T) {
 	}
 }
 
+// TestSteppedOutCoordinatorRoutesProposalsAway: a coordinator that spent
+// its commit-failure budget steps out, and its process's own proposals then
+// go to the new coordinator while its log still fails: the configuration
+// change reaches Propose's routing at once, though the Paxos state applies
+// it only once the retained batch commits.
+func TestSteppedOutCoordinatorRoutesProposalsAway(t *testing.T) {
+	sim := storage.NewSimDisk(storage.NewMemLog(), storage.SSDSpec(), false, 0.0001)
+	c := newCluster(t, 3, func(cfg *Config) {
+		cfg.RetryInterval = 20 * time.Millisecond
+		cfg.CommitFailureBudget = 3
+		if cfg.Self == 1 {
+			cfg.Log = sim
+		}
+	})
+	if err := c.nodes[1].Propose([]byte("warm")); err != nil {
+		t.Fatal(err)
+	}
+	collect(t, c.nodes[3], 1, 5*time.Second)
+
+	sim.SetWriteError(storage.ErrDiskFull)
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; ; i++ {
+		cfg, _ := c.svc.Ring(c.ring)
+		if cfg.Down[1] && cfg.Coordinator != 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("coordinator 1 never stepped out: %+v", cfg)
+		}
+		_ = c.nodes[1].Propose([]byte(fmt.Sprintf("burn%d", i)))
+		time.Sleep(5 * time.Millisecond)
+	}
+	// Node 1's loop takes the change from its watch within an iteration.
+	deadline = time.Now().Add(5 * time.Second)
+	for {
+		c.nodes[1].mu.Lock()
+		routed := c.nodes[1].rc.Coordinator != 1
+		c.nodes[1].mu.Unlock()
+		if routed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("node 1 still routes proposals to itself")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := c.nodes[1].Propose([]byte("after-stepout")); err != nil {
+		t.Fatal(err)
+	}
+	timeout := time.After(10 * time.Second)
+	for {
+		select {
+		case d := <-deliveries(c.nodes[3]):
+			if string(d.Value.Data) == "after-stepout" {
+				return
+			}
+		case <-timeout:
+			t.Fatal("node 1's proposal after its step-out was not delivered on the surviving quorum")
+		}
+	}
+}
+
 // collectUnpacked drains deliveries from a learner until it has seen count
 // application values, unpacking message-packed instances, and returns the
 // value ids with the instance each was decided in.
@@ -143,7 +205,7 @@ func TestPackedBurstSurvivesCoordinatorWALFailure(t *testing.T) {
 	c := newCluster(t, 3, func(cfg *Config) {
 		cfg.BatchBytes = 32 << 10
 		cfg.RetryInterval = 20 * time.Millisecond
-		cfg.CommitFailureBudget = -1 // stay in the ring while wedged
+		cfg.CommitFailureBudget = 1 << 30 // never spent: stay in the ring while wedged
 		if cfg.Self == 1 {
 			cfg.Log = fl
 		}
