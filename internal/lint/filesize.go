@@ -21,7 +21,6 @@ var fileCeilings = map[string]int{
 	"amcast/internal/cluster/cluster.go": 788,
 	"amcast/internal/core/core.go":       854,
 	"amcast/internal/smr/replica.go":     810,
-	"amcast/internal/store/store.go":     1070,
 	// Fixtures: a file over its ceiling, and one under it.
 	"amcast/internal/lint/testdata/src/filesizefail/over.go":  4,
 	"amcast/internal/lint/testdata/src/filesizefail/under.go": 20,

@@ -875,9 +875,9 @@ func FuzzStoreRestore(f *testing.F) {
 		if err := check(sm.db.root, sm.db.Len()); err != nil {
 			t.Fatalf("restored tree: %v", err)
 		}
-		for id, out := range sm.outgoing {
+		for _, out := range sm.stash {
 			if err := check(out.snap.root, out.snap.Len()); err != nil {
-				t.Fatalf("restored stash %d: %v", id, err)
+				t.Fatalf("restored stash %d: %v", out.id, err)
 			}
 		}
 		snap := sm.Snapshot()

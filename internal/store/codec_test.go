@@ -139,7 +139,6 @@ func TestClientRejectsWhatDoesNotEncode(t *testing.T) {
 			return err
 		}, ErrBatchTooLarge},
 		{"ReadLocal", func() error { _, _, err := c.ReadLocal(long); return err }, ErrKeyTooLong},
-		{"ReadLocalAt", func() error { _, _, err := c.ReadLocalAt(1, long); return err }, ErrKeyTooLong},
 		{"ReadStale", func() error { _, _, err := c.ReadStale(long, 0); return err }, ErrKeyTooLong},
 		{"ScanLocal", func() error { _, err := c.ScanLocal("a", long); return err }, ErrKeyTooLong},
 	} {

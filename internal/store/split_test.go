@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
@@ -181,9 +182,6 @@ func TestApplySplitOp(t *testing.T) {
 	if sm.Len() != 30 {
 		t.Errorf("post-split len = %d, want 30", sm.Len())
 	}
-	if got := sm.MigratedKeys(); got != 20 {
-		t.Errorf("migrated keys = %d, want 20", got)
-	}
 	if _, hi, ok := sm.OwnedRange(); !ok || hi != "k0030" {
 		t.Errorf("owned hi = %q, %v; want k0030", hi, ok)
 	}
@@ -194,8 +192,8 @@ func TestApplySplitOp(t *testing.T) {
 	}
 	// Replayed marker is a no-op (no double stash, no range regression).
 	res, _ = DecodeResult(sm.Execute(1, split.Encode()))
-	if res.Status != StatusOK || sm.Len() != 30 || sm.MigratedKeys() != 20 {
-		t.Errorf("replayed split changed state: len=%d migrated=%d", sm.Len(), sm.MigratedKeys())
+	if res.Status != StatusOK || sm.Len() != 30 {
+		t.Errorf("replayed split changed state: len=%d", sm.Len())
 	}
 
 	// The stashed range transfers into a fresh SM with its bounds.
@@ -260,9 +258,6 @@ func TestSplitRetryRestashes(t *testing.T) {
 	if !ok || SnapshotLen(enc) != 20 {
 		t.Fatalf("retried split stash: ok=%v len=%d, want 20 keys under id 8", ok, SnapshotLen(enc))
 	}
-	if sm.MigratedKeys() != 20 {
-		t.Errorf("migrated counter double-counted: %d", sm.MigratedKeys())
-	}
 	// Commit: after release, a replayed marker must not re-stash.
 	sm.ReleaseOutgoing(8)
 	if res := exec(9); res.Status != StatusOK {
@@ -303,7 +298,7 @@ func TestSnapshotCarriesOutgoingStash(t *testing.T) {
 		t.Fatalf("restored stash: ok=%v len=%d, want the 10 moved keys", ok, SnapshotLen(enc))
 	}
 	// The retry path survives the restart too: a retried marker (fresh
-	// id) re-stashes from the restored lastSplit.
+	// id) re-keys the restored stash that starts at the owned bound.
 	retry := Op{Kind: OpSplit, Key: "k0020", Value: SplitSpec{ID: 78, NewGroup: 2}.Encode()}
 	if res, _ := DecodeResult(restored.Execute(1, retry.Encode())); res.Status != StatusOK {
 		t.Fatalf("retried split after restore = %s", res.Status)
@@ -322,6 +317,92 @@ func TestSnapshotCarriesOutgoingStash(t *testing.T) {
 	}
 	if _, ok := clean.OutgoingRange(78); ok {
 		t.Error("released stash persisted in a later checkpoint")
+	}
+}
+
+// TestStashRetentionSurvivesRestart: split ids are not minted in age order
+// (a restarted controller, or one on a lower process id, mints lower ids),
+// so a replica restored from a checkpoint must retain the same two stashes
+// as one that never restarted. Splits A (id 100), B (id 5) and C (id 200):
+// after C both keep B and C and drop A, the oldest.
+func TestStashRetentionSurvivesRestart(t *testing.T) {
+	split := func(sm *SM, key string, id uint64) {
+		op := Op{Kind: OpSplit, Key: key, Value: SplitSpec{ID: id, NewGroup: 2}.Encode()}
+		if res, _ := DecodeResult(sm.Execute(1, op.Encode())); res.Status != StatusOK {
+			t.Fatalf("split at %q = %s", key, res.Status)
+		}
+	}
+	live := NewSM()
+	live.SetOwnedRange("", "")
+	for _, k := range []string{"b", "d", "g", "n"} {
+		live.Execute(1, Op{Kind: OpInsert, Key: k, Value: []byte("v")}.Encode())
+	}
+	split(live, "m", 100) // A
+	split(live, "f", 5)   // B
+	restarted := NewSM()
+	if err := restarted.Restore(live.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	split(live, "c", 200) // C
+	split(restarted, "c", 200)
+	for name, sm := range map[string]*SM{"never restarted": live, "restored": restarted} {
+		if _, ok := sm.OutgoingRange(5); !ok {
+			t.Errorf("%s: dropped B's stash, the newer of the two before C", name)
+		}
+		if _, ok := sm.OutgoingRange(100); ok {
+			t.Errorf("%s: kept A's stash, the oldest of three", name)
+		}
+		if _, ok := sm.OutgoingRange(200); !ok {
+			t.Errorf("%s: lost C's stash", name)
+		}
+	}
+	if !bytes.Equal(live.Snapshot(), restarted.Snapshot()) {
+		t.Error("the two replicas serialize different checkpoints after the same commands")
+	}
+}
+
+// TestRepeatedSplitIDServesNewestRange: a restarted controller mints its
+// split ids again, so a new split may carry the id of an older one whose
+// stash is still held. The id then names the newest range: the controller
+// fetches [f, m) under it, and its release leaves no copy of those keys
+// behind. A retry re-keyed to a held id replaces that entry the same way.
+func TestRepeatedSplitIDServesNewestRange(t *testing.T) {
+	split := func(sm *SM, key string, id uint64) {
+		op := Op{Kind: OpSplit, Key: key, Value: SplitSpec{ID: id, NewGroup: 2}.Encode()}
+		if res, _ := DecodeResult(sm.Execute(1, op.Encode())); res.Status != StatusOK {
+			t.Fatalf("split at %q = %s", key, res.Status)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		splits func(sm *SM)
+	}{
+		{"split", func(sm *SM) { split(sm, "m", 7); split(sm, "f", 7) }},
+		{"retry", func(sm *SM) { split(sm, "m", 7); split(sm, "f", 9); split(sm, "f", 7) }},
+	} {
+		sm := NewSM()
+		sm.SetOwnedRange("", "")
+		for _, k := range []string{"b", "g", "n"} {
+			sm.Execute(1, Op{Kind: OpInsert, Key: k, Value: []byte("v")}.Encode())
+		}
+		tc.splits(sm)
+		raw, ok := sm.OutgoingRange(7)
+		if !ok {
+			t.Fatalf("%s: no stash under id 7", tc.name)
+		}
+		got := NewSM()
+		if err := got.Restore(raw); err != nil {
+			t.Fatal(err)
+		}
+		if lo, hi, _ := got.OwnedRange(); lo != "f" || hi != "m" || got.Len() != 1 {
+			t.Errorf("%s: id 7 serves [%q, %q) with %d keys, want [f, m) with g", tc.name, lo, hi, got.Len())
+		}
+		sm.ReleaseOutgoing(7)
+		for _, out := range sm.stash {
+			if out.lo <= "g" && "g" < out.hi {
+				t.Errorf("%s: released, but stash %d still holds [%q, %q)", tc.name, out.id, out.lo, out.hi)
+			}
+		}
 	}
 }
 
