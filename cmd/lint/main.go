@@ -32,6 +32,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	if err := prog.AddConsumers(wd); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	diags := lint.Run(prog, lint.All(), lint.Options{ReportUnusedAllows: true})
 	for _, d := range diags {
 		fmt.Println(d)

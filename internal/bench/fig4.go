@@ -113,6 +113,8 @@ func Fig4(o Options) (Fig4Result, error) {
 // Fig4YCSBOnMRP runs one YCSB workload against the global-ring MRP-Store
 // configuration and returns its throughput (exported for the top-level
 // Table 1 benchmark).
+//
+//lint:allow testonly BenchmarkTable1Operations (bench_test.go at the module root) drives it
 func Fig4YCSBOnMRP(o Options, w ycsb.Workload) (float64, error) {
 	o = o.withDefaults()
 	return fig4Run(o, SysMRPGlobal, w, min(o.Clients, 100), nil)

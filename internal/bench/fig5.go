@@ -64,6 +64,8 @@ func Fig5(o Options) (Fig5Result, error) {
 
 // Fig5DLogPoint measures one dLog configuration (exported for the
 // top-level Table 2 benchmark).
+//
+//lint:allow testonly BenchmarkTable2Operations (bench_test.go at the module root) drives it
 func Fig5DLogPoint(o Options, clients int) (Fig5Point, error) {
 	return fig5DLog(o.withDefaults(), clients)
 }

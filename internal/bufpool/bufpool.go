@@ -67,14 +67,6 @@ func (b *Buf) Bytes() []byte {
 	return b.data[:b.n]
 }
 
-// Len returns the requested length. Nil-safe.
-func (b *Buf) Len() int {
-	if b == nil {
-		return 0
-	}
-	return b.n
-}
-
 // Retain adds a reference for a new holder. Nil-safe so callers can
 // blindly retain optional buffers.
 func (b *Buf) Retain() {
@@ -115,6 +107,8 @@ func (b *Buf) Release() {
 }
 
 // Refs reports the current reference count (for tests and debugging).
+//
+//lint:allow testonly TestDeliveryQueueContract (ring) and TestTCPRefcountRoundTrip (transport) check that each holder took its reference
 func (b *Buf) Refs() int32 {
 	if b == nil {
 		return 0
@@ -210,13 +204,3 @@ func Snapshot() Stats {
 // quiescence means every Get/Copy was balanced by a final Release;
 // internal/leakcheck asserts this at test-binary exit.
 func Outstanding() int64 { return outstanding.Load() }
-
-// Drain empties every free list (for tests that want a cold pool).
-func Drain() {
-	for i := range classes {
-		c := &classes[i]
-		c.mu.Lock()
-		c.free = nil
-		c.mu.Unlock()
-	}
-}

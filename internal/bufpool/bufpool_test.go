@@ -27,18 +27,18 @@ func TestClassFor(t *testing.T) {
 // TestGetReleaseRecycles proves the final Release really returns the
 // buffer (struct and backing array) to its class free list.
 func TestGetReleaseRecycles(t *testing.T) {
-	Drain()
+	drain()
 	a := Get(100)
-	if a.Len() != 100 || len(a.Bytes()) != 100 {
-		t.Fatalf("Get(100): len %d bytes %d", a.Len(), len(a.Bytes()))
+	if len(a.Bytes()) != 100 {
+		t.Fatalf("Get(100): len %d", len(a.Bytes()))
 	}
 	a.Release()
 	b := Get(90) // same class (128)
 	if a != b {
 		t.Errorf("Get after Release allocated a fresh Buf; want recycled")
 	}
-	if b.Len() != 90 {
-		t.Errorf("recycled Buf has stale length %d, want 90", b.Len())
+	if len(b.Bytes()) != 90 {
+		t.Errorf("recycled Buf has stale length %d, want 90", len(b.Bytes()))
 	}
 	b.Release()
 }
@@ -86,14 +86,14 @@ func TestDoubleReleasePanics(t *testing.T) {
 // TestRetainAfterReleasePanics: reviving a dead buffer is a
 // use-after-free in the making.
 func TestRetainAfterReleasePanics(t *testing.T) {
-	Drain() // keep the dead Buf out of the free list's reach
+	drain() // keep the dead Buf out of the free list's reach
 	b := Get(32)
 	b.Release()
 	defer func() {
 		if recover() == nil {
 			t.Errorf("Retain after final Release did not panic")
 		}
-		Drain() // drop the corrupted refcount Buf
+		drain() // drop the corrupted refcount Buf
 	}()
 	b.Retain()
 }
@@ -104,7 +104,7 @@ func TestNilSafe(t *testing.T) {
 	var b *Buf
 	b.Retain()
 	b.Release()
-	if b.Bytes() != nil || b.Len() != 0 || b.Refs() != 0 {
+	if b.Bytes() != nil || b.Refs() != 0 {
 		t.Errorf("nil Buf not inert")
 	}
 }
@@ -139,7 +139,7 @@ func TestConcurrentHolders(t *testing.T) {
 
 // TestStatsHitMiss: a cold Get misses, a recycled Get hits.
 func TestStatsHitMiss(t *testing.T) {
-	Drain()
+	drain()
 	before := Snapshot()
 	a := Get(256)
 	a.Release()
@@ -172,5 +172,15 @@ func TestAllocsSteadyState(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("steady-state Copy/Retain/Release allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// drain empties every free list, for tests that want a cold pool.
+func drain() {
+	for i := range classes {
+		c := &classes[i]
+		c.mu.Lock()
+		c.free = nil
+		c.mu.Unlock()
 	}
 }

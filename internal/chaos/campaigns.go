@@ -18,6 +18,8 @@ import (
 // anywhere: detection, failover and re-admission are entirely the
 // failure detectors' doing. This is the campaign the whole detector
 // stack is accountable to.
+//
+//lint:allow testonly TestChaosCoordinatorFailover runs this campaign
 func CoordinatorFailover(cycles int) Spec {
 	if cycles < 1 {
 		cycles = 1
@@ -63,6 +65,8 @@ func CoordinatorFailover(cycles int) Spec {
 // restarts old-partition replicas one at a time. Acked writes must
 // survive regardless of whether the split completes or aborts cleanly
 // (both are legal outcomes under fire; a half-applied split is not).
+//
+//lint:allow testonly TestChaosRollingKillsDuringSplit runs this campaign
 func RollingKillsDuringSplit() Spec {
 	spec := Spec{
 		Name: "rolling-kills-during-split",
@@ -166,6 +170,8 @@ func RollingKillsDuringSplit() Spec {
 // writes surviving throughout.
 // scale shrinks the geo latencies (0 = 0.05, i.e. 20× faster, the same
 // compression the cluster tests use).
+//
+//lint:allow testonly TestChaosWANPartitionHeal runs this campaign
 func WANPartitionHeal(scale float64) Spec {
 	if scale == 0 {
 		scale = 0.05
@@ -219,6 +225,8 @@ func WANPartitionHeal(scale float64) Spec {
 // quorum keeps deciding), and clearing the fault must let its retained
 // batch commit and the node re-admit itself — no detector involvement,
 // no oracle, just the WAL health path.
+//
+//lint:allow testonly TestChaosDiskFullAcceptor runs this campaign
 func DiskFullAcceptor() Spec {
 	var mu sync.Mutex
 	var sick *storage.SimDisk

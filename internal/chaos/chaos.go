@@ -114,6 +114,8 @@ type Report struct {
 }
 
 // Passed reports whether every invariant held.
+//
+//lint:allow testonly every TestChaos campaign checks its verdict with it (chaos_test.go runCampaign)
 func (r *Report) Passed() bool {
 	return r.LostWrites == 0 && r.Liveness && r.Converged && len(r.Errors) == 0
 }
@@ -306,6 +308,8 @@ func Key(i int) string { return fmt.Sprintf("k%04d", i) }
 
 // Execute boots the scenario, runs workload and events to completion,
 // verifies the invariants and tears the deployment down.
+//
+//lint:allow testonly every TestChaos campaign runs through it (chaos_test.go runCampaign)
 func Execute(spec Spec) (*Report, error) {
 	spec.withDefaults()
 	d := cluster.NewDeployment(spec.Topology)

@@ -13,7 +13,6 @@ import (
 
 	"amcast/internal/coord"
 	"amcast/internal/core"
-	"amcast/internal/dlog"
 	"amcast/internal/netem"
 	"amcast/internal/obs"
 	"amcast/internal/reconfig"
@@ -222,8 +221,6 @@ type StoreOptions struct {
 	SiteOfReplica func(partition, replica int) netem.Site
 	// Ring tunes the consensus rings.
 	Ring core.RingOptions
-	// M is the deterministic merge quota (default 1).
-	M int
 	// GlobalLambda overrides rate-leveling λ on the global ring.
 	GlobalLambda int
 	// CheckpointEvery commands between replica checkpoints (0 off).
@@ -412,7 +409,6 @@ func (c *StoreCluster) startServer(p, r int, tr transport.Transport, peerRecover
 		Checkpoints:     ckpt,
 		CheckpointEvery: c.opts.CheckpointEvery,
 		Ring:            c.opts.Ring,
-		M:               c.opts.M,
 		GlobalLambda:    c.opts.GlobalLambda,
 		Tracer:          c.D.recorderFor(id, fmt.Sprintf("p%dr%d", p, r)),
 	}
@@ -520,21 +516,12 @@ func (c *StoreCluster) NewClient(site netem.Site) (*store.Client, *Client, error
 	return sc, cl, nil
 }
 
-// Crash kills replica r of partition p: network detach, server stop,
-// liveness mark. Volatile state is lost; the checkpoint store survives
-// (stable storage).
+// Crash kills replica r of partition p, as Kill does, and then marks it
+// down. Volatile state is lost; the checkpoint store survives (stable
+// storage).
 func (c *StoreCluster) Crash(p, r int) {
-	id := ReplicaID(p, r)
-	c.stopDetector(id)
-	c.D.Net.Detach(id)
-	c.mu.Lock()
-	srv := c.servers[id]
-	delete(c.servers, id)
-	c.mu.Unlock()
-	if srv != nil {
-		srv.Stop()
-	}
-	c.D.Svc.MarkDown(id)
+	c.Kill(p, r)
+	c.D.Svc.MarkDown(ReplicaID(p, r))
 }
 
 // Kill hard-crashes replica r of partition p with NO liveness mark: the
@@ -553,13 +540,12 @@ func (c *StoreCluster) Kill(p, r int) {
 	}
 }
 
-// Restart recovers replica r of partition p from its stable checkpoint
-// store, consulting peers when the cluster was configured with a
-// RecoveryTimeout.
+// Restart marks replica r of partition p up and then recovers it, as
+// RestartQuiet does: from its stable checkpoint store, consulting peers
+// when the cluster was configured with a RecoveryTimeout.
 func (c *StoreCluster) Restart(p, r int) error {
-	id := ReplicaID(p, r)
-	c.D.Svc.MarkUp(id)
-	return c.startServer(p, r, c.attach(p, r), c.opts.RecoveryTimeout > 0)
+	c.D.Svc.MarkUp(ReplicaID(p, r))
+	return c.RestartQuiet(p, r)
 }
 
 // RestartQuiet reboots a killed replica with NO liveness mark: the peer
@@ -631,158 +617,5 @@ func (c *StoreCluster) StopAll() {
 	}
 	for _, s := range servers {
 		s.Stop()
-	}
-}
-
-// DLogOptions configures a StartDLog deployment.
-type DLogOptions struct {
-	// Logs is the number of shared logs (one ring each, ids 1..Logs).
-	Logs int
-	// Servers is the number of dLog server processes. Every server is a
-	// member of every log ring and hosts every log (the paper co-locates
-	// rings on three machines in Figures 5 and 6).
-	Servers int
-	// Global adds a common ring for multi-append (Figure 6 subscribes
-	// learners to k rings "and a common ring shared by all learners").
-	Global bool
-	// Ring tunes the consensus rings.
-	Ring core.RingOptions
-	// M is the deterministic merge quota.
-	M int
-	// NewAcceptorLog supplies per-ring acceptor logs (Figure 6: one disk
-	// per ring); nil = memory.
-	NewAcceptorLog func(ring transport.RingID, self transport.ProcessID) (storage.Log, error)
-}
-
-// DLogCluster is a running dLog deployment.
-type DLogCluster struct {
-	D      *Deployment
-	Global transport.RingID
-	opts   DLogOptions
-
-	mu   sync.Mutex
-	sms  map[transport.ProcessID]*dlog.SM
-	reps map[transport.ProcessID]*smr.Replica
-}
-
-// DLogServerID is the process id of dLog server s (1-based).
-func DLogServerID(s int) transport.ProcessID { return transport.ProcessID(9000 + s) }
-
-// StartDLog boots a dLog cluster.
-func (d *Deployment) StartDLog(opts DLogOptions) (*DLogCluster, error) {
-	if opts.Logs == 0 {
-		opts.Logs = 1
-	}
-	if opts.Servers == 0 {
-		opts.Servers = 3
-	}
-	var members []coord.Member
-	for s := 1; s <= opts.Servers; s++ {
-		members = append(members, coord.Member{
-			ID:    DLogServerID(s),
-			Roles: coord.RoleProposer | coord.RoleAcceptor | coord.RoleLearner,
-		})
-	}
-	groups := make([]transport.RingID, 0, opts.Logs+1)
-	for l := 1; l <= opts.Logs; l++ {
-		if err := d.Svc.CreateRing(transport.RingID(l), members); err != nil {
-			return nil, err
-		}
-		groups = append(groups, transport.RingID(l))
-	}
-	global := transport.RingID(0)
-	if opts.Global {
-		global = GlobalRing
-		if err := d.Svc.CreateRing(global, members); err != nil {
-			return nil, err
-		}
-		groups = append(groups, global)
-	}
-
-	c := &DLogCluster{
-		D:      d,
-		Global: global,
-		opts:   opts,
-		sms:    make(map[transport.ProcessID]*dlog.SM),
-		reps:   make(map[transport.ProcessID]*smr.Replica),
-	}
-	hosted := make([]dlog.LogID, opts.Logs)
-	for l := 1; l <= opts.Logs; l++ {
-		hosted[l-1] = dlog.LogID(l)
-	}
-	// Every server is on the network before any node starts, as
-	// StartStore's replicas are.
-	trs := make([]transport.Transport, opts.Servers)
-	for s := range trs {
-		trs[s] = d.Net.Attach(DLogServerID(s+1), netem.SiteLocal)
-	}
-	for s := 1; s <= opts.Servers; s++ {
-		id, tr := DLogServerID(s), trs[s-1]
-		router := transport.NewRouter(tr)
-		sm := dlog.NewSM(dlog.SMConfig{Hosted: hosted})
-		rec := d.recorderFor(id, fmt.Sprintf("dlog%d", s))
-		nodeCfg := core.Config{
-			Self: id, Router: router, Coord: d.Svc,
-			M: opts.M, Ring: opts.Ring,
-			Tracer: rec,
-		}
-		if opts.NewAcceptorLog != nil {
-			nodeCfg.NewLog = func(ring transport.RingID) (storage.Log, error) {
-				return opts.NewAcceptorLog(ring, id)
-			}
-		}
-		node, err := core.New(nodeCfg)
-		if err != nil {
-			return nil, err
-		}
-		rep, err := smr.NewReplica(smr.ReplicaConfig{
-			Self:      id,
-			Partition: transport.RingID(1), // all servers share one partition
-			Groups:    groups,
-			Node:      node,
-			Transport: tr,
-			Service:   router.Service(),
-			SM:        sm,
-			Tracer:    rec,
-		}, recovery.Checkpoint{})
-		if err != nil {
-			node.Stop()
-			return nil, fmt.Errorf("cluster: start dlog server %d: %w", id, err)
-		}
-		c.sms[id] = sm
-		c.reps[id] = rep
-		c.wireDLogObs(s, groups)
-	}
-	d.onClose(c.StopAll)
-	return c, nil
-}
-
-// SM returns server s's state machine (instrumentation).
-func (c *DLogCluster) SM(s int) *dlog.SM {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sms[DLogServerID(s)]
-}
-
-// NewClient attaches a dLog client. All servers of this layout host every
-// log (one partition), so multi-appends need a single partition response.
-func (c *DLogCluster) NewClient() (*dlog.Client, *Client, error) {
-	cl, err := c.D.NewClient(netem.SiteLocal)
-	if err != nil {
-		return nil, nil, err
-	}
-	dc := dlog.NewClient(cl.SMR, c.Global)
-	dc.Partitions = 1
-	return dc, cl, nil
-}
-
-// StopAll halts every server.
-func (c *DLogCluster) StopAll() {
-	c.mu.Lock()
-	reps := c.reps
-	c.reps = make(map[transport.ProcessID]*smr.Replica)
-	c.mu.Unlock()
-	for _, r := range reps {
-		r.Stop()
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 	"amcast/internal/core"
 	"amcast/internal/netem"
-	"amcast/internal/store"
+	"amcast/internal/smr"
 )
 
 // TestStoreLocalReads covers the read-index client path end to end:
@@ -98,7 +98,7 @@ func TestStoreReadStaleRefusesIdleReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(200 * time.Millisecond)
-	if _, _, err := sc.ReadStale("idle", 20*time.Millisecond); !errors.Is(err, store.ErrStale) {
+	if _, _, err := sc.ReadStale("idle", 20*time.Millisecond); !errors.Is(err, smr.ErrStale) {
 		t.Fatalf("idle bounded-stale read: err = %v, want ErrStale", err)
 	}
 	if v, ok, err := sc.ReadStale("idle", time.Hour); err != nil || !ok || string(v) != "v" {

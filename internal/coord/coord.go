@@ -71,19 +71,6 @@ type RingConfig struct {
 	Coordinator transport.ProcessID
 }
 
-// Alive reports whether id is a member and not marked down.
-func (c RingConfig) Alive(id transport.ProcessID) bool {
-	if c.Down[id] {
-		return false
-	}
-	for _, m := range c.Members {
-		if m.ID == id {
-			return true
-		}
-	}
-	return false
-}
-
 // Roles returns the roles of a member (0 if not a member).
 func (c RingConfig) Roles(id transport.ProcessID) Role {
 	for _, m := range c.Members {
@@ -348,6 +335,8 @@ func (s *Service) Watch(ring transport.RingID) (<-chan RingConfig, func()) {
 
 // Watchers reports how many Watch subscriptions a ring holds, so a test
 // can tell that a closed component cancelled its own.
+//
+//lint:allow testonly TestClientLoopReroutesOneGroup (smr) counts the client's watches before and after Close
 func (s *Service) Watchers(ring transport.RingID) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -97,7 +97,7 @@ func TestCoordinatorFailover(t *testing.T) {
 	if cfg.Coordinator != 1 {
 		t.Errorf("after recovery, coordinator = %d, want 1", cfg.Coordinator)
 	}
-	if !cfg.Alive(1) {
+	if cfg.Down[1] {
 		t.Error("recovered process should be alive")
 	}
 }

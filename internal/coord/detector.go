@@ -12,13 +12,13 @@ import (
 type DetectorOptions struct {
 	// Interval is the heartbeat period. Default 50ms.
 	Interval time.Duration
-	// MinTimeout floors the silence before suspicion regardless of φ
+	// minTimeout floors the silence before suspicion regardless of φ
 	// (guards against a too-confident estimator on a quiet, regular
 	// network). Default 10×Interval.
-	MinTimeout time.Duration
-	// MaxTimeout caps the silence: past it a peer is suspected even
+	minTimeout time.Duration
+	// maxTimeout caps the silence: past it a peer is suspected even
 	// without enough samples for a φ estimate. Default 60×Interval.
-	MaxTimeout time.Duration
+	maxTimeout time.Duration
 }
 
 const (
@@ -37,14 +37,14 @@ func (o DetectorOptions) withDefaults() DetectorOptions {
 	if o.Interval <= 0 {
 		o.Interval = 50 * time.Millisecond
 	}
-	if o.MinTimeout <= 0 {
-		o.MinTimeout = 10 * o.Interval
+	if o.minTimeout <= 0 {
+		o.minTimeout = 10 * o.Interval
 	}
-	if o.MaxTimeout <= 0 {
-		o.MaxTimeout = 60 * o.Interval
+	if o.maxTimeout <= 0 {
+		o.maxTimeout = 60 * o.Interval
 	}
-	if o.MaxTimeout < o.MinTimeout {
-		o.MaxTimeout = o.MinTimeout
+	if o.maxTimeout < o.minTimeout {
+		o.maxTimeout = o.minTimeout
 	}
 	return o
 }
@@ -187,7 +187,7 @@ func (d *Detector) onBeat(p transport.ProcessID, now time.Time) {
 	if ps.suspected {
 		// Hysteresis: withdraw only after rejoinBeats consecutive beats.
 		// A beat arriving after another long silence restarts the count.
-		if now.Sub(ps.last) > d.opts.MinTimeout {
+		if now.Sub(ps.last) > d.opts.minTimeout {
 			ps.beats = 1
 		} else {
 			ps.beats++
@@ -240,10 +240,10 @@ func (d *Detector) beatAndEvaluate(now time.Time) {
 			continue
 		}
 		elapsed := now.Sub(ps.last)
-		if elapsed < d.opts.MinTimeout {
+		if elapsed < d.opts.minTimeout {
 			continue
 		}
-		if elapsed >= d.opts.MaxTimeout || d.phi(ps, elapsed) >= phiThreshold {
+		if elapsed >= d.opts.maxTimeout || d.phi(ps, elapsed) >= phiThreshold {
 			ps.suspected = true
 			ps.beats = 0
 			verdicts = append(verdicts, verdict{id, true})
@@ -265,7 +265,7 @@ func (d *Detector) beatAndEvaluate(now time.Time) {
 
 // phi computes the φ-accrual suspicion level after elapsed silence, using a
 // normal approximation of the inter-arrival distribution. With too few
-// samples it returns 0 (MaxTimeout then provides the only bound).
+// samples it returns 0 (maxTimeout then provides the only bound).
 func (d *Detector) phi(ps *peerState, elapsed time.Duration) float64 {
 	n := len(ps.samples)
 	if n < 8 {

@@ -129,8 +129,8 @@ func TestDetectorEndToEndCrashAndRejoin(t *testing.T) {
 	}
 	opts := DetectorOptions{
 		Interval:   10 * time.Millisecond,
-		MinTimeout: 80 * time.Millisecond,
-		MaxTimeout: 500 * time.Millisecond,
+		minTimeout: 80 * time.Millisecond,
+		maxTimeout: 500 * time.Millisecond,
 	}
 	procs := make(map[transport.ProcessID]*detProc)
 	for _, id := range []transport.ProcessID{1, 2, 3} {
@@ -182,8 +182,8 @@ func TestDetectorAsymmetricCutNoQuorumNoEviction(t *testing.T) {
 	}
 	opts := DetectorOptions{
 		Interval:   10 * time.Millisecond,
-		MinTimeout: 80 * time.Millisecond,
-		MaxTimeout: 400 * time.Millisecond,
+		minTimeout: 80 * time.Millisecond,
+		maxTimeout: 400 * time.Millisecond,
 	}
 	var procs []*detProc
 	for _, id := range []transport.ProcessID{1, 2, 3} {

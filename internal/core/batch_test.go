@@ -11,8 +11,8 @@ import (
 )
 
 // TestSubscribeBatchMatchesSubscribe is the batched-delivery equivalence
-// property: a per-message subscriber and a batch subscriber attached to
-// the same decided sequences deliver the identical global order — with
+// property: a subscriber limited to one instance per batch and a
+// full-batch subscriber attached to the same decided sequences deliver the identical global order — with
 // concurrent proposers on two groups, rate-leveling skips and message
 // packing all in play.
 func TestSubscribeBatchMatchesSubscribe(t *testing.T) {
@@ -34,12 +34,15 @@ func TestSubscribeBatchMatchesSubscribe(t *testing.T) {
 		}
 	}
 
-	// Node 1 subscribes per message, node 2 per batch.
+	// Node 1 takes one instance per batch, node 2 full batches.
 	var mu sync.Mutex
 	var perMsg, batched []Delivery
-	if err := d.nodes[1].Subscribe(func(dd Delivery) {
+	d.nodes[1].LimitBatch(1)
+	if err := d.nodes[1].SubscribeBatch(func(ds []Delivery) {
 		mu.Lock()
-		perMsg = append(perMsg, Delivery{Group: dd.Group, Instance: dd.Instance, ValueID: dd.ValueID, Data: append([]byte(nil), dd.Data...)})
+		for _, dd := range ds {
+			perMsg = append(perMsg, Delivery{Group: dd.Group, Instance: dd.Instance, ValueID: dd.ValueID, Data: append([]byte(nil), dd.Data...)})
+		}
 		mu.Unlock()
 	}, 1, 2); err != nil {
 		t.Fatal(err)

@@ -32,8 +32,7 @@
 // consistent: DeliveredVector and MergeCursor are published together once
 // per batch and, inside the handler, exactly describe the state after the
 // batch's last delivery — which is what Section 5.2's tuple-identified
-// checkpoints require, now at batch boundaries. Subscribe remains as a
-// thin per-message adapter.
+// checkpoints require, now at batch boundaries.
 package core
 
 import (
@@ -45,7 +44,6 @@ import (
 	"time"
 
 	"amcast/internal/coord"
-	"amcast/internal/metrics"
 	"amcast/internal/recovery"
 	"amcast/internal/ring"
 	"amcast/internal/storage"
@@ -68,12 +66,6 @@ type Delivery struct {
 	// execution, responses or checkpoint bytes.
 	Trace trace.Context
 }
-
-// Handler consumes deliveries in merged order. It runs on the merge
-// goroutine; blocking it back-pressures the whole subscription. Data may
-// be backed by a pooled buffer that recycles after the call (see
-// BatchHandler): a handler that keeps it must copy it.
-type Handler func(Delivery)
 
 // BatchHandler consumes batches of deliveries in merged order. It runs on
 // the merge goroutine; blocking it back-pressures the whole subscription.
@@ -98,6 +90,7 @@ type RingOptions struct {
 	// Window bounds outstanding undecided instances at coordinators.
 	Window int
 	// MaxPending bounds queued proposals at coordinators.
+	//lint:allow testonly TestClientsRideOutTransientOverload and TestDLogClientRidesOutOverload (cluster) shrink it to provoke overload
 	MaxPending int
 	// RetryInterval drives coordinator re-proposals and gap chasing.
 	RetryInterval time.Duration
@@ -146,6 +139,10 @@ type Config struct {
 	// StartVector resumes delivery after a recovered checkpoint: for
 	// each subscribed group, delivery starts at StartVector[g]+1.
 	StartVector recovery.Vector
+	// StartFromPeer marks StartVector as a peer's checkpoint: no ring
+	// serves retransmissions below its start from its log (see
+	// ring.Config.StartFromPeer).
+	StartFromPeer bool
 	// StartCursor resumes the merge round-robin at the checkpointed
 	// position. Zero value starts a fresh merge.
 	StartCursor Cursor
@@ -174,7 +171,7 @@ var (
 )
 
 // Node is one process's Multi-Ring Paxos endpoint: it can multicast to any
-// group and, after Subscribe, delivers the merged ordered stream of all
+// group and, after SubscribeBatch, delivers the merged ordered stream of all
 // groups it subscribes to.
 type Node struct {
 	cfg   Config
@@ -232,17 +229,6 @@ type Node struct {
 	// deterministic merge waited on each subscribed ring.
 	stallMu sync.Mutex
 	stalls  map[transport.RingID]*ringStallRec
-
-	// halted records a premature merge exit: a subscribed ring's
-	// delivery stream terminated while the node was still running.
-	halted     bool
-	haltedRing transport.RingID
-}
-
-// ringStallRec accumulates merge-stall telemetry for one ring.
-type ringStallRec struct {
-	hist  *metrics.Histogram
-	total atomic.Int64
 }
 
 // resubRequest is an armed subscription change.
@@ -251,7 +237,7 @@ type resubRequest struct {
 	groups []transport.RingID // ascending, deduplicated
 }
 
-// New creates a Multi-Ring Paxos node. Join rings and Subscribe to start
+// New creates a Multi-Ring Paxos node. Join rings and SubscribeBatch to start
 // delivering.
 func New(cfg Config) (*Node, error) {
 	if cfg.Router == nil || cfg.Coord == nil {
@@ -318,6 +304,7 @@ func (n *Node) Join(ringID transport.RingID) error {
 		TrimInterval:        n.cfg.Ring.TrimInterval,
 		BatchBytes:          n.cfg.Ring.BatchBytes,
 		StartInstance:       n.cfg.StartVector[ringID] + 1,
+		StartFromPeer:       n.cfg.StartFromPeer,
 		CommitFailureBudget: n.cfg.Ring.CommitFailureBudget,
 		Tracer:              n.cfg.Tracer,
 	})
@@ -326,26 +313,6 @@ func (n *Node) Join(ringID transport.RingID) error {
 	}
 	n.rings[ringID] = rn
 	return nil
-}
-
-// Subscribe declares the set of groups this process delivers from and
-// starts the deterministic merge, invoking handler inline for every
-// delivered message. All groups must be joined with the learner role.
-// Subscribe may be called once (and not combined with SubscribeBatch).
-//
-// Subscribe is a thin adapter over SubscribeBatch: the merge runs
-// batch-at-a-time underneath, so DeliveredVector/MergeCursor reflect the
-// current batch's last delivery, not the message in hand. Handlers that
-// checkpoint should use SubscribeBatch and checkpoint at batch boundaries.
-func (n *Node) Subscribe(handler Handler, groups ...transport.RingID) error {
-	if handler == nil {
-		return errors.New("core: nil delivery handler")
-	}
-	return n.SubscribeBatch(func(ds []Delivery) {
-		for _, d := range ds {
-			handler(d)
-		}
-	}, groups...)
 }
 
 // SubscribeBatch declares the set of groups this process delivers from and
@@ -488,144 +455,6 @@ func (n *Node) CancelResubscribe(marker uint64) bool {
 	return n.resub.CompareAndSwap(p, nil)
 }
 
-// noteMergeHalt records that the merge exited because a subscribed
-// ring's delivery stream ended while the node was NOT stopping.
-func (n *Node) noteMergeHalt(g transport.RingID) {
-	select {
-	case <-n.done:
-		return // normal shutdown
-	default:
-	}
-	n.mu.Lock()
-	n.halted, n.haltedRing = true, g
-	n.mu.Unlock()
-}
-
-// MergeHalted reports whether the merge exited prematurely — a
-// subscribed ring terminated its delivery stream while the node was
-// still running (e.g. the learner's catch-up range was trimmed beyond
-// ring-level recovery; see ring.FlowStats.CatchupAborted) — and which
-// ring caused it. Delivery for EVERY subscribed group has stopped at
-// that point; the replica must recover via checkpoint transfer
-// (Section 5.2), typically by restarting through BuildNode.
-func (n *Node) MergeHalted() (transport.RingID, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.haltedRing, n.halted
-}
-
-// observeMergeStall records one wait of d on ring g in the per-ring stall
-// telemetry. Runs on the merge goroutine.
-func (n *Node) observeMergeStall(g transport.RingID, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	rec := n.stallRec(g)
-	rec.hist.Record(d)
-	rec.total.Add(int64(d))
-}
-
-// stallRec returns (lazily creating) the stall record of one ring.
-func (n *Node) stallRec(g transport.RingID) *ringStallRec {
-	n.stallMu.Lock()
-	defer n.stallMu.Unlock()
-	rec, ok := n.stalls[g]
-	if !ok {
-		if n.stalls == nil {
-			n.stalls = make(map[transport.RingID]*ringStallRec)
-		}
-		rec = &ringStallRec{hist: metrics.NewHistogram()}
-		n.stalls[g] = rec
-	}
-	return rec
-}
-
-// RingStall summarizes how long the deterministic merge has waited on one
-// subscribed ring.
-type RingStall struct {
-	Ring  transport.RingID
-	Total time.Duration
-	Count uint64
-	Mean  time.Duration
-	Max   time.Duration
-	P99   time.Duration
-}
-
-// MergeStalls snapshots the per-ring merge-stall telemetry, sorted by
-// total stall descending.
-func (n *Node) MergeStalls() []RingStall {
-	n.stallMu.Lock()
-	recs := make(map[transport.RingID]*ringStallRec, len(n.stalls))
-	for g, rec := range n.stalls {
-		recs[g] = rec
-	}
-	n.stallMu.Unlock()
-	out := make([]RingStall, 0, len(recs))
-	for g, rec := range recs {
-		out = append(out, RingStall{
-			Ring:  g,
-			Total: time.Duration(rec.total.Load()),
-			Count: rec.hist.Count(),
-			Mean:  rec.hist.Mean(),
-			Max:   rec.hist.Max(),
-			P99:   rec.hist.Quantile(0.99),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Total > out[j].Total })
-	return out
-}
-
-// RingFlowStats returns a joined ring's delivery-stage flow-control
-// counters (lag, overruns, catch-up accounting), or ok=false if the
-// process has not joined the ring.
-func (n *Node) RingFlowStats(ringID transport.RingID) (ring.FlowStats, bool) {
-	n.mu.Lock()
-	rn := n.rings[ringID]
-	n.mu.Unlock()
-	if rn == nil {
-		return ring.FlowStats{}, false
-	}
-	return rn.FlowStats(), true
-}
-
-// RingStats reports a joined ring's decided and skipped instance
-// counters (decided includes skipped); ok=false if not joined.
-func (n *Node) RingStats(ringID transport.RingID) (decided, skipped uint64, ok bool) {
-	n.mu.Lock()
-	rn := n.rings[ringID]
-	n.mu.Unlock()
-	if rn == nil {
-		return 0, 0, false
-	}
-	decided, skipped = rn.Stats()
-	return decided, skipped, true
-}
-
-// RingWALHealth reports a joined ring's group-commit failure accounting
-// (see ring.Node.WALHealth); ok=false if not joined.
-func (n *Node) RingWALHealth(ringID transport.RingID) (failures uint64, steppedOut bool, lastErr string, ok bool) {
-	n.mu.Lock()
-	rn := n.rings[ringID]
-	n.mu.Unlock()
-	if rn == nil {
-		return 0, false, "", false
-	}
-	failures, steppedOut, lastErr = rn.WALHealth()
-	return failures, steppedOut, lastErr, true
-}
-
-// RingLambdaNow reports a joined ring's rate-leveling target λ (Ring.Lambda,
-// or the ring's LambdaOverride); ok=false if not joined.
-func (n *Node) RingLambdaNow(ringID transport.RingID) (int, bool) {
-	n.mu.Lock()
-	rn := n.rings[ringID]
-	n.mu.Unlock()
-	if rn == nil {
-		return 0, false
-	}
-	return rn.LambdaNow(), true
-}
-
 func containsRing(ids []transport.RingID, g transport.RingID) bool {
 	for _, x := range ids {
 		if x == g {
@@ -690,7 +519,7 @@ var progressEpoch = time.Now()
 // every batch-boundary flush, once the flushed prefix has been fully
 // processed by the delivery handler (including skip-only flushes, which
 // advance the vector without invoking the handler). Install it before
-// Subscribe; fn must be fast and must not call back into the node's
+// SubscribeBatch; fn must be fast and must not call back into the node's
 // delivery path.
 func (n *Node) SetBatchBoundary(fn func()) {
 	if fn == nil {
@@ -784,7 +613,7 @@ func (n *Node) MulticastValueTraced(group transport.RingID, id uint64, data []by
 		Ring:  group,
 		Value: v,
 		// Seq carries the original proposer so admission-control replies
-		// survive proposal forwarding (see ring.ProposeValue).
+		// survive proposal forwarding (see ring.ProposeValueTraced).
 		Seq: uint64(n.id),
 	}
 	if n.cfg.Tracer != nil && ctx.Sampled() {
@@ -802,32 +631,6 @@ func (n *Node) MarkerID() uint64 {
 
 // DeliveredCount reports the number of application messages delivered.
 func (n *Node) DeliveredCount() uint64 { return n.delivered.Load() }
-
-// RingIOGauges returns a joined ring's group-commit instrumentation (WAL
-// batch and staged-send batch size distributions), or nils if the process
-// has not joined the ring.
-func (n *Node) RingIOGauges(ringID transport.RingID) (wal, send *metrics.BatchGauge) {
-	n.mu.Lock()
-	rn := n.rings[ringID]
-	n.mu.Unlock()
-	if rn == nil {
-		return nil, nil
-	}
-	return rn.IOGauges()
-}
-
-// RingPackGauge returns a joined ring's message-packing instrumentation
-// (application messages per proposed instance at this process's
-// coordinator), or nil if the process has not joined the ring.
-func (n *Node) RingPackGauge(ringID transport.RingID) *metrics.BatchGauge {
-	n.mu.Lock()
-	rn := n.rings[ringID]
-	n.mu.Unlock()
-	if rn == nil {
-		return nil
-	}
-	return rn.PackGauge()
-}
 
 // Stop shuts down the merge and every joined ring.
 func (n *Node) Stop() {

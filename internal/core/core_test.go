@@ -92,9 +92,11 @@ func (d *deployment) joinAll(id transport.ProcessID, rings []transport.RingID, s
 		ch := d.chans[id]
 		// Data is only valid during the call: a packed value's pooled
 		// buffer recycles once the merge has handed it over.
-		if err := d.nodes[id].Subscribe(func(dd Delivery) {
-			dd.Data = append([]byte(nil), dd.Data...)
-			ch <- dd
+		if err := d.nodes[id].SubscribeBatch(func(ds []Delivery) {
+			for _, dd := range ds {
+				dd.Data = append([]byte(nil), dd.Data...)
+				ch <- dd
+			}
 		}, subs...); err != nil {
 			d.t.Fatalf("node %d subscribe: %v", id, err)
 		}
@@ -304,14 +306,14 @@ func TestSubscribeValidation(t *testing.T) {
 	rings := map[transport.RingID][]transport.ProcessID{1: {1, 2, 3}}
 	d := newDeployment(t, 3, rings, nil)
 	n := d.nodes[1]
-	h := func(Delivery) {}
-	if err := n.Subscribe(nil, 1); err == nil {
+	h := func([]Delivery) {}
+	if err := n.SubscribeBatch(nil, 1); err == nil {
 		t.Error("nil handler should fail")
 	}
-	if err := n.Subscribe(h); err == nil {
+	if err := n.SubscribeBatch(h); err == nil {
 		t.Error("empty subscription should fail")
 	}
-	if err := n.Subscribe(h, 1); err != ErrNotSubscribed {
+	if err := n.SubscribeBatch(h, 1); err != ErrNotSubscribed {
 		t.Errorf("subscribe before join = %v, want ErrNotSubscribed", err)
 	}
 	if err := n.Join(99); err == nil {
@@ -323,13 +325,13 @@ func TestSubscribeValidation(t *testing.T) {
 	if err := n.Join(1); err != nil {
 		t.Errorf("re-join should be a no-op, got %v", err)
 	}
-	if err := n.Subscribe(h, 1, 1); err == nil {
+	if err := n.SubscribeBatch(h, 1, 1); err == nil {
 		t.Error("duplicate groups in subscription should fail")
 	}
-	if err := n.Subscribe(h, 1); err != nil {
+	if err := n.SubscribeBatch(h, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Subscribe(h, 1); err == nil {
+	if err := n.SubscribeBatch(h, 1); err == nil {
 		t.Error("second subscribe should fail")
 	}
 }
@@ -474,7 +476,7 @@ func TestCursorSubscriptionMismatch(t *testing.T) {
 	if err := d.nodes[1].Join(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.nodes[1].Subscribe(func(Delivery) {}, 1); err == nil {
+	if err := d.nodes[1].SubscribeBatch(func([]Delivery) {}, 1); err == nil {
 		t.Error("cursor/subscription mismatch should fail")
 	}
 }

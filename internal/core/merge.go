@@ -279,11 +279,8 @@ func (n *Node) merge(st *mergeState, srcs []*ringSource, handler BatchHandler) {
 			if !n.awaitTurn(st, srcs, last) {
 				// Ring stream ended. At Stop that is normal; while the
 				// node is still running it means the ring terminated
-				// delivery (e.g. a catch-up range trimmed beyond
-				// recovery) — record it so the halt is observable
-				// (MergeHalted / Replica.Halted) instead of the merge
-				// vanishing silently.
-				n.noteMergeHalt(st.cur.Groups[i])
+				// delivery (a catch-up range trimmed beyond recovery),
+				// which the ring reports as FlowStats.CatchupAborted.
 				return
 			}
 		}

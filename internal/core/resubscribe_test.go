@@ -209,7 +209,7 @@ func TestCursorMismatchDiagnostics(t *testing.T) {
 	if err := d.nodes[1].Join(1); err != nil {
 		t.Fatal(err)
 	}
-	err := d.nodes[1].Subscribe(func(Delivery) {}, 1)
+	err := d.nodes[1].SubscribeBatch(func([]Delivery) {}, 1)
 	if err == nil {
 		t.Fatal("cursor/subscription mismatch should fail")
 	}

@@ -8,6 +8,7 @@ import (
 	"amcast/internal/bufpool"
 	"amcast/internal/recovery"
 	"amcast/internal/ring"
+	"amcast/internal/trace"
 	"amcast/internal/transport"
 )
 
@@ -205,7 +206,7 @@ func TestFrontierOffsetHealsAtFirstValue(t *testing.T) {
 		defer d.nodes[id].mu.Unlock()
 		return d.nodes[id].rings[g]
 	}
-	if err := rn(1, 2).ProposeValue(transport.Value{ID: transport.MakeValueID(9, 1), Skip: true, Count: 225}); err != nil {
+	if err := rn(1, 2).ProposeValueTraced(transport.Value{ID: transport.MakeValueID(9, 1), Skip: true, Count: 225}, trace.Context{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.nodes[1].Multicast(2, []byte("held")); err != nil {

@@ -26,7 +26,7 @@ func TestAppendRejectsReplyForAnotherLog(t *testing.T) {
 
 	// A stand-in replica of ring 1 answers every command with an OK reply
 	// for log 2.
-	reply := Result{Status: StatusOK, Positions: map[LogID]uint64{2: 7}}.Encode()
+	reply := encodeResult(Result{Status: StatusOK, Positions: map[LogID]uint64{2: 7}})
 	tr := net.Attach(replica, netem.SiteLocal)
 	stop, stopped := make(chan struct{}), make(chan struct{})
 	go func() {

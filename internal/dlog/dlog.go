@@ -100,7 +100,7 @@ func (v opView) logAt(i int) LogID {
 }
 
 // parseOp is the one operation parser: the state machine applies its view,
-// and DecodeOp materialises an Op over it.
+// and the tests materialise an Op over it.
 func parseOp(buf []byte) (v opView, ok bool) {
 	if len(buf) < 15 {
 		return v, false
@@ -125,20 +125,6 @@ func parseOp(buf []byte) (v opView, ok bool) {
 	return v, true
 }
 
-// DecodeOp parses an encoded operation into an Op of its own, except that
-// Value still aliases buf.
-func DecodeOp(buf []byte) (Op, error) {
-	v, ok := parseOp(buf)
-	if !ok {
-		return Op{}, transport.ErrShortMessage
-	}
-	o := Op{Kind: v.Kind, Log: v.Log, Pos: v.Pos, Value: v.Value}
-	for i := 0; i < len(v.logs)/4; i++ {
-		o.Logs = append(o.Logs, v.logAt(i))
-	}
-	return o, nil
-}
-
 // Status codes for results.
 type Status uint8
 
@@ -150,27 +136,6 @@ const (
 	// StatusBadRequest indicates an undecodable operation.
 	StatusBadRequest
 )
-
-// Result answers one operation. Positions maps each log the executing
-// server hosts to the assigned append position.
-type Result struct {
-	Status    Status
-	Positions map[LogID]uint64
-	Value     []byte
-}
-
-// Encode serializes the result. Positions are emitted in ascending LogID
-// order: these bytes are a replica-produced response, so they must be
-// identical on every replica — map iteration order is not.
-func (r Result) Encode() []byte {
-	// A reply names a log or a few: they are ordered on the stack.
-	var few [8]logPos
-	ps := positions(few[:0])
-	for l, pos := range r.Positions {
-		ps = ps.with(l, pos)
-	}
-	return appendResult(make([]byte, 0, resultLen(ps, r.Value)), r.Status, ps, r.Value)
-}
 
 // logPos is one log's position in a reply.
 type logPos struct {
@@ -224,7 +189,7 @@ type resultView struct {
 }
 
 // parseResult is the one result parser: the client reads its view, and
-// DecodeResult materialises a Result over it.
+// the tests materialise a Result over it.
 func parseResult(buf []byte) (r resultView, err error) {
 	if len(buf) < 3 {
 		return r, transport.ErrShortMessage
@@ -264,27 +229,6 @@ func (r resultView) position(l LogID) (uint64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// DecodeResult parses an encoded result into a Result of its own: Value is
-// a copy.
-func DecodeResult(buf []byte) (Result, error) {
-	v, err := parseResult(buf)
-	if err != nil {
-		return Result{}, err
-	}
-	r := Result{Status: v.Status}
-	if n := v.numPositions(); n > 0 {
-		r.Positions = make(map[LogID]uint64, n)
-		for i := 0; i < n; i++ {
-			l, pos := v.positionAt(i)
-			r.Positions[l] = pos
-		}
-	}
-	if len(v.Value) > 0 {
-		r.Value = append([]byte(nil), v.Value...)
-	}
-	return r, nil
 }
 
 // logState is one hosted log's in-memory state.
@@ -328,15 +272,6 @@ func NewSM(cfg SMConfig) *SM {
 }
 
 var _ smr.StateMachine = (*SM)(nil)
-
-// Execute applies one encoded operation.
-//
-//lint:deterministic
-func (s *SM) Execute(_ transport.RingID, raw []byte) []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.apply(raw)
-}
 
 // ExecuteBatch applies a run of encoded operations under one lock
 // acquisition (batch-at-a-time delivery's entry point). The returned slice
@@ -446,6 +381,8 @@ func (s *SM) append(ls *logState, v []byte) uint64 {
 }
 
 // LenOf reports retained entries of a log (instrumentation).
+//
+//lint:allow testonly TestDLogServersConverge (cluster) and TestSMAppendReadTrim count retained entries with it
 func (s *SM) LenOf(l LogID) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -499,11 +436,6 @@ func (sn smSnapshot) Serialize() []byte {
 		}
 	}
 	return buf
-}
-
-// Snapshot serializes all hosted logs.
-func (s *SM) Snapshot() []byte {
-	return s.CaptureSnapshot().Serialize()
 }
 
 // Restore replaces state with a snapshot. Entries are cut from the entry
@@ -571,13 +503,6 @@ type Client struct {
 func NewClient(cl *smr.Client, global transport.RingID) *Client {
 	return &Client{cl: cl, Global: global, Timeout: 10 * time.Second}
 }
-
-// OverloadBackoffs reports how many times a coordinator shed one of this
-// client's operations under admission control and the underlying smr
-// client backed off (bounded, jittered) instead of retrying blindly.
-// Transient overload never surfaces to callers; only sustained overload
-// fails an operation, with an error wrapping ring.ErrOverloaded.
-func (c *Client) OverloadBackoffs() uint64 { return c.cl.OverloadBackoffs() }
 
 // groupOf maps a log to its multicast group (1:1 by convention).
 func groupOf(l LogID) transport.RingID { return transport.RingID(l) }

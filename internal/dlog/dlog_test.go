@@ -20,7 +20,7 @@ func TestOpRoundTrip(t *testing.T) {
 		{Kind: OpTrim, Log: 3, Pos: 100},
 	}
 	for _, op := range ops {
-		got, err := DecodeOp(op.Encode())
+		got, err := decodeOp(op.Encode())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,7 +33,7 @@ func TestOpRoundTrip(t *testing.T) {
 func TestOpDecodeTruncated(t *testing.T) {
 	full := (Op{Kind: OpMultiAppend, Logs: []LogID{1, 2}, Value: []byte("value")}).Encode()
 	for i := 0; i < len(full); i++ {
-		if _, err := DecodeOp(full[:i]); err == nil {
+		if _, err := decodeOp(full[:i]); err == nil {
 			t.Fatalf("accepted truncation at %d", i)
 		}
 	}
@@ -45,7 +45,7 @@ func TestResultRoundTrip(t *testing.T) {
 		{Status: StatusOK, Positions: map[LogID]uint64{7: 3}}, // an append's reply
 		{Status: StatusNotFound},
 	} {
-		got, err := DecodeResult(r.Encode())
+		got, err := decodeResult(encodeResult(r))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func TestResultRoundTrip(t *testing.T) {
 	for l := LogID(64); l > 0; l-- {
 		many.Positions[l] = uint64(l) * 3
 	}
-	enc := many.Encode()
+	enc := encodeResult(many)
 	for i := 0; i < 64; i++ {
 		if got := LogID(binary.LittleEndian.Uint32(enc[3+12*i:])); got != LogID(i+1) {
 			t.Fatalf("position %d is log %d, want ascending ids", i, got)
@@ -69,7 +69,7 @@ func TestResultRoundTrip(t *testing.T) {
 func TestOpRoundTripQuick(t *testing.T) {
 	f := func(kind uint8, logID uint32, pos uint64, value []byte) bool {
 		op := Op{Kind: OpKind(kind), Log: LogID(logID), Pos: pos, Value: value}
-		got, err := DecodeOp(op.Encode())
+		got, err := decodeOp(op.Encode())
 		if err != nil {
 			return false
 		}
@@ -83,7 +83,7 @@ func TestOpRoundTripQuick(t *testing.T) {
 
 func execOp(t *testing.T, sm *SM, op Op) Result {
 	t.Helper()
-	res, err := DecodeResult(sm.Execute(1, op.Encode()))
+	res, err := decodeResult(execute(sm, 1, op.Encode()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestSMReadEmptyValue(t *testing.T) {
 		t.Fatalf("append of an empty value = %+v", r)
 	}
 	restored := NewSM(SMConfig{Hosted: []LogID{1}})
-	if err := restored.Restore(sm.Snapshot()); err != nil {
+	if err := restored.Restore(snapshot(sm)); err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range []*SM{sm, restored} {
@@ -167,7 +167,7 @@ func TestSMSnapshotRestore(t *testing.T) {
 	}
 	execOp(t, sm, Op{Kind: OpAppend, Log: 2, Value: []byte("two")})
 	execOp(t, sm, Op{Kind: OpTrim, Log: 1, Pos: 4})
-	snap := sm.Snapshot()
+	snap := snapshot(sm)
 
 	sm2 := NewSM(SMConfig{Hosted: []LogID{1, 2}})
 	if err := sm2.Restore(snap); err != nil {
@@ -226,11 +226,11 @@ func TestDLogRestoreRejectsCorrupt(t *testing.T) {
 func FuzzDLogRestore(f *testing.F) {
 	sm := NewSM(SMConfig{Hosted: []LogID{2, 1}})
 	for i := 0; i < 6; i++ {
-		sm.Execute(1, Op{Kind: OpAppend, Log: LogID(1 + i%2), Value: bytes.Repeat([]byte{byte(i)}, i)}.Encode())
+		execute(sm, 1, Op{Kind: OpAppend, Log: LogID(1 + i%2), Value: bytes.Repeat([]byte{byte(i)}, i)}.Encode())
 	}
-	sm.Execute(1, Op{Kind: OpTrim, Log: 1, Pos: 2}.Encode())
-	f.Add(sm.Snapshot())
-	f.Add(NewSM(SMConfig{}).Snapshot())
+	execute(sm, 1, Op{Kind: OpTrim, Log: 1, Pos: 2}.Encode())
+	f.Add(snapshot(sm))
+	f.Add(snapshot(NewSM(SMConfig{})))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{})
 
@@ -239,12 +239,12 @@ func FuzzDLogRestore(f *testing.F) {
 		if sm.Restore(data) != nil {
 			return
 		}
-		snap := sm.Snapshot()
+		snap := snapshot(sm)
 		again := NewSM(SMConfig{})
 		if err := again.Restore(snap); err != nil {
 			t.Fatalf("Restore(Snapshot()) = %v", err)
 		}
-		if got := again.Snapshot(); !bytes.Equal(got, snap) {
+		if got := snapshot(again); !bytes.Equal(got, snap) {
 			t.Fatalf("Snapshot after a round trip\n %x, want\n %x", got, snap)
 		}
 	})
@@ -252,14 +252,14 @@ func FuzzDLogRestore(f *testing.F) {
 
 func TestSMGarbageOp(t *testing.T) {
 	sm := NewSM(SMConfig{Hosted: []LogID{1}})
-	res, err := DecodeResult(sm.Execute(1, []byte{0xff, 0x01}))
+	res, err := decodeResult(execute(sm, 1, []byte{0xff, 0x01}))
 	if err != nil || res.Status != StatusBadRequest {
 		t.Errorf("garbage op = %+v, %v", res, err)
 	}
 }
 
 // TestSMExecuteBatchMatchesExecute checks the dLog batch apply entry
-// point is equivalent to per-op Execute.
+// point is equivalent to applying each op as a batch of one.
 func TestSMExecuteBatchMatchesExecute(t *testing.T) {
 	ops := [][]byte{
 		Op{Kind: OpAppend, Log: 1, Value: []byte("e0")}.Encode(),
@@ -278,7 +278,7 @@ func TestSMExecuteBatchMatchesExecute(t *testing.T) {
 	batched := NewSM(SMConfig{Hosted: []LogID{1}})
 	var want [][]byte
 	for i, op := range ops {
-		want = append(want, single.Execute(groups[i], op))
+		want = append(want, execute(single, groups[i], op))
 	}
 	got := batched.ExecuteBatch(groups, ops)
 	if len(got) != len(want) {
@@ -336,13 +336,13 @@ func TestSMSnapshotDeterministic(t *testing.T) {
 		}
 		return sm
 	}
-	a, b := build().Snapshot(), build().Snapshot()
+	a, b := snapshot(build()), snapshot(build())
 	if !bytes.Equal(a, b) {
 		t.Error("identical states serialized to different bytes")
 	}
 	// And repeated snapshots of one SM agree too.
 	sm := build()
-	if !bytes.Equal(sm.Snapshot(), sm.Snapshot()) {
+	if !bytes.Equal(snapshot(sm), snapshot(sm)) {
 		t.Error("repeated snapshots differ")
 	}
 }

@@ -69,12 +69,12 @@ func TestBatchApplyEquivalence(t *testing.T) {
 		}
 		batchOut := batchSM.ExecuteBatch(groups, ops)
 		for i := range ops {
-			if one := oneSM.Execute(groups[i], ops[i]); !bytes.Equal(batchOut[i], one) {
-				op, _ := DecodeOp(ops[i])
+			if one := execute(oneSM, groups[i], ops[i]); !bytes.Equal(batchOut[i], one) {
+				op, _ := decodeOp(ops[i])
 				t.Fatalf("batch %d op %d (%+v): batched %x != one at a time %x", b, i, op, batchOut[i], one)
 			}
 		}
-		if !bytes.Equal(batchSM.Snapshot(), oneSM.Snapshot()) {
+		if !bytes.Equal(snapshot(batchSM), snapshot(oneSM)) {
 			t.Fatalf("log state diverged after batch %d", b)
 		}
 	}

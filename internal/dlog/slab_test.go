@@ -89,7 +89,7 @@ func TestSlabAliasing(t *testing.T) {
 
 	// A restored state's entries are cut the same way.
 	restored := NewSM(SMConfig{Hosted: []LogID{1, 2}})
-	if err := restored.Restore(sm.Snapshot()); err != nil {
+	if err := restored.Restore(snapshot(sm)); err != nil {
 		t.Fatal(err)
 	}
 	checkEntries(restored, "restored")

@@ -40,6 +40,8 @@ var benign = []string{
 // leaked. Use from TestMain:
 //
 //	func TestMain(m *testing.M) { leakcheck.Main(m) }
+//
+//lint:allow testonly every package's TestMain (main_test.go) runs its tests through it
 func Main(m *testing.M) {
 	code := m.Run()
 	if code != 0 {

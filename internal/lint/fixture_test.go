@@ -62,6 +62,13 @@ func runFixture(t *testing.T, analyzers []*Analyzer, pkgs ...string) {
 	if err != nil {
 		t.Fatalf("loading fixtures %v: %v", pkgs, err)
 	}
+	checkFixture(t, prog, analyzers)
+}
+
+// checkFixture runs the analyzers over prog and checks the diagnostics
+// against its fixtures' want comments.
+func checkFixture(t *testing.T, prog *Program, analyzers []*Analyzer) {
+	t.Helper()
 	diags := Run(prog, analyzers, Options{})
 	wants := collectWants(t, prog)
 
@@ -113,15 +120,66 @@ func TestFileSizeFixtures(t *testing.T) {
 	runFixture(t, []*Analyzer{FileSizeAnalyzer}, "filesizefail")
 }
 
-// TestFullSuiteOnFixtures runs all analyzers together over every
-// fail/pass fixture, proving the analyzers do not interfere (an
-// eventloop root in the logfwd fixtures must not trip loopblock, and
-// vice versa).
+// TestKindUseFixtures checks kindswitch's second rule: every kind needs
+// a sender and a handler outside tests.
+func TestKindUseFixtures(t *testing.T) {
+	runFixture(t, []*Analyzer{KindswitchAnalyzer}, "kindusefail/transport", "kindusepass/transport")
+}
+
+// TestTestonlyFixtures loads testonlyconsumer as a second program, as
+// cmd/lint loads benchmark/: its uses of testonlypass must count.
+func TestTestonlyFixtures(t *testing.T) {
+	prog, err := Load(".", fixtureRoot+"testonlyfail", fixtureRoot+"testonlypass")
+	if err != nil {
+		t.Fatal(err)
+	}
+	consumer, err := Load(".", fixtureRoot+"testonlyconsumer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog.consumers = append(prog.consumers, consumer)
+	checkFixture(t, prog, []*Analyzer{TestonlyAnalyzer})
+}
+
+// TestTestonlyWithoutConsumer: without the consumer program, the symbols
+// only it uses read as test-only, which is why cmd/lint loads benchmark/.
+func TestTestonlyWithoutConsumer(t *testing.T) {
+	prog, err := Load(".", fixtureRoot+"testonlypass")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range Run(prog, []*Analyzer{TestonlyAnalyzer}, Options{}) {
+		got = append(got, d.Message)
+	}
+	for _, name := range []string{"func ConsumerOnly", "func Run", "func Total"} {
+		found := false
+		for _, m := range got {
+			found = found || strings.HasPrefix(m, name+" ")
+		}
+		if !found {
+			t.Errorf("no finding for %s without its consumer; got %q", name, got)
+		}
+	}
+}
+
+// TestFullSuiteOnFixtures runs the analyzers together over every
+// fail/pass fixture, proving they do not interfere (an eventloop root in
+// the logfwd fixtures must not trip loopblock, and vice versa). testonly
+// runs on its own fixtures only: the other fixture packages are roots
+// nothing imports, so every export in them reads as test-only.
 func TestFullSuiteOnFixtures(t *testing.T) {
-	runFixture(t, All(),
+	var suite []*Analyzer
+	for _, a := range All() {
+		if a != TestonlyAnalyzer {
+			suite = append(suite, a)
+		}
+	}
+	runFixture(t, suite,
 		"determfail", "determpass",
 		"loopblockfail", "loopblockpass",
 		"kindswitchfail", "kindswitchpass",
+		"kindusefail/transport", "kindusepass/transport",
 		"logfwdfail", "logfwdpass",
 		"bufownfail", "bufownpass",
 		"filesizefail",
@@ -166,6 +224,9 @@ func TestRepoIsClean(t *testing.T) {
 	prog, err := Load("../..", "./...")
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
+	}
+	if err := prog.AddConsumers("../.."); err != nil {
+		t.Fatalf("loading consumer modules: %v", err)
 	}
 	diags := Run(prog, All(), Options{ReportUnusedAllows: true})
 	for _, d := range diags {

@@ -63,6 +63,7 @@ func All() []*Analyzer {
 		LogBeforeForwardAnalyzer,
 		BufownAnalyzer,
 		FileSizeAnalyzer,
+		TestonlyAnalyzer,
 	}
 }
 

@@ -1,10 +1,12 @@
 // Package lint implements the repo's protocol-invariant static analysis:
 // a small go/analysis-style framework (self-contained — the module has no
 // external dependencies, so golang.org/x/tools is deliberately not used)
-// plus four analyzers enforcing the invariants the system's safety rests
-// on: deterministic execution scopes, a non-blocking ring event loop,
-// exhaustive transport.Kind dispatch, and log-before-forward release of
-// staged sends. See cmd/lint for the multichecker entry point.
+// plus the analyzers All lists: deterministic execution scopes, a
+// non-blocking ring event loop, exhaustive transport.Kind dispatch with a
+// sender and a handler for every kind, log-before-forward release of
+// staged sends, pooled-buffer ownership, the file-size ratchet, and
+// pay-or-delete for exported symbols and config fields (testonly). See
+// cmd/lint for the multichecker entry point.
 package lint
 
 import (
@@ -43,8 +45,14 @@ type Program struct {
 	Packages []*Package // topological order, dependencies first
 	ByPath   map[string]*Package
 
+	// consumers are separately loaded modules whose uses of this
+	// program's packages count as non-test uses (see AddConsumers).
+	consumers []*Program
+
 	dirs  *directives
 	graph *callGraph
+	facts *testonlyFacts
+	kinds *kindUseFacts
 }
 
 // listedPkg is the subset of `go list -json` output the loader consumes.
@@ -147,6 +155,30 @@ func Load(dir string, patterns ...string) (*Program, error) {
 	}
 	sort.Slice(prog.Packages, func(i, j int) bool { return prog.Packages[i].Path < prog.Packages[j].Path })
 	return prog, nil
+}
+
+// AddConsumers loads every module nested under root (a directory below
+// it with its own go.mod, outside testdata) as a consumer of prog. The go
+// tool's ./... pattern stops at a nested module, so without this a symbol
+// only benchmark/ uses would look dead to the testonly analyzer.
+func (prog *Program) AddConsumers(root string) error {
+	return filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() || path == root {
+			return err
+		}
+		if d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if _, err := os.Stat(filepath.Join(path, "go.mod")); err != nil {
+			return nil
+		}
+		c, err := Load(path, "./...")
+		if err != nil {
+			return err
+		}
+		prog.consumers = append(prog.consumers, c)
+		return filepath.SkipDir
+	})
 }
 
 // topoSort orders module packages dependencies-first so each type-check

@@ -2,10 +2,16 @@
 // harness uses to regenerate the paper's figures: latency histograms with
 // quantiles and CDF extraction, throughput meters, counters, gauges and
 // moving averages.
+//
+// It is a leaf on purpose, importing only math, sync, sync/atomic and
+// time: ring, storage, core, smr and store record into it on their hot
+// paths. Exposition lives in internal/obs, which imports net/http/pprof
+// (whose init registers handlers on http.DefaultServeMux), trace and
+// bufpool. Merging the two would pull an HTTP mux into every protocol
+// package.
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -96,14 +102,6 @@ func (h *Histogram) Mean() time.Duration {
 	return time.Duration(h.sum.Load()) / time.Duration(total)
 }
 
-// Min returns the smallest sample (0 if empty).
-func (h *Histogram) Min() time.Duration {
-	if h.total.Load() == 0 {
-		return 0
-	}
-	return time.Duration(h.min.Load())
-}
-
 // Max returns the largest sample.
 func (h *Histogram) Max() time.Duration {
 	return time.Duration(h.max.Load())
@@ -163,16 +161,6 @@ func (h *Histogram) CDF(n int) []CDFPoint {
 	return out
 }
 
-// Snapshot formats the histogram for reports.
-func (h *Histogram) Snapshot() string {
-	return fmt.Sprintf("n=%d mean=%.2fms p50=%.2fms p95=%.2fms p99=%.2fms max=%.2fms",
-		h.Count(),
-		ms(h.Mean()), ms(h.Quantile(0.50)), ms(h.Quantile(0.95)),
-		ms(h.Quantile(0.99)), ms(h.Max()))
-}
-
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
 // Meter counts events and bytes over a measurement window.
 type Meter struct {
 	mu    sync.Mutex
@@ -211,13 +199,6 @@ func (m *Meter) Rate() (opsPerSec, mbps float64) {
 		return 0, 0
 	}
 	return float64(m.n) / elapsed, float64(m.bytes) * 8 / 1e6 / elapsed
-}
-
-// Counts returns raw totals.
-func (m *Meter) Counts() (n, bytes uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.n, m.bytes
 }
 
 // Counter is a lock-free monotonically increasing event counter, for hot
@@ -286,6 +267,8 @@ func (g *BatchGauge) Observe(size int) {
 }
 
 // Snapshot returns the totals so far.
+//
+//lint:allow testonly TestFileWALPutBatchGroupCommit (storage) and TestPackingBoundaries, TestCoordinatorPacksDrainedBurst and TestOverloadHintTracksDrainTime (ring) count batches and items with it
 func (g *BatchGauge) Snapshot() (batches, items, maxSize uint64) {
 	return g.batches.Load(), g.items.Load(), g.max.Load()
 }

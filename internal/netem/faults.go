@@ -63,6 +63,8 @@ func (p *FaultPlan) recount() {
 }
 
 // SetLink installs (or replaces) the fault on the from→to link.
+//
+//lint:allow testonly TestFaultPlanSampling and TestNetworkFaultDelay (transport) shape one link
 func (p *FaultPlan) SetLink(from, to uint32, f LinkFault) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -71,6 +73,8 @@ func (p *FaultPlan) SetLink(from, to uint32, f LinkFault) {
 }
 
 // SetLinkBoth installs the fault in both directions between a and b.
+//
+//lint:allow testonly TestSplitSurvivesCoordinatorCrashMidMarker (reconfig) slows both directions of a link
 func (p *FaultPlan) SetLinkBoth(a, b uint32, f LinkFault) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -80,6 +84,8 @@ func (p *FaultPlan) SetLinkBoth(a, b uint32, f LinkFault) {
 }
 
 // ClearLink removes any fault on the from→to link (cuts are separate).
+//
+//lint:allow testonly TestFaultPlanSampling removes a link fault
 func (p *FaultPlan) ClearLink(from, to uint32) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -89,6 +95,8 @@ func (p *FaultPlan) ClearLink(from, to uint32) {
 
 // Cut severs the from→to direction entirely (an asymmetric partition if
 // the reverse direction stays up).
+//
+//lint:allow testonly TestDecisionLossRecoveredByRetransmit (ring) and TestNetworkBlockUnblock (transport) cut one direction
 func (p *FaultPlan) Cut(from, to uint32) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -97,6 +105,8 @@ func (p *FaultPlan) Cut(from, to uint32) {
 }
 
 // CutBoth severs both directions between a and b.
+//
+//lint:allow testonly TestDetectorAsymmetricCutNoQuorumNoEviction (coord) and TestNetworkFaultCutAndHeal (transport) cut a pair
 func (p *FaultPlan) CutBoth(a, b uint32) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -107,6 +117,8 @@ func (p *FaultPlan) CutBoth(a, b uint32) {
 
 // Partition severs every link between the two sets, both directions.
 // Processes absent from both sets are unaffected.
+//
+//lint:allow testonly TestFaultPlanCutsAndHeal partitions two sets
 func (p *FaultPlan) Partition(a, b []uint32) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -121,6 +133,8 @@ func (p *FaultPlan) Partition(a, b []uint32) {
 
 // PartitionOneWay severs only the from-set → to-set direction, modelling
 // an asymmetric failure where one side still hears the other.
+//
+//lint:allow testonly TestFaultPlanAsymmetric severs one direction between two sets
 func (p *FaultPlan) PartitionOneWay(from, to []uint32) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -133,6 +147,8 @@ func (p *FaultPlan) PartitionOneWay(from, to []uint32) {
 }
 
 // Heal removes the cut on the from→to direction.
+//
+//lint:allow testonly TestDecisionLossRecoveredByRetransmit (ring) and TestNetworkBlockUnblock (transport) heal a cut
 func (p *FaultPlan) Heal(from, to uint32) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -160,6 +176,8 @@ func (p *FaultPlan) Unisolate(id uint32) {
 }
 
 // HealAll removes every cut, isolation and link fault.
+//
+//lint:allow testonly TestFaultPlanCutsAndHeal and TestSplitSurvivesCoordinatorCrashMidMarker (reconfig) clear every fault
 func (p *FaultPlan) HealAll() {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -9,6 +9,12 @@
 // over instrumentation they already maintain (atomic counters, gauge
 // snapshots), so registration adds no cost to any hot path — the only
 // work happens when a scraper asks.
+//
+// It stays apart from internal/metrics: obs imports net/http/pprof, whose
+// init registers handlers on http.DefaultServeMux, plus trace and
+// bufpool, while metrics is a leaf the protocol packages (ring, storage,
+// core, smr, store) use on their hot paths. Folding metrics in here would
+// pull an HTTP mux into every one of them.
 package obs
 
 import (

@@ -238,7 +238,7 @@ func waitSubscribed(t *testing.T, c *cluster.StoreCluster, want []transport.Ring
 			if srv == nil {
 				continue
 			}
-			subs := srv.Replica().Subscription()
+			subs := srv.Replica().CoreNode().Subscription()
 			if len(subs) != len(want) {
 				ok = false
 				break
@@ -259,7 +259,7 @@ func waitSubscribed(t *testing.T, c *cluster.StoreCluster, want []transport.Ring
 		if time.Now().After(deadline) {
 			for r := 1; r <= 3; r++ {
 				if srv := c.Server(1, r); srv != nil {
-					t.Logf("replica %d subs=%v", r, srv.Replica().Subscription())
+					t.Logf("replica %d subs=%v", r, srv.Replica().CoreNode().Subscription())
 				}
 			}
 			t.Fatal("replicas never converged on the post-split subscription")

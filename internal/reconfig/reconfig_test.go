@@ -278,7 +278,7 @@ func TestLiveScaleOutSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := c.Server(2, 2).Replica()
-	if subs := rep.Subscription(); len(subs) != 1 || subs[0] != 2 {
+	if subs := rep.CoreNode().Subscription(); len(subs) != 1 || subs[0] != 2 {
 		t.Errorf("recovered subscription = %v, want [2]", subs)
 	}
 	// And it keeps executing: a write through the new group reaches it.
@@ -361,7 +361,7 @@ func TestInPlaceSplitResubscribes(t *testing.T) {
 		done := true
 		for r := 1; r <= 3; r++ {
 			rep := c.Server(1, r).Replica()
-			if subs := rep.Subscription(); len(subs) != 2 || subs[0] != 1 || subs[1] != 2 {
+			if subs := rep.CoreNode().Subscription(); len(subs) != 2 || subs[0] != 1 || subs[1] != 2 {
 				done = false
 			}
 			if rep.Epoch() != 1 {
@@ -374,7 +374,7 @@ func TestInPlaceSplitResubscribes(t *testing.T) {
 		if time.Now().After(deadline) {
 			for r := 1; r <= 3; r++ {
 				rep := c.Server(1, r).Replica()
-				t.Logf("replica %d: subs=%v epoch=%d", r, rep.Subscription(), rep.Epoch())
+				t.Logf("replica %d: subs=%v epoch=%d", r, rep.CoreNode().Subscription(), rep.Epoch())
 			}
 			t.Fatal("replicas did not all apply the epoch transition")
 		}
@@ -389,7 +389,7 @@ func TestInPlaceSplitResubscribes(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := c.Server(1, 3).Replica()
-	if subs := rep.Subscription(); len(subs) != 2 || subs[0] != 1 || subs[1] != 2 {
+	if subs := rep.CoreNode().Subscription(); len(subs) != 2 || subs[0] != 1 || subs[1] != 2 {
 		t.Fatalf("recovered subscription = %v, want [1 2]", subs)
 	}
 	// It still executes traffic from both rings.

@@ -227,13 +227,6 @@ func (s *MemStore) Latest() (Checkpoint, bool) {
 	return Checkpoint{Vector: s.latest.Vector.Clone(), State: append([]byte(nil), s.latest.State...)}, true
 }
 
-// Saves reports how many checkpoints were taken (test instrumentation).
-func (s *MemStore) Saves() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.saves
-}
-
 // FileStore persists checkpoints as numbered files in a directory, keeping
 // the most recent two (the previous one survives a torn write of the
 // newest).

@@ -118,8 +118,8 @@ func TestMemStore(t *testing.T) {
 	if !ok || c.Vector[1] != 2 || string(c.State) != "b" {
 		t.Errorf("Latest = %+v, %v", c, ok)
 	}
-	if s.Saves() != 2 {
-		t.Errorf("Saves = %d", s.Saves())
+	if s.saves != 2 {
+		t.Errorf("Saves = %d", s.saves)
 	}
 	// Mutating the returned checkpoint must not affect the store.
 	c.State[0] = 'X'

@@ -49,7 +49,7 @@ func TestTakeBatchDeliversInOrder(t *testing.T) {
 	const count = 300
 	go func() {
 		for i := 0; i < count; i++ {
-			_ = nodes[0].Propose([]byte(fmt.Sprintf("v%03d", i)))
+			_ = propose(nodes[0], []byte(fmt.Sprintf("v%03d", i)))
 		}
 	}()
 

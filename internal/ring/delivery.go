@@ -38,7 +38,7 @@ func (n *Node) enqueueBatch(b []Delivery) bool {
 		n.ReleaseBatch(b)
 		return true
 	}
-	if n.dlag > 0 && n.dlag+len(b) > n.cfg.DeliverBuffer {
+	if n.dlag > 0 && n.dlag+len(b) > n.cfg.deliverBuffer {
 		n.dmu.Unlock()
 		return false
 	}
@@ -119,7 +119,7 @@ func (n *Node) closeDelivery() {
 // before the lag cap.
 func (n *Node) deliveryRoom() int {
 	n.dmu.Lock()
-	room := n.cfg.DeliverBuffer - n.dlag
+	room := n.cfg.deliverBuffer - n.dlag
 	n.dmu.Unlock()
 	if room < 0 {
 		room = 0
@@ -226,7 +226,7 @@ func (n *Node) pumpCatchup(allowRemote bool) {
 		return
 	}
 	room := n.deliveryRoom()
-	if threshold := min(deliveryBatchCap, n.cfg.DeliverBuffer/2); room < max(1, threshold) {
+	if threshold := min(deliveryBatchCap, n.cfg.deliverBuffer/2); room < max(1, threshold) {
 		return // consumer still backlogged; try again next tick
 	}
 	if n.px.isAcceptor() {

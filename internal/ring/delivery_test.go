@@ -89,7 +89,7 @@ func deliveries(n *Node) <-chan Delivery {
 // and a dropped stream queues nothing more.
 func TestDeliveryQueueContract(t *testing.T) {
 	svc := ringService(t, 3, fullRoles)
-	small := func(cfg *Config) { cfg.DeliverBuffer = 4 }
+	small := func(cfg *Config) { cfg.deliverBuffer = 4 }
 	n, _ := idleNode(t, svc, 2, small)
 	pair := func(n *Node, first uint64) []Delivery {
 		b := n.getBatch()

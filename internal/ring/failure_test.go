@@ -12,7 +12,7 @@ import (
 // acceptors down (majority survives).
 func TestAcceptorCrashWithQuorumLeft(t *testing.T) {
 	c := newCluster(t, 3, nil)
-	if err := c.nodes[1].Propose([]byte("warm")); err != nil {
+	if err := propose(c.nodes[1], []byte("warm")); err != nil {
 		t.Fatal(err)
 	}
 	collect(t, c.nodes[1], 1, 5*time.Second)
@@ -20,7 +20,7 @@ func TestAcceptorCrashWithQuorumLeft(t *testing.T) {
 	c.crash(3) // not the coordinator
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		_ = c.nodes[1].Propose([]byte("with-2-acceptors"))
+		_ = propose(c.nodes[1], []byte("with-2-acceptors"))
 		select {
 		case d := <-deliveries(c.nodes[1]):
 			if !d.Value.Skip && string(d.Value.Data) == "with-2-acceptors" {
@@ -38,7 +38,7 @@ func TestAcceptorCrashWithQuorumLeft(t *testing.T) {
 // may be decided (no quorum); after one recovers, progress resumes.
 func TestDoubleFailureBlocksThenRecovers(t *testing.T) {
 	c := newCluster(t, 3, nil)
-	if err := c.nodes[1].Propose([]byte("warm")); err != nil {
+	if err := propose(c.nodes[1], []byte("warm")); err != nil {
 		t.Fatal(err)
 	}
 	collect(t, c.nodes[1], 1, 5*time.Second)
@@ -46,7 +46,7 @@ func TestDoubleFailureBlocksThenRecovers(t *testing.T) {
 	c.crash(2)
 	c.crash(3)
 	// No quorum: proposals must not be decided.
-	_ = c.nodes[1].Propose([]byte("blocked"))
+	_ = propose(c.nodes[1], []byte("blocked"))
 	select {
 	case d := <-deliveries(c.nodes[1]):
 		if !d.Value.Skip {
@@ -60,7 +60,7 @@ func TestDoubleFailureBlocksThenRecovers(t *testing.T) {
 	c.start(2, nil)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		_ = c.nodes[1].Propose([]byte("after-heal"))
+		_ = propose(c.nodes[1], []byte("after-heal"))
 		select {
 		case d := <-deliveries(c.nodes[1]):
 			if !d.Value.Skip && string(d.Value.Data) == "after-heal" {
@@ -79,7 +79,7 @@ func TestDoubleFailureBlocksThenRecovers(t *testing.T) {
 // here ring of 5 with majority 3 keeps quorum after two crashes).
 func TestCascadingCoordinatorFailures(t *testing.T) {
 	c := newCluster(t, 5, nil)
-	if err := c.nodes[1].Propose([]byte("warm")); err != nil {
+	if err := propose(c.nodes[1], []byte("warm")); err != nil {
 		t.Fatal(err)
 	}
 	collect(t, c.nodes[5], 1, 5*time.Second)
@@ -89,7 +89,7 @@ func TestCascadingCoordinatorFailures(t *testing.T) {
 
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		_ = c.nodes[4].Propose([]byte("third-coordinator"))
+		_ = propose(c.nodes[4], []byte("third-coordinator"))
 		select {
 		case d := <-deliveries(c.nodes[5]):
 			if !d.Value.Skip && string(d.Value.Data) == "third-coordinator" {
@@ -109,16 +109,16 @@ func TestNoDuplicateDeliveries(t *testing.T) {
 	c := newCluster(t, 3, nil)
 	go func() {
 		for i := 0; i < 10; i++ {
-			c.net.Block(1, 2)
+			c.net.Faults().Cut(1, 2)
 			time.Sleep(20 * time.Millisecond)
-			c.net.Unblock(1, 2)
+			c.net.Faults().Heal(1, 2)
 			time.Sleep(30 * time.Millisecond)
 		}
 	}()
 	const count = 100
 	go func() {
 		for i := 0; i < count; i++ {
-			_ = c.nodes[3].Propose([]byte(fmt.Sprintf("v%03d", i)))
+			_ = propose(c.nodes[3], []byte(fmt.Sprintf("v%03d", i)))
 			time.Sleep(2 * time.Millisecond)
 		}
 	}()
@@ -153,7 +153,7 @@ func TestBatchingPreservesProposalOrderPerProposer(t *testing.T) {
 	c := newCluster(t, 3, func(cfg *Config) { cfg.BatchBytes = 8 << 10 })
 	const count = 150
 	for i := 0; i < count; i++ {
-		if err := c.nodes[2].Propose([]byte{byte(i)}); err != nil {
+		if err := propose(c.nodes[2], []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}

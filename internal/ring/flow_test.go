@@ -68,7 +68,7 @@ func TestSkipPacerCarriesDeficitWhenSaturated(t *testing.T) {
 func TestSlowSubscriberDoesNotStallRing(t *testing.T) {
 	c := newCluster(t, 3, func(cfg *Config) {
 		cfg.Window = 256
-		cfg.DeliverBuffer = 1024
+		cfg.deliverBuffer = 1024
 		cfg.RetryInterval = 30 * time.Millisecond
 	})
 	const total = 6000
@@ -126,7 +126,7 @@ func TestSlowSubscriberDoesNotStallRing(t *testing.T) {
 		payload := make([]byte, 16)
 		for i := 0; i < total; i++ {
 			binary.LittleEndian.PutUint64(payload, uint64(i))
-			_ = c.nodes[1].Propose(append([]byte(nil), payload...))
+			_ = propose(c.nodes[1], append([]byte(nil), payload...))
 		}
 	}()
 
@@ -179,9 +179,9 @@ func TestOverloadedCoordinatorRepliesLoudly(t *testing.T) {
 		cfg.Window = 1
 		cfg.RetryInterval = time.Hour // freeze retries: keep the queue full
 	})
-	// Block the coordinator's successor link so nothing decides and the
+	// Cut the coordinator's successor link so nothing decides and the
 	// queue stays full.
-	c.net.Block(1, 2)
+	c.net.Faults().Cut(1, 2)
 	time.Sleep(50 * time.Millisecond)
 
 	// An external proposer (not a ring member) sends proposals straight
@@ -238,7 +238,7 @@ func TestCatchupAbortsWhenTrimCrossesWindow(t *testing.T) {
 func testCatchupAbortsWhenRangeTrimmed(t *testing.T, trimInsideWindow bool) {
 	c := newCluster(t, 3, func(cfg *Config) {
 		cfg.Window = 256
-		cfg.DeliverBuffer = 512
+		cfg.deliverBuffer = 512
 		cfg.RetryInterval = 30 * time.Millisecond
 	})
 	const total = 3000
@@ -267,7 +267,7 @@ func testCatchupAbortsWhenRangeTrimmed(t *testing.T, trimInsideWindow bool) {
 	go drain(c.nodes[3], done3)
 	go func() {
 		for i := 0; i < total; i++ {
-			_ = c.nodes[1].Propose([]byte{byte(i)})
+			_ = propose(c.nodes[1], []byte{byte(i)})
 		}
 	}()
 	var lastInst uint64

@@ -199,7 +199,7 @@ func TestGroupCommitBarrierForwardImpliesDurable(t *testing.T) {
 	nodes, cap2, _ := startObservedRing(t, fl)
 
 	for i := 0; i < 30; i++ {
-		if err := nodes[1].Propose([]byte(fmt.Sprintf("pre-%d", i))); err != nil {
+		if err := propose(nodes[1], []byte(fmt.Sprintf("pre-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -224,7 +224,7 @@ func TestGroupCommitBarrierDropsSendsOnLogFailure(t *testing.T) {
 	nodes, cap2, _ := startObservedRing(t, fl)
 
 	for i := 0; i < 10; i++ {
-		if err := nodes[1].Propose([]byte(fmt.Sprintf("pre-%d", i))); err != nil {
+		if err := propose(nodes[1], []byte(fmt.Sprintf("pre-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -234,7 +234,7 @@ func TestGroupCommitBarrierDropsSendsOnLogFailure(t *testing.T) {
 	// commit fails, and the staged forwards must be dropped wholesale.
 	fl.fail()
 	for i := 0; i < 20; i++ {
-		if err := nodes[1].Propose([]byte(fmt.Sprintf("post-%d", i))); err != nil {
+		if err := propose(nodes[1], []byte(fmt.Sprintf("post-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -284,7 +284,7 @@ func TestGroupCommitCrashRecovery(t *testing.T) {
 				return
 			default:
 			}
-			_ = proposer.Propose([]byte(fmt.Sprintf("value-%04d", i)))
+			_ = propose(proposer, []byte(fmt.Sprintf("value-%04d", i)))
 			if i%32 == 0 {
 				time.Sleep(time.Millisecond)
 			}
@@ -362,7 +362,7 @@ func TestRestartedAcceptorServesRetransmitFromWAL(t *testing.T) {
 	want := make(map[uint64][]byte)
 	var last uint64
 	for i := 0; i < total; i++ {
-		if err := c.nodes[1].Propose([]byte(fmt.Sprintf("value-%04d", i))); err != nil {
+		if err := propose(c.nodes[1], []byte(fmt.Sprintf("value-%04d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -463,7 +463,7 @@ func TestGroupCommitWedgeWithholdsDeliveries(t *testing.T) {
 	defer n.Stop()
 
 	// Sanity: deliveries flow while the log works.
-	if err := n.Propose([]byte("healthy")); err != nil {
+	if err := propose(n, []byte("healthy")); err != nil {
 		t.Fatal(err)
 	}
 	collect(t, n, 1, 5*time.Second)
@@ -471,7 +471,7 @@ func TestGroupCommitWedgeWithholdsDeliveries(t *testing.T) {
 	// Single-member ring: the proposal decides locally in the same burst
 	// whose commit now fails — the delivery must be withheld.
 	fl.fail()
-	if err := n.Propose([]byte("wedged")); err != nil {
+	if err := propose(n, []byte("wedged")); err != nil {
 		t.Fatal(err)
 	}
 	select {

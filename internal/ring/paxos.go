@@ -51,8 +51,12 @@ type paxosState struct {
 	learned     map[uint64]transport.Value
 	nextDeliver uint64
 	maxDecided  uint64
-	idleTicks   int // retry ticks since the learner last made progress
-	chased      int // index in peers of the acceptor the last gap chase asked
+	// servedFrom is the lowest instance retransmission serves from the
+	// log: StartInstance after recovery from a peer's checkpoint, whose
+	// lower instances may hold stale votes (Config.StartFromPeer), else 1.
+	servedFrom uint64
+	idleTicks  int // retry ticks since the learner last made progress
+	chased     int // index in peers of the acceptor the last gap chase asked
 
 	// Trim round (coordinator).
 	safeResps map[transport.ProcessID]uint64
@@ -136,9 +140,13 @@ func newPaxosState(cfg Config, log paxosLog, now time.Time) paxosState {
 		inFlight:     make(map[uint64]flight),
 		learned:      make(map[uint64]transport.Value),
 		nextDeliver:  max(1, cfg.StartInstance),
+		servedFrom:   1,
 		nextInstance: 1,
 		safeResps:    make(map[transport.ProcessID]uint64),
 		log:          log,
+	}
+	if cfg.StartFromPeer {
+		s.servedFrom = s.nextDeliver
 	}
 	if log != nil {
 		if rec, ok := log.Get(promiseInstance); ok {
@@ -456,7 +464,8 @@ func (s *paxosState) serveRetransmit(out *paxosOut, m transport.Message) {
 	}
 	var batch []transport.InstanceValue
 	end := m.Instance + uint64(m.Count)
-	for inst := m.Instance; inst < end && inst < s.nextDeliver; inst++ {
+	// Below servedFrom a stale vote may sit in the log: serve none.
+	for inst := m.Instance; inst >= s.servedFrom && inst < end && inst < s.nextDeliver; inst++ {
 		if v, ok := s.lookupDecided(inst); ok {
 			batch = append(batch, transport.InstanceValue{Instance: inst, Value: v})
 			inst += v.Span() - 1
@@ -468,8 +477,9 @@ func (s *paxosState) serveRetransmit(out *paxosOut, m transport.Message) {
 	case len(batch) > 0:
 		resp.Payload = transport.EncodeBatch(batch)
 	case m.Instance < s.nextDeliver:
-		// The range is decided but was trimmed here (Section 5.2): say so,
-		// or a catch-up learner would retry a silent void forever.
+		// The range is decided but was trimmed here (Section 5.2), or lies
+		// below servedFrom: say so, or a catch-up learner would retry a
+		// silent void forever. It aborts only once every peer says so.
 		resp.Count = retransmitUnavailable
 	default:
 		return

@@ -776,6 +776,35 @@ func TestRingModelCatchesPlantedBugs(t *testing.T) {
 	}
 }
 
+// TestStaleVoteNotServedBelowStart: an acceptor restarted from a peer's
+// checkpoint begins at StartInstance, above instances it never learned.
+// Its log may still hold a vote there that a higher ballot overrode, so a
+// retransmission request below StartInstance must be answered as after a
+// trim, never with the logged vote. (Restarted from its own checkpoint, it
+// learned those instances and serves them: see
+// TestRestartedAcceptorServesRetransmitFromWAL.)
+func TestStaleVoteNotServedBelowStart(t *testing.T) {
+	rc := coord.RingConfig{Ring: 1, Version: 3, Coordinator: 2}
+	for p := 1; p <= modelProcs; p++ {
+		rc.Members = append(rc.Members, coord.Member{ID: transport.ProcessID(p), Roles: fullRoles})
+	}
+	log := &modelLog{}
+	log.put(1, encodeAccept(1, 1, modelValue(modelValueA))) // voted A; B was chosen while it was away
+	cfg := Config{Self: 1, RetryInterval: time.Second, StartInstance: 2, StartFromPeer: true}
+	st := newPaxosState(cfg.withDefaults(), log, time.Unix(0, 0))
+	var out paxosOut
+	st.step(&out, &paxosEvent{kind: evConfig, cfg: rc})
+	out.reset()
+	st.step(&out, &paxosEvent{kind: evMessage, msg: transport.Message{Kind: transport.KindRetransmitReq, From: 2, Instance: 1, Count: 1}})
+	if len(out.sends) != 1 {
+		t.Fatalf("retransmission request below StartInstance answered with %v", out.sends)
+	}
+	resp := out.sends[0]
+	if served, _ := transport.DecodeBatch(resp.Payload); len(served) != 0 || resp.Count != retransmitUnavailable {
+		t.Fatalf("served %v (Count %d) below StartInstance, want an unavailable reply", served, resp.Count)
+	}
+}
+
 // TestStaleVoteRewrittenOnLearn pins what an acceptor that voted at a lower
 // ballot than the one that chose another value does once it learns the
 // decision, by Decision or by retransmission: it stages the decided value in

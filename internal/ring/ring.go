@@ -74,12 +74,12 @@ type Config struct {
 	// RetryInterval is how often the coordinator re-proposes undecided
 	// instances and learners chase delivery gaps.
 	RetryInterval time.Duration
-	// DeliverBuffer caps the delivery queue's lag: every entry queued and
+	// deliverBuffer caps the delivery queue's lag: every entry queued and
 	// not yet taken (TakeBatch) counts. A consumer that falls further
 	// behind than this transitions the learner to catch-up
 	// (retransmit-path redelivery) instead of blocking the protocol event
 	// loop.
-	DeliverBuffer int
+	deliverBuffer int
 
 	// SkipEnabled turns on rate leveling (Section 4).
 	SkipEnabled bool
@@ -108,6 +108,11 @@ type Config struct {
 	// instance, skipping everything below. Replica recovery uses it to
 	// resume after an installed checkpoint (Section 5.2).
 	StartInstance uint64
+	// StartFromPeer marks a StartInstance taken from a peer's checkpoint.
+	// This node never learned the instances below it, and its log may
+	// still hold votes there that a higher ballot overrode: it serves
+	// none of them to a catch-up learner.
+	StartFromPeer bool
 
 	// Tracer, when set, records distributed-tracing spans for values
 	// whose frames carry a sampled trace context (internal/trace). Nil
@@ -134,8 +139,8 @@ func (c *Config) withDefaults() Config {
 	if out.RetryInterval == 0 {
 		out.RetryInterval = 100 * time.Millisecond
 	}
-	if out.DeliverBuffer == 0 {
-		out.DeliverBuffer = 8192
+	if out.deliverBuffer == 0 {
+		out.deliverBuffer = 8192
 	}
 	if out.Delta == 0 {
 		out.Delta = 5 * time.Millisecond
@@ -149,7 +154,7 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// Errors returned by Propose.
+// Errors returned by ProposeValueTraced.
 var (
 	ErrNoCoordinator = errors.New("ring: no coordinator elected")
 	ErrOverloaded    = errors.New("ring: proposal queue full")
@@ -175,7 +180,7 @@ type Node struct {
 	batchFree chan []Delivery
 
 	// Delivery queue (delivery.go): the run loop appends finished batches
-	// to dqueue (bounded by DeliverBuffer entries, tracked in dlag) and
+	// to dqueue (bounded by deliverBuffer entries, tracked in dlag) and
 	// the consumer pops them with TakeBatch.
 	dmu       sync.Mutex
 	dqueue    [][]Delivery
@@ -212,7 +217,7 @@ type Node struct {
 	out   paxosOut
 	drain drainMeter
 
-	// mu guards rc, the configuration Propose reads from other goroutines.
+	// mu guards rc, the configuration ProposeValueTraced reads from other goroutines.
 	mu sync.Mutex
 	rc coord.RingConfig
 
@@ -268,8 +273,6 @@ type Node struct {
 	// Counters for instrumentation (atomic; read by Stats).
 	decidedCount atomic.Uint64
 	skippedCount atomic.Uint64
-
-	proposeSeq atomic.Uint32
 
 	done     chan struct{}
 	loopDone chan struct{}
@@ -346,9 +349,6 @@ func (n *Node) IOGauges() (wal, send *metrics.BatchGauge) {
 // non-skip instance. Empty on nodes that never coordinated.
 func (n *Node) PackGauge() *metrics.BatchGauge { return &n.packGauge }
 
-// Ring returns the ring identifier.
-func (n *Node) Ring() transport.RingID { return n.ring }
-
 // ReleaseBatch returns a batch obtained from TakeBatch to the node's
 // buffer pool and drops the entries' pooled payload references. The caller
 // must not touch the slice afterwards; on pooled transports payload bytes
@@ -379,26 +379,10 @@ func (n *Node) getBatch() []Delivery {
 	}
 }
 
-// Propose multicasts a value on this ring: the value is sent to the ring's
-// coordinator, which assigns it a consensus instance. Delivery is not
-// guaranteed (fair-lossy semantics); callers retry end-to-end.
-func (n *Node) Propose(data []byte) error {
-	return n.ProposeValue(transport.Value{
-		ID:    transport.MakeValueID(n.id, n.proposeSeq.Add(1)),
-		Count: 1,
-		Data:  data,
-	})
-}
-
-// ProposeValue multicasts a fully formed value (caller-chosen id) on this
-// ring. Reconfiguration markers use it: their value id must be known to
-// every learner before the value is proposed, so the proposer cannot let
-// the ring assign one.
-func (n *Node) ProposeValue(v transport.Value) error {
-	return n.ProposeValueTraced(v, trace.Context{})
-}
-
-// ProposeValueTraced is ProposeValue with a trace context: when ctx is
+// ProposeValueTraced multicasts a fully formed value (caller-chosen id)
+// on this ring: the value goes to the ring's coordinator, which assigns
+// it a consensus instance. Reconfiguration markers need the caller's id:
+// every learner must know it before the value is proposed. When ctx is
 // sampled the proposal frame carries it as an optional trailing header
 // and this node records the "forward" hop (the client-side send of the
 // value toward the ring's coordinator).

@@ -2,14 +2,31 @@ package ring
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"amcast/internal/coord"
 	"amcast/internal/netem"
 	"amcast/internal/storage"
+	"amcast/internal/trace"
 	"amcast/internal/transport"
 )
+
+// proposeSeq numbers the values propose sends; with the proposer's id
+// it makes each value id unique.
+var proposeSeq atomic.Uint32
+
+// propose multicasts data on n's ring: the value goes to the ring's
+// coordinator, which assigns it a consensus instance. Delivery is not
+// guaranteed (fair-lossy semantics); callers retry end-to-end.
+func propose(n *Node, data []byte) error {
+	return n.ProposeValueTraced(transport.Value{
+		ID:    transport.MakeValueID(n.id, proposeSeq.Add(1)),
+		Count: 1,
+		Data:  data,
+	}, trace.Context{})
+}
 
 // cluster wires N processes into one ring for tests. All processes are
 // proposer+acceptor+learner unless membersFn overrides.
@@ -115,7 +132,7 @@ func collect(t *testing.T, n *Node, count int, timeout time.Duration) []Delivery
 
 func TestSingleValueDecided(t *testing.T) {
 	c := newCluster(t, 3, nil)
-	if err := c.nodes[2].Propose([]byte("hello")); err != nil {
+	if err := propose(c.nodes[2], []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
 	for id := transport.ProcessID(1); id <= 3; id++ {
@@ -131,7 +148,7 @@ func TestAllLearnersSameOrder(t *testing.T) {
 	const count = 200
 	for i := 0; i < count; i++ {
 		proposer := c.nodes[transport.ProcessID(i%3+1)]
-		if err := proposer.Propose([]byte(fmt.Sprintf("v%d", i))); err != nil {
+		if err := propose(proposer, []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,7 +172,7 @@ func TestAllLearnersSameOrder(t *testing.T) {
 func TestDeliveryInstancesAreOrdered(t *testing.T) {
 	c := newCluster(t, 3, nil)
 	for i := 0; i < 50; i++ {
-		if err := c.nodes[1].Propose([]byte{byte(i)}); err != nil {
+		if err := propose(c.nodes[1], []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -171,7 +188,7 @@ func TestDeliveryInstancesAreOrdered(t *testing.T) {
 
 func TestVotesLoggedBeforeDecision(t *testing.T) {
 	c := newCluster(t, 3, nil)
-	if err := c.nodes[1].Propose([]byte("durable")); err != nil {
+	if err := propose(c.nodes[1], []byte("durable")); err != nil {
 		t.Fatal(err)
 	}
 	ds := collect(t, c.nodes[1], 1, 5*time.Second)
@@ -221,7 +238,7 @@ func TestLearnerOnlyMember(t *testing.T) {
 		defer n.Stop()
 		nodes = append(nodes, n)
 	}
-	if err := nodes[0].Propose([]byte("to-learner")); err != nil {
+	if err := propose(nodes[0], []byte("to-learner")); err != nil {
 		t.Fatal(err)
 	}
 	ds := collect(t, nodes[3], 1, 5*time.Second)
@@ -264,7 +281,7 @@ func TestSingleMemberRing(t *testing.T) {
 	}
 	defer n.Stop()
 	for i := 0; i < 10; i++ {
-		if err := n.Propose([]byte{byte(i)}); err != nil {
+		if err := propose(n, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -280,7 +297,7 @@ func TestCoordinatorFailover(t *testing.T) {
 	c := newCluster(t, 3, nil)
 	// Decide some values under the initial coordinator (process 1).
 	for i := 0; i < 10; i++ {
-		if err := c.nodes[1].Propose([]byte{byte(i)}); err != nil {
+		if err := propose(c.nodes[1], []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -292,7 +309,7 @@ func TestCoordinatorFailover(t *testing.T) {
 	// New proposals must still decide.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if err := c.nodes[3].Propose([]byte("after-failover")); err != nil && err != ErrNoCoordinator {
+		if err := propose(c.nodes[3], []byte("after-failover")); err != nil && err != ErrNoCoordinator {
 			t.Fatal(err)
 		}
 		select {
@@ -314,22 +331,22 @@ func TestCoordinatorFailover(t *testing.T) {
 
 func TestDecisionLossRecoveredByRetransmit(t *testing.T) {
 	c := newCluster(t, 3, nil)
-	// Block node3's incoming link from node2 (its ring predecessor) so it
+	// Cut node3's incoming link from node2 (its ring predecessor) so it
 	// misses decisions, then heal: gap chasing must catch it up.
-	if err := c.nodes[1].Propose([]byte("first")); err != nil {
+	if err := propose(c.nodes[1], []byte("first")); err != nil {
 		t.Fatal(err)
 	}
 	collect(t, c.nodes[3], 1, 5*time.Second)
 
-	c.net.Block(2, 3)
+	c.net.Faults().Cut(2, 3)
 	for i := 0; i < 5; i++ {
-		if err := c.nodes[1].Propose([]byte{byte(i)}); err != nil {
+		if err := propose(c.nodes[1], []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Let decisions flow among 1 and 2.
 	collect(t, c.nodes[2], 5, 5*time.Second)
-	c.net.Unblock(2, 3)
+	c.net.Faults().Heal(2, 3)
 
 	ds := collect(t, c.nodes[3], 5, 10*time.Second)
 	if len(ds) != 5 {
@@ -364,7 +381,7 @@ func TestSkipsInterleaveWithValues(t *testing.T) {
 		cfg.Lambda = 200
 	})
 	for i := 0; i < 20; i++ {
-		if err := c.nodes[1].Propose([]byte{byte(i)}); err != nil {
+		if err := propose(c.nodes[1], []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -394,7 +411,7 @@ func TestTrimProtocolNeedsSafeResp(t *testing.T) {
 	c := newCluster(t, 3, func(cfg *Config) {
 		cfg.TrimInterval = 20 * time.Millisecond
 	})
-	if err := c.nodes[1].Propose([]byte("x")); err != nil {
+	if err := propose(c.nodes[1], []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	collect(t, c.nodes[1], 1, 5*time.Second)
@@ -409,7 +426,7 @@ func TestProposeAfterStop(t *testing.T) {
 	n := c.nodes[3]
 	n.Stop()
 	delete(c.nodes, 3)
-	if err := n.Propose([]byte("late")); err != ErrStopped {
+	if err := propose(n, []byte("late")); err != ErrStopped {
 		t.Errorf("Propose after stop = %v, want ErrStopped", err)
 	}
 }
@@ -422,7 +439,7 @@ func TestThroughputManyValues(t *testing.T) {
 	const count = 2000
 	go func() {
 		for i := 0; i < count; i++ {
-			_ = c.nodes[1].Propose([]byte("payload-payload-payload"))
+			_ = propose(c.nodes[1], []byte("payload-payload-payload"))
 		}
 	}()
 	ds := collect(t, c.nodes[2], count, 30*time.Second)

@@ -64,7 +64,7 @@ func (n *Node) run() {
 			if !ok {
 				return
 			}
-			// Propose routes by rc at once; the Paxos state applies the
+			// ProposeValueTraced routes by rc at once; the Paxos state applies the
 			// change below, once the log holds every staged record.
 			n.mu.Lock()
 			n.rc = cfg

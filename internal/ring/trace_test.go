@@ -122,7 +122,7 @@ func TestTraceSurvivesRetransmitCatchup(t *testing.T) {
 	}
 	collect(t, c.nodes[3], 1, 5*time.Second)
 
-	c.net.Block(2, 3)
+	c.net.Faults().Cut(2, 3)
 	ctxs := make(map[uint64]trace.Context)
 	for i := 0; i < 5; i++ {
 		id := uint64(9001 + i)
@@ -133,7 +133,7 @@ func TestTraceSurvivesRetransmitCatchup(t *testing.T) {
 		}
 	}
 	collect(t, c.nodes[2], 5, 5*time.Second)
-	c.net.Unblock(2, 3)
+	c.net.Faults().Heal(2, 3)
 
 	ds := collect(t, c.nodes[3], 5, 10*time.Second)
 	if len(ds) != 5 {

@@ -25,7 +25,7 @@ func TestWALFailureBudgetStepOut(t *testing.T) {
 	})
 
 	// Warm up: everything healthy.
-	if err := c.nodes[1].Propose([]byte("warm")); err != nil {
+	if err := propose(c.nodes[1], []byte("warm")); err != nil {
 		t.Fatal(err)
 	}
 	collect(t, c.nodes[1], 1, 5*time.Second)
@@ -42,7 +42,7 @@ func TestWALFailureBudgetStepOut(t *testing.T) {
 				return
 			default:
 			}
-			_ = c.nodes[1].Propose([]byte(fmt.Sprintf("v%d", i)))
+			_ = propose(c.nodes[1], []byte(fmt.Sprintf("v%d", i)))
 			time.Sleep(2 * time.Millisecond)
 		}
 	}()
@@ -66,7 +66,7 @@ func TestWALFailureBudgetStepOut(t *testing.T) {
 	}
 
 	// Liveness on the surviving quorum: fresh proposals still decide.
-	if err := c.nodes[3].Propose([]byte("after-stepout")); err != nil {
+	if err := propose(c.nodes[3], []byte("after-stepout")); err != nil {
 		t.Fatal(err)
 	}
 	found := false
@@ -113,7 +113,7 @@ func TestSteppedOutCoordinatorRoutesProposalsAway(t *testing.T) {
 			cfg.Log = sim
 		}
 	})
-	if err := c.nodes[1].Propose([]byte("warm")); err != nil {
+	if err := propose(c.nodes[1], []byte("warm")); err != nil {
 		t.Fatal(err)
 	}
 	collect(t, c.nodes[3], 1, 5*time.Second)
@@ -128,7 +128,7 @@ func TestSteppedOutCoordinatorRoutesProposalsAway(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("coordinator 1 never stepped out: %+v", cfg)
 		}
-		_ = c.nodes[1].Propose([]byte(fmt.Sprintf("burn%d", i)))
+		_ = propose(c.nodes[1], []byte(fmt.Sprintf("burn%d", i)))
 		time.Sleep(5 * time.Millisecond)
 	}
 	// Node 1's loop takes the change from its watch within an iteration.
@@ -145,7 +145,7 @@ func TestSteppedOutCoordinatorRoutesProposalsAway(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if err := c.nodes[1].Propose([]byte("after-stepout")); err != nil {
+	if err := propose(c.nodes[1], []byte("after-stepout")); err != nil {
 		t.Fatal(err)
 	}
 	timeout := time.After(10 * time.Second)
@@ -210,7 +210,7 @@ func TestPackedBurstSurvivesCoordinatorWALFailure(t *testing.T) {
 			cfg.Log = fl
 		}
 	})
-	if err := c.nodes[1].Propose([]byte("warm")); err != nil {
+	if err := propose(c.nodes[1], []byte("warm")); err != nil {
 		t.Fatal(err)
 	}
 	for id := transport.ProcessID(1); id <= 3; id++ {

@@ -200,12 +200,6 @@ func (r *Replica) safe() (recovery.Vector, uint64) {
 	return r.ckpt.safeVec, r.ckpt.safeEpoch
 }
 
-// SafeVector returns the tuple of the last durable checkpoint.
-func (r *Replica) SafeVector() recovery.Vector {
-	vec, _ := r.safe()
-	return vec.Clone()
-}
-
 // Epoch reports the subscription epoch of the last durable checkpoint.
 func (r *Replica) Epoch() uint64 {
 	_, epoch := r.safe()
@@ -225,12 +219,4 @@ func (r *Replica) CheckpointStallMax() time.Duration {
 	r.ckpt.mu.Lock()
 	defer r.ckpt.mu.Unlock()
 	return r.ckpt.stallMax
-}
-
-// CheckpointsCoalesced reports the checkpoint boundaries skipped because
-// the writer had not yet serialized the previous capture (instrumentation).
-func (r *Replica) CheckpointsCoalesced() uint64 {
-	r.ckpt.mu.Lock()
-	defer r.ckpt.mu.Unlock()
-	return r.ckpt.state.coalesced
 }

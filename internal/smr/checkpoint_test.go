@@ -143,7 +143,7 @@ func TestLargeStateChunkedRecovery(t *testing.T) {
 	if got := h.sms[3].Total(); got != want {
 		t.Errorf("recovered replica total = %d, want %d", got, want)
 	}
-	if vec := h.replicas[3].SafeVector(); vec[1] == 0 {
+	if vec := safeVector(h.replicas[3]); vec[1] == 0 {
 		t.Error("recovered replica has an empty safe vector")
 	}
 }
@@ -292,7 +292,7 @@ func TestCheckpointSaveFailureRetriesAtNextBatch(t *testing.T) {
 	if rep.CheckpointCount() == 0 {
 		t.Error("save never retried at the next batch boundary")
 	}
-	if vec := rep.SafeVector(); vec[1] == 0 {
+	if vec := safeVector(rep); vec[1] == 0 {
 		t.Error("safeVec did not advance after the retried save")
 	}
 }
@@ -407,7 +407,7 @@ func TestCheckpointCaptureSerializedOnce(t *testing.T) {
 	if got := sm.serialized.Load(); got != 1 {
 		t.Errorf("serialized while the writer hangs = %d, want 1", got)
 	}
-	if got := rep.CheckpointsCoalesced(); got != 3 {
+	if got := coalesced(rep); got != 3 {
 		t.Errorf("CheckpointsCoalesced = %d, want the 3 skipped boundaries", got)
 	}
 
@@ -424,7 +424,7 @@ func TestCheckpointCaptureSerializedOnce(t *testing.T) {
 	if got := binary.LittleEndian.Uint64(snap); got != 10 {
 		t.Errorf("newest checkpoint holds %d commands, want all 10", got)
 	}
-	if vec := rep.SafeVector(); vec[1] != cp.Vector[1] {
+	if vec := safeVector(rep); vec[1] != cp.Vector[1] {
 		t.Errorf("safe vector %v, newest checkpoint at %v", vec, cp.Vector)
 	}
 	if c, s, m := sm.captures.Load(), sm.serialized.Load(), sm.misused.Load(); c != 3 || s != 3 || m != 0 {
@@ -513,3 +513,17 @@ func (f *flakyStore) SetFailing(v bool) {
 }
 
 var errFlaky = fmt.Errorf("flaky store: injected failure")
+
+// safeVector returns the tuple of r's last durable checkpoint.
+func safeVector(r *Replica) recovery.Vector {
+	vec, _ := r.safe()
+	return vec.Clone()
+}
+
+// coalesced reports the checkpoint boundaries r skipped because the
+// writer had not yet serialized the previous capture.
+func coalesced(r *Replica) uint64 {
+	r.ckpt.mu.Lock()
+	defer r.ckpt.mu.Unlock()
+	return r.ckpt.state.coalesced
+}

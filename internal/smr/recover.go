@@ -150,6 +150,7 @@ func BuildNode(opts RecoveryOptions) (BuildNodeResult, error) {
 	cfg := opts.Core
 	if len(best.Vector) > 0 {
 		cfg.StartVector = best.Vector
+		cfg.StartFromPeer = remote
 		if cur, err := decodeStateCursor(best.State); err == nil {
 			cfg.StartCursor = cur
 		}

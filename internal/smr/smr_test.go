@@ -339,16 +339,16 @@ func TestCheckpointsTaken(t *testing.T) {
 	// safe vector must reach the newest captured boundary (instance 20+:
 	// commands plus any skips keep it at least at the command count).
 	deadline := time.Now().Add(5 * time.Second)
-	for h.replicas[1].SafeVector()[1] < 20 && time.Now().Before(deadline) {
+	for safeVector(h.replicas[1])[1] < 20 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if got := h.replicas[1].CheckpointCount(); got < 1 {
 		t.Errorf("durable checkpoints = %d, want >= 1", got)
 	}
-	if total := h.replicas[1].CheckpointCount() + h.replicas[1].CheckpointsCoalesced(); total < 2 {
+	if total := h.replicas[1].CheckpointCount() + coalesced(h.replicas[1]); total < 2 {
 		t.Errorf("captures accounted = %d, want >= 2", total)
 	}
-	vec := h.replicas[1].SafeVector()
+	vec := safeVector(h.replicas[1])
 	if vec[1] < 20 {
 		t.Errorf("safe vector = %v, want group 1 >= 20", vec)
 	}

@@ -11,7 +11,7 @@ import (
 // default error for injected write/sync failures.
 var (
 	ErrDiskFull = errors.New("storage: simulated disk full")
-	ErrIOFault  = errors.New("storage: simulated I/O fault")
+	ErrIOFault  = errors.New("storage: simulated I/O fault") //lint:allow testonly TestSimDiskSyncErrorInjection and TestSimDiskWriteErrorInjection inject it
 )
 
 // Mode names the five storage configurations evaluated in Figure 3 of the
@@ -150,6 +150,8 @@ func (d *SimDisk) SetWriteError(err error) {
 
 // SetSyncError injects err on every subsequent Sync (pass nil to clear),
 // modeling fsync failures.
+//
+//lint:allow testonly TestSimDiskSyncErrorInjection fails the next syncs
 func (d *SimDisk) SetSyncError(err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -159,6 +161,8 @@ func (d *SimDisk) SetSyncError(err error) {
 // SetCapacity bounds cumulative written bytes: once exceeded, writes fail
 // with ErrDiskFull until the capacity is raised or cleared (n <= 0). The
 // byte accounting matches the device model (record bytes + 16 overhead).
+//
+//lint:allow testonly TestSimDiskFull fills the disk
 func (d *SimDisk) SetCapacity(n int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -166,6 +170,8 @@ func (d *SimDisk) SetCapacity(n int64) {
 }
 
 // Written returns cumulative bytes accepted by the device.
+//
+//lint:allow testonly TestSimDiskFull checks the bytes the disk accepted
 func (d *SimDisk) Written() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()

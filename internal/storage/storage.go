@@ -185,13 +185,6 @@ func (l *MemLog) Last() uint64 {
 	return l.last
 }
 
-// Len reports the number of retained records.
-func (l *MemLog) Len() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return len(l.records)
-}
-
 // Sync is a no-op for the in-memory log.
 func (l *MemLog) Sync() error { return nil }
 

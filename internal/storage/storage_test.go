@@ -118,8 +118,8 @@ func TestMemLogConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if l.Len() != 8*200 {
-		t.Errorf("Len = %d, want 1600", l.Len())
+	if memLen(l) != 8*200 {
+		t.Errorf("Len = %d, want 1600", memLen(l))
 	}
 }
 
@@ -192,8 +192,8 @@ func TestFileWALSegmentRollAndTrim(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.SegmentCount() < 2 {
-		t.Fatalf("expected multiple segments, got %d", w.SegmentCount())
+	if segmentCount(w) < 2 {
+		t.Fatalf("expected multiple segments, got %d", segmentCount(w))
 	}
 	// A re-vote for an old instance lands in the current segment and
 	// must not lower Last.
@@ -203,12 +203,12 @@ func TestFileWALSegmentRollAndTrim(t *testing.T) {
 	if got := w.Last(); got != 64 {
 		t.Errorf("Last across segments = %d, want 64", got)
 	}
-	before := w.SegmentCount()
+	before := segmentCount(w)
 	if err := w.Trim(32); err != nil {
 		t.Fatal(err)
 	}
-	if w.SegmentCount() >= before {
-		t.Errorf("trim did not remove segments: %d -> %d", before, w.SegmentCount())
+	if segmentCount(w) >= before {
+		t.Errorf("trim did not remove segments: %d -> %d", before, segmentCount(w))
 	}
 	if _, ok := w.Get(10); ok {
 		t.Error("trimmed instance should be gone")
@@ -484,4 +484,18 @@ func TestMemLogPutAllocs(t *testing.T) {
 	if got > 0.1 {
 		t.Errorf("Put of a 1 KB record: %.3f allocs, want <= 0.1", got)
 	}
+}
+
+// memLen reports the number of records l retains.
+func memLen(l *MemLog) int {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return len(l.records)
+}
+
+// segmentCount reports w's on-disk segments, the current one included.
+func segmentCount(w *FileWAL) int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.segs) + 1
 }

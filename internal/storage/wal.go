@@ -510,9 +510,6 @@ func (w *FileWAL) syncCur() error {
 // commit exists to amortize.
 func (w *FileWAL) Fsyncs() uint64 { return w.fsyncs.Load() }
 
-// BatchGauge returns the PutBatch size distribution (records per commit).
-func (w *FileWAL) BatchGauge() *metrics.BatchGauge { return &w.batchGauge }
-
 // flushLoop is SyncPeriodic's background flush. It writes the buffered
 // records through under w.mu but fsyncs without it, so appends, reads and
 // trims never wait for the disk. The segment may be rolled or the log
@@ -567,11 +564,4 @@ func (w *FileWAL) Close() error {
 		err = cerr
 	}
 	return err
-}
-
-// SegmentCount reports the number of on-disk segments (including current).
-func (w *FileWAL) SegmentCount() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.segs) + 1
 }

@@ -37,7 +37,7 @@ func TestFileWALPutBatchGroupCommit(t *testing.T) {
 			t.Fatalf("Get(%d) = %q, %v", i, rec, ok)
 		}
 	}
-	if b, items, max := w.BatchGauge().Snapshot(); b != 1 || items != 64 || max != 64 {
+	if b, items, max := w.batchGauge.Snapshot(); b != 1 || items != 64 || max != 64 {
 		t.Errorf("batch gauge = (%d, %d, %d), want (1, 64, 64)", b, items, max)
 	}
 }
@@ -113,8 +113,8 @@ func TestFileWALGetAcrossSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.SegmentCount() < 3 {
-		t.Fatalf("expected several segments, got %d", w.SegmentCount())
+	if segmentCount(w) < 3 {
+		t.Fatalf("expected several segments, got %d", segmentCount(w))
 	}
 	for i := uint64(1); i <= 40; i++ {
 		rec, ok := w.Get(i)

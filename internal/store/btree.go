@@ -504,11 +504,6 @@ func rangeNodes(n *node, lo, hi []byte, fn func(string, []byte) bool) bool {
 	return true
 }
 
-// All calls fn for every entry in ascending key order.
-func (t *btree) All(fn func(key string, value []byte) bool) {
-	allNodes(t.root, fn)
-}
-
 func allNodes(n *node, fn func(string, []byte) bool) bool {
 	if n == nil {
 		return true

@@ -172,7 +172,7 @@ func TestTreapOrderedIteration(t *testing.T) {
 		tr.Put([]byte(k), []byte(k))
 	}
 	var got []string
-	tr.All(func(k string, _ []byte) bool {
+	allNodes(tr.root, func(k string, _ []byte) bool {
 		got = append(got, k)
 		return true
 	})
@@ -259,7 +259,7 @@ func TestTreapMatchesMap(t *testing.T) {
 			}
 		}
 		var keys []string
-		tr.All(func(k string, _ []byte) bool {
+		allNodes(tr.root, func(k string, _ []byte) bool {
 			keys = append(keys, k)
 			return true
 		})
@@ -689,7 +689,7 @@ func TestTreapSnapshotIsolation(t *testing.T) {
 // entries lists a state machine's database in key order.
 func entries(sm *SM) []Entry {
 	var out []Entry
-	sm.db.All(func(k string, v []byte) bool {
+	allNodes(sm.db.root, func(k string, v []byte) bool {
 		out = append(out, Entry{Key: k, Value: bytes.Clone(v)})
 		return true
 	})
@@ -747,7 +747,7 @@ func TestRestoredValueOverwriteKeepsNeighbours(t *testing.T) {
 	if err := sm.Restore(src.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	sm.db.All(func(k string, v []byte) bool {
+	allNodes(sm.db.root, func(k string, v []byte) bool {
 		if cap(v) != len(v) {
 			t.Fatalf("restored %s: cap %d > len %d", k, cap(v), len(v))
 		}

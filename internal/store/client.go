@@ -35,7 +35,7 @@ import (
 //     global group provides.
 //   - ReadStale (bounded staleness): served immediately by any replica
 //     that proved merge progress within the bound; otherwise it fails
-//     with ErrStale rather than silently returning old data.
+//     with smr.ErrStale rather than silently returning old data.
 type Client struct {
 	svc *coord.Service
 	cl  *smr.Client
@@ -55,9 +55,6 @@ type Client struct {
 	schema Schema
 }
 
-// ErrStale re-exports the replica's bounded-staleness refusal.
-var ErrStale = smr.ErrStale
-
 // NewClient builds a store client over an smr client and the published
 // schema.
 func NewClient(svc *coord.Service, cl *smr.Client) (*Client, error) {
@@ -76,14 +73,6 @@ func (c *Client) Close() {
 		c.unwatch()
 	}
 }
-
-// OverloadBackoffs reports how many times a coordinator shed one of this
-// client's commands under admission control and the underlying smr
-// client backed off (bounded, jittered) instead of retrying blindly.
-// Transient overload never surfaces to callers — operations simply take
-// a backoff longer; only sustained overload fails, with an error
-// wrapping ring.ErrOverloaded.
-func (c *Client) OverloadBackoffs() uint64 { return c.cl.OverloadBackoffs() }
 
 // Schema returns the partitioning schema in use, first applying any
 // pending schema-change notification (newer versions only — the cache
@@ -173,7 +162,7 @@ func (c *Client) ReadLocal(k string) ([]byte, bool, error) {
 }
 
 // ReadStale returns entry k from a replica that proved merge progress
-// within bound; ErrStale if the chosen replica cannot.
+// within bound; smr.ErrStale if the chosen replica cannot.
 func (c *Client) ReadStale(k string, bound time.Duration) ([]byte, bool, error) {
 	return decodeRead(c.single(Op{Kind: OpRead, Key: k}, smr.BoundedStale, bound))
 }

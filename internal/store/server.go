@@ -33,8 +33,6 @@ type ServerConfig struct {
 	CheckpointEvery int
 	// Ring tunes the consensus rings.
 	Ring core.RingOptions
-	// M is the deterministic merge quota.
-	M int
 	// GlobalLambda overrides the rate-leveling λ on the global ring (0
 	// keeps Ring.Lambda). A higher global λ keeps the deterministic
 	// merge from waiting on the (mostly idle) global ring.
@@ -74,7 +72,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			Router:         cfg.Router,
 			Coord:          cfg.Coord,
 			NewLog:         cfg.NewLog,
-			M:              cfg.M,
 			Ring:           cfg.Ring,
 			Tracer:         cfg.Tracer,
 			LambdaOverride: globalLambdaOverride(schema.GlobalGroup, cfg.GlobalLambda),

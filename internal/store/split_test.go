@@ -38,7 +38,7 @@ func TestTreapSplitOff(t *testing.T) {
 		}
 		return true
 	})
-	tr.All(func(k string, _ []byte) bool {
+	allNodes(tr.root, func(k string, _ []byte) bool {
 		if k >= "k0060" {
 			t.Errorf("kept key %q at/above split point", k)
 		}

@@ -119,14 +119,6 @@ func (r *Recorder) SetSampling(n uint64) {
 	r.every.Store(n)
 }
 
-// Sampling returns the current divisor.
-func (r *Recorder) Sampling() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.every.Load()
-}
-
 // NextID returns a fresh non-zero span/trace id.
 func (r *Recorder) NextID() uint64 {
 	if r == nil {
@@ -236,19 +228,6 @@ func (c *Collector) Recorders() []string {
 		names[i] = r.Name()
 	}
 	return names
-}
-
-// SpanCount returns how many spans all registered recorders currently
-// retain (rings overwrite, so this is retention, not lifetime volume).
-func (c *Collector) SpanCount() int {
-	if c == nil {
-		return 0
-	}
-	n := 0
-	for _, r := range c.snapshot() {
-		n += len(r.Spans())
-	}
-	return n
 }
 
 func (c *Collector) snapshot() []*Recorder {

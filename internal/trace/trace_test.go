@@ -24,7 +24,7 @@ func TestContextSampled(t *testing.T) {
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.SetSampling(1)
-	if r.Sampling() != 0 || r.Name() != "" || r.NextID() != 0 {
+	if r.Name() != "" || r.NextID() != 0 {
 		t.Fatal("nil recorder leaked state")
 	}
 	if ctx := r.StartRoot(); ctx.Sampled() {
@@ -38,7 +38,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 
 	var c *Collector
 	c.Register(NewRecorder("p", 4))
-	if c.Trace(1) != nil || c.TraceIDs(0) != nil || c.SpanCount() != 0 || c.Recorders() != nil {
+	if c.Trace(1) != nil || c.TraceIDs(0) != nil || spanCount(c) != 0 || c.Recorders() != nil {
 		t.Fatal("nil collector leaked state")
 	}
 }
@@ -192,10 +192,22 @@ func TestCollectorAssemblesCausalTimeline(t *testing.T) {
 	if got := c.TraceIDs(1); len(got) != 1 || got[0] != 77 {
 		t.Fatalf("limit 1 returned %v", got)
 	}
-	if c.SpanCount() != 5 {
-		t.Fatalf("span count %d, want 5", c.SpanCount())
+	if spanCount(c) != 5 {
+		t.Fatalf("span count %d, want 5", spanCount(c))
 	}
 	if c.Trace(999) != nil {
 		t.Fatal("unknown trace id returned spans")
 	}
+}
+
+// spanCount returns how many spans c's registered recorders retain.
+func spanCount(c *Collector) int {
+	if c == nil {
+		return 0
+	}
+	n := 0
+	for _, r := range c.snapshot() {
+		n += len(r.Spans())
+	}
+	return n
 }

@@ -25,8 +25,8 @@ func FuzzFrameDecode(f *testing.F) {
 		Value:    Value{ID: 5, Count: 1, Data: []byte("payload")},
 		Payload:  []byte("aux"),
 	}
-	f.Add(seed.Encode())
-	f.Add(seed.Encode()[:10]) // truncated header
+	f.Add(encode(&seed))
+	f.Add(encode(&seed)[:10]) // truncated header
 	f.Add([]byte{})
 	batched := seed
 	batched.Value.Batched = true
@@ -34,23 +34,23 @@ func FuzzFrameDecode(f *testing.F) {
 		{Instance: 1, Value: Value{ID: 1, Data: []byte("a")}},
 		{Instance: 2, Value: Value{ID: 2, Skip: true, Count: 3}},
 	})
-	f.Add(batched.Encode())
+	f.Add(encode(&batched))
 	traced := seed
 	traced.Traces = []TraceRef{{ValueID: 5, Ctx: trace.Context{TraceID: 11, SpanID: 12, Flags: trace.FlagSampled}}}
-	f.Add(traced.Encode())
+	f.Add(encode(&traced))
 	// A skip-on-stall request: envelope only, the target instance at the
 	// top of the range a learner can ask for.
 	request := Message{Kind: KindSkipRequest, From: 3, To: 1, Ring: 2, Instance: 1 << 63}
-	f.Add(request.Encode())
+	f.Add(encode(&request))
 	// Kind 21 is retired (it was FlowFeedback): a frame an older peer
 	// still sends decodes like any kind this build does not speak.
 	retired := Message{Kind: 21, From: 3, To: 1, Ring: 2, Instance: 5_000_000}
-	f.Add(retired.Encode())
+	f.Add(encode(&retired))
 	// Forward compatibility: an UNKNOWN optional trailing header (type
 	// 0x7f) on an otherwise valid frame must be skipped, not rejected,
 	// and headers after it must still parse.
-	unknown := append(seed.Encode(), 0x7f, 4, 0, 0xde, 0xad, 0xbe, 0xef)
-	unknown = append(unknown, traced.Encode()[len(seed.Encode()):]...) // trace header after the unknown one
+	unknown := append(encode(&seed), 0x7f, 4, 0, 0xde, 0xad, 0xbe, 0xef)
+	unknown = append(unknown, encode(&traced)[len(encode(&seed)):]...) // trace header after the unknown one
 	f.Add(unknown)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -58,7 +58,7 @@ func FuzzFrameDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		enc := m.Encode()
+		enc := encode(&m)
 		if len(enc) != m.EncodedSize() {
 			t.Fatalf("EncodedSize %d != len(Encode) %d", m.EncodedSize(), len(enc))
 		}

@@ -43,8 +43,7 @@ const (
 	// KindPhase1A reserves a window of consensus instances (pre-executed
 	// Phase 1); circulates the ring accumulating promises.
 	KindPhase1A
-	// KindPhase1B confirms a reserved window back to the coordinator.
-	KindPhase1B
+	_ // 3: was Phase1B; Phase 1 promises ride the circulating Phase1A
 	// KindPhase2 is the combined Phase 2A/2B message: the coordinator's
 	// proposal plus the votes accumulated so far.
 	KindPhase2
@@ -124,7 +123,6 @@ const (
 var kindNames = map[Kind]string{
 	KindProposal:        "Proposal",
 	KindPhase1A:         "Phase1A",
-	KindPhase1B:         "Phase1B",
 	KindPhase2:          "Phase2",
 	KindDecision:        "Decision",
 	KindRetransmitReq:   "RetransmitReq",
@@ -183,11 +181,6 @@ type Value struct {
 	// drops the last copy Releases. Code that stores Data beyond the
 	// current call without touching Buf must heap-detach it first.
 	Buf *bufpool.Buf
-}
-
-// IsZero reports whether v is the zero Value.
-func (v Value) IsZero() bool {
-	return v.ID == 0 && !v.Skip && !v.Batched && v.Count == 0 && len(v.Data) == 0
 }
 
 // value flag bits in the encoded flags byte.
@@ -378,15 +371,10 @@ func (m *Message) AppendEncode(buf []byte) []byte {
 	return buf
 }
 
-// Encode returns the binary encoding of m.
-func (m *Message) Encode() []byte {
-	return m.AppendEncode(make([]byte, 0, m.EncodedSize()))
-}
-
 // ErrShortMessage reports a truncated or corrupt encoding.
 var ErrShortMessage = errors.New("transport: short or corrupt message encoding")
 
-// DecodeMessage parses a message encoded by Encode. The returned message
+// DecodeMessage parses a message encoded by AppendEncode. The returned message
 // aliases buf's storage for Value.Data and Payload.
 func DecodeMessage(buf []byte) (Message, error) {
 	var m Message
@@ -456,16 +444,6 @@ func DecodeMessage(buf []byte) (Message, error) {
 		}
 	}
 	return m, nil
-}
-
-// TraceFor returns the trace context attached for a value id, if any.
-func (m *Message) TraceFor(id uint64) (trace.Context, bool) {
-	for _, tr := range m.Traces {
-		if tr.ValueID == id {
-			return tr.Ctx, true
-		}
-	}
-	return trace.Context{}, false
 }
 
 // InstanceValue pairs a decided instance with its value; used in

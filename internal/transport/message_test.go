@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -27,7 +28,7 @@ func TestMessageRoundTrip(t *testing.T) {
 		},
 		Payload: []byte{1, 2, 3},
 	}
-	buf := m.Encode()
+	buf := encode(&m)
 	if len(buf) != m.EncodedSize() {
 		t.Fatalf("EncodedSize = %d, actual = %d", m.EncodedSize(), len(buf))
 	}
@@ -42,7 +43,7 @@ func TestMessageRoundTrip(t *testing.T) {
 
 func TestMessageRoundTripEmpty(t *testing.T) {
 	m := Message{Kind: KindTrim}
-	got, err := DecodeMessage(m.Encode())
+	got, err := DecodeMessage(encode(&m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestMessageRoundTripEmpty(t *testing.T) {
 
 func TestDecodeShortInputs(t *testing.T) {
 	m := Message{Kind: KindPhase2, Value: Value{ID: 1, Data: []byte("xyz")}, Payload: []byte("p")}
-	full := m.Encode()
+	full := encode(&m)
 	for i := 0; i < len(full); i++ {
 		if _, err := DecodeMessage(full[:i]); err == nil {
 			t.Fatalf("DecodeMessage accepted truncation at %d bytes", i)
@@ -70,7 +71,7 @@ func TestMessageRoundTripQuick(t *testing.T) {
 			Value:   Value{ID: vid, Skip: skip, Count: vcount, Data: data},
 			Payload: payload,
 		}
-		got, err := DecodeMessage(m.Encode())
+		got, err := DecodeMessage(encode(&m))
 		if err != nil {
 			return false
 		}
@@ -90,7 +91,7 @@ func TestMessageRoundTripQuick(t *testing.T) {
 
 func TestValueBatchedFlagRoundTrip(t *testing.T) {
 	m := Message{Kind: KindPhase2, Value: Value{ID: 3, Batched: true, Count: 1, Data: []byte("packed")}}
-	got, err := DecodeMessage(m.Encode())
+	got, err := DecodeMessage(encode(&m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +118,6 @@ func TestValueSpan(t *testing.T) {
 	}
 	if (Value{Count: 5}).Span() != 5 {
 		t.Error("Count=5 should span 5 instances")
-	}
-	if !(Value{}).IsZero() {
-		t.Error("zero value should be IsZero")
-	}
-	if (Value{ID: 1}).IsZero() {
-		t.Error("non-zero value should not be IsZero")
 	}
 }
 
@@ -182,7 +177,7 @@ func TestKindNumbers(t *testing.T) {
 		k Kind
 		n uint8
 	}{
-		{KindProposal, 1}, {KindPhase1A, 2}, {KindPhase1B, 3}, {KindPhase2, 4},
+		{KindProposal, 1}, {KindPhase1A, 2}, {KindPhase2, 4},
 		{KindDecision, 5}, {KindRetransmitReq, 6}, {KindRetransmitResp, 7},
 		{KindSafeReq, 8}, {KindSafeResp, 9}, {KindTrim, 10}, {KindCommand, 11},
 		{KindResponse, 12}, {KindCheckpointReq, 13}, {KindCheckpointResp, 14},
@@ -202,8 +197,10 @@ func TestKindNumbers(t *testing.T) {
 			t.Errorf("kind %d has no name", w.n)
 		}
 	}
-	if got := Kind(21).String(); got != "Kind(21)" || isRingKind(21) {
-		t.Errorf("retired kind 21: String() = %q, ring kind = %v; want unnamed and unrouted", got, isRingKind(21))
+	for _, retired := range []Kind{3, 21} {
+		if got := retired.String(); got != fmt.Sprintf("Kind(%d)", retired) || isRingKind(retired) {
+			t.Errorf("retired kind %d: String() = %q, ring kind = %v; want unnamed and unrouted", retired, got, isRingKind(retired))
+		}
 	}
 }
 
@@ -223,7 +220,7 @@ func BenchmarkMessageDecode(b *testing.B) {
 	data := make([]byte, 1024)
 	rand.New(rand.NewSource(1)).Read(data)
 	m := Message{Kind: KindPhase2, Instance: 1 << 40, Value: Value{ID: 7, Data: data}}
-	buf := m.Encode()
+	buf := encode(&m)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -231,4 +228,9 @@ func BenchmarkMessageDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// encode returns the binary encoding of m.
+func encode(m *Message) []byte {
+	return m.AppendEncode(make([]byte, 0, m.EncodedSize()))
 }

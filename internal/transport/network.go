@@ -12,18 +12,18 @@ import (
 // messages experience serialization delay (bandwidth), propagation delay
 // and jitter while preserving FIFO order per sender-receiver pair.
 //
-// Crashing a process (Detach) silently drops messages addressed to it, and
-// a link can be blocked to emulate network partitions.
+// Crashing a process (Detach) silently drops messages addressed to it;
+// partitions and lossy links are installed through the fault plan
+// (Faults).
 type Network struct {
 	topo   *netem.Topology
 	faults *netem.FaultPlan
 
-	mu      sync.Mutex
-	eps     map[ProcessID]*netEndpoint
-	sites   map[ProcessID]netem.Site
-	links   map[[2]ProcessID]*linkState
-	blocked map[[2]ProcessID]bool
-	closed  bool
+	mu     sync.Mutex
+	eps    map[ProcessID]*netEndpoint
+	sites  map[ProcessID]netem.Site
+	links  map[[2]ProcessID]*linkState
+	closed bool
 
 	timers sync.WaitGroup
 }
@@ -52,17 +52,13 @@ func NewNetwork(topo *netem.Topology) *Network {
 		topo = netem.NewTopology()
 	}
 	return &Network{
-		topo:    topo,
-		faults:  netem.NewFaultPlan(1),
-		eps:     make(map[ProcessID]*netEndpoint),
-		sites:   make(map[ProcessID]netem.Site),
-		links:   make(map[[2]ProcessID]*linkState),
-		blocked: make(map[[2]ProcessID]bool),
+		topo:   topo,
+		faults: netem.NewFaultPlan(1),
+		eps:    make(map[ProcessID]*netEndpoint),
+		sites:  make(map[ProcessID]netem.Site),
+		links:  make(map[[2]ProcessID]*linkState),
 	}
 }
-
-// Topology returns the topology shaping this network.
-func (n *Network) Topology() *netem.Topology { return n.topo }
 
 // Faults returns the mutable fault plan consulted on every send. With no
 // faults installed the send path is unchanged; installing one switches the
@@ -96,20 +92,6 @@ func (n *Network) Detach(id ProcessID) {
 	if ep != nil {
 		ep.rx.close()
 	}
-}
-
-// Block stops message flow from a to b (one direction). Use Unblock to heal.
-func (n *Network) Block(from, to ProcessID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.blocked[[2]ProcessID{from, to}] = true
-}
-
-// Unblock restores message flow from a to b.
-func (n *Network) Unblock(from, to ProcessID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.blocked, [2]ProcessID{from, to})
 }
 
 // Close shuts the hub and all endpoints down, waiting for in-flight
@@ -163,10 +145,6 @@ func (n *Network) sendRun(from ProcessID, run []Message) error {
 	if n.closed {
 		n.mu.Unlock()
 		return ErrClosed
-	}
-	if n.blocked[[2]ProcessID{from, to}] {
-		n.mu.Unlock()
-		return nil // silently lost, like a partitioned link
 	}
 	dst, ok := n.eps[to]
 	if !ok {

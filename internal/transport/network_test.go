@@ -125,16 +125,16 @@ func TestNetworkBlockUnblock(t *testing.T) {
 	a := n.Attach(1, netem.SiteLocal)
 	b := n.Attach(2, netem.SiteLocal)
 
-	n.Block(1, 2)
+	n.Faults().Cut(1, 2)
 	if err := a.Send(2, Message{Kind: KindCommand, Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case <-b.Recv():
-		t.Fatal("message crossed a blocked link")
+		t.Fatal("message crossed a cut link")
 	case <-time.After(50 * time.Millisecond):
 	}
-	n.Unblock(1, 2)
+	n.Faults().Heal(1, 2)
 	if err := a.Send(2, Message{Kind: KindCommand, Seq: 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -230,9 +230,9 @@ func TestNetworkSendBatchToCrashedAndBlocked(t *testing.T) {
 	defer n.Close()
 	a := n.Attach(1, netem.SiteLocal)
 	b := n.Attach(2, netem.SiteLocal)
-	n.Block(1, 3) // 3 never attached anyway; also exercise blocked path
+	n.Faults().Cut(1, 3) // 3 never attached anyway; also exercise the cut path
 	msgs := []Message{
-		{Kind: KindCommand, To: 3, Seq: 1}, // blocked/crashed: lost
+		{Kind: KindCommand, To: 3, Seq: 1}, // cut/crashed: lost
 		{Kind: KindCommand, To: 9, Seq: 2}, // never attached: lost
 		{Kind: KindCommand, To: 2, Seq: 3},
 	}

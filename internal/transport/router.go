@@ -33,7 +33,7 @@ type Router struct {
 // ringKinds are handled by ring.Node instances.
 func isRingKind(k Kind) bool {
 	switch k {
-	case KindProposal, KindPhase1A, KindPhase1B, KindPhase2, KindDecision,
+	case KindProposal, KindPhase1A, KindPhase2, KindDecision,
 		KindRetransmitReq, KindRetransmitResp, KindSafeResp, KindTrim,
 		KindSkipRequest:
 		return true

@@ -20,7 +20,7 @@ func TestTraceHeaderRoundTrip(t *testing.T) {
 			{ValueID: MakeValueID(2, 9), Ctx: trace.Context{TraceID: 0xefef, SpanID: 0x5678, Flags: trace.FlagSampled}},
 		},
 	}
-	enc := m.Encode()
+	enc := encode(&m)
 	if len(enc) != m.EncodedSize() {
 		t.Fatalf("EncodedSize %d != len(Encode) %d", m.EncodedSize(), len(enc))
 	}
@@ -31,7 +31,7 @@ func TestTraceHeaderRoundTrip(t *testing.T) {
 	if !messagesEqual(m, got) {
 		t.Fatalf("round trip changed message:\n in:  %+v\n out: %+v", m, got)
 	}
-	if ctx, ok := got.TraceFor(MakeValueID(2, 9)); !ok || ctx.TraceID != 0xefef {
+	if ctx, ok := traceFor(&got, MakeValueID(2, 9)); !ok || ctx.TraceID != 0xefef {
 		t.Fatalf("TraceFor lost the second ref: %+v %v", ctx, ok)
 	}
 }
@@ -42,12 +42,12 @@ func TestTraceHeaderRoundTrip(t *testing.T) {
 // still parsed — and a legacy frame with no trailer at all must too.
 func TestUnknownOptionalHeaderSkipped(t *testing.T) {
 	base := Message{Kind: KindDecision, Ring: 1, Instance: 5, Value: Value{ID: 9, Data: []byte("x")}}
-	plain := base.Encode()
+	plain := encode(&base)
 
 	// Unknown type 0x42 with a 3-byte body, then a valid trace header.
 	traced := base
 	traced.Traces = []TraceRef{{ValueID: 9, Ctx: trace.Context{TraceID: 7, SpanID: 8, Flags: trace.FlagSampled}}}
-	tracedEnc := traced.Encode()
+	tracedEnc := encode(&traced)
 	frame := append(append([]byte{}, plain...), 0x42, 3, 0, 1, 2, 3)
 	frame = append(frame, tracedEnc[len(plain):]...)
 
@@ -99,7 +99,7 @@ func TestTraceSurvivesCoalescedSendBatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("recv %d: %v", i, err)
 		}
-		if gotCtx, ok := got.TraceFor(want.Value.ID); !ok || gotCtx != want.Traces[0].Ctx {
+		if gotCtx, ok := traceFor(&got, want.Value.ID); !ok || gotCtx != want.Traces[0].Ctx {
 			t.Fatalf("msg %d lost its trace context through the coalesced batch: %+v", i, got.Traces)
 		}
 	}
@@ -119,3 +119,13 @@ var errTimeout = errTimeoutType{}
 type errTimeoutType struct{}
 
 func (errTimeoutType) Error() string { return "recv timeout" }
+
+// traceFor returns the trace context m carries for a value id, if any.
+func traceFor(m *Message, id uint64) (trace.Context, bool) {
+	for _, tr := range m.Traces {
+		if tr.ValueID == id {
+			return tr.Ctx, true
+		}
+	}
+	return trace.Context{}, false
+}
