@@ -96,19 +96,22 @@ func TestStoreOpAllocs(t *testing.T) {
 //     position from in place, are cut from the client's 64 KB blocks. Each
 //     server cuts its stored entry from a 64 KB block and its reply from a
 //     4 KB block, and reuses its batch's result slice.
-//   - MultiAppend (measured 2): the positions map the call returns (a map
-//     header and its one group), filled straight from the reply. Submit
-//     appends the response into a buffer on MultiAppendN's stack.
+//   - MultiAppend (measured 0): the positions map the call returns (a map
+//     header and its one group) is made by the inlined MultiAppend in this
+//     frame, which does not keep it, so both live on its stack; multiAppend
+//     fills it straight from the reply. Submit appends the response into a
+//     buffer on multiAppend's stack.
 //
-// MultiAppend cost 3 while Submit returned the response in a slice of its
-// own. Append cost 2 and MultiAppend 5 with a request and a response copy
-// of their own, 3 and 6 while the op was encoded into a buffer of its own
-// and copied into the command, and 10–11 and 18–21 when each server
-// allocated every stored copy and reply, and the client decoded the reply
-// into a Result.
+// MultiAppend cost 2 while it made the map in a frame of its own (a call
+// that could not be inlined, MultiAppendN), so the map escaped to the heap,
+// and 3 while Submit returned the response in a slice of its own. Append
+// cost 2 and MultiAppend 5 with a request and a response copy of their own,
+// 3 and 6 while the op was encoded into a buffer of its own and copied into
+// the command, and 10–11 and 18–21 when each server allocated every stored
+// copy and reply, and the client decoded the reply into a Result.
 const (
 	appendAllocBudget      = 1
-	multiAppendAllocBudget = 3
+	multiAppendAllocBudget = 1
 )
 
 func TestDLogOpAllocs(t *testing.T) {

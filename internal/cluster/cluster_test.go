@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
 	"time"
@@ -374,6 +375,90 @@ func TestDLogEndToEnd(t *testing.T) {
 	}
 	if _, err := dc.Read(1, p1); err != nil {
 		t.Errorf("read above trim failed: %v", err)
+	}
+}
+
+// TestDLogMultiAppendMapsAreTheCallers: each MultiAppend returns a map of
+// its own. Three kept maps each hold both logs past the previous call's
+// positions, a write into one leaves the others as they were, and a client
+// without a global group gets its error, not a panic.
+func TestDLogMultiAppendMapsAreTheCallers(t *testing.T) {
+	d := NewDeployment(nil)
+	defer d.Close()
+	c, err := d.StartDLog(DLogOptions{Logs: 2, Servers: 3, Global: true, Ring: fastRing()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc, cl, err := c.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	logs := []dlog.LogID{1, 2}
+	var kept [3]map[dlog.LogID]uint64
+	for i := range kept {
+		if kept[i], err = dc.MultiAppend(logs, []byte("m")); err != nil {
+			t.Fatal(err)
+		}
+		if len(kept[i]) != 2 {
+			t.Fatalf("call %d: positions %v, want both logs", i, kept[i])
+		}
+		if i == 0 {
+			continue
+		}
+		for _, l := range logs {
+			if kept[i][l] <= kept[i-1][l] {
+				t.Errorf("call %d: log %d at %d, not past %d", i, l, kept[i][l], kept[i-1][l])
+			}
+		}
+	}
+	want := [3]map[dlog.LogID]uint64{maps.Clone(kept[0]), maps.Clone(kept[1]), maps.Clone(kept[2])}
+	kept[1][1] = 1 << 40
+	kept[1][9] = 9
+	for _, i := range []int{0, 2} {
+		if !maps.Equal(kept[i], want[i]) {
+			t.Errorf("call %d: map changed to %v by a write into call 1's, want %v", i, kept[i], want[i])
+		}
+	}
+
+	dc.Global = 0
+	if pos, err := dc.MultiAppend(logs, []byte("m")); err == nil || len(pos) != 0 {
+		t.Errorf("without a global group: %v, %v; want an error and no positions", pos, err)
+	}
+}
+
+// TestDLogMultiAppendRefusesRepeatedLog: a multi-append naming a log twice
+// is refused before anything is sent, so no server appends to that log at
+// all (each would append twice, and the client would then report a
+// failure for an append that took effect).
+func TestDLogMultiAppendRefusesRepeatedLog(t *testing.T) {
+	d := NewDeployment(nil)
+	defer d.Close()
+	c, err := d.StartDLog(DLogOptions{Logs: 2, Servers: 3, Global: true, Ring: fastRing()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc, cl, err := c.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if pos, err := dc.MultiAppend([]dlog.LogID{1, 1}, []byte("twice")); err == nil || len(pos) != 0 {
+		t.Errorf("repeated log: %v, %v; want an error and no positions", pos, err)
+	}
+	// A marker through the same global ring: a server that applied it has
+	// applied whatever the refused call might have sent before it.
+	if _, err := dc.MultiAppend([]dlog.LogID{1, 2}, []byte("marker")); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s := 1; s <= 3; s++ {
+		for c.SM(s).LenOf(2) < 1 && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if l1, l2 := c.SM(s).LenOf(1), c.SM(s).LenOf(2); l1 != 1 || l2 != 1 {
+			t.Errorf("server %d: logs 1 and 2 hold %d and %d entries, want the marker only", s, l1, l2)
+		}
 	}
 }
 

@@ -531,33 +531,42 @@ func (c *Client) Append(l LogID, v []byte) (uint64, error) {
 
 // MultiAppend appends v to every log in logs atomically and returns the
 // positions per log. Requires a global group and one response from every
-// involved partition; it assumes each log lives on its own partition (use
-// MultiAppendN when one server hosts several of the logs).
+// involved partition: one per log, or Partitions when that is fewer. A log
+// named twice is refused and nothing is sent. On error the map holds the
+// positions that were reached, and is empty when nothing was submitted.
+//
+// MultiAppend must stay inlinable (TestDLogOpAllocs pins it): the map is
+// then made in the caller's frame, and a caller that does not keep it keeps
+// it on its stack.
 func (c *Client) MultiAppend(logs []LogID, v []byte) (map[LogID]uint64, error) {
+	out := make(map[LogID]uint64, len(logs))
+	return out, c.multiAppend(out, logs, v)
+}
+
+// multiAppend is MultiAppend filling out in place.
+func (c *Client) multiAppend(out map[LogID]uint64, logs []LogID, v []byte) error {
+	if c.Global == 0 {
+		return fmt.Errorf("dlog: multi-append requires a global group")
+	}
+	for i, l := range logs {
+		if slices.Contains(logs[:i], l) {
+			return fmt.Errorf("dlog: multi-append names log %d twice", l)
+		}
+	}
 	want := len(logs)
 	if c.Partitions > 0 && c.Partitions < want {
 		want = c.Partitions
 	}
-	return c.MultiAppendN(logs, v, want)
-}
-
-// MultiAppendN is MultiAppend with an explicit count of distinct partitions
-// hosting the logs (responses are counted per partition).
-func (c *Client) MultiAppendN(logs []LogID, v []byte, wantPartitions int) (map[LogID]uint64, error) {
-	if c.Global == 0 {
-		return nil, fmt.Errorf("dlog: multi-append requires a global group")
-	}
 	op := Op{Kind: OpMultiAppend, Logs: logs, Value: v}
 	var buf [4][]byte // room for every reply of a multi-append up to four partitions
-	resps, err := c.cl.Submit(buf[:0], []transport.RingID{c.Global}, op.Request(), nil, wantPartitions, c.Timeout)
+	resps, err := c.cl.Submit(buf[:0], []transport.RingID{c.Global}, op.Request(), nil, want, c.Timeout)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make(map[LogID]uint64, len(logs))
 	for _, raw := range resps {
 		res, err := parseResult(raw)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if res.Status != StatusOK {
 			continue
@@ -568,9 +577,9 @@ func (c *Client) MultiAppendN(logs []LogID, v []byte, wantPartitions int) (map[L
 		}
 	}
 	if len(out) != len(logs) {
-		return out, fmt.Errorf("dlog: multi-append reached %d/%d logs", len(out), len(logs))
+		return fmt.Errorf("dlog: multi-append reached %d/%d logs", len(out), len(logs))
 	}
-	return out, nil
+	return nil
 }
 
 // Read returns the value at position p in log l: a view of the client's

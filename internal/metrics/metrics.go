@@ -20,7 +20,7 @@ import (
 
 // Histogram records durations in logarithmic buckets (HdrHistogram-style:
 // ~5% relative precision). Recording is lock-free — one atomic add per
-// bucket plus atomic total/sum and CAS-raced min/max — so it can sit on
+// bucket plus atomic total/sum and a CAS-raced max — so it can sit on
 // concurrent hot paths (every traced request, every merge stall) without
 // a global mutex serializing recorders. Readers observe a possibly
 // slightly torn view under concurrent recording (each counter is
@@ -30,7 +30,6 @@ type Histogram struct {
 	counts []atomic.Uint64
 	total  atomic.Uint64
 	sum    atomic.Int64 // nanoseconds
-	min    atomic.Int64 // nanoseconds; MaxInt64 when empty
 	max    atomic.Int64 // nanoseconds
 }
 
@@ -45,9 +44,7 @@ const (
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
-	h := &Histogram{counts: make([]atomic.Uint64, histBuckets)}
-	h.min.Store(math.MaxInt64)
-	return h
+	return &Histogram{counts: make([]atomic.Uint64, histBuckets)}
 }
 
 func bucketOf(d time.Duration) int {
@@ -74,12 +71,6 @@ func (h *Histogram) Record(d time.Duration) {
 	h.counts[bucketOf(d)].Add(1)
 	h.total.Add(1)
 	h.sum.Add(int64(d))
-	for {
-		cur := h.min.Load()
-		if int64(d) >= cur || h.min.CompareAndSwap(cur, int64(d)) {
-			break
-		}
-	}
 	for {
 		cur := h.max.Load()
 		if int64(d) <= cur || h.max.CompareAndSwap(cur, int64(d)) {
@@ -241,14 +232,13 @@ func (g *Gauge) SetMax(v int64) {
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
-// BatchGauge tracks the size distribution of batches flowing through a hot
-// path — group-commit WAL batches, coalesced network flushes — cheaply
-// enough to stay enabled in production: three atomics per observation. The
-// zero value is ready to use.
+// BatchGauge counts the batches and items flowing through a hot path —
+// group-commit WAL batches, coalesced network flushes — for their mean
+// size, cheaply enough to stay enabled in production: two atomic adds per
+// observation. The zero value is ready to use.
 type BatchGauge struct {
 	batches atomic.Uint64
 	items   atomic.Uint64
-	max     atomic.Uint64
 }
 
 // Observe records one batch of the given size.
@@ -258,19 +248,13 @@ func (g *BatchGauge) Observe(size int) {
 	}
 	g.batches.Add(1)
 	g.items.Add(uint64(size))
-	for {
-		cur := g.max.Load()
-		if uint64(size) <= cur || g.max.CompareAndSwap(cur, uint64(size)) {
-			return
-		}
-	}
 }
 
 // Snapshot returns the totals so far.
 //
 //lint:allow testonly TestFileWALPutBatchGroupCommit (storage) and TestPackingBoundaries, TestCoordinatorPacksDrainedBurst and TestOverloadHintTracksDrainTime (ring) count batches and items with it
-func (g *BatchGauge) Snapshot() (batches, items, maxSize uint64) {
-	return g.batches.Load(), g.items.Load(), g.max.Load()
+func (g *BatchGauge) Snapshot() (batches, items uint64) {
+	return g.batches.Load(), g.items.Load()
 }
 
 // Mean returns the average batch size (0 if nothing was observed).

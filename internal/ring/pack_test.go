@@ -265,7 +265,7 @@ func TestCoordinatorPacksDrainedBurst(t *testing.T) {
 			t.Fatalf("value %d sits at position %d: head-of-line order broken", id, i)
 		}
 	}
-	if batches, items, _ := n.PackGauge().Snapshot(); batches != uint64(want) || items != count {
+	if batches, items := n.PackGauge().Snapshot(); batches != uint64(want) || items != count {
 		t.Fatalf("pack gauge saw %d instances / %d messages, want %d / %d", batches, items, want, count)
 	}
 	if n.px.pendingQ.len() != 0 || n.FlowStats().QueueDepth != 0 {
@@ -320,7 +320,7 @@ func TestPackingBoundaries(t *testing.T) {
 		}
 	}
 	// The skip counts neither as a packed instance nor toward λ.
-	if batches, items, _ := n.PackGauge().Snapshot(); batches != 4 || items != 8 {
+	if batches, items := n.PackGauge().Snapshot(); batches != 4 || items != 8 {
 		t.Fatalf("pack gauge saw %d instances / %d messages, want 4 / 8", batches, items)
 	}
 	if n.px.proposedInWin != 4 {
@@ -459,12 +459,12 @@ func TestOverloadHintTracksDrainTime(t *testing.T) {
 				if round == 0 {
 					// The meter's first window opens at the first dequeue.
 					start = time.Now()
-					_, startMsgs, _ = n.PackGauge().Snapshot()
+					_, startMsgs = n.PackGauge().Snapshot()
 				}
 				time.Sleep(time.Millisecond)
 			}
 			elapsed := time.Since(start)
-			_, msgs, _ := n.PackGauge().Snapshot()
+			_, msgs := n.PackGauge().Snapshot()
 			dequeued := msgs - startMsgs
 			sink.take(transport.KindPhase2)
 			shed := sink.take(transport.KindOverloaded)

@@ -37,8 +37,8 @@ func TestFileWALPutBatchGroupCommit(t *testing.T) {
 			t.Fatalf("Get(%d) = %q, %v", i, rec, ok)
 		}
 	}
-	if b, items, max := w.batchGauge.Snapshot(); b != 1 || items != 64 || max != 64 {
-		t.Errorf("batch gauge = (%d, %d, %d), want (1, 64, 64)", b, items, max)
+	if b, items := w.batchGauge.Snapshot(); b != 1 || items != 64 {
+		t.Errorf("batch gauge = (%d, %d), want (1, 64)", b, items)
 	}
 }
 
