@@ -279,8 +279,9 @@ func (n *Node) merge(st *mergeState, srcs []*ringSource, handler BatchHandler) {
 			if !n.awaitTurn(st, srcs, last) {
 				// Ring stream ended. At Stop that is normal; while the
 				// node is still running it means the ring terminated
-				// delivery (a catch-up range trimmed beyond recovery),
-				// which the ring reports as FlowStats.CatchupAborted.
+				// delivery (the next instance this learner needs was
+				// trimmed from every live acceptor), which the ring
+				// reports as FlowStats.CatchupAborted.
 				return
 			}
 		}

@@ -57,7 +57,8 @@ type Op struct {
 	Value []byte
 }
 
-// Encode serializes the operation.
+// Encode serializes the operation. A multi-append's logs are written in
+// ascending order, the only order the state machine accepts.
 func (o Op) Encode() []byte {
 	return o.appendTo(make([]byte, 0, o.encodedLen()))
 }
@@ -78,6 +79,16 @@ func (o Op) appendTo(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(o.Logs)))
 	for _, l := range o.Logs {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(l))
+	}
+	// Sort the names in place, as written: the caller's slice stays as it
+	// is and nothing is allocated. A command names a few logs.
+	names := buf[len(buf)-4*len(o.Logs):]
+	for i := 4; i < len(names); i += 4 {
+		for j := i; j > 0 && binary.LittleEndian.Uint32(names[j:]) < binary.LittleEndian.Uint32(names[j-4:]); j -= 4 {
+			a, b := binary.LittleEndian.Uint32(names[j-4:]), binary.LittleEndian.Uint32(names[j:])
+			binary.LittleEndian.PutUint32(names[j-4:], b)
+			binary.LittleEndian.PutUint32(names[j:], a)
+		}
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(o.Value)))
 	return append(buf, o.Value...)
@@ -133,7 +144,8 @@ const (
 	StatusOK Status = iota + 1
 	// StatusNotFound indicates an out-of-range or trimmed position.
 	StatusNotFound
-	// StatusBadRequest indicates an undecodable operation.
+	// StatusBadRequest indicates an undecodable operation, or a
+	// multi-append whose logs are not strictly ascending (one named twice).
 	StatusBadRequest
 )
 
@@ -329,6 +341,14 @@ func (s *SM) apply(raw []byte) []byte {
 		}
 		return s.result(StatusOK, positions{{op.Log, s.append(ls, op.Value)}}, nil)
 	case OpMultiAppend:
+		// Names come strictly ascending (Op.Encode writes them so), so one
+		// pass refuses a log named twice before anything is appended, on
+		// every server alike, whichever logs it hosts.
+		for i := 1; i < len(op.logs)/4; i++ {
+			if op.logAt(i) <= op.logAt(i-1) {
+				return s.result(StatusBadRequest, nil, nil)
+			}
+		}
 		// Apply to the subset of addressed logs hosted here; other
 		// partitions' servers handle theirs (same global order). A command
 		// names a few logs: their positions are ordered on the stack.

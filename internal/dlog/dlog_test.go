@@ -250,6 +250,69 @@ func FuzzDLogRestore(f *testing.F) {
 	})
 }
 
+// TestSMRefusesRepeatedLog: a multi-append that names a log twice, encoded
+// by hand as any client could, is refused on every server before anything
+// is appended, whether the server hosts the repeated log or not.
+func TestSMRefusesRepeatedLog(t *testing.T) {
+	op := []byte{byte(OpMultiAppend), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0}
+	for _, l := range []uint32{1, 2, 1} {
+		op = binary.LittleEndian.AppendUint32(op, l)
+	}
+	op = append(binary.LittleEndian.AppendUint32(op, 1), 'v')
+	for _, hosted := range [][]LogID{{1, 2}, {2}, {3}} {
+		sm := NewSM(SMConfig{Hosted: hosted})
+		res, err := decodeResult(execute(sm, 1, op))
+		if err != nil || res.Status != StatusBadRequest {
+			t.Errorf("hosting %v: multi-append of logs 1, 2, 1 = %+v, %v; want StatusBadRequest", hosted, res, err)
+		}
+		for _, l := range hosted {
+			if n := sm.LenOf(l); n != 0 {
+				t.Errorf("hosting %v: log %d grew to %d entries", hosted, l, n)
+			}
+		}
+	}
+}
+
+// FuzzDLogOp: any bytes applied as an operation neither panic nor answer
+// two state machines differently, and a multi-append that names a log twice
+// is refused.
+func FuzzDLogOp(f *testing.F) {
+	for _, op := range []Op{
+		{Kind: OpAppend, Log: 1, Value: []byte("entry")},
+		{Kind: OpMultiAppend, Logs: []LogID{2, 1}, Value: []byte("x")},
+		{Kind: OpMultiAppend, Logs: []LogID{1, 1}, Value: []byte("x")},
+		{Kind: OpRead, Log: 2, Pos: 0},
+		{Kind: OpTrim, Log: 1, Pos: 1},
+	} {
+		f.Add(op.Encode())
+	}
+	f.Add([]byte{0xff, 0x01})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, b := NewSM(SMConfig{Hosted: []LogID{1, 2}}), NewSM(SMConfig{Hosted: []LogID{1, 2}})
+		execute(a, 1, Op{Kind: OpAppend, Log: 1, Value: []byte("seed")}.Encode())
+		execute(b, 1, Op{Kind: OpAppend, Log: 1, Value: []byte("seed")}.Encode())
+		ra, rb := execute(a, 1, data), execute(b, 1, data)
+		if !bytes.Equal(ra, rb) || !bytes.Equal(snapshot(a), snapshot(b)) {
+			t.Fatalf("one operation, two answers: %x and %x", ra, rb)
+		}
+		op, ok := parseOp(data)
+		if !ok || op.Kind != OpMultiAppend {
+			return
+		}
+		for i := 0; i < len(op.logs)/4; i++ {
+			for j := 0; j < i; j++ {
+				if op.logAt(i) != op.logAt(j) {
+					continue
+				}
+				if res, err := decodeResult(ra); err != nil || res.Status != StatusBadRequest {
+					t.Fatalf("multi-append naming log %d twice = %+v, %v; want StatusBadRequest", op.logAt(i), res, err)
+				}
+				return
+			}
+		}
+	})
+}
+
 func TestSMGarbageOp(t *testing.T) {
 	sm := NewSM(SMConfig{Hosted: []LogID{1}})
 	res, err := decodeResult(execute(sm, 1, []byte{0xff, 0x01}))

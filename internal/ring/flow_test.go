@@ -333,3 +333,67 @@ func testCatchupAbortsWhenRangeTrimmed(t *testing.T, trimInsideWindow bool) {
 		t.Fatalf("stream closed without recording the catch-up abort: %+v", fs)
 	}
 }
+
+// TestCatchupAbortsWhenGapTrimmed is the same failure for a learner that
+// missed decisions instead of overrunning its queue: node 2 is cut off
+// while nodes 1 and 3 decide and trim past what it learned. Once healed,
+// it learns later decisions, so it misses a range that is gone from every
+// live acceptor, and its stream must end as after an overrun, not retry the
+// range forever.
+func TestCatchupAbortsWhenGapTrimmed(t *testing.T) {
+	c := newCluster(t, 3, func(cfg *Config) { cfg.RetryInterval = 30 * time.Millisecond })
+	streamClosed := make(chan struct{})
+	go func() {
+		for batch := range batchesOf(c.nodes[2]) {
+			c.nodes[2].ReleaseBatch(batch)
+		}
+		close(streamClosed)
+	}()
+
+	c.svc.MarkDown(2)
+	c.net.Faults().Isolate(2)
+	const total = 50
+	for i := 0; i < total; i++ {
+		_ = propose(c.nodes[1], []byte{byte(i)})
+	}
+	var last uint64
+	for _, d := range collect(t, c.nodes[3], total, 10*time.Second) {
+		last = max(last, d.Instance)
+	}
+	tr := c.net.Attach(98, "local")
+	for _, id := range []transport.ProcessID{1, 3} {
+		_ = tr.Send(id, transport.Message{Kind: transport.KindTrim, Ring: c.ring, Instance: last})
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for _, id := range []transport.ProcessID{1, 3} {
+		for c.logs[id].FirstRetained() <= last {
+			if time.Now().After(deadline) {
+				t.Fatalf("node %d never trimmed its log through %d", id, last)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	c.net.Faults().Unisolate(2)
+	c.svc.MarkUp(2)
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() { // later decisions show node 2 the range it missed
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			case <-time.After(20 * time.Millisecond):
+				_ = propose(c.nodes[1], []byte{byte(i)})
+			}
+		}
+	}()
+	select {
+	case <-streamClosed:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("delivery stream did not terminate after the range node 2 missed was trimmed: %+v", c.nodes[2].FlowStats())
+	}
+	if fs := c.nodes[2].FlowStats(); fs.CatchupAborted == 0 {
+		t.Fatalf("stream closed without recording the catch-up abort: %+v", fs)
+	}
+}

@@ -3,6 +3,7 @@ package ring
 import (
 	"bytes"
 	"math"
+	"slices"
 	"time"
 
 	"amcast/internal/coord"
@@ -47,16 +48,29 @@ type paxosState struct {
 	now           time.Time // the clock of the last retry tick
 	overdue       []uint64  // scratch for retryUndecided
 
-	// Learner.
+	// Learner. handed is the consumer's position, the next instance to hand
+	// it: it trails nextDeliver while the consumer lags, and fill closes the
+	// distance. room is how many more entries the consumer takes (the
+	// driver's last reading, less what was handed over since); ended marks a
+	// stream ended because what it needed next is gone.
 	learned     map[uint64]transport.Value
 	nextDeliver uint64
 	maxDecided  uint64
+	handed      uint64
+	room        int
+	ended       bool
 	// servedFrom is the lowest instance retransmission serves from the
 	// log: StartInstance after recovery from a peer's checkpoint, whose
 	// lower instances may hold stale votes (Config.StartFromPeer), else 1.
 	servedFrom uint64
 	idleTicks  int // retry ticks since the learner last made progress
-	chased     int // index in peers of the acceptor the last gap chase asked
+	chased     int // index in peers of the acceptor the last fill asked
+	// gone lists the peers that reported goneAt, the first instance this
+	// node misses, gone from their logs; goneTrim is set once one said it
+	// trimmed it.
+	gone     []transport.ProcessID
+	goneAt   uint64
+	goneTrim bool
 
 	// Trim round (coordinator).
 	safeResps map[transport.ProcessID]uint64
@@ -88,6 +102,7 @@ const (
 	evDelta                         // the Δ tick (rate leveling)
 	evTrim                          // the trim tick
 	evPropose                       // the propose point at the end of a burst
+	evFill                          // room: the consumer's room, read once the burst committed
 )
 
 // paxosEvent is one input to step.
@@ -96,11 +111,13 @@ type paxosEvent struct {
 	msg  transport.Message
 	cfg  coord.RingConfig
 	now  time.Time
+	room int
 }
 
 // paxosOut is what one step decides: the event loop stages the records for the
 // burst's group commit, releases the sends only once they committed, hands
-// the decided values to the delivery stage, and resets the out.
+// the values handed to the consumer (decided, from its position on, in
+// order) to the delivery stage, and resets the out.
 type paxosOut struct {
 	votes    []paxosVote
 	promise  uint32              // a raised promise to stage (0: none)
@@ -110,6 +127,13 @@ type paxosOut struct {
 	packed   []int  // messages per non-skip instance proposed
 	dequeued int    // proposals dequeued at the propose point
 	onDemand bool   // a skip was proposed on a learner's request
+
+	ndecided int    // entries nextDeliver passed, handed over or not
+	nskipped uint64 // instances their skips span
+	overrun  bool   // the consumer ran out of room: it lags from here
+	dropped  int    // values released while the consumer lags
+	served   int    // values handed to a lagging consumer
+	end      bool   // end the stream: what the consumer needs next is gone
 }
 
 // paxosVote is a vote record to stage. decides marks the vote that completed
@@ -140,6 +164,8 @@ func newPaxosState(cfg Config, log paxosLog, now time.Time) paxosState {
 		inFlight:     make(map[uint64]flight),
 		learned:      make(map[uint64]transport.Value),
 		nextDeliver:  max(1, cfg.StartInstance),
+		handed:       max(1, cfg.StartInstance),
+		room:         cfg.deliverBuffer,
 		servedFrom:   1,
 		nextInstance: 1,
 		safeResps:    make(map[transport.ProcessID]uint64),
@@ -171,7 +197,10 @@ func (s *paxosState) step(out *paxosOut, ev *paxosEvent) {
 	case evRetry:
 		s.now = ev.now
 		s.retryUndecided(out)
-		s.chaseGaps(out)
+		s.fill(out, true)
+	case evFill:
+		s.room = ev.room
+		s.fill(out, false)
 	case evDelta:
 		s.maybeSkip(out)
 	case evTrim:
@@ -251,14 +280,7 @@ func (s *paxosState) handle(out *paxosOut, m transport.Message) {
 	case transport.KindRetransmitReq:
 		s.serveRetransmit(out, m)
 	case transport.KindRetransmitResp:
-		// The event loop replayed what its catch-up needed; the rest fills gaps.
-		for it := transport.IterBatch(m.Payload); ; {
-			iv, ok := it.Next()
-			if !ok {
-				break
-			}
-			s.learnRemote(out, iv.Instance, iv.Value)
-		}
+		s.learnServed(out, m)
 	case transport.KindSafeResp:
 		s.handleSafeResp(out, m)
 	case transport.KindTrim:
@@ -354,9 +376,10 @@ func (s *paxosState) decide(out *paxosOut, inst uint64, v transport.Value) {
 	s.send(out, s.succ, transport.Message{Kind: transport.KindDecision, Instance: inst, Value: v, Seq: uint64(s.self)})
 }
 
-// learn records a decided instance and appends every value it makes
-// deliverable to out.decided, in instance order. The learned map holds its
-// own payload reference, which transfers to the out entry.
+// learn records a decided instance and moves nextDeliver over every value
+// it makes contiguous, handing each over if the consumer is there. The
+// learned map holds its own payload reference, which transfers to the out
+// entry.
 func (s *paxosState) learn(out *paxosOut, inst uint64, v transport.Value) {
 	if inst < s.nextDeliver {
 		s.freeSlot(inst)
@@ -376,9 +399,51 @@ func (s *paxosState) learn(out *paxosOut, inst uint64, v transport.Value) {
 			return
 		}
 		delete(s.learned, s.nextDeliver)
-		out.decided = append(out.decided, transport.InstanceValue{Instance: s.nextDeliver, Value: val})
+		out.ndecided++
+		if val.Skip {
+			out.nskipped += val.Span()
+		}
+		if s.lagging() {
+			val.Buf.Release() // fill hands it over later
+			out.dropped++
+		} else {
+			s.handOver(out, val)
+		}
 		s.nextDeliver += val.Span()
 	}
+}
+
+// handOver hands the consumer the value at its position, or releases it
+// where no consumer takes it. A consumer out of room starts to lag: the
+// value is released and its position stays, for fill to hand it over later.
+func (s *paxosState) handOver(out *paxosOut, v transport.Value) {
+	switch {
+	case !s.isLearner() || s.ended:
+		v.Buf.Release()
+	case s.room <= 0:
+		v.Buf.Release()
+		out.overrun = true
+		out.dropped++
+		return
+	default:
+		s.room--
+		out.decided = append(out.decided, transport.InstanceValue{Instance: s.handed, Value: v})
+	}
+	s.handed += v.Span()
+}
+
+// lagging reports whether the consumer is behind nextDeliver.
+func (s *paxosState) lagging() bool {
+	return s.isLearner() && !s.ended && s.handed < s.nextDeliver
+}
+
+// firstMissing is the first instance this node lacks: the consumer's
+// position while it lags, else nextDeliver.
+func (s *paxosState) firstMissing() uint64 {
+	if s.lagging() {
+		return s.handed
+	}
+	return s.nextDeliver
 }
 
 // learnRemote learns a value decided elsewhere. An acceptor whose logged
@@ -424,35 +489,88 @@ func (s *paxosState) freeSlot(inst uint64) {
 	}
 }
 
-// chaseGaps requests retransmission of decided-but-missed instances, so
-// delivery never stalls behind a lost Decision; a learner that heard
+// fill is the one way this node gets an instance it lacks. It hands a
+// lagging consumer, from its position and in order, what this acceptor
+// logged below nextDeliver: the loop feeds fill only once its log holds
+// every record the node acted on. With ask set it requests the first range
+// the node misses from one peer, in rotation, since a peer that learned the
+// range without voting on it has nothing to serve: the consumer's lag, sized
+// by its room, or a gap below the highest decision. A learner that heard
 // nothing for a few ticks (just recovered, ring quiet) probes blindly.
-func (s *paxosState) chaseGaps(out *paxosOut) {
-	gap := s.nextDeliver <= s.maxDecided
-	if gap {
-		if _, ok := s.learned[s.nextDeliver]; ok {
-			return
+func (s *paxosState) fill(out *paxosOut, ask bool) {
+	for s.lagging() && s.room > 0 && s.isAcceptor() {
+		v, ok := s.lookupDecided(s.handed)
+		if !ok {
+			break
 		}
-	} else {
-		if !s.isLearner() {
-			return
-		}
+		s.handOver(out, v)
+		out.served++
+	}
+	if !ask || len(s.peers) == 0 {
+		return
+	}
+	from, end := s.firstMissing(), max(s.nextDeliver, s.maxDecided+1)
+	if s.lagging() {
+		end = min(end, from+uint64(s.room))
+	}
+	switch {
+	case from < end:
+	case s.lagging() || !s.isLearner() || s.ended:
+		return
+	default:
 		if s.idleTicks++; s.idleTicks < 3 {
 			return
 		}
-		s.idleTicks = 0
+		s.idleTicks, end = 0, from+512
 	}
-	if len(s.peers) == 0 {
+	s.chased = (s.chased + 1) % len(s.peers)
+	s.send(out, s.peers[s.chased], transport.Message{Kind: transport.KindRetransmitReq, Instance: from, Count: uint32(min(end-from, 512))})
+}
+
+// learnServed takes a retransmission: the entry at a lagging consumer's
+// position goes to it, and every entry is learned. A reply that says the
+// first missing instance it was asked for is gone from the peer's log,
+// whether it serves instances above it or none, counts once per peer. Once
+// every live acceptor lacks it, the step ends the stream, and the consumer
+// recovers by checkpoint transfer (Section 5.2). This acceptor lacks it too
+// unless it logged a vote there that a Phase 1 could decide again: none
+// re-proposes below a trim point.
+func (s *paxosState) learnServed(out *paxosOut, m transport.Message) {
+	from := s.firstMissing()
+	for it := transport.IterBatch(m.Payload); ; {
+		iv, ok := it.Next()
+		if !ok {
+			break
+		}
+		if iv.Instance == s.handed && s.lagging() && s.room > 0 {
+			s.handOver(out, iv.Value)
+			out.served++
+		}
+		s.learnRemote(out, iv.Instance, iv.Value)
+	}
+	if m.Count == 0 || m.Instance != from || len(s.peers) == 0 {
 		return
 	}
-	count := uint64(512)
-	if gap {
-		count = min(count, s.maxDecided-s.nextDeliver+1)
+	if s.goneAt != from {
+		s.goneAt, s.gone, s.goneTrim = from, s.gone[:0], false
 	}
-	// Rotate over the peers: one that learned the range without voting
-	// on it has nothing to serve, and must not stall the learner.
-	s.chased = (s.chased + 1) % len(s.peers)
-	s.send(out, s.peers[s.chased], transport.Message{Kind: transport.KindRetransmitReq, Instance: s.nextDeliver, Count: uint32(count)})
+	if !slices.Contains(s.gone, m.From) {
+		s.gone = append(s.gone, m.From)
+	}
+	s.goneTrim = s.goneTrim || m.Count == retransmitUnavailable
+	for _, p := range s.peers {
+		if !slices.Contains(s.gone, p) {
+			return
+		}
+	}
+	if !s.goneTrim && s.isAcceptor() && !s.rc.Down[s.self] {
+		if _, ok := s.log.Get(from); ok {
+			return
+		}
+	}
+	if s.isLearner() && !s.ended {
+		s.ended, out.end = true, true
+	}
 }
 
 // serveRetransmit serves decided values from the acceptor log. Only
@@ -471,25 +589,34 @@ func (s *paxosState) serveRetransmit(out *paxosOut, m transport.Message) {
 			inst += v.Span() - 1
 		}
 	}
-	// The request start is echoed: it ties the response to a catch-up window.
+	// The request start is echoed: it ties the response to the instance the
+	// learner missed.
 	resp := transport.Message{Kind: transport.KindRetransmitResp, Instance: m.Instance}
-	switch {
-	case len(batch) > 0:
+	if len(batch) > 0 {
 		resp.Payload = transport.EncodeBatch(batch)
-	case m.Instance < s.nextDeliver:
-		// The range is decided but was trimmed here (Section 5.2), or lies
-		// below servedFrom: say so, or a catch-up learner would retry a
-		// silent void forever. It aborts only once every peer says so.
-		resp.Count = retransmitUnavailable
-	default:
-		return
 	}
-	s.send(out, m.From, resp)
+	// The first instance asked for is decided, but this log cannot serve
+	// it: say so, or the learner would retry a void forever.
+	switch {
+	case len(batch) > 0 && batch[0].Instance == m.Instance:
+	case m.Instance < max(s.log.FirstRetained(), s.servedFrom):
+		resp.Count = retransmitUnavailable // trimmed (Section 5.2), or below servedFrom
+	case m.Instance < s.nextDeliver:
+		resp.Count = retransmitUnlogged
+	}
+	if len(batch) > 0 || resp.Count != 0 {
+		s.send(out, m.From, resp)
+	}
 }
 
-// retransmitUnavailable in RetransmitResp.Count flags an empty reply for
-// a decided-but-trimmed range.
-const retransmitUnavailable = 1
+// RetransmitResp.Count flags a reply that does not serve the first instance
+// asked for, decided at the acceptor: retransmitUnavailable if the
+// acceptor's log will never hold it (trimmed, or below servedFrom),
+// retransmitUnlogged if it learned the instance without a vote.
+const (
+	retransmitUnavailable = 1
+	retransmitUnlogged    = 2
+)
 
 // lookupDecided returns the decided value of an instance below the
 // delivery watermark from this acceptor's log. The value is a heap view of

@@ -35,6 +35,7 @@ const (
 	plantNoVote               // an acceptor forwards its Phase 2 without staging the vote
 	plantLowBallot            // completePhase1 re-proposes the lowest-ballot reported vote
 	plantNoFloor              // logs hide their trim point, so Phase 1 sees no trim floor
+	plantFillSkip             // a fill hands over the instance after the consumer's position
 )
 
 // modelLog is an acceptor's stable log: what the harness committed, by
@@ -83,6 +84,7 @@ type modelNode struct {
 	version   uint64   // the config version it applied
 	delivered []uint64 // value ids, in delivery order
 	next      uint64   // the instance its next delivery must carry
+	starved   bool     // its consumer has no room
 }
 
 // modelMsg is a message in flight.
@@ -111,12 +113,14 @@ type modelVote struct {
 // dropped or duplicated, or an acceptor crashing and restarting (losing
 // everything uncommitted: its promise and votes come back from its log) —
 // at most modelMaxTicks retry ticks fire, with nothing in flight, at a node
-// with something to retry or chase, and at most modelMaxFlight messages are
+// with something to retry or fill, and at most modelMaxFlight messages are
 // in flight. At most one trim round runs, with nothing in flight: it trims, at every
 // acceptor the published config holds alive, through the highest instance
 // a majority of learners delivered — so an acceptor out of the ring keeps
 // its votes, and a learner behind the trim point (restarted, or out of the
-// ring) needs a checkpoint to catch up.
+// ring) needs a checkpoint to catch up. A learner's consumer running out of
+// room, at a moment with nothing in flight, counts as a fault too; it may
+// get its room back later, and gets it back in the loss-free run.
 type ringModel struct {
 	nodes   [modelProcs + 1]*modelNode // by process id
 	flight  []modelMsg
@@ -127,6 +131,7 @@ type ringModel struct {
 	drops   int
 	ticks   int                        // retry ticks fired while exploring
 	trimTo  uint64                     // the trim round's trim point (0: none ran)
+	starved bool                       // a consumer ran out of room (once per run)
 	decided map[uint64]uint64          // instance → value id, at any learner ever
 	votes   map[modelVote]map[int]bool // committed votes → voters, ever
 	plant   modelPlant
@@ -139,6 +144,7 @@ const (
 	modelMaxTicks  = 1
 	modelMaxFaults = 1
 	modelStateCap  = 200000 // a bound that stops bounding fails, not swaps
+	modelRoom      = 64     // a consumer's room: more than the model ever decides
 )
 
 func modelConfig(version uint64, coordinator transport.ProcessID) coord.RingConfig {
@@ -169,7 +175,7 @@ func newRingModel(plant modelPlant) (*ringModel, error) {
 		plant:   plant,
 	}
 	for p := 1; p <= modelProcs; p++ {
-		if err := w.start(p, 1); err != nil {
+		if err := w.start(p, 1, false); err != nil {
 			return nil, err
 		}
 	}
@@ -187,13 +193,14 @@ func newRingModel(plant modelPlant) (*ringModel, error) {
 }
 
 // start (re)starts process p over its log, under the published config,
-// delivering from instance from (a checkpoint covers what lies below).
-func (w *ringModel) start(p int, from uint64) error {
+// delivering from instance from (a checkpoint covers what lies below, a
+// peer's if fromPeer).
+func (w *ringModel) start(p int, from uint64, fromPeer bool) error {
 	log := &modelLog{hideTrim: w.plant == plantNoFloor}
 	if old := w.nodes[p]; old != nil {
 		log = old.log
 	}
-	cfg := Config{Self: transport.ProcessID(p), RetryInterval: time.Second, MaxPending: 16, StartInstance: from}
+	cfg := Config{Self: transport.ProcessID(p), RetryInterval: time.Second, MaxPending: 16, StartInstance: from, StartFromPeer: fromPeer}
 	w.nodes[p] = &modelNode{st: newPaxosState(cfg.withDefaults(), log, time.Unix(0, 0)), log: log, next: from}
 	return w.stepNode(p, &paxosEvent{kind: evConfig, cfg: w.cfg[w.version]})
 }
@@ -252,6 +259,27 @@ func (w *ringModel) stepNode(p int, ev *paxosEvent) error {
 		return err
 	}
 	nd.st.step(&w.out, &paxosEvent{kind: evPropose})
+	if err := w.absorb(p); err != nil {
+		return err
+	}
+	if !nd.st.lagging() {
+		return nil
+	}
+	return w.fill(p)
+}
+
+// fill feeds p the fill the event loop runs once a burst committed, with
+// its consumer's room.
+func (w *ringModel) fill(p int) error {
+	nd := w.nodes[p]
+	room := modelRoom
+	if nd.starved {
+		room = 0
+	}
+	nd.st.step(&w.out, &paxosEvent{kind: evFill, room: room})
+	if w.plant == plantFillSkip && len(w.out.decided) > 0 {
+		w.out.decided = w.out.decided[1:]
+	}
 	return w.absorb(p)
 }
 
@@ -299,6 +327,9 @@ func (w *ringModel) absorb(p int) error {
 	if out.trim > 0 {
 		nd.log.trim(out.trim)
 	}
+	if out.end && nd.next > w.trimTo {
+		return fmt.Errorf("node %d ended its stream at instance %d, above the trim point %d", p, nd.next, w.trimTo)
+	}
 	for _, v := range out.votes {
 		nd.log.put(v.inst, encodeAccept(v.ballot, v.inst, v.value))
 		key := modelVote{inst: v.inst, ballot: v.ballot, id: modelID(v.value)}
@@ -309,7 +340,7 @@ func (w *ringModel) absorb(p int) error {
 	}
 	for _, iv := range out.decided {
 		if iv.Instance != nd.next {
-			return fmt.Errorf("node %d delivered instance %d, want %d: not contiguous", p, iv.Instance, nd.next)
+			return fmt.Errorf("node %d delivered instance %d, want %d: not contiguous, or twice", p, iv.Instance, nd.next)
 		}
 		nd.next += iv.Value.Span()
 		nd.delivered = append(nd.delivered, iv.Value.ID)
@@ -382,13 +413,17 @@ func (w *ringModel) reconfigure(p int) error {
 	return w.stepNode(p, &paxosEvent{kind: evConfig, cfg: w.cfg[2]})
 }
 
-// faults counts the drops, duplications and crashes of the world's past.
+// faults counts the drops, duplications, crashes and consumers out of room
+// of the world's past.
 func (w *ringModel) faults() int {
 	n := w.drops
 	if w.dup {
 		n++
 	}
 	if w.crashed {
+		n++
+	}
+	if w.starved {
 		n++
 	}
 	return n
@@ -425,6 +460,7 @@ func cloneState(s *paxosState, log paxosLog) paxosState {
 	c.peers = slices.Clone(s.peers)
 	c.inFlight = maps.Clone(s.inFlight)
 	c.learned = maps.Clone(s.learned)
+	c.gone = slices.Clone(s.gone)
 	c.safeResps = maps.Clone(s.safeResps)
 	c.pendingQ = proposalQueue{}
 	for i := 0; i < s.pendingQ.len(); i++ {
@@ -453,12 +489,16 @@ func (w *ringModel) key() string {
 		}
 		return 0
 	}
-	num(w.version, flag(w.crashed), flag(w.dup), uint64(w.drops), uint64(w.ticks), w.trimTo)
+	num(w.version, flag(w.crashed), flag(w.dup), uint64(w.drops), uint64(w.ticks), w.trimTo, flag(w.starved))
 	for p := 1; p <= modelProcs; p++ {
 		nd := w.nodes[p]
 		s := &nd.st
 		b.WriteByte('|')
 		num(nd.version, uint64(s.promised), uint64(s.ballot), flag(s.isCoord), flag(s.phase1Ready), s.nextInstance, s.nextDeliver, s.maxDecided, uint64(s.idleTicks), uint64(s.chased), nd.next, nd.log.trimmed)
+		num(s.handed, flag(nd.starved), flag(s.room > 0), flag(s.ended), s.goneAt, flag(s.goneTrim))
+		for _, g := range s.gone {
+			num(uint64(g))
+		}
 		b.WriteString("q")
 		for i := 0; i < s.pendingQ.len(); i++ {
 			num(s.pendingQ.at(i).ID)
@@ -577,10 +617,16 @@ func (w *ringModel) events() []modelEvent {
 		if !w.crashed && w.faults() < modelMaxFaults {
 			evs = append(evs, modelEvent{fmt.Sprintf("crash-restart %d", p), func(w *ringModel) error {
 				w.crashed = true
-				return w.start(p, 1)
+				return w.start(p, 1, false)
 			}})
 		}
-		if s := &w.nodes[p].st; w.ticks < modelMaxTicks && len(w.flight) == 0 && (s.isCoord && (!s.phase1Ready || len(s.inFlight) > 0) || s.nextDeliver <= s.maxDecided) {
+		if w.faults() < modelMaxFaults && len(w.flight) == 0 {
+			evs = append(evs, modelEvent{fmt.Sprintf("consumer of %d out of room", p), func(w *ringModel) error { return w.setRoom(p, true) }})
+		}
+		if w.nodes[p].starved {
+			evs = append(evs, modelEvent{fmt.Sprintf("consumer of %d has room again", p), func(w *ringModel) error { return w.setRoom(p, false) }})
+		}
+		if s := &w.nodes[p].st; w.ticks < modelMaxTicks && len(w.flight) == 0 && (s.isCoord && (!s.phase1Ready || len(s.inFlight) > 0) || s.nextDeliver <= s.maxDecided || s.lagging() && s.room > 0) {
 			evs = append(evs, modelEvent{fmt.Sprintf("retry tick at %d", p), func(w *ringModel) error { w.ticks++; return w.tick(p) }})
 		}
 	}
@@ -588,6 +634,14 @@ func (w *ringModel) events() []modelEvent {
 		evs = append(evs, modelEvent{fmt.Sprintf("trim round through %d", to), func(w *ringModel) error { return w.trimRound(to) }})
 	}
 	return evs
+}
+
+// setRoom takes the room of p's consumer away, or gives it back; the fill
+// the event loop runs next reads it.
+func (w *ringModel) setRoom(p int, starved bool) error {
+	w.starved = w.starved || starved
+	w.nodes[p].starved = starved
+	return w.fill(p)
 }
 
 // trimPoint is the highest instance a majority of learners delivered: a
@@ -615,7 +669,7 @@ func (w *ringModel) trimRound(to uint64) error {
 }
 
 // installCheckpoint restarts learner p, behind the trim point, from a
-// checkpoint through it, as a replica recovers by state transfer.
+// peer's checkpoint through it, as a replica recovers by state transfer.
 func (w *ringModel) installCheckpoint(p int) error {
 	delivered := w.nodes[p].delivered
 	for inst := w.nodes[p].next; inst <= w.trimTo; {
@@ -629,19 +683,19 @@ func (w *ringModel) installCheckpoint(p int) error {
 			inst += (id&^modelSkip)>>40 - 1
 		}
 	}
-	if err := w.start(p, w.trimTo+1); err != nil {
+	if err := w.start(p, w.trimTo+1, true); err != nil {
 		return err
 	}
 	w.nodes[p].delivered = delivered
 	return nil
 }
 
-// live runs w on, loss-free: every config change arrives, every message is
-// delivered, every node's retry tick fires, and every fourth round the
-// client re-sends to the coordinator a proposal no learner delivered, as
-// clients retry end to end; a learner behind the trim point installs a
-// checkpoint. Both proposals must then be delivered at every
-// learner.
+// live runs w on, loss-free: every consumer has room, every config change
+// arrives, every message is delivered, every node's retry tick fires, and
+// every fourth round the client re-sends to the coordinator a proposal no
+// learner delivered, as clients retry end to end; a learner whose stream
+// ended behind the trim point installs a checkpoint. Both proposals must
+// then be delivered at every learner.
 func (w *ringModel) live() error {
 	w.flight = append(w.flight, w.client...)
 	w.client = nil
@@ -655,7 +709,12 @@ func (w *ringModel) live() error {
 			return nil
 		}
 		for p := 1; p <= modelProcs; p++ {
-			if w.nodes[p].next <= w.trimTo {
+			if w.nodes[p].starved {
+				if err := w.setRoom(p, false); err != nil {
+					return err
+				}
+			}
+			if w.nodes[p].st.ended {
 				if err := w.installCheckpoint(p); err != nil {
 					return err
 				}
@@ -740,14 +799,17 @@ func exploreRing(plant modelPlant) (int, error) {
 //   - agreement: no instance is decided at a learner, or chosen by a
 //     majority of votes, with two values;
 //   - validity: every decided value was proposed (or is a skip);
-//   - integrity: each learner delivers contiguous instances, none twice;
+//   - integrity: each learner hands its consumer contiguous instances, in
+//     order and none twice, also while the consumer lags;
+//   - a learner ends its consumer's stream only below the trim point;
 //   - log before forward: every Phase 2 or Decision that counts the
 //     sender's vote leaves with that vote in the step's records or the log;
 //   - Phase 1 re-proposes, for every reported instance, the value of the
 //     highest-ballot vote;
 //   - liveness: from every reachable world, loss-free delivery plus retry
-//     ticks (and clients re-sending what no learner delivered) decides both
-//     proposals at every learner.
+//     ticks (and clients re-sending what no learner delivered, and a
+//     checkpoint for a learner whose stream ended) hands both proposals to
+//     every learner's consumer.
 func TestRingModel(t *testing.T) {
 	n, err := exploreRing(plantNone)
 	if err != nil {
@@ -766,6 +828,7 @@ func TestRingModelCatchesPlantedBugs(t *testing.T) {
 		{"an acceptor forwards its Phase 2 without staging the vote", plantNoVote},
 		{"completePhase1 re-proposes the lowest-ballot vote", plantLowBallot},
 		{"Phase 1 sees no trim floor", plantNoFloor},
+		{"a fill hands over the instance after the consumer's position", plantFillSkip},
 	} {
 		n, err := exploreRing(tc.plant)
 		if err == nil {

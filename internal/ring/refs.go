@@ -25,7 +25,8 @@ import (
 //	pendingQ entry      push retains; pop transfers to the caller
 //	inFlight flight     released when the slot frees (decided/stale/exit)
 //	learned map         transfers to the step's decided entry, then to
-//	                    the pending Delivery, released if suppressed
+//	                    the pending Delivery; released where no consumer
+//	                    takes it or while it lags
 //	Delivery entry      released by ReleaseBatch (the consumer's, or the
 //	                    queue's at Stop and DropDeliveries)
 //	staged send         retained by send, released by commitStaged
@@ -73,9 +74,6 @@ func (n *Node) consume(m transport.Message) {
 		n.burstRefs = append(n.burstRefs, m.Value.Buf)
 	}
 	n.ingestTraces(&m)
-	if m.Kind == transport.KindRetransmitResp && !n.commitWedged {
-		n.catchUpFrom(&m)
-	}
 	n.feed(&paxosEvent{kind: evMessage, msg: m})
 }
 

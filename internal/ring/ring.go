@@ -76,9 +76,9 @@ type Config struct {
 	RetryInterval time.Duration
 	// deliverBuffer caps the delivery queue's lag: every entry queued and
 	// not yet taken (TakeBatch) counts. A consumer that falls further
-	// behind than this transitions the learner to catch-up
-	// (retransmit-path redelivery) instead of blocking the protocol event
-	// loop.
+	// behind than this lags instead of blocking the protocol event loop:
+	// what is decided meanwhile is released, and the learner fetches it
+	// again once the consumer frees room, as it fills any gap.
 	deliverBuffer int
 
 	// SkipEnabled turns on rate leveling (Section 4).
@@ -189,18 +189,10 @@ type Node struct {
 	dclosed   bool
 	lastValue atomic.Uint64 // see LastValue
 
-	// Catch-up state: catchupNext (written only by the run loop; atomic
-	// so FlowStats can read the watermark) is the next instance the
-	// consumer still needs after a buffer overrun; inCatchup mirrors the
-	// mode for concurrent readers. catchupRR rotates retransmission
-	// targets and catchupUnavailFrom records which peers reported the
-	// range unservable (abort once every live peer acceptor did).
-	catchupNext        atomic.Uint64
-	inCatchup          atomic.Bool
-	catchupRR          int
-	catchupUnavailFrom map[transport.ProcessID]bool
-
-	// Flow-control instrumentation (atomics; read by FlowStats).
+	// Flow-control instrumentation (atomics; read by FlowStats). lagFrom
+	// publishes the state's consumer position while the consumer lags (0:
+	// it does not).
+	lagFrom        atomic.Uint64
 	overruns       atomic.Uint64
 	catchupDropped atomic.Uint64
 	catchupServed  atomic.Uint64

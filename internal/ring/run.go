@@ -56,7 +56,6 @@ func (n *Node) run() {
 	var burst []transport.Message
 
 	for {
-		allowRemoteCatchup := false
 		select {
 		case <-n.done:
 			return
@@ -84,7 +83,6 @@ func (n *Node) run() {
 			}
 		case now := <-retry.C:
 			n.feed(&paxosEvent{kind: evRetry, now: now})
-			allowRemoteCatchup = true
 		case <-skipC:
 			n.feed(&paxosEvent{kind: evDelta})
 		case <-trimC:
@@ -99,11 +97,10 @@ func (n *Node) run() {
 		// of the votes that decided it.
 		n.commitStaged()
 		n.handoffPending()
-		// With everything durable, catch-up may replay dropped instances
-		// into the freed delivery buffer; remote requests are paced by the
-		// retry tick, and the extra commit releases one if staged.
-		n.pumpCatchup(allowRemoteCatchup)
-		n.commitStaged()
+		// With everything durable, the state learns the room the consumer
+		// freed and hands a lagging consumer what this acceptor logged.
+		n.feed(&paxosEvent{kind: evFill, room: n.deliveryRoom()})
+		n.handoffPending()
 		// Committed and flushed: the burst's read blocks and interned
 		// payloads go back to the pool (later holders took their own refs).
 		n.releaseBurst()
@@ -135,11 +132,11 @@ func (n *Node) feed(ev *paxosEvent) {
 
 // readsLog reports whether stepping ev may read the log: an acceptor's
 // Phase 1B report, a retransmission, a Phase 1 this process starts
-// (configuration change, retry tick), or a learned value checked against
-// a vote staged for its instance.
+// (configuration change, retry tick), a fill, or a learned value checked
+// against a vote staged for its instance.
 func (n *Node) readsLog(ev *paxosEvent) bool {
 	switch k := ev.msg.Kind; {
-	case ev.kind == evConfig || ev.kind == evRetry:
+	case ev.kind == evConfig || ev.kind == evRetry || ev.kind == evFill:
 		return true
 	case ev.kind != evMessage:
 		return false
@@ -202,30 +199,46 @@ func (n *Node) apply() {
 	if out.trim > 0 {
 		_ = n.cfg.Log.Trim(out.trim)
 	}
-	n.handOver(out.decided)
+	n.countFlow(out)
+	n.deliver(out.decided)
 	out.reset()
 }
 
-// handOver takes the decided values of one step, in instance order, each
-// with the learned map's payload reference. It never blocks: full batches
-// go to the delivery stage, which turns a consumer past its lag cap into a
-// catch-up instead of wedging the loop.
-func (n *Node) handOver(decided []transport.InstanceValue) {
-	if len(decided) == 0 {
-		return
+// countFlow adds one step's learner counts to the node's counters, and ends
+// the delivery stream when the step says so.
+func (n *Node) countFlow(out *paxosOut) {
+	if out.ndecided > 0 {
+		n.decidedCount.Add(uint64(out.ndecided))
+		n.skippedCount.Add(out.nskipped)
 	}
-	n.decidedCount.Add(uint64(len(decided)))
+	if out.overrun {
+		n.overruns.Add(1)
+	}
+	if out.dropped > 0 {
+		n.catchupDropped.Add(uint64(out.dropped))
+	}
+	if out.served > 0 {
+		n.catchupServed.Add(uint64(out.served))
+	}
+	if out.end {
+		n.catchupAborted.Add(1)
+		n.closeDelivery()
+	}
+	var from uint64 // published for FlowStats: the consumer's position while it lags
+	if n.px.lagging() {
+		from = n.px.handed
+	}
+	if from != n.lagFrom.Load() {
+		n.lagFrom.Store(from)
+	}
+}
+
+// deliver takes the values one step handed over, in instance order, each
+// with its payload reference. It never blocks: full batches go to the
+// delivery stage, and the state hands over no more than the room the loop
+// read, so the stage takes each.
+func (n *Node) deliver(decided []transport.InstanceValue) {
 	for _, iv := range decided {
-		if iv.Value.Skip {
-			n.skippedCount.Add(iv.Value.Span())
-		}
-		// While catching up, live deliveries are suppressed — the
-		// consumer has not yet seen [catchupNext, here), so delivering
-		// now would reorder; catch-up replays this instance later.
-		if !n.px.isLearner() || n.inCatchup.Load() {
-			iv.Value.Buf.Release() // no Delivery entry will carry it
-			continue
-		}
 		n.pending = append(n.pending, Delivery{Ring: n.ring, Instance: iv.Instance, Value: iv.Value})
 		if len(n.pending) >= deliveryBatchCap {
 			// Votes first: a released delivery never outruns them (a
